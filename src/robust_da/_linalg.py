@@ -97,12 +97,16 @@ class SpdFactor:
     def inverse(self) -> np.ndarray:
         return self.solve(np.eye(self.dim))
 
-    def mahalanobis_sq(self, residual: np.ndarray) -> float:
-        """Quadratic form r^T A^{-1} r computed by triangular solve."""
+    def mahalanobis_sq(self, residual: np.ndarray) -> float | np.ndarray:
+        """Quadratic form r^T A^{-1} r computed by triangular solve.
+
+        A (d,) residual gives a float; a (d, n) one gives the n column forms.
+        A non-finite residual column gives a non-finite form.
+        """
         r = np.asarray(residual, dtype=float)
-        if r.shape != (self.dim,):
+        if r.ndim not in (1, 2) or r.shape[0] != self.dim:
             raise ValueError(
-                f"residual has shape {r.shape}, expected ({self.dim},)"
+                f"residual has shape {r.shape}, expected ({self.dim},) or ({self.dim}, n)"
             )
         # L z = r as (L^T)^T z = r: L^T is the Fortran-ordered view of the
         # C-ordered factor, and this is the call scipy's solve_triangular
@@ -110,7 +114,7 @@ class SpdFactor:
         z, info = dtrtrs(self.chol.T, r, lower=0, trans=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"LAPACK dtrtrs failed with info {info}")
-        return float(z @ z)
+        return float(z @ z) if r.ndim == 1 else np.sum(z * z, axis=0)
 
     def _eig_roots(self) -> None:
         eigvals, eigvecs = np.linalg.eigh(self.matrix)

@@ -14,16 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import SpdFactor, symmetrize
-from .lgss import GaussianBelief, LgssModel, rts_smoother
-from .weights import (
-    CONDITIONAL,
-    MARGINAL,
-    WeightEvaluation,
-    WeightKernelSpec,
-    corrected_observation,
-    eval_kernel,
-    rescaled_obs_cov,
-)
+from .lgss import GaussianBelief, LgssModel, kalman_gain, kf_analysis, rts_smoother
+from .weights import WeightEvaluation, WeightKernelSpec, WolfSpec, robust_update
 
 __all__ = [
     "AnalysisResult",
@@ -48,50 +40,31 @@ class AnalysisResult:
     gain: np.ndarray
 
 
-@dataclass(frozen=True)
-class WolfSpec:
-    """Weighted-likelihood filter weight configuration.
-
-    ``md``: r(y) = (1 + ||y - Hm^f||^2_{R^{-1}} / c^2)^{-1/2}, values in (0, 1]
-    so the update can only inflate.  ``sigma_scaled``: the sqrt(2)-rescaled
-    variant standardized by the innovation covariance, values in (0, sqrt(2)],
-    matching the regular-KF covariance update at zero residual.
-    """
-
-    variant: str = "md"
-    c_sq: float | None = None
-
-    def __post_init__(self):
-        if self.variant not in ("md", "sigma_scaled"):
-            raise ValueError(f"unknown WoLF variant {self.variant!r}")
-        if self.c_sq is not None and self.c_sq <= 0.0:
-            raise ValueError("c_sq must be strictly positive")
-
-
-def _standardization_cov(mode: str, marginal: np.ndarray, r: np.ndarray) -> np.ndarray:
-    if mode == MARGINAL:
-        return marginal
-    if mode == CONDITIONAL:
-        return r
-    raise ValueError(
-        f"standardization {mode!r} is not available in the closed-form analysis"
-    )
-
-
-def _gain_update(
+def _robust_analysis(
+    model: LgssModel,
     forecast: GaussianBelief,
-    h: np.ndarray,
-    effective_r: np.ndarray,
-    target_obs: np.ndarray,
-) -> tuple[GaussianBelief, np.ndarray]:
-    """Shared gain-form update with observation covariance ``effective_r``."""
-    p_f = forecast.cov
-    hp = h @ p_f
-    bracket = SpdFactor(effective_r + hp @ h.T)
-    gain = bracket.solve(hp).T
-    cov = p_f - gain @ hp  # ctor symmetrizes
-    mean = forecast.mean - gain @ (h @ forecast.mean - target_obs)
-    return GaussianBelief(mean=mean, cov=cov), gain
+    y: np.ndarray,
+    spec: WeightKernelSpec | WolfSpec,
+) -> AnalysisResult:
+    """Gain-form update with the effective covariance and target observation
+    of the shared robust-update core."""
+    h = model.H
+    center = h @ forecast.mean
+    effective_r, target, evaluation = robust_update(
+        spec, y, center, lambda: h @ forecast.cov @ h.T, model.observation.r_factor
+    )
+    gain, hp, _ = kalman_gain(forecast.cov, h, effective_r)
+    posterior = GaussianBelief(
+        mean=forecast.mean - gain @ (center - target),
+        cov=forecast.cov - gain @ hp,  # ctor symmetrizes
+    )
+    return AnalysisResult(
+        posterior=posterior,
+        kernel_eval=evaluation,
+        corrected_obs=target,
+        rescaled_cov=effective_r,
+        gain=gain,
+    )
 
 
 def dsm_analysis(
@@ -107,21 +80,26 @@ def dsm_analysis(
     observation, and applies the adjusted gain
     K = P^f H^T [N(y) + H P^f H^T]^{-1}.
     """
-    h, r = model.H, model.R
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    marginal = symmetrize(h @ forecast.cov @ h.T + r)
-    std_cov = SpdFactor(_standardization_cov(spec.standardization, marginal, r))
-    evaluation = eval_kernel(spec, y, h @ forecast.mean, std_cov)
-    n_y = rescaled_obs_cov(spec, evaluation, r)
-    y_corr = corrected_observation(evaluation, n_y, y)
-    posterior, gain = _gain_update(forecast, h, n_y, y_corr)
-    return AnalysisResult(
-        posterior=posterior,
-        kernel_eval=evaluation,
-        corrected_obs=y_corr,
-        rescaled_cov=n_y,
-        gain=gain,
-    )
+    return _robust_analysis(model, forecast, y, spec)
+
+
+def wolf_analysis(
+    model: LgssModel,
+    forecast: GaussianBelief,
+    y: np.ndarray,
+    spec: WolfSpec,
+) -> AnalysisResult:
+    """Weighted-likelihood analysis step.
+
+    Replaces R by R / r^2(y) inside the regular gain (the effective
+    observation covariance; cross-checked against the information-form
+    precision update J^a = J^f + r^2 H^T R^{-1} H) and assimilates the raw
+    observation.  The result is reported through the same container as the
+    score-matching step with the effective squared weight r^2 / 2, which
+    makes the shared rescaled-covariance relation N = R / (2 k^2) hold
+    verbatim.
+    """
+    return _robust_analysis(model, forecast, y, spec)
 
 
 def information_form_update(
@@ -143,56 +121,10 @@ def information_form_update(
     return GaussianBelief(mean=mean, cov=p_a)
 
 
-def wolf_analysis(
-    model: LgssModel,
-    forecast: GaussianBelief,
-    y: np.ndarray,
-    spec: WolfSpec,
-) -> AnalysisResult:
-    """Weighted-likelihood analysis step.
-
-    Replaces R by R / r^2(y) inside the regular gain (the effective
-    observation covariance; cross-checked against the information-form
-    precision update J^a = J^f + r^2 H^T R^{-1} H) and assimilates the raw
-    observation.  The result is reported through the same container as the
-    score-matching step with the effective squared weight r^2 / 2, which
-    makes the shared rescaled-covariance relation N = R / (2 k^2) hold
-    verbatim.
-    """
-    h, r = model.H, model.R
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    c_sq = spec.c_sq if spec.c_sq is not None else float(model.d_y)
-    residual = y - h @ forecast.mean
-    if spec.variant == "md":
-        s = model.observation.r_factor.mahalanobis_sq(residual)
-        r_sq = 1.0 / (1.0 + s / c_sq)
-    else:
-        marginal = SpdFactor(symmetrize(h @ forecast.cov @ h.T + r))
-        s = marginal.mahalanobis_sq(residual)
-        r_sq = 2.0 / (1.0 + s / c_sq)
-    r_tilde = r / r_sq
-    posterior, gain = _gain_update(forecast, h, r_tilde, y)
-    d_y = model.d_y
-    evaluation = WeightEvaluation(
-        k_sq=np.array([0.5 * r_sq]),
-        grad_diag=np.zeros(d_y),
-        full_grads=np.zeros((1, d_y)),
-        partition=((0, d_y),),
-    )
-    return AnalysisResult(
-        posterior=posterior,
-        kernel_eval=evaluation,
-        corrected_obs=y,
-        rescaled_cov=r_tilde,
-        gain=gain,
-    )
-
-
 def dsm_rts_smoother(
     model: LgssModel,
     forecasts,
     analyses,
-    transitions=None,
 ) -> list[GaussianBelief]:
     """Backward smoother over score-matching filter output.
 
@@ -201,7 +133,7 @@ def dsm_rts_smoother(
     parameters, which are consumed as-is (no re-weighting backwards).
     """
     beliefs = [a.posterior if isinstance(a, AnalysisResult) else a for a in analyses]
-    return rts_smoother(model, forecasts, beliefs, transitions=transitions)
+    return rts_smoother(model, forecasts, beliefs)
 
 
 @dataclass(frozen=True)
@@ -230,13 +162,12 @@ def influence_sweep(
     robustness signature; the regular gain is constant in y, so its
     displacement grows linearly without bound.
     """
-    from .lgss import kf_analysis  # local import to avoid cycle at module load
-
     h = model.H
     center = h @ forecast.mean
-    marginal = symmetrize(h @ forecast.cov @ h.T + model.R)
     if direction is None:
-        eigvals, eigvecs = np.linalg.eigh(marginal)
+        # The innovation covariance is the bracket of the regular gain.
+        innovation_cov = kalman_gain(forecast.cov, h, model.R)[2].matrix
+        eigvals, eigvecs = np.linalg.eigh(innovation_cov)
         direction = eigvecs[:, np.argmax(eigvals)]
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)

@@ -10,24 +10,14 @@ weighted-likelihood (WoLF) variants inflate it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from ._linalg import SpdFactor, psd_sym_sqrt, symmetrize
-from .lgss import GaussianBelief, ObservationModel
-from .weights import (
-    CONSTANT,
-    IMQ,
-    OBS_ANOMALY,
-    WeightKernelSpec,
-    corrected_observation,
-    default_threshold,
-    eval_kernel,
-    rescaled_obs_cov,
-)
-from .analysis import WolfSpec
+from .lgss import GaussianBelief, ObservationModel, kalman_gain
+from .weights import CONDITIONAL, WeightKernelSpec, WolfSpec, robust_update
 
 __all__ = [
     "EnsembleState",
@@ -110,37 +100,6 @@ def ensemble_forecast(
     return EnsembleState(members=propagated)
 
 
-def _effective_obs_cov(
-    obs: ObservationModel,
-    spec: WeightKernelSpec | WolfSpec,
-    y: np.ndarray,
-    center: np.ndarray,
-    marginal_cov: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Effective observation covariance and target observation for one update.
-
-    Returns (effective R, target observation, scalar weight diagnostic).
-    For a kernel spec this is (N(y), corrected observation, k^2); for a WoLF
-    spec it is (R / r^2, y, r^2 / 2).
-    """
-    r = obs.R
-    if isinstance(spec, WolfSpec):
-        c_sq = spec.c_sq if spec.c_sq is not None else float(obs.d_y)
-        residual = y - center
-        if spec.variant == "md":
-            s = obs.r_factor.mahalanobis_sq(residual)
-            r_sq = 1.0 / (1.0 + s / c_sq)
-        else:
-            s = SpdFactor(marginal_cov).mahalanobis_sq(residual)
-            r_sq = 2.0 / (1.0 + s / c_sq)
-        return r / r_sq, y, 0.5 * r_sq
-    std = r if spec.standardization == "conditional" else marginal_cov
-    evaluation = eval_kernel(spec, y, center, SpdFactor(std))
-    n_y = rescaled_obs_cov(spec, evaluation, r)
-    y_corr = corrected_observation(evaluation, n_y, y)
-    return n_y, y_corr, float(evaluation.k_sq.min())
-
-
 def enkf_perturbed_analysis(
     ensemble: EnsembleState,
     obs: ObservationModel,
@@ -167,37 +126,29 @@ def enkf_perturbed_analysis(
         raise ValueError(f"unknown EnKF mode {mode!r}")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     h = obs.H
-    if forecast_override is None:
-        p_f = ensemble.cov
-        center_mean = h @ ensemble.mean
-    else:
-        p_f = forecast_override.cov
-        center_mean = h @ forecast_override.mean
-    hp = h @ p_f
-    marginal = symmetrize(hp @ h.T + obs.R)
+    forecast = ensemble if forecast_override is None else forecast_override
+    p_f = forecast.cov
+
+    def hph():
+        return h @ p_f @ h.T
 
     members = ensemble.members
     m = ensemble.size
     predicted = h @ members
 
     if mode == "average":
-        eff_r, target, _ = _effective_obs_cov(obs, spec, y, center_mean, marginal)
-        gain = SpdFactor(eff_r + hp @ h.T).solve(hp).T
+        eff_r, target, _ = robust_update(spec, y, h @ forecast.mean, hph, obs.r_factor)
+        gain, _, _ = kalman_gain(p_f, h, eff_r)
         noise = SpdFactor(eff_r).chol @ rng.standard_normal((obs.d_y, m))
         updated = members - gain @ (predicted + noise - target[:, None])
         return EnsembleState(members=updated)
 
-    if isinstance(spec, WeightKernelSpec) and spec.standardization != "conditional":
-        spec = WeightKernelSpec(
-            family=spec.family,
-            threshold=spec.threshold,
-            standardization="conditional",
-            block_partition=spec.block_partition,
-        )
+    if isinstance(spec, WeightKernelSpec) and spec.standardization != CONDITIONAL:
+        spec = replace(spec, standardization=CONDITIONAL)
     updated = np.empty_like(members)
     for i in range(m):
-        eff_r, target, _ = _effective_obs_cov(obs, spec, y, predicted[:, i], marginal)
-        gain = SpdFactor(eff_r + hp @ h.T).solve(hp).T
+        eff_r, target, _ = robust_update(spec, y, predicted[:, i], hph, obs.r_factor)
+        gain, _, _ = kalman_gain(p_f, h, eff_r)
         noise = SpdFactor(eff_r).chol @ rng.standard_normal(obs.d_y)
         updated[:, i] = members[:, i] - gain @ (predicted[:, i] + noise - target)
     return EnsembleState(members=updated)
@@ -222,13 +173,9 @@ def esrf_analysis(
     h = obs.H
     m = ensemble.size
     p_f = ensemble.cov
-    hp = h @ p_f
-    marginal = symmetrize(hp @ h.T + obs.R)
     center = h @ ensemble.mean
-    eff_r, target, _ = _effective_obs_cov(obs, spec, y, center, marginal)
-
-    bracket_factor = SpdFactor(eff_r + hp @ h.T)
-    gain = bracket_factor.solve(hp).T
+    eff_r, target, _ = robust_update(spec, y, center, lambda: h @ p_f @ h.T, obs.r_factor)
+    gain, _, bracket_factor = kalman_gain(p_f, h, eff_r)
     hx = h @ ensemble.anomalies
     core = np.eye(m) - (hx.T @ bracket_factor.solve(hx)) / (m - 1)
     transform = psd_sym_sqrt(core)
@@ -243,15 +190,10 @@ class Localization:
     """Cyclic R-localization: observations within ``half_width`` lattice
     sites of the analyzed state index, observation precision tapered by
     exp(-d^2 / L^2) with d the cyclic index distance.
-
-    ``literal_taper`` switches to replacing the observation variances by the
-    raw taper values (a transcription found in some write-ups; it trusts
-    distant observations more, kept only for comparison).
     """
 
     half_width: int
     taper_length: float
-    literal_taper: bool = False
 
     def __post_init__(self):
         if self.half_width < 0:
@@ -262,19 +204,10 @@ class Localization:
 
 @dataclass(frozen=True)
 class LetkfConfig:
-    """LETKF settings: multiplicative inflation, optional localization and
-    an optional explicit weight spec for the anomaly-space analysis.
-
-    With ``kernel`` unset the DSM variant uses an IMQ kernel standardized by
-    the observation-anomaly covariance with threshold q^2 equal to the local
-    observation count, and the WoLF variant uses the conditionally
-    standardized weight with the same default.
-    """
+    """LETKF settings: multiplicative inflation and optional localization."""
 
     rho: float = 1.0
     localization: Localization | None = None
-    kernel: WeightKernelSpec | WolfSpec | None = None
-    per_state_window: bool = True
 
     def __post_init__(self):
         if self.rho < 1.0:
@@ -330,51 +263,27 @@ def _window_indices(state_index: int, d_y: int, half_width: int) -> tuple[np.nda
     return indices, np.abs(offsets)
 
 
-def _letkf_weight_update(
-    variant: str,
-    config: LetkfConfig,
+def _local_analysis(
+    spec: WeightKernelSpec | WolfSpec,
     y: np.ndarray,
     y_mean: np.ndarray,
     y_anom: np.ndarray,
-    r_diag_or_matrix: np.ndarray,
-    m: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Effective inverse observation covariance and corrected innovation."""
-    d_loc = y.shape[0]
-    r = np.diag(r_diag_or_matrix) if r_diag_or_matrix.ndim == 1 else r_diag_or_matrix
-    innovation = y - y_mean
-    if variant == "regular":
-        return SpdFactor(r).inverse(), innovation
-    if variant == "wolf":
-        spec = config.kernel if isinstance(config.kernel, WolfSpec) else WolfSpec()
-        c_sq = spec.c_sq if spec.c_sq is not None else float(d_loc)
-        r_factor = SpdFactor(r)
-        s = r_factor.mahalanobis_sq(innovation)
-        if spec.variant == "md":
-            r_sq = 1.0 / (1.0 + s / c_sq)
-        else:
-            sigma_y = symmetrize(y_anom @ y_anom.T / (m - 1) + r)
-            s = SpdFactor(sigma_y).mahalanobis_sq(innovation)
-            r_sq = 2.0 / (1.0 + s / c_sq)
-        return r_sq * r_factor.inverse(), innovation
-    if variant == "dsm":
-        if isinstance(config.kernel, WeightKernelSpec):
-            spec = config.kernel
-        else:
-            spec = WeightKernelSpec(family=IMQ, standardization=OBS_ANOMALY)
-        if spec.threshold is None and spec.family != CONSTANT:
-            spec = WeightKernelSpec(
-                family=spec.family,
-                threshold=default_threshold(d_loc, spec.family),
-                standardization=spec.standardization,
-                block_partition=spec.block_partition,
-            )
-        sigma_y = symmetrize(y_anom @ y_anom.T / (m - 1) + r)
-        evaluation = eval_kernel(spec, y, y_mean, SpdFactor(sigma_y))
-        n_y = rescaled_obs_cov(spec, evaluation, r)
-        corrected = corrected_observation(evaluation, n_y, y)
-        return SpdFactor(n_y).inverse(), corrected - y_mean
-    raise ValueError(f"unknown LETKF variant {variant!r}")
+    r: np.ndarray,
+    rho: float,
+) -> AnomalyAnalysis:
+    """Robust anomaly-space analysis over one observation window."""
+    m = y_anom.shape[1]
+    r_factor = SpdFactor(r)
+    n_eff, target, evaluation = robust_update(
+        spec, y, y_mean, lambda: y_anom @ y_anom.T / (m - 1), r_factor
+    )
+    if evaluation.n_blocks == 1:
+        # N = R / (2 k^2): invert through R's factor instead of factoring N.
+        ninv = r_factor.inverse()
+        ninv *= 2.0 * evaluation.k_sq[0]
+    else:
+        ninv = SpdFactor(n_eff).inverse()
+    return solve_anomaly_analysis(y_anom, ninv, target - y_mean, rho)
 
 
 def letkf_analysis(
@@ -382,7 +291,7 @@ def letkf_analysis(
     h: Callable[[np.ndarray], np.ndarray] | np.ndarray,
     r: np.ndarray,
     y: np.ndarray,
-    variant: str = "regular",
+    spec: WeightKernelSpec | WolfSpec,
     config: LetkfConfig | None = None,
 ) -> EnsembleState:
     """Local ensemble transform analysis (deterministic, no random draws).
@@ -392,6 +301,11 @@ def letkf_analysis(
     Y_i = h(member_i) - h(mean).  With localization enabled, one local
     analysis per state index runs over the cyclic observation window and
     contributes only that state's row to the output.
+
+    Each analysis takes its effective covariance and target observation from
+    the shared robust update, with Y Y^T / (M - 1) as the forecast covariance
+    in observation space; the constant kernel gives the regular LETKF, and a
+    threshold of None resolves to each window's observation count.
     """
     config = config or LetkfConfig()
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -401,16 +315,12 @@ def letkf_analysis(
     else:
         h_mat = np.atleast_2d(np.asarray(h, dtype=float))
         h_fun = lambda x: h_mat @ x
-    m = ensemble.size
     y_mean = np.atleast_1d(h_fun(ensemble.mean))
     y_members = np.atleast_2d(h_fun(ensemble.members))
     y_anom = y_members - y_mean[:, None]
 
-    if config.localization is None or not config.per_state_window:
-        ninv, innovation = _letkf_weight_update(
-            variant, config, y, y_mean, y_anom, r, m
-        )
-        solution = solve_anomaly_analysis(y_anom, ninv, innovation, config.rho)
+    if config.localization is None:
+        solution = _local_analysis(spec, y, y_mean, y_anom, r, config.rho)
         mean_a = ensemble.mean + ensemble.anomalies @ solution.mean
         members = mean_a[:, None] + ensemble.anomalies @ solution.transform
         return EnsembleState(members=members)
@@ -423,17 +333,13 @@ def letkf_analysis(
 
     members = np.empty_like(ensemble.members)
     x_anom = ensemble.anomalies
+    _, dist = _window_indices(0, d_y, loc.half_width)
+    taper = np.exp(-(dist.astype(float) ** 2) / loc.taper_length**2)
     for j in range(ensemble.d_x):
-        idx, dist = _window_indices(j, d_y, loc.half_width)
-        taper = np.exp(-(dist.astype(float) ** 2) / loc.taper_length**2)
-        if loc.literal_taper:
-            local_r = taper
-        else:
-            local_r = r_diag[idx] / taper
-        ninv, innovation = _letkf_weight_update(
-            variant, config, y[idx], y_mean[idx], y_anom[idx, :], local_r, m
+        idx, _ = _window_indices(j, d_y, loc.half_width)
+        solution = _local_analysis(
+            spec, y[idx], y_mean[idx], y_anom[idx, :], np.diag(r_diag[idx] / taper), config.rho
         )
-        solution = solve_anomaly_analysis(y_anom[idx, :], ninv, innovation, config.rho)
         row_mean = ensemble.mean[j] + x_anom[j] @ solution.mean
         members[j, :] = row_mean + x_anom[j] @ solution.transform
     return EnsembleState(members=members)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import WolfSpec, dsm_analysis, wolf_analysis
+from .analysis import dsm_analysis, wolf_analysis
 from .ensemble import (
     EnsembleState,
     LetkfConfig,
@@ -30,7 +30,7 @@ from .ensemble import (
     letkf_analysis,
 )
 from ._linalg import psd_sym_sqrt
-from .lgss import GaussianBelief, LgssModel, ObservationModel, kf_analysis, kf_forecast
+from .lgss import LgssModel, ObservationModel, kf_analysis, kf_forecast
 from .metrics import MetricReport
 from .models import (
     ContaminationSpec,
@@ -44,7 +44,7 @@ from .models import (
     simulate_target_tracking,
 )
 from .particle import ParticleCloud, PotentialSpec, pf_step
-from .weights import CONSTANT, IMQ, MARGINAL, WeightKernelSpec
+from .weights import CONSTANT, IMQ, MARGINAL, OBS_ANOMALY, WeightKernelSpec, WolfSpec
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -275,20 +275,40 @@ class FilterRun:
 
     means: np.ndarray            # (n_obs, d_X)
     covariances: np.ndarray      # (n_obs, d_X, d_X)
-    weights: np.ndarray          # (n_obs,) smallest squared kernel weight (NaN for kf)
+    weights: np.ndarray          # (n_obs,) smallest squared kernel weight (NaN if not recorded)
     divergence_step: int | None = None
-    forecasts: list | None = None
-    analyses: list | None = None
 
 
-def _kernel_spec(config: ExperimentConfig) -> WeightKernelSpec:
-    return WeightKernelSpec(
-        family=config.kernel_family, threshold=config.q_sq, standardization=MARGINAL
-    )
+def _filter_loop(n_obs: int, d_x: int, step) -> FilterRun:
+    """Run ``step(k) -> (mean, cov, weight)`` over every observation index.
+
+    A step raising a linear-algebra or floating-point error marks the run as
+    diverged at that index; the rest of the output is NaN.
+    """
+    means = np.empty((n_obs, d_x))
+    covs = np.empty((n_obs, d_x, d_x))
+    weights = np.full(n_obs, np.nan)
+    for k in range(n_obs):
+        try:
+            means[k], covs[k], weights[k] = step(k)
+        except (np.linalg.LinAlgError, FloatingPointError):
+            means[k:] = np.nan
+            covs[k:] = np.nan
+            return FilterRun(means=means, covariances=covs, weights=weights, divergence_step=k)
+    return FilterRun(means=means, covariances=covs, weights=weights)
 
 
-def _wolf_spec(config: ExperimentConfig) -> WolfSpec:
-    return WolfSpec(variant=config.wolf_variant, c_sq=config.c_sq)
+def _weight_spec(method: str, config: ExperimentConfig) -> WeightKernelSpec | WolfSpec:
+    """Weight spec of a filter: the configured DSM kernel or WoLF weight, and
+    the constant kernel for the regular filters."""
+    if method.startswith("dsm_"):
+        standardization = OBS_ANOMALY if method in LETKF_FILTERS else MARGINAL
+        return WeightKernelSpec(
+            family=config.kernel_family, threshold=config.q_sq, standardization=standardization
+        )
+    if method.startswith("wolf_"):
+        return WolfSpec(variant=config.wolf_variant, c_sq=config.c_sq)
+    return WeightKernelSpec(family=CONSTANT)
 
 
 def run_closed_form_filter(
@@ -296,81 +316,46 @@ def run_closed_form_filter(
     ys: np.ndarray,
     method: str,
     config: ExperimentConfig | None = None,
-    system=None,
-    keep_beliefs: bool = False,
 ) -> FilterRun:
     """Run the exact KF / DSM / WoLF recursion over an observation sequence.
 
-    ``ys`` has one observation per column.  A time-varying system is
-    supported through ``system``, a callback mapping the step index to a
-    model with that step's (A, Q, H, R).
+    ``ys`` has one observation per column.
     """
+    if method not in CLOSED_FORM_FILTERS:
+        raise ValueError(f"unknown closed-form filter {method!r}")
     config = config or ExperimentConfig(model="ou", filter=method)
-    n_obs = ys.shape[1]
-    d_x = model.d_x
-    means = np.empty((n_obs, d_x))
-    covs = np.empty((n_obs, d_x, d_x))
-    weights = np.full(n_obs, np.nan)
-    forecasts: list[GaussianBelief] = []
-    analyses: list[GaussianBelief] = []
-
-    kernel = _kernel_spec(config) if method == "dsm_kf" else None
-    wolf = _wolf_spec(config) if method == "wolf_kf" else None
-
+    spec = _weight_spec(method, config)
     belief = model.prior
-    divergence = None
-    for k in range(n_obs):
-        step_model = system(k) if system is not None else model
-        try:
-            forecast = kf_forecast(step_model, belief)
-            if method == "kf":
-                belief = kf_analysis(step_model, forecast, ys[:, k])
-            elif method == "dsm_kf":
-                result = dsm_analysis(step_model, forecast, ys[:, k], kernel)
-                belief = result.posterior
-                weights[k] = float(result.kernel_eval.k_sq.min())
-            elif method == "wolf_kf":
-                result = wolf_analysis(step_model, forecast, ys[:, k], wolf)
-                belief = result.posterior
-                weights[k] = float(result.kernel_eval.k_sq.min())
-            else:
-                raise ValueError(f"unknown closed-form filter {method!r}")
-        except (np.linalg.LinAlgError, FloatingPointError) as exc:
-            divergence = k
-            means[k:] = np.nan
-            covs[k:] = np.nan
-            break
-        if keep_beliefs:
-            forecasts.append(forecast)
-            analyses.append(belief)
-        means[k] = belief.mean
-        covs[k] = belief.cov
-    return FilterRun(
-        means=means,
-        covariances=covs,
-        weights=weights,
-        divergence_step=divergence,
-        forecasts=forecasts if keep_beliefs else None,
-        analyses=analyses if keep_beliefs else None,
-    )
+
+    def step(k):
+        nonlocal belief
+        forecast = kf_forecast(model, belief)
+        if method == "kf":
+            belief = kf_analysis(model, forecast, ys[:, k])
+            return belief.mean, belief.cov, np.nan
+        if method == "dsm_kf":
+            result = dsm_analysis(model, forecast, ys[:, k], spec)
+        else:
+            result = wolf_analysis(model, forecast, ys[:, k], spec)
+        belief = result.posterior
+        return belief.mean, belief.cov, result.kernel_eval.k_sq.min()
+
+    return _filter_loop(ys.shape[1], model.d_x, step)
 
 
-def _letkf_config(config: ExperimentConfig, use_localization: bool) -> LetkfConfig:
+def _letkf_config(config: ExperimentConfig) -> LetkfConfig:
+    """Inflation, and cyclic localization on the Lorenz-96 ring."""
     localization = None
-    if use_localization and config.half_width is not None:
+    if config.model == "lorenz96" and config.half_width is not None:
         localization = Localization(
             half_width=config.half_width, taper_length=config.taper_length
         )
-    kernel = None
-    if config.filter == "dsm_letkf" and config.q_sq is not None:
-        kernel = WeightKernelSpec(
-            family=config.kernel_family,
-            threshold=config.q_sq,
-            standardization="obs_anomaly",
-        )
-    if config.filter == "wolf_letkf" and config.c_sq is not None:
-        kernel = WolfSpec(variant=config.wolf_variant, c_sq=config.c_sq)
-    return LetkfConfig(rho=config.rho, localization=localization, kernel=kernel)
+    return LetkfConfig(rho=config.rho, localization=localization)
+
+
+def _initial_members(setup: ModelSetup, m: int, rng: np.random.Generator) -> np.ndarray:
+    d_x = setup.init_mean.shape[0]
+    return setup.init_mean[:, None] + psd_sym_sqrt(setup.init_cov) @ rng.standard_normal((d_x, m))
 
 
 def run_ensemble_filter(
@@ -381,56 +366,30 @@ def run_ensemble_filter(
     rng: np.random.Generator,
 ) -> FilterRun:
     """Run an EnKF / ESRF / LETKF variant over an observation sequence."""
-    n_obs = ys.shape[1]
-    d_x = setup.init_mean.shape[0]
-    m = config.ensemble_size
-    means = np.empty((n_obs, d_x))
-    covs = np.empty((n_obs, d_x, d_x))
-    weights = np.full(n_obs, np.nan)
-
-    init_sqrt = psd_sym_sqrt(setup.init_cov)
-    members = setup.init_mean[:, None] + init_sqrt @ rng.standard_normal((d_x, m))
-    ensemble = EnsembleState(members=members)
-
-    if method in ("enkf", "esrf"):
-        spec: WeightKernelSpec | WolfSpec = WeightKernelSpec(family=CONSTANT)
-    elif method in ("dsm_enkf", "dsm_esrf"):
-        spec = _kernel_spec(config)
-    elif method in ("wolf_enkf",):
-        spec = _wolf_spec(config)
-    elif method in LETKF_FILTERS:
-        spec = None
-    else:
+    if method not in ENKF_FILTERS + ESRF_FILTERS + LETKF_FILTERS:
         raise ValueError(f"unknown ensemble filter {method!r}")
+    ensemble = EnsembleState(members=_initial_members(setup, config.ensemble_size, rng))
+    spec = _weight_spec(method, config)
+    letkf_cfg = _letkf_config(config)
 
-    use_localization = config.model == "lorenz96"
-    letkf_cfg = _letkf_config(config, use_localization) if method in LETKF_FILTERS else None
-    letkf_variant = {"letkf": "regular", "dsm_letkf": "dsm", "wolf_letkf": "wolf"}.get(method)
+    def step(k):
+        nonlocal ensemble
+        ensemble = ensemble_forecast(setup.sampler, ensemble, rng)
+        if method in LETKF_FILTERS:
+            ensemble = letkf_analysis(
+                ensemble, setup.obs.H, setup.obs.R, ys[:, k], spec, letkf_cfg
+            )
+        elif method in ESRF_FILTERS:
+            ensemble = esrf_analysis(ensemble, setup.obs, ys[:, k], spec)
+        else:
+            ensemble = enkf_perturbed_analysis(
+                ensemble, setup.obs, ys[:, k], spec, mode=config.enkf_mode, rng=rng
+            )
+        if not np.all(np.isfinite(ensemble.members)):
+            raise FloatingPointError("non-finite analysis members")
+        return ensemble.mean, ensemble.cov, np.nan
 
-    divergence = None
-    for k in range(n_obs):
-        try:
-            ensemble = ensemble_forecast(setup.sampler, ensemble, rng)
-            if method in LETKF_FILTERS:
-                ensemble = letkf_analysis(
-                    ensemble, setup.obs.H, setup.obs.R, ys[:, k], letkf_variant, letkf_cfg
-                )
-            elif method in ESRF_FILTERS:
-                ensemble = esrf_analysis(ensemble, setup.obs, ys[:, k], spec)
-            else:
-                ensemble = enkf_perturbed_analysis(
-                    ensemble, setup.obs, ys[:, k], spec, mode=config.enkf_mode, rng=rng
-                )
-            if not np.all(np.isfinite(ensemble.members)):
-                raise FloatingPointError("non-finite analysis members")
-        except (np.linalg.LinAlgError, FloatingPointError):
-            divergence = k
-            means[k:] = np.nan
-            covs[k:] = np.nan
-            break
-        means[k] = ensemble.mean
-        covs[k] = ensemble.cov
-    return FilterRun(means=means, covariances=covs, weights=weights, divergence_step=divergence)
+    return _filter_loop(ys.shape[1], setup.init_mean.shape[0], step)
 
 
 def run_particle_filter(
@@ -440,39 +399,24 @@ def run_particle_filter(
     rng: np.random.Generator,
 ) -> FilterRun:
     """Run the score-matching bootstrap particle filter."""
-    n_obs = ys.shape[1]
-    d_x = setup.init_mean.shape[0]
-    m = config.ensemble_size
-    means = np.empty((n_obs, d_x))
-    covs = np.empty((n_obs, d_x, d_x))
-    weights = np.full(n_obs, np.nan)
-
-    init_sqrt = psd_sym_sqrt(setup.init_cov)
-    particles = setup.init_mean[:, None] + init_sqrt @ rng.standard_normal((d_x, m))
-    cloud = ParticleCloud.uniform(particles)
+    cloud = ParticleCloud.uniform(_initial_members(setup, config.ensemble_size, rng))
     potential = PotentialSpec(family="imq", q_sq=config.q_sq)
 
-    divergence = None
-    for k in range(n_obs):
-        try:
-            cloud = pf_step(
-                cloud,
-                setup.sampler,
-                ys[:, k],
-                setup.obs.H,
-                setup.obs.R,
-                potential,
-                rng,
-                resample_threshold=config.resample_threshold,
-            )
-        except (np.linalg.LinAlgError, FloatingPointError):
-            divergence = k
-            means[k:] = np.nan
-            covs[k:] = np.nan
-            break
-        means[k] = cloud.weighted_mean()
-        covs[k] = cloud.weighted_cov()
-    return FilterRun(means=means, covariances=covs, weights=weights, divergence_step=divergence)
+    def step(k):
+        nonlocal cloud
+        cloud = pf_step(
+            cloud,
+            setup.sampler,
+            ys[:, k],
+            setup.obs.H,
+            setup.obs.r_factor,
+            potential,
+            rng,
+            resample_threshold=config.resample_threshold,
+        )
+        return cloud.weighted_mean(), cloud.weighted_cov(), np.nan
+
+    return _filter_loop(ys.shape[1], setup.init_mean.shape[0], step)
 
 
 def _run_filter(setup: ModelSetup, config: ExperimentConfig, filt_rng) -> FilterRun:

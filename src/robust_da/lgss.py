@@ -23,6 +23,7 @@ __all__ = [
     "LgssModel",
     "ObservationModel",
     "kf_forecast",
+    "kalman_gain",
     "kf_analysis",
     "rts_smoother",
     "mahalanobis_sq",
@@ -174,12 +175,7 @@ def _check_block_diagonal(r: np.ndarray, partition: BlockPartition, tol: float =
 
 @dataclass(frozen=True)
 class LgssModel:
-    """Time-invariant linear Gaussian state-space system.
-
-    Time-varying systems are handled by the filter loops through a callback
-    supplying per-step (A, Q, H, R); this container stores the constant case
-    which covers every benchmark model.
-    """
+    """Time-invariant linear Gaussian state-space system."""
 
     A: np.ndarray
     Q: np.ndarray
@@ -243,6 +239,19 @@ def kf_forecast(model: LgssModel, analysis: GaussianBelief) -> GaussianBelief:
     return GaussianBelief(mean=mean, cov=cov)
 
 
+def kalman_gain(
+    p_f: np.ndarray, h: np.ndarray, effective_r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, SpdFactor]:
+    """Gain K = P^f H^T [R_eff + H P^f H^T]^{-1}, with H P^f and the factor
+    of the bracket, for every gain-form update (regular, robust, ensemble).
+
+    Raises np.linalg.LinAlgError when the bracket cannot be factorized.
+    """
+    hp = h @ p_f
+    bracket = SpdFactor(effective_r + hp @ h.T)
+    return bracket.solve(hp).T, hp, bracket
+
+
 def kf_analysis(model: LgssModel, forecast: GaussianBelief, y: np.ndarray) -> GaussianBelief:
     """Regular Kalman analysis step.
 
@@ -252,26 +261,20 @@ def kf_analysis(model: LgssModel, forecast: GaussianBelief, y: np.ndarray) -> Ga
     Raises np.linalg.LinAlgError when the innovation covariance
     R + H P^f H^T cannot be factorized.
     """
-    h, r = model.H, model.R
     y = _as_vector(y, model.d_y)
     if forecast.dim != model.d_x:
         raise ValueError(
             f"forecast dimension {forecast.dim} does not match state dimension {model.d_x}"
         )
-    p_f = forecast.cov
-    hp = h @ p_f
-    innovation_cov = SpdFactor(r + hp @ h.T)
-    gain = innovation_cov.solve(hp).T
-    cov = p_f - gain @ hp  # ctor symmetrizes
-    mean = forecast.mean - gain @ (h @ forecast.mean - y)
-    return GaussianBelief(mean=mean, cov=cov)
+    gain, hp, _ = kalman_gain(forecast.cov, model.H, model.R)
+    mean = forecast.mean - gain @ (model.H @ forecast.mean - y)
+    return GaussianBelief(mean=mean, cov=forecast.cov - gain @ hp)  # ctor symmetrizes
 
 
 def rts_smoother(
     model: LgssModel,
     forecasts: Sequence[GaussianBelief],
     analyses: Sequence[GaussianBelief],
-    transitions: Sequence[np.ndarray] | None = None,
 ) -> list[GaussianBelief]:
     """Backward Rauch-Tung-Striebel recursion.
 
@@ -281,9 +284,6 @@ def rts_smoother(
         G_k   = P^a_k A^T (P^f_{k+1})^{-1}
         P^s_k = P^a_k - G_k [P^f_{k+1} - P^s_{k+1}] G_k^T
         m^s_k = m^a_k - G_k (m^f_{k+1} - m^s_{k+1})
-
-    where A is the transition that produced forecast k+1 (``transitions[k + 1]``
-    for a time-varying run, ``model.A`` otherwise).
     """
     n = len(analyses)
     if len(forecasts) != n:
@@ -293,12 +293,11 @@ def rts_smoother(
     smoothed = [None] * n
     smoothed[-1] = analyses[-1]
     for k in range(n - 2, -1, -1):
-        a_next = model.A if transitions is None else _as_matrix(transitions[k + 1])
         f_next = forecasts[k + 1]
         s_next = smoothed[k + 1]
         p_a = analyses[k].cov
         # G = P^a A^T (P^f)^{-1}, computed as solve(P^f, A P^a)^T
-        gain = f_next.factor.solve(a_next @ p_a).T
+        gain = f_next.factor.solve(model.A @ p_a).T
         cov = symmetrize(p_a - gain @ (f_next.cov - s_next.cov) @ gain.T)
         mean = analyses[k].mean - gain @ (f_next.mean - s_next.mean)
         smoothed[k] = GaussianBelief(mean=mean, cov=cov)

@@ -89,19 +89,7 @@ def q_ic(
     covariance entries are zeroed before evaluating the density (used when
     small ensembles make full covariances spurious).
     """
-    truth = np.atleast_2d(np.asarray(truth, dtype=float))
-    means = np.atleast_2d(np.asarray(means, dtype=float))
-    covariances = np.asarray(covariances, dtype=float)
-    n = truth.shape[0]
-    if means.shape != truth.shape or covariances.shape[0] != n:
-        raise ValueError("truth, means and covariances must agree on the step count")
-    log_densities = np.array(
-        [
-            _gaussian_log_density(truth[k], means[k], np.atleast_2d(covariances[k]), diagonalize)
-            for k in range(n)
-        ]
-    )
-    return float(np.mean(-_q_log_from_log(log_densities, q)))
+    return float(np.mean(q_ic_series(truth, means, covariances, q, diagonalize)))
 
 
 def q_ic_series(
@@ -115,19 +103,16 @@ def q_ic_series(
     truth = np.atleast_2d(np.asarray(truth, dtype=float))
     means = np.atleast_2d(np.asarray(means, dtype=float))
     covariances = np.asarray(covariances, dtype=float)
-    return np.array(
+    n = truth.shape[0]
+    if means.shape != truth.shape or covariances.shape[0] != n:
+        raise ValueError("truth, means and covariances must agree on the step count")
+    log_densities = np.array(
         [
-            -_q_log_from_log(
-                np.asarray(
-                    _gaussian_log_density(
-                        truth[k], means[k], np.atleast_2d(covariances[k]), diagonalize
-                    )
-                ),
-                q,
-            )
-            for k in range(truth.shape[0])
+            _gaussian_log_density(truth[k], means[k], np.atleast_2d(covariances[k]), diagonalize)
+            for k in range(n)
         ]
     )
+    return -_q_log_from_log(log_densities, q)
 
 
 def ci_coverage(
@@ -171,10 +156,11 @@ class MetricReport:
         truth = np.atleast_2d(np.asarray(truth, dtype=float))
         means = np.atleast_2d(np.asarray(means, dtype=float))
         per_step_rmse = np.sqrt(np.mean((truth - means) ** 2, axis=1))
+        per_step_q_ic = q_ic_series(truth, means, covariances, diagonalize=diagonalize)
         return cls(
             rmse=rmse(truth, means),
-            q_ic=q_ic(truth, means, covariances, diagonalize=diagonalize),
+            q_ic=float(np.mean(per_step_q_ic)),
             ci_coverage_95=ci_coverage(truth, means, covariances),
             rmse_series=per_step_rmse,
-            q_ic_series=q_ic_series(truth, means, covariances, diagonalize=diagonalize),
+            q_ic_series=per_step_q_ic,
         )

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 from ._linalg import SpdFactor
@@ -20,7 +19,6 @@ __all__ = [
     "ParticleCloud",
     "PotentialSpec",
     "dsm_log_potential",
-    "dsm_log_potential_batch",
     "pf_step",
 ]
 
@@ -95,70 +93,38 @@ class PotentialSpec:
             raise ValueError("q_sq must be strictly positive")
 
 
-def _imq_log_potential_from_s(s: np.ndarray, d_y: int, q_sq: float) -> np.ndarray:
-    # Loss = k^2 s + (4/q^2) k^4 s - 2 d_Y k^2 with k^2 = 1 / (1 + s/q^2);
-    # it saturates at q^2 as s grows, so the log-potential -loss is bounded.
-    k_sq = 1.0 / (1.0 + s / q_sq)
-    loss = k_sq * s + (4.0 / q_sq) * (k_sq**2) * s - 2.0 * d_y * k_sq
-    return -loss
-
-
 def dsm_log_potential(
     y: np.ndarray,
     h_of_x: np.ndarray,
     r: np.ndarray | SpdFactor,
-    q_sq: float,
-) -> float:
-    """Bounded log-potential of one particle.
+    q_sq: float | None = None,
+) -> float | np.ndarray:
+    """Bounded log-potential of one particle, or of each column of a
+    (d_Y, M) ``h_of_x``.
 
     With s the R-standardized squared residual and k the IMQ kernel with
     threshold q_sq, returns -(k^2 s + (4/q^2) k^4 s - 2 d_Y k^2), which is
-    finite for every input: 2 d_Y at zero residual, approaching -q^2 as the
-    residual grows.
+    finite for every finite input: 2 d_Y at zero residual, approaching -q^2
+    as the residual grows (the loss saturates at q^2).  ``q_sq=None`` gives
+    the constant kernel k^2 = 1/2, whose potential d_Y - s/2 is the Gaussian
+    log-likelihood up to a constant.  A non-finite observation gives a
+    non-finite potential.
     """
-    if q_sq <= 0.0:
+    if q_sq is not None and q_sq <= 0.0:
         raise ValueError("q_sq must be strictly positive")
     factor = r if isinstance(r, SpdFactor) else SpdFactor(np.atleast_2d(np.asarray(r, float)))
-    residual = np.atleast_1d(np.asarray(y, dtype=float)) - np.atleast_1d(
-        np.asarray(h_of_x, dtype=float)
-    )
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    h_of_x = np.asarray(h_of_x, dtype=float)
+    if h_of_x.ndim == 2:
+        residual = y[:, None] - h_of_x
+    else:
+        residual = y - np.atleast_1d(h_of_x)
     s = factor.mahalanobis_sq(residual)
-    return float(_imq_log_potential_from_s(np.asarray(s), factor.dim, q_sq))
-
-
-def dsm_log_potential_batch(
-    y: np.ndarray,
-    h_of_particles: np.ndarray,
-    r: np.ndarray | SpdFactor,
-    q_sq: float,
-) -> np.ndarray:
-    """Vectorized ``dsm_log_potential`` over the columns of h_of_particles."""
-    if q_sq <= 0.0:
-        raise ValueError("q_sq must be strictly positive")
-    factor = r if isinstance(r, SpdFactor) else SpdFactor(np.atleast_2d(np.asarray(r, float)))
-    residuals = np.atleast_1d(np.asarray(y, dtype=float))[:, None] - np.atleast_2d(
-        np.asarray(h_of_particles, dtype=float)
-    )
-    z = solve_triangular(factor.chol, residuals, lower=True)
-    s = np.sum(z * z, axis=0)
-    return _imq_log_potential_from_s(s, factor.dim, q_sq)
-
-
-def _log_potentials(
-    spec: PotentialSpec,
-    y: np.ndarray,
-    predicted: np.ndarray,
-    r_factor: SpdFactor,
-) -> np.ndarray:
-    d_y = r_factor.dim
-    residuals = y[:, None] - predicted
-    z = solve_triangular(r_factor.chol, residuals, lower=True)
-    s = np.sum(z * z, axis=0)
-    if spec.family == "constant":
-        # k^2 = 1/2: loss = s/2 - d_Y, the Gaussian log-likelihood shape.
+    d_y = factor.dim
+    if q_sq is None:
         return d_y - 0.5 * s
-    q_sq = spec.q_sq if spec.q_sq is not None else float(d_y)
-    return _imq_log_potential_from_s(s, d_y, q_sq)
+    k_sq = 1.0 / (1.0 + s / q_sq)
+    return -(k_sq * s + (4.0 / q_sq) * (k_sq**2) * s - 2.0 * d_y * k_sq)
 
 
 def pf_step(
@@ -166,7 +132,7 @@ def pf_step(
     dynamics,
     y: np.ndarray,
     h,
-    r: np.ndarray,
+    r: np.ndarray | SpdFactor,
     potential: PotentialSpec,
     rng: np.random.Generator,
     resample_threshold: float = 0.5,
@@ -187,10 +153,13 @@ def pf_step(
         predicted = np.atleast_2d(h(propagated))
     else:
         predicted = np.atleast_2d(np.asarray(h, dtype=float) @ propagated)
-    r_factor = SpdFactor(np.atleast_2d(np.asarray(r, dtype=float)))
-    log_pot = _log_potentials(potential, y, predicted, r_factor)
+    if potential.family == "constant":
+        q_sq = None
+    else:
+        q_sq = potential.q_sq if potential.q_sq is not None else float(y.shape[0])
+    log_pot = dsm_log_potential(y, predicted, r, q_sq)
     if not np.all(np.isfinite(log_pot)):
-        raise FloatingPointError("non-finite log-potential (bounded by construction)")
+        raise FloatingPointError("non-finite log-potential (bounded for finite observations)")
     updated = ParticleCloud(particles=propagated, log_weights=cloud.log_weights + log_pot)
 
     m = updated.size

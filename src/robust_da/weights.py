@@ -1,5 +1,6 @@
 """Weight kernels for robust analysis steps, their gradients, the rescaled
-observation covariance, the corrected observation, and threshold tuning.
+observation covariance, the corrected observation, the robust-update core
+every filter family shares, and threshold tuning.
 
 A weight kernel k maps an observation to (0, 1] per block and drives the
 rescaled observation covariance N(y) = R / (2 k^2(y)); the constant value
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,7 +23,9 @@ __all__ = [
     "SQEXP",
     "CONSTANT",
     "WeightKernelSpec",
+    "WolfSpec",
     "WeightEvaluation",
+    "robust_update",
     "eval_kernel",
     "rescaled_obs_cov",
     "corrected_observation",
@@ -39,6 +42,9 @@ CONSTANT = "constant"
 _FAMILIES = (IMQ, SQEXP, CONSTANT)
 
 # Standardization modes: which covariance whitens the residual in the kernel.
+# MARGINAL and OBS_ANOMALY are both HPH^T + R; they name what the caller
+# passes as HPH^T (the forecast covariance mapped to observation space, or
+# its anomaly-space estimate).
 MARGINAL = "marginal"          # H P^f H^T + R
 CONDITIONAL = "conditional"    # R
 OBS_ANOMALY = "obs_anomaly"    # Y^f (Y^f)^T / (M-1) + R
@@ -113,6 +119,27 @@ class WeightKernelSpec:
 
 
 @dataclass(frozen=True)
+class WolfSpec:
+    """Weighted-likelihood filter weight configuration.
+
+    ``md``: r(y) = (1 + ||y - Hm^f||^2_{R^{-1}} / c^2)^{-1/2}, values in (0, 1]
+    so the update can only inflate.  ``sigma_scaled``: the sqrt(2)-rescaled
+    variant standardized by the innovation covariance, values in (0, sqrt(2)],
+    matching the regular-KF covariance update at zero residual.  ``c_sq``
+    None means the observation dimension.
+    """
+
+    variant: str = "md"
+    c_sq: float | None = None
+
+    def __post_init__(self):
+        if self.variant not in ("md", "sigma_scaled"):
+            raise ValueError(f"unknown WoLF variant {self.variant!r}")
+        if self.c_sq is not None and self.c_sq <= 0.0:
+            raise ValueError("c_sq must be strictly positive")
+
+
+@dataclass(frozen=True)
 class WeightEvaluation:
     """Evaluated squared weights and their observation-space gradients.
 
@@ -131,14 +158,6 @@ class WeightEvaluation:
     def n_blocks(self) -> int:
         return len(self.partition)
 
-    def k_sq_per_index(self) -> np.ndarray:
-        """Expand the per-block squared weights to one entry per dimension."""
-        d_y = self.grad_diag.shape[0]
-        out = np.empty(d_y)
-        for b, (start, stop) in enumerate(self.partition):
-            out[start:stop] = self.k_sq[b]
-        return out
-
 
 # Floor keeping the squared-exponential weight strictly positive in floating
 # point; slope and value share the floored number, so the exact cancellation
@@ -155,6 +174,26 @@ def _ksq_and_slope(family: str, s: float, threshold: float) -> tuple[float, floa
         ksq = max(math.exp(-s / threshold), _K_SQ_FLOOR)
         return ksq, -ksq / threshold
     raise ValueError(f"no analytic slope for family {family!r}")
+
+
+def _constant_evaluation(spec: WeightKernelSpec, d_y: int) -> WeightEvaluation:
+    """The constant kernel's evaluation, which depends only on the dimension:
+    built once per spec and d_y (as the partition and thresholds are) and
+    shared with read-only arrays."""
+    cache = spec.__dict__.setdefault("_constant_cache", {})
+    evaluation = cache.get(d_y)
+    if evaluation is None:
+        partition = spec.partition_for(d_y)
+        arrays = (
+            np.full(len(partition), CONSTANT_WEIGHT_SQ),
+            np.zeros(d_y),
+            np.zeros((len(partition), d_y)),
+        )
+        for array in arrays:
+            array.flags.writeable = False
+        evaluation = WeightEvaluation(*arrays, partition=partition)
+        cache[d_y] = evaluation
+    return evaluation
 
 
 def eval_kernel(
@@ -182,12 +221,7 @@ def eval_kernel(
     n_blocks = len(partition)
 
     if spec.family == CONSTANT:
-        return WeightEvaluation(
-            k_sq=np.full(n_blocks, CONSTANT_WEIGHT_SQ),
-            grad_diag=np.zeros(d_y),
-            full_grads=np.zeros((n_blocks, d_y)),
-            partition=partition,
-        )
+        return _constant_evaluation(spec, d_y)
 
     thresholds = spec.thresholds_for(d_y)
     residual = y - center
@@ -248,6 +282,51 @@ def corrected_observation(
         raise ValueError(f"rescaled covariance shape {n.shape} does not match y {y.shape}")
     grad = evaluation.full_grads[0] if evaluation.n_blocks == 1 else evaluation.grad_diag
     return y - 2.0 * (n @ grad)
+
+
+def robust_update(
+    spec: WeightKernelSpec | WolfSpec,
+    y: np.ndarray,
+    center: np.ndarray,
+    hph: Callable[[], np.ndarray],
+    r_factor: SpdFactor,
+) -> tuple[np.ndarray, np.ndarray, WeightEvaluation]:
+    """The robust analysis step every filter family shares.
+
+    Returns (effective observation covariance, target observation, weight
+    evaluation): (N(y), corrected observation, k^2) for a kernel spec and
+    (R / r^2, y, r^2 / 2) for a WoLF spec, so N = R / (2 k^2) holds for both.
+    The constant kernel returns (R, y) itself, which makes every filter's
+    constant-kernel variant its regular filter bit for bit.
+
+    ``center`` is the predicted observation and ``r_factor`` the factor of
+    R.  ``hph`` returns the forecast covariance in observation space, H P H^T
+    or Y Y^T / (M - 1) in the ensemble-anomaly space; it is called only for
+    the specs standardized by HPH^T + R.
+    """
+    r = r_factor.matrix
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    d_y = y.shape[0]
+    if isinstance(spec, WolfSpec):
+        c_sq = spec.c_sq if spec.c_sq is not None else float(d_y)
+        residual = y - center
+        if spec.variant == "md":
+            r_sq = 1.0 / (1.0 + r_factor.mahalanobis_sq(residual) / c_sq)
+        else:
+            r_sq = 2.0 / (1.0 + SpdFactor(hph() + r).mahalanobis_sq(residual) / c_sq)
+        evaluation = WeightEvaluation(
+            k_sq=np.array([0.5 * r_sq]),
+            grad_diag=np.zeros(d_y),
+            full_grads=np.zeros((1, d_y)),
+            partition=((0, d_y),),
+        )
+        return r / r_sq, y, evaluation
+    if spec.family == CONSTANT:
+        return r, y, _constant_evaluation(spec, d_y)
+    std_cov = r_factor if spec.standardization == CONDITIONAL else SpdFactor(hph() + r)
+    evaluation = eval_kernel(spec, y, center, std_cov)
+    n_y = rescaled_obs_cov(spec, evaluation, r)
+    return n_y, corrected_observation(evaluation, n_y, y), evaluation
 
 
 def default_threshold(d_y: int, family: str = IMQ) -> float:

@@ -444,14 +444,14 @@ def test_criterion_06_ensemble_consistency():
             model2, forecast2, y2, WolfSpec(variant="md", c_sq=2.0)
         ).posterior,
     }
+    letkf_specs = {
+        "regular": WeightKernelSpec(family=CONSTANT),
+        "dsm": WeightKernelSpec(family=IMQ, threshold=2.0, standardization="obs_anomaly"),
+        "wolf": WolfSpec(variant="md", c_sq=2.0),
+    }
     for variant, closed in closed_forms.items():
-        kernel = None
-        if variant == "dsm":
-            kernel = WeightKernelSpec(family=IMQ, threshold=2.0, standardization="obs_anomaly")
-        elif variant == "wolf":
-            kernel = WolfSpec(variant="md", c_sq=2.0)
         updated = letkf_analysis(
-            ens2, model2.H, model2.R, y2, variant, LetkfConfig(rho=1.0, kernel=kernel)
+            ens2, model2.H, model2.R, y2, letkf_specs[variant], LetkfConfig(rho=1.0)
         )
         worst_letkf = max(
             worst_letkf,

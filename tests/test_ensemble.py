@@ -16,6 +16,7 @@ from robust_da import (
     kf_analysis,
     kf_forecast,
     letkf_analysis,
+    solve_anomaly_analysis,
     wolf_analysis,
 )
 from robust_da.ensemble import _window_indices
@@ -297,7 +298,15 @@ def test_window_indices_lorenz96_geometry():
     assert set((idx5 - 5) % 40) == set(np.arange(-19, 20) % 40)
 
 
-@pytest.mark.parametrize("variant", ["regular", "dsm", "wolf"])
+LETKF_SPECS = {
+    "regular": WeightKernelSpec(family=CONSTANT),
+    "dsm": WeightKernelSpec(family=IMQ, standardization="obs_anomaly"),
+    "wolf": WolfSpec(variant="md"),
+    "conditional": WeightKernelSpec(family=IMQ, standardization="conditional"),
+}
+
+
+@pytest.mark.parametrize("variant", ["regular", "dsm", "wolf", "conditional"])
 def test_letkf_full_rank_matches_closed_form(variant):
     rng = np.random.default_rng(12)
     d_x, d_y, m = 3, 2, 8
@@ -306,7 +315,7 @@ def test_letkf_full_rank_matches_closed_form(variant):
     ens = EnsembleState(members=members)
     y = rng.standard_normal(d_y) * 2.0
     config = LetkfConfig(rho=1.0)
-    updated = letkf_analysis(ens, model.H, model.R, y, variant, config)
+    updated = letkf_analysis(ens, model.H, model.R, y, LETKF_SPECS[variant], config)
 
     forecast = GaussianBelief(mean=ens.mean, cov=ens.cov)
     if variant == "regular":
@@ -314,6 +323,11 @@ def test_letkf_full_rank_matches_closed_form(variant):
     elif variant == "dsm":
         closed = dsm_analysis(
             model, forecast, y, WeightKernelSpec(family=IMQ, threshold=float(d_y))
+        ).posterior
+    elif variant == "conditional":
+        closed = dsm_analysis(
+            model, forecast, y,
+            WeightKernelSpec(family=IMQ, threshold=float(d_y), standardization="conditional"),
         ).posterior
     else:
         closed = wolf_analysis(
@@ -325,16 +339,19 @@ def test_letkf_full_rank_matches_closed_form(variant):
 
 
 def test_letkf_constant_kernel_collapses_to_regular():
+    # The regular transform built by hand: N^{-1} = R^{-1}, innovation y - H m.
     rng = np.random.default_rng(13)
     model = make_model(rng, 3, 3)
     ens = EnsembleState(members=rng.standard_normal((3, 6)))
     y = rng.standard_normal(3)
-    regular = letkf_analysis(ens, model.H, model.R, y, "regular", LetkfConfig())
-    constant = letkf_analysis(
-        ens, model.H, model.R, y, "dsm",
-        LetkfConfig(kernel=WeightKernelSpec(family=CONSTANT)),
+    solution = solve_anomaly_analysis(
+        model.H @ ens.anomalies, np.linalg.inv(model.R), y - model.H @ ens.mean
     )
-    assert np.allclose(regular.members, constant.members, rtol=1e-12, atol=1e-12)
+    regular = (ens.mean + ens.anomalies @ solution.mean)[:, None] + ens.anomalies @ solution.transform
+    constant = letkf_analysis(
+        ens, model.H, model.R, y, WeightKernelSpec(family=CONSTANT), LetkfConfig()
+    )
+    assert np.allclose(regular, constant.members, rtol=1e-12, atol=1e-12)
 
 
 def test_letkf_inflation_widens_analysis():
@@ -342,8 +359,9 @@ def test_letkf_inflation_widens_analysis():
     model = make_model(rng, 3, 3)
     ens = EnsembleState(members=rng.standard_normal((3, 10)))
     y = rng.standard_normal(3)
-    base = letkf_analysis(ens, model.H, model.R, y, "regular", LetkfConfig(rho=1.0))
-    inflated = letkf_analysis(ens, model.H, model.R, y, "regular", LetkfConfig(rho=1.5))
+    regular = WeightKernelSpec(family=CONSTANT)
+    base = letkf_analysis(ens, model.H, model.R, y, regular, LetkfConfig(rho=1.0))
+    inflated = letkf_analysis(ens, model.H, model.R, y, regular, LetkfConfig(rho=1.5))
     assert np.trace(inflated.cov) > np.trace(base.cov)
 
 
@@ -358,7 +376,9 @@ def test_letkf_localized_matches_manual_single_window():
     config = LetkfConfig(
         rho=1.06, localization=Localization(half_width=hw, taper_length=taper_l)
     )
-    updated = letkf_analysis(ens, np.eye(d), np.eye(d), y, "regular", config)
+    updated = letkf_analysis(
+        ens, np.eye(d), np.eye(d), y, WeightKernelSpec(family=CONSTANT), config
+    )
 
     idx = np.array([-2, -1, 0, 1, 2]) % d
     dist = np.array([2.0, 1.0, 0.0, 1.0, 2.0])
@@ -381,24 +401,9 @@ def test_letkf_localization_requires_diagonal_r():
     r[0, 1] = r[1, 0] = 0.3
     config = LetkfConfig(localization=Localization(half_width=1, taper_length=1.0))
     with pytest.raises(ValueError):
-        letkf_analysis(ens, np.eye(4), r, rng.standard_normal(4), "regular", config)
-
-
-def test_letkf_literal_taper_switch_changes_result():
-    rng = np.random.default_rng(17)
-    ens = EnsembleState(members=rng.standard_normal((6, 4)))
-    y = rng.standard_normal(6)
-    standard = letkf_analysis(
-        ens, np.eye(6), np.eye(6), y, "regular",
-        LetkfConfig(localization=Localization(half_width=2, taper_length=1.5)),
-    )
-    literal = letkf_analysis(
-        ens, np.eye(6), np.eye(6), y, "regular",
-        LetkfConfig(
-            localization=Localization(half_width=2, taper_length=1.5, literal_taper=True)
-        ),
-    )
-    assert not np.allclose(standard.members, literal.members)
+        letkf_analysis(
+            ens, np.eye(4), r, rng.standard_normal(4), WeightKernelSpec(family=CONSTANT), config
+        )
 
 
 def test_letkf_localized_default_threshold_is_window_size():
@@ -408,14 +413,13 @@ def test_letkf_localized_default_threshold_is_window_size():
     ens = EnsembleState(members=8.0 + rng.standard_normal((40, 6)))
     y = 8.0 + rng.standard_normal(40) * 2.0
     loc = Localization(half_width=19, taper_length=5.45)
+    config = LetkfConfig(rho=1.06, localization=loc)
     implicit = letkf_analysis(
-        ens, np.eye(40), np.eye(40), y, "dsm", LetkfConfig(rho=1.06, localization=loc)
+        ens, np.eye(40), np.eye(40), y,
+        WeightKernelSpec(family=IMQ, standardization="obs_anomaly"), config,
     )
     explicit = letkf_analysis(
-        ens, np.eye(40), np.eye(40), y, "dsm",
-        LetkfConfig(
-            rho=1.06, localization=loc,
-            kernel=WeightKernelSpec(family=IMQ, threshold=39.0, standardization="obs_anomaly"),
-        ),
+        ens, np.eye(40), np.eye(40), y,
+        WeightKernelSpec(family=IMQ, threshold=39.0, standardization="obs_anomaly"), config,
     )
     assert np.array_equal(implicit.members, explicit.members)

@@ -7,7 +7,9 @@ from robust_da.harness import (
     FILTERS,
     PRESETS,
     ExperimentConfig,
+    build_setup,
     resolve_threads,
+    run_particle_filter,
     run_ensemble_size_sweep,
     run_single,
     run_sweep,
@@ -124,6 +126,40 @@ def test_divergence_is_reported():
     assert result.summary["divergence_step"] == result.run.divergence_step
     if result.run.divergence_step is not None:
         assert result.report is None
+
+
+def test_particle_filter_reports_nan_observation_as_divergence():
+    cfg = ExperimentConfig(model="lorenz63", filter="dsm_pf", t_end=0.5, ensemble_size=50, seed=2)
+    setup = build_setup(cfg, np.random.SeedSequence(2))
+    ys = setup.record.observations.copy()
+    ys[0, 3] = np.nan
+    run = run_particle_filter(setup, ys, cfg, np.random.default_rng(0))
+    assert run.divergence_step == 3
+    assert np.all(np.isfinite(run.means[:3])) and np.all(np.isnan(run.means[3:]))
+
+
+@pytest.mark.parametrize(
+    "filter_name,setting,values",
+    [
+        ("dsm_letkf", "kernel_family", ("imq", "sqexp")),
+        ("wolf_letkf", "wolf_variant", ("md", "sigma_scaled")),
+    ],
+    ids=["dsm_letkf", "wolf_letkf"],
+)
+def test_letkf_runs_follow_weight_settings(filter_name, setting, values):
+    # The kernel family and WoLF variant reach the LETKF without an explicit
+    # threshold too.
+    means = [
+        run_single(
+            ExperimentConfig(
+                model="lorenz96", filter=filter_name, t_end=0.3, ensemble_size=6, seed=3,
+                epsilon=0.1, lam=25.0, **{setting: value},
+            )
+        ).run.means
+        for value in values
+    ]
+    assert np.all(np.isfinite(means))
+    assert not np.allclose(means[0], means[1])
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ def scalar_model(a=0.7, q=1.3, h=1.0, r=0.1, m0=0.0, p0=1.0):
 
 def assert_solves_match_scipy(f, rng):
     """SpdFactor's direct LAPACK solves equal scipy's wrappers bit for bit,
-    and a NaN right-hand side comes back NaN instead of raising."""
+    also for a (d, n) batch of Mahalanobis residuals, and a NaN right-hand
+    side comes back NaN (only in its own column) instead of raising."""
     d = f.dim
     for b in (rng.standard_normal(d), rng.standard_normal((d, 3))):
         got = f.solve(b)
@@ -40,6 +41,12 @@ def assert_solves_match_scipy(f, rng):
     assert f.mahalanobis_sq(r) == float(z @ z)
     r[-1] = np.nan
     assert np.isnan(f.mahalanobis_sq(r))
+    batch = rng.standard_normal((d, 4))
+    z = solve_triangular(f.chol, batch, lower=True)
+    np.testing.assert_array_equal(f.mahalanobis_sq(batch), np.sum(z * z, axis=0))
+    batch[0, 1] = np.nan
+    forms = f.mahalanobis_sq(batch)
+    assert np.isnan(forms[1]) and np.all(np.isfinite(forms[[0, 2, 3]]))
 
 
 def test_spd_factor_reconstructs():

@@ -10,7 +10,6 @@ from robust_da import (
     dsm_log_potential,
     pf_step,
 )
-from robust_da.particle import dsm_log_potential_batch
 from robust_da.weights import CONSTANT, WeightKernelSpec
 from helpers import fit_loglog_slope
 
@@ -51,7 +50,7 @@ def test_potential_finite_positive_on_random_sweep():
     rng = np.random.default_rng(0)
     y = rng.standard_normal((3, 10_000)) * rng.uniform(0.1, 1e4, size=(1, 10_000))
     h_of_x = rng.standard_normal((3, 10_000))
-    log_g = dsm_log_potential_batch(y[:, 0], h_of_x, np.eye(3), q_sq=3.0)
+    log_g = dsm_log_potential(y[:, 0], h_of_x, np.eye(3), q_sq=3.0)
     assert np.all(np.isfinite(log_g))
     # G = exp(log G) > 0 and bounded above by exp(2 d_Y).
     assert np.all(log_g <= 2.0 * 3 + 1e-12)
@@ -60,7 +59,7 @@ def test_potential_finite_positive_on_random_sweep():
 def test_potential_saturates_over_residual_sweep():
     q_sq = 2.0
     residuals = np.linspace(0.0, 1e3, 1_000_000)
-    log_g = dsm_log_potential_batch(
+    log_g = dsm_log_potential(
         np.array([0.0]), residuals[None, :], np.eye(1), q_sq=q_sq
     )
     assert np.all(np.isfinite(log_g))
