@@ -19,16 +19,13 @@ from .analysis import (
     wolf_analysis,
 )
 from .ensemble import (
-    AnomalyAnalysis,
     EnsembleState,
     LetkfConfig,
     Localization,
-    anomaly_posterior_cov,
     enkf_perturbed_analysis,
     ensemble_forecast,
     esrf_analysis,
     letkf_analysis,
-    solve_anomaly_analysis,
 )
 from .harness import (
     ExperimentConfig,

@@ -97,11 +97,10 @@ class SpdFactor:
     def inverse(self) -> np.ndarray:
         return self.solve(np.eye(self.dim))
 
-    def mahalanobis_sq(self, residual: np.ndarray) -> float | np.ndarray:
-        """Quadratic form r^T A^{-1} r computed by triangular solve.
+    def whiten(self, residual: np.ndarray) -> np.ndarray:
+        """L^{-1} r for a (d,) or (d, n) residual r, with L the lower factor.
 
-        A (d,) residual gives a float; a (d, n) one gives the n column forms.
-        A non-finite residual column gives a non-finite form.
+        A non-finite residual column gives a non-finite column.
         """
         r = np.asarray(residual, dtype=float)
         if r.ndim not in (1, 2) or r.shape[0] != self.dim:
@@ -114,7 +113,15 @@ class SpdFactor:
         z, info = dtrtrs(self.chol.T, r, lower=0, trans=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"LAPACK dtrtrs failed with info {info}")
-        return float(z @ z) if r.ndim == 1 else np.sum(z * z, axis=0)
+        return z
+
+    def mahalanobis_sq(self, residual: np.ndarray) -> float | np.ndarray:
+        """Quadratic form r^T A^{-1} r = ||L^{-1} r||^2.
+
+        A (d,) residual gives a float; a (d, n) one gives the n column forms.
+        """
+        z = self.whiten(residual)
+        return float(z @ z) if z.ndim == 1 else np.sum(z * z, axis=0)
 
     def _eig_roots(self) -> None:
         eigvals, eigvecs = np.linalg.eigh(self.matrix)

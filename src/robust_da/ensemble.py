@@ -17,19 +17,23 @@ import numpy as np
 
 from ._linalg import SpdFactor, psd_sym_sqrt, symmetrize
 from .lgss import GaussianBelief, ObservationModel, kalman_gain
-from .weights import CONDITIONAL, WeightKernelSpec, WolfSpec, robust_update
+from .weights import (
+    CONDITIONAL,
+    WeightKernelSpec,
+    WolfSpec,
+    robust_update,
+    weight_slope,
+    weight_sq,
+)
 
 __all__ = [
     "EnsembleState",
     "LetkfConfig",
     "Localization",
-    "AnomalyAnalysis",
     "ensemble_forecast",
     "enkf_perturbed_analysis",
     "esrf_analysis",
     "letkf_analysis",
-    "anomaly_posterior_cov",
-    "solve_anomaly_analysis",
 ]
 
 # A member propagator: maps a (d_X, M) member matrix to the next one, drawing
@@ -214,76 +218,60 @@ class LetkfConfig:
             raise ValueError("inflation rho must be >= 1")
 
 
-@dataclass(frozen=True)
-class AnomalyAnalysis:
-    """Analysis solution in the M-dimensional ensemble-anomaly space."""
-
-    cov: np.ndarray        # (M, M) anomaly-space analysis covariance
-    mean: np.ndarray       # (M,) anomaly-space analysis mean
-    transform: np.ndarray  # (M, M) with transform @ transform.T = (M-1) cov
-
-
-def anomaly_posterior_cov(gram: np.ndarray, m: int, rho: float = 1.0) -> np.ndarray:
-    """Anomaly-space analysis covariance [(M-1)/rho I + gram]^{-1}.
-
-    Multiplicative inflation by rho is equivalent to replacing P^f with
-    rho P^f in the anomaly subspace, i.e. dividing the (M-1) identity term.
-    """
-    if rho < 1.0:
-        raise ValueError("inflation rho must be >= 1")
-    gram = symmetrize(np.asarray(gram, dtype=float))
-    prior_term = (m - 1) / rho * np.eye(gram.shape[0])
-    return symmetrize(SpdFactor(prior_term + gram).inverse())
-
-
-def solve_anomaly_analysis(
-    y_anom: np.ndarray,
-    ninv: np.ndarray,
-    innovation: np.ndarray,
-    rho: float = 1.0,
-) -> AnomalyAnalysis:
-    """Solve the analysis in anomaly space.
-
-    ``y_anom`` is the d_loc x M observation-anomaly matrix, ``ninv`` the
-    inverse effective observation covariance and ``innovation`` the
-    (possibly gradient-corrected) centered observation.
-    """
-    m = y_anom.shape[1]
-    weighted = ninv @ y_anom
-    cov = anomaly_posterior_cov(y_anom.T @ weighted, m, rho)
-    mean = cov @ (weighted.T @ innovation)
-    transform = psd_sym_sqrt((m - 1) * cov, min_eig_tol=-1e-10)
-    return AnomalyAnalysis(cov=cov, mean=mean, transform=transform)
-
-
-def _window_indices(state_index: int, d_y: int, half_width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic observation window around a state index and the index distances."""
+def _window_indices(d_x: int, d_y: int, half_width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic observation windows: row j holds the observation indices within
+    ``half_width`` sites of state index j, shape (d_x, w); and the index
+    distance of each window column, shape (w,)."""
     offsets = np.arange(-half_width, half_width + 1)
-    indices = (state_index + offsets) % d_y
-    return indices, np.abs(offsets)
+    return (np.arange(d_x)[:, None] + offsets) % d_y, np.abs(offsets)
 
 
-def _local_analysis(
+def _anomaly_analysis(
     spec: WeightKernelSpec | WolfSpec,
-    y: np.ndarray,
-    y_mean: np.ndarray,
-    y_anom: np.ndarray,
-    r: np.ndarray,
+    y_hat: np.ndarray,
+    d_hat: np.ndarray,
     rho: float,
-) -> AnomalyAnalysis:
-    """Robust anomaly-space analysis over one observation window."""
-    m = y_anom.shape[1]
-    r_factor = SpdFactor(r)
-    n_eff, target, evaluation = robust_update(
-        spec, y, y_mean, lambda: y_anom @ y_anom.T / (m - 1), r_factor
-    )
-    if evaluation.n_blocks == 1:
-        # N = R / (2 k^2): invert through R's factor instead of factoring N.
-        ninv = r_factor.inverse()
-        ninv *= 2.0 * evaluation.k_sq[0]
-    else:
-        ninv = SpdFactor(n_eff).inverse()
-    return solve_anomaly_analysis(y_anom, ninv, target - y_mean, rho)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Robust analysis of a stack of windows in whitened anomaly space.
+
+    ``y_hat`` (n, w, M) and ``d_hat`` (n, w) are each window's observation
+    anomalies R^{-1/2} Y and innovation R^{-1/2} (y - ybar).  With
+    G = Y^T R^{-1} Y and b = Y^T R^{-1} d, the robust update in window
+    coordinates is:
+
+    - s = d^T R^{-1} d, or d^T Sigma_y^{-1} d for the specs standardized by
+      Sigma_y = Y Y^T / (M - 1) + R, which Woodbury gives as
+      d^T R^{-1} d - b^T C^{-1} b with C = (M - 1) I + G;
+    - N^{-1} = 2 k^2(s) R^{-1};
+    - target innovation d - (2 slope / k^2) R Std^{-1} d, with Std the
+      standardizing covariance; R Std^{-1} d enters only as
+      Y^T R^{-1} R Std^{-1} d, which is b for Std = R and (M - 1) C^{-1} b
+      for Std = Sigma_y;
+    - A = (M - 1)/rho I + 2 k^2 G: analysis covariance A^{-1}, mean weights
+      A^{-1} 2 k^2 Y^T R^{-1} (target innovation), transform
+      [(M - 1) A^{-1}]^{1/2}.
+
+    G, C and A share eigenvectors, so one stacked ``eigh`` of G solves all of
+    it.  Returns the (n, M) mean weights and the (n, M, M) transforms.
+    """
+    _, w, m = y_hat.shape
+    gram_vals, vecs = np.linalg.eigh(np.swapaxes(y_hat, 1, 2) @ y_hat)
+    b = np.einsum("nwm,nw->nm", y_hat, d_hat)
+    b_eig = np.einsum("nmk,nm->nk", vecs, b)  # b in G's eigenbasis
+    s = np.einsum("nw,nw->n", d_hat, d_hat)
+    std_proj = b_eig  # Y^T R^{-1} R Std^{-1} d in the eigenbasis
+    if spec.standardization != CONDITIONAL:
+        c_vals = (m - 1) + gram_vals
+        s = s - np.sum(b_eig * b_eig / c_vals, axis=1)
+        std_proj = (m - 1) * b_eig / c_vals
+    threshold = spec.thresholds_for(w)[0]
+    k_sq = weight_sq(spec, np.maximum(s, 0.0), threshold)
+    slope = weight_slope(spec, k_sq, threshold)
+    target_proj = b_eig - (2.0 * slope / k_sq)[:, None] * std_proj
+    a_vals = (m - 1) / rho + 2.0 * k_sq[:, None] * gram_vals
+    mean_weights = np.einsum("nmk,nk->nm", vecs, 2.0 * k_sq[:, None] * target_proj / a_vals)
+    transform = (vecs * np.sqrt((m - 1) / a_vals)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+    return mean_weights, transform
 
 
 def letkf_analysis(
@@ -298,16 +286,24 @@ def letkf_analysis(
 
     The observation operator is applied per member; the analysis is solved in
     the M-dimensional anomaly space with observation anomalies
-    Y_i = h(member_i) - h(mean).  With localization enabled, one local
-    analysis per state index runs over the cyclic observation window and
-    contributes only that state's row to the output.
+    Y_i = h(member_i) - h(mean).  With localization, state index j is
+    analysed over its cyclic observation window, with the observation
+    precision tapered by distance, and takes only its own row of the result;
+    without it, one window holds every observation and every row, and is
+    whitened by the Cholesky factor of R.  All windows are solved at once.
 
-    Each analysis takes its effective covariance and target observation from
-    the shared robust update, with Y Y^T / (M - 1) as the forecast covariance
-    in observation space; the constant kernel gives the regular LETKF, and a
-    threshold of None resolves to each window's observation count.
+    Each window runs the robust update of the shared core in whitened
+    anomaly space (``_anomaly_analysis``): the weight of its Mahalanobis
+    square from ``weights.weight_sq``, N = R / (2 k^2) and the corrected
+    target observation, with Y Y^T / (M - 1) as the forecast covariance in
+    observation space.  The constant kernel gives the regular LETKF, and a
+    threshold of None resolves to the window's observation count.  Specs
+    with more than one block are rejected: a window holds a slice of the
+    observations, not a partition.
     """
     config = config or LetkfConfig()
+    if isinstance(spec, WeightKernelSpec) and len(spec.block_partition or ()) > 1:
+        raise ValueError("the LETKF weights each window as one block; got a block partition")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))
     if callable(h):
@@ -316,30 +312,27 @@ def letkf_analysis(
         h_mat = np.atleast_2d(np.asarray(h, dtype=float))
         h_fun = lambda x: h_mat @ x
     y_mean = np.atleast_1d(h_fun(ensemble.mean))
-    y_members = np.atleast_2d(h_fun(ensemble.members))
-    y_anom = y_members - y_mean[:, None]
-
-    if config.localization is None:
-        solution = _local_analysis(spec, y, y_mean, y_anom, r, config.rho)
-        mean_a = ensemble.mean + ensemble.anomalies @ solution.mean
-        members = mean_a[:, None] + ensemble.anomalies @ solution.transform
-        return EnsembleState(members=members)
+    y_anom = np.atleast_2d(h_fun(ensemble.members)) - y_mean[:, None]
+    innovation = y - y_mean
 
     loc = config.localization
-    d_y = y.shape[0]
-    r_diag = np.diag(r)
-    if np.any(np.abs(r - np.diag(r_diag)) > 1e-12):
-        raise ValueError("R-localization requires a diagonal observation covariance")
+    if loc is None:
+        r_factor = SpdFactor(r)
+        y_hat = r_factor.whiten(y_anom)[None]
+        d_hat = r_factor.whiten(innovation)[None]
+    else:
+        r_diag = np.diag(r)
+        if np.any(np.abs(r - np.diag(r_diag)) > 1e-12):
+            raise ValueError("R-localization requires a diagonal observation covariance")
+        idx, dist = _window_indices(ensemble.d_x, y.shape[0], loc.half_width)
+        taper = np.exp(-(dist.astype(float) ** 2) / loc.taper_length**2)
+        r_inv_sqrt = np.sqrt(taper / r_diag[idx])
+        y_hat = r_inv_sqrt[:, :, None] * y_anom[idx]
+        d_hat = r_inv_sqrt * innovation[idx]
+    mean_weights, transform = _anomaly_analysis(spec, y_hat, d_hat, config.rho)
 
-    members = np.empty_like(ensemble.members)
-    x_anom = ensemble.anomalies
-    _, dist = _window_indices(0, d_y, loc.half_width)
-    taper = np.exp(-(dist.astype(float) ** 2) / loc.taper_length**2)
-    for j in range(ensemble.d_x):
-        idx, _ = _window_indices(j, d_y, loc.half_width)
-        solution = _local_analysis(
-            spec, y[idx], y_mean[idx], y_anom[idx, :], np.diag(r_diag[idx] / taper), config.rho
-        )
-        row_mean = ensemble.mean[j] + x_anom[j] @ solution.mean
-        members[j, :] = row_mean + x_anom[j] @ solution.transform
+    # The state rows of each window: one row per window, or all rows in one.
+    x_anom = ensemble.anomalies.reshape(y_hat.shape[0], -1, ensemble.size)
+    mean_a = ensemble.mean + (x_anom @ mean_weights[:, :, None]).reshape(-1)
+    members = mean_a[:, None] + (x_anom @ transform).reshape(ensemble.members.shape)
     return EnsembleState(members=members)

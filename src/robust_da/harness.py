@@ -122,6 +122,10 @@ class ExperimentConfig:
             raise ValueError("mc_reps must be >= 1")
         if self.ensemble_size < 2 and self.filter not in CLOSED_FORM_FILTERS:
             raise ValueError("ensemble_size must be >= 2 for ensemble and particle filters")
+        if self.filter == "dsm_pf" and self.kernel_family != IMQ:
+            raise ValueError(
+                f"dsm_pf has an IMQ potential only, got kernel_family {self.kernel_family!r}"
+            )
 
     @property
     def contamination(self) -> ContaminationSpec:
@@ -646,6 +650,8 @@ def _collect(
     axis_sqrt_lambda: list[float],
     axis_sizes: list[int],
 ) -> SweepResult:
+    for filt in filters:
+        replace(config, filter=filt)  # validates every filter's config before any replicate
     jobs = [
         (config, filters, key, rep, eps, lam, size)
         for key, (eps, lam, size) in zip(cell_keys, cell_params)

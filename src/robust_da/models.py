@@ -319,20 +319,48 @@ def simulate_lorenz63(
     return record, obs
 
 
-def lorenz96_drift(x: np.ndarray, forcing: np.ndarray | float = 8.0) -> np.ndarray:
-    """Cyclic Lorenz-96 vector field, vectorized over columns."""
-    xp1 = np.roll(x, -1, axis=0)
-    xm2 = np.roll(x, 2, axis=0)
-    xm1 = np.roll(x, 1, axis=0)
-    return (xp1 - xm2) * xm1 - x + forcing
+def _lorenz96_ring(d: int) -> np.ndarray:
+    """Row gather [d-2, d-1, 0, ..., d-1, 0]: x[ring] holds x_{i-2} at i,
+    x_{i-1} at i + 1 and x_{i+1} at i + 3."""
+    return np.concatenate(([d - 2, d - 1], np.arange(d), [0]))
 
 
-def _lorenz96_rk4_step(x: np.ndarray, dt: float, forcing) -> np.ndarray:
-    k1 = lorenz96_drift(x, forcing)
-    k2 = lorenz96_drift(x + 0.5 * dt * k1, forcing)
-    k3 = lorenz96_drift(x + 0.5 * dt * k2, forcing)
-    k4 = lorenz96_drift(x + dt * k3, forcing)
+def lorenz96_drift(
+    x: np.ndarray, forcing: np.ndarray | float = 8.0, ring: np.ndarray | None = None
+) -> np.ndarray:
+    """Cyclic Lorenz-96 vector field, vectorized over columns.
+
+    ``ring`` is the neighbour gather of ``_lorenz96_ring``; integrators build
+    it once and pass it to every call.
+    """
+    d = x.shape[0]
+    if ring is None:
+        ring = _lorenz96_ring(d)
+    xe = x[ring]
+    return (xe[3:] - xe[:d]) * xe[1 : d + 1] - x + forcing
+
+
+def _lorenz96_rk4_step(x: np.ndarray, dt: float, forcing, ring: np.ndarray) -> np.ndarray:
+    k1 = lorenz96_drift(x, forcing, ring)
+    k2 = lorenz96_drift(x + 0.5 * dt * k1, forcing, ring)
+    k3 = lorenz96_drift(x + 0.5 * dt * k2, forcing, ring)
+    k4 = lorenz96_drift(x + dt * k3, forcing, ring)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _lorenz96_forcings(
+    rng: np.random.Generator,
+    n_steps: int,
+    shape: tuple[int, ...],
+    forcing_mean: float,
+    forcing_std: float,
+):
+    """Per-step forcing draws F ~ N(mean, std^2) for ``n_steps`` steps, drawn
+    in one call (the same numbers, in the same order, as one draw per step);
+    the constant mean when ``forcing_std`` is zero."""
+    if not forcing_std:
+        return [forcing_mean] * n_steps
+    return forcing_mean + forcing_std * rng.standard_normal((n_steps, *shape))
 
 
 def lorenz96_sampler(
@@ -349,13 +377,10 @@ def lorenz96_sampler(
     """
 
     def step(members: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        ring = _lorenz96_ring(members.shape[0])
         x = members
-        for _ in range(n_steps):
-            if forcing_std:
-                forcing = forcing_mean + forcing_std * rng.standard_normal(x.shape)
-            else:
-                forcing = forcing_mean
-            x = _lorenz96_rk4_step(x, dt, forcing)
+        for forcing in _lorenz96_forcings(rng, n_steps, x.shape, forcing_mean, forcing_std):
+            x = _lorenz96_rk4_step(x, dt, forcing, ring)
         return x
 
     return step
@@ -382,18 +407,20 @@ def simulate_lorenz96(
     if abs(steps_per_obs * dt - t_out) > 1e-9:
         raise ValueError("t_out must be an integer multiple of dt")
     rng = np.random.default_rng(seed)
+    n_burn = int(round(burn_in / dt))
+    n = int(round(t_end / dt))
+    ring = _lorenz96_ring(d)
+    forcings = _lorenz96_forcings(rng, n_burn + n, (d,), 8.0, forcing_std)
 
     x = np.full(d, 8.0)
     x[0] += 0.01
-    step = lorenz96_sampler(dt, 1, forcing_std=forcing_std)
-    for _ in range(int(round(burn_in / dt))):
-        x = step(x[:, None], rng)[:, 0]
+    for forcing in forcings[:n_burn]:
+        x = _lorenz96_rk4_step(x, dt, forcing, ring)
 
-    n = int(round(t_end / dt))
     states = np.empty((d, n + 1))
     states[:, 0] = x
     for k in range(1, n + 1):
-        x = step(x[:, None], rng)[:, 0]
+        x = _lorenz96_rk4_step(x, dt, forcings[n_burn + k - 1], ring)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"Lorenz-96 state blew up at step {k}")
         states[:, k] = x

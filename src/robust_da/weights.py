@@ -26,6 +26,8 @@ __all__ = [
     "WolfSpec",
     "WeightEvaluation",
     "robust_update",
+    "weight_sq",
+    "weight_slope",
     "eval_kernel",
     "rescaled_obs_cov",
     "corrected_observation",
@@ -138,6 +140,19 @@ class WolfSpec:
         if self.c_sq is not None and self.c_sq <= 0.0:
             raise ValueError("c_sq must be strictly positive")
 
+    @property
+    def standardization(self) -> str:
+        """R for ``md``, the innovation covariance HPH^T + R for ``sigma_scaled``."""
+        return CONDITIONAL if self.variant == "md" else MARGINAL
+
+    def thresholds_for(self, d_y: int) -> np.ndarray:
+        """The single threshold c^2, resolved against the dimension (cached per d_y)."""
+        cache = self.__dict__.setdefault("_threshold_cache", {})
+        resolved = cache.get(d_y)
+        if resolved is None:
+            resolved = cache[d_y] = np.array([self.c_sq if self.c_sq is not None else d_y], float)
+        return resolved
+
 
 @dataclass(frozen=True)
 class WeightEvaluation:
@@ -165,15 +180,31 @@ class WeightEvaluation:
 _K_SQ_FLOOR = 1e-300
 
 
-def _ksq_and_slope(family: str, s: float, threshold: float) -> tuple[float, float]:
-    """Squared kernel value and d(k^2)/ds at the Mahalanobis square s."""
-    if family == IMQ:
-        ksq = 1.0 / (1.0 + s / threshold)
-        return ksq, -(ksq * ksq) / threshold
-    if family == SQEXP:
-        ksq = max(math.exp(-s / threshold), _K_SQ_FLOOR)
-        return ksq, -ksq / threshold
-    raise ValueError(f"no analytic slope for family {family!r}")
+def weight_sq(
+    spec: WeightKernelSpec | WolfSpec, s: float | np.ndarray, threshold: float
+) -> float | np.ndarray:
+    """Squared weight k^2 at the Mahalanobis square s, elementwise over an
+    array of s.  ``threshold`` is q^2 (IMQ), h^2 (sq-exp) or c^2 (WoLF); a
+    WoLF spec gives k^2 = r^2 / 2, the constant kernel 1/2."""
+    if isinstance(spec, WolfSpec):
+        return (0.5 if spec.variant == "md" else 1.0) / (1.0 + s / threshold)
+    if spec.family == IMQ:
+        return 1.0 / (1.0 + s / threshold)
+    if spec.family == SQEXP:
+        return np.maximum(np.exp(-s / threshold), _K_SQ_FLOOR)
+    return np.full(np.shape(s), CONSTANT_WEIGHT_SQ)[()]
+
+
+def weight_slope(
+    spec: WeightKernelSpec | WolfSpec, k_sq: float | np.ndarray, threshold: float
+) -> float | np.ndarray:
+    """d(k^2)/ds in terms of k^2 = weight_sq(spec, s, threshold).  Zero for
+    WoLF and the constant kernel, whose target observation is y itself."""
+    if isinstance(spec, WeightKernelSpec) and spec.family == IMQ:
+        return -(k_sq * k_sq) / threshold
+    if isinstance(spec, WeightKernelSpec) and spec.family == SQEXP:
+        return -k_sq / threshold
+    return 0.0
 
 
 def _constant_evaluation(spec: WeightKernelSpec, d_y: int) -> WeightEvaluation:
@@ -232,17 +263,16 @@ def eval_kernel(
     if n_blocks == 1:
         whitened = std_cov.solve(residual)  # cov^{-1} (y - center)
         s = max(float(residual @ whitened), 0.0)
-        ksq, slope = _ksq_and_slope(spec.family, s, thresholds[0])
-        k_sq[0] = ksq
-        full_grads[0] = 2.0 * slope * whitened
+        k_sq[0] = weight_sq(spec, s, thresholds[0])
+        full_grads[0] = 2.0 * weight_slope(spec, k_sq[0], thresholds[0]) * whitened
         grad_diag[:] = full_grads[0]
     else:
         root = std_cov.inv_sym_sqrt
         z = root @ residual
         for b, (start, stop) in enumerate(partition):
             s_b = float(z[start:stop] @ z[start:stop])
-            ksq, slope = _ksq_and_slope(spec.family, s_b, thresholds[b])
-            k_sq[b] = ksq
+            k_sq[b] = weight_sq(spec, s_b, thresholds[b])
+            slope = weight_slope(spec, k_sq[b], thresholds[b])
             # grad s_b = 2 * root[:, start:stop] @ z[start:stop] (root symmetric)
             full_grads[b] = 2.0 * slope * (root[:, start:stop] @ z[start:stop])
             grad_diag[start:stop] = full_grads[b, start:stop]
@@ -307,23 +337,19 @@ def robust_update(
     r = r_factor.matrix
     y = np.atleast_1d(np.asarray(y, dtype=float))
     d_y = y.shape[0]
+    if isinstance(spec, WeightKernelSpec) and spec.family == CONSTANT:
+        return r, y, _constant_evaluation(spec, d_y)
+    std_cov = r_factor if spec.standardization == CONDITIONAL else SpdFactor(hph() + r)
     if isinstance(spec, WolfSpec):
-        c_sq = spec.c_sq if spec.c_sq is not None else float(d_y)
-        residual = y - center
-        if spec.variant == "md":
-            r_sq = 1.0 / (1.0 + r_factor.mahalanobis_sq(residual) / c_sq)
-        else:
-            r_sq = 2.0 / (1.0 + SpdFactor(hph() + r).mahalanobis_sq(residual) / c_sq)
+        s = std_cov.mahalanobis_sq(y - center)
+        k_sq = weight_sq(spec, s, spec.thresholds_for(d_y)[0])
         evaluation = WeightEvaluation(
-            k_sq=np.array([0.5 * r_sq]),
+            k_sq=np.array([k_sq]),
             grad_diag=np.zeros(d_y),
             full_grads=np.zeros((1, d_y)),
             partition=((0, d_y),),
         )
-        return r / r_sq, y, evaluation
-    if spec.family == CONSTANT:
-        return r, y, _constant_evaluation(spec, d_y)
-    std_cov = r_factor if spec.standardization == CONDITIONAL else SpdFactor(hph() + r)
+        return r / (2.0 * k_sq), y, evaluation
     evaluation = eval_kernel(spec, y, center, std_cov)
     n_y = rescaled_obs_cov(spec, evaluation, r)
     return n_y, corrected_observation(evaluation, n_y, y), evaluation
@@ -351,17 +377,11 @@ def jensen_bounds(d_y: int, threshold: float, family: str = IMQ) -> tuple[float,
     """
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
-    sigma = math.sqrt(2.0 * d_y)
-    if family == IMQ:
-        g_mu = 2.0 / (1.0 + d_y / threshold)
-        lipschitz = 2.0 / threshold
-    elif family == SQEXP:
-        g_mu = 2.0 * math.exp(-d_y / threshold)
-        lipschitz = 2.0 / threshold
-    elif family == CONSTANT:
+    if family == CONSTANT:
         return 1.0, 1.0, 0.0
-    else:
-        raise ValueError(f"unknown kernel family {family!r}")
+    sigma = math.sqrt(2.0 * d_y)
+    g_mu = 2.0 * float(weight_sq(WeightKernelSpec(family=family), d_y, threshold))
+    lipschitz = 2.0 / threshold
     return g_mu, g_mu + lipschitz * sigma, 2.0 * lipschitz * sigma
 
 
@@ -376,11 +396,9 @@ def jensen_upper_empirical(d_y: int, threshold: float) -> float:
 
 
 def _doubled_weight(family: str, xi: np.ndarray, threshold: float) -> np.ndarray:
-    if family == IMQ:
-        return 2.0 / (1.0 + xi / threshold)
-    if family == SQEXP:
-        return 2.0 * np.exp(-xi / threshold)
-    raise ValueError(f"unknown kernel family {family!r}")
+    if family == CONSTANT:
+        raise ValueError("the constant kernel has no threshold")
+    return 2.0 * weight_sq(WeightKernelSpec(family=family), xi, threshold)
 
 
 def expected_weight_mc(

@@ -43,6 +43,7 @@ from robust_da.weights import (
 )
 from helpers import (
     calibrated_seconds,
+    calibration_reading,
     calibration_seconds,
     central_diff_gradient,
     fit_loglog_slope,
@@ -506,9 +507,10 @@ def test_criterion_07_covariance_stability():
     #
     # The 10 s budget is read in calibrated seconds: on a shared host, speed
     # drifts by up to 1.6x, so the wall time is scaled by how fast a fixed
-    # calibration loop ran right before and right after the timed region.
+    # calibration loop ran right before and right after the timed region
+    # (the median of five runs on each side).
     calibration_seconds()  # first call pays one-off numpy/LAPACK set-up
-    before = calibration_seconds()
+    before = calibration_reading()
     start = time.perf_counter()
     record, model = simulate_ou(
         t_end=10_000.0, dt=0.1, seed=107,
@@ -523,7 +525,7 @@ def test_criterion_07_covariance_stability():
         belief = dsm_analysis(model, forecast, ys[:, k], spec).posterior
         variances[k] = belief.cov[0, 0]
     elapsed = time.perf_counter() - start
-    calibrated = calibrated_seconds(elapsed, before, calibration_seconds())
+    calibrated = calibrated_seconds(elapsed, before, calibration_reading())
 
     a, q, h, r = (float(m[0, 0]) for m in (model.A, model.Q, model.H, model.R))
     p_hi = q / (1.0 - a * a)
@@ -635,6 +637,9 @@ def test_criterion_10_lorenz63_desk():
 
 
 def test_criterion_11_lorenz96_desk():
+    # A 30 s budget in calibrated seconds, as in criterion 07.
+    calibration_seconds()  # first call pays one-off numpy/LAPACK set-up
+    before = calibration_reading()
     start = time.perf_counter()
     cfg = ExperimentConfig(
         model="lorenz96", filter="dsm_letkf", t_end=10.0, mc_reps=10,
@@ -643,22 +648,24 @@ def test_criterion_11_lorenz96_desk():
     sweep = run_sweep(cfg, [0.25], [27.5], filters=["letkf", "dsm_letkf", "wolf_letkf"])
     mean = {f: sweep.cell(f, 0, 0).mean_rmse for f in ("letkf", "dsm_letkf", "wolf_letkf")}
     elapsed = time.perf_counter() - start
+    calibrated = calibrated_seconds(elapsed, before, calibration_reading())
     ok = (
         mean["dsm_letkf"] < 1.0
         and mean["wolf_letkf"] < 1.0
         and mean["letkf"] > 3.0
-        and elapsed < 600.0
+        and calibrated < 30.0
     )
     report(
         11,
         ok,
         f"RMSE letkf {mean['letkf']:.2f} / dsm {mean['dsm_letkf']:.3f} / "
-        f"wolf {mean['wolf_letkf']:.3f}; {elapsed:.0f}s",
+        f"wolf {mean['wolf_letkf']:.3f}; {elapsed:.1f}s wall, "
+        f"{calibrated:.1f}s calibrated (< 30 required)",
     )
     assert mean["dsm_letkf"] < 1.0
     assert mean["wolf_letkf"] < 1.0
     assert mean["letkf"] > 3.0
-    assert elapsed < 600.0
+    assert calibrated < 30.0
 
 
 # ---------------------------------------------------------------------------

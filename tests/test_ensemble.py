@@ -8,7 +8,6 @@ from robust_da import (
     Localization,
     LgssModel,
     WolfSpec,
-    anomaly_posterior_cov,
     dsm_analysis,
     enkf_perturbed_analysis,
     ensemble_forecast,
@@ -16,13 +15,19 @@ from robust_da import (
     kf_analysis,
     kf_forecast,
     letkf_analysis,
-    solve_anomaly_analysis,
     wolf_analysis,
 )
 from robust_da.ensemble import _window_indices
+from robust_da.harness import ExperimentConfig, build_setup, run_ensemble_filter
 from robust_da.models import lgss_sampler, lorenz63_drift, lorenz63_sampler
-from robust_da.weights import CONSTANT, IMQ, WeightKernelSpec
-from helpers import fit_loglog_slope, random_spd
+from robust_da.weights import CONSTANT, IMQ, SQEXP, WeightKernelSpec
+from helpers import (
+    anomaly_posterior_cov,
+    fit_loglog_slope,
+    letkf_analysis_looped,
+    random_spd,
+    solve_anomaly_analysis,
+)
 
 
 def scalar_model(r=1.0):
@@ -290,11 +295,13 @@ def test_anomaly_posterior_cov_examples():
 
 
 def test_window_indices_lorenz96_geometry():
-    idx, dist = _window_indices(0, 40, 19)
+    windows, dist = _window_indices(40, 40, 19)
+    assert windows.shape == (40, 39)
+    idx = windows[0]
     assert idx.size == 39
     assert dist.max() == 19
     assert 20 not in ((idx - 0) % 40)  # the antipode is excluded
-    idx5, _ = _window_indices(5, 40, 19)
+    idx5 = windows[5]
     assert set((idx5 - 5) % 40) == set(np.arange(-19, 20) % 40)
 
 
@@ -344,10 +351,10 @@ def test_letkf_constant_kernel_collapses_to_regular():
     model = make_model(rng, 3, 3)
     ens = EnsembleState(members=rng.standard_normal((3, 6)))
     y = rng.standard_normal(3)
-    solution = solve_anomaly_analysis(
+    _, mean, transform = solve_anomaly_analysis(
         model.H @ ens.anomalies, np.linalg.inv(model.R), y - model.H @ ens.mean
     )
-    regular = (ens.mean + ens.anomalies @ solution.mean)[:, None] + ens.anomalies @ solution.transform
+    regular = (ens.mean + ens.anomalies @ mean)[:, None] + ens.anomalies @ transform
     constant = letkf_analysis(
         ens, model.H, model.R, y, WeightKernelSpec(family=CONSTANT), LetkfConfig()
     )
@@ -423,3 +430,70 @@ def test_letkf_localized_default_threshold_is_window_size():
         WeightKernelSpec(family=IMQ, threshold=39.0, standardization="obs_anomaly"), config,
     )
     assert np.array_equal(implicit.members, explicit.members)
+
+
+ORACLE_SPECS = {
+    "constant": WeightKernelSpec(family=CONSTANT),
+    "imq_obs_anomaly": WeightKernelSpec(family=IMQ, standardization="obs_anomaly"),
+    "sqexp_obs_anomaly": WeightKernelSpec(family=SQEXP, standardization="obs_anomaly"),
+    "imq_conditional": WeightKernelSpec(family=IMQ, standardization="conditional"),
+    "wolf_md": WolfSpec(variant="md"),
+    "wolf_sigma_scaled": WolfSpec(variant="sigma_scaled"),
+}
+
+ORACLE_CASES = {
+    # 40-ring, half-width 19: the Lorenz-96 desk geometry.
+    "ring40_hw19": (40, 10, Localization(half_width=19, taper_length=5.45)),
+    # 8-ring, half-width 2: 5-observation windows, fewer than the 6 members.
+    "ring8_hw2": (8, 6, Localization(half_width=2, taper_length=1.7)),
+    # One window over every observation, with a non-diagonal R.
+    "global": (5, 7, None),
+}
+
+
+def _relative_error(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+@pytest.mark.parametrize("spec_name", list(ORACLE_SPECS))
+def test_letkf_batched_matches_looped_oracle(spec_name, case):
+    d, m, loc = ORACLE_CASES[case]
+    spec = ORACLE_SPECS[spec_name]
+    rng = np.random.default_rng(19)
+    ens = EnsembleState(members=rng.standard_normal((d, m)) * 1.3 + 2.0)
+    y = ens.mean + rng.standard_normal(d) * 1.5
+    y[1] += 40.0  # an outlier observation
+    if loc is None:
+        h, r = rng.standard_normal((d, d)), random_spd(rng, d, scale=0.3)
+    else:
+        h, r = np.eye(d), np.diag(rng.uniform(0.5, 2.0, d))
+    config = LetkfConfig(rho=1.06, localization=loc)
+
+    batched = letkf_analysis(ens, h, r, y, spec, config)
+    looped = letkf_analysis_looped(ens, h, r, y, spec, config)
+    assert _relative_error(batched.members, looped.members) <= 1e-10
+    assert _relative_error(batched.mean, looped.mean) <= 1e-10
+    assert _relative_error(batched.cov, looped.cov) <= 1e-10
+
+
+def test_letkf_rejects_a_block_partition():
+    rng = np.random.default_rng(20)
+    ens = EnsembleState(members=rng.standard_normal((4, 5)))
+    spec = WeightKernelSpec(family=IMQ, threshold=1.0, block_partition=((0, 2), (2, 4)))
+    for loc in (None, Localization(half_width=1, taper_length=1.0)):
+        with pytest.raises(ValueError):
+            letkf_analysis(
+                ens, np.eye(4), np.eye(4), rng.standard_normal(4), spec, LetkfConfig(localization=loc)
+            )
+
+
+@pytest.mark.parametrize("filter_name", ["letkf", "dsm_letkf", "wolf_letkf"])
+def test_letkf_run_reports_nan_observation_as_divergence(filter_name):
+    cfg = ExperimentConfig(model="lorenz96", filter=filter_name, t_end=0.3, ensemble_size=6, seed=2)
+    setup = build_setup(cfg, np.random.SeedSequence(2))
+    ys = setup.record.observations.copy()
+    ys[7, 3] = np.nan
+    run = run_ensemble_filter(setup, ys, filter_name, cfg, np.random.default_rng(0))
+    assert run.divergence_step == 3
+    assert np.all(np.isfinite(run.means[:3])) and np.all(np.isnan(run.means[3:]))

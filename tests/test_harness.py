@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from robust_da import harness
 from robust_da.harness import (
     FILTERS,
     PRESETS,
@@ -160,6 +162,32 @@ def test_letkf_runs_follow_weight_settings(filter_name, setting, values):
     ]
     assert np.all(np.isfinite(means))
     assert not np.allclose(means[0], means[1])
+
+
+def test_dsm_pf_rejects_kernel_families_it_cannot_run(monkeypatch):
+    # The particle filter's potential is IMQ only; another family is refused
+    # up front instead of silently running IMQ.
+    with pytest.raises(ValueError, match="dsm_pf"):
+        ExperimentConfig(model="lorenz63", filter="dsm_pf", kernel_family="sqexp")
+    cfg = ExperimentConfig(
+        model="lorenz63", filter="dsm_enkf", kernel_family="sqexp", t_end=0.3,
+        ensemble_size=20, mc_reps=2, seed=3,
+    )
+    with pytest.raises(ValueError, match="dsm_pf"):
+        run_single(cfg, filter_override="dsm_pf")
+
+    def no_replicate(job):
+        raise AssertionError("a replicate started")
+
+    monkeypatch.setattr(harness, "_replicate_job", no_replicate)
+    with pytest.raises(ValueError, match="dsm_pf"):
+        run_sweep(cfg, [0.1], [5.0], filters=["dsm_enkf", "dsm_pf"])
+    with pytest.raises(ValueError, match="dsm_pf"):
+        run_ensemble_size_sweep(cfg, [10, 20], filters=["dsm_pf"])
+    monkeypatch.undo()
+
+    result = run_single(replace(cfg, kernel_family="imq"), filter_override="dsm_pf")
+    assert result.run.divergence_step is None and np.isfinite(result.report.rmse)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from robust_da.models import (
     simulate_target_tracking,
     tracking_model,
 )
+from helpers import lorenz96_sampler_rolled, simulate_lorenz96_rolled
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +210,30 @@ def test_lorenz96_seed_reproducibility_and_finite():
     b, _ = simulate_lorenz96(t_end=1.0, burn_in=1.0, seed=6)
     assert np.array_equal(a.states, b.states)
     assert np.all(np.isfinite(a.states))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 99])
+def test_lorenz96_matches_rolled_integrator_bit_for_bit(seed):
+    # Gathered neighbours and the forcing drawn in one call give the same
+    # numbers as np.roll neighbours and one draw per step.
+    contamination = ContaminationSpec(epsilon=0.25, lam=27.5**2)
+    record, _ = simulate_lorenz96(
+        t_end=1.5, burn_in=0.5, seed=seed, contamination=contamination
+    )
+    states, observations, flags, _ = simulate_lorenz96_rolled(
+        40, t_end=1.5, dt=0.01, t_out=0.05, burn_in=0.5, seed=seed, contamination=contamination
+    )
+    assert np.array_equal(record.states, states)
+    assert np.array_equal(record.observations, observations)
+    assert np.array_equal(record.contamination_flags, flags)
+
+    members = record.states[:, -10:]
+    rng, rng_rolled = np.random.default_rng(seed), np.random.default_rng(seed)
+    for forcing_std in (1.0, 0.0):
+        out = lorenz96_sampler(0.01, 5, forcing_std=forcing_std)(members, rng)
+        out_rolled = lorenz96_sampler_rolled(0.01, 5, forcing_std=forcing_std)(members, rng_rolled)
+        assert np.array_equal(out, out_rolled)
+    assert rng.bit_generator.state == rng_rolled.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
