@@ -56,7 +56,7 @@ from .models import (
     simulate_ou,
     simulate_target_tracking,
 )
-from .particle import ParticleCloud, PotentialSpec, dsm_log_potential, pf_step
+from .particle import ParticleCloud, dsm_log_potential, pf_step
 from .weights import (
     WeightEvaluation,
     WeightKernelSpec,

@@ -12,7 +12,7 @@ import numpy as np
 from .analysis import dsm_analysis
 from .ensemble import EnsembleState, enkf_perturbed_analysis, esrf_analysis
 from .lgss import GaussianBelief, LgssModel
-from .particle import ParticleCloud, PotentialSpec, pf_step
+from .particle import ParticleCloud, pf_step
 from .weights import IMQ, WeightKernelSpec, expected_weight_mc, jensen_bounds
 
 __all__ = ["run_checks"]
@@ -106,8 +106,7 @@ def check_pf_rate(seed: int) -> tuple[bool, str]:
             particles = rng.normal(size=(1, m))  # x ~ N(0, 1)
             cloud = ParticleCloud.uniform(particles)
             stepped = pf_step(
-                cloud, dynamics, y, model.H, model.R,
-                PotentialSpec(family="constant"), rng, resample_threshold=0.0,
+                cloud, dynamics, y, model.observation, spec, rng, resample_threshold=0.0
             )
             errs.append(abs(stepped.weighted_mean()[0] - target))
         errors.append(np.mean(errs))

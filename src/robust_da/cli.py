@@ -46,6 +46,14 @@ def _load_config(spec: str | None) -> ExperimentConfig:
         raise SystemExit(f"{path}: {exc}")
 
 
+def _replace_config(config: ExperimentConfig, args, **updates) -> ExperimentConfig:
+    """``replace`` that exits with one line when the harness refuses the result."""
+    try:
+        return replace(config, **updates)
+    except ValueError as exc:
+        raise SystemExit(f"{args.config or 'default config'}: {exc}")
+
+
 def _apply_common(config: ExperimentConfig, args) -> ExperimentConfig:
     updates = {"threads": resolve_threads(args.threads)}
     if args.seed is not None:
@@ -54,16 +62,15 @@ def _apply_common(config: ExperimentConfig, args) -> ExperimentConfig:
         updates["out_dir"] = args.out
     if getattr(args, "filter", None):
         updates["filter"] = args.filter
-    return replace(config, **updates)
+    return _replace_config(config, args, **updates)
 
 
-def _parse_filters(value: str | None, fallback: str) -> list[str]:
-    if not value:
-        return [fallback]
-    filters = [f.strip() for f in value.split(",") if f.strip()]
-    unknown = [f for f in filters if f not in FILTERS]
-    if unknown:
-        raise SystemExit(f"unknown filters: {unknown} (choose from {list(FILTERS)})")
+def _parse_filters(args, config: ExperimentConfig) -> list[str]:
+    if not args.filters:
+        return [config.filter]
+    filters = [f.strip() for f in args.filters.split(",") if f.strip()]
+    for filt in filters:
+        _replace_config(config, args, filter=filt)
     return filters
 
 
@@ -86,7 +93,7 @@ def cmd_sweep(args) -> int:
     config = _apply_common(_load_config(args.config), args)
     eps = [float(v) for v in args.epsilon.split(",")]
     sql = [float(v) for v in args.sqrt_lambda.split(",")]
-    filters = _parse_filters(args.filters, config.filter)
+    filters = _parse_filters(args, config)
     result = run_sweep(config, eps, sql, filters=filters)
     failed = sum(c.n_failed for c in result.cells.values())
     payload = {
@@ -101,7 +108,7 @@ def cmd_sweep(args) -> int:
 def cmd_size_sweep(args) -> int:
     config = _apply_common(_load_config(args.config), args)
     sizes = [int(v) for v in args.sizes.split(",")]
-    filters = _parse_filters(args.filters, config.filter)
+    filters = _parse_filters(args, config)
     result = run_ensemble_size_sweep(config, sizes, filters=filters)
     failed = sum(c.n_failed for c in result.cells.values())
     _emit({"cells": len(result.cells), "failed_replicates": failed}, args.format)

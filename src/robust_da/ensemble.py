@@ -276,21 +276,20 @@ def _anomaly_analysis(
 
 def letkf_analysis(
     ensemble: EnsembleState,
-    h: Callable[[np.ndarray], np.ndarray] | np.ndarray,
-    r: np.ndarray,
+    obs: ObservationModel,
     y: np.ndarray,
     spec: WeightKernelSpec | WolfSpec,
     config: LetkfConfig | None = None,
 ) -> EnsembleState:
     """Local ensemble transform analysis (deterministic, no random draws).
 
-    The observation operator is applied per member; the analysis is solved in
-    the M-dimensional anomaly space with observation anomalies
-    Y_i = h(member_i) - h(mean).  With localization, state index j is
-    analysed over its cyclic observation window, with the observation
-    precision tapered by distance, and takes only its own row of the result;
-    without it, one window holds every observation and every row, and is
-    whitened by the Cholesky factor of R.  All windows are solved at once.
+    The analysis is solved in the M-dimensional anomaly space with
+    observation anomalies Y_i = H (member_i - mean).  With localization,
+    state index j is analysed over its cyclic observation window, with the
+    observation precision tapered by distance, and takes only its own row of
+    the result; without it, one window holds every observation and every
+    row, and is whitened by the cached Cholesky factor of R.  All windows are
+    solved at once.
 
     Each window runs the robust update of the shared core in whitened
     anomaly space (``_anomaly_analysis``): the weight of its Mahalanobis
@@ -305,24 +304,17 @@ def letkf_analysis(
     if isinstance(spec, WeightKernelSpec) and len(spec.block_partition or ()) > 1:
         raise ValueError("the LETKF weights each window as one block; got a block partition")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    r = np.atleast_2d(np.asarray(r, dtype=float))
-    if callable(h):
-        h_fun = h
-    else:
-        h_mat = np.atleast_2d(np.asarray(h, dtype=float))
-        h_fun = lambda x: h_mat @ x
-    y_mean = np.atleast_1d(h_fun(ensemble.mean))
-    y_anom = np.atleast_2d(h_fun(ensemble.members)) - y_mean[:, None]
+    y_mean = obs.H @ ensemble.mean
+    y_anom = obs.H @ ensemble.members - y_mean[:, None]
     innovation = y - y_mean
 
     loc = config.localization
     if loc is None:
-        r_factor = SpdFactor(r)
-        y_hat = r_factor.whiten(y_anom)[None]
-        d_hat = r_factor.whiten(innovation)[None]
+        y_hat = obs.r_factor.whiten(y_anom)[None]
+        d_hat = obs.r_factor.whiten(innovation)[None]
     else:
-        r_diag = np.diag(r)
-        if np.any(np.abs(r - np.diag(r_diag)) > 1e-12):
+        r_diag = np.diag(obs.R)
+        if np.any(np.abs(obs.R - np.diag(r_diag)) > 1e-12):
             raise ValueError("R-localization requires a diagonal observation covariance")
         idx, dist = _window_indices(ensemble.d_x, y.shape[0], loc.half_width)
         taper = np.exp(-(dist.astype(float) ** 2) / loc.taper_length**2)

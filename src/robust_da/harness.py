@@ -43,8 +43,8 @@ from .models import (
     simulate_ou,
     simulate_target_tracking,
 )
-from .particle import ParticleCloud, PotentialSpec, pf_step
-from .weights import CONSTANT, IMQ, MARGINAL, OBS_ANOMALY, WeightKernelSpec, WolfSpec
+from .particle import ParticleCloud, pf_step
+from .weights import CONDITIONAL, CONSTANT, IMQ, MARGINAL, OBS_ANOMALY, WeightKernelSpec, WolfSpec
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -122,10 +122,6 @@ class ExperimentConfig:
             raise ValueError("mc_reps must be >= 1")
         if self.ensemble_size < 2 and self.filter not in CLOSED_FORM_FILTERS:
             raise ValueError("ensemble_size must be >= 2 for ensemble and particle filters")
-        if self.filter == "dsm_pf" and self.kernel_family != IMQ:
-            raise ValueError(
-                f"dsm_pf has an IMQ potential only, got kernel_family {self.kernel_family!r}"
-            )
 
     @property
     def contamination(self) -> ContaminationSpec:
@@ -306,7 +302,7 @@ def _weight_spec(method: str, config: ExperimentConfig) -> WeightKernelSpec | Wo
     """Weight spec of a filter: the configured DSM kernel or WoLF weight, and
     the constant kernel for the regular filters."""
     if method.startswith("dsm_"):
-        standardization = OBS_ANOMALY if method in LETKF_FILTERS else MARGINAL
+        standardization = {"dsm_letkf": OBS_ANOMALY, "dsm_pf": CONDITIONAL}.get(method, MARGINAL)
         return WeightKernelSpec(
             family=config.kernel_family, threshold=config.q_sq, standardization=standardization
         )
@@ -380,9 +376,7 @@ def run_ensemble_filter(
         nonlocal ensemble
         ensemble = ensemble_forecast(setup.sampler, ensemble, rng)
         if method in LETKF_FILTERS:
-            ensemble = letkf_analysis(
-                ensemble, setup.obs.H, setup.obs.R, ys[:, k], spec, letkf_cfg
-            )
+            ensemble = letkf_analysis(ensemble, setup.obs, ys[:, k], spec, letkf_cfg)
         elif method in ESRF_FILTERS:
             ensemble = esrf_analysis(ensemble, setup.obs, ys[:, k], spec)
         else:
@@ -404,7 +398,7 @@ def run_particle_filter(
 ) -> FilterRun:
     """Run the score-matching bootstrap particle filter."""
     cloud = ParticleCloud.uniform(_initial_members(setup, config.ensemble_size, rng))
-    potential = PotentialSpec(family="imq", q_sq=config.q_sq)
+    spec = _weight_spec("dsm_pf", config)
 
     def step(k):
         nonlocal cloud
@@ -412,9 +406,8 @@ def run_particle_filter(
             cloud,
             setup.sampler,
             ys[:, k],
-            setup.obs.H,
-            setup.obs.r_factor,
-            potential,
+            setup.obs,
+            spec,
             rng,
             resample_threshold=config.resample_threshold,
         )

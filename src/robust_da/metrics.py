@@ -64,8 +64,10 @@ def _gaussian_log_density(
     residual = truth - mean
     if diagonalize:
         diag = np.diag(np.atleast_2d(cov)).copy()
-        if np.any(diag <= 0.0):
-            raise ValueError("diagonalized covariance has non-positive entries")
+        if np.any(diag < 0.0):
+            raise ValueError("diagonalized covariance has negative entries")
+        if np.any(diag == 0.0):
+            return -np.inf  # a zero variance puts no density on the truth
         return -0.5 * float(
             d * _LOG_2PI + np.sum(np.log(diag)) + np.sum(residual**2 / diag)
         )

@@ -1,9 +1,10 @@
 """Generalized bootstrap particle filter with a bounded score-matching
 potential.
 
-Each particle carries a translation-invariant IMQ kernel centered at its own
-predicted observation (conditional standardization), so the log-potential is
-bounded in the residual: extreme observations cannot zero out the weights.
+Each particle carries the kernel of a ``WeightKernelSpec`` centered at its
+own predicted observation (conditional standardization), so with the IMQ or
+sq-exp kernel the log-potential is bounded in the residual: extreme
+observations cannot zero out the weights.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import numpy as np
 from scipy.special import logsumexp
 
 from ._linalg import SpdFactor
+from .lgss import ObservationModel
+from .weights import CONDITIONAL, CONSTANT, WeightKernelSpec, weight_slope, weight_sq
 
 __all__ = [
     "ParticleCloud",
-    "PotentialSpec",
     "dsm_log_potential",
     "pf_step",
 ]
@@ -72,92 +74,60 @@ class ParticleCloud:
         return (centered * self.weights) @ centered.T
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Reweighting potential for the analysis step.
-
-    ``imq``: the score-matching potential with per-particle IMQ kernel and
-    threshold ``q_sq`` (default: the observation dimension).  ``constant``:
-    the fixed weight 1/sqrt(2), whose potential is the exact Gaussian
-    log-likelihood up to a constant, so the filter targets the regular
-    posterior.
-    """
-
-    family: str = "imq"
-    q_sq: float | None = None
-
-    def __post_init__(self):
-        if self.family not in ("imq", "constant"):
-            raise ValueError(f"unknown potential family {self.family!r}")
-        if self.q_sq is not None and self.q_sq <= 0.0:
-            raise ValueError("q_sq must be strictly positive")
-
-
 def dsm_log_potential(
     y: np.ndarray,
     h_of_x: np.ndarray,
-    r: np.ndarray | SpdFactor,
-    q_sq: float | None = None,
+    r_factor: SpdFactor,
+    spec: WeightKernelSpec,
 ) -> float | np.ndarray:
-    """Bounded log-potential of one particle, or of each column of a
+    """Minus the score-matching loss of one particle, or of each column of a
     (d_Y, M) ``h_of_x``.
 
-    With s the R-standardized squared residual and k the IMQ kernel with
-    threshold q_sq, returns -(k^2 s + (4/q^2) k^4 s - 2 d_Y k^2), which is
-    finite for every finite input: 2 d_Y at zero residual, approaching -q^2
-    as the residual grows (the loss saturates at q^2).  ``q_sq=None`` gives
-    the constant kernel k^2 = 1/2, whose potential d_Y - s/2 is the Gaussian
-    log-likelihood up to a constant.  A non-finite observation gives a
-    non-finite potential.
+    With s the R-standardized squared residual, k^2 = weight_sq(spec, s, t)
+    and slope = weight_slope(spec, k^2, t), returns
+    -(k^2 s - 4 slope s - 2 d_Y k^2).  For IMQ this is 2 d_Y at zero residual
+    and approaches -q^2 as the residual grows (the loss saturates at q^2).
+    The constant kernel gives d_Y - s/2, the Gaussian log-likelihood up to a
+    constant.  A non-finite observation gives a non-finite potential.
     """
-    if q_sq is not None and q_sq <= 0.0:
-        raise ValueError("q_sq must be strictly positive")
-    factor = r if isinstance(r, SpdFactor) else SpdFactor(np.atleast_2d(np.asarray(r, float)))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     h_of_x = np.asarray(h_of_x, dtype=float)
     if h_of_x.ndim == 2:
         residual = y[:, None] - h_of_x
     else:
         residual = y - np.atleast_1d(h_of_x)
-    s = factor.mahalanobis_sq(residual)
-    d_y = factor.dim
-    if q_sq is None:
-        return d_y - 0.5 * s
-    k_sq = 1.0 / (1.0 + s / q_sq)
-    return -(k_sq * s + (4.0 / q_sq) * (k_sq**2) * s - 2.0 * d_y * k_sq)
+    s = r_factor.mahalanobis_sq(residual)
+    d_y = r_factor.dim
+    threshold = spec.thresholds_for(d_y)[0]
+    k_sq = weight_sq(spec, s, threshold)
+    slope = weight_slope(spec, k_sq, threshold)
+    return -(k_sq * s - 4.0 * slope * s - 2.0 * d_y * k_sq)
 
 
 def pf_step(
     cloud: ParticleCloud,
     dynamics,
     y: np.ndarray,
-    h,
-    r: np.ndarray | SpdFactor,
-    potential: PotentialSpec,
+    obs: ObservationModel,
+    spec: WeightKernelSpec,
     rng: np.random.Generator,
     resample_threshold: float = 0.5,
-    resampling: str = "multinomial",
 ) -> ParticleCloud:
     """One propagate / reweight / resample step of the bootstrap filter.
 
     Particles are pushed through the dynamics sampler, the log-potential is
     added to the log-weights (normalized by log-sum-exp), and when
     ESS / M drops below ``resample_threshold`` the cloud is resampled
-    (multinomial by default; systematic available) with weights reset to
-    uniform.  With the bootstrap proposal the transition densities cancel,
-    so the potential is the only weight update.
+    (multinomial) with weights reset to uniform.  With the bootstrap proposal
+    the transition densities cancel, so the potential is the only weight
+    update.  Each particle's kernel is standardized by R, so a non-constant
+    spec must be ``conditional`` with a single block.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    one_r_block = spec.standardization == CONDITIONAL and len(spec.block_partition or ()) < 2
+    if spec.family != CONSTANT and not one_r_block:
+        raise ValueError(f"the particle filter standardizes each kernel by R as one block: {spec}")
     propagated = np.asarray(dynamics(cloud.particles, rng), dtype=float)
-    if callable(h):
-        predicted = np.atleast_2d(h(propagated))
-    else:
-        predicted = np.atleast_2d(np.asarray(h, dtype=float) @ propagated)
-    if potential.family == "constant":
-        q_sq = None
-    else:
-        q_sq = potential.q_sq if potential.q_sq is not None else float(y.shape[0])
-    log_pot = dsm_log_potential(y, predicted, r, q_sq)
+    log_pot = dsm_log_potential(y, obs.H @ propagated, obs.r_factor, spec)
     if not np.all(np.isfinite(log_pot)):
         raise FloatingPointError("non-finite log-potential (bounded for finite observations)")
     updated = ParticleCloud(particles=propagated, log_weights=cloud.log_weights + log_pot)
@@ -165,11 +135,5 @@ def pf_step(
     m = updated.size
     if updated.ess / m >= resample_threshold:
         return updated
-    if resampling == "multinomial":
-        indices = rng.choice(m, size=m, p=updated.weights)
-    elif resampling == "systematic":
-        positions = (rng.random() + np.arange(m)) / m
-        indices = np.searchsorted(np.cumsum(updated.weights), positions)
-    else:
-        raise ValueError(f"unknown resampling scheme {resampling!r}")
+    indices = rng.choice(m, size=m, p=updated.weights)
     return ParticleCloud.uniform(updated.particles[:, indices])

@@ -210,12 +210,12 @@ def _local_analysis(spec, y, y_mean, y_anom, r, rho):
     return solve_anomaly_analysis(y_anom, SpdFactor(n_eff).inverse(), target - y_mean, rho)
 
 
-def letkf_analysis_looped(ensemble, h, r, y, spec, config):
+def letkf_analysis_looped(ensemble, obs, y, spec, config):
     """The LETKF one window at a time, each through the shared robust update."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    r = np.atleast_2d(np.asarray(r, dtype=float))
-    y_mean = h @ ensemble.mean
-    y_anom = h @ ensemble.members - y_mean[:, None]
+    r = obs.R
+    y_mean = obs.H @ ensemble.mean
+    y_anom = obs.H @ ensemble.members - y_mean[:, None]
     x_anom = ensemble.anomalies
     loc = config.localization
     if loc is None:

@@ -14,7 +14,6 @@ from robust_da import (
     LetkfConfig,
     LgssModel,
     ParticleCloud,
-    PotentialSpec,
     SpdFactor,
     WolfSpec,
     dsm_analysis,
@@ -452,7 +451,7 @@ def test_criterion_06_ensemble_consistency():
     }
     for variant, closed in closed_forms.items():
         updated = letkf_analysis(
-            ens2, model2.H, model2.R, y2, letkf_specs[variant], LetkfConfig(rho=1.0)
+            ens2, model2.observation, y2, letkf_specs[variant], LetkfConfig(rho=1.0)
         )
         worst_letkf = max(
             worst_letkf,
@@ -719,17 +718,15 @@ def test_criterion_13_particle_filter():
     )
     y = np.array([1.5])
     forecast = GaussianBelief(mean=[0.0], cov=[[0.49 + 1.3]])
-    target = dsm_analysis(model, forecast, y, WeightKernelSpec(family=CONSTANT)).posterior
+    spec = WeightKernelSpec(family=CONSTANT)
+    target = dsm_analysis(model, forecast, y, spec).posterior
 
     def dynamics(members, rng):
         return 0.7 * members + np.sqrt(1.3) * rng.standard_normal(members.shape)
 
     rng = np.random.default_rng(113)
     cloud = ParticleCloud.uniform(rng.standard_normal((1, 100_000)))
-    stepped = pf_step(
-        cloud, dynamics, y, model.H, model.R,
-        PotentialSpec(family="constant"), rng, resample_threshold=0.0,
-    )
+    stepped = pf_step(cloud, dynamics, y, model.observation, spec, rng, resample_threshold=0.0)
     se = np.sqrt(target.cov[0, 0] / stepped.ess)
     err_large = abs(stepped.weighted_mean()[0] - target.mean[0])
 
@@ -739,10 +736,7 @@ def test_criterion_13_particle_filter():
         errs = []
         for _ in range(48):
             c = ParticleCloud.uniform(rng.standard_normal((1, m)))
-            out = pf_step(
-                c, dynamics, y, model.H, model.R,
-                PotentialSpec(family="constant"), rng, resample_threshold=0.0,
-            )
+            out = pf_step(c, dynamics, y, model.observation, spec, rng, resample_threshold=0.0)
             errs.append(abs(out.weighted_mean()[0] - target.mean[0]))
         errors.append(np.mean(errs))
     slope = fit_loglog_slope(sizes, errors)

@@ -7,6 +7,7 @@ from robust_da import (
     LetkfConfig,
     Localization,
     LgssModel,
+    ObservationModel,
     WolfSpec,
     dsm_analysis,
     enkf_perturbed_analysis,
@@ -322,7 +323,7 @@ def test_letkf_full_rank_matches_closed_form(variant):
     ens = EnsembleState(members=members)
     y = rng.standard_normal(d_y) * 2.0
     config = LetkfConfig(rho=1.0)
-    updated = letkf_analysis(ens, model.H, model.R, y, LETKF_SPECS[variant], config)
+    updated = letkf_analysis(ens, model.observation, y, LETKF_SPECS[variant], config)
 
     forecast = GaussianBelief(mean=ens.mean, cov=ens.cov)
     if variant == "regular":
@@ -356,7 +357,7 @@ def test_letkf_constant_kernel_collapses_to_regular():
     )
     regular = (ens.mean + ens.anomalies @ mean)[:, None] + ens.anomalies @ transform
     constant = letkf_analysis(
-        ens, model.H, model.R, y, WeightKernelSpec(family=CONSTANT), LetkfConfig()
+        ens, model.observation, y, WeightKernelSpec(family=CONSTANT), LetkfConfig()
     )
     assert np.allclose(regular, constant.members, rtol=1e-12, atol=1e-12)
 
@@ -367,8 +368,8 @@ def test_letkf_inflation_widens_analysis():
     ens = EnsembleState(members=rng.standard_normal((3, 10)))
     y = rng.standard_normal(3)
     regular = WeightKernelSpec(family=CONSTANT)
-    base = letkf_analysis(ens, model.H, model.R, y, regular, LetkfConfig(rho=1.0))
-    inflated = letkf_analysis(ens, model.H, model.R, y, regular, LetkfConfig(rho=1.5))
+    base = letkf_analysis(ens, model.observation, y, regular, LetkfConfig(rho=1.0))
+    inflated = letkf_analysis(ens, model.observation, y, regular, LetkfConfig(rho=1.5))
     assert np.trace(inflated.cov) > np.trace(base.cov)
 
 
@@ -384,7 +385,8 @@ def test_letkf_localized_matches_manual_single_window():
         rho=1.06, localization=Localization(half_width=hw, taper_length=taper_l)
     )
     updated = letkf_analysis(
-        ens, np.eye(d), np.eye(d), y, WeightKernelSpec(family=CONSTANT), config
+        ens, ObservationModel(H=np.eye(d), R=np.eye(d)), y, WeightKernelSpec(family=CONSTANT),
+        config,
     )
 
     idx = np.array([-2, -1, 0, 1, 2]) % d
@@ -409,7 +411,8 @@ def test_letkf_localization_requires_diagonal_r():
     config = LetkfConfig(localization=Localization(half_width=1, taper_length=1.0))
     with pytest.raises(ValueError):
         letkf_analysis(
-            ens, np.eye(4), r, rng.standard_normal(4), WeightKernelSpec(family=CONSTANT), config
+            ens, ObservationModel(H=np.eye(4), R=r), rng.standard_normal(4),
+            WeightKernelSpec(family=CONSTANT), config,
         )
 
 
@@ -421,12 +424,12 @@ def test_letkf_localized_default_threshold_is_window_size():
     y = 8.0 + rng.standard_normal(40) * 2.0
     loc = Localization(half_width=19, taper_length=5.45)
     config = LetkfConfig(rho=1.06, localization=loc)
+    obs = ObservationModel(H=np.eye(40), R=np.eye(40))
     implicit = letkf_analysis(
-        ens, np.eye(40), np.eye(40), y,
-        WeightKernelSpec(family=IMQ, standardization="obs_anomaly"), config,
+        ens, obs, y, WeightKernelSpec(family=IMQ, standardization="obs_anomaly"), config
     )
     explicit = letkf_analysis(
-        ens, np.eye(40), np.eye(40), y,
+        ens, obs, y,
         WeightKernelSpec(family=IMQ, threshold=39.0, standardization="obs_anomaly"), config,
     )
     assert np.array_equal(implicit.members, explicit.members)
@@ -465,13 +468,13 @@ def test_letkf_batched_matches_looped_oracle(spec_name, case):
     y = ens.mean + rng.standard_normal(d) * 1.5
     y[1] += 40.0  # an outlier observation
     if loc is None:
-        h, r = rng.standard_normal((d, d)), random_spd(rng, d, scale=0.3)
+        obs = ObservationModel(H=rng.standard_normal((d, d)), R=random_spd(rng, d, scale=0.3))
     else:
-        h, r = np.eye(d), np.diag(rng.uniform(0.5, 2.0, d))
+        obs = ObservationModel(H=np.eye(d), R=np.diag(rng.uniform(0.5, 2.0, d)))
     config = LetkfConfig(rho=1.06, localization=loc)
 
-    batched = letkf_analysis(ens, h, r, y, spec, config)
-    looped = letkf_analysis_looped(ens, h, r, y, spec, config)
+    batched = letkf_analysis(ens, obs, y, spec, config)
+    looped = letkf_analysis_looped(ens, obs, y, spec, config)
     assert _relative_error(batched.members, looped.members) <= 1e-10
     assert _relative_error(batched.mean, looped.mean) <= 1e-10
     assert _relative_error(batched.cov, looped.cov) <= 1e-10
@@ -484,7 +487,8 @@ def test_letkf_rejects_a_block_partition():
     for loc in (None, Localization(half_width=1, taper_length=1.0)):
         with pytest.raises(ValueError):
             letkf_analysis(
-                ens, np.eye(4), np.eye(4), rng.standard_normal(4), spec, LetkfConfig(localization=loc)
+                ens, ObservationModel(H=np.eye(4), R=np.eye(4)), rng.standard_normal(4), spec,
+                LetkfConfig(localization=loc),
             )
 
 

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,12 +144,13 @@ def test_particle_filter_reports_nan_observation_as_divergence():
     [
         ("dsm_letkf", "kernel_family", ("imq", "sqexp")),
         ("wolf_letkf", "wolf_variant", ("md", "sigma_scaled")),
+        ("dsm_pf", "kernel_family", ("imq", "sqexp")),
     ],
-    ids=["dsm_letkf", "wolf_letkf"],
+    ids=["dsm_letkf", "wolf_letkf", "dsm_pf"],
 )
 def test_letkf_runs_follow_weight_settings(filter_name, setting, values):
-    # The kernel family and WoLF variant reach the LETKF without an explicit
-    # threshold too.
+    # The kernel family and WoLF variant reach the LETKF, and the kernel
+    # family the particle filter, without an explicit threshold too.
     means = [
         run_single(
             ExperimentConfig(
@@ -164,30 +164,32 @@ def test_letkf_runs_follow_weight_settings(filter_name, setting, values):
     assert not np.allclose(means[0], means[1])
 
 
-def test_dsm_pf_rejects_kernel_families_it_cannot_run(monkeypatch):
-    # The particle filter's potential is IMQ only; another family is refused
-    # up front instead of silently running IMQ.
-    with pytest.raises(ValueError, match="dsm_pf"):
-        ExperimentConfig(model="lorenz63", filter="dsm_pf", kernel_family="sqexp")
+def test_particle_filter_survives_collapse_onto_one_particle():
+    # The weighted covariance after resampling onto one particle is exactly
+    # zero at some step; that step scores the q_ic cap instead of crashing.
     cfg = ExperimentConfig(
-        model="lorenz63", filter="dsm_enkf", kernel_family="sqexp", t_end=0.3,
-        ensemble_size=20, mc_reps=2, seed=3,
+        model="lorenz96", filter="dsm_pf", t_end=5.0, ensemble_size=100, epsilon=0.25,
+        lam=625.0, seed=11,
     )
-    with pytest.raises(ValueError, match="dsm_pf"):
-        run_single(cfg, filter_override="dsm_pf")
+    result = run_single(cfg)
+    assert result.summary["divergence_step"] is None
+    assert np.isfinite(result.summary["rmse"])
+    assert result.summary["q_ic"] <= 10.0
+
+
+def test_sweeps_refuse_an_invalid_filter_before_any_replicate(monkeypatch):
+    cfg = ExperimentConfig(
+        model="lorenz63", filter="dsm_enkf", t_end=0.3, ensemble_size=20, mc_reps=2, seed=3,
+    )
 
     def no_replicate(job):
         raise AssertionError("a replicate started")
 
     monkeypatch.setattr(harness, "_replicate_job", no_replicate)
-    with pytest.raises(ValueError, match="dsm_pf"):
-        run_sweep(cfg, [0.1], [5.0], filters=["dsm_enkf", "dsm_pf"])
-    with pytest.raises(ValueError, match="dsm_pf"):
-        run_ensemble_size_sweep(cfg, [10, 20], filters=["dsm_pf"])
-    monkeypatch.undo()
-
-    result = run_single(replace(cfg, kernel_family="imq"), filter_override="dsm_pf")
-    assert result.run.divergence_step is None and np.isfinite(result.report.rmse)
+    with pytest.raises(ValueError, match="linear Gaussian"):
+        run_sweep(cfg, [0.1], [5.0], filters=["dsm_enkf", "kf"])
+    with pytest.raises(ValueError, match="linear Gaussian"):
+        run_ensemble_size_sweep(cfg, [10, 20], filters=["kf"])
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +341,23 @@ def test_cli_rejects_unknown_config(tmp_path):
     with pytest.raises(SystemExit) as err:
         cli.main(["run", "--config", str(bad)])
     assert "invalid JSON" in str(err.value)
+
+
+def test_cli_refuses_a_filter_the_model_cannot_run():
+    for args in (
+        ["run", "--config", "lorenz63_desk", "--filter", "kf"],
+        ["sweep", "--config", "lorenz63_desk", "--filters", "dsm_enkf,kf"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            cli.main(args)
+        assert str(err.value) == (
+            "lorenz63_desk: filter 'kf' needs a linear Gaussian model, got 'lorenz63'"
+        )
+
+
+def test_cli_verify_passes(capsys):
+    assert cli.main(["verify"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_cli_config_file_roundtrip(tmp_path, capsys):

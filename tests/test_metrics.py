@@ -131,7 +131,13 @@ def test_q_ic_monotone_in_density():
 
 def test_q_ic_rejects_degenerate_diagonal():
     with pytest.raises(ValueError):
-        q_ic(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1, 1)), diagonalize=True)
+        q_ic(np.zeros((1, 1)), np.zeros((1, 1)), -np.ones((1, 1, 1)), diagonalize=True)
+
+
+def test_q_ic_zero_variance_dimension_scores_the_cap():
+    # A zero variance puts no density on the truth: log-density -inf, score 10.
+    covs = np.diag([1.0, 0.0, 2.0])[None]
+    assert q_ic(np.zeros((1, 3)), np.full((1, 3), 0.1), covs, diagonalize=True) == 10.0
 
 
 # ---------------------------------------------------------------------------
