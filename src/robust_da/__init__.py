@@ -29,7 +29,6 @@ from .ensemble import (
 )
 from .harness import (
     ExperimentConfig,
-    FilterDivergence,
     PRESETS,
     RunResult,
     SweepResult,

@@ -1,6 +1,11 @@
 """Experiment orchestration: filter loops over twin experiments, Monte-Carlo
 contamination and ensemble-size sweeps, and CSV/JSON result files.
 
+``_FILTER_TABLE`` defines every filter by the analysis step it runs (kf,
+enkf, esrf, letkf or pf) and the weight that goes into that step (regular,
+DSM or WoLF); one loop, ``_filter_loop``, runs every family and reports
+divergence the same way for all of them.
+
 Determinism contract: a (config, master seed) pair maps to byte-identical
 result files regardless of worker count; per-replicate streams are derived
 order-free from the master seed via spawn keys.
@@ -52,7 +57,6 @@ __all__ = [
     "MODELS",
     "PRESETS",
     "ExperimentConfig",
-    "FilterDivergence",
     "FilterRun",
     "RunResult",
     "SweepResult",
@@ -67,22 +71,20 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-CLOSED_FORM_FILTERS = ("kf", "dsm_kf", "wolf_kf")
-ENKF_FILTERS = ("enkf", "dsm_enkf", "wolf_enkf")
-ESRF_FILTERS = ("esrf", "dsm_esrf")
-LETKF_FILTERS = ("letkf", "dsm_letkf", "wolf_letkf")
-FILTERS = CLOSED_FORM_FILTERS + ENKF_FILTERS + ESRF_FILTERS + LETKF_FILTERS + ("dsm_pf",)
+# Filter name -> (analysis step, weight).  The weight is None for the regular
+# filter (constant kernel), "wolf" for the WoLF weight, and otherwise the
+# standardization of the configured DSM kernel.
+_FILTER_TABLE = {
+    "kf": ("kf", None), "dsm_kf": ("kf", MARGINAL), "wolf_kf": ("kf", "wolf"),
+    "enkf": ("enkf", None), "dsm_enkf": ("enkf", MARGINAL), "wolf_enkf": ("enkf", "wolf"),
+    "esrf": ("esrf", None), "dsm_esrf": ("esrf", MARGINAL),
+    "letkf": ("letkf", None), "dsm_letkf": ("letkf", OBS_ANOMALY), "wolf_letkf": ("letkf", "wolf"),
+    "dsm_pf": ("pf", CONDITIONAL),
+}
+FILTERS = tuple(_FILTER_TABLE)
 MODELS = ("ou", "tracking2d", "lorenz63", "lorenz96")
 
 _MODEL_DEFAULT_T_END = {"ou": 10.0, "tracking2d": 50.0, "lorenz63": 50.0, "lorenz96": 73.0}
-
-
-class FilterDivergence(RuntimeError):
-    """A filter produced a non-finite state; carries the first bad step."""
-
-    def __init__(self, step: int, message: str = ""):
-        super().__init__(message or f"filter diverged at observation step {step}")
-        self.step = step
 
 
 @dataclass(frozen=True)
@@ -114,13 +116,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown model {self.model!r} (choose from {MODELS})")
         if self.filter not in FILTERS:
             raise ValueError(f"unknown filter {self.filter!r} (choose from {FILTERS})")
-        if self.filter in CLOSED_FORM_FILTERS and self.model not in ("ou", "tracking2d"):
+        closed_form = _FILTER_TABLE[self.filter][0] == "kf"
+        if closed_form and self.model not in ("ou", "tracking2d"):
             raise ValueError(
                 f"filter {self.filter!r} needs a linear Gaussian model, got {self.model!r}"
             )
         if self.mc_reps < 1:
             raise ValueError("mc_reps must be >= 1")
-        if self.ensemble_size < 2 and self.filter not in CLOSED_FORM_FILTERS:
+        if self.ensemble_size < 2 and not closed_form:
             raise ValueError("ensemble_size must be >= 2 for ensemble and particle filters")
 
     @property
@@ -163,26 +166,14 @@ PRESETS: dict[str, dict] = {
         half_width=19,
         taper_length=5.45,
     ),
-    # Desk-scale variants with reduced horizons / replication for CI gates.
-    "ou_desk": dict(model="ou", t_end=10.0, epsilon=0.25, lam=27.5**2, mc_reps=100),
-    "tracking_desk": dict(model="tracking2d", t_end=10.0, epsilon=0.2, lam=10.0**2, mc_reps=200),
-    "lorenz63_desk": dict(
-        model="lorenz63", filter="dsm_enkf", t_end=10.0, epsilon=0.25, lam=25.0**2,
-        ensemble_size=10, mc_reps=50,
-    ),
-    "lorenz96_desk": dict(
-        model="lorenz96",
-        filter="dsm_letkf",
-        t_end=10.0,
-        epsilon=0.25,
-        lam=27.5**2,
-        ensemble_size=10,
-        mc_reps=10,
-        rho=1.06,
-        half_width=19,
-        taper_length=5.45,
-    ),
 }
+# Desk-scale variants with reduced horizons / replication for CI gates.
+PRESETS.update(
+    {
+        f"{name}_desk": {**PRESETS[f"{name}_full"], "t_end": 10.0, "mc_reps": mc_reps}
+        for name, mc_reps in (("ou", 100), ("tracking", 200), ("lorenz63", 50), ("lorenz96", 10))
+    }
+)
 
 
 def resolve_threads(requested: int | None) -> int:
@@ -216,53 +207,30 @@ class ModelSetup:
 def build_setup(config: ExperimentConfig, traj_seed) -> ModelSetup:
     contamination = config.contamination
     t_end = config.horizon
-    if config.model == "ou":
-        record, lgss = simulate_ou(t_end=t_end, seed=traj_seed, contamination=contamination)
-        return ModelSetup(
-            record=record,
-            lgss=lgss,
-            obs=lgss.observation,
-            sampler=lgss_sampler(lgss),
-            init_mean=lgss.prior.mean,
-            init_cov=lgss.prior.cov,
-            diagonalize_qic=False,
-        )
-    if config.model == "tracking2d":
-        record, lgss = simulate_target_tracking(
-            t_end=t_end, seed=traj_seed, contamination=contamination
-        )
-        return ModelSetup(
-            record=record,
-            lgss=lgss,
-            obs=lgss.observation,
-            sampler=lgss_sampler(lgss),
-            init_mean=lgss.prior.mean,
-            init_cov=lgss.prior.cov,
-            diagonalize_qic=False,
-        )
-    if config.model == "lorenz63":
+    lgss = None
+    if config.model in ("ou", "tracking2d"):
+        simulate = simulate_ou if config.model == "ou" else simulate_target_tracking
+        record, lgss = simulate(t_end=t_end, seed=traj_seed, contamination=contamination)
+        obs = lgss.observation
+        sampler = lgss_sampler(lgss)
+        init_mean, init_cov = lgss.prior.mean, lgss.prior.cov
+    elif config.model == "lorenz63":
         record, obs = simulate_lorenz63(t_end=t_end, seed=traj_seed, contamination=contamination)
-        return ModelSetup(
-            record=record,
-            lgss=None,
-            obs=obs,
-            sampler=lorenz63_sampler(dt=0.001, n_steps=50),
-            init_mean=record.initial_state,
-            init_cov=0.1 * np.eye(3),
-            diagonalize_qic=False,
-        )
-    if config.model == "lorenz96":
+        sampler = lorenz63_sampler(dt=0.001, n_steps=50)
+        init_mean, init_cov = record.initial_state, 0.1 * np.eye(3)
+    else:
         record, obs = simulate_lorenz96(t_end=t_end, seed=traj_seed, contamination=contamination)
-        return ModelSetup(
-            record=record,
-            lgss=None,
-            obs=obs,
-            sampler=lorenz96_sampler(dt=0.01, n_steps=5),
-            init_mean=record.initial_state,
-            init_cov=np.eye(record.states.shape[0]),
-            diagonalize_qic=True,
-        )
-    raise ValueError(f"unknown model {config.model!r}")
+        sampler = lorenz96_sampler(dt=0.01, n_steps=5)
+        init_mean, init_cov = record.initial_state, np.eye(record.states.shape[0])
+    return ModelSetup(
+        record=record,
+        lgss=lgss,
+        obs=obs,
+        sampler=sampler,
+        init_mean=init_mean,
+        init_cov=init_cov,
+        diagonalize_qic=config.model == "lorenz96",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -279,68 +247,72 @@ class FilterRun:
     divergence_step: int | None = None
 
 
-def _filter_loop(n_obs: int, d_x: int, step) -> FilterRun:
-    """Run ``step(k) -> (mean, cov, weight)`` over every observation index.
+def _filter_loop(ys: np.ndarray, state, step, moments) -> FilterRun:
+    """Run ``state = step(state, y)`` over the columns of ``ys``, recording
+    ``moments(state) -> (mean, cov, weight_sq)`` after every step.
 
-    A step raising a linear-algebra or floating-point error marks the run as
-    diverged at that index; the rest of the output is NaN.
+    The run diverges at the first step that raised a linear-algebra or
+    floating-point error or recorded a non-finite mean or covariance; that
+    step and the rest of the output are NaN.  Finiteness is checked once,
+    after the loop, over every recorded step.
     """
-    means = np.empty((n_obs, d_x))
-    covs = np.empty((n_obs, d_x, d_x))
+    n_obs = ys.shape[1]
+    mean, cov, _ = moments(state)  # sizes the output
+    means = np.full((n_obs, *mean.shape), np.nan)
+    covs = np.full((n_obs, *cov.shape), np.nan)
     weights = np.full(n_obs, np.nan)
     for k in range(n_obs):
         try:
-            means[k], covs[k], weights[k] = step(k)
+            state = step(state, ys[:, k])
         except (np.linalg.LinAlgError, FloatingPointError):
-            means[k:] = np.nan
-            covs[k:] = np.nan
-            return FilterRun(means=means, covariances=covs, weights=weights, divergence_step=k)
-    return FilterRun(means=means, covariances=covs, weights=weights)
+            break  # rows k onwards stay NaN
+        means[k], covs[k], weights[k] = moments(state)
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+    if finite.all():
+        return FilterRun(means=means, covariances=covs, weights=weights)
+    k = int(np.argmin(finite))
+    means[k:] = covs[k:] = weights[k:] = np.nan
+    return FilterRun(means=means, covariances=covs, weights=weights, divergence_step=k)
 
 
-def _weight_spec(method: str, config: ExperimentConfig) -> WeightKernelSpec | WolfSpec:
-    """Weight spec of a filter: the configured DSM kernel or WoLF weight, and
-    the constant kernel for the regular filters."""
-    if method.startswith("dsm_"):
-        standardization = {"dsm_letkf": OBS_ANOMALY, "dsm_pf": CONDITIONAL}.get(method, MARGINAL)
-        return WeightKernelSpec(
-            family=config.kernel_family, threshold=config.q_sq, standardization=standardization
-        )
-    if method.startswith("wolf_"):
+def _weight_spec(config: ExperimentConfig) -> WeightKernelSpec | WolfSpec:
+    """Weight spec of the configured filter: the constant kernel for a
+    regular filter, the WoLF weight, or the DSM kernel with the filter's
+    standardization."""
+    weight = _FILTER_TABLE[config.filter][1]
+    if weight is None:
+        return WeightKernelSpec(family=CONSTANT)
+    if weight == "wolf":
         return WolfSpec(variant=config.wolf_variant, c_sq=config.c_sq)
-    return WeightKernelSpec(family=CONSTANT)
+    return WeightKernelSpec(
+        family=config.kernel_family, threshold=config.q_sq, standardization=weight
+    )
 
 
 def run_closed_form_filter(
-    model: LgssModel,
+    setup: ModelSetup,
     ys: np.ndarray,
-    method: str,
-    config: ExperimentConfig | None = None,
+    config: ExperimentConfig,
+    rng: np.random.Generator,
 ) -> FilterRun:
     """Run the exact KF / DSM / WoLF recursion over an observation sequence.
 
-    ``ys`` has one observation per column.
+    ``ys`` has one observation per column; the recursion draws nothing from
+    ``rng``.
     """
-    if method not in CLOSED_FORM_FILTERS:
-        raise ValueError(f"unknown closed-form filter {method!r}")
-    config = config or ExperimentConfig(model="ou", filter=method)
-    spec = _weight_spec(method, config)
-    belief = model.prior
+    model = setup.lgss
+    weight = _FILTER_TABLE[config.filter][1]
+    spec = _weight_spec(config)
 
-    def step(k):
-        nonlocal belief
-        forecast = kf_forecast(model, belief)
-        if method == "kf":
-            belief = kf_analysis(model, forecast, ys[:, k])
-            return belief.mean, belief.cov, np.nan
-        if method == "dsm_kf":
-            result = dsm_analysis(model, forecast, ys[:, k], spec)
-        else:
-            result = wolf_analysis(model, forecast, ys[:, k], spec)
-        belief = result.posterior
-        return belief.mean, belief.cov, result.kernel_eval.k_sq.min()
+    def step(state, y):
+        forecast = kf_forecast(model, state[0])
+        if weight is None:
+            return kf_analysis(model, forecast, y), np.nan
+        update = wolf_analysis if weight == "wolf" else dsm_analysis
+        result = update(model, forecast, y, spec)
+        return result.posterior, result.kernel_eval.k_sq.min()
 
-    return _filter_loop(ys.shape[1], model.d_x, step)
+    return _filter_loop(ys, (model.prior, np.nan), step, lambda s: (s[0].mean, s[0].cov, s[1]))
 
 
 def _letkf_config(config: ExperimentConfig) -> LetkfConfig:
@@ -361,33 +333,26 @@ def _initial_members(setup: ModelSetup, m: int, rng: np.random.Generator) -> np.
 def run_ensemble_filter(
     setup: ModelSetup,
     ys: np.ndarray,
-    method: str,
     config: ExperimentConfig,
     rng: np.random.Generator,
 ) -> FilterRun:
     """Run an EnKF / ESRF / LETKF variant over an observation sequence."""
-    if method not in ENKF_FILTERS + ESRF_FILTERS + LETKF_FILTERS:
-        raise ValueError(f"unknown ensemble filter {method!r}")
     ensemble = EnsembleState(members=_initial_members(setup, config.ensemble_size, rng))
-    spec = _weight_spec(method, config)
+    analysis = _FILTER_TABLE[config.filter][0]
+    spec = _weight_spec(config)
     letkf_cfg = _letkf_config(config)
 
-    def step(k):
-        nonlocal ensemble
+    def step(ensemble, y):
         ensemble = ensemble_forecast(setup.sampler, ensemble, rng)
-        if method in LETKF_FILTERS:
-            ensemble = letkf_analysis(ensemble, setup.obs, ys[:, k], spec, letkf_cfg)
-        elif method in ESRF_FILTERS:
-            ensemble = esrf_analysis(ensemble, setup.obs, ys[:, k], spec)
-        else:
-            ensemble = enkf_perturbed_analysis(
-                ensemble, setup.obs, ys[:, k], spec, mode=config.enkf_mode, rng=rng
-            )
-        if not np.all(np.isfinite(ensemble.members)):
-            raise FloatingPointError("non-finite analysis members")
-        return ensemble.mean, ensemble.cov, np.nan
+        if analysis == "letkf":
+            return letkf_analysis(ensemble, setup.obs, y, spec, letkf_cfg)
+        if analysis == "esrf":
+            return esrf_analysis(ensemble, setup.obs, y, spec)
+        return enkf_perturbed_analysis(
+            ensemble, setup.obs, y, spec, mode=config.enkf_mode, rng=rng
+        )
 
-    return _filter_loop(ys.shape[1], setup.init_mean.shape[0], step)
+    return _filter_loop(ys, ensemble, step, lambda e: (e.mean, e.cov, np.nan))
 
 
 def run_particle_filter(
@@ -398,31 +363,31 @@ def run_particle_filter(
 ) -> FilterRun:
     """Run the score-matching bootstrap particle filter."""
     cloud = ParticleCloud.uniform(_initial_members(setup, config.ensemble_size, rng))
-    spec = _weight_spec("dsm_pf", config)
+    spec = _weight_spec(config)
 
-    def step(k):
-        nonlocal cloud
-        cloud = pf_step(
+    def step(cloud, y):
+        return pf_step(
             cloud,
             setup.sampler,
-            ys[:, k],
+            y,
             setup.obs,
             spec,
             rng,
             resample_threshold=config.resample_threshold,
         )
-        return cloud.weighted_mean(), cloud.weighted_cov(), np.nan
 
-    return _filter_loop(ys.shape[1], setup.init_mean.shape[0], step)
+    return _filter_loop(
+        ys, cloud, step, lambda c: (c.weighted_mean(), c.weighted_cov(), np.nan)
+    )
 
 
 def _run_filter(setup: ModelSetup, config: ExperimentConfig, filt_rng) -> FilterRun:
-    ys = setup.record.observations
-    if config.filter in CLOSED_FORM_FILTERS:
-        return run_closed_form_filter(setup.lgss, ys, config.filter, config)
-    if config.filter == "dsm_pf":
-        return run_particle_filter(setup, ys, config, filt_rng)
-    return run_ensemble_filter(setup, ys, config.filter, config, filt_rng)
+    analysis = _FILTER_TABLE[config.filter][0]
+    # Looked up at call time, so a rebound module attribute takes effect.
+    runner = {"kf": run_closed_form_filter, "pf": run_particle_filter}.get(
+        analysis, run_ensemble_filter
+    )
+    return runner(setup, setup.record.observations, config, filt_rng)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +399,6 @@ class RunResult:
     config: ExperimentConfig
     report: MetricReport | None
     run: FilterRun
-    truth: np.ndarray            # (n_obs, d_X)
     summary: dict
     paths: dict[str, str] = field(default_factory=dict)
 
@@ -448,16 +412,13 @@ def _evaluate_run(setup: ModelSetup, run: FilterRun) -> MetricReport | None:
     )
 
 
-def run_single(config: ExperimentConfig, filter_override: str | None = None) -> RunResult:
+def run_single(config: ExperimentConfig) -> RunResult:
     """Simulate, filter, score and (optionally) write artifacts for one run."""
-    if filter_override is not None:
-        config = replace(config, filter=filter_override)
     root = np.random.SeedSequence(config.seed)
     traj_ss, filt_ss = root.spawn(2)
     setup = build_setup(config, traj_ss)
     run = _run_filter(setup, config, np.random.default_rng(filt_ss))
     report = _evaluate_run(setup, run)
-    truth = setup.record.states_at_obs().T
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -468,9 +429,7 @@ def run_single(config: ExperimentConfig, filter_override: str | None = None) -> 
         "q_ic": None if report is None else report.q_ic,
         "ci_coverage_95": None if report is None else report.ci_coverage_95,
     }
-    result = RunResult(
-        config=config, report=report, run=run, truth=truth, summary=summary
-    )
+    result = RunResult(config=config, report=report, run=run, summary=summary)
     if config.out_dir is not None:
         result.paths = _write_run_artifacts(config, setup, run, summary)
     return result
@@ -534,11 +493,11 @@ class CellStats:
 class SweepResult:
     kind: str                      # "contamination" or "ensemble_size"
     filters: list[str]
-    axis_epsilon: list[float]
-    axis_sqrt_lambda: list[float]
-    axis_sizes: list[int]
     mc_reps: int
     cells: dict[tuple, CellStats]
+    axis_epsilon: list[float] = field(default_factory=list)
+    axis_sqrt_lambda: list[float] = field(default_factory=list)
+    axis_sizes: list[int] = field(default_factory=list)
 
     def cell(self, filt: str, *key) -> CellStats:
         if self.kind == "ensemble_size" and len(key) == 1:
@@ -594,19 +553,12 @@ class SweepResult:
 
 
 def _replicate_job(args) -> tuple:
-    config, filters, cell_key, rep, eps, lam, size = args
-    base = replace(
-        config,
-        epsilon=eps,
-        lam=lam,
-        ensemble_size=size,
-        out_dir=None,
-    )
-    traj_ss = np.random.SeedSequence(config.seed, spawn_key=(*cell_key, rep, 0))
+    base, filters, cell_key, rep = args
+    traj_ss = np.random.SeedSequence(base.seed, spawn_key=(*cell_key, rep, 0))
     setup = build_setup(base, traj_ss)
     out = []
     for f_idx, filt in enumerate(filters):
-        filt_ss = np.random.SeedSequence(config.seed, spawn_key=(*cell_key, rep, 1 + f_idx))
+        filt_ss = np.random.SeedSequence(base.seed, spawn_key=(*cell_key, rep, 1 + f_idx))
         cfg = replace(base, filter=filt)
         run = _run_filter(setup, cfg, np.random.default_rng(filt_ss))
         report = _evaluate_run(setup, run)
@@ -626,6 +578,15 @@ def _aggregate(values: list[float]) -> tuple[float, float]:
     return mean, se
 
 
+def _cell_stats(results: list[tuple]) -> CellStats:
+    """Failure count, and mean and standard error over the replicates that ran."""
+    rmse = [r for r, _ in results if r is not None]
+    q_ic = [q for r, q in results if r is not None]
+    return CellStats(
+        len(rmse), len(results) - len(rmse), *_aggregate(rmse), *_aggregate(q_ic), rmse, q_ic
+    )
+
+
 def _execute_jobs(jobs: list, threads: int):
     if threads <= 1:
         return [_replicate_job(job) for job in jobs]
@@ -636,48 +597,40 @@ def _execute_jobs(jobs: list, threads: int):
 def _collect(
     kind: str,
     config: ExperimentConfig,
-    filters: list[str],
-    cell_keys: list[tuple],
-    cell_params: list[tuple],
-    axis_epsilon: list[float],
-    axis_sqrt_lambda: list[float],
-    axis_sizes: list[int],
+    filters: Sequence[str] | None,
+    cells: dict[tuple, ExperimentConfig],
+    **axes,
 ) -> SweepResult:
+    """Run ``config.mc_reps`` replicates of every cell, ``cells`` mapping a
+    cell key to the cell's config, and write the sweep's files if
+    ``config.out_dir`` is set.  ``filters`` defaults to the config's filter."""
+    filters = list(filters) if filters is not None else [config.filter]
     for filt in filters:
         replace(config, filter=filt)  # validates every filter's config before any replicate
     jobs = [
-        (config, filters, key, rep, eps, lam, size)
-        for key, (eps, lam, size) in zip(cell_keys, cell_params)
-        for rep in range(config.mc_reps)
+        (cell, filters, key, rep) for key, cell in cells.items() for rep in range(config.mc_reps)
     ]
     raw = _execute_jobs(jobs, config.threads)
     raw.sort(key=lambda item: (item[0], item[1]))
 
-    cells: dict[tuple, CellStats] = {}
-    for key in cell_keys:
-        for filt in filters:
-            cells[(filt, *key)] = CellStats(0, 0, 0.0, 0.0, 0.0, 0.0, [], [])
-    for cell_key, _rep, results in raw:
-        for filt, r, q in results:
-            stats = cells[(filt, *cell_key)]
-            if r is None:
-                stats.n_failed += 1
-            else:
-                stats.n_ok += 1
-                stats.rmse_values.append(r)
-                stats.q_ic_values.append(q)
-    for stats in cells.values():
-        stats.mean_rmse, stats.se_rmse = _aggregate(stats.rmse_values)
-        stats.mean_q_ic, stats.se_q_ic = _aggregate(stats.q_ic_values)
-    return SweepResult(
+    results = {(filt, *key): [] for key in cells for filt in filters}
+    for cell_key, _rep, replicate in raw:
+        for filt, r, q in replicate:
+            results[(filt, *cell_key)].append((r, q))
+    result = SweepResult(
         kind=kind,
         filters=filters,
-        axis_epsilon=axis_epsilon,
-        axis_sqrt_lambda=axis_sqrt_lambda,
-        axis_sizes=axis_sizes,
         mc_reps=config.mc_reps,
-        cells=cells,
+        cells={key: _cell_stats(values) for key, values in results.items()},
+        **axes,
     )
+    if config.out_dir is not None:
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        stem = "sweep" if kind == "contamination" else "size_sweep"
+        result.write_csv(out / f"{stem}_cells.csv")
+        result.write_replicates_csv(out / f"{stem}_replicates.csv")
+    return result
 
 
 def run_sweep(
@@ -696,23 +649,15 @@ def run_sweep(
     sql_values = [float(s) for s in sqrt_lambda_values]
     if not eps_values or not sql_values:
         raise ValueError("sweep grid must be nonempty")
-    filters = list(filters) if filters is not None else [config.filter]
-    cell_keys = []
-    cell_params = []
-    for i, eps in enumerate(eps_values):
-        for j, sql in enumerate(sql_values):
-            cell_keys.append((i, j))
-            cell_params.append((eps, max(sql * sql, 1.0), config.ensemble_size))
-    result = _collect(
-        "contamination", config, filters, cell_keys, cell_params,
-        eps_values, sql_values, [],
+    cells = {
+        (i, j): replace(config, epsilon=eps, lam=max(sql * sql, 1.0))
+        for i, eps in enumerate(eps_values)
+        for j, sql in enumerate(sql_values)
+    }
+    return _collect(
+        "contamination", config, filters, cells, axis_epsilon=eps_values,
+        axis_sqrt_lambda=sql_values,
     )
-    if config.out_dir is not None:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        result.write_csv(out / "sweep_cells.csv")
-        result.write_replicates_csv(out / "sweep_replicates.csv")
-    return result
 
 
 def run_ensemble_size_sweep(
@@ -730,17 +675,7 @@ def run_ensemble_size_sweep(
         raise ValueError("sizes must be nonempty")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
-    filters = list(filters) if filters is not None else [config.filter]
     # Two-component keys mirror the contamination grid, so a single size
     # derives exactly the same replicate seeds as a 1-cell grid sweep.
-    cell_keys = [(i, 0) for i in range(len(sizes))]
-    cell_params = [(config.epsilon, config.lam, size) for size in sizes]
-    result = _collect(
-        "ensemble_size", config, filters, cell_keys, cell_params, [], [], sizes
-    )
-    if config.out_dir is not None:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        result.write_csv(out / "size_sweep_cells.csv")
-        result.write_replicates_csv(out / "size_sweep_replicates.csv")
-    return result
+    cells = {(i, 0): replace(config, ensemble_size=size) for i, size in enumerate(sizes)}
+    return _collect("ensemble_size", config, filters, cells, axis_sizes=sizes)

@@ -71,7 +71,15 @@ def _gaussian_log_density(
         return -0.5 * float(
             d * _LOG_2PI + np.sum(np.log(diag)) + np.sum(residual**2 / diag)
         )
-    factor = SpdFactor(cov)
+    try:
+        factor = SpdFactor(cov)
+    except np.linalg.LinAlgError:
+        # A collapsed estimate (a particle filter resampled onto one particle)
+        # has zero variances that no jitter repairs.  Checked only after a
+        # failed factorization, so a regular step pays nothing for it.
+        if np.any(np.diag(cov) == 0.0):
+            return -np.inf
+        raise
     maha = factor.mahalanobis_sq(residual)
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor.chol))))
     return -0.5 * (d * _LOG_2PI + logdet + maha)

@@ -19,7 +19,6 @@ from robust_da import (
     wolf_analysis,
 )
 from robust_da.ensemble import _window_indices
-from robust_da.harness import ExperimentConfig, build_setup, run_ensemble_filter
 from robust_da.models import lgss_sampler, lorenz63_drift, lorenz63_sampler
 from robust_da.weights import CONSTANT, IMQ, SQEXP, WeightKernelSpec
 from helpers import (
@@ -490,14 +489,3 @@ def test_letkf_rejects_a_block_partition():
                 ens, ObservationModel(H=np.eye(4), R=np.eye(4)), rng.standard_normal(4), spec,
                 LetkfConfig(localization=loc),
             )
-
-
-@pytest.mark.parametrize("filter_name", ["letkf", "dsm_letkf", "wolf_letkf"])
-def test_letkf_run_reports_nan_observation_as_divergence(filter_name):
-    cfg = ExperimentConfig(model="lorenz96", filter=filter_name, t_end=0.3, ensemble_size=6, seed=2)
-    setup = build_setup(cfg, np.random.SeedSequence(2))
-    ys = setup.record.observations.copy()
-    ys[7, 3] = np.nan
-    run = run_ensemble_filter(setup, ys, filter_name, cfg, np.random.default_rng(0))
-    assert run.divergence_step == 3
-    assert np.all(np.isfinite(run.means[:3])) and np.all(np.isnan(run.means[3:]))

@@ -10,7 +10,6 @@ from robust_da.harness import (
     ExperimentConfig,
     build_setup,
     resolve_threads,
-    run_particle_filter,
     run_ensemble_size_sweep,
     run_single,
     run_sweep,
@@ -129,14 +128,18 @@ def test_divergence_is_reported():
         assert result.report is None
 
 
-def test_particle_filter_reports_nan_observation_as_divergence():
-    cfg = ExperimentConfig(model="lorenz63", filter="dsm_pf", t_end=0.5, ensemble_size=50, seed=2)
+@pytest.mark.parametrize("filter_name", FILTERS)
+def test_run_reports_nan_observation_as_divergence(filter_name):
+    # Every family reports the step of a NaN observation and scores nothing,
+    # whether its analysis raises there or records a non-finite state.
+    model = {"kf": "ou", "letkf": "lorenz96"}.get(harness._FILTER_TABLE[filter_name][0], "lorenz63")
+    cfg = ExperimentConfig(model=model, filter=filter_name, t_end=1.0, ensemble_size=20, seed=2)
     setup = build_setup(cfg, np.random.SeedSequence(2))
-    ys = setup.record.observations.copy()
-    ys[0, 3] = np.nan
-    run = run_particle_filter(setup, ys, cfg, np.random.default_rng(0))
+    setup.record.observations[0, 3] = np.nan
+    run = harness._run_filter(setup, cfg, np.random.default_rng(0))
     assert run.divergence_step == 3
     assert np.all(np.isfinite(run.means[:3])) and np.all(np.isnan(run.means[3:]))
+    assert harness._evaluate_run(setup, run) is None
 
 
 @pytest.mark.parametrize(
@@ -166,15 +169,20 @@ def test_letkf_runs_follow_weight_settings(filter_name, setting, values):
 
 def test_particle_filter_survives_collapse_onto_one_particle():
     # The weighted covariance after resampling onto one particle is exactly
-    # zero at some step; that step scores the q_ic cap instead of crashing.
-    cfg = ExperimentConfig(
-        model="lorenz96", filter="dsm_pf", t_end=5.0, ensemble_size=100, epsilon=0.25,
-        lam=625.0, seed=11,
-    )
-    result = run_single(cfg)
-    assert result.summary["divergence_step"] is None
-    assert np.isfinite(result.summary["rmse"])
-    assert result.summary["q_ic"] <= 10.0
+    # zero at some step; that step scores the q_ic cap instead of crashing,
+    # on the diagonalized (lorenz96) and the full-covariance metric path.
+    for model, size, seed in [
+        ("lorenz96", 100, 11), ("lorenz63", 5, 0), ("lorenz63", 3, 0), ("ou", 3, 0),
+        ("tracking2d", 5, 5),
+    ]:
+        cfg = ExperimentConfig(
+            model=model, filter="dsm_pf", t_end=5.0, ensemble_size=size, epsilon=0.25,
+            lam=625.0, seed=seed,
+        )
+        result = run_single(cfg)
+        assert result.summary["divergence_step"] is None, cfg
+        assert np.isfinite(result.summary["rmse"]), cfg
+        assert result.summary["q_ic"] <= 10.0, cfg
 
 
 def test_sweeps_refuse_an_invalid_filter_before_any_replicate(monkeypatch):
