@@ -42,7 +42,6 @@ from .lgss import (
     ObservationModel,
     kf_analysis,
     kf_forecast,
-    mahalanobis_sq,
     rts_smoother,
 )
 from .metrics import MetricReport, ci_coverage, q_ic, q_log, rmse
@@ -59,12 +58,10 @@ from .particle import ParticleCloud, dsm_log_potential, pf_step
 from .weights import (
     WeightEvaluation,
     WeightKernelSpec,
-    corrected_observation,
     default_threshold,
     eval_kernel,
     expected_weight_mc,
     jensen_bounds,
-    rescaled_obs_cov,
     tune_threshold,
 )
 

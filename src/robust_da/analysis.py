@@ -1,10 +1,11 @@
 """Closed-form robust analysis steps.
 
-The score-matching (DSM) analysis replaces the observation covariance with
-N(y) = R / (2 k^2(y)) and the observation with a gradient-corrected one; the
-weighted-likelihood (WoLF) analysis rescales R by 1 / r^2(y) and keeps the
-observation unchanged.  Both reduce to the regular Kalman update for their
-respective neutral weights.
+Both analyses multiply the observation precision R^{-1} by a precision
+weight w(y) and assimilate a target observation: the score-matching (DSM)
+analysis uses w = 2 k^2(y) and the gradient-corrected target
+y - R grad log k^2(y), the weighted-likelihood (WoLF) analysis w = r^2(y)
+and y itself.  Both reduce to the regular Kalman update for their
+respective neutral weights, and a weight of 0 leaves the forecast unchanged.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from ._linalg import SpdFactor, symmetrize
 from .lgss import GaussianBelief, LgssModel, kalman_gain, kf_analysis, rts_smoother
-from .weights import WeightEvaluation, WeightKernelSpec, WolfSpec, robust_update
+from .weights import WeightKernelSpec, WolfSpec, robust_update
 
 __all__ = [
     "AnalysisResult",
@@ -31,13 +32,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    """Posterior belief plus the intermediate robust-update quantities."""
+    """Posterior belief plus the precision weight and target observation of
+    the robust update."""
 
     posterior: GaussianBelief
-    kernel_eval: WeightEvaluation
-    corrected_obs: np.ndarray
-    rescaled_cov: np.ndarray
-    gain: np.ndarray
+    weight: np.ndarray
+    target: np.ndarray
 
 
 def _robust_analysis(
@@ -46,25 +46,20 @@ def _robust_analysis(
     y: np.ndarray,
     spec: WeightKernelSpec | WolfSpec,
 ) -> AnalysisResult:
-    """Gain-form update with the effective covariance and target observation
-    of the shared robust-update core."""
+    """Gain-form update with the precision weight and target observation of
+    the shared robust-update core."""
     h = model.H
     center = h @ forecast.mean
-    effective_r, target, evaluation = robust_update(
+    w, target = robust_update(
         spec, y, center, lambda: h @ forecast.cov @ h.T, model.observation.r_factor
     )
-    gain, hp, _ = kalman_gain(forecast.cov, h, effective_r)
+    root_w = np.sqrt(w)
+    gain, whp, _ = kalman_gain(forecast.cov, h, model.R, root_w)
     posterior = GaussianBelief(
-        mean=forecast.mean - gain @ (center - target),
-        cov=forecast.cov - gain @ hp,  # ctor symmetrizes
+        mean=forecast.mean - gain @ (root_w * (center - target)),
+        cov=forecast.cov - gain @ whp,  # ctor symmetrizes
     )
-    return AnalysisResult(
-        posterior=posterior,
-        kernel_eval=evaluation,
-        corrected_obs=target,
-        rescaled_cov=effective_r,
-        gain=gain,
-    )
+    return AnalysisResult(posterior=posterior, weight=w, target=target)
 
 
 def dsm_analysis(
@@ -76,9 +71,9 @@ def dsm_analysis(
     """Score-matching analysis step.
 
     Evaluates the kernel at the observation (center H m^f, standardized by
-    the innovation covariance in marginal mode), forms N(y) and the corrected
-    observation, and applies the adjusted gain
-    K = P^f H^T [N(y) + H P^f H^T]^{-1}.
+    the innovation covariance in marginal mode), weights the observation
+    precision by w = 2 k^2 and applies the gain of the corrected target,
+    K = w P^f H^T [R + w H P^f H^T]^{-1} for a single block.
     """
     return _robust_analysis(model, forecast, y, spec)
 
@@ -91,13 +86,11 @@ def wolf_analysis(
 ) -> AnalysisResult:
     """Weighted-likelihood analysis step.
 
-    Replaces R by R / r^2(y) inside the regular gain (the effective
-    observation covariance; cross-checked against the information-form
-    precision update J^a = J^f + r^2 H^T R^{-1} H) and assimilates the raw
-    observation.  The result is reported through the same container as the
-    score-matching step with the effective squared weight r^2 / 2, which
-    makes the shared rescaled-covariance relation N = R / (2 k^2) hold
-    verbatim.
+    Weights the observation precision by w = r^2(y) inside the regular gain
+    (cross-checked against the information-form precision update
+    J^a = J^f + r^2 H^T R^{-1} H) and assimilates the raw observation.  The
+    result is reported through the same container as the score-matching
+    step, whose weight 2 k^2 plays the part of r^2.
     """
     return _robust_analysis(model, forecast, y, spec)
 
@@ -105,19 +98,22 @@ def wolf_analysis(
 def information_form_update(
     forecast: GaussianBelief,
     h: np.ndarray,
-    rescaled_cov: np.ndarray,
-    corrected_obs: np.ndarray,
+    r: np.ndarray,
+    w: np.ndarray,
+    target: np.ndarray,
 ) -> GaussianBelief:
     """Information-form route to the same posterior.
 
-    P^a = [(P^f)^{-1} + H^T N^{-1}(y) H]^{-1} and
-    m^a = m^f - P^a H^T N^{-1}(y) (H m^f - y_corr).  Kept as an independent
+    With the weighted precision J_w = W^{1/2} R^{-1} W^{1/2}, W = diag(w):
+    P^a = [(P^f)^{-1} + H^T J_w H]^{-1} and
+    m^a = m^f - P^a H^T J_w (H m^f - target).  Kept as an independent
     expression so the gain-form update can be cross-checked against it.
     """
-    n_inv = SpdFactor(rescaled_cov).inverse()
-    precision = forecast.precision + h.T @ n_inv @ h
+    root_w = np.sqrt(w)
+    weighted_precision = root_w[:, None] * SpdFactor(r).inverse() * root_w
+    precision = forecast.precision + h.T @ weighted_precision @ h
     p_a = symmetrize(SpdFactor(precision).inverse())
-    mean = forecast.mean - p_a @ (h.T @ (n_inv @ (h @ forecast.mean - corrected_obs)))
+    mean = forecast.mean - p_a @ (h.T @ (weighted_precision @ (h @ forecast.mean - target)))
     return GaussianBelief(mean=mean, cov=p_a)
 
 

@@ -2,20 +2,22 @@
 deterministic ensemble square-root filter, and the LETKF family with
 R-localization and multiplicative inflation.
 
-All variants share the robust-update algebra: the regular filter is the
-constant-kernel special case, the score-matching (DSM) variants rescale the
-observation covariance and correct the observation, and the
-weighted-likelihood (WoLF) variants inflate it.
+All variants share the robust update of ``weights.robust_update``, which
+weights the observation precision R^{-1} by w and sets a target observation:
+the regular filter is the constant-kernel case (w = 1, target y), the
+score-matching (DSM) variants use w = 2 k^2 and the gradient-corrected
+target, and the weighted-likelihood (WoLF) variants w = r^2 and y itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from ._linalg import SpdFactor, psd_sym_sqrt, symmetrize
+from ._linalg import psd_sym_sqrt, symmetrize
 from .lgss import GaussianBelief, ObservationModel, kalman_gain
 from .weights import (
     CONDITIONAL,
@@ -35,6 +37,8 @@ __all__ = [
     "esrf_analysis",
     "letkf_analysis",
 ]
+
+ENKF_MODES = ("average", "per_particle")
 
 # A member propagator: maps a (d_X, M) member matrix to the next one, drawing
 # any process noise from the supplied generator.
@@ -119,6 +123,9 @@ def enkf_perturbed_analysis(
     the empirical innovation covariance; ``per_particle`` evaluates it per
     member at that member's predicted observation with conditional (R)
     standardization, giving each member its own gain and perturbation law.
+    With the weighted gain G of ``lgss.kalman_gain``, member x moves by
+    -G (W^{1/2} (H x - target) + chol(R) z), z standard normal: K = G W^{1/2}
+    times the perturbation W^{-1/2} chol(R) z of the effective covariance R / w.
 
     ``forecast_override`` freezes the gain and kernel on exact forecast
     moments instead of the empirical ones; with a frozen gain the update is
@@ -126,7 +133,7 @@ def enkf_perturbed_analysis(
     """
     if rng is None:
         raise ValueError("an explicit random generator is required")
-    if mode not in ("average", "per_particle"):
+    if mode not in ENKF_MODES:
         raise ValueError(f"unknown EnKF mode {mode!r}")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     h = obs.H
@@ -139,22 +146,24 @@ def enkf_perturbed_analysis(
     members = ensemble.members
     m = ensemble.size
     predicted = h @ members
-
     if mode == "average":
-        eff_r, target, _ = robust_update(spec, y, h @ forecast.mean, hph, obs.r_factor)
-        gain, _, _ = kalman_gain(p_f, h, eff_r)
-        noise = SpdFactor(eff_r).chol @ rng.standard_normal((obs.d_y, m))
-        updated = members - gain @ (predicted + noise - target[:, None])
-        return EnsembleState(members=updated)
-
-    if isinstance(spec, WeightKernelSpec) and spec.standardization != CONDITIONAL:
-        spec = replace(spec, standardization=CONDITIONAL)
+        # One weight and gain, at the forecast mean, for every member.
+        centers, columns = [h @ forecast.mean], [slice(None)]
+        draws = rng.standard_normal((obs.d_y, m))
+    else:
+        if isinstance(spec, WeightKernelSpec) and spec.standardization != CONDITIONAL:
+            spec = replace(spec, standardization=CONDITIONAL)
+        centers, columns = predicted.T, [slice(i, i + 1) for i in range(m)]
+        draws = rng.standard_normal((m, obs.d_y)).T  # member by member
+    noise = obs.r_factor.chol @ draws
     updated = np.empty_like(members)
-    for i in range(m):
-        eff_r, target, _ = robust_update(spec, y, predicted[:, i], hph, obs.r_factor)
-        gain, _, _ = kalman_gain(p_f, h, eff_r)
-        noise = SpdFactor(eff_r).chol @ rng.standard_normal(obs.d_y)
-        updated[:, i] = members[:, i] - gain @ (predicted[:, i] + noise - target)
+    for center, cols in zip(centers, columns):
+        w, target = robust_update(spec, y, center, hph, obs.r_factor)
+        root_w = np.sqrt(w)
+        gain, _, _ = kalman_gain(p_f, h, obs.R, root_w)
+        updated[:, cols] = members[:, cols] - gain @ (
+            root_w[:, None] * predicted[:, cols] + noise[:, cols] - (root_w * target)[:, None]
+        )
     return EnsembleState(members=updated)
 
 
@@ -168,8 +177,9 @@ def esrf_analysis(
 
     The anomalies are transformed by the unique symmetric PSD square root
 
-        S = [I - (HX)^T [H P H^T + N(y)]^{-1} HX / (M-1)]^{1/2},
+        S = [I - (W^{1/2} HX)^T B^{-1} W^{1/2} HX / (M-1)]^{1/2},
 
+    with B = R + W^{1/2} H P H^T W^{1/2} the bracket of the weighted gain,
     which reproduces the closed-form analysis covariance exactly (for any
     ensemble size) and preserves the zero-sum anomaly property.
     """
@@ -178,13 +188,14 @@ def esrf_analysis(
     m = ensemble.size
     p_f = ensemble.cov
     center = h @ ensemble.mean
-    eff_r, target, _ = robust_update(spec, y, center, lambda: h @ p_f @ h.T, obs.r_factor)
-    gain, _, bracket_factor = kalman_gain(p_f, h, eff_r)
-    hx = h @ ensemble.anomalies
+    w, target = robust_update(spec, y, center, lambda: h @ p_f @ h.T, obs.r_factor)
+    root_w = np.sqrt(w)
+    gain, _, bracket_factor = kalman_gain(p_f, h, obs.R, root_w)
+    hx = root_w[:, None] * (h @ ensemble.anomalies)
     core = np.eye(m) - (hx.T @ bracket_factor.solve(hx)) / (m - 1)
     transform = psd_sym_sqrt(core)
 
-    mean_a = ensemble.mean - gain @ (center - target)
+    mean_a = ensemble.mean - gain @ (root_w * (center - target))
     members = mean_a[:, None] + ensemble.anomalies @ transform
     return EnsembleState(members=members)
 
@@ -200,10 +211,10 @@ class Localization:
     taper_length: float
 
     def __post_init__(self):
-        if self.half_width < 0:
-            raise ValueError("half_width must be >= 0")
-        if self.taper_length <= 0.0:
-            raise ValueError("taper_length must be positive")
+        if int(self.half_width) != self.half_width or self.half_width < 0:
+            raise ValueError(f"half_width must be an integer >= 0, got {self.half_width}")
+        if not 0.0 < self.taper_length < math.inf:
+            raise ValueError(f"taper_length must be positive and finite, got {self.taper_length}")
 
 
 @dataclass(frozen=True)
@@ -214,8 +225,8 @@ class LetkfConfig:
     localization: Localization | None = None
 
     def __post_init__(self):
-        if self.rho < 1.0:
-            raise ValueError("inflation rho must be >= 1")
+        if not 1.0 <= self.rho < math.inf:
+            raise ValueError(f"inflation rho must be finite and >= 1, got {self.rho}")
 
 
 def _window_indices(d_x: int, d_y: int, half_width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,35 +252,40 @@ def _anomaly_analysis(
 
     - s = d^T R^{-1} d, or d^T Sigma_y^{-1} d for the specs standardized by
       Sigma_y = Y Y^T / (M - 1) + R, which Woodbury gives as
-      d^T R^{-1} d - b^T C^{-1} b with C = (M - 1) I + G;
-    - N^{-1} = 2 k^2(s) R^{-1};
-    - target innovation d - (2 slope / k^2) R Std^{-1} d, with Std the
+      d^T R^{-1} d - b^T C^{-1} b with C = (M - 1) I + G; both are formed from
+      d scaled by a power of two near its largest entry, which is exact, so
+      an s too large to represent is inf (weight 0), never inf - inf;
+    - the weighted precision w R^{-1} with w = 2 k^2(s);
+    - target innovation d - 2 (d log k^2/ds) R Std^{-1} d, with Std the
       standardizing covariance; R Std^{-1} d enters only as
       Y^T R^{-1} R Std^{-1} d, which is b for Std = R and (M - 1) C^{-1} b
       for Std = Sigma_y;
-    - A = (M - 1)/rho I + 2 k^2 G: analysis covariance A^{-1}, mean weights
-      A^{-1} 2 k^2 Y^T R^{-1} (target innovation), transform
-      [(M - 1) A^{-1}]^{1/2}.
+    - A = (M - 1)/rho I + w G: analysis covariance A^{-1}, mean weights
+      A^{-1} w Y^T R^{-1} (target innovation), transform [(M - 1) A^{-1}]^{1/2}.
 
     G, C and A share eigenvectors, so one stacked ``eigh`` of G solves all of
     it.  Returns the (n, M) mean weights and the (n, M, M) transforms.
     """
-    _, w, m = y_hat.shape
+    _, n_obs, m = y_hat.shape
     gram_vals, vecs = np.linalg.eigh(np.swapaxes(y_hat, 1, 2) @ y_hat)
     b = np.einsum("nwm,nw->nm", y_hat, d_hat)
     b_eig = np.einsum("nmk,nm->nk", vecs, b)  # b in G's eigenbasis
-    s = np.einsum("nw,nw->n", d_hat, d_hat)
+    scale = np.ldexp(1.0, np.frexp(np.abs(d_hat).max(axis=1))[1] - 1)
+    d_scaled = d_hat / scale[:, None]
+    s_scaled = np.einsum("nw,nw->n", d_scaled, d_scaled)
     std_proj = b_eig  # Y^T R^{-1} R Std^{-1} d in the eigenbasis
     if spec.standardization != CONDITIONAL:
         c_vals = (m - 1) + gram_vals
-        s = s - np.sum(b_eig * b_eig / c_vals, axis=1)
+        b_scaled = b_eig / scale[:, None]
+        s_scaled = s_scaled - np.sum(b_scaled * b_scaled / c_vals, axis=1)
         std_proj = (m - 1) * b_eig / c_vals
-    threshold = spec.thresholds_for(w)[0]
-    k_sq = weight_sq(spec, np.maximum(s, 0.0), threshold)
-    slope = weight_slope(spec, k_sq, threshold)
-    target_proj = b_eig - (2.0 * slope / k_sq)[:, None] * std_proj
-    a_vals = (m - 1) / rho + 2.0 * k_sq[:, None] * gram_vals
-    mean_weights = np.einsum("nmk,nk->nm", vecs, 2.0 * k_sq[:, None] * target_proj / a_vals)
+    s = np.maximum(s_scaled, 0.0) * scale * scale
+    threshold = spec.thresholds_for(n_obs)[0]
+    k_sq = weight_sq(spec, s, threshold)
+    w = 2.0 * k_sq
+    target_proj = b_eig - 2.0 * np.reshape(weight_slope(spec, k_sq, threshold), (-1, 1)) * std_proj
+    a_vals = (m - 1) / rho + w[:, None] * gram_vals
+    mean_weights = np.einsum("nmk,nk->nm", vecs, w[:, None] * target_proj / a_vals)
     transform = (vecs * np.sqrt((m - 1) / a_vals)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
     return mean_weights, transform
 
@@ -293,10 +309,10 @@ def letkf_analysis(
 
     Each window runs the robust update of the shared core in whitened
     anomaly space (``_anomaly_analysis``): the weight of its Mahalanobis
-    square from ``weights.weight_sq``, N = R / (2 k^2) and the corrected
-    target observation, with Y Y^T / (M - 1) as the forecast covariance in
-    observation space.  The constant kernel gives the regular LETKF, and a
-    threshold of None resolves to the window's observation count.  Specs
+    square from ``weights.weight_sq``, the weighted precision 2 k^2 R^{-1} and
+    the corrected target observation, with Y Y^T / (M - 1) as the forecast
+    covariance in observation space.  The constant kernel gives the regular
+    LETKF, and a threshold of None resolves to the window's observation count.  Specs
     with more than one block are rejected: a window holds a slice of the
     observations, not a partition.
     """

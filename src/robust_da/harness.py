@@ -26,6 +26,7 @@ import numpy as np
 
 from .analysis import dsm_analysis, wolf_analysis
 from .ensemble import (
+    ENKF_MODES,
     EnsembleState,
     LetkfConfig,
     Localization,
@@ -125,6 +126,15 @@ class ExperimentConfig:
             raise ValueError("mc_reps must be >= 1")
         if self.ensemble_size < 2 and not closed_form:
             raise ValueError("ensemble_size must be >= 2 for ensemble and particle filters")
+        # Build every weight and LETKF setting once, so that a bad value is
+        # refused here instead of by the filter mid-run.
+        WeightKernelSpec(family=self.kernel_family, threshold=self.q_sq).thresholds_for(1)
+        WolfSpec(variant=self.wolf_variant, c_sq=self.c_sq)
+        if self.enkf_mode not in ENKF_MODES:
+            raise ValueError(f"unknown EnKF mode {self.enkf_mode!r} (choose from {ENKF_MODES})")
+        if self.half_width is not None:
+            Localization(half_width=self.half_width, taper_length=self.taper_length)
+        LetkfConfig(rho=self.rho)
 
     @property
     def contamination(self) -> ContaminationSpec:
@@ -310,7 +320,7 @@ def run_closed_form_filter(
             return kf_analysis(model, forecast, y), np.nan
         update = wolf_analysis if weight == "wolf" else dsm_analysis
         result = update(model, forecast, y, spec)
-        return result.posterior, result.kernel_eval.k_sq.min()
+        return result.posterior, result.weight.min() / 2.0
 
     return _filter_loop(ys, (model.prior, np.nan), step, lambda s: (s[0].mean, s[0].cov, s[1]))
 

@@ -26,7 +26,6 @@ __all__ = [
     "kalman_gain",
     "kf_analysis",
     "rts_smoother",
-    "mahalanobis_sq",
 ]
 
 BlockPartition = tuple[tuple[int, int], ...]
@@ -223,11 +222,6 @@ class LgssModel:
         return self.__dict__["_obs"]
 
 
-def mahalanobis_sq(residual: np.ndarray, cov: SpdFactor) -> float:
-    """Squared Mahalanobis norm r^T cov^{-1} r (triangular solve, >= 0)."""
-    return cov.mahalanobis_sq(residual)
-
-
 def kf_forecast(model: LgssModel, analysis: GaussianBelief) -> GaussianBelief:
     """Forecast step: (m, P) -> (A m, A P A^T + Q)."""
     if analysis.dim != model.d_x:
@@ -240,15 +234,22 @@ def kf_forecast(model: LgssModel, analysis: GaussianBelief) -> GaussianBelief:
 
 
 def kalman_gain(
-    p_f: np.ndarray, h: np.ndarray, effective_r: np.ndarray
+    p_f: np.ndarray, h: np.ndarray, r: np.ndarray, root_w: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, SpdFactor]:
-    """Gain K = P^f H^T [R_eff + H P^f H^T]^{-1}, with H P^f and the factor
-    of the bracket, for every gain-form update (regular, robust, ensemble).
+    """Weighted gain G = P^f H^T W^{1/2} B^{-1}, B = R + W^{1/2} H P^f H^T W^{1/2},
+    for every gain-form update (regular, robust, ensemble), with W^{1/2} H P^f
+    and the factor of B.  ``root_w`` is the square root of the robust
+    update's precision weight w, None for w = 1.  The Kalman gain is
+    K = G W^{1/2}: P^f H^T [R / w + H P^f H^T]^{-1} for w > 0, and 0 for w = 0.
 
     Raises np.linalg.LinAlgError when the bracket cannot be factorized.
     """
     hp = h @ p_f
-    bracket = SpdFactor(effective_r + hp @ h.T)
+    if root_w is None:
+        bracket = SpdFactor(r + hp @ h.T)
+    else:
+        hp = root_w[:, None] * hp
+        bracket = SpdFactor(r + hp @ h.T * root_w)
     return bracket.solve(hp).T, hp, bracket
 
 

@@ -16,7 +16,7 @@ from scipy.special import logsumexp
 
 from ._linalg import SpdFactor
 from .lgss import ObservationModel
-from .weights import CONDITIONAL, CONSTANT, WeightKernelSpec, weight_slope, weight_sq
+from .weights import CONDITIONAL, CONSTANT, IMQ, SQEXP, WeightKernelSpec, weight_slope, weight_sq
 
 __all__ = [
     "ParticleCloud",
@@ -84,11 +84,13 @@ def dsm_log_potential(
     (d_Y, M) ``h_of_x``.
 
     With s the R-standardized squared residual, k^2 = weight_sq(spec, s, t)
-    and slope = weight_slope(spec, k^2, t), returns
-    -(k^2 s - 4 slope s - 2 d_Y k^2).  For IMQ this is 2 d_Y at zero residual
-    and approaches -q^2 as the residual grows (the loss saturates at q^2).
-    The constant kernel gives d_Y - s/2, the Gaussian log-likelihood up to a
-    constant.  A non-finite observation gives a non-finite potential.
+    and d log k^2/ds = weight_slope(spec, k^2, t), returns
+    -k^2 (s - 4 s d log k^2/ds - 2 d_Y).  For IMQ this is 2 d_Y at zero
+    residual and approaches -q^2 as the residual grows (the loss saturates at
+    q^2); for sq-exp it approaches 0.  A finite residual too large to square
+    has s = inf and takes that limit.  The constant kernel gives d_Y - s/2,
+    the Gaussian log-likelihood up to a constant.  A non-finite observation
+    gives a non-finite potential.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     h_of_x = np.asarray(h_of_x, dtype=float)
@@ -99,9 +101,14 @@ def dsm_log_potential(
     s = r_factor.mahalanobis_sq(residual)
     d_y = r_factor.dim
     threshold = spec.thresholds_for(d_y)[0]
+    # Where a finite residual was too large to square, s = 0 stands in and
+    # the potential is replaced by its limit, rather than forming 0 * inf.
+    overflow = np.isinf(s) & np.all(np.isfinite(y))
+    s = np.where(overflow, 0.0, s)
     k_sq = weight_sq(spec, s, threshold)
-    slope = weight_slope(spec, k_sq, threshold)
-    return -(k_sq * s - 4.0 * slope * s - 2.0 * d_y * k_sq)
+    potential = -k_sq * (s - 4.0 * weight_slope(spec, k_sq, threshold) * s - 2.0 * d_y)
+    limit = {IMQ: -threshold, SQEXP: 0.0}.get(spec.family, -np.inf)
+    return np.where(overflow, limit, potential)[()]
 
 
 def pf_step(

@@ -1,10 +1,11 @@
-"""Weight kernels for robust analysis steps, their gradients, the rescaled
-observation covariance, the corrected observation, the robust-update core
-every filter family shares, and threshold tuning.
+"""Weight kernels for robust analysis steps, their gradients, the
+robust-update core every filter family shares, and threshold tuning.
 
-A weight kernel k maps an observation to (0, 1] per block and drives the
-rescaled observation covariance N(y) = R / (2 k^2(y)); the constant value
-1 / sqrt(2) recovers the regular Kalman update exactly.
+A weight kernel k maps an observation to (0, 1] per block.  The robust
+update multiplies the observation precision R^{-1} of each block by the
+precision weight w = 2 k^2(y) and assimilates the target observation
+y - R grad log k^2(y); the constant value 1 / sqrt(2) gives w = 1, the
+regular Kalman update.  R / w is never formed, so w = 0 is allowed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._linalg import SpdFactor
-from .lgss import BlockPartition, normalize_partition
+from .lgss import BlockPartition, _check_block_diagonal, normalize_partition
 
 __all__ = [
     "IMQ",
@@ -29,8 +30,6 @@ __all__ = [
     "weight_sq",
     "weight_slope",
     "eval_kernel",
-    "rescaled_obs_cov",
-    "corrected_observation",
     "jensen_bounds",
     "jensen_upper_empirical",
     "expected_weight_mc",
@@ -137,8 +136,8 @@ class WolfSpec:
     def __post_init__(self):
         if self.variant not in ("md", "sigma_scaled"):
             raise ValueError(f"unknown WoLF variant {self.variant!r}")
-        if self.c_sq is not None and self.c_sq <= 0.0:
-            raise ValueError("c_sq must be strictly positive")
+        if self.c_sq is not None and not 0.0 < self.c_sq < math.inf:
+            raise ValueError(f"c_sq must be strictly positive and finite, got {self.c_sq}")
 
     @property
     def standardization(self) -> str:
@@ -156,28 +155,30 @@ class WolfSpec:
 
 @dataclass(frozen=True)
 class WeightEvaluation:
-    """Evaluated squared weights and their observation-space gradients.
+    """Evaluated squared weights and the gradients of their logarithms.
 
-    ``grad_diag`` is the divergence of the diagonal weight matrix: entry i is
-    the partial derivative of k^2 of the block containing i with respect to
-    y_i.  ``full_grads`` row b holds the full gradient of k^2_b, used for the
-    single-block corrected observation (the two coincide when B = 1).
+    ``log_grads`` row b is the observation-space gradient of log k^2_b, which
+    stays finite where k^2_b underflows to 0.  ``full_grads`` row b is the
+    gradient of k^2_b itself, and ``grad_diag`` the divergence of the
+    diagonal weight matrix: entry i is the partial derivative of k^2 of the
+    block containing i with respect to y_i (the two coincide when B = 1).
     """
 
     k_sq: np.ndarray          # (B,) squared weights per block
-    grad_diag: np.ndarray     # (d_Y,)
-    full_grads: np.ndarray    # (B, d_Y)
+    log_grads: np.ndarray     # (B, d_Y)
     partition: BlockPartition
 
     @property
     def n_blocks(self) -> int:
         return len(self.partition)
 
+    @property
+    def full_grads(self) -> np.ndarray:
+        return self.k_sq[:, None] * self.log_grads
 
-# Floor keeping the squared-exponential weight strictly positive in floating
-# point; slope and value share the floored number, so the exact cancellation
-# of k^2 inside N(y) grad k^2(y) survives.
-_K_SQ_FLOOR = 1e-300
+    @property
+    def grad_diag(self) -> np.ndarray:
+        return np.concatenate([g[a:b] for g, (a, b) in zip(self.full_grads, self.partition)])
 
 
 def weight_sq(
@@ -185,46 +186,28 @@ def weight_sq(
 ) -> float | np.ndarray:
     """Squared weight k^2 at the Mahalanobis square s, elementwise over an
     array of s.  ``threshold`` is q^2 (IMQ), h^2 (sq-exp) or c^2 (WoLF); a
-    WoLF spec gives k^2 = r^2 / 2, the constant kernel 1/2."""
+    WoLF spec gives k^2 = r^2 / 2, the constant kernel 1/2.  s = inf, or a
+    sq-exp weight that underflows, gives k^2 = 0."""
     if isinstance(spec, WolfSpec):
         return (0.5 if spec.variant == "md" else 1.0) / (1.0 + s / threshold)
     if spec.family == IMQ:
         return 1.0 / (1.0 + s / threshold)
     if spec.family == SQEXP:
-        return np.maximum(np.exp(-s / threshold), _K_SQ_FLOOR)
+        return np.exp(-s / threshold)
     return np.full(np.shape(s), CONSTANT_WEIGHT_SQ)[()]
 
 
 def weight_slope(
     spec: WeightKernelSpec | WolfSpec, k_sq: float | np.ndarray, threshold: float
 ) -> float | np.ndarray:
-    """d(k^2)/ds in terms of k^2 = weight_sq(spec, s, threshold).  Zero for
+    """d(log k^2)/ds in terms of k^2 = weight_sq(spec, s, threshold): -k^2 / q^2
+    (IMQ) or -1 / h^2 (sq-exp), finite where k^2 underflows to 0.  Zero for
     WoLF and the constant kernel, whose target observation is y itself."""
     if isinstance(spec, WeightKernelSpec) and spec.family == IMQ:
-        return -(k_sq * k_sq) / threshold
-    if isinstance(spec, WeightKernelSpec) and spec.family == SQEXP:
         return -k_sq / threshold
+    if isinstance(spec, WeightKernelSpec) and spec.family == SQEXP:
+        return -1.0 / threshold
     return 0.0
-
-
-def _constant_evaluation(spec: WeightKernelSpec, d_y: int) -> WeightEvaluation:
-    """The constant kernel's evaluation, which depends only on the dimension:
-    built once per spec and d_y (as the partition and thresholds are) and
-    shared with read-only arrays."""
-    cache = spec.__dict__.setdefault("_constant_cache", {})
-    evaluation = cache.get(d_y)
-    if evaluation is None:
-        partition = spec.partition_for(d_y)
-        arrays = (
-            np.full(len(partition), CONSTANT_WEIGHT_SQ),
-            np.zeros(d_y),
-            np.zeros((len(partition), d_y)),
-        )
-        for array in arrays:
-            array.flags.writeable = False
-        evaluation = WeightEvaluation(*arrays, partition=partition)
-        cache[d_y] = evaluation
-    return evaluation
 
 
 def eval_kernel(
@@ -233,13 +216,16 @@ def eval_kernel(
     center: np.ndarray,
     std_cov: SpdFactor,
 ) -> WeightEvaluation:
-    """Evaluate the squared weight kernel and its gradients.
+    """Evaluate the squared weight kernel and the gradients of its logarithm.
 
-    Single block: s = ||y - center||^2 standardized by ``std_cov`` and the
-    gradient follows the chain rule through cov^{-1} (y - center).  Multiple
-    blocks: the residual is whitened with the fixed symmetric root
-    cov^{-1/2}, s_b is the squared norm of the block slice, and the chain
-    rule runs through that root (which does not depend on y).
+    Single block: s is the squared norm of the residual y - center whitened
+    by the Cholesky factor of ``std_cov``, and the gradient follows the
+    chain rule through cov^{-1} (y - center).  Multiple blocks: the residual
+    is whitened with the fixed symmetric root cov^{-1/2}, s_b is the squared
+    norm of the block slice, and the chain rule runs through that root
+    (which does not depend on y).  Either way s is a sum of squares, so a
+    residual too large to square gives s = inf and k^2 = 0, never a
+    cancellation.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -250,22 +236,16 @@ def eval_kernel(
         raise ValueError(f"standardization covariance has dim {std_cov.dim}, expected {d_y}")
     partition = spec.partition_for(d_y)
     n_blocks = len(partition)
-
-    if spec.family == CONSTANT:
-        return _constant_evaluation(spec, d_y)
-
     thresholds = spec.thresholds_for(d_y)
     residual = y - center
     k_sq = np.empty(n_blocks)
-    full_grads = np.zeros((n_blocks, d_y))
-    grad_diag = np.zeros(d_y)
+    log_grads = np.empty((n_blocks, d_y))
 
     if n_blocks == 1:
-        whitened = std_cov.solve(residual)  # cov^{-1} (y - center)
-        s = max(float(residual @ whitened), 0.0)
-        k_sq[0] = weight_sq(spec, s, thresholds[0])
-        full_grads[0] = 2.0 * weight_slope(spec, k_sq[0], thresholds[0]) * whitened
-        grad_diag[:] = full_grads[0]
+        z = std_cov.whiten(residual)
+        k_sq[0] = weight_sq(spec, float(z @ z), thresholds[0])
+        # grad s = 2 cov^{-1} (y - center)
+        log_grads[0] = 2.0 * weight_slope(spec, k_sq[0], thresholds[0]) * std_cov.solve(residual)
     else:
         root = std_cov.inv_sym_sqrt
         z = root @ residual
@@ -274,44 +254,9 @@ def eval_kernel(
             k_sq[b] = weight_sq(spec, s_b, thresholds[b])
             slope = weight_slope(spec, k_sq[b], thresholds[b])
             # grad s_b = 2 * root[:, start:stop] @ z[start:stop] (root symmetric)
-            full_grads[b] = 2.0 * slope * (root[:, start:stop] @ z[start:stop])
-            grad_diag[start:stop] = full_grads[b, start:stop]
+            log_grads[b] = 2.0 * slope * (root[:, start:stop] @ z[start:stop])
 
-    return WeightEvaluation(
-        k_sq=k_sq, grad_diag=grad_diag, full_grads=full_grads, partition=partition
-    )
-
-
-def rescaled_obs_cov(
-    spec: WeightKernelSpec, evaluation: WeightEvaluation, r: np.ndarray
-) -> np.ndarray:
-    """Block-diagonal rescaled observation covariance, block b = R_b / (2 k^2_b)."""
-    r = np.atleast_2d(np.asarray(r, dtype=float))
-    d_y = r.shape[0]
-    partition = evaluation.partition
-    if partition[-1][1] != d_y:
-        raise ValueError(f"evaluation covers dimension {partition[-1][1]}, R has {d_y}")
-    if np.any(evaluation.k_sq <= 0.0):
-        raise ValueError("squared weights must be strictly positive")
-    if len(partition) == 1:
-        return r / (2.0 * evaluation.k_sq[0])
-    out = np.zeros_like(r)
-    for b, (start, stop) in enumerate(partition):
-        out[start:stop, start:stop] = r[start:stop, start:stop] / (2.0 * evaluation.k_sq[b])
-    return out
-
-
-def corrected_observation(
-    evaluation: WeightEvaluation, rescaled_cov: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """Corrected observation y - 2 N(y) grad, with grad the full kernel
-    gradient for a single block and the diagonal-divergence vector otherwise."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    n = np.atleast_2d(np.asarray(rescaled_cov, dtype=float))
-    if n.shape != (y.shape[0], y.shape[0]):
-        raise ValueError(f"rescaled covariance shape {n.shape} does not match y {y.shape}")
-    grad = evaluation.full_grads[0] if evaluation.n_blocks == 1 else evaluation.grad_diag
-    return y - 2.0 * (n @ grad)
+    return WeightEvaluation(k_sq=k_sq, log_grads=log_grads, partition=partition)
 
 
 def robust_update(
@@ -320,14 +265,17 @@ def robust_update(
     center: np.ndarray,
     hph: Callable[[], np.ndarray],
     r_factor: SpdFactor,
-) -> tuple[np.ndarray, np.ndarray, WeightEvaluation]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The robust analysis step every filter family shares.
 
-    Returns (effective observation covariance, target observation, weight
-    evaluation): (N(y), corrected observation, k^2) for a kernel spec and
-    (R / r^2, y, r^2 / 2) for a WoLF spec, so N = R / (2 k^2) holds for both.
-    The constant kernel returns (R, y) itself, which makes every filter's
-    constant-kernel variant its regular filter bit for bit.
+    Returns (w, target): the (d_Y,) precision weight, which multiplies R^{-1}
+    as W^{1/2} R^{-1} W^{1/2}, and the target observation.  A kernel spec gives
+    w = 2 k^2_b over each block b and the target y - R grad log k^2 (gradient
+    taken blockwise), a WoLF spec w = r^2 and y, and the constant kernel w = 1
+    and y, so every filter's constant-kernel variant is its regular filter bit
+    for bit.  More than one block needs R block-diagonal over the partition,
+    for only then is blockwise weighting the blocked loss; ValueError
+    otherwise.
 
     ``center`` is the predicted observation and ``r_factor`` the factor of
     R.  ``hph`` returns the forecast covariance in observation space, H P H^T
@@ -337,22 +285,21 @@ def robust_update(
     r = r_factor.matrix
     y = np.atleast_1d(np.asarray(y, dtype=float))
     d_y = y.shape[0]
-    if isinstance(spec, WeightKernelSpec) and spec.family == CONSTANT:
-        return r, y, _constant_evaluation(spec, d_y)
+    if isinstance(spec, WeightKernelSpec):
+        partition = spec.partition_for(d_y)
+        if spec.family == CONSTANT:
+            return np.ones(d_y), y
+        if len(partition) > 1:
+            _check_block_diagonal(r, partition)
     std_cov = r_factor if spec.standardization == CONDITIONAL else SpdFactor(hph() + r)
     if isinstance(spec, WolfSpec):
-        s = std_cov.mahalanobis_sq(y - center)
-        k_sq = weight_sq(spec, s, spec.thresholds_for(d_y)[0])
-        evaluation = WeightEvaluation(
-            k_sq=np.array([k_sq]),
-            grad_diag=np.zeros(d_y),
-            full_grads=np.zeros((1, d_y)),
-            partition=((0, d_y),),
-        )
-        return r / (2.0 * k_sq), y, evaluation
+        k_sq = weight_sq(spec, std_cov.mahalanobis_sq(y - center), spec.thresholds_for(d_y)[0])
+        return np.full(d_y, 2.0 * k_sq), y
     evaluation = eval_kernel(spec, y, center, std_cov)
-    n_y = rescaled_obs_cov(spec, evaluation, r)
-    return n_y, corrected_observation(evaluation, n_y, y), evaluation
+    # Each block's weight, and its own entries of its log-weight gradient.
+    w = np.repeat(2.0 * evaluation.k_sq, [b - a for a, b in partition])
+    log_grad = np.concatenate([g[a:b] for g, (a, b) in zip(evaluation.log_grads, partition)])
+    return w, y - r @ log_grad
 
 
 def default_threshold(d_y: int, family: str = IMQ) -> float:

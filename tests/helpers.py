@@ -192,7 +192,8 @@ def anomaly_posterior_cov(gram, m, rho=1.0):
 
 def solve_anomaly_analysis(y_anom, ninv, innovation, rho=1.0):
     """(cov, mean weights, symmetric transform) of the anomaly-space analysis
-    with inverse effective covariance ``ninv`` and target innovation."""
+    with weighted observation precision ``ninv`` = W^{1/2} R^{-1} W^{1/2} and
+    target innovation."""
     m = y_anom.shape[1]
     weighted = ninv @ y_anom
     cov = anomaly_posterior_cov(y_anom.T @ weighted, m, rho)
@@ -204,10 +205,10 @@ def solve_anomaly_analysis(y_anom, ninv, innovation, rho=1.0):
 def _local_analysis(spec, y, y_mean, y_anom, r, rho):
     m = y_anom.shape[1]
     r_factor = SpdFactor(r)
-    n_eff, target, _ = robust_update(
-        spec, y, y_mean, lambda: y_anom @ y_anom.T / (m - 1), r_factor
-    )
-    return solve_anomaly_analysis(y_anom, SpdFactor(n_eff).inverse(), target - y_mean, rho)
+    w, target = robust_update(spec, y, y_mean, lambda: y_anom @ y_anom.T / (m - 1), r_factor)
+    root_w = np.sqrt(w)
+    ninv = root_w[:, None] * r_factor.inverse() * root_w
+    return solve_anomaly_analysis(y_anom, ninv, target - y_mean, rho)
 
 
 def letkf_analysis_looped(ensemble, obs, y, spec, config):

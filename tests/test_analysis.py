@@ -14,6 +14,7 @@ from robust_da import (
     rts_smoother,
     wolf_analysis,
 )
+from robust_da.lgss import kalman_gain
 from robust_da.weights import CONSTANT, IMQ, WeightKernelSpec
 from helpers import grid_posterior_1d, grid_posterior_2d, joint_smoother_oracle, random_spd
 
@@ -69,8 +70,8 @@ def test_zero_innovation_doubles_precision_gain():
     y = model.H @ forecast.mean
     spec = WeightKernelSpec(family=IMQ, threshold=2.0)
     result = dsm_analysis(model, forecast, y, spec)
-    assert np.allclose(result.corrected_obs, y)
-    assert np.allclose(result.rescaled_cov, model.R / 2.0)
+    assert np.allclose(result.target, y)
+    assert np.allclose(result.weight, 2.0)  # R / w = R / 2
     r_inv = np.linalg.inv(model.R)
     precision_gain = result.posterior.precision - forecast.precision
     assert np.allclose(precision_gain, 2.0 * model.H.T @ r_inv @ model.H, rtol=1e-8)
@@ -89,7 +90,7 @@ def test_gain_and_information_forms_agree():
         )
         result = dsm_analysis(model, forecast, y, spec)
         info = information_form_update(
-            forecast, model.H, result.rescaled_cov, result.corrected_obs
+            forecast, model.H, model.R, result.weight, result.target
         )
         assert np.allclose(result.posterior.mean, info.mean, rtol=1e-8, atol=1e-9)
         rel = np.linalg.norm(result.posterior.cov - info.cov) / np.linalg.norm(info.cov)
@@ -102,7 +103,9 @@ def test_gain_satisfies_defining_system():
     forecast = GaussianBelief(mean=rng.standard_normal(4), cov=random_spd(rng, 4))
     y = rng.standard_normal(3)
     result = dsm_analysis(model, forecast, y, WeightKernelSpec(family=IMQ, threshold=3.0))
-    lhs = result.gain @ (result.rescaled_cov + model.H @ forecast.cov @ model.H.T)
+    root_w = np.sqrt(result.weight)
+    gain = kalman_gain(forecast.cov, model.H, model.R, root_w)[0] * root_w  # K = G W^{1/2}
+    lhs = gain @ (model.R / result.weight[0] + model.H @ forecast.cov @ model.H.T)
     rhs = forecast.cov @ model.H.T
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) <= 1e-8
 
@@ -253,7 +256,7 @@ def test_wolf_sigma_scaled_matches_dsm_at_zero_residual():
     y = model.H @ forecast.mean
     wolf = wolf_analysis(model, forecast, y, WolfSpec(variant="sigma_scaled", c_sq=2.0))
     dsm = dsm_analysis(model, forecast, y, WeightKernelSpec(family=IMQ, threshold=2.0))
-    assert np.allclose(wolf.rescaled_cov, model.R / 2.0)
+    assert np.allclose(wolf.weight, 2.0)  # R / w = R / 2
     assert np.allclose(wolf.posterior.cov, dsm.posterior.cov, rtol=1e-10)
     assert np.allclose(wolf.posterior.mean, dsm.posterior.mean, rtol=1e-10)
 
@@ -276,7 +279,7 @@ def test_wolf_information_form_cross_check():
     forecast = GaussianBelief(mean=rng.standard_normal(2), cov=random_spd(rng, 2))
     y = rng.standard_normal(2) * 2.0
     result = wolf_analysis(model, forecast, y, WolfSpec(variant="md", c_sq=2.0))
-    r_sq = 2.0 * result.kernel_eval.k_sq[0]
+    r_sq = result.weight[0]
     j_post = forecast.precision + r_sq * model.H.T @ np.linalg.inv(model.R) @ model.H
     assert np.allclose(result.posterior.precision, j_post, rtol=1e-8)
 
@@ -378,8 +381,8 @@ def test_dsm_smoother_matches_joint_oracle_with_frozen_corrections():
         [1.0],
         [[2.0]],
         1.0,
-        [res.corrected_obs for res in results],
-        [res.rescaled_cov for res in results],
+        [res.target for res in results],
+        [model.R / res.weight[0] for res in results],
     )
     for s, (om, oc) in zip(smoothed, oracle):
         assert s.mean[0] == pytest.approx(om[0], abs=1e-8)

@@ -1,7 +1,8 @@
 """Property tests for the shared robust-update core over random SPD systems.
 
 Systems have 1 to 6 state and observation dimensions and residuals
-|y - H m^f| up to 1e3 per component.
+|y - H m^f| up to 1e3 per component, or log-uniform from 1e3 to 1e300 for
+the scale-safety properties.
 """
 
 import numpy as np
@@ -17,12 +18,13 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, 
 
 
 @st.composite
-def systems(draw):
-    """(model, forecast, y) with random SPD P^f and R and |y - H m^f| <= 1e3."""
+def systems(draw, magnitudes=st.floats(0.0, 1e3)):
+    """(model, forecast, y) with random SPD P^f and R, and y = H m^f + t u for
+    a magnitude t drawn from ``magnitudes`` and u uniform on [-1, 1]^d_Y."""
     d_x = draw(st.integers(1, 6))
     d_y = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    magnitude = draw(st.floats(0.0, 1e3))
+    magnitude = draw(magnitudes)
     model = LgssModel(
         A=np.eye(d_x), Q=np.eye(d_x),
         H=rng.standard_normal((d_y, d_x)), R=random_spd(rng, d_y, scale=10.0 ** rng.uniform(-2, 2)),
@@ -37,6 +39,20 @@ def systems(draw):
     return model, forecast, y
 
 
+ROBUST_SPECS = [
+    WeightKernelSpec(family=IMQ),
+    WeightKernelSpec(family=IMQ, standardization="conditional"),
+    WeightKernelSpec(family=SQEXP, threshold=4.0),
+    WolfSpec(variant="md"),
+    WolfSpec(variant="sigma_scaled"),
+]
+
+
+def analyse(model, forecast, y, spec):
+    update = wolf_analysis if isinstance(spec, WolfSpec) else dsm_analysis
+    return update(model, forecast, y, spec)
+
+
 def assert_close_relative(actual, expected, rtol):
     """Entry-wise agreement within rtol of the largest entry of ``expected``."""
     scale = max(np.abs(expected).max(), np.finfo(float).tiny)
@@ -49,12 +65,11 @@ def test_constant_kernel_is_the_kalman_filter_bit_for_bit(system, standardizatio
     model, forecast, y = system
     spec = WeightKernelSpec(family=CONSTANT, standardization=standardization)
     h = model.H
-    effective_r, target, evaluation = robust_update(
+    w, target = robust_update(
         spec, y, h @ forecast.mean, lambda: h @ forecast.cov @ h.T, model.observation.r_factor
     )
-    np.testing.assert_array_equal(effective_r, model.R)
+    np.testing.assert_array_equal(w, np.ones_like(y))
     np.testing.assert_array_equal(target, y)
-    assert np.all(evaluation.k_sq == 0.5)
 
     robust = dsm_analysis(model, forecast, y, spec).posterior
     regular = kf_analysis(model, forecast, y)
@@ -63,24 +78,85 @@ def test_constant_kernel_is_the_kalman_filter_bit_for_bit(system, standardizatio
 
 
 @PROPERTY_SETTINGS
-@given(
-    systems(),
-    st.sampled_from(
-        [
-            WeightKernelSpec(family=IMQ),
-            WeightKernelSpec(family=IMQ, standardization="conditional"),
-            WeightKernelSpec(family=SQEXP, threshold=4.0),
-            WolfSpec(variant="md"),
-            WolfSpec(variant="sigma_scaled"),
-        ]
-    ),
-)
+@given(systems(), st.sampled_from(ROBUST_SPECS))
 def test_gain_form_equals_information_form(system, spec):
     model, forecast, y = system
-    analyse = wolf_analysis if isinstance(spec, WolfSpec) else dsm_analysis
     result = analyse(model, forecast, y, spec)
-    # N = R / (2 k^2) for every spec, WoLF's r^2 / 2 included.
-    np.testing.assert_array_equal(result.rescaled_cov, model.R / (2.0 * result.kernel_eval.k_sq[0]))
-    info = information_form_update(forecast, model.H, result.rescaled_cov, result.corrected_obs)
+    # One weight w = 2 k^2 over the single block, WoLF's r^2 included.
+    np.testing.assert_array_equal(result.weight, np.full_like(y, result.weight[0]))
+    info = information_form_update(forecast, model.H, model.R, result.weight, result.target)
     assert_close_relative(result.posterior.mean, info.mean, rtol=1e-9)
     assert_close_relative(result.posterior.cov, info.cov, rtol=1e-9)
+
+
+def influence_supremum(model, forecast, spec):
+    """Analytic bound on the posterior-mean shift of a single-block robust
+    analysis, over every observation.
+
+    With d = y - H m^f, s = d^T Sigma^{-1} d and Sigma >= R the standardizing
+    covariance, the shift is K (d - R grad log k^2) with
+    K = w P H^T L^{-T} (I + w L^{-1} H P H^T L^{-T})^{-1} L^{-1}, L L^T = R,
+    and grad log k^2 = 2 (d log k^2/ds) Sigma^{-1} d.  So
+    |shift| <= |P H^T L^{-T}| w(s) sqrt(s) (c + 2 |d log k^2/ds|) with
+    c = |L^{-1} Sigma^{1/2}|, using |L^T Sigma^{-1/2}| <= 1.  The supremum over
+    s is taken on a fine grid, with the kernels written out here.
+    """
+    h, r = model.H, model.R
+    l_inv = np.linalg.inv(np.linalg.cholesky(r))
+    sigma = r if spec.standardization == "conditional" else h @ forecast.cov @ h.T + r
+    c = np.sqrt(np.linalg.eigvalsh(l_inv @ sigma @ l_inv.T).max())
+    gain_norm = np.linalg.norm(forecast.cov @ h.T @ l_inv.T, 2)
+    s = np.logspace(-8, 12, 20001)
+    d_y = h.shape[0]
+    if isinstance(spec, WolfSpec):
+        c_sq = spec.c_sq or d_y
+        w, slope = (1.0 if spec.variant == "md" else 2.0) / (1.0 + s / c_sq), 0.0
+    elif spec.family == IMQ:
+        q_sq = spec.threshold or d_y
+        w, slope = 2.0 / (1.0 + s / q_sq), 1.0 / (q_sq + s)
+    else:
+        w, slope = 2.0 * np.exp(-s / spec.threshold), 1.0 / spec.threshold
+    return 1.01 * gain_norm * np.max(w * np.sqrt(s) * (c + 2.0 * slope))
+
+
+@PROPERTY_SETTINGS
+@given(
+    systems(st.floats(3.0, 300.0).map(lambda e: 10.0**e)),
+    st.sampled_from([*ROBUST_SPECS, WeightKernelSpec(family=CONSTANT)]),
+)
+def test_robust_analysis_is_scale_safe(system, spec):
+    # Bounded influence in floating point: however large the outlier, the
+    # analysis raises nothing, its posterior is finite and PSD, and its mean
+    # moves no further than the analytic supremum of the influence; a weight
+    # that underflows to 0 returns the forecast itself.
+    model, forecast, y = system
+    result = analyse(model, forecast, y, spec)
+    posterior = result.posterior
+    if spec == WeightKernelSpec(family=CONSTANT):
+        regular = kf_analysis(model, forecast, y)
+        np.testing.assert_array_equal(posterior.mean, regular.mean)
+        np.testing.assert_array_equal(posterior.cov, regular.cov)
+        return
+    assert np.all(np.isfinite(posterior.mean)) and np.all(np.isfinite(posterior.cov))
+    eigs = np.linalg.eigvalsh(posterior.cov)
+    assert eigs.min() >= -1e-10 * np.abs(eigs).max()
+    if np.all(result.weight == 0.0):
+        np.testing.assert_array_equal(posterior.mean, forecast.mean)
+        np.testing.assert_array_equal(posterior.cov, forecast.cov)
+    shift = np.linalg.norm(posterior.mean - forecast.mean)
+    assert shift <= influence_supremum(model, forecast, spec)
+
+
+def test_outlier_too_large_to_square_gets_zero_weight():
+    # Both components near 1e154: the whitened residual's square overflows.
+    # The weight is 0 and the posterior is the forecast, where a quadratic
+    # form that cancelled to -inf once read s = 0 and full weight.
+    model = LgssModel(
+        A=np.eye(1), Q=np.eye(1), H=[[1.0], [1.0]], R=0.1 * np.eye(2),
+        prior=GaussianBelief(mean=np.zeros(1), cov=np.eye(1)),
+    )
+    y = np.array([1e154, 2e154])
+    result = dsm_analysis(model, model.prior, y, WeightKernelSpec(family=IMQ))
+    np.testing.assert_array_equal(result.weight, [0.0, 0.0])
+    np.testing.assert_array_equal(result.posterior.mean, model.prior.mean)
+    np.testing.assert_array_equal(result.posterior.cov, model.prior.cov)

@@ -32,6 +32,26 @@ def test_config_validation():
     assert cfg.model == "ou" and cfg.mc_reps == 100
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"q_sq": -1.0}, {"c_sq": 0.0}, {"wolf_variant": "bogus"}, {"enkf_mode": "bogus"},
+        {"kernel_family": "bogus"}, {"rho": 0.5}, {"half_width": -1}, {"taper_length": 0.0},
+    ],
+    ids=lambda setting: next(iter(setting)),
+)
+def test_config_refuses_bad_weight_settings_when_built(setting, tmp_path):
+    # The config refuses the value, not the filter mid-run, so the CLI exits
+    # with one line naming the file.
+    with pytest.raises(ValueError):
+        ExperimentConfig(**setting)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "ou", "filter": "dsm_kf", "t_end": 1.0, **setting}))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["run", "--config", str(path)])
+    assert str(err.value).startswith(f"{path}: ") and "\n" not in str(err.value)
+
+
 def test_presets_are_valid():
     for name, preset in PRESETS.items():
         cfg = ExperimentConfig.from_dict(dict(preset))
@@ -128,18 +148,38 @@ def test_divergence_is_reported():
         assert result.report is None
 
 
-@pytest.mark.parametrize("filter_name", FILTERS)
-def test_run_reports_nan_observation_as_divergence(filter_name):
-    # Every family reports the step of a NaN observation and scores nothing,
-    # whether its analysis raises there or records a non-finite state.
+def _setup_with_observation(filter_name, value):
+    """Config and a short run's setup whose first observation component at
+    step 3 is replaced by ``value``."""
     model = {"kf": "ou", "letkf": "lorenz96"}.get(harness._FILTER_TABLE[filter_name][0], "lorenz63")
     cfg = ExperimentConfig(model=model, filter=filter_name, t_end=1.0, ensemble_size=20, seed=2)
     setup = build_setup(cfg, np.random.SeedSequence(2))
-    setup.record.observations[0, 3] = np.nan
+    setup.record.observations[0, 3] = value
+    return cfg, setup
+
+
+@pytest.mark.parametrize("filter_name", FILTERS)
+def test_run_reports_nan_observation_as_divergence(filter_name):
+    # Every family reports the step of a NaN or infinite observation and
+    # scores nothing, whether its analysis raises there or records a
+    # non-finite state.
+    for value in (np.nan, np.inf, -np.inf):
+        cfg, setup = _setup_with_observation(filter_name, value)
+        run = harness._run_filter(setup, cfg, np.random.default_rng(0))
+        assert run.divergence_step == 3, value
+        assert np.all(np.isfinite(run.means[:3])) and np.all(np.isnan(run.means[3:]))
+        assert harness._evaluate_run(setup, run) is None
+
+
+@pytest.mark.parametrize("filter_name", [f for f in FILTERS if harness._FILTER_TABLE[f][1]])
+def test_robust_filters_run_through_a_huge_finite_observation(filter_name):
+    # Bounded influence: one observation component at 1e200 neither raises
+    # nor ends the run of a robust filter.
+    cfg, setup = _setup_with_observation(filter_name, 1e200)
     run = harness._run_filter(setup, cfg, np.random.default_rng(0))
-    assert run.divergence_step == 3
-    assert np.all(np.isfinite(run.means[:3])) and np.all(np.isnan(run.means[3:]))
-    assert harness._evaluate_run(setup, run) is None
+    assert run.divergence_step is None
+    report = harness._evaluate_run(setup, run)
+    assert np.isfinite([report.rmse, report.q_ic, report.ci_coverage_95]).all()
 
 
 @pytest.mark.parametrize(

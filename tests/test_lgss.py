@@ -8,7 +8,6 @@ from robust_da import (
     SpdFactor,
     kf_analysis,
     kf_forecast,
-    mahalanobis_sq,
     rts_smoother,
 )
 from helpers import grid_posterior_1d, grid_posterior_2d, joint_smoother_oracle, random_spd
@@ -116,17 +115,17 @@ def test_model_validation():
 
 
 # ---------------------------------------------------------------------------
-# mahalanobis_sq
+# SpdFactor.mahalanobis_sq
 
 
 def test_mahalanobis_examples():
     f = SpdFactor(np.diag([2.0, 2.0]))
-    assert mahalanobis_sq(np.zeros(2), f) == 0.0
+    assert f.mahalanobis_sq(np.zeros(2)) == 0.0
     r = np.array([1.0, 1.0])
-    assert mahalanobis_sq(r, f) == pytest.approx(1.0, rel=1e-12)
+    assert f.mahalanobis_sq(r) == pytest.approx(1.0, rel=1e-12)
     ident = SpdFactor(np.eye(3))
     v = np.array([1.0, -2.0, 3.0])
-    assert mahalanobis_sq(v, ident) == pytest.approx(float(v @ v), rel=1e-12)
+    assert ident.mahalanobis_sq(v) == pytest.approx(float(v @ v), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from robust_da import SpdFactor
+from robust_da import GaussianBelief, LgssModel, SpdFactor, dsm_analysis
 from robust_da.weights import (
     CONSTANT,
     IMQ,
     SQEXP,
     WeightKernelSpec,
-    corrected_observation,
     default_threshold,
     eval_kernel,
     expected_weight_mc,
     jensen_bounds,
     jensen_upper_empirical,
-    rescaled_obs_cov,
+    robust_update,
     tune_threshold,
 )
 from helpers import central_diff_gradient, random_spd
@@ -89,7 +88,10 @@ def test_kernel_bounded_on_random_sweep():
         values = np.array(
             [eval_kernel(spec, y, np.zeros(3), cov).k_sq[0] for y in draws]
         )
-        assert np.all(values > 0.0)
+        # Positive wherever a double can hold it: only a sq-exp weight below
+        # the smallest normal double, exp(-708), may underflow to 0.
+        s = np.array([cov.mahalanobis_sq(y) for y in draws])
+        assert np.all((values > 0.0) | ((family == SQEXP) & (s / 1.5 > 708.0)))
         assert np.all(values <= 1.0)
 
 
@@ -112,24 +114,31 @@ def test_nonpositive_threshold_rejected():
 
 
 # ---------------------------------------------------------------------------
-# rescaled_obs_cov / corrected_observation
+# robust_update: precision weight w (the rescaled covariance is R / w) and
+# target observation
+
+
+def zero_hph(d):
+    """H P H^T = 0, so the marginal standardization is R itself."""
+    return lambda: np.zeros((d, d))
 
 
 def test_rescaled_cov_constant_recovers_r():
     rng = np.random.default_rng(3)
     r = random_spd(rng, 3)
     spec = WeightKernelSpec(family=CONSTANT)
-    ev = eval_kernel(spec, rng.standard_normal(3), np.zeros(3), SpdFactor(np.eye(3)))
-    assert np.allclose(rescaled_obs_cov(spec, ev, r), r)
+    w, _ = robust_update(spec, rng.standard_normal(3), np.zeros(3), zero_hph(3), SpdFactor(r))
+    assert np.allclose(r / w, r)
 
 
 def test_rescaled_cov_examples():
     spec = WeightKernelSpec(family=IMQ, threshold=1.0)
-    cov = SpdFactor([[1.0]])
-    ev_max = eval_kernel(spec, np.array([0.0]), np.zeros(1), cov)  # k^2 = 1
-    assert rescaled_obs_cov(spec, ev_max, np.array([[1.0]]))[0, 0] == pytest.approx(0.5)
-    ev_half = eval_kernel(spec, np.array([1.0]), np.zeros(1), cov)  # k^2 = 1/2
-    assert rescaled_obs_cov(spec, ev_half, np.array([[3.0]]))[0, 0] == pytest.approx(3.0)
+    w_max, _ = robust_update(spec, np.array([0.0]), np.zeros(1), zero_hph(1), SpdFactor([[1.0]]))
+    assert 1.0 / w_max[0] == pytest.approx(0.5)  # k^2 = 1
+    w_half, _ = robust_update(
+        spec, np.array([math.sqrt(3.0)]), np.zeros(1), zero_hph(1), SpdFactor([[3.0]])
+    )
+    assert 3.0 / w_half[0] == pytest.approx(3.0)  # s = 1, k^2 = 1/2
 
 
 def test_rescaled_cov_block_assembly():
@@ -138,39 +147,53 @@ def test_rescaled_cov_block_assembly():
     r[0:2, 0:2] = random_spd(rng, 2)
     r[2, 2] = 2.0
     spec = WeightKernelSpec(family=IMQ, threshold=[1.0, 4.0], block_partition=((0, 2), (2, 3)))
-    ev = eval_kernel(spec, rng.standard_normal(3), np.zeros(3), SpdFactor(random_spd(rng, 3)))
-    n = rescaled_obs_cov(spec, ev, r)
-    assert np.allclose(n[0:2, 0:2], r[0:2, 0:2] / (2 * ev.k_sq[0]))
-    assert n[2, 2] == pytest.approx(r[2, 2] / (2 * ev.k_sq[1]))
-    assert n[0, 2] == 0.0
+    hph = random_spd(rng, 3)
+    y = rng.standard_normal(3)
+    w, _ = robust_update(spec, y, np.zeros(3), lambda: hph, SpdFactor(r))
+    ev = eval_kernel(spec, y, np.zeros(3), SpdFactor(hph + r))
+    assert np.allclose(r[0:2, 0:2] / w[0:2], r[0:2, 0:2] / (2 * ev.k_sq[0]))
+    assert np.all(w[0:2] == w[0])
+    assert r[2, 2] / w[2] == pytest.approx(r[2, 2] / (2 * ev.k_sq[1]))
+
+
+def test_robust_update_refuses_r_not_block_diagonal_over_the_partition():
+    # Weighting R^{-1} blockwise is the blocked loss only for block-diagonal R.
+    spec = WeightKernelSpec(family=IMQ, threshold=1.0, block_partition=((0, 1), (1, 2)))
+    r = SpdFactor([[1.0, 0.6], [0.6, 1.0]])
+    with pytest.raises(ValueError, match="block-diagonal"):
+        robust_update(spec, np.array([1.0, 2.0]), np.zeros(2), zero_hph(2), r)
+    model = LgssModel(
+        A=np.eye(2), Q=np.eye(2), H=np.eye(2), R=r.matrix,
+        prior=GaussianBelief(mean=np.zeros(2), cov=np.eye(2)),
+    )
+    with pytest.raises(ValueError, match="block-diagonal"):
+        dsm_analysis(model, model.prior, np.array([1.0, 2.0]), spec)
 
 
 def test_corrected_observation_identity_cases():
     rng = np.random.default_rng(5)
     y = rng.standard_normal(2)
-    cov = SpdFactor(np.eye(2))
+    r = SpdFactor(np.eye(2))
     # Zero residual: gradient vanishes.
     spec = WeightKernelSpec(family=IMQ, threshold=1.0)
-    ev = eval_kernel(spec, y, y, cov)
-    n = rescaled_obs_cov(spec, ev, np.eye(2))
-    assert np.allclose(corrected_observation(ev, n, y), y)
+    _, target = robust_update(spec, y, y, zero_hph(2), r)
+    assert np.allclose(target, y)
     # Constant family: gradient identically zero.
     spec_const = WeightKernelSpec(family=CONSTANT)
-    ev_const = eval_kernel(spec_const, y, np.zeros(2), cov)
-    n_const = rescaled_obs_cov(spec_const, ev_const, np.eye(2))
-    assert np.array_equal(corrected_observation(ev_const, n_const, y), y)
+    _, target_const = robust_update(spec_const, y, np.zeros(2), zero_hph(2), r)
+    assert np.array_equal(target_const, y)
 
 
 def test_corrected_observation_hand_example():
     # Scalar IMQ, q^2 = 1, Sigma = 1, R = 1, center 0, y = 1:
-    # k^2 = 1/2, grad = -1/2, N = 1, corrected = 1 - 2*1*(-1/2) = 2.
+    # k^2 = 1/2, grad = -1/2, N = R / w = 1, corrected = 1 - 2*1*(-1/2) = 2.
     spec = WeightKernelSpec(family=IMQ, threshold=1.0)
     ev = eval_kernel(spec, np.array([1.0]), np.zeros(1), SpdFactor([[1.0]]))
     assert ev.k_sq[0] == pytest.approx(0.5)
     assert ev.full_grads[0, 0] == pytest.approx(-0.5, rel=1e-12)
-    n = rescaled_obs_cov(spec, ev, np.array([[1.0]]))
-    assert n[0, 0] == pytest.approx(1.0)
-    assert corrected_observation(ev, n, np.array([1.0]))[0] == pytest.approx(2.0, rel=1e-12)
+    w, target = robust_update(spec, np.array([1.0]), np.zeros(1), zero_hph(1), SpdFactor([[1.0]]))
+    assert 1.0 / w[0] == pytest.approx(1.0)
+    assert target[0] == pytest.approx(2.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
