@@ -7,10 +7,12 @@ borderline matrices with an escalating trace-scaled jitter before giving up.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
-__all__ = ["SpdFactor", "symmetrize", "psd_sym_sqrt"]
+__all__ = ["SpdFactor", "symmetrize", "psd_sym_sqrt", "pow2_scale"]
 
 # Jitter schedule for Cholesky repair: base scale relative to mean diagonal,
 # escalated tenfold per retry.
@@ -21,6 +23,12 @@ _JITTER_RETRIES = 3
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return the symmetric part (a + a.T) / 2."""
     return 0.5 * (a + a.T)
+
+
+def pow2_scale(x: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """A power of two dividing which is exact and brings the largest |entry|
+    of x, along ``axis``, into [1, 2)."""
+    return np.ldexp(1.0, np.frexp(np.abs(x).max(axis=axis))[1] - 1)
 
 
 def psd_sym_sqrt(a: np.ndarray, min_eig_tol: float = -1e-8) -> np.ndarray:
@@ -119,9 +127,22 @@ class SpdFactor:
         """Quadratic form r^T A^{-1} r = ||L^{-1} r||^2.
 
         A (d,) residual gives a float; a (d, n) one gives the n column forms.
+        A finite residual whose form overflows gives inf, not the NaN of an
+        inf - inf inside the whitening: the form is redone on the residual
+        divided by ``pow2_scale``.
         """
         z = self.whiten(residual)
-        return float(z @ z) if z.ndim == 1 else np.sum(z * z, axis=0)
+        if z.ndim == 1:
+            s = float(z @ z)
+            if math.isfinite(s):  # far cheaper than numpy on a float
+                return s
+        else:
+            s = np.sum(z * z, axis=0)
+            if np.isfinite(s).all():
+                return s
+        scale = pow2_scale(residual, axis=0)
+        z = self.whiten(residual / scale)
+        return (float(z @ z) if z.ndim == 1 else np.sum(z * z, axis=0)) * scale * scale
 
     def _eig_roots(self) -> None:
         eigvals, eigvecs = np.linalg.eigh(self.matrix)

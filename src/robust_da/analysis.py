@@ -162,7 +162,7 @@ def influence_sweep(
     center = h @ forecast.mean
     if direction is None:
         # The innovation covariance is the bracket of the regular gain.
-        innovation_cov = kalman_gain(forecast.cov, h, model.R)[2].matrix
+        innovation_cov = kalman_gain(forecast.cov, h, model.R, np.ones(model.d_y))[2].matrix
         eigvals, eigvecs = np.linalg.eigh(innovation_cov)
         direction = eigvecs[:, np.argmax(eigvals)]
     direction = np.asarray(direction, dtype=float)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import psd_sym_sqrt, symmetrize
+from ._linalg import pow2_scale, psd_sym_sqrt, symmetrize
 from .lgss import GaussianBelief, ObservationModel, kalman_gain
 from .weights import (
     CONDITIONAL,
@@ -252,9 +252,10 @@ def _anomaly_analysis(
 
     - s = d^T R^{-1} d, or d^T Sigma_y^{-1} d for the specs standardized by
       Sigma_y = Y Y^T / (M - 1) + R, which Woodbury gives as
-      d^T R^{-1} d - b^T C^{-1} b with C = (M - 1) I + G; both are formed from
-      d scaled by a power of two near its largest entry, which is exact, so
-      an s too large to represent is inf (weight 0), never inf - inf;
+      d^T R^{-1} d - b^T C^{-1} b with C = (M - 1) I + G; both, and the
+      target below, are formed from d scaled by a power of two near its
+      largest entry, which is exact, so an s too large to represent is inf
+      (weight 0), never inf - inf, and a weight of 0 meets no inf;
     - the weighted precision w R^{-1} with w = 2 k^2(s);
     - target innovation d - 2 (d log k^2/ds) R Std^{-1} d, with Std the
       standardizing covariance; R Std^{-1} d enters only as
@@ -268,24 +269,24 @@ def _anomaly_analysis(
     """
     _, n_obs, m = y_hat.shape
     gram_vals, vecs = np.linalg.eigh(np.swapaxes(y_hat, 1, 2) @ y_hat)
-    b = np.einsum("nwm,nw->nm", y_hat, d_hat)
-    b_eig = np.einsum("nmk,nm->nk", vecs, b)  # b in G's eigenbasis
-    scale = np.ldexp(1.0, np.frexp(np.abs(d_hat).max(axis=1))[1] - 1)
+    scale = pow2_scale(d_hat, axis=1)
     d_scaled = d_hat / scale[:, None]
+    # b / scale in G's eigenbasis
+    b_scaled = np.einsum("nmk,nm->nk", vecs, np.einsum("nwm,nw->nm", y_hat, d_scaled))
     s_scaled = np.einsum("nw,nw->n", d_scaled, d_scaled)
-    std_proj = b_eig  # Y^T R^{-1} R Std^{-1} d in the eigenbasis
+    std_proj = b_scaled  # Y^T R^{-1} R Std^{-1} d / scale in the eigenbasis
     if spec.standardization != CONDITIONAL:
         c_vals = (m - 1) + gram_vals
-        b_scaled = b_eig / scale[:, None]
         s_scaled = s_scaled - np.sum(b_scaled * b_scaled / c_vals, axis=1)
-        std_proj = (m - 1) * b_eig / c_vals
+        std_proj = (m - 1) * b_scaled / c_vals
     s = np.maximum(s_scaled, 0.0) * scale * scale
     threshold = spec.thresholds_for(n_obs)[0]
     k_sq = weight_sq(spec, s, threshold)
     w = 2.0 * k_sq
-    target_proj = b_eig - 2.0 * np.reshape(weight_slope(spec, k_sq, threshold), (-1, 1)) * std_proj
+    slope = np.reshape(weight_slope(spec, k_sq, threshold), (-1, 1))
+    target_proj = (w * scale)[:, None] * (b_scaled - 2.0 * slope * std_proj)
     a_vals = (m - 1) / rho + w[:, None] * gram_vals
-    mean_weights = np.einsum("nmk,nk->nm", vecs, w[:, None] * target_proj / a_vals)
+    mean_weights = np.einsum("nmk,nk->nm", vecs, target_proj / a_vals)
     transform = (vecs * np.sqrt((m - 1) / a_vals)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
     return mean_weights, transform
 

@@ -234,22 +234,19 @@ def kf_forecast(model: LgssModel, analysis: GaussianBelief) -> GaussianBelief:
 
 
 def kalman_gain(
-    p_f: np.ndarray, h: np.ndarray, r: np.ndarray, root_w: np.ndarray | None = None
+    p_f: np.ndarray, h: np.ndarray, r: np.ndarray, root_w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, SpdFactor]:
     """Weighted gain G = P^f H^T W^{1/2} B^{-1}, B = R + W^{1/2} H P^f H^T W^{1/2},
     for every gain-form update (regular, robust, ensemble), with W^{1/2} H P^f
     and the factor of B.  ``root_w`` is the square root of the robust
-    update's precision weight w, None for w = 1.  The Kalman gain is
-    K = G W^{1/2}: P^f H^T [R / w + H P^f H^T]^{-1} for w > 0, and 0 for w = 0.
+    update's precision weight w; ones give the regular gain bit for bit,
+    since multiplying by 1 is exact.  The Kalman gain is K = G W^{1/2}:
+    P^f H^T [R / w + H P^f H^T]^{-1} for w > 0, and 0 for w = 0.
 
     Raises np.linalg.LinAlgError when the bracket cannot be factorized.
     """
-    hp = h @ p_f
-    if root_w is None:
-        bracket = SpdFactor(r + hp @ h.T)
-    else:
-        hp = root_w[:, None] * hp
-        bracket = SpdFactor(r + hp @ h.T * root_w)
+    hp = root_w[:, None] * (h @ p_f)
+    bracket = SpdFactor(r + hp @ h.T * root_w)
     return bracket.solve(hp).T, hp, bracket
 
 
@@ -267,7 +264,7 @@ def kf_analysis(model: LgssModel, forecast: GaussianBelief, y: np.ndarray) -> Ga
         raise ValueError(
             f"forecast dimension {forecast.dim} does not match state dimension {model.d_x}"
         )
-    gain, hp, _ = kalman_gain(forecast.cov, model.H, model.R)
+    gain, hp, _ = kalman_gain(forecast.cov, model.H, model.R, np.ones(model.d_y))
     mean = forecast.mean - gain @ (model.H @ forecast.mean - y)
     return GaussianBelief(mean=mean, cov=forecast.cov - gain @ hp)  # ctor symmetrizes
 

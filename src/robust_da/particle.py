@@ -16,7 +16,7 @@ from scipy.special import logsumexp
 
 from ._linalg import SpdFactor
 from .lgss import ObservationModel
-from .weights import CONDITIONAL, CONSTANT, IMQ, SQEXP, WeightKernelSpec, weight_slope, weight_sq
+from .weights import CONDITIONAL, CONSTANT, WeightKernelSpec, loss_limit, weight_slope, weight_sq
 
 __all__ = [
     "ParticleCloud",
@@ -88,9 +88,9 @@ def dsm_log_potential(
     -k^2 (s - 4 s d log k^2/ds - 2 d_Y).  For IMQ this is 2 d_Y at zero
     residual and approaches -q^2 as the residual grows (the loss saturates at
     q^2); for sq-exp it approaches 0.  A finite residual too large to square
-    has s = inf and takes that limit.  The constant kernel gives d_Y - s/2,
-    the Gaussian log-likelihood up to a constant.  A non-finite observation
-    gives a non-finite potential.
+    has s = inf and takes that limit, -weights.loss_limit.  The constant
+    kernel gives d_Y - s/2, the Gaussian log-likelihood up to a constant.  A
+    non-finite observation gives a non-finite potential.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     h_of_x = np.asarray(h_of_x, dtype=float)
@@ -107,8 +107,7 @@ def dsm_log_potential(
     s = np.where(overflow, 0.0, s)
     k_sq = weight_sq(spec, s, threshold)
     potential = -k_sq * (s - 4.0 * weight_slope(spec, k_sq, threshold) * s - 2.0 * d_y)
-    limit = {IMQ: -threshold, SQEXP: 0.0}.get(spec.family, -np.inf)
-    return np.where(overflow, limit, potential)[()]
+    return np.where(overflow, -loss_limit(spec, threshold), potential)[()]
 
 
 def pf_step(

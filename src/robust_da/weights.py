@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import SpdFactor
+from ._linalg import SpdFactor, pow2_scale
 from .lgss import BlockPartition, _check_block_diagonal, normalize_partition
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "robust_update",
     "weight_sq",
     "weight_slope",
+    "loss_limit",
     "eval_kernel",
     "jensen_bounds",
     "jensen_upper_empirical",
@@ -157,11 +158,11 @@ class WolfSpec:
 class WeightEvaluation:
     """Evaluated squared weights and the gradients of their logarithms.
 
-    ``log_grads`` row b is the observation-space gradient of log k^2_b, which
-    stays finite where k^2_b underflows to 0.  ``full_grads`` row b is the
-    gradient of k^2_b itself, and ``grad_diag`` the divergence of the
-    diagonal weight matrix: entry i is the partial derivative of k^2 of the
-    block containing i with respect to y_i (the two coincide when B = 1).
+    ``log_grads`` row b is the observation-space gradient of log k^2_b, 0
+    where k^2_b is 0.  ``full_grads`` row b is the gradient of k^2_b itself.
+    Entry i of a ``*_diag`` vector is taken from the block containing i, so
+    ``grad_diag`` is the divergence of the diagonal weight matrix: the
+    partial derivative of that block's k^2 with respect to y_i.
     """
 
     k_sq: np.ndarray          # (B,) squared weights per block
@@ -177,8 +178,16 @@ class WeightEvaluation:
         return self.k_sq[:, None] * self.log_grads
 
     @property
+    def k_sq_diag(self) -> np.ndarray:
+        return np.repeat(self.k_sq, [b - a for a, b in self.partition])
+
+    @property
+    def log_grad_diag(self) -> np.ndarray:
+        return np.concatenate([g[a:b] for g, (a, b) in zip(self.log_grads, self.partition)])
+
+    @property
     def grad_diag(self) -> np.ndarray:
-        return np.concatenate([g[a:b] for g, (a, b) in zip(self.full_grads, self.partition)])
+        return self.k_sq_diag * self.log_grad_diag
 
 
 def weight_sq(
@@ -210,6 +219,16 @@ def weight_slope(
     return 0.0
 
 
+def loss_limit(spec: WeightKernelSpec, threshold: float) -> float:
+    """The score-matching loss as s -> inf, the limit of k^2(s) s: q^2
+    (IMQ), 0 (sq-exp), inf for the constant kernel."""
+    if spec.family == IMQ:
+        return threshold
+    if spec.family == SQEXP:
+        return 0.0
+    return math.inf
+
+
 def eval_kernel(
     spec: WeightKernelSpec,
     y: np.ndarray,
@@ -223,9 +242,10 @@ def eval_kernel(
     chain rule through cov^{-1} (y - center).  Multiple blocks: the residual
     is whitened with the fixed symmetric root cov^{-1/2}, s_b is the squared
     norm of the block slice, and the chain rule runs through that root
-    (which does not depend on y).  Either way s is a sum of squares, so a
-    residual too large to square gives s = inf and k^2 = 0, never a
-    cancellation.
+    (which does not depend on y).  Either way s is a sum of squares of the
+    residual divided by a power of two (exact), so a finite residual too
+    large to square gives s = inf and k^2 = 0, never a cancellation or NaN,
+    and a block with k^2 = 0 gets a zero log-gradient, never 0 * inf.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -239,22 +259,25 @@ def eval_kernel(
     thresholds = spec.thresholds_for(d_y)
     residual = y - center
     k_sq = np.empty(n_blocks)
-    log_grads = np.empty((n_blocks, d_y))
+    log_grads = np.zeros((n_blocks, d_y))
 
     if n_blocks == 1:
-        z = std_cov.whiten(residual)
-        k_sq[0] = weight_sq(spec, float(z @ z), thresholds[0])
-        # grad s = 2 cov^{-1} (y - center)
-        log_grads[0] = 2.0 * weight_slope(spec, k_sq[0], thresholds[0]) * std_cov.solve(residual)
+        k_sq[0] = weight_sq(spec, std_cov.mahalanobis_sq(residual), thresholds[0])
+        if k_sq[0] > 0.0:
+            # grad s = 2 cov^{-1} (y - center)
+            slope = weight_slope(spec, k_sq[0], thresholds[0])
+            log_grads[0] = 2.0 * slope * std_cov.solve(residual)
     else:
         root = std_cov.inv_sym_sqrt
-        z = root @ residual
+        scale = pow2_scale(residual)
+        z_scaled = root @ (residual / scale)
         for b, (start, stop) in enumerate(partition):
-            s_b = float(z[start:stop] @ z[start:stop])
+            s_b = float(z_scaled[start:stop] @ z_scaled[start:stop]) * scale * scale
             k_sq[b] = weight_sq(spec, s_b, thresholds[b])
-            slope = weight_slope(spec, k_sq[b], thresholds[b])
-            # grad s_b = 2 * root[:, start:stop] @ z[start:stop] (root symmetric)
-            log_grads[b] = 2.0 * slope * (root[:, start:stop] @ z[start:stop])
+            if k_sq[b] > 0.0:
+                slope = weight_slope(spec, k_sq[b], thresholds[b])
+                # grad s_b = 2 * root[:, start:stop] @ z[start:stop] (root symmetric)
+                log_grads[b] = 2.0 * slope * (root[:, start:stop] @ (z_scaled[start:stop] * scale))
 
     return WeightEvaluation(k_sq=k_sq, log_grads=log_grads, partition=partition)
 
@@ -296,10 +319,7 @@ def robust_update(
         k_sq = weight_sq(spec, std_cov.mahalanobis_sq(y - center), spec.thresholds_for(d_y)[0])
         return np.full(d_y, 2.0 * k_sq), y
     evaluation = eval_kernel(spec, y, center, std_cov)
-    # Each block's weight, and its own entries of its log-weight gradient.
-    w = np.repeat(2.0 * evaluation.k_sq, [b - a for a, b in partition])
-    log_grad = np.concatenate([g[a:b] for g, (a, b) in zip(evaluation.log_grads, partition)])
-    return w, y - r @ log_grad
+    return 2.0 * evaluation.k_sq_diag, y - r @ evaluation.log_grad_diag
 
 
 def default_threshold(d_y: int, family: str = IMQ) -> float:

@@ -1,11 +1,12 @@
 """Property tests for the shared robust-update core over random SPD systems.
 
 Systems have 1 to 6 state and observation dimensions and residuals
-|y - H m^f| up to 1e3 per component, or log-uniform from 1e3 to 1e300 for
+|y - H m^f| up to 1e3 per component, or log-uniform from 1e3 to 1e307 for
 the scale-safety properties.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,16 +19,17 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, 
 
 
 @st.composite
-def systems(draw, magnitudes=st.floats(0.0, 1e3)):
+def systems(draw, magnitudes=st.floats(0.0, 1e3), r_exponents=(-2, 2)):
     """(model, forecast, y) with random SPD P^f and R, and y = H m^f + t u for
-    a magnitude t drawn from ``magnitudes`` and u uniform on [-1, 1]^d_Y."""
+    a magnitude t drawn from ``magnitudes`` and u uniform on [-1, 1]^d_Y.  R is
+    scaled by 10^e, e uniform over ``r_exponents``."""
     d_x = draw(st.integers(1, 6))
     d_y = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     magnitude = draw(magnitudes)
     model = LgssModel(
         A=np.eye(d_x), Q=np.eye(d_x),
-        H=rng.standard_normal((d_y, d_x)), R=random_spd(rng, d_y, scale=10.0 ** rng.uniform(-2, 2)),
+        H=rng.standard_normal((d_y, d_x)), R=random_spd(rng, d_y, scale=10.0 ** rng.uniform(*r_exponents)),
         prior=GaussianBelief(mean=np.zeros(d_x), cov=np.eye(d_x)),
     )
     forecast = GaussianBelief(
@@ -121,7 +123,7 @@ def influence_supremum(model, forecast, spec):
 
 @PROPERTY_SETTINGS
 @given(
-    systems(st.floats(3.0, 300.0).map(lambda e: 10.0**e)),
+    systems(st.floats(3.0, 307.0).map(lambda e: 10.0**e), r_exponents=(-12, 2)),
     st.sampled_from([*ROBUST_SPECS, WeightKernelSpec(family=CONSTANT)]),
 )
 def test_robust_analysis_is_scale_safe(system, spec):
@@ -158,5 +160,32 @@ def test_outlier_too_large_to_square_gets_zero_weight():
     y = np.array([1e154, 2e154])
     result = dsm_analysis(model, model.prior, y, WeightKernelSpec(family=IMQ))
     np.testing.assert_array_equal(result.weight, [0.0, 0.0])
+    np.testing.assert_array_equal(result.posterior.mean, model.prior.mean)
+    np.testing.assert_array_equal(result.posterior.cov, model.prior.cov)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        WeightKernelSpec(family=IMQ, standardization="conditional"),
+        WeightKernelSpec(family=SQEXP, threshold=4.0, standardization="conditional"),
+        WeightKernelSpec(family=IMQ, standardization="conditional", block_partition=((0, 1), (1, 2))),
+        WeightKernelSpec(family=IMQ, block_partition=((0, 1), (1, 2))),
+    ],
+    ids=["imq", "sqexp", "imq_two_blocks", "imq_two_blocks_marginal"],
+)
+@pytest.mark.parametrize("y_size, r_scale", [(1e300, 1e-10), (1e307, 1e-2), (1e307, 1e-10)])
+def test_outlier_whose_solve_overflows_gets_zero_weight(spec, y_size, r_scale):
+    # Whitening or solving with the residual overflows, so s could read NaN
+    # or the log-weight gradient inf beside a weight of 0.  The weight is 0,
+    # the target y and the posterior the forecast.
+    model = LgssModel(
+        A=np.eye(1), Q=np.eye(1), H=[[1.0], [1.0]], R=r_scale * np.eye(2),
+        prior=GaussianBelief(mean=np.zeros(1), cov=np.eye(1)),
+    )
+    y = np.array([y_size, y_size])
+    result = dsm_analysis(model, model.prior, y, spec)
+    np.testing.assert_array_equal(result.weight, [0.0, 0.0])
+    np.testing.assert_array_equal(result.target, y)
     np.testing.assert_array_equal(result.posterior.mean, model.prior.mean)
     np.testing.assert_array_equal(result.posterior.cov, model.prior.cov)

@@ -489,3 +489,15 @@ def test_letkf_rejects_a_block_partition():
                 ens, ObservationModel(H=np.eye(4), R=np.eye(4)), rng.standard_normal(4), spec,
                 LetkfConfig(localization=loc),
             )
+
+
+@pytest.mark.parametrize("spec_name", ["dsm", "wolf", "conditional"])
+def test_letkf_outlier_whose_projection_overflows_keeps_the_forecast(spec_name):
+    # Y^T R^{-1} (y - H m) overflows beside a weight of 0: the analysis keeps
+    # the forecast members (up to the round-off of the identity transform).
+    rng = np.random.default_rng(21)
+    ens = EnsembleState(members=rng.standard_normal((3, 6)) * 2.0)
+    obs = ObservationModel(H=np.eye(3), R=1e-2 * np.eye(3))
+    y = np.array([1e307, 0.0, 0.0])
+    updated = letkf_analysis(ens, obs, y, LETKF_SPECS[spec_name], LetkfConfig())
+    np.testing.assert_allclose(updated.members, ens.members, rtol=1e-12, atol=1e-12)

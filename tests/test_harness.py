@@ -173,13 +173,14 @@ def test_run_reports_nan_observation_as_divergence(filter_name):
 
 @pytest.mark.parametrize("filter_name", [f for f in FILTERS if harness._FILTER_TABLE[f][1]])
 def test_robust_filters_run_through_a_huge_finite_observation(filter_name):
-    # Bounded influence: one observation component at 1e200 neither raises
-    # nor ends the run of a robust filter.
-    cfg, setup = _setup_with_observation(filter_name, 1e200)
-    run = harness._run_filter(setup, cfg, np.random.default_rng(0))
-    assert run.divergence_step is None
-    report = harness._evaluate_run(setup, run)
-    assert np.isfinite([report.rmse, report.q_ic, report.ci_coverage_95]).all()
+    # Bounded influence: one observation component at 1e200, or near the
+    # largest double, neither raises nor ends the run of a robust filter.
+    for value in (1e200, 1.7e308):
+        cfg, setup = _setup_with_observation(filter_name, value)
+        run = harness._run_filter(setup, cfg, np.random.default_rng(0))
+        assert run.divergence_step is None, value
+        report = harness._evaluate_run(setup, run)
+        assert np.isfinite([report.rmse, report.q_ic, report.ci_coverage_95]).all(), value
 
 
 @pytest.mark.parametrize(

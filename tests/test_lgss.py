@@ -128,6 +128,18 @@ def test_mahalanobis_examples():
     assert ident.mahalanobis_sq(v) == pytest.approx(float(v @ v), rel=1e-12)
 
 
+def test_mahalanobis_of_a_finite_residual_that_overflows_is_inf():
+    # Whitening (1e307, 1e307, 1e307) by a factor of scale 1e-5 overflows
+    # the first two entries to inf and -inf, and the third to inf - inf;
+    # the form is inf, not NaN.
+    f = SpdFactor(1e-10 * (0.5 * np.eye(3) + 0.5))
+    r = np.full(3, 1e307)
+    assert f.mahalanobis_sq(r) == np.inf
+    forms = f.mahalanobis_sq(np.column_stack([r, [1e-5, 0.0, 0.0]]))
+    assert forms[0] == np.inf
+    assert forms[1] == pytest.approx(1.5, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # kf_forecast
 

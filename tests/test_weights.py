@@ -106,6 +106,17 @@ def test_kernel_strictly_decreasing_in_mahalanobis_square():
         assert np.all(np.diff(values) < 0.0)
 
 
+def test_block_kernel_of_a_residual_whose_whitening_overflows_has_zero_weight():
+    # cov^{-1/2} (y - center) overflows with mixed signs, an inf - inf inside
+    # the product with this residual; each block's weight is 0, not NaN.
+    m = np.array([[4.0, 2, 5, -5], [2, 7, 3, -2], [5, 3, 14, -10], [-5, -2, -10, 11]])
+    spec = WeightKernelSpec(family=IMQ, block_partition=((0, 2), (2, 4)))
+    y = np.array([-1e307, -1e307, 1e307, 1e307])
+    ev = eval_kernel(spec, y, np.zeros(4), SpdFactor(1e-10 * m))
+    np.testing.assert_array_equal(ev.k_sq, [0.0, 0.0])
+    np.testing.assert_array_equal(ev.log_grads, np.zeros((2, 4)))
+
+
 def test_nonpositive_threshold_rejected():
     with pytest.raises(ValueError):
         WeightKernelSpec(family=IMQ, threshold=0.0).thresholds_for(1)
