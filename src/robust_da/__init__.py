@@ -13,7 +13,6 @@ from .analysis import (
     InfluenceRow,
     WolfSpec,
     dsm_analysis,
-    dsm_rts_smoother,
     influence_sweep,
     information_form_update,
     wolf_analysis,

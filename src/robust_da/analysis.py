@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import SpdFactor, symmetrize
-from .lgss import GaussianBelief, LgssModel, kalman_gain, kf_analysis, rts_smoother
+from .lgss import GaussianBelief, LgssModel, kalman_gain, kf_analysis
 from .weights import WeightKernelSpec, WolfSpec, robust_update
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "dsm_analysis",
     "wolf_analysis",
     "information_form_update",
-    "dsm_rts_smoother",
     "influence_sweep",
     "InfluenceRow",
 ]
@@ -54,7 +53,7 @@ def _robust_analysis(
         spec, y, center, lambda: h @ forecast.cov @ h.T, model.observation.r_factor
     )
     root_w = np.sqrt(w)
-    gain, whp, _ = kalman_gain(forecast.cov, h, model.R, root_w)
+    gain, whp = kalman_gain(forecast.cov, h, model.R, root_w)
     posterior = GaussianBelief(
         mean=forecast.mean - gain @ (root_w * (center - target)),
         cov=forecast.cov - gain @ whp,  # ctor symmetrizes
@@ -117,21 +116,6 @@ def information_form_update(
     return GaussianBelief(mean=mean, cov=p_a)
 
 
-def dsm_rts_smoother(
-    model: LgssModel,
-    forecasts,
-    analyses,
-) -> list[GaussianBelief]:
-    """Backward smoother over score-matching filter output.
-
-    The backward recursion is identical to the regular RTS smoother; the
-    robust adjustment enters only through the forward-pass analysis
-    parameters, which are consumed as-is (no re-weighting backwards).
-    """
-    beliefs = [a.posterior if isinstance(a, AnalysisResult) else a for a in analyses]
-    return rts_smoother(model, forecasts, beliefs)
-
-
 @dataclass(frozen=True)
 class InfluenceRow:
     method: str
@@ -161,9 +145,7 @@ def influence_sweep(
     h = model.H
     center = h @ forecast.mean
     if direction is None:
-        # The innovation covariance is the bracket of the regular gain.
-        innovation_cov = kalman_gain(forecast.cov, h, model.R, np.ones(model.d_y))[2].matrix
-        eigvals, eigvecs = np.linalg.eigh(innovation_cov)
+        eigvals, eigvecs = np.linalg.eigh(symmetrize(model.R + h @ forecast.cov @ h.T))
         direction = eigvecs[:, np.argmax(eigvals)]
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)

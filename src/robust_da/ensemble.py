@@ -1,12 +1,14 @@
 """Ensemble approximations: stochastic EnKF with perturbed observations,
-deterministic ensemble square-root filter, and the LETKF family with
-R-localization and multiplicative inflation.
+and the LETKF with R-localization and multiplicative inflation, whose single
+global window at rho = 1 is the deterministic square-root filter (ESRF).
 
-All variants share the robust update of ``weights.robust_update``, which
-weights the observation precision R^{-1} by w and sets a target observation:
-the regular filter is the constant-kernel case (w = 1, target y), the
+All variants share the robust update of the ``weights`` core, which weights
+the observation precision R^{-1} by w and sets a target observation: the
+regular filter is the constant-kernel case (w = 1, target y), the
 score-matching (DSM) variants use w = 2 k^2 and the gradient-corrected
 target, and the weighted-likelihood (WoLF) variants w = r^2 and y itself.
+The EnKF takes them from ``weights.robust_update``, the LETKF and ESRF from
+the same kernel functions in whitened anomaly space.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import pow2_scale, psd_sym_sqrt, symmetrize
+from ._linalg import pow2_scale, symmetrize
 from .lgss import GaussianBelief, ObservationModel, kalman_gain
 from .weights import (
     CONDITIONAL,
@@ -160,44 +162,11 @@ def enkf_perturbed_analysis(
     for center, cols in zip(centers, columns):
         w, target = robust_update(spec, y, center, hph, obs.r_factor)
         root_w = np.sqrt(w)
-        gain, _, _ = kalman_gain(p_f, h, obs.R, root_w)
+        gain, _ = kalman_gain(p_f, h, obs.R, root_w)
         updated[:, cols] = members[:, cols] - gain @ (
             root_w[:, None] * predicted[:, cols] + noise[:, cols] - (root_w * target)[:, None]
         )
     return EnsembleState(members=updated)
-
-
-def esrf_analysis(
-    ensemble: EnsembleState,
-    obs: ObservationModel,
-    y: np.ndarray,
-    spec: WeightKernelSpec | WolfSpec,
-) -> EnsembleState:
-    """Deterministic square-root analysis.
-
-    The anomalies are transformed by the unique symmetric PSD square root
-
-        S = [I - (W^{1/2} HX)^T B^{-1} W^{1/2} HX / (M-1)]^{1/2},
-
-    with B = R + W^{1/2} H P H^T W^{1/2} the bracket of the weighted gain,
-    which reproduces the closed-form analysis covariance exactly (for any
-    ensemble size) and preserves the zero-sum anomaly property.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    h = obs.H
-    m = ensemble.size
-    p_f = ensemble.cov
-    center = h @ ensemble.mean
-    w, target = robust_update(spec, y, center, lambda: h @ p_f @ h.T, obs.r_factor)
-    root_w = np.sqrt(w)
-    gain, _, bracket_factor = kalman_gain(p_f, h, obs.R, root_w)
-    hx = root_w[:, None] * (h @ ensemble.anomalies)
-    core = np.eye(m) - (hx.T @ bracket_factor.solve(hx)) / (m - 1)
-    transform = psd_sym_sqrt(core)
-
-    mean_a = ensemble.mean - gain @ (root_w * (center - target))
-    members = mean_a[:, None] + ensemble.anomalies @ transform
-    return EnsembleState(members=members)
 
 
 @dataclass(frozen=True)
@@ -237,25 +206,29 @@ def _window_indices(d_x: int, d_y: int, half_width: int) -> tuple[np.ndarray, np
     return (np.arange(d_x)[:, None] + offsets) % d_y, np.abs(offsets)
 
 
-def _anomaly_analysis(
+def _transform_analysis(
+    ensemble: EnsembleState,
+    obs: ObservationModel,
+    y: np.ndarray,
     spec: WeightKernelSpec | WolfSpec,
-    y_hat: np.ndarray,
-    d_hat: np.ndarray,
-    rho: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Robust analysis of a stack of windows in whitened anomaly space.
+    config: LetkfConfig,
+) -> EnsembleState:
+    """The analysis of ``letkf_analysis`` and ``esrf_analysis``: the robust
+    update of a stack of windows, all at once, in whitened anomaly space.
 
     ``y_hat`` (n, w, M) and ``d_hat`` (n, w) are each window's observation
-    anomalies R^{-1/2} Y and innovation R^{-1/2} (y - ybar).  With
-    G = Y^T R^{-1} Y and b = Y^T R^{-1} d, the robust update in window
-    coordinates is:
+    anomalies R^{-1/2} Y and innovation R^{-1/2} (y - ybar) / d_scale, where
+    the power of two ``d_scale`` (n,) brings the largest |y - ybar| of the
+    window into [1, 2) before the whitening.  With G = Y^T R^{-1} Y and
+    b = Y^T R^{-1} d, the robust update in window coordinates is:
 
     - s = d^T R^{-1} d, or d^T Sigma_y^{-1} d for the specs standardized by
       Sigma_y = Y Y^T / (M - 1) + R, which Woodbury gives as
       d^T R^{-1} d - b^T C^{-1} b with C = (M - 1) I + G; both, and the
-      target below, are formed from d scaled by a power of two near its
-      largest entry, which is exact, so an s too large to represent is inf
-      (weight 0), never inf - inf, and a weight of 0 meets no inf;
+      target below, are formed from the scaled d and multiplied back by
+      d_scale, so a finite innovation never whitens to inf, an s too large
+      to represent is inf (weight 0), never inf - inf, and a weight of 0
+      meets no inf;
     - the weighted precision w R^{-1} with w = 2 k^2(s);
     - target innovation d - 2 (d log k^2/ds) R Std^{-1} d, with Std the
       standardizing covariance; R Std^{-1} d enters only as
@@ -265,30 +238,56 @@ def _anomaly_analysis(
       A^{-1} w Y^T R^{-1} (target innovation), transform [(M - 1) A^{-1}]^{1/2}.
 
     G, C and A share eigenvectors, so one stacked ``eigh`` of G solves all of
-    it.  Returns the (n, M) mean weights and the (n, M, M) transforms.
+    it.
     """
-    _, n_obs, m = y_hat.shape
+    if isinstance(spec, WeightKernelSpec) and len(spec.block_partition or ()) > 1:
+        raise ValueError("the LETKF weights each window as one block; got a block partition")
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y_mean = obs.H @ ensemble.mean
+    y_anom = obs.H @ ensemble.members - y_mean[:, None]
+    innovation = y - y_mean
+
+    loc = config.localization
+    if loc is None:
+        d_scale = pow2_scale(innovation)[None]
+        y_hat = obs.r_factor.whiten(y_anom)[None]
+        d_hat = obs.r_factor.whiten(innovation / d_scale)[None]
+    else:
+        r_diag = np.diag(obs.R)
+        if np.any(np.abs(obs.R - np.diag(r_diag)) > 1e-12):
+            raise ValueError("R-localization requires a diagonal observation covariance")
+        idx, dist = _window_indices(ensemble.d_x, y.shape[0], loc.half_width)
+        taper = np.exp(-(dist.astype(float) ** 2) / loc.taper_length**2)
+        r_inv_sqrt = np.sqrt(taper / r_diag[idx])
+        d_scale = pow2_scale(innovation[idx], axis=1)
+        y_hat = r_inv_sqrt[:, :, None] * y_anom[idx]
+        d_hat = r_inv_sqrt * (innovation[idx] / d_scale[:, None])
+
+    n, n_obs, m = y_hat.shape
     gram_vals, vecs = np.linalg.eigh(np.swapaxes(y_hat, 1, 2) @ y_hat)
-    scale = pow2_scale(d_hat, axis=1)
-    d_scaled = d_hat / scale[:, None]
-    # b / scale in G's eigenbasis
-    b_scaled = np.einsum("nmk,nm->nk", vecs, np.einsum("nwm,nw->nm", y_hat, d_scaled))
-    s_scaled = np.einsum("nw,nw->n", d_scaled, d_scaled)
-    std_proj = b_scaled  # Y^T R^{-1} R Std^{-1} d / scale in the eigenbasis
+    # b / d_scale in G's eigenbasis
+    b_scaled = np.einsum("nmk,nm->nk", vecs, np.einsum("nwm,nw->nm", y_hat, d_hat))
+    s_scaled = np.einsum("nw,nw->n", d_hat, d_hat)
+    std_proj = b_scaled  # Y^T R^{-1} R Std^{-1} d / d_scale in the eigenbasis
     if spec.standardization != CONDITIONAL:
         c_vals = (m - 1) + gram_vals
         s_scaled = s_scaled - np.sum(b_scaled * b_scaled / c_vals, axis=1)
         std_proj = (m - 1) * b_scaled / c_vals
-    s = np.maximum(s_scaled, 0.0) * scale * scale
+    s = np.maximum(s_scaled, 0.0) * d_scale * d_scale
     threshold = spec.thresholds_for(n_obs)[0]
     k_sq = weight_sq(spec, s, threshold)
     w = 2.0 * k_sq
     slope = np.reshape(weight_slope(spec, k_sq, threshold), (-1, 1))
-    target_proj = (w * scale)[:, None] * (b_scaled - 2.0 * slope * std_proj)
-    a_vals = (m - 1) / rho + w[:, None] * gram_vals
+    target_proj = (w * d_scale)[:, None] * (b_scaled - 2.0 * slope * std_proj)
+    a_vals = (m - 1) / config.rho + w[:, None] * gram_vals
     mean_weights = np.einsum("nmk,nk->nm", vecs, target_proj / a_vals)
     transform = (vecs * np.sqrt((m - 1) / a_vals)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
-    return mean_weights, transform
+
+    # The state rows of each window: one row per window, or all rows in one.
+    x_anom = ensemble.anomalies.reshape(n, -1, m)
+    mean_a = ensemble.mean + (x_anom @ mean_weights[:, :, None]).reshape(-1)
+    members = mean_a[:, None] + (x_anom @ transform).reshape(ensemble.members.shape)
+    return EnsembleState(members=members)
 
 
 def letkf_analysis(
@@ -306,10 +305,11 @@ def letkf_analysis(
     observation precision tapered by distance, and takes only its own row of
     the result; without it, one window holds every observation and every
     row, and is whitened by the cached Cholesky factor of R.  All windows are
-    solved at once.
+    solved at once, each innovation scaled by a power of two before it is
+    whitened.
 
     Each window runs the robust update of the shared core in whitened
-    anomaly space (``_anomaly_analysis``): the weight of its Mahalanobis
+    anomaly space (``_transform_analysis``): the weight of its Mahalanobis
     square from ``weights.weight_sq``, the weighted precision 2 k^2 R^{-1} and
     the corrected target observation, with Y Y^T / (M - 1) as the forecast
     covariance in observation space.  The constant kernel gives the regular
@@ -317,31 +317,23 @@ def letkf_analysis(
     with more than one block are rejected: a window holds a slice of the
     observations, not a partition.
     """
-    config = config or LetkfConfig()
-    if isinstance(spec, WeightKernelSpec) and len(spec.block_partition or ()) > 1:
-        raise ValueError("the LETKF weights each window as one block; got a block partition")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    y_mean = obs.H @ ensemble.mean
-    y_anom = obs.H @ ensemble.members - y_mean[:, None]
-    innovation = y - y_mean
+    return _transform_analysis(ensemble, obs, y, spec, config or LetkfConfig())
 
-    loc = config.localization
-    if loc is None:
-        y_hat = obs.r_factor.whiten(y_anom)[None]
-        d_hat = obs.r_factor.whiten(innovation)[None]
-    else:
-        r_diag = np.diag(obs.R)
-        if np.any(np.abs(obs.R - np.diag(r_diag)) > 1e-12):
-            raise ValueError("R-localization requires a diagonal observation covariance")
-        idx, dist = _window_indices(ensemble.d_x, y.shape[0], loc.half_width)
-        taper = np.exp(-(dist.astype(float) ** 2) / loc.taper_length**2)
-        r_inv_sqrt = np.sqrt(taper / r_diag[idx])
-        y_hat = r_inv_sqrt[:, :, None] * y_anom[idx]
-        d_hat = r_inv_sqrt * innovation[idx]
-    mean_weights, transform = _anomaly_analysis(spec, y_hat, d_hat, config.rho)
 
-    # The state rows of each window: one row per window, or all rows in one.
-    x_anom = ensemble.anomalies.reshape(y_hat.shape[0], -1, ensemble.size)
-    mean_a = ensemble.mean + (x_anom @ mean_weights[:, :, None]).reshape(-1)
-    members = mean_a[:, None] + (x_anom @ transform).reshape(ensemble.members.shape)
-    return EnsembleState(members=members)
+def esrf_analysis(
+    ensemble: EnsembleState,
+    obs: ObservationModel,
+    y: np.ndarray,
+    spec: WeightKernelSpec | WolfSpec,
+) -> EnsembleState:
+    """Deterministic square-root analysis: the LETKF's single global window
+    at rho = 1.
+
+    By Woodbury, the symmetric transform [I - (W^{1/2} HX)^T B^{-1} W^{1/2} HX
+    / (M-1)]^{1/2}, B = R + W^{1/2} H P H^T W^{1/2}, is that window's
+    [(M-1) A^{-1}]^{1/2}, the symmetric PSD square root being unique.  It
+    reproduces the closed-form analysis covariance exactly (for any ensemble
+    size) and preserves the zero-sum anomaly property.  Specs with more than
+    one block are rejected, as by the LETKF.
+    """
+    return _transform_analysis(ensemble, obs, y, spec, LetkfConfig())

@@ -28,9 +28,6 @@ __all__ = [
     "rts_smoother",
 ]
 
-BlockPartition = tuple[tuple[int, int], ...]
-
-
 def _as_vector(x, d: int | None = None) -> np.ndarray:
     if isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64:
         v = x
@@ -51,21 +48,6 @@ def _as_matrix(a, shape: tuple[int, int] | None = None) -> np.ndarray:
     if shape is not None and m.shape != shape:
         raise ValueError(f"expected a matrix of shape {shape}, got {m.shape}")
     return m
-
-
-def normalize_partition(partition, d: int) -> BlockPartition:
-    """Validate that contiguous (start, stop) ranges disjointly cover 0..d."""
-    blocks = tuple((int(a), int(b)) for a, b in partition)
-    cursor = 0
-    for start, stop in blocks:
-        if start != cursor or stop <= start:
-            raise ValueError(
-                f"block partition {blocks} is not a disjoint contiguous cover of 0..{d}"
-            )
-        cursor = stop
-    if cursor != d:
-        raise ValueError(f"block partition covers 0..{cursor}, expected 0..{d}")
-    return blocks
 
 
 @dataclass(frozen=True)
@@ -122,11 +104,10 @@ class GaussianBelief:
 
 @dataclass(frozen=True)
 class ObservationModel:
-    """Observation operator H with noise covariance R (optionally blocked)."""
+    """Observation operator H with noise covariance R."""
 
     H: np.ndarray
     R: np.ndarray
-    block_partition: BlockPartition | None = None
 
     def __post_init__(self):
         h = _as_matrix(self.H)
@@ -136,13 +117,8 @@ class ObservationModel:
                 f"R shape {r.shape} does not match observation dimension {h.shape[0]}"
             )
         np.linalg.cholesky(r)  # R must be genuinely SPD, no repair
-        partition = self.block_partition
-        if partition is not None:
-            partition = normalize_partition(partition, h.shape[0])
-            _check_block_diagonal(r, partition)
         object.__setattr__(self, "H", h)
         object.__setattr__(self, "R", r)
-        object.__setattr__(self, "block_partition", partition)
 
     @property
     def d_y(self) -> int:
@@ -161,17 +137,6 @@ class ObservationModel:
         return cached
 
 
-def _check_block_diagonal(r: np.ndarray, partition: BlockPartition, tol: float = 1e-12):
-    mask = np.ones_like(r, dtype=bool)
-    for start, stop in partition:
-        mask[start:stop, start:stop] = False
-    off = np.abs(r[mask])
-    if off.size and off.max() > tol:
-        raise ValueError(
-            f"R is not block-diagonal w.r.t. the partition (max off-block entry {off.max():.3e})"
-        )
-
-
 @dataclass(frozen=True)
 class LgssModel:
     """Time-invariant linear Gaussian state-space system."""
@@ -181,7 +146,6 @@ class LgssModel:
     H: np.ndarray
     R: np.ndarray
     prior: GaussianBelief
-    block_partition: BlockPartition | None = None
 
     def __post_init__(self):
         a = _as_matrix(self.A)
@@ -197,7 +161,7 @@ class LgssModel:
         h = _as_matrix(self.H)
         if h.shape[1] != d_x:
             raise ValueError(f"H has {h.shape[1]} columns, expected {d_x}")
-        obs = ObservationModel(H=h, R=self.R, block_partition=self.block_partition)
+        obs = ObservationModel(H=h, R=self.R)
         if self.prior.dim != d_x:
             raise ValueError(
                 f"prior dimension {self.prior.dim} does not match state dimension {d_x}"
@@ -206,7 +170,6 @@ class LgssModel:
         object.__setattr__(self, "Q", q)
         object.__setattr__(self, "H", obs.H)
         object.__setattr__(self, "R", obs.R)
-        object.__setattr__(self, "block_partition", obs.block_partition)
         object.__setattr__(self, "_obs", obs)
 
     @property
@@ -235,11 +198,12 @@ def kf_forecast(model: LgssModel, analysis: GaussianBelief) -> GaussianBelief:
 
 def kalman_gain(
     p_f: np.ndarray, h: np.ndarray, r: np.ndarray, root_w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, SpdFactor]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Weighted gain G = P^f H^T W^{1/2} B^{-1}, B = R + W^{1/2} H P^f H^T W^{1/2},
-    for every gain-form update (regular, robust, ensemble), with W^{1/2} H P^f
-    and the factor of B.  ``root_w`` is the square root of the robust
-    update's precision weight w; ones give the regular gain bit for bit,
+    for the closed-form and EnKF updates, with W^{1/2} H P^f, which gives the
+    analysis covariance P^f - G W^{1/2} H P^f.  ``root_w`` is the square
+    root of the robust update's precision weight w; ones give the regular
+    gain bit for bit,
     since multiplying by 1 is exact.  The Kalman gain is K = G W^{1/2}:
     P^f H^T [R / w + H P^f H^T]^{-1} for w > 0, and 0 for w = 0.
 
@@ -247,7 +211,7 @@ def kalman_gain(
     """
     hp = root_w[:, None] * (h @ p_f)
     bracket = SpdFactor(r + hp @ h.T * root_w)
-    return bracket.solve(hp).T, hp, bracket
+    return bracket.solve(hp).T, hp
 
 
 def kf_analysis(model: LgssModel, forecast: GaussianBelief, y: np.ndarray) -> GaussianBelief:
@@ -264,7 +228,7 @@ def kf_analysis(model: LgssModel, forecast: GaussianBelief, y: np.ndarray) -> Ga
         raise ValueError(
             f"forecast dimension {forecast.dim} does not match state dimension {model.d_x}"
         )
-    gain, hp, _ = kalman_gain(forecast.cov, model.H, model.R, np.ones(model.d_y))
+    gain, hp = kalman_gain(forecast.cov, model.H, model.R, np.ones(model.d_y))
     mean = forecast.mean - gain @ (model.H @ forecast.mean - y)
     return GaussianBelief(mean=mean, cov=forecast.cov - gain @ hp)  # ctor symmetrizes
 
@@ -277,6 +241,9 @@ def rts_smoother(
     """Backward Rauch-Tung-Striebel recursion.
 
     ``forecasts[k + 1]`` must be the forecast produced from ``analyses[k]``.
+    It smooths robust filter output as it stands: the robust adjustment
+    enters only through the forward-pass analyses, which are consumed as-is
+    (no re-weighting backwards).
     The recursion is initialized with the final analysis and runs
 
         G_k   = P^a_k A^T (P^f_{k+1})^{-1}

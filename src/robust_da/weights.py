@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._linalg import SpdFactor, pow2_scale
-from .lgss import BlockPartition, _check_block_diagonal, normalize_partition
 
 __all__ = [
     "IMQ",
@@ -53,6 +52,35 @@ OBS_ANOMALY = "obs_anomaly"    # Y^f (Y^f)^T / (M-1) + R
 _STANDARDIZATIONS = (MARGINAL, CONDITIONAL, OBS_ANOMALY)
 
 CONSTANT_WEIGHT_SQ = 0.5  # squared value of the Kalman-recovery kernel 1/sqrt(2)
+
+
+BlockPartition = tuple[tuple[int, int], ...]
+
+
+def normalize_partition(partition, d: int) -> BlockPartition:
+    """Validate that contiguous (start, stop) ranges disjointly cover 0..d."""
+    blocks = tuple((int(a), int(b)) for a, b in partition)
+    cursor = 0
+    for start, stop in blocks:
+        if start != cursor or stop <= start:
+            raise ValueError(
+                f"block partition {blocks} is not a disjoint contiguous cover of 0..{d}"
+            )
+        cursor = stop
+    if cursor != d:
+        raise ValueError(f"block partition covers 0..{cursor}, expected 0..{d}")
+    return blocks
+
+
+def _check_block_diagonal(r: np.ndarray, partition: BlockPartition, tol: float = 1e-12):
+    mask = np.ones_like(r, dtype=bool)
+    for start, stop in partition:
+        mask[start:stop, start:stop] = False
+    off = np.abs(r[mask])
+    if off.size and off.max() > tol:
+        raise ValueError(
+            f"R is not block-diagonal w.r.t. the partition (max off-block entry {off.max():.3e})"
+        )
 
 
 @dataclass(frozen=True)

@@ -67,11 +67,11 @@ def make_random_model(rng, d_x, d_y, block):
     else:
         partition = None
         r = random_spd(rng, d_y)
-    return LgssModel(
+    model = LgssModel(
         A=np.eye(d_x), Q=np.eye(d_x), H=h, R=r,
         prior=GaussianBelief(mean=np.zeros(d_x), cov=np.eye(d_x)),
-        block_partition=partition,
     )
+    return model, partition
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +85,10 @@ def test_criterion_01_kf_recovery():
     for trial in range(100):
         d_x = int(rng.integers(1, 11))
         d_y = int(rng.integers(1, 11))
-        model = make_random_model(rng, d_x, d_y, block=trial % 2 == 1)
+        model, partition = make_random_model(rng, d_x, d_y, block=trial % 2 == 1)
         forecast = GaussianBelief(mean=rng.standard_normal(d_x), cov=random_spd(rng, d_x))
         y = rng.standard_normal(d_y) * 3.0
-        spec = WeightKernelSpec(family=CONSTANT, block_partition=model.block_partition)
+        spec = WeightKernelSpec(family=CONSTANT, block_partition=partition)
         robust = dsm_analysis(model, forecast, y, spec).posterior
         regular = kf_analysis(model, forecast, y)
         scale_m = max(np.abs(regular.mean).max(), 1e-30)
@@ -190,7 +190,6 @@ def test_criterion_02_grid_oracle():
         model = LgssModel(
             A=np.eye(2), Q=np.eye(2), H=h, R=r,
             prior=GaussianBelief(mean=np.zeros(2), cov=np.eye(2)),
-            block_partition=partition,
         )
         forecast = GaussianBelief(mean=m_f, cov=p_f)
         spec = WeightKernelSpec(family=family, threshold=threshold, block_partition=partition)
@@ -389,7 +388,7 @@ def test_criterion_06_ensemble_consistency():
 
     # (a) ESRF second-moment exactness for M in {3, 10, 50}.
     worst_esrf = 0.0
-    model = make_random_model(rng, 3, 2, block=False)
+    model, _ = make_random_model(rng, 3, 2, block=False)
     spec = WeightKernelSpec(family=IMQ, threshold=2.0)
     for m in (3, 10, 50):
         ens = EnsembleState(members=rng.standard_normal((3, m)) * 1.4)
@@ -431,7 +430,7 @@ def test_criterion_06_ensemble_consistency():
 
     # (c) full-rank linear LETKF equivalence for all three variants.
     worst_letkf = 0.0
-    model2 = make_random_model(rng, 3, 2, block=False)
+    model2, _ = make_random_model(rng, 3, 2, block=False)
     ens2 = EnsembleState(members=rng.standard_normal((3, 9)) * 1.2)
     y2 = rng.standard_normal(2) * 2.0
     forecast2 = GaussianBelief(mean=ens2.mean, cov=ens2.cov)

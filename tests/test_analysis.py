@@ -6,7 +6,6 @@ from robust_da import (
     LgssModel,
     WolfSpec,
     dsm_analysis,
-    dsm_rts_smoother,
     influence_sweep,
     information_form_update,
     kf_analysis,
@@ -30,11 +29,11 @@ def make_model(rng, d_x, d_y, block=False):
     else:
         partition = None
         r = random_spd(rng, d_y)
-    return LgssModel(
+    model = LgssModel(
         A=np.eye(d_x), Q=np.eye(d_x), H=h, R=r,
         prior=GaussianBelief(mean=np.zeros(d_x), cov=np.eye(d_x)),
-        block_partition=partition,
     )
+    return model, partition
 
 
 def scalar_model(r=1.0, q=1.3, a=0.7, m0=0.0, p0=1.0):
@@ -53,10 +52,10 @@ def test_constant_kernel_recovers_kalman_update():
     for trial in range(100):
         d_x = int(rng.integers(1, 11))
         d_y = int(rng.integers(1, 11))
-        model = make_model(rng, d_x, d_y, block=trial % 2 == 1)
+        model, partition = make_model(rng, d_x, d_y, block=trial % 2 == 1)
         forecast = GaussianBelief(mean=rng.standard_normal(d_x), cov=random_spd(rng, d_x))
         y = rng.standard_normal(d_y) * 3.0
-        spec = WeightKernelSpec(family=CONSTANT, block_partition=model.block_partition)
+        spec = WeightKernelSpec(family=CONSTANT, block_partition=partition)
         robust = dsm_analysis(model, forecast, y, spec).posterior
         regular = kf_analysis(model, forecast, y)
         assert np.allclose(robust.mean, regular.mean, rtol=1e-12, atol=1e-12)
@@ -65,7 +64,7 @@ def test_constant_kernel_recovers_kalman_update():
 
 def test_zero_innovation_doubles_precision_gain():
     rng = np.random.default_rng(1)
-    model = make_model(rng, 3, 2)
+    model, _ = make_model(rng, 3, 2)
     forecast = GaussianBelief(mean=rng.standard_normal(3), cov=random_spd(rng, 3))
     y = model.H @ forecast.mean
     spec = WeightKernelSpec(family=IMQ, threshold=2.0)
@@ -82,11 +81,11 @@ def test_gain_and_information_forms_agree():
     for trial in range(50):
         d_x = int(rng.integers(1, 7))
         d_y = int(rng.integers(1, 7))
-        model = make_model(rng, d_x, d_y, block=trial % 3 == 0)
+        model, partition = make_model(rng, d_x, d_y, block=trial % 3 == 0)
         forecast = GaussianBelief(mean=rng.standard_normal(d_x), cov=random_spd(rng, d_x))
         y = rng.standard_normal(d_y) * 2.0
         spec = WeightKernelSpec(
-            family=IMQ, threshold=float(d_y), block_partition=model.block_partition
+            family=IMQ, threshold=float(d_y), block_partition=partition
         )
         result = dsm_analysis(model, forecast, y, spec)
         info = information_form_update(
@@ -99,7 +98,7 @@ def test_gain_and_information_forms_agree():
 
 def test_gain_satisfies_defining_system():
     rng = np.random.default_rng(3)
-    model = make_model(rng, 4, 3)
+    model, _ = make_model(rng, 4, 3)
     forecast = GaussianBelief(mean=rng.standard_normal(4), cov=random_spd(rng, 4))
     y = rng.standard_normal(3)
     result = dsm_analysis(model, forecast, y, WeightKernelSpec(family=IMQ, threshold=3.0))
@@ -197,7 +196,6 @@ def test_grid_oracle_2d_two_blocks():
     model = LgssModel(
         A=np.eye(2), Q=np.eye(2), H=h, R=r,
         prior=GaussianBelief(mean=np.zeros(2), cov=np.eye(2)),
-        block_partition=((0, 1), (1, 2)),
     )
     forecast = GaussianBelief(mean=m_f, cov=p_f)
     spec = WeightKernelSpec(
@@ -240,7 +238,7 @@ def test_grid_oracle_2d_two_blocks():
 
 def test_wolf_unit_weight_recovers_kalman():
     rng = np.random.default_rng(5)
-    model = make_model(rng, 3, 2)
+    model, _ = make_model(rng, 3, 2)
     forecast = GaussianBelief(mean=rng.standard_normal(3), cov=random_spd(rng, 3))
     y = rng.standard_normal(2)
     wolf = wolf_analysis(model, forecast, y, WolfSpec(variant="md", c_sq=1e14)).posterior
@@ -251,7 +249,7 @@ def test_wolf_unit_weight_recovers_kalman():
 
 def test_wolf_sigma_scaled_matches_dsm_at_zero_residual():
     rng = np.random.default_rng(6)
-    model = make_model(rng, 3, 2)
+    model, _ = make_model(rng, 3, 2)
     forecast = GaussianBelief(mean=rng.standard_normal(3), cov=random_spd(rng, 3))
     y = model.H @ forecast.mean
     wolf = wolf_analysis(model, forecast, y, WolfSpec(variant="sigma_scaled", c_sq=2.0))
@@ -264,7 +262,7 @@ def test_wolf_sigma_scaled_matches_dsm_at_zero_residual():
 def test_wolf_md_only_inflates():
     rng = np.random.default_rng(7)
     for _ in range(25):
-        model = make_model(rng, 3, 2)
+        model, _ = make_model(rng, 3, 2)
         forecast = GaussianBelief(mean=rng.standard_normal(3), cov=random_spd(rng, 3))
         y = model.H @ forecast.mean + rng.standard_normal(2)
         wolf = wolf_analysis(model, forecast, y, WolfSpec(variant="md", c_sq=2.0)).posterior
@@ -275,7 +273,7 @@ def test_wolf_md_only_inflates():
 
 def test_wolf_information_form_cross_check():
     rng = np.random.default_rng(8)
-    model = make_model(rng, 2, 2)
+    model, _ = make_model(rng, 2, 2)
     forecast = GaussianBelief(mean=rng.standard_normal(2), cov=random_spd(rng, 2))
     y = rng.standard_normal(2) * 2.0
     result = wolf_analysis(model, forecast, y, WolfSpec(variant="md", c_sq=2.0))
@@ -344,7 +342,7 @@ def test_dsm_smoother_constant_kernel_equals_regular():
     model = scalar_model(r=0.5)
     ys = [0.3, -0.7, 1.9, 0.2]
     forecasts, results = run_dsm_filter(model, ys, WeightKernelSpec(family=CONSTANT))
-    smoothed_dsm = dsm_rts_smoother(model, forecasts, results)
+    smoothed_dsm = rts_smoother(model, forecasts, [r.posterior for r in results])
 
     belief = model.prior
     reg_forecasts, reg_analyses = [], []
@@ -364,7 +362,7 @@ def test_dsm_smoother_final_equals_analysis():
     forecasts, results = run_dsm_filter(
         model, [0.5, 4.0, -2.0], WeightKernelSpec(family=IMQ, threshold=1.0)
     )
-    smoothed = dsm_rts_smoother(model, forecasts, results)
+    smoothed = rts_smoother(model, forecasts, [r.posterior for r in results])
     assert np.allclose(smoothed[-1].mean, results[-1].posterior.mean)
     assert np.allclose(smoothed[-1].cov, results[-1].posterior.cov)
 
@@ -374,7 +372,7 @@ def test_dsm_smoother_matches_joint_oracle_with_frozen_corrections():
     ys = [0.4, 5.0, -1.2]
     spec = WeightKernelSpec(family=IMQ, threshold=1.0)
     forecasts, results = run_dsm_filter(model, ys, spec)
-    smoothed = dsm_rts_smoother(model, forecasts, results)
+    smoothed = rts_smoother(model, forecasts, [r.posterior for r in results])
     oracle = joint_smoother_oracle(
         0.7,
         1.3,

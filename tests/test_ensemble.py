@@ -480,6 +480,7 @@ def test_letkf_batched_matches_looped_oracle(spec_name, case):
 
 
 def test_letkf_rejects_a_block_partition():
+    # So does the ESRF, the LETKF's single global window.
     rng = np.random.default_rng(20)
     ens = EnsembleState(members=rng.standard_normal((4, 5)))
     spec = WeightKernelSpec(family=IMQ, threshold=1.0, block_partition=((0, 2), (2, 4)))
@@ -489,15 +490,25 @@ def test_letkf_rejects_a_block_partition():
                 ens, ObservationModel(H=np.eye(4), R=np.eye(4)), rng.standard_normal(4), spec,
                 LetkfConfig(localization=loc),
             )
+    with pytest.raises(ValueError):
+        esrf_analysis(
+            ens, ObservationModel(H=np.eye(4), R=np.eye(4)), rng.standard_normal(4), spec
+        )
 
 
 @pytest.mark.parametrize("spec_name", ["dsm", "wolf", "conditional"])
 def test_letkf_outlier_whose_projection_overflows_keeps_the_forecast(spec_name):
-    # Y^T R^{-1} (y - H m) overflows beside a weight of 0: the analysis keeps
-    # the forecast members (up to the round-off of the identity transform).
+    # Y^T R^{-1} (y - H m) overflows beside a weight of 0, and at 1.7e308 so
+    # would R^{-1/2} (y - H m) with this R < 1: the analysis keeps the
+    # forecast members (up to the round-off of the identity transform), in
+    # the global window and in local windows that each hold the outlier.
     rng = np.random.default_rng(21)
     ens = EnsembleState(members=rng.standard_normal((3, 6)) * 2.0)
     obs = ObservationModel(H=np.eye(3), R=1e-2 * np.eye(3))
-    y = np.array([1e307, 0.0, 0.0])
-    updated = letkf_analysis(ens, obs, y, LETKF_SPECS[spec_name], LetkfConfig())
-    np.testing.assert_allclose(updated.members, ens.members, rtol=1e-12, atol=1e-12)
+    localized = LetkfConfig(localization=Localization(half_width=1, taper_length=2.0))
+    for value in (1e307, 1.7e308):
+        y = np.array([value, 0.0, 0.0])
+        for config in (LetkfConfig(), localized):
+            updated = letkf_analysis(ens, obs, y, LETKF_SPECS[spec_name], config)
+            np.testing.assert_allclose(updated.members, ens.members, rtol=1e-12, atol=1e-12)
+

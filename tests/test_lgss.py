@@ -10,6 +10,7 @@ from robust_da import (
     kf_forecast,
     rts_smoother,
 )
+from robust_da.weights import WeightKernelSpec
 from helpers import grid_posterior_1d, grid_posterior_2d, joint_smoother_oracle, random_spd
 
 
@@ -97,21 +98,9 @@ def test_model_validation():
     with pytest.raises(np.linalg.LinAlgError):
         LgssModel(A=[[1.0]], Q=[[1.0]], H=[[1.0]], R=[[-1.0]],
                   prior=GaussianBelief(mean=[0.0], cov=[[1.0]]))
-    # Block partition must cover the observation dimension.
+    # A block partition must cover the observation dimension.
     with pytest.raises(ValueError):
-        LgssModel(
-            A=np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2),
-            prior=GaussianBelief(mean=np.zeros(2), cov=np.eye(2)),
-            block_partition=((0, 1),),
-        )
-    # R must be block-diagonal w.r.t. the partition.
-    r = np.array([[1.0, 0.5], [0.5, 1.0]])
-    with pytest.raises(ValueError):
-        LgssModel(
-            A=np.eye(2), Q=np.eye(2), H=np.eye(2), R=r,
-            prior=GaussianBelief(mean=np.zeros(2), cov=np.eye(2)),
-            block_partition=((0, 1), (1, 2)),
-        )
+        WeightKernelSpec(block_partition=((0, 1),)).partition_for(2)
 
 
 # ---------------------------------------------------------------------------
