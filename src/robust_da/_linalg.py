@@ -49,15 +49,15 @@ def psd_sym_sqrt(a: np.ndarray, min_eig_tol: float = -1e-8) -> np.ndarray:
 
 
 class SpdFactor:
-    """Cholesky factor of an SPD matrix with a cached symmetric square root.
+    """Cholesky factor of an SPD matrix with a cached symmetric inverse root.
 
     Wraps the lower-triangular factor used for quadratic forms and solves,
-    plus an eigendecomposition-based symmetric root computed on demand (the
-    whitening projection for block kernels needs the basis-independent root,
-    not the triangular one).
+    plus an eigendecomposition-based symmetric inverse square root computed
+    on demand (the whitening projection for block kernels needs the
+    basis-independent root, not the triangular one).
     """
 
-    __slots__ = ("matrix", "chol", "_sym_sqrt", "_inv_sym_sqrt")
+    __slots__ = ("matrix", "chol", "_inv_sym_sqrt")
 
     def __init__(self, matrix: np.ndarray):
         a = symmetrize(np.asarray(matrix, dtype=float))
@@ -82,7 +82,6 @@ class SpdFactor:
                 jitter *= 10.0
         self.matrix = a
         self.chol = lower
-        self._sym_sqrt = None
         self._inv_sym_sqrt = None
 
     @property
@@ -144,27 +143,15 @@ class SpdFactor:
         z = self.whiten(residual / scale)
         return (float(z @ z) if z.ndim == 1 else np.sum(z * z, axis=0)) * scale * scale
 
-    def _eig_roots(self) -> None:
-        eigvals, eigvecs = np.linalg.eigh(self.matrix)
-        eigvals = np.clip(eigvals, 0.0, None)
-        root = np.sqrt(eigvals)
-        self._sym_sqrt = (eigvecs * root) @ eigvecs.T
-        with np.errstate(divide="ignore"):
-            inv_root = np.where(root > 0.0, 1.0 / root, 0.0)
-        self._inv_sym_sqrt = (eigvecs * inv_root) @ eigvecs.T
-
-    @property
-    def sym_sqrt(self) -> np.ndarray:
-        """Symmetric square root S with S @ S = matrix."""
-        if self._sym_sqrt is None:
-            self._eig_roots()
-        return self._sym_sqrt
-
     @property
     def inv_sym_sqrt(self) -> np.ndarray:
         """Symmetric inverse square root T with T @ matrix @ T = identity."""
         if self._inv_sym_sqrt is None:
-            self._eig_roots()
+            eigvals, eigvecs = np.linalg.eigh(self.matrix)
+            root = np.sqrt(np.clip(eigvals, 0.0, None))
+            with np.errstate(divide="ignore"):
+                inv_root = np.where(root > 0.0, 1.0 / root, 0.0)
+            self._inv_sym_sqrt = (eigvecs * inv_root) @ eigvecs.T
         return self._inv_sym_sqrt
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -97,17 +97,23 @@ def ensemble_forecast(
     rng: np.random.Generator,
 ) -> EnsembleState:
     """Propagate every member independently through the dynamics sampler."""
+    return EnsembleState(members=_propagate(dynamics, ensemble.members, rng))
+
+
+def _propagate(
+    dynamics: DynamicsSampler, members: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """``dynamics(members, rng)``, checked to keep the members' shape and to
+    be finite.  The ensemble and particle forecasts both call it."""
     with np.errstate(over="ignore", invalid="ignore"):
         # Overflow of a diverging member is reported via the finite check
         # below, not as a warning mid-propagation.
-        propagated = np.asarray(dynamics(ensemble.members, rng), dtype=float)
-    if propagated.shape != ensemble.members.shape:
-        raise ValueError(
-            f"dynamics returned shape {propagated.shape}, expected {ensemble.members.shape}"
-        )
+        propagated = np.asarray(dynamics(members, rng), dtype=float)
+    if propagated.shape != members.shape:
+        raise ValueError(f"dynamics returned shape {propagated.shape}, expected {members.shape}")
     if not np.all(np.isfinite(propagated)):
-        raise FloatingPointError("ensemble forecast produced non-finite members")
-    return EnsembleState(members=propagated)
+        raise FloatingPointError("forecast produced non-finite members")
+    return propagated
 
 
 def enkf_perturbed_analysis(

@@ -257,25 +257,55 @@ def simulate_target_tracking(
 # Lorenz models
 
 
+def _lorenz63_field(x1, x2, x3, d1, d2, d3) -> None:
+    """Write the Lorenz-63 field of the rows (x1, x2, x3) into the rows
+    (d1, d2, d3), in place and with no temporaries."""
+    np.multiply(8.0 / 3.0, x3, d3)
+    np.multiply(x1, x2, d2)
+    np.subtract(d2, d3, d3)    # x1 x2 - (8/3) x3
+    np.subtract(28.0, x3, d2)
+    np.multiply(x1, d2, d2)
+    np.subtract(d2, x2, d2)    # x1 (28 - x3) - x2
+    np.subtract(x2, x1, d1)
+    np.multiply(10.0, d1, d1)  # 10 (x2 - x1)
+
+
 def lorenz63_drift(x: np.ndarray) -> np.ndarray:
     """Lorenz-63 vector field (sigma=10, rho=28, beta=8/3), vectorized over columns."""
-    x1, x2, x3 = x[0], x[1], x[2]
-    return np.stack([10.0 * (x2 - x1), x1 * (28.0 - x3) - x2, x1 * x2 - (8.0 / 3.0) * x3])
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    _lorenz63_field(*x.reshape(3, -1), *out.reshape(3, -1))
+    return out
 
 
 def lorenz63_sampler(dt: float, n_steps: int, noise_scale: float = 1.0):
     """Euler-Maruyama member propagator over ``n_steps`` substeps.
 
-    Each substep adds sqrt(dt) times standard Gaussian noise per coordinate.
+    Each substep adds sqrt(dt) times standard Gaussian noise per coordinate,
+    x <- (x + dt * drift(x)) + noise_scale * sqrt(dt) * z.  One call draws
+    the noise of all its substeps as one ``(n_steps, *members.shape)``
+    block: the same numbers, in the same order, as one draw per substep, and
+    no draw at all when ``noise_scale`` is zero.  Members are (3,) or (3, M);
+    the result is a new C-ordered array whatever their layout (resampled
+    particles arrive Fortran-ordered), so the rounding of the BLAS products
+    taken from it does not depend on that layout.
     """
     sqrt_dt = np.sqrt(dt)
 
     def step(members: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        x = members
-        for _ in range(n_steps):
-            x = x + dt * lorenz63_drift(x)
+        x = np.array(members, dtype=float, order="C")
+        columns = x.reshape(3, -1)
+        d = np.empty(columns.shape)
+        rows = (*columns, *d)
+        if noise_scale:
+            noise = rng.standard_normal((n_steps, *columns.shape))
+            noise *= noise_scale * sqrt_dt
+        for k in range(n_steps):
+            _lorenz63_field(*rows)
+            d *= dt
+            columns += d
             if noise_scale:
-                x = x + noise_scale * sqrt_dt * rng.standard_normal(x.shape)
+                columns += noise[k]
         return x
 
     return step
@@ -293,22 +323,42 @@ def simulate_lorenz63(
     noise_scale: float = 1.0,
 ) -> tuple[TrajectoryRecord, ObservationModel]:
     """Stochastic Lorenz-63 twin experiment: first component observed with
-    R = 0.5 every ``t_out`` time units."""
+    R = 0.5 every ``t_out`` time units.
+
+    The truth takes Euler-Maruyama steps x <- (x + dt * drift(x)) + e with
+    e = noise_scale * sqrt(dt) * z.  The noise of all n steps is drawn as one
+    ``(n, 3)`` block, the same numbers in the same order as one
+    ``standard_normal(3)`` draw per step, so the observation draws that
+    follow are unchanged too.  The steps run in Python floats: the same IEEE
+    operations, in the same order, as the array form of ``lorenz63_drift``,
+    so the states match it bit for bit.  Finiteness is checked once per
+    observation interval; a blow-up is reported at its first non-finite step.
+    """
     steps_per_obs = int(round(t_out / dt))
-    if abs(steps_per_obs * dt - t_out) > 1e-9:
-        raise ValueError("t_out must be an integer multiple of dt")
+    if steps_per_obs < 1 or abs(steps_per_obs * dt - t_out) > 1e-9:
+        raise ValueError("t_out must be a positive integer multiple of dt")
     n = int(round(t_end / dt))
     rng = np.random.default_rng(seed)
-    sqrt_dt = np.sqrt(dt)
+    noise = noise_scale * np.sqrt(dt) * rng.standard_normal((n, 3))
 
     states = np.empty((3, n + 1))
     states[:, 0] = LORENZ63_X0
-    x = LORENZ63_X0.copy()
-    for k in range(1, n + 1):
-        x = x + dt * lorenz63_drift(x) + noise_scale * sqrt_dt * rng.standard_normal(3)
-        if not np.all(np.isfinite(x)):
+    rows = states.T
+    x1, x2, x3 = LORENZ63_X0.tolist()
+    for start in range(0, n, steps_per_obs):
+        interval = noise[start : start + steps_per_obs].tolist()
+        for i, (e1, e2, e3) in enumerate(interval):
+            d1 = 10.0 * (x2 - x1)
+            d2 = x1 * (28.0 - x3) - x2
+            d3 = x1 * x2 - (8.0 / 3.0) * x3
+            x1, x2, x3 = x1 + dt * d1 + e1, x2 + dt * d2 + e2, x3 + dt * d3 + e3
+            interval[i] = (x1, x2, x3)
+        block = rows[start + 1 : start + 1 + len(interval)]
+        block[:] = interval
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            k = start + 1 + int(np.argmin(finite))
             raise FloatingPointError(f"Lorenz-63 state blew up at step {k} (dt too large?)")
-        states[:, k] = x
     times = dt * np.arange(n + 1)
     obs_times = np.arange(steps_per_obs, n + 1, steps_per_obs)
     obs = ObservationModel(H=[[1.0, 0.0, 0.0]], R=[[0.5]])

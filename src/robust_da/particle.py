@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from ._linalg import SpdFactor
+from .ensemble import _propagate
 from .lgss import ObservationModel
 from .weights import CONDITIONAL, CONSTANT, WeightKernelSpec, loss_limit, weight_slope, weight_sq
 
@@ -121,9 +122,10 @@ def pf_step(
 ) -> ParticleCloud:
     """One propagate / reweight / resample step of the bootstrap filter.
 
-    Particles are pushed through the dynamics sampler, the log-potential is
-    added to the log-weights (normalized by log-sum-exp), and when
-    ESS / M drops below ``resample_threshold`` the cloud is resampled
+    Particles are pushed through the dynamics sampler (a non-finite forecast
+    raises ``FloatingPointError``, as in ``ensemble_forecast``), the
+    log-potential is added to the log-weights (normalized by log-sum-exp), and
+    when ESS / M drops below ``resample_threshold`` the cloud is resampled
     (multinomial) with weights reset to uniform.  With the bootstrap proposal
     the transition densities cancel, so the potential is the only weight
     update.  Each particle's kernel is standardized by R, so a non-constant
@@ -132,7 +134,7 @@ def pf_step(
     one_r_block = spec.standardization == CONDITIONAL and len(spec.block_partition or ()) < 2
     if spec.family != CONSTANT and not one_r_block:
         raise ValueError(f"the particle filter standardizes each kernel by R as one block: {spec}")
-    propagated = np.asarray(dynamics(cloud.particles, rng), dtype=float)
+    propagated = _propagate(dynamics, cloud.particles, rng)
     log_pot = dsm_log_potential(y, obs.H @ propagated, obs.r_factor, spec)
     if not np.all(np.isfinite(log_pot)):
         raise FloatingPointError("non-finite log-potential (bounded for finite observations)")

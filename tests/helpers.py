@@ -1,13 +1,13 @@
 """Shared test oracles: dense-grid quadrature posteriors, the dense
 joint-Gaussian smoothing oracle, and finite-difference gradients; a
-per-window LETKF loop and an np.roll-based Lorenz-96 integrator, references
-for the batched library code; plus a machine-speed calibration loop for
-wall-time budgets.
+per-window LETKF loop, an np.roll-based Lorenz-96 integrator and a
+draw-per-step Lorenz-63 integrator, references for the batched library code;
+plus a machine-speed calibration loop for wall-time budgets.
 
 The quadrature, smoothing and gradient oracles deliberately avoid the
 library's update formulas so that agreement is evidence, not tautology.  The
-LETKF and Lorenz-96 oracles are the straightforward loops: they pin the
-batched code to the same numbers computed one window, or one step, at a time.
+LETKF and Lorenz oracles are the straightforward loops: they pin the batched
+code to the same numbers computed one window, or one step, at a time.
 """
 
 from __future__ import annotations
@@ -286,3 +286,49 @@ def simulate_lorenz96_rolled(d, t_end, dt, t_out, burn_in, seed, contamination, 
     noise, flags = contaminate(clean, contamination, rng)
     identity = np.eye(d)
     return states, identity @ states[:, obs_times] + identity @ noise, flags, rng
+
+
+# ---------------------------------------------------------------------------
+# Lorenz-63 with an np.stack field and one noise draw per Euler-Maruyama step.
+
+
+def lorenz63_drift_stacked(x):
+    x1, x2, x3 = x[0], x[1], x[2]
+    return np.stack([10.0 * (x2 - x1), x1 * (28.0 - x3) - x2, x1 * x2 - (8.0 / 3.0) * x3])
+
+
+def lorenz63_sampler_stepwise(dt, n_steps, noise_scale=1.0):
+    sqrt_dt = np.sqrt(dt)
+
+    def step(members, rng):
+        x = members
+        for _ in range(n_steps):
+            x = x + dt * lorenz63_drift_stacked(x)
+            if noise_scale:
+                x = x + noise_scale * sqrt_dt * rng.standard_normal(x.shape)
+        return x
+
+    return step
+
+
+def simulate_lorenz63_stepwise(t_end, dt, t_out, seed, contamination, noise_scale=1.0):
+    """(states, observations, flags, generator) of the Lorenz-63 twin run;
+    raises FloatingPointError at the first step with a non-finite state."""
+    steps_per_obs = int(round(t_out / dt))
+    n = int(round(t_end / dt))
+    rng = np.random.default_rng(seed)
+    sqrt_dt = np.sqrt(dt)
+    states = np.empty((3, n + 1))
+    states[:, 0] = [-0.587, -0.563, 16.87]
+    x = states[:, 0].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            x = x + dt * lorenz63_drift_stacked(x) + noise_scale * sqrt_dt * rng.standard_normal(3)
+            if not np.all(np.isfinite(x)):
+                raise FloatingPointError(f"Lorenz-63 state blew up at step {k} (dt too large?)")
+            states[:, k] = x
+    obs_times = np.arange(steps_per_obs, n + 1, steps_per_obs)
+    clean = rng.standard_normal((1, obs_times.size))
+    noise, flags = contaminate(clean, contamination, rng)
+    h = np.array([[1.0, 0.0, 0.0]])
+    return states, h @ states[:, obs_times] + np.array([[np.sqrt(0.5)]]) @ noise, flags, rng

@@ -56,8 +56,8 @@ def test_spd_factor_reconstructs():
         f = SpdFactor(a)
         rel = np.linalg.norm(f.chol @ f.chol.T - f.matrix) / np.linalg.norm(f.matrix)
         assert rel <= 1e-10
-        root = f.sym_sqrt
-        assert np.linalg.norm(root @ root - f.matrix) / np.linalg.norm(f.matrix) <= 1e-8
+        t = f.inv_sym_sqrt
+        assert np.linalg.norm(t @ f.matrix @ t - np.eye(d)) <= 1e-8
         assert_solves_match_scipy(f, rng)
 
 

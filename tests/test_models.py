@@ -5,6 +5,7 @@ from robust_da import ContaminationSpec, contaminate
 from robust_da.models import (
     LORENZ63_X0,
     lorenz63_drift,
+    lorenz63_sampler,
     lorenz96_drift,
     lorenz96_sampler,
     simulate_lorenz63,
@@ -13,7 +14,12 @@ from robust_da.models import (
     simulate_target_tracking,
     tracking_model,
 )
-from helpers import lorenz96_sampler_rolled, simulate_lorenz96_rolled
+from helpers import (
+    lorenz63_sampler_stepwise,
+    lorenz96_sampler_rolled,
+    simulate_lorenz63_stepwise,
+    simulate_lorenz96_rolled,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +172,67 @@ def test_lorenz63_seed_reproducibility():
     b, _ = simulate_lorenz63(t_end=1.0, seed=5, contamination=ContaminationSpec(0.25, 625.0))
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.observations, b.observations)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 99])
+@pytest.mark.parametrize("contamination", [ContaminationSpec(), ContaminationSpec(0.25, 625.0)])
+def test_lorenz63_truth_matches_stepwise_integrator_bit_for_bit(seed, contamination, monkeypatch):
+    # Python-float steps and the noise drawn as one block give the same
+    # numbers as array steps with one draw per step, and leave the generator
+    # in the same state.
+    states, observations, flags, rng_stepwise = simulate_lorenz63_stepwise(
+        10.0, 0.001, 0.05, seed, contamination
+    )
+    made = []
+    default_rng = np.random.default_rng
+
+    def recorded_rng(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recorded_rng)
+    record, _ = simulate_lorenz63(t_end=10.0, seed=seed, contamination=contamination)
+    assert np.array_equal(record.states, states)
+    assert np.array_equal(record.observations, observations)
+    assert np.array_equal(record.contamination_flags, flags)
+    assert made[0].bit_generator.state == rng_stepwise.bit_generator.state
+
+
+@pytest.mark.parametrize("noise_scale", [1.0, 0.0, 0.3])
+@pytest.mark.parametrize("shape", [(3,), (3, 1), (3, 10), (3, 100)])
+def test_lorenz63_sampler_matches_stepwise_sampler_bit_for_bit(shape, noise_scale):
+    record, _ = simulate_lorenz63(t_end=0.5, seed=0)
+    members = record.states[:, -1] if len(shape) == 1 else record.states[:, -shape[1]:]
+    rng, rng_stepwise = np.random.default_rng(3), np.random.default_rng(3)
+    # Resampled particles arrive Fortran-ordered; the output is C-ordered
+    # either way, so products taken from it sum in the same order.
+    for layout in (members, np.asfortranarray(members)):
+        out = lorenz63_sampler(0.001, 50, noise_scale)(layout, rng)
+        out_stepwise = lorenz63_sampler_stepwise(0.001, 50, noise_scale)(layout, rng_stepwise)
+        assert out.shape == shape and out.flags.c_contiguous and out_stepwise.flags.c_contiguous
+        assert np.array_equal(out, out_stepwise)
+    assert rng.bit_generator.state == rng_stepwise.bit_generator.state
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "dt, steps_per_obs, seed, step",
+    [
+        (0.05, 1, 0, 29),   # every step is an observation interval
+        (0.04, 10, 0, 36),  # sixth step of the fourth interval
+        (0.05, 10, 1, 30),  # last step of the third interval
+    ],
+)
+def test_lorenz63_blowup_names_the_first_bad_step(dt, steps_per_obs, seed, step):
+    # Euler-Maruyama at these step sizes leaves the attractor and overflows.
+    t_out = steps_per_obs * dt
+    contamination = ContaminationSpec()
+    with pytest.raises(FloatingPointError) as stepwise:
+        simulate_lorenz63_stepwise(20.0, dt, t_out, seed, contamination)
+    with pytest.raises(FloatingPointError) as blowup:
+        simulate_lorenz63(t_end=20.0, dt=dt, t_out=t_out, seed=seed, contamination=contamination)
+    assert str(blowup.value) == str(stepwise.value)
+    assert f"at step {step} " in str(blowup.value)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from robust_da import (
     dsm_log_potential,
     pf_step,
 )
+from robust_da.models import lorenz63_sampler
 from robust_da.weights import CONDITIONAL, CONSTANT, IMQ, SQEXP, WeightKernelSpec
 from helpers import central_diff_gradient, fit_loglog_slope, random_spd
 
@@ -182,6 +183,20 @@ def test_pf_step_refuses_a_kernel_not_standardized_by_r():
     ):
         with pytest.raises(ValueError, match="standardizes"):
             pf_step(cloud, lambda x, rng: x, np.zeros(2), obs, spec, np.random.default_rng(0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pf_forecast_blowup_is_reported_as_a_forecast_error():
+    # A particle far off the attractor overflows the Euler-Maruyama forecast.
+    # The step reports the forecast, without numpy warnings, and does not
+    # blame the observation.
+    particles = np.array([[1e80, 1.0], [1.0, 1.0], [1.0, 20.0]])
+    obs = ObservationModel(H=[[1.0, 0.0, 0.0]], R=[[0.5]])
+    with pytest.raises(FloatingPointError, match="forecast produced non-finite members"):
+        pf_step(
+            ParticleCloud.uniform(particles), lorenz63_sampler(0.001, 50), np.zeros(1), obs,
+            imq(1.0), np.random.default_rng(0),
+        )
 
 
 def test_ess_bounds_and_resampling_reset():
