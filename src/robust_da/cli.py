@@ -93,6 +93,9 @@ def cmd_sweep(args) -> int:
     config = _apply_common(_load_config(args.config), args)
     eps = [float(v) for v in args.epsilon.split(",")]
     sql = [float(v) for v in args.sqrt_lambda.split(",")]
+    for e in eps:
+        for s in sql:
+            _replace_config(config, args, epsilon=e, lam=max(s * s, 1.0))
     filters = _parse_filters(args, config)
     result = run_sweep(config, eps, sql, filters=filters)
     failed = sum(c.n_failed for c in result.cells.values())
@@ -109,6 +112,9 @@ def cmd_size_sweep(args) -> int:
     config = _apply_common(_load_config(args.config), args)
     sizes = [int(v) for v in args.sizes.split(",")]
     filters = _parse_filters(args, config)
+    for m in sizes:
+        for filt in filters:
+            _replace_config(config, args, filter=filt, ensemble_size=m)
     result = run_ensemble_size_sweep(config, sizes, filters=filters)
     failed = sum(c.n_failed for c in result.cells.values())
     _emit({"cells": len(result.cells), "failed_replicates": failed}, args.format)

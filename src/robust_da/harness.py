@@ -14,7 +14,6 @@ order-free from the master seed via spawn keys.
 from __future__ import annotations
 
 import json
-import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -41,6 +40,7 @@ from .metrics import MetricReport
 from .models import (
     ContaminationSpec,
     TrajectoryRecord,
+    _write_csv,
     lgss_sampler,
     lorenz63_sampler,
     lorenz96_sampler,
@@ -124,10 +124,13 @@ class ExperimentConfig:
             )
         if self.mc_reps < 1:
             raise ValueError("mc_reps must be >= 1")
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
         if self.ensemble_size < 2 and not closed_form:
             raise ValueError("ensemble_size must be >= 2 for ensemble and particle filters")
-        # Build every weight and LETKF setting once, so that a bad value is
-        # refused here instead of by the filter mid-run.
+        # Build the contamination and every weight and LETKF setting once, so
+        # that a bad value is refused here instead of by a run.
+        self.contamination
         WeightKernelSpec(family=self.kernel_family, threshold=self.q_sq).thresholds_for(1)
         WolfSpec(variant=self.wolf_variant, c_sq=self.c_sq)
         if self.enkf_mode not in ENKF_MODES:
@@ -232,6 +235,8 @@ def build_setup(config: ExperimentConfig, traj_seed) -> ModelSetup:
         record, obs = simulate_lorenz96(t_end=t_end, seed=traj_seed, contamination=contamination)
         sampler = lorenz96_sampler(dt=0.01, n_steps=5)
         init_mean, init_cov = record.initial_state, np.eye(record.states.shape[0])
+    if record.n_obs == 0:
+        raise ValueError(f"t_end {t_end} gives {config.model!r} no observation to assimilate")
     return ModelSetup(
         record=record,
         lgss=lgss,
@@ -264,19 +269,21 @@ def _filter_loop(ys: np.ndarray, state, step, moments) -> FilterRun:
     The run diverges at the first step that raised a linear-algebra or
     floating-point error or recorded a non-finite mean or covariance; that
     step and the rest of the output are NaN.  Finiteness is checked once,
-    after the loop, over every recorded step.
+    after the loop, over every recorded step, so numpy's overflow and
+    invalid-value warnings are silenced for the whole loop.
     """
     n_obs = ys.shape[1]
     mean, cov, _ = moments(state)  # sizes the output
     means = np.full((n_obs, *mean.shape), np.nan)
     covs = np.full((n_obs, *cov.shape), np.nan)
     weights = np.full(n_obs, np.nan)
-    for k in range(n_obs):
-        try:
-            state = step(state, ys[:, k])
-        except (np.linalg.LinAlgError, FloatingPointError):
-            break  # rows k onwards stay NaN
-        means[k], covs[k], weights[k] = moments(state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_obs):
+            try:
+                state = step(state, ys[:, k])
+            except (np.linalg.LinAlgError, FloatingPointError):
+                break  # rows k onwards stay NaN
+            means[k], covs[k], weights[k] = moments(state)
     finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
     if finite.all():
         return FilterRun(means=means, covariances=covs, weights=weights)
@@ -417,9 +424,10 @@ def _evaluate_run(setup: ModelSetup, run: FilterRun) -> MetricReport | None:
     if run.divergence_step is not None:
         return None
     truth = setup.record.states_at_obs().T
-    return MetricReport.evaluate(
-        truth, run.means, run.covariances, diagonalize=setup.diagonalize_qic
-    )
+    with np.errstate(over="ignore"):  # a huge error squares to inf; rmse rescales it
+        return MetricReport.evaluate(
+            truth, run.means, run.covariances, diagonalize=setup.diagonalize_qic
+        )
 
 
 def run_single(config: ExperimentConfig) -> RunResult:
@@ -456,27 +464,13 @@ def _write_run_artifacts(
 
     record = setup.record
     truth = record.states_at_obs()
-    d = truth.shape[0]
-    with open(steps_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["step", "time", "contaminated_flag", "weight_sq"]
-            + [f"truth_{i}" for i in range(d)]
-            + [f"mean_{i}" for i in range(d)]
-            + [f"var_{i}" for i in range(d)]
-        )
-        for k in range(record.n_obs):
-            writer.writerow(
-                [
-                    k,
-                    repr(float(record.times[record.obs_times[k]])),
-                    int(record.contamination_flags[k]),
-                    repr(float(run.weights[k])),
-                ]
-                + [repr(float(v)) for v in truth[:, k]]
-                + [repr(float(v)) for v in run.means[k]]
-                + [repr(float(v)) for v in np.diag(run.covariances[k])]
-            )
+    header = ["step", "time", "contaminated_flag", "weight_sq"] + [
+        f"{name}_{i}" for name in ("truth", "mean", "var") for i in range(truth.shape[0])
+    ]
+    columns = [record.times[record.obs_times], record.contamination_flags.astype(int),
+               run.weights, *truth, *run.means.T,
+               *np.diagonal(run.covariances, axis1=1, axis2=2).T]
+    _write_csv(steps_path, header, zip(range(record.n_obs), *(c.tolist() for c in columns)))
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -515,51 +509,42 @@ class SweepResult:
         return self.cells[(filt, *key)]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if self.kind == "contamination":
-                writer.writerow(
-                    ["filter", "epsilon", "sqrt_lambda", "n_ok", "n_failed",
-                     "mean_rmse", "se_rmse", "mean_q_ic", "se_q_ic"]
-                )
-                for filt in self.filters:
-                    for i, eps in enumerate(self.axis_epsilon):
-                        for j, sql in enumerate(self.axis_sqrt_lambda):
-                            c = self.cells[(filt, i, j)]
-                            writer.writerow(
-                                [filt, repr(float(eps)), repr(float(sql)), c.n_ok, c.n_failed]
-                                + [repr(float(v)) for v in
-                                   (c.mean_rmse, c.se_rmse, c.mean_q_ic, c.se_q_ic)]
-                            )
-            else:
-                anchor = None
-                writer.writerow(
-                    ["filter", "ensemble_size", "n_ok", "n_failed",
-                     "mean_rmse", "se_rmse", "mean_q_ic", "se_q_ic", "mc_rate_ref"]
-                )
-                for filt in self.filters:
-                    for i, size in enumerate(self.axis_sizes):
-                        c = self.cells[(filt, i, 0)]
-                        if i == 0:
-                            anchor = c.mean_rmse * math.sqrt(size)
-                        ref = anchor / math.sqrt(size)
-                        writer.writerow(
-                            [filt, size, c.n_ok, c.n_failed]
-                            + [repr(float(v)) for v in
-                               (c.mean_rmse, c.se_rmse, c.mean_q_ic, c.se_q_ic, ref)]
-                        )
+        """One row per (filter, cell); the size layout adds a 1/sqrt(M)
+        reference anchored at each filter's first size."""
+        sizes = self.kind == "ensemble_size"
+        if sizes:
+            axes, extra = ["ensemble_size"], ["mc_rate_ref"]
+            points = {(i, 0): [size] for i, size in enumerate(self.axis_sizes)}
+        else:
+            axes, extra = ["epsilon", "sqrt_lambda"], []
+            points = {
+                (i, j): [eps, sql]
+                for i, eps in enumerate(self.axis_epsilon)
+                for j, sql in enumerate(self.axis_sqrt_lambda)
+            }
+        rows = []
+        for filt in self.filters:
+            for key, point in points.items():
+                c = self.cells[(filt, *key)]
+                row = [filt, *point, c.n_ok, c.n_failed,
+                       c.mean_rmse, c.se_rmse, c.mean_q_ic, c.se_q_ic]
+                if sizes:
+                    if key[0] == 0:
+                        anchor = c.mean_rmse * math.sqrt(point[0])
+                    row.append(anchor / math.sqrt(point[0]))
+                rows.append(row)
+        stats = ["n_ok", "n_failed", "mean_rmse", "se_rmse", "mean_q_ic", "se_q_ic"]
+        _write_csv(path, ["filter", *axes, *stats, *extra], rows)
 
     def write_replicates_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["filter", "cell", "replicate", "rmse", "q_ic"])
-            for key in sorted(self.cells, key=str):
-                c = self.cells[key]
-                filt, *cell_key = key
-                for rep, (r, q) in enumerate(zip(c.rmse_values, c.q_ic_values)):
-                    writer.writerow(
-                        [filt, "/".join(map(str, cell_key)), rep, repr(float(r)), repr(float(q))]
-                    )
+        rows = []
+        for key in sorted(self.cells, key=str):
+            c = self.cells[key]
+            filt, *cell_key = key
+            cell = "/".join(map(str, cell_key))
+            rows += [[filt, cell, rep, r, q]
+                     for rep, (r, q) in enumerate(zip(c.rmse_values, c.q_ic_values))]
+        _write_csv(path, ["filter", "cell", "replicate", "rmse", "q_ic"], rows)
 
 
 def _replicate_job(args) -> tuple:
@@ -572,7 +557,7 @@ def _replicate_job(args) -> tuple:
         cfg = replace(base, filter=filt)
         run = _run_filter(setup, cfg, np.random.default_rng(filt_ss))
         report = _evaluate_run(setup, run)
-        if report is None or not np.isfinite(report.rmse):
+        if report is None:
             out.append((filt, None, None))
         else:
             out.append((filt, report.rmse, report.q_ic))
@@ -615,8 +600,9 @@ def _collect(
     cell key to the cell's config, and write the sweep's files if
     ``config.out_dir`` is set.  ``filters`` defaults to the config's filter."""
     filters = list(filters) if filters is not None else [config.filter]
-    for filt in filters:
-        replace(config, filter=filt)  # validates every filter's config before any replicate
+    for cell in cells.values():
+        for filt in filters:
+            replace(cell, filter=filt)  # validates every run's config before any replicate
     jobs = [
         (cell, filters, key, rep) for key, cell in cells.items() for rep in range(config.mc_reps)
     ]

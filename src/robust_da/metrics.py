@@ -8,12 +8,13 @@ an impossible observation is capped at exactly 10 instead of diverging.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
 
-from ._linalg import SpdFactor
+from ._linalg import SpdFactor, pow2_scale
 
 __all__ = ["MetricReport", "rmse", "q_log", "q_ic", "ci_coverage"]
 
@@ -34,7 +35,14 @@ def rmse(truth: np.ndarray, estimate: np.ndarray) -> float:
     estimate = np.asarray(estimate, dtype=float)
     if truth.shape != estimate.shape:
         raise ValueError(f"shape mismatch: {truth.shape} vs {estimate.shape}")
-    return float(np.sqrt(np.mean((truth - estimate) ** 2)))
+    error = truth - estimate
+    value = float(np.sqrt(np.mean(error**2)))
+    if value == math.inf and np.isfinite(error).all():
+        # A finite error too large to square: redo it on the error scaled
+        # by a power of two, which is exact.
+        scale = float(pow2_scale(error))
+        value = scale * float(np.sqrt(np.mean((error / scale) ** 2)))
+    return value
 
 
 def q_log(x: float, q: float = 0.9) -> float:

@@ -48,7 +48,7 @@ class ContaminationSpec:
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
-        if self.lam < 1.0:
+        if not self.lam >= 1.0:  # refuses NaN too
             raise ValueError("lambda must be >= 1")
 
     @property
@@ -88,28 +88,26 @@ class TrajectoryRecord:
         return self.states[:, self.obs_times]
 
     def write_states_csv(self, path) -> None:
-        d = self.states.shape[0]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "time"] + [f"state_{i}" for i in range(d)])
-            for k in range(self.states.shape[1]):
-                writer.writerow([k, repr(float(self.times[k]))]
-                                + [repr(float(v)) for v in self.states[:, k]])
+        header = ["step", "time", *(f"state_{i}" for i in range(self.states.shape[0]))]
+        columns = [self.times, *self.states]
+        _write_csv(path, header, zip(range(self.times.size), *(c.tolist() for c in columns)))
 
     def write_observations_csv(self, path) -> None:
         d = self.observations.shape[0]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["obs_index", "time"] + [f"y_{i}" for i in range(d)] + ["contaminated_flag"]
-            )
-            for k in range(self.n_obs):
-                t = self.times[self.obs_times[k]]
-                writer.writerow(
-                    [k, repr(float(t))]
-                    + [repr(float(v)) for v in self.observations[:, k]]
-                    + [int(self.contamination_flags[k])]
-                )
+        header = ["obs_index", "time", *(f"y_{i}" for i in range(d)), "contaminated_flag"]
+        columns = [self.times[self.obs_times], *self.observations,
+                   self.contamination_flags.astype(int)]
+        _write_csv(path, header, zip(range(self.n_obs), *(c.tolist() for c in columns)))
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write a header and rows of str, int and Python float; the csv module
+    writes a Python float as its ``repr``.  Callers build float columns with
+    ``.tolist()``, so no numpy scalar, formatted by numpy's rules, gets here."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def contaminate(
@@ -131,18 +129,15 @@ def contaminate(
     return noise, flags
 
 
-def _observe(
-    states_at_obs: np.ndarray,
-    h: np.ndarray,
-    r_sqrt: np.ndarray,
-    spec: ContaminationSpec,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    n_obs = states_at_obs.shape[1]
-    d_y = h.shape[0]
-    clean = rng.standard_normal((d_y, n_obs))
-    noise, flags = contaminate(clean, spec, rng)
-    return h @ states_at_obs + r_sqrt @ noise, flags
+def _twin_record(states, dt, steps_per_obs, h, r_sqrt, contamination, rng) -> TrajectoryRecord:
+    """Observe the truth every ``steps_per_obs`` steps through contaminated
+    noise applied by ``r_sqrt``, and keep the record."""
+    n = states.shape[1] - 1
+    obs_times = np.arange(steps_per_obs, n + 1, steps_per_obs)
+    clean = rng.standard_normal((h.shape[0], obs_times.size))
+    noise, flags = contaminate(clean, contamination, rng)
+    observations = h @ states[:, obs_times] + r_sqrt @ noise
+    return TrajectoryRecord(dt * np.arange(n + 1), states, observations, obs_times, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +157,21 @@ def lgss_sampler(model: LgssModel, noise_scale: float = 1.0):
     return step
 
 
+def _simulate_lgss(model, t_end, dt, seed, contamination, noise_scale) -> TrajectoryRecord:
+    """Truth x <- A x + noise_scale Q^{1/2} z from the prior mean, observed
+    every step.  The draw is made even at ``noise_scale`` zero, so the
+    observation draws that follow do not depend on it."""
+    n = int(round(t_end / dt))
+    rng = np.random.default_rng(seed)
+    q_sqrt = psd_sym_sqrt(model.Q)
+    states = np.empty((model.d_x, n + 1))
+    states[:, 0] = x = model.prior.mean
+    for k in range(1, n + 1):
+        x = model.A @ x + noise_scale * (q_sqrt @ rng.standard_normal(model.d_x))
+        states[:, k] = x
+    return _twin_record(states, dt, 1, model.H, psd_sym_sqrt(model.R), contamination, rng)
+
+
 def simulate_ou(
     t_end: float = 10.0,
     dt: float = 0.1,
@@ -177,31 +187,12 @@ def simulate_ou(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    a, q, h, r = 0.7, 1.3, 1.0, 0.1
-    x0 = 5.0
-    n = int(round(t_end / dt))
-    rng = np.random.default_rng(seed)
-
-    states = np.empty((1, n + 1))
-    states[0, 0] = x0
-    x = x0
-    for k in range(1, n + 1):
-        x = a * x + noise_scale * np.sqrt(q) * rng.standard_normal()
-        states[0, k] = x
-    times = dt * np.arange(n + 1)
-    obs_times = np.arange(1, n + 1)
-    observations, flags = _observe(
-        states[:, obs_times], np.array([[h]]), np.array([[np.sqrt(r)]]), contamination, rng
-    )
-    record = TrajectoryRecord(times, states, observations, obs_times, flags)
+    a, q = 0.7, 1.3
     model = LgssModel(
-        A=[[a]],
-        Q=[[q]],
-        H=[[h]],
-        R=[[r]],
-        prior=GaussianBelief(mean=[x0], cov=[[q / (1.0 - a * a)]]),
+        A=[[a]], Q=[[q]], H=[[1.0]], R=[[0.1]],
+        prior=GaussianBelief(mean=[5.0], cov=[[q / (1.0 - a * a)]]),
     )
-    return record, model
+    return _simulate_lgss(model, t_end, dt, seed, contamination, noise_scale), model
 
 
 def tracking_model(dt: float = 0.1) -> LgssModel:
@@ -219,7 +210,6 @@ def tracking_model(dt: float = 0.1) -> LgssModel:
     )
     h = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     r = np.array([[dt**2, dt**3], [dt**3, dt**2]])
-    np.linalg.cholesky(r)  # guard: R must be SPD for the configured dt
     x0 = np.array([0.0, 0.0, 1.0, 1.0])
     return LgssModel(A=a, Q=q, H=h, R=r, prior=GaussianBelief(mean=x0, cov=np.eye(4)))
 
@@ -235,22 +225,7 @@ def simulate_target_tracking(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     model = tracking_model(dt)
-    n = int(round(t_end / dt))
-    rng = np.random.default_rng(seed)
-    q_sqrt = psd_sym_sqrt(model.Q)
-    r_sqrt = psd_sym_sqrt(model.R)
-
-    states = np.empty((4, n + 1))
-    states[:, 0] = model.prior.mean
-    x = model.prior.mean.copy()
-    for k in range(1, n + 1):
-        x = model.A @ x + noise_scale * (q_sqrt @ rng.standard_normal(4))
-        states[:, k] = x
-    times = dt * np.arange(n + 1)
-    obs_times = np.arange(1, n + 1)
-    observations, flags = _observe(states[:, obs_times], model.H, r_sqrt, contamination, rng)
-    record = TrajectoryRecord(times, states, observations, obs_times, flags)
-    return record, model
+    return _simulate_lgss(model, t_end, dt, seed, contamination, noise_scale), model
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +334,8 @@ def simulate_lorenz63(
         if not finite.all():
             k = start + 1 + int(np.argmin(finite))
             raise FloatingPointError(f"Lorenz-63 state blew up at step {k} (dt too large?)")
-    times = dt * np.arange(n + 1)
-    obs_times = np.arange(steps_per_obs, n + 1, steps_per_obs)
     obs = ObservationModel(H=[[1.0, 0.0, 0.0]], R=[[0.5]])
-    observations, flags = _observe(
-        states[:, obs_times], obs.H, np.array([[np.sqrt(0.5)]]), contamination, rng
-    )
-    record = TrajectoryRecord(times, states, observations, obs_times, flags)
-    return record, obs
+    return _twin_record(states, dt, steps_per_obs, obs.H, np.sqrt(obs.R), contamination, rng), obs
 
 
 def _lorenz96_ring(d: int) -> np.ndarray:
@@ -474,9 +443,5 @@ def simulate_lorenz96(
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"Lorenz-96 state blew up at step {k}")
         states[:, k] = x
-    times = dt * np.arange(n + 1)
-    obs_times = np.arange(steps_per_obs, n + 1, steps_per_obs)
     obs = ObservationModel(H=np.eye(d), R=np.eye(d))
-    observations, flags = _observe(states[:, obs_times], obs.H, np.eye(d), contamination, rng)
-    record = TrajectoryRecord(times, states, observations, obs_times, flags)
-    return record, obs
+    return _twin_record(states, dt, steps_per_obs, obs.H, np.eye(d), contamination, rng), obs

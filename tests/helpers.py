@@ -1,8 +1,10 @@
 """Shared test oracles: dense-grid quadrature posteriors, the dense
 joint-Gaussian smoothing oracle, and finite-difference gradients; a
-per-window LETKF loop, an np.roll-based Lorenz-96 integrator and a
-draw-per-step Lorenz-63 integrator, references for the batched library code;
-plus a machine-speed calibration loop for wall-time budgets.
+per-window LETKF loop, an np.roll-based Lorenz-96 integrator, a
+draw-per-step Lorenz-63 integrator and the two hand-written linear Gaussian
+truth loops (scalar OU in Python floats, constant-velocity tracking in
+arrays), references for the shared library code; plus a machine-speed
+calibration loop for wall-time budgets.
 
 The quadrature, smoothing and gradient oracles deliberately avoid the
 library's update formulas so that agreement is evidence, not tautology.  The
@@ -18,6 +20,7 @@ import time
 import numpy as np
 
 from robust_da import EnsembleState, SpdFactor, contaminate, psd_sym_sqrt, symmetrize
+from robust_da.models import tracking_model
 from robust_da.weights import robust_update
 
 
@@ -332,3 +335,38 @@ def simulate_lorenz63_stepwise(t_end, dt, t_out, seed, contamination, noise_scal
     noise, flags = contaminate(clean, contamination, rng)
     h = np.array([[1.0, 0.0, 0.0]])
     return states, h @ states[:, obs_times] + np.array([[np.sqrt(0.5)]]) @ noise, flags, rng
+
+
+# ---------------------------------------------------------------------------
+# Linear Gaussian truths, each with its own loop and observation tail.
+
+
+def simulate_ou_floats(t_end, dt, seed, contamination, noise_scale=1.0):
+    """(states, observations, flags) of the OU twin run, stepped in Python floats."""
+    a, q, r = 0.7, 1.3, 0.1
+    n = int(round(t_end / dt))
+    rng = np.random.default_rng(seed)
+    states = np.empty((1, n + 1))
+    states[0, 0] = x = 5.0
+    for k in range(1, n + 1):
+        x = a * x + noise_scale * np.sqrt(q) * rng.standard_normal()
+        states[0, k] = x
+    clean = rng.standard_normal((1, n))
+    noise, flags = contaminate(clean, contamination, rng)
+    return states, np.array([[1.0]]) @ states[:, 1:] + np.array([[np.sqrt(r)]]) @ noise, flags
+
+
+def simulate_tracking_stepwise(t_end, dt, seed, contamination, noise_scale=1.0):
+    """(states, observations, flags) of the constant-velocity tracking twin run."""
+    model = tracking_model(dt)
+    n = int(round(t_end / dt))
+    rng = np.random.default_rng(seed)
+    q_sqrt = psd_sym_sqrt(model.Q)
+    states = np.empty((4, n + 1))
+    states[:, 0] = x = model.prior.mean.copy()
+    for k in range(1, n + 1):
+        x = model.A @ x + noise_scale * (q_sqrt @ rng.standard_normal(4))
+        states[:, k] = x
+    clean = rng.standard_normal((2, n))
+    noise, flags = contaminate(clean, contamination, rng)
+    return states, model.H @ states[:, 1:] + psd_sym_sqrt(model.R) @ noise, flags

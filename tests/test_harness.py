@@ -1,4 +1,7 @@
+import csv
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from robust_da.harness import (
     run_sweep,
 )
 from robust_da import cli
+from robust_da.models import TrajectoryRecord
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +163,7 @@ def _setup_with_observation(filter_name, value, model=None):
     return cfg, setup
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("filter_name", FILTERS)
 def test_run_reports_nan_observation_as_divergence(filter_name):
     # Every family reports the step of a NaN or infinite observation and
@@ -172,6 +177,7 @@ def test_run_reports_nan_observation_as_divergence(filter_name):
         assert harness._evaluate_run(setup, run) is None
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("filter_name", [f for f in FILTERS if harness._FILTER_TABLE[f][1]])
 def test_robust_filters_run_through_a_huge_finite_observation(filter_name):
     # Bounded influence: one observation component at 1e200, or near the
@@ -186,6 +192,26 @@ def test_robust_filters_run_through_a_huge_finite_observation(filter_name):
             assert run.divergence_step is None, (model, value)
             report = harness._evaluate_run(setup, run)
             assert np.isfinite([report.rmse, report.q_ic, report.ci_coverage_95]).all(), value
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kf_scores_a_huge_finite_observation_with_finite_metrics(tmp_path):
+    # The plain filter follows a component at 1e200 without diverging; its
+    # squared error overflows, yet the run is scored, and its summary is
+    # valid JSON.
+    cfg, setup = _setup_with_observation("kf", 1e200)
+    run = harness._run_filter(setup, cfg, np.random.default_rng(0))
+    assert run.divergence_step is None
+    report = harness._evaluate_run(setup, run)
+    assert np.isfinite([report.rmse, report.q_ic, report.ci_coverage_95]).all()
+    assert 1e198 < report.rmse < 1e200
+    # A sweep counts a replicate as failed only when it diverged.
+    cfg = ExperimentConfig(model="tracking2d", filter="kf", t_end=10.0, mc_reps=3, seed=0)
+    stats = run_sweep(cfg, [1.0], [1.3e154]).cell("kf", 0, 0)
+    assert (stats.n_ok, stats.n_failed) == (3, 0)
+    assert np.isfinite(stats.rmse_values).all()
+    summary = run_single(replace(cfg, epsilon=1.0, lam=1.3e154**2, out_dir=str(tmp_path))).summary
+    json.dumps(summary, allow_nan=False)
 
 
 @pytest.mark.parametrize(
@@ -244,6 +270,30 @@ def test_sweeps_refuse_an_invalid_filter_before_any_replicate(monkeypatch):
         run_sweep(cfg, [0.1], [5.0], filters=["dsm_enkf", "kf"])
     with pytest.raises(ValueError, match="linear Gaussian"):
         run_ensemble_size_sweep(cfg, [10, 20], filters=["kf"])
+    with pytest.raises(ValueError, match="ensemble_size"):
+        run_ensemble_size_sweep(replace(cfg, model="ou", filter="kf"), [1, 5], filters=["enkf"])
+
+
+def test_config_refuses_a_contamination_or_horizon_it_cannot_run(monkeypatch):
+    for setting in ({"epsilon": 1.5}, {"epsilon": np.nan}, {"lam": 0.5}, {"lam": np.nan}):
+        with pytest.raises(ValueError, match="epsilon|lambda"):
+            ExperimentConfig(**setting)
+    for t_end in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="t_end"):
+            ExperimentConfig(t_end=t_end)
+
+    def no_replicate(job):
+        raise AssertionError("a replicate started")
+
+    monkeypatch.setattr(harness, "_replicate_job", no_replicate)
+    with pytest.raises(ValueError, match="epsilon"):
+        run_sweep(ExperimentConfig(t_end=1.0), [0.1, 1.5], [2.0])
+
+
+@pytest.mark.parametrize("model,t_end", [("ou", 0.01), ("lorenz63", 0.04), ("lorenz96", 0.02)])
+def test_build_setup_refuses_a_record_with_no_observation(model, t_end):
+    with pytest.raises(ValueError, match="no observation"):
+        build_setup(ExperimentConfig(model=model, filter="enkf", t_end=t_end), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +397,67 @@ def test_size_sweep_requires_increasing_sizes():
 
 
 # ---------------------------------------------------------------------------
+# Result files
+
+_EDGE_FLOATS = [0.1, 1e16, 5e-324, -0.0, math.inf, -math.inf, math.nan, 1.7976931348623157e308]
+
+
+def _read_columns(path, names):
+    """Floats parsed back from the named columns of a CSV file."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return {name: [float(row[name]) for row in rows] for name in names}
+
+
+def _same_bits(values, expected):
+    return np.array(values, dtype=float).tobytes() == np.array(expected, dtype=float).tobytes()
+
+
+def test_every_csv_file_reads_back_bit_exactly(tmp_path):
+    edge = np.array(_EDGE_FLOATS)
+    n = edge.size
+    states = np.stack([edge, edge[::-1]])
+    record = TrajectoryRecord(edge, states, states, np.arange(n), np.arange(n) % 2 == 1)
+    record.write_states_csv(tmp_path / "states.csv")
+    record.write_observations_csv(tmp_path / "obs.csv")
+    for name in ("states", "obs"):
+        prefix = "state" if name == "states" else "y"
+        cols = _read_columns(tmp_path / f"{name}.csv", ["time", f"{prefix}_0", f"{prefix}_1"])
+        assert _same_bits(cols["time"], edge)
+        assert _same_bits(cols[f"{prefix}_0"], edge) and _same_bits(cols[f"{prefix}_1"], edge[::-1])
+
+    covs = np.zeros((n, 2, 2))
+    covs[:, 0, 0], covs[:, 1, 1] = edge, edge[::-1]
+    run = harness.FilterRun(means=states.T.copy(), covariances=covs, weights=edge)
+    setup = harness.ModelSetup(record, None, None, None, None, None, False)
+    paths = harness._write_run_artifacts(ExperimentConfig(out_dir=str(tmp_path)), setup, run, {})
+    names = ["time", "weight_sq", "truth_0", "truth_1", "mean_0", "mean_1", "var_0", "var_1"]
+    cols = _read_columns(paths["steps"], names)
+    for name in names:
+        assert _same_bits(cols[name], edge[::-1] if name.endswith("_1") else edge), name
+
+    values = edge.tolist()
+    stats = ["mean_rmse", "se_rmse", "mean_q_ic", "se_q_ic"]
+    for kind, axes, key in (
+        ("contamination", {"axis_epsilon": [0.1], "axis_sqrt_lambda": values}, lambda j: (0, j)),
+        ("ensemble_size", {"axis_sizes": list(range(2, n + 2))}, lambda j: (j, 0)),
+    ):
+        cells = {
+            ("kf", *key(j)): harness.CellStats(1, 0, v, v, v, v, [v], [v])
+            for j, v in enumerate(values)
+        }
+        sweep = harness.SweepResult(kind, ["kf"], 1, cells, **axes)
+        sweep.write_csv(tmp_path / f"{kind}_cells.csv")
+        sweep.write_replicates_csv(tmp_path / f"{kind}_replicates.csv")
+        cols = _read_columns(tmp_path / f"{kind}_cells.csv", stats)
+        assert all(_same_bits(cols[name], values) for name in stats), kind
+        cols = _read_columns(tmp_path / f"{kind}_replicates.csv", ["rmse", "q_ic"])
+        assert _same_bits(cols["rmse"], values) and _same_bits(cols["q_ic"], values), kind
+    cols = _read_columns(tmp_path / "contamination_cells.csv", ["sqrt_lambda"])
+    assert _same_bits(cols["sqrt_lambda"], values)
+
+
+# ---------------------------------------------------------------------------
 # CLI
 
 
@@ -407,6 +518,27 @@ def test_cli_refuses_a_filter_the_model_cannot_run():
         assert str(err.value) == (
             "lorenz63_desk: filter 'kf' needs a linear Gaussian model, got 'lorenz63'"
         )
+
+
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        (["--epsilon", "1.5", "--sqrt-lambda", "2"], "ou_desk: epsilon must lie in [0, 1]"),
+        (["--epsilon", "0.1", "--sqrt-lambda", "nan"], "ou_desk: lambda must be >= 1"),
+    ],
+)
+def test_cli_sweep_refuses_a_bad_grid_value_in_one_line(grid, message):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["sweep", "--config", "ou_desk", "--filters", "kf", *grid])
+    assert str(err.value) == message
+
+
+def test_cli_size_sweep_refuses_a_size_a_filter_cannot_run_in_one_line():
+    with pytest.raises(SystemExit) as err:
+        cli.main(["size-sweep", "--config", "ou_desk", "--filters", "kf,enkf", "--sizes", "1,5"])
+    assert str(err.value) == (
+        "ou_desk: ensemble_size must be >= 2 for ensemble and particle filters"
+    )
 
 
 def test_cli_verify_passes(capsys):

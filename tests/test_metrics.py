@@ -39,6 +39,18 @@ def test_rmse_invariant_under_reordering():
     )
 
 
+@pytest.mark.parametrize("big", [1e160, 1e200, 1.7976931348623157e308])
+def test_rmse_of_a_finite_error_too_large_to_square_is_finite(big):
+    # Where the squares overflow, the error is rescaled by a power of two;
+    # elsewhere the result is the plain formula's, and a non-finite error
+    # still gives a non-finite RMSE.
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert rmse(np.array([big, -big]), np.zeros(2)) == big
+        assert rmse(np.array([[big, 0.0], [0.0, 0.0]]), np.zeros((2, 2))) == big / 2.0
+        assert rmse(np.array([np.inf, 1.0]), np.zeros(2)) == np.inf
+        assert np.isnan(rmse(np.array([np.nan, big]), np.zeros(2)))
+
+
 def test_rmse_shape_mismatch():
     with pytest.raises(ValueError):
         rmse(np.zeros(3), np.zeros(4))

@@ -19,6 +19,8 @@ from helpers import (
     lorenz96_sampler_rolled,
     simulate_lorenz63_stepwise,
     simulate_lorenz96_rolled,
+    simulate_ou_floats,
+    simulate_tracking_stepwise,
 )
 
 
@@ -301,6 +303,32 @@ def test_lorenz96_matches_rolled_integrator_bit_for_bit(seed):
         out_rolled = lorenz96_sampler_rolled(0.01, 5, forcing_std=forcing_std)(members, rng_rolled)
         assert np.array_equal(out, out_rolled)
     assert rng.bit_generator.state == rng_rolled.bit_generator.state
+
+
+@pytest.mark.parametrize("noise_scale", [1.0, 0.0])
+@pytest.mark.parametrize("contamination", [ContaminationSpec(), ContaminationSpec(0.25, 625.0)])
+@pytest.mark.parametrize("seed", [0, 5, 99])
+@pytest.mark.parametrize(
+    "simulate,oracle,t_end",
+    [
+        (simulate_ou, simulate_ou_floats, 10.0),
+        (simulate_target_tracking, simulate_tracking_stepwise, 5.0),
+    ],
+    ids=["ou", "tracking"],
+)
+def test_lgss_truth_matches_its_own_loop_bit_for_bit(
+    simulate, oracle, t_end, seed, contamination, noise_scale
+):
+    # The shared linear Gaussian truth loop and observation tail give the
+    # numbers of the loops each model once had, at zero noise too, where the
+    # truth draws are still made so that the observation draws stay put.
+    states, observations, flags = oracle(t_end, 0.1, seed, contamination, noise_scale)
+    record, _ = simulate(
+        t_end=t_end, dt=0.1, seed=seed, contamination=contamination, noise_scale=noise_scale
+    )
+    assert np.array_equal(record.states, states)
+    assert np.array_equal(record.observations, observations)
+    assert np.array_equal(record.contamination_flags, flags)
 
 
 # ---------------------------------------------------------------------------
