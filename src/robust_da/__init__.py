@@ -1,7 +1,7 @@
 """Robust Bayesian filtering for state-space models.
 
 Closed-form Kalman filters with generalized-Bayes analysis steps
-(score-matching and weighted-likelihood), their smoothers, ensemble variants
+(score-matching and weighted-likelihood), ensemble variants
 (stochastic EnKF, deterministic square-root filter, localized transform
 filter), a bounded-potential particle filter, and a twin-experiment benchmark
 harness for contaminated observation noise.
@@ -41,7 +41,6 @@ from .lgss import (
     ObservationModel,
     kf_analysis,
     kf_forecast,
-    rts_smoother,
 )
 from .metrics import MetricReport, ci_coverage, q_ic, q_log, rmse
 from .models import (

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from ._linalg import pow2_scale, symmetrize
-from .lgss import GaussianBelief, ObservationModel, kalman_gain
+from .lgss import ObservationModel, kalman_gain
 from .weights import (
     CONDITIONAL,
     WeightKernelSpec,
@@ -123,7 +123,6 @@ def enkf_perturbed_analysis(
     spec: WeightKernelSpec | WolfSpec,
     mode: str = "average",
     rng: np.random.Generator | None = None,
-    forecast_override: GaussianBelief | None = None,
 ) -> EnsembleState:
     """Stochastic analysis with perturbed observations.
 
@@ -134,10 +133,6 @@ def enkf_perturbed_analysis(
     With the weighted gain G of ``lgss.kalman_gain``, member x moves by
     -G (W^{1/2} (H x - target) + chol(R) z), z standard normal: K = G W^{1/2}
     times the perturbation W^{-1/2} chol(R) z of the effective covariance R / w.
-
-    ``forecast_override`` freezes the gain and kernel on exact forecast
-    moments instead of the empirical ones; with a frozen gain the update is
-    mean- and covariance-consistent with the closed-form analysis.
     """
     if rng is None:
         raise ValueError("an explicit random generator is required")
@@ -145,8 +140,7 @@ def enkf_perturbed_analysis(
         raise ValueError(f"unknown EnKF mode {mode!r}")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     h = obs.H
-    forecast = ensemble if forecast_override is None else forecast_override
-    p_f = forecast.cov
+    p_f = ensemble.cov
 
     def hph():
         return h @ p_f @ h.T
@@ -156,7 +150,7 @@ def enkf_perturbed_analysis(
     predicted = h @ members
     if mode == "average":
         # One weight and gain, at the forecast mean, for every member.
-        centers, columns = [h @ forecast.mean], [slice(None)]
+        centers, columns = [h @ ensemble.mean], [slice(None)]
         draws = rng.standard_normal((obs.d_y, m))
     else:
         if isinstance(spec, WeightKernelSpec) and spec.standardization != CONDITIONAL:
@@ -190,6 +184,9 @@ class Localization:
             raise ValueError(f"half_width must be an integer >= 0, got {self.half_width}")
         if not 0.0 < self.taper_length < math.inf:
             raise ValueError(f"taper_length must be positive and finite, got {self.taper_length}")
+        if not 0.0 < float(self.taper_length) * float(self.taper_length) < math.inf:
+            # The taper divides by taper_length**2 (0 gives a 0/0 own-site taper).
+            raise ValueError(f"taper_length {self.taper_length} squares to 0 or overflows")
 
 
 @dataclass(frozen=True)

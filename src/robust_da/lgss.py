@@ -1,5 +1,5 @@
-"""Linear Gaussian state-space core: beliefs, the model, the Kalman filter
-and the Rauch-Tung-Striebel smoother.
+"""Linear Gaussian state-space core: beliefs, the model and the Kalman
+filter's forecast, gain and analysis steps.
 
 Conventions follow the usual discrete-time system
 
@@ -12,8 +12,6 @@ information-form accessors (precision, potential) derived on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from ._linalg import SpdFactor, symmetrize
@@ -25,7 +23,6 @@ __all__ = [
     "kf_forecast",
     "kalman_gain",
     "kf_analysis",
-    "rts_smoother",
 ]
 
 def _as_vector(x, d: int | None = None) -> np.ndarray:
@@ -93,13 +90,6 @@ class GaussianBelief:
     def potential(self) -> np.ndarray:
         """Information vector theta = J @ mean."""
         return self.factor.solve(self.mean)
-
-    @classmethod
-    def from_information(cls, potential, precision) -> "GaussianBelief":
-        j = SpdFactor(_as_matrix(precision))
-        cov = symmetrize(j.inverse())
-        mean = j.solve(_as_vector(potential))
-        return cls(mean=mean, cov=cov)
 
 
 @dataclass(frozen=True)
@@ -232,38 +222,3 @@ def kf_analysis(model: LgssModel, forecast: GaussianBelief, y: np.ndarray) -> Ga
     mean = forecast.mean - gain @ (model.H @ forecast.mean - y)
     return GaussianBelief(mean=mean, cov=forecast.cov - gain @ hp)  # ctor symmetrizes
 
-
-def rts_smoother(
-    model: LgssModel,
-    forecasts: Sequence[GaussianBelief],
-    analyses: Sequence[GaussianBelief],
-) -> list[GaussianBelief]:
-    """Backward Rauch-Tung-Striebel recursion.
-
-    ``forecasts[k + 1]`` must be the forecast produced from ``analyses[k]``.
-    It smooths robust filter output as it stands: the robust adjustment
-    enters only through the forward-pass analyses, which are consumed as-is
-    (no re-weighting backwards).
-    The recursion is initialized with the final analysis and runs
-
-        G_k   = P^a_k A^T (P^f_{k+1})^{-1}
-        P^s_k = P^a_k - G_k [P^f_{k+1} - P^s_{k+1}] G_k^T
-        m^s_k = m^a_k - G_k (m^f_{k+1} - m^s_{k+1})
-    """
-    n = len(analyses)
-    if len(forecasts) != n:
-        raise ValueError("forecasts and analyses must have equal length")
-    if n == 0:
-        return []
-    smoothed = [None] * n
-    smoothed[-1] = analyses[-1]
-    for k in range(n - 2, -1, -1):
-        f_next = forecasts[k + 1]
-        s_next = smoothed[k + 1]
-        p_a = analyses[k].cov
-        # G = P^a A^T (P^f)^{-1}, computed as solve(P^f, A P^a)^T
-        gain = f_next.factor.solve(model.A @ p_a).T
-        cov = symmetrize(p_a - gain @ (f_next.cov - s_next.cov) @ gain.T)
-        mean = analyses[k].mean - gain @ (f_next.mean - s_next.mean)
-        smoothed[k] = GaussianBelief(mean=mean, cov=cov)
-    return smoothed

@@ -160,8 +160,6 @@ class MetricReport:
     rmse: float
     q_ic: float
     ci_coverage_95: float
-    rmse_series: np.ndarray   # per-step root mean squared error over dimensions
-    q_ic_series: np.ndarray   # per-step -log_q density contributions
 
     @classmethod
     def evaluate(
@@ -171,14 +169,8 @@ class MetricReport:
         covariances: np.ndarray,
         diagonalize: bool = False,
     ) -> "MetricReport":
-        truth = np.atleast_2d(np.asarray(truth, dtype=float))
-        means = np.atleast_2d(np.asarray(means, dtype=float))
-        per_step_rmse = np.sqrt(np.mean((truth - means) ** 2, axis=1))
-        per_step_q_ic = q_ic_series(truth, means, covariances, diagonalize=diagonalize)
         return cls(
             rmse=rmse(truth, means),
-            q_ic=float(np.mean(per_step_q_ic)),
+            q_ic=q_ic(truth, means, covariances, diagonalize=diagonalize),
             ci_coverage_95=ci_coverage(truth, means, covariances),
-            rmse_series=per_step_rmse,
-            q_ic_series=per_step_q_ic,
         )

@@ -51,10 +51,6 @@ class ContaminationSpec:
         if not self.lam >= 1.0:  # refuses NaN too
             raise ValueError("lambda must be >= 1")
 
-    @property
-    def well_specified(self) -> bool:
-        return self.epsilon == 0.0 or self.lam == 1.0
-
 
 WELL_SPECIFIED = ContaminationSpec()
 

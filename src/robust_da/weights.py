@@ -31,7 +31,6 @@ __all__ = [
     "loss_limit",
     "eval_kernel",
     "jensen_bounds",
-    "jensen_upper_empirical",
     "expected_weight_mc",
     "default_threshold",
     "tune_threshold",
@@ -378,16 +377,6 @@ def jensen_bounds(d_y: int, threshold: float, family: str = IMQ) -> tuple[float,
     g_mu = 2.0 * float(weight_sq(WeightKernelSpec(family=family), d_y, threshold))
     lipschitz = 2.0 / threshold
     return g_mu, g_mu + lipschitz * sigma, 2.0 * lipschitz * sigma
-
-
-def jensen_upper_empirical(d_y: int, threshold: float) -> float:
-    """Empirically sharpened IMQ upper bound with gap constant 1/3.
-
-    The 1/3 constant is a numerical observation, not a proven bound; it is
-    informational only and never used as a test oracle.
-    """
-    lower, _, _ = jensen_bounds(d_y, threshold, IMQ)
-    return lower + (math.sqrt(d_y) / threshold) / 3.0
 
 
 def _doubled_weight(family: str, xi: np.ndarray, threshold: float) -> np.ndarray:

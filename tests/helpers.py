@@ -1,15 +1,15 @@
-"""Shared test oracles: dense-grid quadrature posteriors, the dense
-joint-Gaussian smoothing oracle, and finite-difference gradients; a
-per-window LETKF loop, an np.roll-based Lorenz-96 integrator, a
-draw-per-step Lorenz-63 integrator and the two hand-written linear Gaussian
-truth loops (scalar OU in Python floats, constant-velocity tracking in
-arrays), references for the shared library code; plus a machine-speed
-calibration loop for wall-time budgets.
+"""Shared test oracles: dense-grid quadrature posteriors and
+finite-difference gradients; a per-window LETKF loop, an np.roll-based
+Lorenz-96 integrator, a draw-per-step Lorenz-63 integrator and the two
+hand-written linear Gaussian truth loops (scalar OU in Python floats,
+constant-velocity tracking in arrays), references for the shared library
+code; a machine-speed calibration loop for wall-time budgets; and the marks
+that let a test drive one of the library's intended overflows.
 
-The quadrature, smoothing and gradient oracles deliberately avoid the
-library's update formulas so that agreement is evidence, not tautology.  The
-LETKF and Lorenz oracles are the straightforward loops: they pin the batched
-code to the same numbers computed one window, or one step, at a time.
+The quadrature and gradient oracles deliberately avoid the library's update
+formulas so that agreement is evidence, not tautology.  The LETKF and Lorenz
+oracles are the straightforward loops: they pin the batched code to the same
+numbers computed one window, or one step, at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import statistics
 import time
 
 import numpy as np
+import pytest
 
 from robust_da import EnsembleState, SpdFactor, contaminate, psd_sym_sqrt, symmetrize
 from robust_da.models import tracking_model
@@ -54,61 +55,27 @@ def grid_posterior_2d(log_unnormalized, lo=-12.0, hi=12.0, n=700):
     return mean, cov
 
 
-def joint_smoother_oracle(a, q, m0, p0, h, observations, noise_covs):
-    """Condition the dense joint Gaussian of (x_1, ..., x_n) on observations.
-
-    The state recursion is x_k = a x_{k-1} + N(0, q) started from
-    x_0 ~ N(m0, p0); observation k has mean h x_k and noise covariance
-    noise_covs[k].  Returns the list of conditioned (mean, cov) marginals of
-    x_1..x_n, which is exactly what a smoother reports.
-    """
-    a = np.atleast_2d(np.asarray(a, float))
-    q = np.atleast_2d(np.asarray(q, float))
-    h = np.atleast_2d(np.asarray(h, float))
-    m0 = np.atleast_1d(np.asarray(m0, float))
-    p0 = np.atleast_2d(np.asarray(p0, float))
-    n = len(observations)
-    d = a.shape[0]
-    d_y = h.shape[0]
-
-    # Joint moments of (x_1..x_n) by propagating the prior.
-    means = np.zeros((n, d))
-    cov = np.zeros((n, d, n, d))
-    prev_mean = m0
-    prev_cov = p0
-    for k in range(n):
-        means[k] = a @ prev_mean
-        cov[k, :, k, :] = a @ prev_cov @ a.T + q
-        for j in range(k):
-            cov[k, :, j, :] = a @ cov[k - 1, :, j, :]
-            cov[j, :, k, :] = cov[k, :, j, :].T
-        prev_mean = means[k]
-        prev_cov = cov[k, :, k, :]
-
-    flat_mean = means.reshape(n * d)
-    flat_cov = cov.reshape(n * d, n * d)
-
-    # Stack the observation model: y = H_big x + noise, block-diagonal noise.
-    h_big = np.zeros((n * d_y, n * d))
-    noise_big = np.zeros((n * d_y, n * d_y))
-    y_big = np.zeros(n * d_y)
-    for k in range(n):
-        h_big[k * d_y:(k + 1) * d_y, k * d:(k + 1) * d] = h
-        noise_big[k * d_y:(k + 1) * d_y, k * d_y:(k + 1) * d_y] = np.atleast_2d(
-            np.asarray(noise_covs[k], float)
-        )
-        y_big[k * d_y:(k + 1) * d_y] = np.atleast_1d(np.asarray(observations[k], float))
-
-    s = h_big @ flat_cov @ h_big.T + noise_big
-    gain = flat_cov @ h_big.T @ np.linalg.inv(s)
-    post_mean = flat_mean + gain @ (y_big - h_big @ flat_mean)
-    post_cov = flat_cov - gain @ h_big @ flat_cov
-
-    out = []
-    for k in range(n):
-        sl = slice(k * d, (k + 1) * d)
-        out.append((post_mean[sl], post_cov[sl, sl]))
-    return out
+# Intended overflows.  Each of these lines overflows on purpose for a finite
+# residual too large to square: the whitening's first try, redone on the
+# residual scaled by a power of two, and the products that then give s = inf
+# and a weight of 0.  The suite turns every RuntimeWarning into an error; the
+# harness runs under np.errstate, so only a test that calls the library
+# directly meets these, and it names each one it drives.
+# SpdFactor.mahalanobis_sq: the first z @ z, then the rescaled * scale * scale.
+WHITENING_OVERFLOWS = pytest.mark.filterwarnings(
+    "ignore:overflow encountered in matmul:RuntimeWarning:robust_da._linalg"
+)
+RESCALED_SQUARE_OVERFLOWS = pytest.mark.filterwarnings(
+    "ignore:overflow encountered in (scalar )?multiply:RuntimeWarning:robust_da._linalg"
+)
+# weights.eval_kernel: a block's s_b * scale * scale.
+BLOCK_SQUARE_OVERFLOWS = pytest.mark.filterwarnings(
+    "ignore:overflow encountered in scalar multiply:RuntimeWarning:robust_da.weights"
+)
+# ensemble._transform_analysis: a window's s * d_scale * d_scale.
+WINDOW_SQUARE_OVERFLOWS = pytest.mark.filterwarnings(
+    "ignore:overflow encountered in multiply:RuntimeWarning:robust_da.ensemble"
+)
 
 
 def central_diff_gradient(fn, y, rel_step=1e-6):
@@ -129,11 +96,6 @@ def random_spd(rng, d, scale=1.0):
     """Random well-conditioned SPD matrix."""
     a = rng.standard_normal((d, d))
     return scale * (a @ a.T + d * np.eye(d))
-
-
-def fit_loglog_slope(sizes, errors):
-    return float(np.polyfit(np.log(np.asarray(sizes, float)),
-                            np.log(np.asarray(errors, float)), 1)[0])
 
 
 # Calibrated timing: the loop of ``perfbench/calibration.py``, copied because

@@ -13,22 +13,19 @@ from robust_da import (
     GaussianBelief,
     LetkfConfig,
     LgssModel,
-    ParticleCloud,
     SpdFactor,
     WolfSpec,
     dsm_analysis,
-    enkf_perturbed_analysis,
-    esrf_analysis,
     influence_sweep,
     kf_analysis,
     kf_forecast,
     letkf_analysis,
-    pf_step,
     q_ic,
     q_log,
     rmse,
     wolf_analysis,
 )
+from robust_da.checks import enkf_rate, esrf_covariance_error, expected_weight_sandwich, pf_rate
 from robust_da.harness import ExperimentConfig, run_sweep
 from robust_da.models import ContaminationSpec, simulate_ou
 from robust_da.weights import (
@@ -45,7 +42,6 @@ from helpers import (
     calibration_reading,
     calibration_seconds,
     central_diff_gradient,
-    fit_loglog_slope,
     grid_posterior_1d,
     grid_posterior_2d,
     random_spd,
@@ -313,12 +309,12 @@ def test_criterion_03_gradient_checks():
 def test_criterion_04_expected_weight_table():
     start = time.perf_counter()
     intervals = {10: (1.0, 1.9), 100: (1.0, 1.3), 1000: (1.0, 1.1)}
-    estimates = {}
+    estimates = {
+        d_y: est for d_y, _, est, _ in expected_weight_sandwich(intervals, 10**6, seed=104)
+    }
     ok = True
     for d_y, (lo, hi) in intervals.items():
-        est = expected_weight_mc(d_y, float(d_y), IMQ, n_samples=10**6, seed=104 + d_y)
-        estimates[d_y] = est
-        ok &= lo <= est < hi
+        ok &= lo <= estimates[d_y] < hi
     default_scalar = expected_weight_mc(1, 1.0, IMQ, n_samples=10**6, seed=104)
     ok &= abs(default_scalar - 1.3) <= 0.02
     tuned = tune_threshold(1, IMQ, n_samples=10**6, seed=104)
@@ -387,46 +383,12 @@ def test_criterion_06_ensemble_consistency():
     rng = np.random.default_rng(106)
 
     # (a) ESRF second-moment exactness for M in {3, 10, 50}.
-    worst_esrf = 0.0
     model, _ = make_random_model(rng, 3, 2, block=False)
     spec = WeightKernelSpec(family=IMQ, threshold=2.0)
-    for m in (3, 10, 50):
-        ens = EnsembleState(members=rng.standard_normal((3, m)) * 1.4)
-        y = rng.standard_normal(2) * 2.0
-        updated = esrf_analysis(ens, model.observation, y, spec)
-        closed = dsm_analysis(
-            model, GaussianBelief(mean=ens.mean, cov=ens.cov), y, spec
-        ).posterior
-        worst_esrf = max(
-            worst_esrf,
-            np.linalg.norm(updated.cov - closed.cov) / np.linalg.norm(closed.cov),
-        )
+    worst_esrf = esrf_covariance_error(model, spec, rng, (3, 10, 50))
 
     # (b) frozen-gain stochastic EnKF Monte-Carlo rate over four decades.
-    scalar = LgssModel(
-        A=[[0.7]], Q=[[1.3]], H=[[1.0]], R=[[1.0]],
-        prior=GaussianBelief(mean=[0.0], cov=[[1.0]]),
-    )
-    forecast = GaussianBelief(mean=[0.0], cov=[[1.0]])
-    y = np.array([2.0])
-    spec_s = WeightKernelSpec(family=IMQ, threshold=1.0)
-    target = dsm_analysis(scalar, forecast, y, spec_s).posterior
-    sizes = [100, 1000, 10_000, 100_000]
-    mean_errors, cov_errors = [], []
-    for m in sizes:
-        me, ce = [], []
-        for _ in range(48):
-            members = forecast.mean[:, None] + rng.standard_normal((1, m))
-            updated = enkf_perturbed_analysis(
-                EnsembleState(members=members), scalar.observation, y, spec_s,
-                rng=rng, forecast_override=forecast,
-            )
-            me.append(abs(updated.mean[0] - target.mean[0]))
-            ce.append(abs(updated.cov[0, 0] - target.cov[0, 0]))
-        mean_errors.append(np.mean(me))
-        cov_errors.append(np.mean(ce))
-    slope_mean = fit_loglog_slope(sizes, mean_errors)
-    slope_cov = fit_loglog_slope(sizes, cov_errors)
+    slope_mean, slope_cov = enkf_rate(rng, [100, 1000, 10_000, 100_000], reps=48)
 
     # (c) full-rank linear LETKF equivalence for all three variants.
     worst_letkf = 0.0
@@ -711,34 +673,9 @@ def test_criterion_12_metrics_exactness():
 
 def test_criterion_13_particle_filter():
     start = time.perf_counter()
-    model = LgssModel(
-        A=[[0.7]], Q=[[1.3]], H=[[1.0]], R=[[1.0]],
-        prior=GaussianBelief(mean=[0.0], cov=[[1.0]]),
+    err_large, se, slope = pf_rate(
+        np.random.default_rng(113), [100, 1000, 10_000, 100_000], reps=48
     )
-    y = np.array([1.5])
-    forecast = GaussianBelief(mean=[0.0], cov=[[0.49 + 1.3]])
-    spec = WeightKernelSpec(family=CONSTANT)
-    target = dsm_analysis(model, forecast, y, spec).posterior
-
-    def dynamics(members, rng):
-        return 0.7 * members + np.sqrt(1.3) * rng.standard_normal(members.shape)
-
-    rng = np.random.default_rng(113)
-    cloud = ParticleCloud.uniform(rng.standard_normal((1, 100_000)))
-    stepped = pf_step(cloud, dynamics, y, model.observation, spec, rng, resample_threshold=0.0)
-    se = np.sqrt(target.cov[0, 0] / stepped.ess)
-    err_large = abs(stepped.weighted_mean()[0] - target.mean[0])
-
-    sizes = [100, 1000, 10_000, 100_000]
-    errors = []
-    for m in sizes:
-        errs = []
-        for _ in range(48):
-            c = ParticleCloud.uniform(rng.standard_normal((1, m)))
-            out = pf_step(c, dynamics, y, model.observation, spec, rng, resample_threshold=0.0)
-            errs.append(abs(out.weighted_mean()[0] - target.mean[0]))
-        errors.append(np.mean(errs))
-    slope = fit_loglog_slope(sizes, errors)
     elapsed = time.perf_counter() - start
     ok = err_large <= 3.0 * se and abs(slope + 0.5) <= 0.15 and elapsed < 60.0
     report(

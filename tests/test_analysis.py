@@ -9,13 +9,11 @@ from robust_da import (
     influence_sweep,
     information_form_update,
     kf_analysis,
-    kf_forecast,
-    rts_smoother,
     wolf_analysis,
 )
 from robust_da.lgss import kalman_gain
 from robust_da.weights import CONSTANT, IMQ, WeightKernelSpec
-from helpers import grid_posterior_1d, grid_posterior_2d, joint_smoother_oracle, random_spd
+from helpers import grid_posterior_1d, grid_posterior_2d, random_spd
 
 
 def make_model(rng, d_x, d_y, block=False):
@@ -321,67 +319,3 @@ def test_influence_sweep_boundedness():
     assert by_method["wolf"][1e6] <= 2.0 * by_method["wolf"][1e3]
     assert by_method["kf"][1e6] >= 100.0 * by_method["dsm"][1e6]
 
-
-# ---------------------------------------------------------------------------
-# Smoother over robust filter output
-
-
-def run_dsm_filter(model, ys, spec):
-    forecasts, results = [], []
-    belief = model.prior
-    for y in ys:
-        forecast = kf_forecast(model, belief)
-        result = dsm_analysis(model, forecast, np.atleast_1d(y), spec)
-        belief = result.posterior
-        forecasts.append(forecast)
-        results.append(result)
-    return forecasts, results
-
-
-def test_dsm_smoother_constant_kernel_equals_regular():
-    model = scalar_model(r=0.5)
-    ys = [0.3, -0.7, 1.9, 0.2]
-    forecasts, results = run_dsm_filter(model, ys, WeightKernelSpec(family=CONSTANT))
-    smoothed_dsm = rts_smoother(model, forecasts, [r.posterior for r in results])
-
-    belief = model.prior
-    reg_forecasts, reg_analyses = [], []
-    for y in ys:
-        forecast = kf_forecast(model, belief)
-        belief = kf_analysis(model, forecast, [y])
-        reg_forecasts.append(forecast)
-        reg_analyses.append(belief)
-    smoothed_reg = rts_smoother(model, reg_forecasts, reg_analyses)
-    for a, b in zip(smoothed_dsm, smoothed_reg):
-        assert np.allclose(a.mean, b.mean, rtol=1e-12)
-        assert np.allclose(a.cov, b.cov, rtol=1e-12)
-
-
-def test_dsm_smoother_final_equals_analysis():
-    model = scalar_model()
-    forecasts, results = run_dsm_filter(
-        model, [0.5, 4.0, -2.0], WeightKernelSpec(family=IMQ, threshold=1.0)
-    )
-    smoothed = rts_smoother(model, forecasts, [r.posterior for r in results])
-    assert np.allclose(smoothed[-1].mean, results[-1].posterior.mean)
-    assert np.allclose(smoothed[-1].cov, results[-1].posterior.cov)
-
-
-def test_dsm_smoother_matches_joint_oracle_with_frozen_corrections():
-    model = scalar_model(m0=1.0, p0=2.0, r=0.4)
-    ys = [0.4, 5.0, -1.2]
-    spec = WeightKernelSpec(family=IMQ, threshold=1.0)
-    forecasts, results = run_dsm_filter(model, ys, spec)
-    smoothed = rts_smoother(model, forecasts, [r.posterior for r in results])
-    oracle = joint_smoother_oracle(
-        0.7,
-        1.3,
-        [1.0],
-        [[2.0]],
-        1.0,
-        [res.target for res in results],
-        [model.R / res.weight[0] for res in results],
-    )
-    for s, (om, oc) in zip(smoothed, oracle):
-        assert s.mean[0] == pytest.approx(om[0], abs=1e-8)
-        assert s.cov[0, 0] == pytest.approx(oc[0, 0], abs=1e-8)

@@ -10,10 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_da import GaussianBelief, LgssModel, dsm_analysis, kf_analysis, wolf_analysis
+from robust_da import (
+    EnsembleState,
+    GaussianBelief,
+    LgssModel,
+    dsm_analysis,
+    esrf_analysis,
+    kf_analysis,
+    wolf_analysis,
+)
 from robust_da.analysis import information_form_update
 from robust_da.weights import CONSTANT, IMQ, SQEXP, WeightKernelSpec, WolfSpec, robust_update
-from helpers import random_spd
+from helpers import (
+    BLOCK_SQUARE_OVERFLOWS,
+    RESCALED_SQUARE_OVERFLOWS,
+    WHITENING_OVERFLOWS,
+    random_spd,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -91,6 +104,32 @@ def test_gain_form_equals_information_form(system, spec):
     assert_close_relative(result.posterior.cov, info.cov, rtol=1e-9)
 
 
+@st.composite
+def ensembles(draw):
+    """(model, ensemble, y): a system from ``systems`` with 3 to 12 members
+    drawn from its forecast."""
+    model, forecast, y = draw(systems())
+    m = draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = rng.standard_normal((model.d_x, m))
+    members = forecast.mean[:, None] + np.linalg.cholesky(forecast.cov) @ noise
+    return model, EnsembleState(members=members), y
+
+
+@PROPERTY_SETTINGS
+@given(ensembles(), st.sampled_from([*ROBUST_SPECS, WeightKernelSpec(family=CONSTANT)]))
+def test_esrf_is_the_closed_form_analysis_at_the_ensemble_moments(system, spec):
+    # The ESRF's second moment is exact for any ensemble size: its analysis
+    # mean and covariance are the closed-form analysis of the ensemble's own
+    # mean and covariance, rank-deficient ones (M - 1 < d_X) included.
+    model, ensemble, y = system
+    updated = esrf_analysis(ensemble, model.observation, y, spec)
+    forecast = GaussianBelief(mean=ensemble.mean, cov=ensemble.cov)
+    closed = analyse(model, forecast, y, spec).posterior
+    assert_close_relative(updated.mean, closed.mean, rtol=1e-8)
+    assert_close_relative(updated.cov, closed.cov, rtol=1e-8)
+
+
 def influence_supremum(model, forecast, spec):
     """Analytic bound on the posterior-mean shift of a single-block robust
     analysis, over every observation.
@@ -121,6 +160,8 @@ def influence_supremum(model, forecast, spec):
     return 1.01 * gain_norm * np.max(w * np.sqrt(s) * (c + 2.0 * slope))
 
 
+@WHITENING_OVERFLOWS
+@RESCALED_SQUARE_OVERFLOWS
 @PROPERTY_SETTINGS
 @given(
     systems(st.floats(3.0, 307.0).map(lambda e: 10.0**e), r_exponents=(-12, 2)),
@@ -149,6 +190,8 @@ def test_robust_analysis_is_scale_safe(system, spec):
     assert shift <= influence_supremum(model, forecast, spec)
 
 
+@WHITENING_OVERFLOWS
+@RESCALED_SQUARE_OVERFLOWS
 def test_outlier_too_large_to_square_gets_zero_weight():
     # Both components near 1e154: the whitened residual's square overflows.
     # The weight is 0 and the posterior is the forecast, where a quadratic
@@ -164,6 +207,9 @@ def test_outlier_too_large_to_square_gets_zero_weight():
     np.testing.assert_array_equal(result.posterior.cov, model.prior.cov)
 
 
+@WHITENING_OVERFLOWS
+@RESCALED_SQUARE_OVERFLOWS
+@BLOCK_SQUARE_OVERFLOWS
 @pytest.mark.parametrize(
     "spec",
     [

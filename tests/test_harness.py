@@ -18,6 +18,7 @@ from robust_da.harness import (
     run_sweep,
 )
 from robust_da import cli
+from robust_da.ensemble import Localization
 from robust_da.models import TrajectoryRecord
 
 
@@ -54,6 +55,33 @@ def test_config_refuses_bad_weight_settings_when_built(setting, tmp_path):
     with pytest.raises(SystemExit) as err:
         cli.main(["run", "--config", str(path)])
     assert str(err.value).startswith(f"{path}: ") and "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("taper_length", [1e-300, 1e200])
+def test_config_refuses_a_taper_length_whose_square_is_zero_or_overflows(taper_length, tmp_path):
+    # The taper divides by taper_length**2.  A square of 0 made the own-site
+    # taper 0/0 and every LETKF run diverge at step 0; one that overflows
+    # raised OverflowError mid-run.  Both are refused before any replicate.
+    with pytest.raises(ValueError, match="taper_length"):
+        Localization(half_width=19, taper_length=taper_length)
+    with pytest.raises(ValueError, match="taper_length"):
+        ExperimentConfig(model="lorenz96", filter="dsm_letkf", taper_length=taper_length)
+    path = tmp_path / "cfg.json"
+    config = {"model": "lorenz96", "filter": "dsm_letkf", "taper_length": taper_length}
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["run", "--config", str(path)])
+    assert str(err.value).startswith(f"{path}: taper_length") and "\n" not in str(err.value)
+
+
+def test_a_taper_length_whose_square_is_tiny_but_positive_runs_clean():
+    # 1e-150 squares to 1e-300: the taper keeps each site's own observation
+    # only, and the run neither diverges nor warns.
+    result = run_single(ExperimentConfig(
+        model="lorenz96", filter="dsm_letkf", t_end=0.3, seed=1, taper_length=1e-150,
+    ))
+    assert result.run.divergence_step is None
+    assert math.isfinite(result.summary["rmse"])
 
 
 def test_presets_are_valid():
@@ -316,7 +344,7 @@ def test_sweep_grid_bookkeeping_and_pairing():
         assert stats.n_ok + stats.n_failed == 3, key
 
 
-def test_sweep_well_specified_kf_is_best():
+def test_sweep_uncontaminated_kf_is_best():
     cfg = ExperimentConfig(model="ou", t_end=10.0, mc_reps=24, seed=17)
     sweep = run_sweep(cfg, [0.0], [27.5], filters=["kf", "dsm_kf", "wolf_kf"])
     kf = sweep.cell("kf", 0, 0)

@@ -8,10 +8,14 @@ from robust_da import (
     SpdFactor,
     kf_analysis,
     kf_forecast,
-    rts_smoother,
 )
 from robust_da.weights import WeightKernelSpec
-from helpers import grid_posterior_1d, grid_posterior_2d, joint_smoother_oracle, random_spd
+from helpers import (
+    RESCALED_SQUARE_OVERFLOWS,
+    grid_posterior_1d,
+    grid_posterior_2d,
+    random_spd,
+)
 
 
 def scalar_model(a=0.7, q=1.3, h=1.0, r=0.1, m0=0.0, p0=1.0):
@@ -79,9 +83,8 @@ def test_belief_symmetrizes_and_round_trips():
     assert np.allclose(belief.cov, belief.cov.T)
     j = belief.precision
     theta = belief.potential
-    rebuilt = GaussianBelief.from_information(theta, j)
-    assert np.allclose(rebuilt.mean, belief.mean, rtol=1e-8, atol=1e-10)
-    assert np.allclose(rebuilt.cov, belief.cov, rtol=1e-8, atol=1e-10)
+    assert np.allclose(np.linalg.solve(j, theta), belief.mean, rtol=1e-8, atol=1e-10)
+    assert np.allclose(np.linalg.inv(j), belief.cov, rtol=1e-8, atol=1e-10)
 
 
 def test_information_round_trip_random_matrices():
@@ -117,6 +120,7 @@ def test_mahalanobis_examples():
     assert ident.mahalanobis_sq(v) == pytest.approx(float(v @ v), rel=1e-12)
 
 
+@RESCALED_SQUARE_OVERFLOWS
 def test_mahalanobis_of_a_finite_residual_that_overflows_is_inf():
     # Whitening (1e307, 1e307, 1e307) by a factor of scale 1e-5 overflows
     # the first two entries to inf and -inf, and the third to inf - inf;
@@ -278,67 +282,3 @@ def test_analysis_matches_grid_oracle_2d():
     assert np.allclose(post.mean, mean, atol=1e-3)
     assert np.allclose(post.cov, cov, atol=1e-3)
 
-
-# ---------------------------------------------------------------------------
-# RTS smoother
-
-
-def run_scalar_filter(model, ys):
-    forecasts, analyses = [], []
-    belief = model.prior
-    for y in ys:
-        forecast = kf_forecast(model, belief)
-        belief = kf_analysis(model, forecast, [y])
-        forecasts.append(forecast)
-        analyses.append(belief)
-    return forecasts, analyses
-
-
-def test_smoother_final_step_is_analysis():
-    model = scalar_model()
-    forecasts, analyses = run_scalar_filter(model, [0.4, -1.0, 2.2])
-    smoothed = rts_smoother(model, forecasts, analyses)
-    assert smoothed[-1] is analyses[-1]
-
-
-def test_smoother_static_state_means_collapse():
-    # Near-deterministic identity dynamics: all smoothed means equal the
-    # final analysis mean.
-    model = LgssModel(
-        A=[[1.0]], Q=[[1e-14]], H=[[1.0]], R=[[1.0]],
-        prior=GaussianBelief(mean=[0.0], cov=[[1.0]]),
-    )
-    forecasts, analyses = run_scalar_filter(model, [1.0, 2.0, 0.5, 1.5])
-    smoothed = rts_smoother(model, forecasts, analyses)
-    for s in smoothed:
-        assert s.mean[0] == pytest.approx(smoothed[-1].mean[0], abs=1e-6)
-
-
-def test_smoother_matches_joint_gaussian_oracle():
-    model = scalar_model(m0=1.0, p0=2.0)
-    ys = [0.4, -1.0, 2.2]
-    forecasts, analyses = run_scalar_filter(model, ys)
-    smoothed = rts_smoother(model, forecasts, analyses)
-    oracle = joint_smoother_oracle(
-        0.7, 1.3, [1.0], [[2.0]], 1.0, [[y] for y in ys], [[[0.1]]] * 3
-    )
-    for s, (om, oc) in zip(smoothed, oracle):
-        assert s.mean[0] == pytest.approx(om[0], abs=1e-8)
-        assert s.cov[0, 0] == pytest.approx(oc[0, 0], abs=1e-8)
-
-
-def test_smoother_variance_not_above_analysis_variance():
-    model = scalar_model()
-    rng = np.random.default_rng(7)
-    ys = rng.standard_normal(30)
-    forecasts, analyses = run_scalar_filter(model, ys)
-    smoothed = rts_smoother(model, forecasts, analyses)
-    for s, a in zip(smoothed, analyses):
-        assert s.cov[0, 0] <= a.cov[0, 0] + 1e-12
-
-
-def test_smoother_rejects_mismatched_lists():
-    model = scalar_model()
-    forecasts, analyses = run_scalar_filter(model, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        rts_smoother(model, forecasts[:1], analyses)

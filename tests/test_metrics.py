@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from robust_da import MetricReport, ci_coverage, q_ic, q_log, rmse
+from robust_da.metrics import q_ic_series
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,6 @@ def test_metric_report_bundle():
     assert report.rmse > 0.0
     assert report.q_ic <= 10.0
     assert 0.0 <= report.ci_coverage_95 <= 1.0
-    assert report.rmse_series.shape == (30,)
-    assert report.q_ic_series.shape == (30,)
-    assert np.sqrt(np.mean(report.rmse_series**2)) == pytest.approx(report.rmse, rel=1e-12)
-    assert report.q_ic_series.mean() == pytest.approx(report.q_ic, rel=1e-12)
+    assert report.rmse == rmse(truth, means)
+    assert report.q_ic == float(np.mean(q_ic_series(truth, means, covs)))
+    assert report.ci_coverage_95 == ci_coverage(truth, means, covs)

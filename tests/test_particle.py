@@ -13,7 +13,7 @@ from robust_da import (
 )
 from robust_da.models import lorenz63_sampler
 from robust_da.weights import CONDITIONAL, CONSTANT, IMQ, SQEXP, WeightKernelSpec
-from helpers import central_diff_gradient, fit_loglog_slope, random_spd
+from helpers import central_diff_gradient, random_spd
 
 
 def scalar_model(r=1.0):
@@ -231,26 +231,4 @@ def test_resampling_preserves_weighted_mean_on_average():
     means = np.asarray(means)
     se = means.std(ddof=1) / np.sqrt(200)
     assert abs(means.mean() - target) <= 3.0 * se
-
-
-def test_pf_monte_carlo_rate_light():
-    model = scalar_model()
-    y = np.array([1.0])
-    forecast = GaussianBelief(mean=[0.0], cov=[[0.49 + 1.3]])
-    spec = WeightKernelSpec(family=CONSTANT)
-    target = dsm_analysis(model, forecast, y, spec).posterior
-    rng = np.random.default_rng(5)
-    sizes = [100, 1000, 10_000]
-    errors = []
-    for m in sizes:
-        errs = []
-        for _ in range(30):
-            cloud = ParticleCloud.uniform(rng.standard_normal((1, m)))
-            out = pf_step(
-                cloud, lgss_dynamics, y, model.observation, spec, rng, resample_threshold=0.0
-            )
-            errs.append(abs(out.weighted_mean()[0] - target.mean[0]))
-        errors.append(np.mean(errs))
-    slope = fit_loglog_slope(sizes, errors)
-    assert abs(slope + 0.5) < 0.2
 
