@@ -65,6 +65,20 @@ def _apply_common(config: ExperimentConfig, args) -> ExperimentConfig:
     return _replace_config(config, args, **updates)
 
 
+def _parse_grid(flag: str, text: str, kind: type) -> list:
+    """A comma-separated grid, refused with one line naming ``flag`` unless
+    every value parses as ``kind`` and the values strictly increase."""
+    try:
+        values = [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise SystemExit(
+            f"{flag}: expected comma-separated {kind.__name__} values, got {text!r}"
+        ) from None
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise SystemExit(f"{flag}: values must be strictly increasing, got {text!r}")
+    return values
+
+
 def _parse_filters(args, config: ExperimentConfig) -> list[str]:
     if not args.filters:
         return [config.filter]
@@ -91,8 +105,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _apply_common(_load_config(args.config), args)
-    eps = [float(v) for v in args.epsilon.split(",")]
-    sql = [float(v) for v in args.sqrt_lambda.split(",")]
+    eps = _parse_grid("--epsilon", args.epsilon, float)
+    sql = _parse_grid("--sqrt-lambda", args.sqrt_lambda, float)
     for e in eps:
         for s in sql:
             _replace_config(config, args, epsilon=e, lam=max(s * s, 1.0))
@@ -110,7 +124,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_size_sweep(args) -> int:
     config = _apply_common(_load_config(args.config), args)
-    sizes = [int(v) for v in args.sizes.split(",")]
+    sizes = _parse_grid("--sizes", args.sizes, int)
     filters = _parse_filters(args, config)
     for m in sizes:
         for filt in filters:

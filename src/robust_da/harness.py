@@ -424,10 +424,9 @@ def _evaluate_run(setup: ModelSetup, run: FilterRun) -> MetricReport | None:
     if run.divergence_step is not None:
         return None
     truth = setup.record.states_at_obs().T
-    with np.errstate(over="ignore"):  # a huge error squares to inf; rmse rescales it
-        return MetricReport.evaluate(
-            truth, run.means, run.covariances, diagonalize=setup.diagonalize_qic
-        )
+    return MetricReport.evaluate(
+        truth, run.means, run.covariances, diagonalize=setup.diagonalize_qic
+    )
 
 
 def run_single(config: ExperimentConfig) -> RunResult:

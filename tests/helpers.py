@@ -3,13 +3,14 @@ finite-difference gradients; a per-window LETKF loop, an np.roll-based
 Lorenz-96 integrator, a draw-per-step Lorenz-63 integrator and the two
 hand-written linear Gaussian truth loops (scalar OU in Python floats,
 constant-velocity tracking in arrays), references for the shared library
-code; a machine-speed calibration loop for wall-time budgets; and the marks
+code; the per-step q-IC and coverage loops, references for the stacked
+metrics; a machine-speed calibration loop for wall-time budgets; and the marks
 that let a test drive one of the library's intended overflows.
 
 The quadrature and gradient oracles deliberately avoid the library's update
-formulas so that agreement is evidence, not tautology.  The LETKF and Lorenz
-oracles are the straightforward loops: they pin the batched code to the same
-numbers computed one window, or one step, at a time.
+formulas so that agreement is evidence, not tautology.  The LETKF, Lorenz
+and metric oracles are the straightforward loops: they pin the batched code
+to the same numbers computed one window, or one step, at a time.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ import time
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from robust_da import EnsembleState, SpdFactor, contaminate, psd_sym_sqrt, symmetrize
+from robust_da.metrics import _q_log_from_log
 from robust_da.models import tracking_model
 from robust_da.weights import robust_update
 
@@ -332,3 +335,59 @@ def simulate_tracking_stepwise(t_end, dt, seed, contamination, noise_scale=1.0):
     clean = rng.standard_normal((2, n))
     noise, flags = contaminate(clean, contamination, rng)
     return states, model.H @ states[:, 1:] + psd_sym_sqrt(model.R) @ noise, flags
+
+
+# ---------------------------------------------------------------------------
+# Per-step metrics: one density, one factorization and one diagonal per step.
+# Run them under np.errstate: like the library code they copy, a residual too
+# large to square overflows on its way to the capped score.
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def gaussian_log_density_stepwise(truth, mean, cov, diagonalize):
+    """Log-density of one step's truth under N(mean, cov)."""
+    d = truth.shape[0]
+    residual = truth - mean
+    if diagonalize:
+        diag = np.diag(np.atleast_2d(cov)).copy()
+        if np.any(diag < 0.0):
+            raise ValueError("diagonalized covariance has negative entries")
+        if np.any(diag == 0.0):
+            return -np.inf
+        return -0.5 * float(
+            d * _LOG_2PI + np.sum(np.log(diag)) + np.sum(residual**2 / diag)
+        )
+    try:
+        factor = SpdFactor(cov)
+    except np.linalg.LinAlgError:
+        if np.any(np.diag(cov) == 0.0):
+            return -np.inf
+        raise
+    maha = factor.mahalanobis_sq(residual)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor.chol))))
+    return -0.5 * (d * _LOG_2PI + logdet + maha)
+
+
+def q_ic_series_stepwise(truth, means, covariances, q=0.9, diagonalize=False):
+    """Per-step q-IC summands, one step at a time."""
+    truth = np.atleast_2d(np.asarray(truth, dtype=float))
+    means = np.atleast_2d(np.asarray(means, dtype=float))
+    covariances = np.asarray(covariances, dtype=float)
+    log_densities = np.array([
+        gaussian_log_density_stepwise(
+            truth[k], means[k], np.atleast_2d(covariances[k]), diagonalize
+        )
+        for k in range(truth.shape[0])
+    ])
+    return -_q_log_from_log(log_densities, q)
+
+
+def ci_coverage_stepwise(truth, means, covariances, level=0.95):
+    """Marginal CI coverage with one np.diag per step."""
+    truth = np.atleast_2d(np.asarray(truth, dtype=float))
+    means = np.atleast_2d(np.asarray(means, dtype=float))
+    covariances = np.asarray(covariances, dtype=float)
+    diags = np.array([np.diag(np.atleast_2d(covariances[k])) for k in range(truth.shape[0])])
+    half_width = norm.ppf(0.5 + 0.5 * level) * np.sqrt(np.clip(diags, 0.0, None))
+    return float(np.mean(np.abs(truth - means) <= half_width))

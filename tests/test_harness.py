@@ -561,6 +561,29 @@ def test_cli_sweep_refuses_a_bad_grid_value_in_one_line(grid, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["sweep", "--epsilon", "0,x"], "--epsilon: expected comma-separated float values, got '0,x'"),
+        (["sweep", "--epsilon", ""], "--epsilon: expected comma-separated float values, got ''"),
+        (["sweep", "--epsilon", "0.25,0.1"], "--epsilon: values must be strictly increasing, got '0.25,0.1'"),
+        (["sweep", "--sqrt-lambda", "5,"], "--sqrt-lambda: expected comma-separated float values, got '5,'"),
+        (["sweep", "--sqrt-lambda", "5,5"], "--sqrt-lambda: values must be strictly increasing, got '5,5'"),
+        (["size-sweep", "--sizes", ""], "--sizes: expected comma-separated int values, got ''"),
+        (["size-sweep", "--sizes", "5,7.5"], "--sizes: expected comma-separated int values, got '5,7.5'"),
+        (["size-sweep", "--sizes", "10,5"], "--sizes: values must be strictly increasing, got '10,5'"),
+    ],
+)
+def test_cli_refuses_a_bad_grid_list_in_one_line_before_any_replicate(monkeypatch, args, message):
+    def no_replicate(job):
+        raise AssertionError("a replicate started")
+
+    monkeypatch.setattr(harness, "_replicate_job", no_replicate)
+    with pytest.raises(SystemExit) as err:
+        cli.main([*args, "--config", "ou_desk", "--filters", "kf"])
+    assert str(err.value) == message
+
+
 def test_cli_size_sweep_refuses_a_size_a_filter_cannot_run_in_one_line():
     with pytest.raises(SystemExit) as err:
         cli.main(["size-sweep", "--config", "ou_desk", "--filters", "kf,enkf", "--sizes", "1,5"])

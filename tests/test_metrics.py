@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robust_da import MetricReport, ci_coverage, q_ic, q_log, rmse
+from robust_da import MetricReport, SpdFactor, ci_coverage, q_ic, q_log, rmse
 from robust_da.metrics import q_ic_series
+from helpers import ci_coverage_stepwise, q_ic_series_stepwise
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +156,120 @@ def test_q_ic_zero_variance_dimension_scores_the_cap():
     # A zero variance puts no density on the truth: log-density -inf, score 10.
     covs = np.diag([1.0, 0.0, 2.0])[None]
     assert q_ic(np.zeros((1, 3)), np.full((1, 3), 0.1), covs, diagonalize=True) == 10.0
+
+
+def test_q_ic_refuses_covariances_of_another_dimension():
+    with pytest.raises(ValueError, match="expected"):
+        q_ic(np.zeros((4, 3)), np.zeros((4, 3)), np.ones((4, 1, 1)))
+    with pytest.raises(ValueError, match="expected"):
+        ci_coverage(np.zeros((4, 3)), np.zeros((4, 3)), np.ones(4))
+
+
+# ---------------------------------------------------------------------------
+# Stacked scoring against the per-step loops
+
+
+@st.composite
+def scored_runs(draw):
+    """(truth, means, covariances) of a run of 1 to 40 steps of a 1- to
+    6-dimensional state: slightly asymmetric SPD covariances, scaled per step
+    by 1e-3 to 1e3, given as (T, d, d), or for d = 1 as (T, 1, 1) or (T,);
+    residuals scaled per step by 1e-3 to 1e3."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["stack", "flat"] if d == 1 else ["stack"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, d, d))
+    covs = (a @ a.transpose(0, 2, 1) + d * np.eye(d)) * 10.0 ** rng.uniform(-3, 3, (n, 1, 1))
+    covs = covs * (1.0 + 1e-12 * rng.standard_normal((n, d, d)))
+    means = rng.standard_normal((n, d))
+    truth = means + rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    return truth, means, covs[:, 0, 0] if shape == "flat" else covs
+
+
+METRIC_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@METRIC_SETTINGS
+@given(scored_runs())
+def test_stacked_q_ic_matches_the_per_step_loop(run):
+    # The stacked substitution sums in another order than LAPACK's: the
+    # scores agree to rel 1e-13, or 1e-13 where a score cancels to near 0,
+    # since its drift is then relative to the density's terms of order one.
+    np.testing.assert_allclose(
+        q_ic_series(*run), q_ic_series_stepwise(*run), rtol=1e-13, atol=1e-13
+    )
+
+
+@METRIC_SETTINGS
+@given(scored_runs(), st.booleans())
+def test_stacked_diagonal_q_ic_and_coverage_equal_the_per_step_loop(run, collapse):
+    truth, means, covs = run
+    if collapse:  # a zero variance at one step scores that step's cap
+        covs = covs.copy()
+        if covs.ndim == 1:
+            covs[len(covs) // 2] = 0.0
+        else:
+            covs[len(covs) // 2, 0, 0] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        oracle = q_ic_series_stepwise(truth, means, covs, diagonalize=True)
+    np.testing.assert_array_equal(q_ic_series(truth, means, covs, diagonalize=True), oracle)
+    assert ci_coverage(truth, means, covs) == ci_coverage_stepwise(truth, means, covs)
+    assert ci_coverage(truth, means, covs, level=0.5) == ci_coverage_stepwise(
+        truth, means, covs, level=0.5
+    )
+
+
+def _fallback_run(step_cov, step_residual=None, n=12, d=2):
+    """A regular run with one step's covariance and residual replaced."""
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((n, d, d))
+    covs = a @ a.transpose(0, 2, 1) + np.eye(d)
+    covs[5] = step_cov
+    means = rng.standard_normal((n, d))
+    truth = means + rng.standard_normal((n, d))
+    if step_residual is not None:
+        truth[5] = means[5] + step_residual
+    return truth, means, covs
+
+
+def _score_like_the_per_step_loop(truth, means, covs):
+    """Score the run as a direct caller does, with every warning an error and
+    no LinAlgError caught, and check the scores against the per-step loop."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = q_ic_series(truth, means, covs)
+        report = MetricReport.evaluate(truth, means, covs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        oracle = q_ic_series_stepwise(truth, means, covs)
+    np.testing.assert_array_equal(series, oracle)
+    assert report.q_ic == float(np.mean(oracle))
+    assert report.ci_coverage_95 == ci_coverage_stepwise(truth, means, covs)
+    return series
+
+
+def test_a_step_needing_cholesky_jitter_scores_as_per_step():
+    singular = np.ones((2, 2))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(singular)
+    SpdFactor(singular)  # the jitter repairs it
+    series = _score_like_the_per_step_loop(*_fallback_run(singular, np.array([0.5, 0.5])))
+    assert np.isfinite(series).all()
+
+
+def test_a_collapsed_particle_filter_step_scores_the_cap_as_per_step():
+    series = _score_like_the_per_step_loop(*_fallback_run(np.zeros((2, 2))))
+    assert series[5] == 10.0
+    assert (series[np.arange(12) != 5] < 10.0).all()
+
+
+def test_a_finite_residual_whose_square_overflows_scores_the_cap_as_per_step():
+    # The whitened residual overflows to inf and 0 * inf makes the stacked
+    # square NaN; the per-step power-of-two redo gives inf, hence the cap.
+    huge = np.array([1.7e308, -1.7e308])
+    series = _score_like_the_per_step_loop(*_fallback_run(0.01 * np.eye(2), huge))
+    assert series[5] == 10.0
+    assert np.isfinite(series).all()
 
 
 # ---------------------------------------------------------------------------
