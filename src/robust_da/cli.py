@@ -17,7 +17,6 @@ from .harness import (
     FILTERS,
     PRESETS,
     ExperimentConfig,
-    resolve_threads,
     run_ensemble_size_sweep,
     run_single,
     run_sweep,
@@ -55,14 +54,8 @@ def _replace_config(config: ExperimentConfig, args, **updates) -> ExperimentConf
 
 
 def _apply_common(config: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {"threads": resolve_threads(args.threads)}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if getattr(args, "filter", None):
-        updates["filter"] = args.filter
-    return _replace_config(config, args, **updates)
+    flags = dict(threads=args.threads, seed=args.seed, out_dir=args.out, filter=args.filter)
+    return _replace_config(config, args, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _parse_grid(flag: str, text: str, kind: type) -> list:
@@ -88,18 +81,14 @@ def _parse_filters(args, config: ExperimentConfig) -> list[str]:
     return filters
 
 
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2, default=str))
-    else:
-        for key, value in payload.items():
-            print(f"{key},{value}")
+def _emit(payload: dict) -> None:
+    print(json.dumps(payload, sort_keys=True, indent=2, default=str))
 
 
 def cmd_run(args) -> int:
     config = _apply_common(_load_config(args.config), args)
     result = run_single(config)
-    _emit(result.summary, args.format)
+    _emit(result.summary)
     return 0 if result.run.divergence_step is None else 1
 
 
@@ -118,7 +107,7 @@ def cmd_sweep(args) -> int:
         "replicates_per_cell": config.mc_reps,
         "failed_replicates": failed,
     }
-    _emit(payload, args.format)
+    _emit(payload)
     return 0 if failed == 0 else 1
 
 
@@ -131,17 +120,14 @@ def cmd_size_sweep(args) -> int:
             _replace_config(config, args, filter=filt, ensemble_size=m)
     result = run_ensemble_size_sweep(config, sizes, filters=filters)
     failed = sum(c.n_failed for c in result.cells.values())
-    _emit({"cells": len(result.cells), "failed_replicates": failed}, args.format)
+    _emit({"cells": len(result.cells), "failed_replicates": failed})
     return 0 if failed == 0 else 1
 
 
 def cmd_tune(args) -> int:
     tuned = tune_threshold(args.dy, family=args.family, seed=args.seed or 0)
     estimate = expected_weight_mc(args.dy, tuned, family=args.family, seed=args.seed or 0)
-    _emit(
-        {"d_y": args.dy, "family": args.family, "threshold": tuned, "expected_weight": estimate},
-        args.format,
-    )
+    _emit({"d_y": args.dy, "family": args.family, "threshold": tuned, "expected_weight": estimate})
     return 0
 
 
@@ -160,8 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="preset name or JSON config path")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", help="output directory for result files")
-        p.add_argument("--threads", type=int, help="worker count (ROBUST_DA_THREADS fallback)")
-        p.add_argument("--format", choices=("csv", "json"), default="json")
+        p.add_argument("--threads", type=int, help="worker count, at least 1")
 
     p_run = sub.add_parser("run", help="run one configuration")
     common(p_run)
@@ -188,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--dy", type=int, required=True)
     p_tune.add_argument("--family", choices=("imq", "sqexp"), default="imq")
     p_tune.add_argument("--seed", type=int)
-    p_tune.add_argument("--format", choices=("csv", "json"), default="json")
     p_tune.set_defaults(func=cmd_tune)
 
     p_verify = sub.add_parser("verify", help="run heavy Monte-Carlo consistency checks")

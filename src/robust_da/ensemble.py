@@ -122,7 +122,8 @@ def enkf_perturbed_analysis(
     y: np.ndarray,
     spec: WeightKernelSpec | WolfSpec,
     mode: str = "average",
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> EnsembleState:
     """Stochastic analysis with perturbed observations.
 
@@ -134,8 +135,6 @@ def enkf_perturbed_analysis(
     -G (W^{1/2} (H x - target) + chol(R) z), z standard normal: K = G W^{1/2}
     times the perturbation W^{-1/2} chol(R) z of the effective covariance R / w.
     """
-    if rng is None:
-        raise ValueError("an explicit random generator is required")
     if mode not in ENKF_MODES:
         raise ValueError(f"unknown EnKF mode {mode!r}")
     y = np.atleast_1d(np.asarray(y, dtype=float))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -38,6 +37,10 @@ from ._linalg import psd_sym_sqrt
 from .lgss import LgssModel, ObservationModel, kf_analysis, kf_forecast
 from .metrics import MetricReport
 from .models import (
+    LGSS_DT,
+    LORENZ63_DT,
+    LORENZ96_DT,
+    LORENZ_T_OUT,
     ContaminationSpec,
     TrajectoryRecord,
     _write_csv,
@@ -48,9 +51,10 @@ from .models import (
     simulate_lorenz96,
     simulate_ou,
     simulate_target_tracking,
+    step_counts,
 )
 from .particle import ParticleCloud, pf_step
-from .weights import CONDITIONAL, CONSTANT, IMQ, MARGINAL, OBS_ANOMALY, WeightKernelSpec, WolfSpec
+from .weights import CONDITIONAL, CONSTANT, IMQ, MARGINAL, WeightKernelSpec, WolfSpec
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -67,25 +71,32 @@ __all__ = [
     "run_closed_form_filter",
     "run_ensemble_filter",
     "run_particle_filter",
-    "resolve_threads",
 ]
 
 SCHEMA_VERSION = 1
 
 # Filter name -> (analysis step, weight).  The weight is None for the regular
 # filter (constant kernel), "wolf" for the WoLF weight, and otherwise the
-# standardization of the configured DSM kernel.
+# standardization of the configured DSM kernel: MARGINAL, by HPH^T + R with
+# HPH^T from the forecast covariance (closed form) or the ensemble anomalies,
+# or CONDITIONAL, by R (the particle filter).
 _FILTER_TABLE = {
     "kf": ("kf", None), "dsm_kf": ("kf", MARGINAL), "wolf_kf": ("kf", "wolf"),
     "enkf": ("enkf", None), "dsm_enkf": ("enkf", MARGINAL), "wolf_enkf": ("enkf", "wolf"),
     "esrf": ("esrf", None), "dsm_esrf": ("esrf", MARGINAL),
-    "letkf": ("letkf", None), "dsm_letkf": ("letkf", OBS_ANOMALY), "wolf_letkf": ("letkf", "wolf"),
+    "letkf": ("letkf", None), "dsm_letkf": ("letkf", MARGINAL), "wolf_letkf": ("letkf", "wolf"),
     "dsm_pf": ("pf", CONDITIONAL),
 }
 FILTERS = tuple(_FILTER_TABLE)
-MODELS = ("ou", "tracking2d", "lorenz63", "lorenz96")
 
-_MODEL_DEFAULT_T_END = {"ou": 10.0, "tracking2d": 50.0, "lorenz63": 50.0, "lorenz96": 73.0}
+# Model -> (default horizon, truth step, observation interval).
+_MODEL_TIMES = {
+    "ou": (10.0, LGSS_DT, LGSS_DT),
+    "tracking2d": (50.0, LGSS_DT, LGSS_DT),
+    "lorenz63": (50.0, LORENZ63_DT, LORENZ_T_OUT),
+    "lorenz96": (73.0, LORENZ96_DT, LORENZ_T_OUT),
+}
+MODELS = tuple(_MODEL_TIMES)
 
 
 @dataclass(frozen=True)
@@ -122,10 +133,17 @@ class ExperimentConfig:
             raise ValueError(
                 f"filter {self.filter!r} needs a linear Gaussian model, got {self.model!r}"
             )
-        if self.mc_reps < 1:
-            raise ValueError("mc_reps must be >= 1")
+        for name, low in (("mc_reps", 1), ("ensemble_size", 1), ("seed", 0), ("threads", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
+        n, steps_per_obs = step_counts(self.horizon, *_MODEL_TIMES[self.model][1:])
+        if n < steps_per_obs:
+            raise ValueError(
+                f"t_end {self.horizon} gives {self.model!r} no observation to assimilate"
+            )
         if self.ensemble_size < 2 and not closed_form:
             raise ValueError("ensemble_size must be >= 2 for ensemble and particle filters")
         # Build the contamination and every weight and LETKF setting once, so
@@ -133,6 +151,8 @@ class ExperimentConfig:
         self.contamination
         WeightKernelSpec(family=self.kernel_family, threshold=self.q_sq).thresholds_for(1)
         WolfSpec(variant=self.wolf_variant, c_sq=self.c_sq)
+        if not 0.0 <= self.resample_threshold <= 1.0:  # refuses NaN too
+            raise ValueError(f"resample_threshold {self.resample_threshold} is not in [0, 1]")
         if self.enkf_mode not in ENKF_MODES:
             raise ValueError(f"unknown EnKF mode {self.enkf_mode!r} (choose from {ENKF_MODES})")
         if self.half_width is not None:
@@ -145,7 +165,7 @@ class ExperimentConfig:
 
     @property
     def horizon(self) -> float:
-        return self.t_end if self.t_end is not None else _MODEL_DEFAULT_T_END[self.model]
+        return self.t_end if self.t_end is not None else _MODEL_TIMES[self.model][0]
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -189,19 +209,6 @@ PRESETS.update(
 )
 
 
-def resolve_threads(requested: int | None) -> int:
-    """Thread count from the CLI flag or the ROBUST_DA_THREADS fallback."""
-    if requested is not None and requested >= 1:
-        return requested
-    env = os.environ.get("ROBUST_DA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # Model setup
 
@@ -229,14 +236,12 @@ def build_setup(config: ExperimentConfig, traj_seed) -> ModelSetup:
         init_mean, init_cov = lgss.prior.mean, lgss.prior.cov
     elif config.model == "lorenz63":
         record, obs = simulate_lorenz63(t_end=t_end, seed=traj_seed, contamination=contamination)
-        sampler = lorenz63_sampler(dt=0.001, n_steps=50)
+        sampler = lorenz63_sampler(LORENZ63_DT, n_steps=50)
         init_mean, init_cov = record.initial_state, 0.1 * np.eye(3)
     else:
         record, obs = simulate_lorenz96(t_end=t_end, seed=traj_seed, contamination=contamination)
-        sampler = lorenz96_sampler(dt=0.01, n_steps=5)
+        sampler = lorenz96_sampler(LORENZ96_DT, n_steps=5)
         init_mean, init_cov = record.initial_state, np.eye(record.states.shape[0])
-    if record.n_obs == 0:
-        raise ValueError(f"t_end {t_end} gives {config.model!r} no observation to assimilate")
     return ModelSetup(
         record=record,
         lgss=lgss,

@@ -37,6 +37,11 @@ __all__ = [
     "LORENZ63_X0",
 ]
 
+LGSS_DT = 0.1         # OU and tracking: time step and observation interval
+LORENZ63_DT = 0.001   # Euler-Maruyama step
+LORENZ96_DT = 0.01    # RK4 step
+LORENZ_T_OUT = 0.05   # observation interval of both Lorenz models
+
 
 @dataclass(frozen=True)
 class ContaminationSpec:
@@ -125,6 +130,15 @@ def contaminate(
     return noise, flags
 
 
+def step_counts(t_end: float, dt: float, t_out: float) -> tuple[int, int]:
+    """(n, steps_per_obs): n truth steps of ``dt`` up to ``t_end``, observed
+    every ``steps_per_obs`` of them (n // steps_per_obs observations)."""
+    steps_per_obs = int(round(t_out / dt))
+    if steps_per_obs < 1 or abs(steps_per_obs * dt - t_out) > 1e-9:
+        raise ValueError("t_out must be a positive integer multiple of dt")
+    return int(round(t_end / dt)), steps_per_obs
+
+
 def _twin_record(states, dt, steps_per_obs, h, r_sqrt, contamination, rng) -> TrajectoryRecord:
     """Observe the truth every ``steps_per_obs`` steps through contaminated
     noise applied by ``r_sqrt``, and keep the record."""
@@ -140,24 +154,21 @@ def _twin_record(states, dt, steps_per_obs, h, r_sqrt, contamination, rng) -> Tr
 # Linear Gaussian models
 
 
-def lgss_sampler(model: LgssModel, noise_scale: float = 1.0):
+def lgss_sampler(model: LgssModel):
     """Member propagator for the exact one-step LGSS transition."""
     q_sqrt = psd_sym_sqrt(model.Q)
 
     def step(members: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        out = model.A @ members
-        if noise_scale:
-            out = out + noise_scale * (q_sqrt @ rng.standard_normal(members.shape))
-        return out
+        return model.A @ members + q_sqrt @ rng.standard_normal(members.shape)
 
     return step
 
 
-def _simulate_lgss(model, t_end, dt, seed, contamination, noise_scale) -> TrajectoryRecord:
+def _simulate_lgss(model, t_end, seed, contamination, noise_scale) -> TrajectoryRecord:
     """Truth x <- A x + noise_scale Q^{1/2} z from the prior mean, observed
-    every step.  The draw is made even at ``noise_scale`` zero, so the
-    observation draws that follow do not depend on it."""
-    n = int(round(t_end / dt))
+    every LGSS_DT step.  The draw is made even at ``noise_scale`` zero, so
+    the observation draws that follow do not depend on it."""
+    n, _ = step_counts(t_end, LGSS_DT, LGSS_DT)
     rng = np.random.default_rng(seed)
     q_sqrt = psd_sym_sqrt(model.Q)
     states = np.empty((model.d_x, n + 1))
@@ -165,12 +176,11 @@ def _simulate_lgss(model, t_end, dt, seed, contamination, noise_scale) -> Trajec
     for k in range(1, n + 1):
         x = model.A @ x + noise_scale * (q_sqrt @ rng.standard_normal(model.d_x))
         states[:, k] = x
-    return _twin_record(states, dt, 1, model.H, psd_sym_sqrt(model.R), contamination, rng)
+    return _twin_record(states, LGSS_DT, 1, model.H, psd_sym_sqrt(model.R), contamination, rng)
 
 
 def simulate_ou(
     t_end: float = 10.0,
-    dt: float = 0.1,
     seed: int = 0,
     contamination: ContaminationSpec = WELL_SPECIFIED,
     noise_scale: float = 1.0,
@@ -181,18 +191,17 @@ def simulate_ou(
     5, observed every step.  The filter prior is centered at the start value
     with the stationary variance Q / (1 - A^2).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     a, q = 0.7, 1.3
     model = LgssModel(
         A=[[a]], Q=[[q]], H=[[1.0]], R=[[0.1]],
         prior=GaussianBelief(mean=[5.0], cov=[[q / (1.0 - a * a)]]),
     )
-    return _simulate_lgss(model, t_end, dt, seed, contamination, noise_scale), model
+    return _simulate_lgss(model, t_end, seed, contamination, noise_scale), model
 
 
-def tracking_model(dt: float = 0.1) -> LgssModel:
-    """Constant-velocity target-tracking system (positions observed)."""
+def tracking_model() -> LgssModel:
+    """Constant-velocity target tracking at step LGSS_DT, positions observed."""
+    dt = LGSS_DT
     a = np.eye(4)
     a[0, 2] = dt
     a[1, 3] = dt
@@ -212,16 +221,13 @@ def tracking_model(dt: float = 0.1) -> LgssModel:
 
 def simulate_target_tracking(
     t_end: float = 50.0,
-    dt: float = 0.1,
     seed: int = 0,
     contamination: ContaminationSpec = WELL_SPECIFIED,
     noise_scale: float = 1.0,
 ) -> tuple[TrajectoryRecord, LgssModel]:
     """Two-dimensional constant-velocity tracking twin experiment."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    model = tracking_model(dt)
-    return _simulate_lgss(model, t_end, dt, seed, contamination, noise_scale), model
+    model = tracking_model()
+    return _simulate_lgss(model, t_end, seed, contamination, noise_scale), model
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +293,8 @@ LORENZ63_X0 = np.array([-0.587, -0.563, 16.87])
 
 def simulate_lorenz63(
     t_end: float = 50.0,
-    dt: float = 0.001,
-    t_out: float = 0.05,
+    dt: float = LORENZ63_DT,
+    t_out: float = LORENZ_T_OUT,
     seed: int = 0,
     contamination: ContaminationSpec = WELL_SPECIFIED,
     noise_scale: float = 1.0,
@@ -305,10 +311,7 @@ def simulate_lorenz63(
     so the states match it bit for bit.  Finiteness is checked once per
     observation interval; a blow-up is reported at its first non-finite step.
     """
-    steps_per_obs = int(round(t_out / dt))
-    if steps_per_obs < 1 or abs(steps_per_obs * dt - t_out) > 1e-9:
-        raise ValueError("t_out must be a positive integer multiple of dt")
-    n = int(round(t_end / dt))
+    n, steps_per_obs = step_counts(t_end, dt, t_out)
     rng = np.random.default_rng(seed)
     noise = noise_scale * np.sqrt(dt) * rng.standard_normal((n, 3))
 
@@ -364,29 +367,20 @@ def _lorenz96_rk4_step(x: np.ndarray, dt: float, forcing, ring: np.ndarray) -> n
 
 
 def _lorenz96_forcings(
-    rng: np.random.Generator,
-    n_steps: int,
-    shape: tuple[int, ...],
-    forcing_mean: float,
-    forcing_std: float,
+    rng: np.random.Generator, n_steps: int, shape: tuple[int, ...], forcing_std: float
 ):
-    """Per-step forcing draws F ~ N(mean, std^2) for ``n_steps`` steps, drawn
-    in one call (the same numbers, in the same order, as one draw per step);
-    the constant mean when ``forcing_std`` is zero."""
+    """Per-step forcing draws F ~ N(8, std^2) for ``n_steps`` steps, drawn in
+    one call (the same numbers, in the same order, as one draw per step);
+    the constant 8 when ``forcing_std`` is zero."""
     if not forcing_std:
-        return [forcing_mean] * n_steps
-    return forcing_mean + forcing_std * rng.standard_normal((n_steps, *shape))
+        return [8.0] * n_steps
+    return 8.0 + forcing_std * rng.standard_normal((n_steps, *shape))
 
 
-def lorenz96_sampler(
-    dt: float,
-    n_steps: int,
-    forcing_mean: float = 8.0,
-    forcing_std: float = 1.0,
-):
+def lorenz96_sampler(dt: float, n_steps: int, forcing_std: float = 1.0):
     """RK4 member propagator with stochastic forcing.
 
-    The forcing F_i ~ N(mean, std^2) is redrawn once per integration step and
+    The forcing F_i ~ N(8, std^2) is redrawn once per integration step and
     held constant across the four RK4 stages of that step, keeping each step
     a well-defined deterministic map given its forcing draw.
     """
@@ -394,7 +388,7 @@ def lorenz96_sampler(
     def step(members: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         ring = _lorenz96_ring(members.shape[0])
         x = members
-        for forcing in _lorenz96_forcings(rng, n_steps, x.shape, forcing_mean, forcing_std):
+        for forcing in _lorenz96_forcings(rng, n_steps, x.shape, forcing_std):
             x = _lorenz96_rk4_step(x, dt, forcing, ring)
         return x
 
@@ -402,30 +396,24 @@ def lorenz96_sampler(
 
 
 def simulate_lorenz96(
-    d: int = 40,
     t_end: float = 73.0,
-    dt: float = 0.01,
-    t_out: float = 0.05,
     burn_in: float = 12.2,
     seed: int = 0,
     contamination: ContaminationSpec = WELL_SPECIFIED,
-    forcing_std: float = 1.0,
 ) -> tuple[TrajectoryRecord, ObservationModel]:
-    """Stochastic Lorenz-96 twin experiment, identity observations with R = I.
+    """Stochastic Lorenz-96 twin experiment in 40 dimensions: RK4 steps of
+    LORENZ96_DT with forcing F ~ N(8, 1), identity observations with R = I
+    every LORENZ_T_OUT.
 
     The initial state is produced by a burn-in run (discarded from the
     record) started from the rest point F * ones perturbed in one coordinate.
     """
-    if d < 4:
-        raise ValueError("Lorenz-96 needs at least 4 dimensions")
-    steps_per_obs = int(round(t_out / dt))
-    if abs(steps_per_obs * dt - t_out) > 1e-9:
-        raise ValueError("t_out must be an integer multiple of dt")
+    d, dt = 40, LORENZ96_DT
+    n, steps_per_obs = step_counts(t_end, dt, LORENZ_T_OUT)
     rng = np.random.default_rng(seed)
     n_burn = int(round(burn_in / dt))
-    n = int(round(t_end / dt))
     ring = _lorenz96_ring(d)
-    forcings = _lorenz96_forcings(rng, n_burn + n, (d,), 8.0, forcing_std)
+    forcings = _lorenz96_forcings(rng, n_burn + n, (d,), 1.0)
 
     x = np.full(d, 8.0)
     x[0] += 0.01

@@ -42,13 +42,12 @@ CONSTANT = "constant"
 _FAMILIES = (IMQ, SQEXP, CONSTANT)
 
 # Standardization modes: which covariance whitens the residual in the kernel.
-# MARGINAL and OBS_ANOMALY are both HPH^T + R; they name what the caller
-# passes as HPH^T (the forecast covariance mapped to observation space, or
-# its anomaly-space estimate).
-MARGINAL = "marginal"          # H P^f H^T + R
+# For MARGINAL the caller supplies HPH^T: the forecast covariance mapped to
+# observation space, H P^f H^T, or for an ensemble its anomaly-space
+# estimate Y^f (Y^f)^T / (M-1).
+MARGINAL = "marginal"          # HPH^T + R
 CONDITIONAL = "conditional"    # R
-OBS_ANOMALY = "obs_anomaly"    # Y^f (Y^f)^T / (M-1) + R
-_STANDARDIZATIONS = (MARGINAL, CONDITIONAL, OBS_ANOMALY)
+_STANDARDIZATIONS = (MARGINAL, CONDITIONAL)
 
 CONSTANT_WEIGHT_SQ = 0.5  # squared value of the Kalman-recovery kernel 1/sqrt(2)
 
@@ -71,12 +70,12 @@ def normalize_partition(partition, d: int) -> BlockPartition:
     return blocks
 
 
-def _check_block_diagonal(r: np.ndarray, partition: BlockPartition, tol: float = 1e-12):
+def _check_block_diagonal(r: np.ndarray, partition: BlockPartition):
     mask = np.ones_like(r, dtype=bool)
     for start, stop in partition:
         mask[start:stop, start:stop] = False
     off = np.abs(r[mask])
-    if off.size and off.max() > tol:
+    if off.size and off.max() > 1e-12:
         raise ValueError(
             f"R is not block-diagonal w.r.t. the partition (max off-block entry {off.max():.3e})"
         )
@@ -402,23 +401,13 @@ def expected_weight_mc(
     return float(np.mean(_doubled_weight(family, xi, threshold)))
 
 
-def tune_threshold(
-    d_y: int,
-    family: str = IMQ,
-    target: float = 1.0,
-    tol: float = 5e-3,
-    n_samples: int = 10**6,
-    seed: int = 0,
-    max_iter: int = 200,
-) -> float:
-    """Bisection for the threshold at which E[2 k^2(Xi)] hits ``target``.
+def tune_threshold(d_y: int, family: str = IMQ, n_samples: int = 10**6, seed: int = 0) -> float:
+    """Bisection for the threshold at which E[2 k^2(Xi)] = 1, to within 5e-3.
 
     A single chi-square sample is drawn once and reused in every evaluation
     (common random numbers), making the map exactly monotone in the
     threshold and the search deterministic.
     """
-    if not 0.0 < target < 2.0:
-        raise ValueError("target must lie in (0, 2)")
     rng = np.random.default_rng(seed)
     xi = rng.chisquare(d_y, size=n_samples)
 
@@ -426,16 +415,16 @@ def tune_threshold(
         return float(np.mean(_doubled_weight(family, xi, threshold)))
 
     lo, hi = 1e-8, max(4.0 * d_y, 16.0)
-    while estimate(hi) < target:
+    while estimate(hi) < 1.0:
         hi *= 4.0
         if hi > 1e12:
             raise RuntimeError("failed to bracket the tuning target")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         value = estimate(mid)
-        if abs(value - target) <= tol and (hi - lo) <= 1e-6 * mid:
+        if abs(value - 1.0) <= 5e-3 and (hi - lo) <= 1e-6 * mid:
             return mid
-        if value < target:
+        if value < 1.0:
             lo = mid
         else:
             hi = mid

@@ -306,10 +306,10 @@ def simulate_lorenz63_stepwise(t_end, dt, t_out, seed, contamination, noise_scal
 # Linear Gaussian truths, each with its own loop and observation tail.
 
 
-def simulate_ou_floats(t_end, dt, seed, contamination, noise_scale=1.0):
+def simulate_ou_floats(t_end, seed, contamination, noise_scale=1.0):
     """(states, observations, flags) of the OU twin run, stepped in Python floats."""
     a, q, r = 0.7, 1.3, 0.1
-    n = int(round(t_end / dt))
+    n = int(round(t_end / 0.1))
     rng = np.random.default_rng(seed)
     states = np.empty((1, n + 1))
     states[0, 0] = x = 5.0
@@ -321,10 +321,10 @@ def simulate_ou_floats(t_end, dt, seed, contamination, noise_scale=1.0):
     return states, np.array([[1.0]]) @ states[:, 1:] + np.array([[np.sqrt(r)]]) @ noise, flags
 
 
-def simulate_tracking_stepwise(t_end, dt, seed, contamination, noise_scale=1.0):
+def simulate_tracking_stepwise(t_end, seed, contamination, noise_scale=1.0):
     """(states, observations, flags) of the constant-velocity tracking twin run."""
-    model = tracking_model(dt)
-    n = int(round(t_end / dt))
+    model = tracking_model()
+    n = int(round(t_end / 0.1))
     rng = np.random.default_rng(seed)
     q_sqrt = psd_sym_sqrt(model.Q)
     states = np.empty((4, n + 1))

@@ -264,13 +264,13 @@ def test_criterion_03_gradient_checks():
         d_y = int(rng.integers(1, 6))
         m = int(rng.integers(3, 9))
         family = (IMQ, SQEXP)[trial % 2]
-        mode = ("marginal", "conditional", "obs_anomaly")[trial % 3]
+        kind = ("marginal", "conditional", "anomaly")[trial % 3]
         h = rng.standard_normal((d_y, d_x))
         r = random_spd(rng, d_y)
         p_f = random_spd(rng, d_x)
-        if mode == "marginal":
+        if kind == "marginal":
             std = h @ p_f @ h.T + r
-        elif mode == "conditional":
+        elif kind == "conditional":
             std = r
         else:
             anomalies = rng.standard_normal((d_y, m))
@@ -284,7 +284,7 @@ def test_criterion_03_gradient_checks():
         spec = WeightKernelSpec(
             family=family,
             threshold=float(rng.uniform(0.5, 4.0)),
-            standardization=mode,
+            standardization="conditional" if kind == "conditional" else "marginal",
             block_partition=partition,
         )
         center = rng.standard_normal(d_y)
@@ -407,7 +407,7 @@ def test_criterion_06_ensemble_consistency():
     }
     letkf_specs = {
         "regular": WeightKernelSpec(family=CONSTANT),
-        "dsm": WeightKernelSpec(family=IMQ, threshold=2.0, standardization="obs_anomaly"),
+        "dsm": WeightKernelSpec(family=IMQ, threshold=2.0, standardization="marginal"),
         "wolf": WolfSpec(variant="md", c_sq=2.0),
     }
     for variant, closed in closed_forms.items():
@@ -473,7 +473,7 @@ def test_criterion_07_covariance_stability():
     before = calibration_reading()
     start = time.perf_counter()
     record, model = simulate_ou(
-        t_end=10_000.0, dt=0.1, seed=107,
+        t_end=10_000.0, seed=107,
         contamination=ContaminationSpec(epsilon=0.25, lam=27.5**2),
     )
     spec = WeightKernelSpec(family=IMQ, threshold=1.0)

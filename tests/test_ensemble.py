@@ -287,7 +287,7 @@ def test_window_indices_lorenz96_geometry():
 
 LETKF_SPECS = {
     "regular": WeightKernelSpec(family=CONSTANT),
-    "dsm": WeightKernelSpec(family=IMQ, standardization="obs_anomaly"),
+    "dsm": WeightKernelSpec(family=IMQ, standardization="marginal"),
     "wolf": WolfSpec(variant="md"),
     "conditional": WeightKernelSpec(family=IMQ, standardization="conditional"),
 }
@@ -405,19 +405,19 @@ def test_letkf_localized_default_threshold_is_window_size():
     config = LetkfConfig(rho=1.06, localization=loc)
     obs = ObservationModel(H=np.eye(40), R=np.eye(40))
     implicit = letkf_analysis(
-        ens, obs, y, WeightKernelSpec(family=IMQ, standardization="obs_anomaly"), config
+        ens, obs, y, WeightKernelSpec(family=IMQ, standardization="marginal"), config
     )
     explicit = letkf_analysis(
         ens, obs, y,
-        WeightKernelSpec(family=IMQ, threshold=39.0, standardization="obs_anomaly"), config,
+        WeightKernelSpec(family=IMQ, threshold=39.0, standardization="marginal"), config,
     )
     assert np.array_equal(implicit.members, explicit.members)
 
 
 ORACLE_SPECS = {
     "constant": WeightKernelSpec(family=CONSTANT),
-    "imq_obs_anomaly": WeightKernelSpec(family=IMQ, standardization="obs_anomaly"),
-    "sqexp_obs_anomaly": WeightKernelSpec(family=SQEXP, standardization="obs_anomaly"),
+    "imq_obs_anomaly": WeightKernelSpec(family=IMQ, standardization="marginal"),
+    "sqexp_obs_anomaly": WeightKernelSpec(family=SQEXP, standardization="marginal"),
     "imq_conditional": WeightKernelSpec(family=IMQ, standardization="conditional"),
     "wolf_md": WolfSpec(variant="md"),
     "wolf_sigma_scaled": WolfSpec(variant="sigma_scaled"),

@@ -12,7 +12,6 @@ from robust_da.harness import (
     PRESETS,
     ExperimentConfig,
     build_setup,
-    resolve_threads,
     run_ensemble_size_sweep,
     run_single,
     run_sweep,
@@ -88,14 +87,6 @@ def test_presets_are_valid():
     for name, preset in PRESETS.items():
         cfg = ExperimentConfig.from_dict(dict(preset))
         assert cfg.horizon > 0, name
-
-
-def test_resolve_threads_env(monkeypatch):
-    monkeypatch.delenv("ROBUST_DA_THREADS", raising=False)
-    assert resolve_threads(None) == 1
-    assert resolve_threads(4) == 4
-    monkeypatch.setenv("ROBUST_DA_THREADS", "3")
-    assert resolve_threads(None) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +307,55 @@ def test_config_refuses_a_contamination_or_horizon_it_cannot_run(monkeypatch):
     monkeypatch.setattr(harness, "_replicate_job", no_replicate)
     with pytest.raises(ValueError, match="epsilon"):
         run_sweep(ExperimentConfig(t_end=1.0), [0.1, 1.5], [2.0])
+
+
+@pytest.mark.parametrize(
+    "setting,flags",
+    [
+        ({"seed": -1}, []),
+        ({"seed": -1}, ["--seed", "-1"]),
+        ({"seed": 1.5}, []),
+        ({"mc_reps": 2.5}, []),
+        ({"mc_reps": True}, []),
+        ({"ensemble_size": 4.5}, []),
+        ({"threads": 1.0}, []),
+        ({"threads": 0}, []),
+        ({"threads": 0}, ["--threads", "0"]),
+        ({"resample_threshold": 7.0}, []),
+        ({"resample_threshold": -0.5}, []),
+        ({"resample_threshold": math.nan}, []),
+        ({"model": "ou", "t_end": 0.04}, []),
+        ({"model": "lorenz63", "t_end": 0.01}, []),
+        ({"model": "lorenz96", "t_end": 0.04}, []),
+    ],
+    ids=lambda value: (
+        " ".join(value) or "file" if isinstance(value, list)
+        else ",".join(f"{k}={v}" for k, v in value.items())
+    ),
+)
+def test_config_refuses_a_setting_no_run_can_use_before_any_replicate(
+    setting, flags, monkeypatch, tmp_path
+):
+    # A negative or fractional seed, a fractional or boolean count, no
+    # worker, a resampling threshold outside [0, 1] and a horizon with no
+    # observation are refused by the config, from a file or a flag, so the
+    # CLI exits with one line naming the setting before any replicate.
+    base = {"model": "lorenz63", "filter": "dsm_pf", "t_end": 0.5, "mc_reps": 2}
+    name = list(setting)[-1]  # the refused field
+    with pytest.raises(ValueError, match=name):
+        ExperimentConfig(**{**base, **setting})
+
+    def no_replicate(job):
+        raise AssertionError("a replicate started")
+
+    monkeypatch.setattr(harness, "_replicate_job", no_replicate)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**base, **(setting if not flags else {})}))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["sweep", "--config", str(path), "--epsilon", "0.1", "--sqrt-lambda", "5",
+                  *flags])
+    assert str(err.value).startswith(f"{path}: ") and name in str(err.value)
+    assert "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("model,t_end", [("ou", 0.01), ("lorenz63", 0.04), ("lorenz96", 0.02)])

@@ -77,7 +77,7 @@ def test_contaminate_mixture_variance():
 
 
 def test_ou_deterministic_skeleton():
-    record, model = simulate_ou(t_end=1.0, dt=0.1, seed=0, noise_scale=0.0)
+    record, model = simulate_ou(t_end=1.0, seed=0, noise_scale=0.0)
     expected = 5.0 * 0.7 ** np.arange(11)
     assert np.allclose(record.states[0], expected, rtol=1e-12)
     assert model.A[0, 0] == 0.7 and model.Q[0, 0] == 1.3
@@ -85,7 +85,7 @@ def test_ou_deterministic_skeleton():
 
 
 def test_ou_stationary_variance():
-    record, _ = simulate_ou(t_end=2000.0, dt=0.1, seed=1)
+    record, _ = simulate_ou(t_end=2000.0, seed=1)
     x = record.states[0, 1000:]  # drop transient
     target = 1.3 / (1.0 - 0.49)
     se = target * np.sqrt(2.0 / x.size) * 3  # AR(1) samples are correlated
@@ -105,7 +105,7 @@ def test_ou_seed_reproducibility():
 
 
 def test_tracking_zero_noise_is_linear_motion():
-    record, _ = simulate_target_tracking(t_end=2.0, dt=0.1, seed=0, noise_scale=0.0)
+    record, _ = simulate_target_tracking(t_end=2.0, seed=0, noise_scale=0.0)
     times = record.times
     assert np.allclose(record.states[0], times)  # x position = t * vx, vx = 1
     assert np.allclose(record.states[1], times)
@@ -113,7 +113,7 @@ def test_tracking_zero_noise_is_linear_motion():
 
 
 def test_tracking_matrix_entries():
-    model = tracking_model(dt=0.1)
+    model = tracking_model()
     assert model.Q[0, 0] == pytest.approx(0.1**3 / 3.0)
     assert model.Q[0, 0] == pytest.approx(3.333e-4, abs=1e-6)
     assert model.Q[0, 2] == pytest.approx(0.1**2 / 2.0)
@@ -320,9 +320,9 @@ def test_lgss_truth_matches_its_own_loop_bit_for_bit(
     # The shared linear Gaussian truth loop and observation tail give the
     # numbers of the loops each model once had, at zero noise too, where the
     # truth draws are still made so that the observation draws stay put.
-    states, observations, flags = oracle(t_end, 0.1, seed, contamination, noise_scale)
+    states, observations, flags = oracle(t_end, seed, contamination, noise_scale)
     record, _ = simulate(
-        t_end=t_end, dt=0.1, seed=seed, contamination=contamination, noise_scale=noise_scale
+        t_end=t_end, seed=seed, contamination=contamination, noise_scale=noise_scale
     )
     assert np.array_equal(record.states, states)
     assert np.array_equal(record.observations, observations)

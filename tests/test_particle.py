@@ -178,7 +178,7 @@ def test_pf_step_refuses_a_kernel_not_standardized_by_r():
     obs = ObservationModel(H=np.eye(2), R=np.eye(2))
     for spec in (
         WeightKernelSpec(family=IMQ),
-        WeightKernelSpec(family=SQEXP, standardization="obs_anomaly"),
+        WeightKernelSpec(family=SQEXP, standardization="marginal"),
         WeightKernelSpec(IMQ, standardization=CONDITIONAL, block_partition=((0, 1), (1, 2))),
     ):
         with pytest.raises(ValueError, match="standardizes"):
