@@ -8,15 +8,7 @@ harness for contaminated observation noise.
 """
 
 from ._linalg import SpdFactor, psd_sym_sqrt, symmetrize
-from .analysis import (
-    AnalysisResult,
-    InfluenceRow,
-    WolfSpec,
-    dsm_analysis,
-    influence_sweep,
-    information_form_update,
-    wolf_analysis,
-)
+from .analysis import AnalysisResult, dsm_analysis, wolf_analysis
 from .ensemble import (
     EnsembleState,
     LetkfConfig,
@@ -56,6 +48,7 @@ from .particle import ParticleCloud, dsm_log_potential, pf_step
 from .weights import (
     WeightEvaluation,
     WeightKernelSpec,
+    WolfSpec,
     default_threshold,
     eval_kernel,
     expected_weight_mc,

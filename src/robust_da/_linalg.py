@@ -101,9 +101,6 @@ class SpdFactor:
             raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
         return x
 
-    def inverse(self) -> np.ndarray:
-        return self.solve(np.eye(self.dim))
-
     def whiten(self, residual: np.ndarray) -> np.ndarray:
         """L^{-1} r for a (d,) or (d, n) residual r, with L the lower factor.
 

@@ -81,6 +81,12 @@ def _parse_filters(args, config: ExperimentConfig) -> list[str]:
     return filters
 
 
+def _at_least(flag: str, value: int | None, low: int) -> None:
+    """Refuse, with one line naming ``flag``, a given value below ``low``."""
+    if value is not None and value < low:
+        raise SystemExit(f"{flag} must be an integer >= {low}, got {value}")
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2, default=str))
 
@@ -125,6 +131,8 @@ def cmd_size_sweep(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    _at_least("--dy", args.dy, 1)
+    _at_least("--seed", args.seed, 0)
     tuned = tune_threshold(args.dy, family=args.family, seed=args.seed or 0)
     estimate = expected_weight_mc(args.dy, tuned, family=args.family, seed=args.seed or 0)
     _emit({"d_y": args.dy, "family": args.family, "threshold": tuned, "expected_weight": estimate})
@@ -134,6 +142,7 @@ def cmd_tune(args) -> int:
 def cmd_verify(args) -> int:
     from .checks import run_checks
 
+    _at_least("--seed", args.seed, 0)
     failures = run_checks(seed=args.seed or 0, verbose=True)
     return 0 if failures == 0 else 1
 

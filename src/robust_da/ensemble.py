@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -67,22 +68,14 @@ class EnsembleState:
     def size(self) -> int:
         return self.members.shape[1]
 
-    @property
+    @cached_property
     def mean(self) -> np.ndarray:
-        cached = self.__dict__.get("_mean")
-        if cached is None:
-            cached = self.members.mean(axis=1)
-            object.__setattr__(self, "_mean", cached)
-        return cached
+        return self.members.mean(axis=1)
 
-    @property
+    @cached_property
     def anomalies(self) -> np.ndarray:
         """Centered members as columns; columns sum to zero."""
-        cached = self.__dict__.get("_anomalies")
-        if cached is None:
-            cached = self.members - self.mean[:, None]
-            object.__setattr__(self, "_anomalies", cached)
-        return cached
+        return self.members - self.mean[:, None]
 
     @property
     def cov(self) -> np.ndarray:

@@ -227,6 +227,8 @@ class ModelSetup:
 def build_setup(config: ExperimentConfig, traj_seed) -> ModelSetup:
     contamination = config.contamination
     t_end = config.horizon
+    dt, t_out = _MODEL_TIMES[config.model][1:]
+    substeps = step_counts(t_end, dt, t_out)[1]  # forecast steps per observation
     lgss = None
     if config.model in ("ou", "tracking2d"):
         simulate = simulate_ou if config.model == "ou" else simulate_target_tracking
@@ -236,11 +238,11 @@ def build_setup(config: ExperimentConfig, traj_seed) -> ModelSetup:
         init_mean, init_cov = lgss.prior.mean, lgss.prior.cov
     elif config.model == "lorenz63":
         record, obs = simulate_lorenz63(t_end=t_end, seed=traj_seed, contamination=contamination)
-        sampler = lorenz63_sampler(LORENZ63_DT, n_steps=50)
+        sampler = lorenz63_sampler(dt, n_steps=substeps)
         init_mean, init_cov = record.initial_state, 0.1 * np.eye(3)
     else:
         record, obs = simulate_lorenz96(t_end=t_end, seed=traj_seed, contamination=contamination)
-        sampler = lorenz96_sampler(LORENZ96_DT, n_steps=5)
+        sampler = lorenz96_sampler(dt, n_steps=substeps)
         init_mean, init_cov = record.initial_state, np.eye(record.states.shape[0])
     return ModelSetup(
         record=record,

@@ -5,13 +5,14 @@ Conventions follow the usual discrete-time system
 
     x_n = A x_{n-1} + Q^{1/2} w_n,      y_n = H x_n + R^{1/2} v_n,
 
-with Gaussian beliefs carried in covariance form (mean, cov) and
-information-form accessors (precision, potential) derived on demand.
+with Gaussian beliefs carried in covariance form (mean, cov).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from ._linalg import SpdFactor, symmetrize
@@ -51,9 +52,8 @@ def _as_matrix(a, shape: tuple[int, int] | None = None) -> np.ndarray:
 class GaussianBelief:
     """Gaussian distribution in covariance form.
 
-    The covariance is symmetrized on construction; positive definiteness is
-    enforced by the Cholesky factorization (with jitter repair) the first
-    time a factor-based quantity is requested.
+    The covariance is symmetrized on construction and not factorized: the
+    steps that solve with it factorize what they need, with jitter repair.
     """
 
     mean: np.ndarray
@@ -72,24 +72,6 @@ class GaussianBelief:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-    @property
-    def factor(self) -> SpdFactor:
-        cached = self.__dict__.get("_factor")
-        if cached is None:
-            cached = SpdFactor(self.cov)
-            object.__setattr__(self, "_factor", cached)
-        return cached
-
-    @property
-    def precision(self) -> np.ndarray:
-        """Information matrix J = cov^{-1}."""
-        return symmetrize(self.factor.inverse())
-
-    @property
-    def potential(self) -> np.ndarray:
-        """Information vector theta = J @ mean."""
-        return self.factor.solve(self.mean)
 
 
 @dataclass(frozen=True)
@@ -118,13 +100,9 @@ class ObservationModel:
     def d_x(self) -> int:
         return self.H.shape[1]
 
-    @property
+    @cached_property
     def r_factor(self) -> SpdFactor:
-        cached = self.__dict__.get("_r_factor")
-        if cached is None:
-            cached = SpdFactor(self.R)
-            object.__setattr__(self, "_r_factor", cached)
-        return cached
+        return SpdFactor(self.R)
 
 
 @dataclass(frozen=True)

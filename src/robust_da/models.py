@@ -30,7 +30,6 @@ __all__ = [
     "simulate_lorenz96",
     "tracking_model",
     "lgss_sampler",
-    "lorenz63_drift",
     "lorenz63_sampler",
     "lorenz96_drift",
     "lorenz96_sampler",
@@ -235,8 +234,9 @@ def simulate_target_tracking(
 
 
 def _lorenz63_field(x1, x2, x3, d1, d2, d3) -> None:
-    """Write the Lorenz-63 field of the rows (x1, x2, x3) into the rows
-    (d1, d2, d3), in place and with no temporaries."""
+    """Write the Lorenz-63 field (sigma=10, rho=28, beta=8/3) of the rows
+    (x1, x2, x3) into the rows (d1, d2, d3), in place and with no
+    temporaries."""
     np.multiply(8.0 / 3.0, x3, d3)
     np.multiply(x1, x2, d2)
     np.subtract(d2, d3, d3)    # x1 x2 - (8/3) x3
@@ -245,14 +245,6 @@ def _lorenz63_field(x1, x2, x3, d1, d2, d3) -> None:
     np.subtract(d2, x2, d2)    # x1 (28 - x3) - x2
     np.subtract(x2, x1, d1)
     np.multiply(10.0, d1, d1)  # 10 (x2 - x1)
-
-
-def lorenz63_drift(x: np.ndarray) -> np.ndarray:
-    """Lorenz-63 vector field (sigma=10, rho=28, beta=8/3), vectorized over columns."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
-    _lorenz63_field(*x.reshape(3, -1), *out.reshape(3, -1))
-    return out
 
 
 def lorenz63_sampler(dt: float, n_steps: int, noise_scale: float = 1.0):
@@ -307,9 +299,10 @@ def simulate_lorenz63(
     ``(n, 3)`` block, the same numbers in the same order as one
     ``standard_normal(3)`` draw per step, so the observation draws that
     follow are unchanged too.  The steps run in Python floats: the same IEEE
-    operations, in the same order, as the array form of ``lorenz63_drift``,
-    so the states match it bit for bit.  Finiteness is checked once per
-    observation interval; a blow-up is reported at its first non-finite step.
+    operations, in the same order, as the array field ``lorenz63_sampler``
+    steps its members with, so the states match it bit for bit.  Finiteness
+    is checked once per observation interval; a blow-up is reported at its
+    first non-finite step.
     """
     n, steps_per_obs = step_counts(t_end, dt, t_out)
     rng = np.random.default_rng(seed)

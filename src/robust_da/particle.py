@@ -10,6 +10,7 @@ observations cannot zero out the weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
@@ -58,14 +59,10 @@ class ParticleCloud:
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
 
-    @property
+    @cached_property
     def ess(self) -> float:
         """Effective sample size 1 / sum(w^2), in [1, M]."""
-        cached = self.__dict__.get("_ess")
-        if cached is None:
-            cached = float(1.0 / np.sum(self.weights**2))
-            object.__setattr__(self, "_ess", cached)
-        return cached
+        return float(1.0 / np.sum(self.weights**2))
 
     def weighted_mean(self) -> np.ndarray:
         return self.particles @ self.weights

@@ -185,23 +185,15 @@ class WeightEvaluation:
     """Evaluated squared weights and the gradients of their logarithms.
 
     ``log_grads`` row b is the observation-space gradient of log k^2_b, 0
-    where k^2_b is 0.  ``full_grads`` row b is the gradient of k^2_b itself.
-    Entry i of a ``*_diag`` vector is taken from the block containing i, so
-    ``grad_diag`` is the divergence of the diagonal weight matrix: the
-    partial derivative of that block's k^2 with respect to y_i.
+    where k^2_b is 0.  Entry i of a ``*_diag`` vector is taken from the
+    block containing i: ``k_sq_diag`` is the diagonal of the weight matrix,
+    and ``log_grad_diag`` the partial derivative of that block's log k^2
+    with respect to y_i.
     """
 
     k_sq: np.ndarray          # (B,) squared weights per block
     log_grads: np.ndarray     # (B, d_Y)
     partition: BlockPartition
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.partition)
-
-    @property
-    def full_grads(self) -> np.ndarray:
-        return self.k_sq[:, None] * self.log_grads
 
     @property
     def k_sq_diag(self) -> np.ndarray:
@@ -210,10 +202,6 @@ class WeightEvaluation:
     @property
     def log_grad_diag(self) -> np.ndarray:
         return np.concatenate([g[a:b] for g, (a, b) in zip(self.log_grads, self.partition)])
-
-    @property
-    def grad_diag(self) -> np.ndarray:
-        return self.k_sq_diag * self.log_grad_diag
 
 
 def weight_sq(

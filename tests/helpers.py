@@ -1,5 +1,6 @@
 """Shared test oracles: dense-grid quadrature posteriors and
-finite-difference gradients; a per-window LETKF loop, an np.roll-based
+finite-difference gradients; the information-form robust update and the
+outlier-influence sweep; a per-window LETKF loop, an np.roll-based
 Lorenz-96 integrator, a draw-per-step Lorenz-63 integrator and the two
 hand-written linear Gaussian truth loops (scalar OU in Python floats,
 constant-velocity tracking in arrays), references for the shared library
@@ -7,10 +8,11 @@ code; the per-step q-IC and coverage loops, references for the stacked
 metrics; a machine-speed calibration loop for wall-time budgets; and the marks
 that let a test drive one of the library's intended overflows.
 
-The quadrature and gradient oracles deliberately avoid the library's update
-formulas so that agreement is evidence, not tautology.  The LETKF, Lorenz
-and metric oracles are the straightforward loops: they pin the batched code
-to the same numbers computed one window, or one step, at a time.
+The quadrature, gradient and information-form oracles deliberately avoid
+the library's update formulas so that agreement is evidence, not tautology.
+The LETKF, Lorenz and metric oracles are the straightforward loops: they pin
+the batched code to the same numbers computed one window, or one step, at a
+time.
 """
 
 from __future__ import annotations
@@ -22,7 +24,17 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from robust_da import EnsembleState, SpdFactor, contaminate, psd_sym_sqrt, symmetrize
+from robust_da import (
+    EnsembleState,
+    GaussianBelief,
+    SpdFactor,
+    contaminate,
+    dsm_analysis,
+    kf_analysis,
+    psd_sym_sqrt,
+    symmetrize,
+    wolf_analysis,
+)
 from robust_da.metrics import _q_log_from_log
 from robust_da.models import tracking_model
 from robust_da.weights import robust_update
@@ -101,6 +113,53 @@ def random_spd(rng, d, scale=1.0):
     return scale * (a @ a.T + d * np.eye(d))
 
 
+# ---------------------------------------------------------------------------
+# The robust update in information form, and its bounded influence.
+
+
+def information_form_update(forecast, h, r, w, target):
+    """Information-form route to the robust posterior.
+
+    With the weighted precision J_w = W^{1/2} R^{-1} W^{1/2}, W = diag(w):
+    P^a = [(P^f)^{-1} + H^T J_w H]^{-1} and
+    m^a = m^f - P^a H^T J_w (H m^f - target), against which the library's
+    gain-form update is checked.
+    """
+    root_w = np.sqrt(w)
+    weighted_precision = root_w[:, None] * SpdFactor(r).solve(np.eye(r.shape[0])) * root_w
+    forecast_precision = symmetrize(SpdFactor(forecast.cov).solve(np.eye(forecast.dim)))
+    precision = forecast_precision + h.T @ weighted_precision @ h
+    p_a = symmetrize(SpdFactor(precision).solve(np.eye(forecast.dim)))
+    mean = forecast.mean - p_a @ (h.T @ (weighted_precision @ (h @ forecast.mean - target)))
+    return GaussianBelief(mean=mean, cov=p_a)
+
+
+def influence_sweep(model, forecast, spec_dsm, spec_wolf, magnitudes):
+    """{method: {magnitude: posterior-mean displacement}} of the regular
+    ("kf"), score-matching ("dsm") and weighted-likelihood ("wolf") updates
+    for the observation H m^f + magnitude * u, with u the leading eigenvector
+    of the innovation covariance.  A displacement plateau as the magnitude
+    grows is the robustness signature; the regular gain is constant in y, so
+    its displacement grows linearly without bound.
+    """
+    h = model.H
+    center = h @ forecast.mean
+    eigvals, eigvecs = np.linalg.eigh(symmetrize(model.R + h @ forecast.cov @ h.T))
+    direction = eigvecs[:, np.argmax(eigvals)]
+    direction = direction / np.linalg.norm(direction)
+    shifts = {"kf": {}, "dsm": {}, "wolf": {}}
+    for magnitude in magnitudes:
+        y0 = center + float(magnitude) * direction
+        posteriors = {
+            "kf": kf_analysis(model, forecast, y0),
+            "dsm": dsm_analysis(model, forecast, y0, spec_dsm).posterior,
+            "wolf": wolf_analysis(model, forecast, y0, spec_wolf).posterior,
+        }
+        for method, post in posteriors.items():
+            shifts[method][float(magnitude)] = float(np.linalg.norm(post.mean - forecast.mean))
+    return shifts
+
+
 # Calibrated timing: the loop of ``perfbench/calibration.py``, copied because
 # the suite also runs where ``perfbench`` is not importable.  A shared host's
 # speed drifts by up to 1.6x; a wall-time budget is read at reference speed by
@@ -155,7 +214,8 @@ def window_indices(state_index, d_y, half_width):
 def anomaly_posterior_cov(gram, m, rho=1.0):
     """Anomaly-space analysis covariance [(M-1)/rho I + gram]^{-1}."""
     gram = symmetrize(np.asarray(gram, dtype=float))
-    return symmetrize(SpdFactor((m - 1) / rho * np.eye(gram.shape[0]) + gram).inverse())
+    eye = np.eye(gram.shape[0])
+    return symmetrize(SpdFactor((m - 1) / rho * eye + gram).solve(eye))
 
 
 def solve_anomaly_analysis(y_anom, ninv, innovation, rho=1.0):
@@ -175,7 +235,7 @@ def _local_analysis(spec, y, y_mean, y_anom, r, rho):
     r_factor = SpdFactor(r)
     w, target = robust_update(spec, y, y_mean, lambda: y_anom @ y_anom.T / (m - 1), r_factor)
     root_w = np.sqrt(w)
-    ninv = root_w[:, None] * r_factor.inverse() * root_w
+    ninv = root_w[:, None] * r_factor.solve(np.eye(r.shape[0])) * root_w
     return solve_anomaly_analysis(y_anom, ninv, target - y_mean, rho)
 
 

@@ -19,12 +19,12 @@ from robust_da import (
     kf_analysis,
     wolf_analysis,
 )
-from robust_da.analysis import information_form_update
 from robust_da.weights import CONSTANT, IMQ, SQEXP, WeightKernelSpec, WolfSpec, robust_update
 from helpers import (
     BLOCK_SQUARE_OVERFLOWS,
     RESCALED_SQUARE_OVERFLOWS,
     WHITENING_OVERFLOWS,
+    information_form_update,
     random_spd,
 )
 

@@ -19,12 +19,13 @@ from robust_da import (
     wolf_analysis,
 )
 from robust_da.ensemble import _window_indices
-from robust_da.models import lgss_sampler, lorenz63_drift, lorenz63_sampler
+from robust_da.models import lgss_sampler, lorenz63_sampler
 from robust_da.weights import CONSTANT, IMQ, SQEXP, WeightKernelSpec
 from helpers import (
     WINDOW_SQUARE_OVERFLOWS,
     anomaly_posterior_cov,
     letkf_analysis_looped,
+    lorenz63_drift_stacked,
     random_spd,
     solve_anomaly_analysis,
 )
@@ -88,7 +89,7 @@ def test_forecast_lorenz63_deterministic_euler_step():
     x0 = np.array([-0.587, -0.563, 16.87])
     sampler = lorenz63_sampler(dt=0.001, n_steps=1, noise_scale=0.0)
     out = sampler(x0[:, None], np.random.default_rng(0))[:, 0]
-    expected = x0 + 0.001 * lorenz63_drift(x0)
+    expected = x0 + 0.001 * lorenz63_drift_stacked(x0)
     assert np.allclose(out, expected, rtol=1e-14)
     assert out[0] == pytest.approx(-0.58676, abs=1e-12)
     # Origin is a fixed point of the drift.

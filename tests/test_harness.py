@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import pkgutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from robust_da import harness
+import robust_da
+from robust_da import checks, harness
 from robust_da.harness import (
     FILTERS,
     PRESETS,
@@ -632,6 +634,27 @@ def test_cli_size_sweep_refuses_a_size_a_filter_cannot_run_in_one_line():
     )
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["tune", "--dy", "1", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+        (["tune", "--dy", "0"], "--dy must be an integer >= 1, got 0"),
+        (["verify", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    ],
+)
+def test_cli_tune_and_verify_refuse_a_bad_seed_or_dimension_in_one_line(
+    monkeypatch, args, message
+):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "tune_threshold", no_sampling)
+    monkeypatch.setattr(checks, "run_checks", no_sampling)
+    with pytest.raises(SystemExit) as err:
+        cli.main(args)
+    assert str(err.value) == message
+
+
 def test_cli_verify_passes(capsys):
     assert cli.main(["verify"]) == 0
     assert "FAIL" not in capsys.readouterr().out
@@ -652,3 +675,11 @@ def test_filter_list_is_complete():
         "kf", "dsm_kf", "wolf_kf", "enkf", "dsm_enkf", "wolf_enkf",
         "esrf", "dsm_esrf", "letkf", "dsm_letkf", "wolf_letkf", "dsm_pf",
     }
+
+
+def test_star_import_of_every_module_resolves_its_exports():
+    """``import *`` fails on an ``__all__`` entry the module no longer defines."""
+    modules = [info.name for info in pkgutil.iter_modules(robust_da.__path__)]
+    assert len(modules) > 10
+    for name in ["robust_da", *(f"robust_da.{m}" for m in modules)]:
+        exec(f"from {name} import *", {})

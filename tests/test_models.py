@@ -4,7 +4,6 @@ import pytest
 from robust_da import ContaminationSpec, contaminate
 from robust_da.models import (
     LORENZ63_X0,
-    lorenz63_drift,
     lorenz63_sampler,
     lorenz96_drift,
     lorenz96_sampler,
@@ -15,6 +14,7 @@ from robust_da.models import (
     tracking_model,
 )
 from helpers import (
+    lorenz63_drift_stacked,
     lorenz63_sampler_stepwise,
     lorenz96_sampler_rolled,
     simulate_lorenz63_stepwise,
@@ -143,16 +143,16 @@ def test_lorenz63_euler_first_order_against_rk4_reference():
     # fine RK4 reference and check the first-order error scaling.
     def rk4(x, dt, steps):
         for _ in range(steps):
-            k1 = lorenz63_drift(x)
-            k2 = lorenz63_drift(x + 0.5 * dt * k1)
-            k3 = lorenz63_drift(x + 0.5 * dt * k2)
-            k4 = lorenz63_drift(x + dt * k3)
+            k1 = lorenz63_drift_stacked(x)
+            k2 = lorenz63_drift_stacked(x + 0.5 * dt * k1)
+            k3 = lorenz63_drift_stacked(x + 0.5 * dt * k2)
+            k4 = lorenz63_drift_stacked(x + dt * k3)
             x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         return x
 
     def euler(x, dt, steps):
         for _ in range(steps):
-            x = x + dt * lorenz63_drift(x)
+            x = x + dt * lorenz63_drift_stacked(x)
         return x
 
     reference = rk4(LORENZ63_X0.copy(), 1e-4, 10_000)

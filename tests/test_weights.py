@@ -28,8 +28,8 @@ def test_zero_residual_gives_unit_weight_and_zero_gradient():
             spec = WeightKernelSpec(family=family, threshold=2.0, block_partition=partition)
             ev = eval_kernel(spec, y, y, cov)
             assert np.allclose(ev.k_sq, 1.0)
-            assert np.allclose(ev.grad_diag, 0.0)
-            assert np.allclose(ev.full_grads, 0.0)
+            assert np.allclose(ev.k_sq_diag * ev.log_grad_diag, 0.0)
+            assert np.allclose(ev.k_sq[:, None] * ev.log_grads, 0.0)
 
 
 def test_scalar_imq_half_weight():
@@ -42,7 +42,7 @@ def test_constant_family_is_exact_half():
     spec = WeightKernelSpec(family=CONSTANT)
     ev = eval_kernel(spec, np.array([3.0, 1.0]), np.zeros(2), SpdFactor(np.eye(2)))
     assert np.all(ev.k_sq == 0.5)
-    assert np.all(ev.grad_diag == 0.0)
+    assert np.all(ev.k_sq_diag * ev.log_grad_diag == 0.0)
 
 
 def test_gradients_match_finite_differences():
@@ -65,15 +65,16 @@ def test_gradients_match_finite_differences():
             block_partition=partition,
         )
         ev = eval_kernel(spec, y, center, cov)
-        for b in range(ev.n_blocks):
+        for b in range(len(ev.partition)):
             fd = central_diff_gradient(
                 lambda yy: eval_kernel(spec, yy, center, cov).k_sq[b], y
             )
             scale = max(np.linalg.norm(fd), 1e-8)
-            assert np.linalg.norm(ev.full_grads[b] - fd) / scale <= 1e-5
-        # grad_diag is the blockwise diagonal of the full gradients.
+            assert np.linalg.norm(ev.k_sq[b] * ev.log_grads[b] - fd) / scale <= 1e-5
+        # The diagonal vectors are the blockwise diagonal of the full gradients.
+        grad_diag = ev.k_sq_diag * ev.log_grad_diag
         for b, (start, stop) in enumerate(ev.partition):
-            assert np.array_equal(ev.grad_diag[start:stop], ev.full_grads[b, start:stop])
+            assert np.array_equal(grad_diag[start:stop], ev.k_sq[b] * ev.log_grads[b, start:stop])
         checked += 1
     assert checked == 100
 
@@ -201,7 +202,7 @@ def test_corrected_observation_hand_example():
     spec = WeightKernelSpec(family=IMQ, threshold=1.0)
     ev = eval_kernel(spec, np.array([1.0]), np.zeros(1), SpdFactor([[1.0]]))
     assert ev.k_sq[0] == pytest.approx(0.5)
-    assert ev.full_grads[0, 0] == pytest.approx(-0.5, rel=1e-12)
+    assert ev.k_sq[0] * ev.log_grads[0, 0] == pytest.approx(-0.5, rel=1e-12)
     w, target = robust_update(spec, np.array([1.0]), np.zeros(1), zero_hph(1), SpdFactor([[1.0]]))
     assert 1.0 / w[0] == pytest.approx(1.0)
     assert target[0] == pytest.approx(2.0, rel=1e-12)
