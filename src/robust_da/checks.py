@@ -107,12 +107,12 @@ def pf_rate(
     forecast = GaussianBelief(mean=[0.0], cov=[[0.7**2 + 1.3]])
     target = dsm_analysis(model, forecast, y, spec).posterior
 
-    def dynamics(members, rng):
-        return 0.7 * members + np.sqrt(1.3) * rng.standard_normal(members.shape)
-
     def error(m):
         cloud = ParticleCloud.uniform(rng.standard_normal((1, m)))
-        stepped = pf_step(cloud, dynamics, y, model.observation, spec, rng, resample_threshold=0.0)
+        propagated = 0.7 * cloud.particles + np.sqrt(1.3) * rng.standard_normal((1, m))
+        stepped = pf_step(
+            cloud, propagated, y, model.observation, spec, rng, resample_threshold=0.0
+        )
         return abs(stepped.weighted_mean()[0] - target.mean[0]), stepped.ess
 
     large_error, ess = error(sizes[-1])

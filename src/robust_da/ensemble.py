@@ -14,9 +14,8 @@ the same kernel functions in whitened anomaly space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,22 +42,28 @@ __all__ = [
 
 ENKF_MODES = ("average", "per_particle")
 
-# A member propagator: maps a (d_X, M) member matrix to the next one, drawing
-# any process noise from the supplied generator.
-DynamicsSampler = Callable[[np.ndarray, np.random.Generator], np.ndarray]
+# A member propagator: maps a list of (d_X, M_i) member blocks and one
+# generator per block to the stacked (d_X, sum M_i) next members, each block
+# drawing its process noise from its own generator (``models.*_sampler``).
+DynamicsSampler = Callable[[Sequence[np.ndarray], Sequence[np.random.Generator]], np.ndarray]
 
 
 @dataclass(frozen=True)
 class EnsembleState:
-    """d_X x M member matrix with cached mean and anomalies."""
+    """d_X x M member matrix with its mean and anomalies."""
 
     members: np.ndarray
+    mean: np.ndarray = field(init=False, repr=False, compare=False)
+    anomalies: np.ndarray = field(init=False, repr=False, compare=False)  # columns sum to zero
 
     def __post_init__(self):
         members = np.atleast_2d(np.asarray(self.members, dtype=float))
         if members.shape[1] < 2:
             raise ValueError("an ensemble needs at least two members")
+        mean = members.mean(axis=1)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "anomalies", members - mean[:, None])
 
     @property
     def d_x(self) -> int:
@@ -67,15 +72,6 @@ class EnsembleState:
     @property
     def size(self) -> int:
         return self.members.shape[1]
-
-    @cached_property
-    def mean(self) -> np.ndarray:
-        return self.members.mean(axis=1)
-
-    @cached_property
-    def anomalies(self) -> np.ndarray:
-        """Centered members as columns; columns sum to zero."""
-        return self.members - self.mean[:, None]
 
     @property
     def cov(self) -> np.ndarray:
@@ -86,27 +82,31 @@ class EnsembleState:
 
 def ensemble_forecast(
     dynamics: DynamicsSampler,
-    ensemble: EnsembleState,
-    rng: np.random.Generator,
-) -> EnsembleState:
-    """Propagate every member independently through the dynamics sampler."""
-    return EnsembleState(members=_propagate(dynamics, ensemble.members, rng))
+    blocks: Sequence[np.ndarray],
+    rngs: Sequence[np.random.Generator],
+) -> list[np.ndarray | None]:
+    """Propagate member blocks, each an ensemble's members or a particle
+    cloud's particles, through one call of the dynamics sampler, each block
+    drawing its process noise from its own generator.
 
-
-def _propagate(
-    dynamics: DynamicsSampler, members: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """``dynamics(members, rng)``, checked to keep the members' shape and to
-    be finite.  The ensemble and particle forecasts both call it."""
+    Returns the propagated blocks, split back in order, each a C-ordered
+    array; a block with a non-finite member comes back as None, its run
+    diverged in the forecast, and the other blocks are unaffected: the
+    samplers act on each column alone.  Overflow of a diverging member is
+    reported that way, not as a warning.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        # Overflow of a diverging member is reported via the finite check
-        # below, not as a warning mid-propagation.
-        propagated = np.asarray(dynamics(members, rng), dtype=float)
-    if propagated.shape != members.shape:
-        raise ValueError(f"dynamics returned shape {propagated.shape}, expected {members.shape}")
-    if not np.all(np.isfinite(propagated)):
-        raise FloatingPointError("forecast produced non-finite members")
-    return propagated
+        propagated = np.asarray(dynamics(blocks, rngs), dtype=float)
+    sizes = [block.shape[1] for block in blocks]
+    expected = (blocks[0].shape[0], sum(sizes))
+    if propagated.shape != expected:
+        raise ValueError(f"dynamics returned shape {propagated.shape}, expected {expected}")
+    out, start = [], 0
+    for size in sizes:
+        block = np.ascontiguousarray(propagated[:, start : start + size])
+        out.append(block if np.isfinite(block).all() else None)
+        start += size
+    return out
 
 
 def enkf_perturbed_analysis(

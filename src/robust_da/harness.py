@@ -4,7 +4,10 @@ contamination and ensemble-size sweeps, and CSV/JSON result files.
 ``_FILTER_TABLE`` defines every filter by the analysis step it runs (kf,
 enkf, esrf, letkf or pf) and the weight that goes into that step (regular,
 DSM or WoLF); one loop, ``_filter_loop``, runs every family and reports
-divergence the same way for all of them.
+divergence the same way for all of them.  It advances the ensemble and
+particle filters of a replicate in lock-step: at each observation their
+members go through one stacked forecast, and each filter then runs its own
+analysis.
 
 Determinism contract: a (config, master seed) pair maps to byte-identical
 result files regardless of worker count; per-replicate streams are derived
@@ -18,7 +21,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,9 +71,6 @@ __all__ = [
     "run_single",
     "run_sweep",
     "run_ensemble_size_sweep",
-    "run_closed_form_filter",
-    "run_ensemble_filter",
-    "run_particle_filter",
 ]
 
 SCHEMA_VERSION = 1
@@ -97,6 +97,10 @@ _MODEL_TIMES = {
     "lorenz96": (73.0, LORENZ96_DT, LORENZ_T_OUT),
 }
 MODELS = tuple(_MODEL_TIMES)
+# Largest horizon, in truth steps t_end / dt, a config accepts: 20 times the
+# largest preset's (lorenz63_full, 50,000 steps), and small enough that the
+# truth arrays of every model stay under a gigabyte (L96 at the cap: 0.64 GB).
+MAX_TRUTH_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,13 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
-        n, steps_per_obs = step_counts(self.horizon, *_MODEL_TIMES[self.model][1:])
+        dt, t_out = _MODEL_TIMES[self.model][1:]
+        if not self.horizon / dt <= MAX_TRUTH_STEPS:  # refuses an overflow to inf too
+            raise ValueError(
+                f"t_end {self.horizon} needs more than {MAX_TRUTH_STEPS} {self.model!r} "
+                f"truth steps of {dt}"
+            )
+        n, steps_per_obs = step_counts(self.horizon, dt, t_out)
         if n < steps_per_obs:
             raise ValueError(
                 f"t_end {self.horizon} gives {self.model!r} no observation to assimilate"
@@ -269,28 +279,74 @@ class FilterRun:
     divergence_step: int | None = None
 
 
-def _filter_loop(ys: np.ndarray, state, step, moments) -> FilterRun:
-    """Run ``state = step(state, y)`` over the columns of ``ys``, recording
-    ``moments(state) -> (mean, cov, weight_sq)`` after every step.
+@dataclass
+class _Slice:
+    """One filter's run inside a replicate's lock-stepped loop.
 
-    The run diverges at the first step that raised a linear-algebra or
-    floating-point error or recorded a non-finite mean or covariance; that
-    step and the rest of the output are NaN.  Finiteness is checked once,
-    after the loop, over every recorded step, so numpy's overflow and
-    invalid-value warnings are silenced for the whole loop.
+    ``step(state, forecast, y)`` is the filter's step on the observation
+    ``y``, a column of ``ys``; ``moments(state)`` gives (mean, cov,
+    weight_sq).  A filter with a sampled forecast names the member block it
+    forecasts, ``members(state)``, and the generator its noise comes from,
+    and its step gets that block propagated as ``forecast``; the closed-form
+    recursion has neither, forecasts inside its step and gets None.
     """
-    n_obs = ys.shape[1]
-    mean, cov, _ = moments(state)  # sizes the output
-    means = np.full((n_obs, *mean.shape), np.nan)
-    covs = np.full((n_obs, *cov.shape), np.nan)
-    weights = np.full(n_obs, np.nan)
+
+    ys: np.ndarray
+    state: object
+    step: Callable
+    moments: Callable
+    members: Callable | None = None
+    rng: np.random.Generator | None = None
+
+
+def _filter_loop(slices: list[_Slice], sampler) -> list[FilterRun]:
+    """Run every slice over the columns of its ``ys`` in lock-step,
+    recording ``moments(state)`` after every step.
+
+    At each observation the member blocks of the live slices that sample
+    their forecast go through one ``ensemble_forecast`` call of ``sampler``,
+    and then each live slice takes its step.  A slice diverges, and drops
+    out of the loop, at the first step whose forecast is non-finite or that
+    raised a linear-algebra or floating-point error, or that recorded a
+    non-finite mean or covariance; that step and the rest of its output are
+    NaN.  The other slices run on.  Finiteness of the recorded moments is
+    checked once, after the loop, over every recorded step, so numpy's
+    overflow and invalid-value warnings are silenced for the whole loop.
+    """
+    n_obs = slices[0].ys.shape[1]
+    states = [s.state for s in slices]
+    outputs = []
+    for s in slices:
+        mean, cov, _ = s.moments(s.state)  # sizes the output
+        outputs.append((np.full((n_obs, *mean.shape), np.nan),
+                        np.full((n_obs, *cov.shape), np.nan), np.full(n_obs, np.nan)))
+    live = list(range(len(slices)))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_obs):
-            try:
-                state = step(state, ys[:, k])
-            except (np.linalg.LinAlgError, FloatingPointError):
-                break  # rows k onwards stay NaN
-            means[k], covs[k], weights[k] = moments(state)
+            sampled = [i for i in live if slices[i].members is not None]
+            forecasts = dict.fromkeys(live)
+            if sampled:
+                forecasts.update(zip(sampled, ensemble_forecast(
+                    sampler,
+                    [slices[i].members(states[i]) for i in sampled],
+                    [slices[i].rng for i in sampled],
+                )))
+            for i, forecast in forecasts.items():
+                s = slices[i]
+                try:
+                    if forecast is None and s.members is not None:
+                        raise FloatingPointError("forecast produced non-finite members")
+                    states[i] = s.step(states[i], forecast, s.ys[:, k])
+                except (np.linalg.LinAlgError, FloatingPointError):
+                    live.remove(i)  # rows k onwards stay NaN
+                    continue
+                means, covs, weights = outputs[i]
+                means[k], covs[k], weights[k] = s.moments(states[i])
+    return [_finished_run(*output) for output in outputs]
+
+
+def _finished_run(means: np.ndarray, covs: np.ndarray, weights: np.ndarray) -> FilterRun:
+    """The run of one slice, diverged at its first non-finite step, if any."""
     finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
     if finite.all():
         return FilterRun(means=means, covariances=covs, weights=weights)
@@ -318,8 +374,9 @@ def run_closed_form_filter(
     ys: np.ndarray,
     config: ExperimentConfig,
     rng: np.random.Generator,
-) -> FilterRun:
-    """Run the exact KF / DSM / WoLF recursion over an observation sequence.
+) -> _Slice:
+    """The exact KF / DSM / WoLF recursion over an observation sequence, as
+    a slice of ``_filter_loop``.
 
     ``ys`` has one observation per column; the recursion draws nothing from
     ``rng``.
@@ -328,7 +385,7 @@ def run_closed_form_filter(
     weight = _FILTER_TABLE[config.filter][1]
     spec = _weight_spec(config)
 
-    def step(state, y):
+    def step(state, _forecast, y):
         forecast = kf_forecast(model, state[0])
         if weight is None:
             return kf_analysis(model, forecast, y), np.nan
@@ -336,7 +393,7 @@ def run_closed_form_filter(
         result = update(model, forecast, y, spec)
         return result.posterior, result.weight.min() / 2.0
 
-    return _filter_loop(ys, (model.prior, np.nan), step, lambda s: (s[0].mean, s[0].cov, s[1]))
+    return _Slice(ys, (model.prior, np.nan), step, lambda s: (s[0].mean, s[0].cov, s[1]))
 
 
 def _letkf_config(config: ExperimentConfig) -> LetkfConfig:
@@ -359,15 +416,16 @@ def run_ensemble_filter(
     ys: np.ndarray,
     config: ExperimentConfig,
     rng: np.random.Generator,
-) -> FilterRun:
-    """Run an EnKF / ESRF / LETKF variant over an observation sequence."""
+) -> _Slice:
+    """An EnKF / ESRF / LETKF variant over an observation sequence, as a
+    slice of ``_filter_loop``; its initial members are drawn here."""
     ensemble = EnsembleState(members=_initial_members(setup, config.ensemble_size, rng))
     analysis = _FILTER_TABLE[config.filter][0]
     spec = _weight_spec(config)
     letkf_cfg = _letkf_config(config)
 
-    def step(ensemble, y):
-        ensemble = ensemble_forecast(setup.sampler, ensemble, rng)
+    def step(_ensemble, members, y):
+        ensemble = EnsembleState(members=members)
         if analysis == "letkf":
             return letkf_analysis(ensemble, setup.obs, y, spec, letkf_cfg)
         if analysis == "esrf":
@@ -376,7 +434,8 @@ def run_ensemble_filter(
             ensemble, setup.obs, y, spec, mode=config.enkf_mode, rng=rng
         )
 
-    return _filter_loop(ys, ensemble, step, lambda e: (e.mean, e.cov, np.nan))
+    return _Slice(ys, ensemble, step, lambda e: (e.mean, e.cov, np.nan),
+                  members=lambda e: e.members, rng=rng)
 
 
 def run_particle_filter(
@@ -384,15 +443,17 @@ def run_particle_filter(
     ys: np.ndarray,
     config: ExperimentConfig,
     rng: np.random.Generator,
-) -> FilterRun:
-    """Run the score-matching bootstrap particle filter."""
+) -> _Slice:
+    """The score-matching bootstrap particle filter over an observation
+    sequence, as a slice of ``_filter_loop``; its initial particles are
+    drawn here."""
     cloud = ParticleCloud.uniform(_initial_members(setup, config.ensemble_size, rng))
     spec = _weight_spec(config)
 
-    def step(cloud, y):
+    def step(cloud, propagated, y):
         return pf_step(
             cloud,
-            setup.sampler,
+            propagated,
             y,
             setup.obs,
             spec,
@@ -400,18 +461,37 @@ def run_particle_filter(
             resample_threshold=config.resample_threshold,
         )
 
-    return _filter_loop(
-        ys, cloud, step, lambda c: (c.weighted_mean(), c.weighted_cov(), np.nan)
-    )
+    return _Slice(ys, cloud, step, lambda c: (c.weighted_mean(), c.weighted_cov(), np.nan),
+                  members=lambda c: c.particles, rng=rng)
 
 
-def _run_filter(setup: ModelSetup, config: ExperimentConfig, filt_rng) -> FilterRun:
-    analysis = _FILTER_TABLE[config.filter][0]
+def _run_filters(
+    setup: ModelSetup, configs: Sequence[ExperimentConfig], rngs: Sequence[np.random.Generator]
+) -> list[FilterRun]:
+    """Run the configs' filters over the replicate's observations, each
+    drawing from its own generator: the filters that sample their forecast
+    in lock-step, and each closed-form filter on its own.
+
+    Only a shared forecast gains from the lock-step.  Interleaved with each
+    other, the closed-form recursions, which sample none, ran 5-9% slower
+    than one after another (tracking sweeps, 2-vCPU Xeon VM).
+    """
     # Looked up at call time, so a rebound module attribute takes effect.
-    runner = {"kf": run_closed_form_filter, "pf": run_particle_filter}.get(
-        analysis, run_ensemble_filter
-    )
-    return runner(setup, setup.record.observations, config, filt_rng)
+    runners = {"kf": run_closed_form_filter, "pf": run_particle_filter}
+    ys = setup.record.observations
+    slices = [
+        runners.get(_FILTER_TABLE[config.filter][0], run_ensemble_filter)(setup, ys, config, rng)
+        for config, rng in zip(configs, rngs)
+    ]
+    sampled = [i for i, s in enumerate(slices) if s.members is not None]
+    groups = [[i] for i, s in enumerate(slices) if s.members is None]
+    if sampled:
+        groups.append(sampled)
+    runs = [None] * len(slices)
+    for group in groups:
+        for i, run in zip(group, _filter_loop([slices[i] for i in group], setup.sampler)):
+            runs[i] = run
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +521,7 @@ def run_single(config: ExperimentConfig) -> RunResult:
     root = np.random.SeedSequence(config.seed)
     traj_ss, filt_ss = root.spawn(2)
     setup = build_setup(config, traj_ss)
-    run = _run_filter(setup, config, np.random.default_rng(filt_ss))
+    (run,) = _run_filters(setup, [config], [np.random.default_rng(filt_ss)])
     report = _evaluate_run(setup, run)
 
     summary = {
@@ -557,11 +637,13 @@ def _replicate_job(args) -> tuple:
     base, filters, cell_key, rep = args
     traj_ss = np.random.SeedSequence(base.seed, spawn_key=(*cell_key, rep, 0))
     setup = build_setup(base, traj_ss)
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence(base.seed, spawn_key=(*cell_key, rep, 1 + i)))
+        for i in range(len(filters))
+    ]
+    runs = _run_filters(setup, [replace(base, filter=filt) for filt in filters], rngs)
     out = []
-    for f_idx, filt in enumerate(filters):
-        filt_ss = np.random.SeedSequence(base.seed, spawn_key=(*cell_key, rep, 1 + f_idx))
-        cfg = replace(base, filter=filt)
-        run = _run_filter(setup, cfg, np.random.default_rng(filt_ss))
+    for filt, run in zip(filters, runs):
         report = _evaluate_run(setup, run)
         if report is None:
             out.append((filt, None, None))

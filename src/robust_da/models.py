@@ -150,15 +150,41 @@ def _twin_record(states, dt, steps_per_obs, h, r_sqrt, contamination, rng) -> Tr
 
 
 # ---------------------------------------------------------------------------
+# Member propagators (``*_sampler``): called with a list of (d, M_i) member
+# blocks, one per filter, and one generator per block, they return the
+# stacked (d, sum M_i) next members.  Each block draws its own process noise;
+# the dynamics act on each column alone, so a block's columns come out as
+# they would from a call with that block alone.
+
+
+def _stack(blocks) -> np.ndarray:
+    """The (d, M_i) member blocks side by side, as one new C-ordered (d, sum M_i)
+    array whatever their layout (resampled particles arrive Fortran-ordered),
+    so that the rounding of the BLAS products taken from it does not depend on
+    that layout."""
+    out = np.empty((blocks[0].shape[0], sum(block.shape[1] for block in blocks)))
+    return np.concatenate(blocks, axis=1, out=out)
+
+
+def _stacked_draws(blocks, rngs, draw) -> np.ndarray:
+    """``draw(rng, m)`` for each block's generator and member count, side by
+    side on the last (member) axis: each block's draws come from its own
+    generator, in the order and shape a call with that block alone makes."""
+    return np.concatenate([draw(rng, block.shape[1]) for block, rng in zip(blocks, rngs)], axis=-1)
+
+
+# ---------------------------------------------------------------------------
 # Linear Gaussian models
 
 
 def lgss_sampler(model: LgssModel):
-    """Member propagator for the exact one-step LGSS transition."""
+    """Member propagator for the exact one-step LGSS transition: each block
+    draws its (d_X, M_i) standard normals, x <- A x + Q^{1/2} z."""
     q_sqrt = psd_sym_sqrt(model.Q)
 
-    def step(members: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return model.A @ members + q_sqrt @ rng.standard_normal(members.shape)
+    def step(blocks, rngs) -> np.ndarray:
+        noise = _stacked_draws(blocks, rngs, lambda rng, m: rng.standard_normal((model.d_x, m)))
+        return model.A @ _stack(blocks) + q_sqrt @ noise
 
     return step
 
@@ -251,30 +277,29 @@ def lorenz63_sampler(dt: float, n_steps: int, noise_scale: float = 1.0):
     """Euler-Maruyama member propagator over ``n_steps`` substeps.
 
     Each substep adds sqrt(dt) times standard Gaussian noise per coordinate,
-    x <- (x + dt * drift(x)) + noise_scale * sqrt(dt) * z.  One call draws
-    the noise of all its substeps as one ``(n_steps, *members.shape)``
-    block: the same numbers, in the same order, as one draw per substep, and
-    no draw at all when ``noise_scale`` is zero.  Members are (3,) or (3, M);
-    the result is a new C-ordered array whatever their layout (resampled
-    particles arrive Fortran-ordered), so the rounding of the BLAS products
-    taken from it does not depend on that layout.
+    x <- (x + dt * drift(x)) + noise_scale * sqrt(dt) * z.  Each (3, M_i)
+    block draws the noise of all its substeps as one ``(n_steps, 3, M_i)``
+    block from its own generator: the same numbers, in the same order, as
+    one draw per substep, and no draw at all when ``noise_scale`` is zero.
+    The blocks are stepped together as one stacked array.
     """
     sqrt_dt = np.sqrt(dt)
 
-    def step(members: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        x = np.array(members, dtype=float, order="C")
-        columns = x.reshape(3, -1)
-        d = np.empty(columns.shape)
-        rows = (*columns, *d)
+    def step(blocks, rngs) -> np.ndarray:
+        x = _stack(blocks)
+        d = np.empty(x.shape)
+        rows = (*x, *d)
         if noise_scale:
-            noise = rng.standard_normal((n_steps, *columns.shape))
+            noise = _stacked_draws(
+                blocks, rngs, lambda rng, m: rng.standard_normal((n_steps, 3, m))
+            )
             noise *= noise_scale * sqrt_dt
         for k in range(n_steps):
             _lorenz63_field(*rows)
             d *= dt
-            columns += d
+            x += d
             if noise_scale:
-                columns += noise[k]
+                x += noise[k]
         return x
 
     return step
@@ -361,12 +386,9 @@ def _lorenz96_rk4_step(x: np.ndarray, dt: float, forcing, ring: np.ndarray) -> n
 
 def _lorenz96_forcings(
     rng: np.random.Generator, n_steps: int, shape: tuple[int, ...], forcing_std: float
-):
+) -> np.ndarray:
     """Per-step forcing draws F ~ N(8, std^2) for ``n_steps`` steps, drawn in
-    one call (the same numbers, in the same order, as one draw per step);
-    the constant 8 when ``forcing_std`` is zero."""
-    if not forcing_std:
-        return [8.0] * n_steps
+    one call (the same numbers, in the same order, as one draw per step)."""
     return 8.0 + forcing_std * rng.standard_normal((n_steps, *shape))
 
 
@@ -375,13 +397,21 @@ def lorenz96_sampler(dt: float, n_steps: int, forcing_std: float = 1.0):
 
     The forcing F_i ~ N(8, std^2) is redrawn once per integration step and
     held constant across the four RK4 stages of that step, keeping each step
-    a well-defined deterministic map given its forcing draw.
+    a well-defined deterministic map given its forcing draw.  Each (d, M_i)
+    block draws its ``(n_steps, d, M_i)`` forcings from its own generator;
+    none when ``forcing_std`` is zero, which holds F at 8.
     """
 
-    def step(members: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        ring = _lorenz96_ring(members.shape[0])
-        x = members
-        for forcing in _lorenz96_forcings(rng, n_steps, x.shape, forcing_std):
+    def step(blocks, rngs) -> np.ndarray:
+        x = _stack(blocks)
+        d = x.shape[0]
+        ring = _lorenz96_ring(d)
+        forcings = [8.0] * n_steps
+        if forcing_std:
+            forcings = _stacked_draws(
+                blocks, rngs, lambda rng, m: _lorenz96_forcings(rng, n_steps, (d, m), forcing_std)
+            )
+        for forcing in forcings:
             x = _lorenz96_rk4_step(x, dt, forcing, ring)
         return x
 

@@ -9,14 +9,12 @@ observations cannot zero out the weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
 
 from ._linalg import SpdFactor
-from .ensemble import _propagate
 from .lgss import ObservationModel
 from .weights import CONDITIONAL, CONSTANT, WeightKernelSpec, loss_limit, weight_slope, weight_sq
 
@@ -33,6 +31,8 @@ class ParticleCloud:
 
     particles: np.ndarray   # (d_X, M)
     log_weights: np.ndarray  # (M,)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)  # exp(log_weights)
+    ess: float = field(init=False, repr=False, compare=False)  # 1 / sum(w^2), in [1, M]
 
     def __post_init__(self):
         particles = np.atleast_2d(np.asarray(self.particles, dtype=float))
@@ -42,8 +42,11 @@ class ParticleCloud:
                 f"log_weights shape {logw.shape} does not match {particles.shape[1]} particles"
             )
         logw = logw - logsumexp(logw)
+        weights = np.exp(logw)
         object.__setattr__(self, "particles", particles)
         object.__setattr__(self, "log_weights", logw)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "ess", float(1.0 / np.sum(weights**2)))
 
     @classmethod
     def uniform(cls, particles: np.ndarray) -> "ParticleCloud":
@@ -54,15 +57,6 @@ class ParticleCloud:
     @property
     def size(self) -> int:
         return self.particles.shape[1]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
-
-    @cached_property
-    def ess(self) -> float:
-        """Effective sample size 1 / sum(w^2), in [1, M]."""
-        return float(1.0 / np.sum(self.weights**2))
 
     def weighted_mean(self) -> np.ndarray:
         return self.particles @ self.weights
@@ -110,28 +104,28 @@ def dsm_log_potential(
 
 def pf_step(
     cloud: ParticleCloud,
-    dynamics,
+    propagated: np.ndarray,
     y: np.ndarray,
     obs: ObservationModel,
     spec: WeightKernelSpec,
     rng: np.random.Generator,
     resample_threshold: float = 0.5,
 ) -> ParticleCloud:
-    """One propagate / reweight / resample step of the bootstrap filter.
+    """One reweight / resample step of the bootstrap filter, given the
+    cloud's particles ``propagated`` through the dynamics
+    (``ensemble.ensemble_forecast``).
 
-    Particles are pushed through the dynamics sampler (a non-finite forecast
-    raises ``FloatingPointError``, as in ``ensemble_forecast``), the
-    log-potential is added to the log-weights (normalized by log-sum-exp), and
-    when ESS / M drops below ``resample_threshold`` the cloud is resampled
-    (multinomial) with weights reset to uniform.  With the bootstrap proposal
-    the transition densities cancel, so the potential is the only weight
-    update.  Each particle's kernel is standardized by R, so a non-constant
-    spec must be ``conditional`` with a single block.
+    The log-potential of each propagated particle is added to its
+    log-weight (normalized by log-sum-exp), and when ESS / M drops below
+    ``resample_threshold`` the cloud is resampled (multinomial) with weights
+    reset to uniform.  With the bootstrap proposal the transition densities
+    cancel, so the potential is the only weight update.  Each particle's
+    kernel is standardized by R, so a non-constant spec must be
+    ``conditional`` with a single block.
     """
     one_r_block = spec.standardization == CONDITIONAL and len(spec.block_partition or ()) < 2
     if spec.family != CONSTANT and not one_r_block:
         raise ValueError(f"the particle filter standardizes each kernel by R as one block: {spec}")
-    propagated = _propagate(dynamics, cloud.particles, rng)
     log_pot = dsm_log_potential(y, obs.H @ propagated, obs.r_factor, spec)
     if not np.all(np.isfinite(log_pot)):
         raise FloatingPointError("non-finite log-potential (bounded for finite observations)")

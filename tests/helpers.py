@@ -5,8 +5,10 @@ Lorenz-96 integrator, a draw-per-step Lorenz-63 integrator and the two
 hand-written linear Gaussian truth loops (scalar OU in Python floats,
 constant-velocity tracking in arrays), references for the shared library
 code; the per-step q-IC and coverage loops, references for the stacked
-metrics; a machine-speed calibration loop for wall-time budgets; and the marks
-that let a test drive one of the library's intended overflows.
+metrics; a machine-speed calibration loop for wall-time budgets; the marks
+that let a test drive one of the library's intended overflows; and the
+one-filter-at-a-time run, the reference for the harness's lock-stepped
+filters.
 
 The quadrature, gradient and information-form oracles deliberately avoid
 the library's update formulas so that agreement is evidence, not tautology.
@@ -27,14 +29,21 @@ from scipy.stats import norm
 from robust_da import (
     EnsembleState,
     GaussianBelief,
+    ParticleCloud,
     SpdFactor,
     contaminate,
     dsm_analysis,
+    enkf_perturbed_analysis,
+    esrf_analysis,
     kf_analysis,
+    kf_forecast,
+    letkf_analysis,
+    pf_step,
     psd_sym_sqrt,
     symmetrize,
     wolf_analysis,
 )
+from robust_da import harness
 from robust_da.metrics import _q_log_from_log
 from robust_da.models import tracking_model
 from robust_da.weights import robust_update
@@ -451,3 +460,84 @@ def ci_coverage_stepwise(truth, means, covariances, level=0.95):
     diags = np.array([np.diag(np.atleast_2d(covariances[k])) for k in range(truth.shape[0])])
     half_width = norm.ppf(0.5 + 0.5 * level) * np.sqrt(np.clip(diags, 0.0, None))
     return float(np.mean(np.abs(truth - means) <= half_width))
+
+
+# ---------------------------------------------------------------------------
+# One filter at a time: the harness loop before a replicate's filters ran in
+# lock-step.  Each filter forecasts its own members alone (a sampler call
+# with one block) and runs the library's analysis, until the first step that
+# raises or whose forecast is non-finite.
+
+
+def _forecast_alone(sampler, members, rng):
+    with np.errstate(over="ignore", invalid="ignore"):
+        propagated = sampler([members], [rng])
+    if not np.all(np.isfinite(propagated)):
+        raise FloatingPointError("forecast produced non-finite members")
+    return propagated
+
+
+def run_filter_alone(setup, config, rng):
+    """The ``harness.FilterRun`` of ``config``'s filter over the setup's
+    observations, run on its own from the generator ``rng``."""
+    analysis, weight = harness._FILTER_TABLE[config.filter]
+    spec = harness._weight_spec(config)
+    obs, sampler = setup.obs, setup.sampler
+    if analysis == "kf":
+        model = setup.lgss
+
+        def step(state, y):
+            forecast = kf_forecast(model, state[0])
+            if weight is None:
+                return kf_analysis(model, forecast, y), np.nan
+            update = wolf_analysis if weight == "wolf" else dsm_analysis
+            result = update(model, forecast, y, spec)
+            return result.posterior, result.weight.min() / 2.0
+
+        state = (model.prior, np.nan)
+
+        def moments(s):
+            return s[0].mean, s[0].cov, s[1]
+    elif analysis == "pf":
+        state = ParticleCloud.uniform(harness._initial_members(setup, config.ensemble_size, rng))
+
+        def step(cloud, y):
+            propagated = _forecast_alone(sampler, cloud.particles, rng)
+            return pf_step(cloud, propagated, y, obs, spec, rng, config.resample_threshold)
+
+        def moments(c):
+            return c.weighted_mean(), c.weighted_cov(), np.nan
+    else:
+        state = EnsembleState(harness._initial_members(setup, config.ensemble_size, rng))
+        letkf_cfg = harness._letkf_config(config)
+
+        def step(ensemble, y):
+            forecast = EnsembleState(_forecast_alone(sampler, ensemble.members, rng))
+            if analysis == "letkf":
+                return letkf_analysis(forecast, obs, y, spec, letkf_cfg)
+            if analysis == "esrf":
+                return esrf_analysis(forecast, obs, y, spec)
+            return enkf_perturbed_analysis(forecast, obs, y, spec, mode=config.enkf_mode, rng=rng)
+
+        def moments(e):
+            return e.mean, e.cov, np.nan
+
+    ys = setup.record.observations
+    n_obs = ys.shape[1]
+    mean, cov, _ = moments(state)
+    means = np.full((n_obs, *mean.shape), np.nan)
+    covs = np.full((n_obs, *cov.shape), np.nan)
+    weights = np.full(n_obs, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_obs):
+            try:
+                state = step(state, ys[:, k])
+            except (np.linalg.LinAlgError, FloatingPointError):
+                break
+            means[k], covs[k], weights[k] = moments(state)
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+    if finite.all():
+        return harness.FilterRun(means=means, covariances=covs, weights=weights)
+    k = int(np.argmin(finite))
+    means[k:] = covs[k:] = weights[k:] = np.nan
+    return harness.FilterRun(means=means, covariances=covs, weights=weights, divergence_step=k)

@@ -61,13 +61,12 @@ def test_anomalies_sum_to_zero():
 
 def test_forecast_identity_zero_noise():
     members = np.arange(12.0).reshape(3, 4)
-    ens = EnsembleState(members=members)
 
-    def identity(m, rng):
-        return m
+    def identity(blocks, rngs):
+        return np.concatenate(blocks, axis=1)
 
-    out = ensemble_forecast(identity, ens, np.random.default_rng(0))
-    assert np.array_equal(out.members, members)
+    (out,) = ensemble_forecast(identity, [members], [np.random.default_rng(0)])
+    assert np.array_equal(out, members)
 
 
 def test_forecast_lgss_monte_carlo_consistency():
@@ -77,7 +76,8 @@ def test_forecast_lgss_monte_carlo_consistency():
     members = model.prior.mean[:, None] + np.sqrt(model.prior.cov[0, 0]) * rng.standard_normal(
         (1, m)
     )
-    out = ensemble_forecast(lgss_sampler(model), EnsembleState(members=members), rng)
+    (propagated,) = ensemble_forecast(lgss_sampler(model), [members], [rng])
+    out = EnsembleState(members=propagated)
     exact = kf_forecast(model, model.prior)
     se_mean = np.sqrt(exact.cov[0, 0] / m)
     assert abs(out.mean[0] - exact.mean[0]) <= 3 * se_mean
@@ -88,23 +88,20 @@ def test_forecast_lgss_monte_carlo_consistency():
 def test_forecast_lorenz63_deterministic_euler_step():
     x0 = np.array([-0.587, -0.563, 16.87])
     sampler = lorenz63_sampler(dt=0.001, n_steps=1, noise_scale=0.0)
-    out = sampler(x0[:, None], np.random.default_rng(0))[:, 0]
+    out = sampler([x0[:, None]], [np.random.default_rng(0)])[:, 0]
     expected = x0 + 0.001 * lorenz63_drift_stacked(x0)
     assert np.allclose(out, expected, rtol=1e-14)
     assert out[0] == pytest.approx(-0.58676, abs=1e-12)
     # Origin is a fixed point of the drift.
     origin = np.zeros((3, 1))
-    assert np.array_equal(sampler(origin, np.random.default_rng(0)), origin)
+    assert np.array_equal(sampler([origin], [np.random.default_rng(0)]), origin)
 
 
 def test_forecast_detects_blowup():
-    ens = EnsembleState(members=np.ones((2, 3)))
+    def explode(blocks, rngs):
+        return np.concatenate(blocks, axis=1) * np.inf
 
-    def explode(m, rng):
-        return m * np.inf
-
-    with pytest.raises(FloatingPointError):
-        ensemble_forecast(explode, ens, np.random.default_rng(0))
+    assert ensemble_forecast(explode, [np.ones((2, 3))], [np.random.default_rng(0)]) == [None]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from robust_da.harness import (
 from robust_da import cli
 from robust_da.ensemble import Localization
 from robust_da.models import TrajectoryRecord
+from helpers import run_filter_alone
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +174,55 @@ def test_divergence_is_reported():
         assert result.report is None
 
 
+_ENSEMBLE_AND_PF = ("enkf", "dsm_enkf", "wolf_enkf", "esrf", "dsm_esrf", "dsm_pf")
+
+
+@pytest.mark.parametrize(
+    "model,filters,settings,diverged",
+    [
+        # The particle filter resamples on this replicate.
+        ("lorenz63", _ENSEMBLE_AND_PF, dict(t_end=2.0, epsilon=0.25, lam=625.0, seed=0), {}),
+        # Plain enkf overflows its forecast at step 15 of 40 (seed found by
+        # search); the other five filters run on to the end.
+        ("lorenz63", _ENSEMBLE_AND_PF, dict(t_end=2.0, epsilon=0.1, lam=1e5, seed=2),
+         {"enkf": 15}),
+        ("ou", ("kf", "letkf", "dsm_letkf", *_ENSEMBLE_AND_PF),
+         dict(t_end=3.0, epsilon=0.25, lam=625.0, seed=1), {}),
+        ("tracking2d", ("wolf_kf", "wolf_letkf", *_ENSEMBLE_AND_PF),
+         dict(t_end=3.0, epsilon=0.25, lam=625.0, seed=1), {}),
+        ("lorenz96", ("letkf", "dsm_letkf", "wolf_letkf"),
+         dict(t_end=0.5, epsilon=0.25, lam=625.0, seed=1), {}),
+    ],
+    ids=["l63-resampling", "l63-enkf-diverges", "ou", "tracking", "l96"],
+)
+def test_lock_stepped_filters_match_each_filter_run_alone(
+    model, filters, settings, diverged, monkeypatch
+):
+    # A replicate's filters, forecast together and analysed apart, give
+    # each filter's run alone bit for bit, a diverged one included.
+    resampled, pf_step = [], harness.pf_step
+
+    def recording_pf_step(*args, **kwargs):
+        cloud = pf_step(*args, **kwargs)
+        resampled.append(np.all(cloud.log_weights == cloud.log_weights[0]))
+        return cloud
+
+    monkeypatch.setattr(harness, "pf_step", recording_pf_step)
+    base = ExperimentConfig(model=model, filter=filters[-1], ensemble_size=10, **settings)
+    setup = build_setup(base, np.random.SeedSequence(base.seed))
+    configs = [replace(base, filter=f) for f in filters]
+    rngs = [np.random.default_rng(i) for i in range(len(filters))]
+    runs = harness._run_filters(setup, configs, rngs)
+    for i, (config, run) in enumerate(zip(configs, runs)):
+        alone = run_filter_alone(setup, config, np.random.default_rng(i))
+        assert run.divergence_step == alone.divergence_step == diverged.get(config.filter)
+        assert np.array_equal(run.means, alone.means, equal_nan=True), config.filter
+        assert np.array_equal(run.covariances, alone.covariances, equal_nan=True), config.filter
+        assert np.array_equal(run.weights, alone.weights, equal_nan=True), config.filter
+    if "dsm_pf" in filters:
+        assert any(resampled)
+
+
 def _setup_with_observation(filter_name, value, model=None):
     """Config and a short run's setup whose first observation component at
     step 3 is replaced by ``value``; the model defaults to the family's."""
@@ -192,7 +242,7 @@ def test_run_reports_nan_observation_as_divergence(filter_name):
     # non-finite state.
     for value in (np.nan, np.inf, -np.inf):
         cfg, setup = _setup_with_observation(filter_name, value)
-        run = harness._run_filter(setup, cfg, np.random.default_rng(0))
+        (run,) = harness._run_filters(setup, [cfg], [np.random.default_rng(0)])
         assert run.divergence_step == 3, value
         assert np.all(np.isfinite(run.means[:3])) and np.all(np.isnan(run.means[3:]))
         assert harness._evaluate_run(setup, run) is None
@@ -209,7 +259,7 @@ def test_robust_filters_run_through_a_huge_finite_observation(filter_name):
     for model in models:
         for value in (1e200, 1.7e308):
             cfg, setup = _setup_with_observation(filter_name, value, model)
-            run = harness._run_filter(setup, cfg, np.random.default_rng(0))
+            (run,) = harness._run_filters(setup, [cfg], [np.random.default_rng(0)])
             assert run.divergence_step is None, (model, value)
             report = harness._evaluate_run(setup, run)
             assert np.isfinite([report.rmse, report.q_ic, report.ci_coverage_95]).all(), value
@@ -221,7 +271,7 @@ def test_kf_scores_a_huge_finite_observation_with_finite_metrics(tmp_path):
     # squared error overflows, yet the run is scored, and its summary is
     # valid JSON.
     cfg, setup = _setup_with_observation("kf", 1e200)
-    run = harness._run_filter(setup, cfg, np.random.default_rng(0))
+    (run,) = harness._run_filters(setup, [cfg], [np.random.default_rng(0)])
     assert run.divergence_step is None
     report = harness._evaluate_run(setup, run)
     assert np.isfinite([report.rmse, report.q_ic, report.ci_coverage_95]).all()
@@ -302,6 +352,12 @@ def test_config_refuses_a_contamination_or_horizon_it_cannot_run(monkeypatch):
     for t_end in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="t_end"):
             ExperimentConfig(t_end=t_end)
+    # A horizon of more truth steps than the cap, 1e16 OU steps or so many
+    # L96 steps that t_end / dt overflows, is refused; the cap itself is not.
+    for model, t_end in (("ou", 1e15), ("lorenz96", 1e307), ("ou", 1e5 + 0.1)):
+        with pytest.raises(ValueError, match="t_end"):
+            ExperimentConfig(model=model, filter="enkf", t_end=t_end)
+    assert ExperimentConfig(model="ou", t_end=1e5).horizon / 0.1 == harness.MAX_TRUTH_STEPS
 
     def no_replicate(job):
         raise AssertionError("a replicate started")
@@ -329,6 +385,7 @@ def test_config_refuses_a_contamination_or_horizon_it_cannot_run(monkeypatch):
         ({"model": "ou", "t_end": 0.04}, []),
         ({"model": "lorenz63", "t_end": 0.01}, []),
         ({"model": "lorenz96", "t_end": 0.04}, []),
+        ({"model": "ou", "t_end": 1e15}, []),
     ],
     ids=lambda value: (
         " ".join(value) or "file" if isinstance(value, list)
@@ -340,8 +397,9 @@ def test_config_refuses_a_setting_no_run_can_use_before_any_replicate(
 ):
     # A negative or fractional seed, a fractional or boolean count, no
     # worker, a resampling threshold outside [0, 1] and a horizon with no
-    # observation are refused by the config, from a file or a flag, so the
-    # CLI exits with one line naming the setting before any replicate.
+    # observation or too many truth steps are refused by the config, from a
+    # file or a flag, so the CLI exits with one line naming the setting
+    # before any replicate.
     base = {"model": "lorenz63", "filter": "dsm_pf", "t_end": 0.5, "mc_reps": 2}
     name = list(setting)[-1]  # the refused field
     with pytest.raises(ValueError, match=name):
@@ -406,20 +464,28 @@ def test_sweep_rmse_monotone_in_lambda():
 
 
 def test_sweep_thread_count_invariance(tmp_path):
-    base = dict(model="ou", t_end=2.0, mc_reps=4, seed=23)
-    serial = run_sweep(
-        ExperimentConfig(threads=1, out_dir=str(tmp_path / "s"), **base),
-        [0.1], [10.0], filters=["kf", "dsm_kf"],
-    )
-    parallel = run_sweep(
-        ExperimentConfig(threads=2, out_dir=str(tmp_path / "p"), **base),
-        [0.1], [10.0], filters=["kf", "dsm_kf"],
-    )
-    for key in serial.cells:
-        assert serial.cells[key].rmse_values == parallel.cells[key].rmse_values
-    assert (tmp_path / "s" / "sweep_cells.csv").read_bytes() == (
-        tmp_path / "p" / "sweep_cells.csv"
-    ).read_bytes()
+    # Closed-form OU, and L63 with every ensemble and particle filter
+    # lock-stepped in each replicate: the same files for one worker or two.
+    cases = [
+        (dict(model="ou", t_end=2.0, mc_reps=4, seed=23), ["kf", "dsm_kf"]),
+        (dict(model="lorenz63", filter="enkf", t_end=0.5, mc_reps=3, seed=23),
+         list(_ENSEMBLE_AND_PF)),
+    ]
+    for case, (base, filters) in enumerate(cases):
+        serial, parallel = (
+            run_sweep(
+                ExperimentConfig(threads=threads, out_dir=str(tmp_path / f"{case}-{threads}"),
+                                 **base),
+                [0.1], [10.0], filters=filters,
+            )
+            for threads in (1, 2)
+        )
+        for key in serial.cells:
+            assert serial.cells[key].rmse_values == parallel.cells[key].rmse_values
+        for name in ("sweep_cells.csv", "sweep_replicates.csv"):
+            assert (tmp_path / f"{case}-1" / name).read_bytes() == (
+                tmp_path / f"{case}-2" / name
+            ).read_bytes()
 
 
 def test_sweep_aggregation_matches_replicate_file(tmp_path):

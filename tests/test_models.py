@@ -199,19 +199,27 @@ def test_lorenz63_truth_matches_stepwise_integrator_bit_for_bit(seed, contaminat
 
 
 @pytest.mark.parametrize("noise_scale", [1.0, 0.0, 0.3])
-@pytest.mark.parametrize("shape", [(3,), (3, 1), (3, 10), (3, 100)])
+# The member counts of the stacked blocks: three blocks of different sizes,
+# or one block.
+@pytest.mark.parametrize("shape", [(10, 1, 40), (1,), (10,), (100,)])
 def test_lorenz63_sampler_matches_stepwise_sampler_bit_for_bit(shape, noise_scale):
     record, _ = simulate_lorenz63(t_end=0.5, seed=0)
-    members = record.states[:, -1] if len(shape) == 1 else record.states[:, -shape[1]:]
-    rng, rng_stepwise = np.random.default_rng(3), np.random.default_rng(3)
+    states = record.states[:, -sum(shape):]
+    blocks = np.split(states, np.cumsum(shape)[:-1], axis=1)
     # Resampled particles arrive Fortran-ordered; the output is C-ordered
     # either way, so products taken from it sum in the same order.
-    for layout in (members, np.asfortranarray(members)):
-        out = lorenz63_sampler(0.001, 50, noise_scale)(layout, rng)
-        out_stepwise = lorenz63_sampler_stepwise(0.001, 50, noise_scale)(layout, rng_stepwise)
-        assert out.shape == shape and out.flags.c_contiguous and out_stepwise.flags.c_contiguous
+    for layout in (blocks, [np.asfortranarray(b) for b in blocks]):
+        rngs = [np.random.default_rng(3 + i) for i in range(len(shape))]
+        rngs_stepwise = [np.random.default_rng(3 + i) for i in range(len(shape))]
+        out = lorenz63_sampler(0.001, 50, noise_scale)(layout, rngs)
+        out_stepwise = np.concatenate([
+            lorenz63_sampler_stepwise(0.001, 50, noise_scale)(b, rng)
+            for b, rng in zip(layout, rngs_stepwise)
+        ], axis=1)
+        assert out.shape == states.shape and out.flags.c_contiguous
         assert np.array_equal(out, out_stepwise)
-    assert rng.bit_generator.state == rng_stepwise.bit_generator.state
+        for rng, rng_stepwise in zip(rngs, rngs_stepwise):
+            assert rng.bit_generator.state == rng_stepwise.bit_generator.state
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -258,7 +266,7 @@ def test_lorenz96_rk4_deterministic_step_matches_manual():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(8) + 2.0
     sampler = lorenz96_sampler(dt=0.01, n_steps=1, forcing_std=0.0)
-    out = sampler(x[:, None], np.random.default_rng(0))[:, 0]
+    out = sampler([x[:, None]], [np.random.default_rng(0)])[:, 0]
     k1 = lorenz96_drift(x, 8.0)
     k2 = lorenz96_drift(x + 0.005 * k1, 8.0)
     k3 = lorenz96_drift(x + 0.005 * k2, 8.0)
@@ -294,13 +302,20 @@ def test_lorenz96_matches_rolled_integrator_bit_for_bit(seed):
     assert np.array_equal(record.observations, observations)
     assert np.array_equal(record.contamination_flags, flags)
 
-    members = record.states[:, -10:]
-    rng, rng_rolled = np.random.default_rng(seed), np.random.default_rng(seed)
+    # Three stacked blocks, each with its own generator, against each block
+    # stepped alone by the rolled integrator.
+    blocks = np.split(record.states[:, -10:], [4, 5], axis=1)
+    rngs = [np.random.default_rng(seed + i) for i in range(3)]
+    rngs_rolled = [np.random.default_rng(seed + i) for i in range(3)]
     for forcing_std in (1.0, 0.0):
-        out = lorenz96_sampler(0.01, 5, forcing_std=forcing_std)(members, rng)
-        out_rolled = lorenz96_sampler_rolled(0.01, 5, forcing_std=forcing_std)(members, rng_rolled)
+        out = lorenz96_sampler(0.01, 5, forcing_std=forcing_std)(blocks, rngs)
+        out_rolled = np.concatenate([
+            lorenz96_sampler_rolled(0.01, 5, forcing_std=forcing_std)(b, rng)
+            for b, rng in zip(blocks, rngs_rolled)
+        ], axis=1)
         assert np.array_equal(out, out_rolled)
-    assert rng.bit_generator.state == rng_rolled.bit_generator.state
+    for rng, rng_rolled in zip(rngs, rngs_rolled):
+        assert rng.bit_generator.state == rng_rolled.bit_generator.state
 
 
 @pytest.mark.parametrize("noise_scale", [1.0, 0.0])

@@ -9,6 +9,7 @@ from robust_da import (
     SpdFactor,
     dsm_analysis,
     dsm_log_potential,
+    ensemble_forecast,
     pf_step,
 )
 from robust_da.models import lorenz63_sampler
@@ -23,8 +24,8 @@ def scalar_model(r=1.0):
     )
 
 
-def lgss_dynamics(members, rng):
-    return 0.7 * members + np.sqrt(1.3) * rng.standard_normal(members.shape)
+def lgss_forecast(cloud, rng):
+    return 0.7 * cloud.particles + np.sqrt(1.3) * rng.standard_normal(cloud.particles.shape)
 
 
 def imq(q_sq):
@@ -129,14 +130,11 @@ def test_constant_potential_leaves_weights_unchanged():
     logw = rng.standard_normal(50)
     cloud = ParticleCloud(particles=particles, log_weights=logw)
 
-    def frozen_dynamics(members, rng):
-        return members
-
     # A constant observation map makes the potential identical across
     # particles, so normalized weights are unchanged.
     h_const = ObservationModel(H=np.zeros((1, 1)), R=np.eye(1))
     out = pf_step(
-        cloud, frozen_dynamics, np.array([0.3]), h_const, imq(1.0), rng, resample_threshold=0.0
+        cloud, particles, np.array([0.3]), h_const, imq(1.0), rng, resample_threshold=0.0
     )
     assert np.allclose(out.log_weights, cloud.log_weights, atol=1e-12)
 
@@ -152,7 +150,9 @@ def test_pf_matches_closed_form_with_constant_tuning():
     m = 100_000
     particles = rng.standard_normal((1, m))  # prior N(0, 1)
     cloud = ParticleCloud.uniform(particles)
-    out = pf_step(cloud, lgss_dynamics, y, model.observation, spec, rng, resample_threshold=0.0)
+    out = pf_step(
+        cloud, lgss_forecast(cloud, rng), y, model.observation, spec, rng, resample_threshold=0.0
+    )
     se = np.sqrt(target.cov[0, 0] / out.ess)
     assert abs(out.weighted_mean()[0] - target.mean[0]) <= 3.0 * se
 
@@ -165,7 +165,8 @@ def test_pf_bit_reproducible():
         rng = np.random.default_rng(77)
         cloud = ParticleCloud.uniform(np.random.default_rng(5).standard_normal((1, 64)))
         out = pf_step(
-            cloud, lgss_dynamics, y, model.observation, imq(1.0), rng, resample_threshold=0.9
+            cloud, lgss_forecast(cloud, rng), y, model.observation, imq(1.0), rng,
+            resample_threshold=0.9,
         )
         clouds.append(out)
     assert np.array_equal(clouds[0].particles, clouds[1].particles)
@@ -182,21 +183,24 @@ def test_pf_step_refuses_a_kernel_not_standardized_by_r():
         WeightKernelSpec(IMQ, standardization=CONDITIONAL, block_partition=((0, 1), (1, 2))),
     ):
         with pytest.raises(ValueError, match="standardizes"):
-            pf_step(cloud, lambda x, rng: x, np.zeros(2), obs, spec, np.random.default_rng(0))
+            pf_step(cloud, cloud.particles, np.zeros(2), obs, spec, np.random.default_rng(0))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pf_forecast_blowup_is_reported_as_a_forecast_error():
     # A particle far off the attractor overflows the Euler-Maruyama forecast.
-    # The step reports the forecast, without numpy warnings, and does not
-    # blame the observation.
+    # The forecast reports the cloud, without numpy warnings, before its
+    # step sees the observation; a run stacked with it is unaffected.
     particles = np.array([[1e80, 1.0], [1.0, 1.0], [1.0, 20.0]])
-    obs = ObservationModel(H=[[1.0, 0.0, 0.0]], R=[[0.5]])
-    with pytest.raises(FloatingPointError, match="forecast produced non-finite members"):
-        pf_step(
-            ParticleCloud.uniform(particles), lorenz63_sampler(0.001, 50), np.zeros(1), obs,
-            imq(1.0), np.random.default_rng(0),
-        )
+    cloud, other = ParticleCloud.uniform(particles), ParticleCloud.uniform(np.ones((3, 2)))
+    sampler = lorenz63_sampler(0.001, 50)
+    forecast = ensemble_forecast(
+        sampler, [cloud.particles, other.particles],
+        [np.random.default_rng(1), np.random.default_rng(0)],
+    )
+    assert forecast[0] is None
+    (alone,) = ensemble_forecast(sampler, [other.particles], [np.random.default_rng(0)])
+    assert np.array_equal(forecast[1], alone)
 
 
 def test_ess_bounds_and_resampling_reset():
@@ -207,11 +211,8 @@ def test_ess_bounds_and_resampling_reset():
     cloud = ParticleCloud(particles=particles, log_weights=logw)
     assert 1.0 <= cloud.ess <= 100.0
 
-    def frozen(members, rng):
-        return members
-
     out = pf_step(
-        cloud, frozen, np.array([0.0]), ObservationModel(H=np.zeros((1, 1)), R=np.eye(1)),
+        cloud, particles, np.array([0.0]), ObservationModel(H=np.zeros((1, 1)), R=np.eye(1)),
         imq(1.0), rng, resample_threshold=0.99,
     )
     assert np.allclose(out.weights, 1.0 / 100)
