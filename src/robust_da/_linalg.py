@@ -3,6 +3,8 @@
 Covariance recursions accumulate asymmetry and tiny negative curvature over
 long runs, so every factorization here symmetrizes its input and repairs
 borderline matrices with an escalating trace-scaled jitter before giving up.
+``SpdFactor`` factors one matrix; ``SpdStack`` factors a stack of them at
+once, with the same repair for each matrix that needs it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
-__all__ = ["SpdFactor", "symmetrize", "psd_sym_sqrt", "pow2_scale"]
+__all__ = ["SpdFactor", "SpdStack", "symmetrize", "psd_sym_sqrt", "pow2_scale"]
 
 # Jitter schedule for Cholesky repair: base scale relative to mean diagonal,
 # escalated tenfold per retry.
@@ -21,8 +23,9 @@ _JITTER_RETRIES = 3
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (a + a.T) / 2."""
-    return 0.5 * (a + a.T)
+    """Return the symmetric part (a + a.T) / 2 of a matrix, or of each matrix
+    of a stack."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def pow2_scale(x: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -83,6 +86,13 @@ class SpdFactor:
         self.matrix = a
         self.chol = lower
         self._inv_sym_sqrt = None
+
+    @classmethod
+    def of(cls, matrix: np.ndarray, chol: np.ndarray) -> "SpdFactor":
+        """The factor of a matrix already factored as ``chol``."""
+        factor = object.__new__(cls)
+        factor.matrix, factor.chol, factor._inv_sym_sqrt = matrix, chol, None
+        return factor
 
     @property
     def dim(self) -> int:
@@ -153,3 +163,79 @@ class SpdFactor:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpdFactor(dim={self.dim})"
+
+
+class SpdStack:
+    """Cholesky factors of a (B, d, d) stack of SPD matrices, or of one (d, d)
+    matrix, factored by one ``np.linalg.cholesky`` call.
+
+    That call raises for the whole stack if one matrix fails, so the stack is
+    then factored matrix by matrix, and each matrix that fails alone goes
+    through ``SpdFactor``, whose jitter repair it keeps bit for bit.  A matrix
+    that no jitter repairs is masked instead of raised: its factor is NaN, and
+    so is everything solved with it.  ``plain`` is False for the repaired and
+    the masked matrices, and None when the stacked call took every matrix as
+    it is.
+
+    Each element is solved with its own ``SpdFactor`` (numpy has no stacked
+    triangular solve), so its result is that factor's bit for bit and does
+    not depend on the stack it is in.  One matrix, factored alone or taken
+    from an ``SpdFactor`` (``of``), serves every element of a stacked
+    residual in ``factors`` and ``mahalanobis_sq``.
+    """
+
+    __slots__ = ("matrix", "chol", "plain", "_one")
+
+    def __init__(self, matrices: np.ndarray):
+        a = symmetrize(matrices)
+        try:
+            chol = np.linalg.cholesky(a)
+            plain = None  # every matrix
+        except np.linalg.LinAlgError:
+            chol = np.full_like(a, np.nan)
+            plain = np.zeros(a.shape[:-2], dtype=bool)
+            for i in np.ndindex(plain.shape):
+                try:
+                    chol[i] = np.linalg.cholesky(a[i])
+                    plain[i] = True
+                except np.linalg.LinAlgError:
+                    try:
+                        factor = SpdFactor(a[i])
+                    except np.linalg.LinAlgError:
+                        continue  # masked: no jitter repairs it
+                    a[i], chol[i] = factor.matrix, factor.chol
+        self.matrix, self.chol, self.plain, self._one = a, chol, plain, None
+        if a.ndim == 2:
+            self._one = SpdFactor.of(a, chol)
+
+    @classmethod
+    def of(cls, factor: SpdFactor) -> "SpdStack":
+        """One factored matrix, which serves every element of a stacked
+        right-hand side."""
+        stack = object.__new__(cls)
+        stack.matrix, stack.chol, stack.plain, stack._one = factor.matrix, factor.chol, None, factor
+        return stack
+
+    @property
+    def dim(self) -> int:
+        return self.chol.shape[-1]
+
+    def factors(self, n: int) -> list[SpdFactor]:
+        """The ``SpdFactor`` of each of n elements."""
+        if self._one is not None:
+            return [self._one] * n
+        return [SpdFactor.of(a, lower) for a, lower in zip(self.matrix, self.chol)]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^{-1} b for each element's matrix A = L L^T, ``SpdFactor.solve``
+        of each: a (B, d) or (B, d, n) stack of right-hand sides for a stack,
+        one (d,) or (d, n) right-hand side for one matrix."""
+        if self.chol.ndim == 2 and b.ndim < 3:
+            return self._one.solve(b)
+        return np.array([f.solve(rhs) for f, rhs in zip(self.factors(len(b)), b)])
+
+    def mahalanobis_sq(self, residual: np.ndarray) -> np.ndarray:
+        """The quadratic forms r^T A^{-1} r = ||L^{-1} r||^2 of a (B, d) stack
+        of residuals: ``SpdFactor.mahalanobis_sq`` of each, which gives inf for
+        a finite residual whose form overflows."""
+        return np.array([f.mahalanobis_sq(r) for f, r in zip(self.factors(len(residual)), residual)])

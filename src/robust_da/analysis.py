@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lgss import GaussianBelief, LgssModel, kalman_gain
-from .weights import WeightKernelSpec, WolfSpec, robust_update
+from .lgss import GaussianBelief, LgssModel, robust_analysis
+from .weights import WeightKernelSpec, WolfSpec, _as_floats
 
 __all__ = ["AnalysisResult", "dsm_analysis", "wolf_analysis"]
 
@@ -30,25 +30,18 @@ class AnalysisResult:
     target: np.ndarray
 
 
-def _robust_analysis(
+def _analysis_of_one(
     model: LgssModel,
     forecast: GaussianBelief,
     y: np.ndarray,
     spec: WeightKernelSpec | WolfSpec,
 ) -> AnalysisResult:
-    """Gain-form update with the precision weight and target observation of
-    the shared robust-update core."""
-    h = model.H
-    center = h @ forecast.mean
-    w, target = robust_update(
-        spec, y, center, lambda: h @ forecast.cov @ h.T, model.observation.r_factor
+    """``lgss.robust_analysis`` of one forecast: a bracket that no jitter
+    repairs gives a NaN posterior."""
+    mean, cov, w, target = robust_analysis(
+        model, forecast.mean, forecast.cov, _as_floats(y), ((spec, slice(None)),)
     )
-    root_w = np.sqrt(w)
-    gain, whp = kalman_gain(forecast.cov, h, model.R, root_w)
-    posterior = GaussianBelief(
-        mean=forecast.mean - gain @ (root_w * (center - target)),
-        cov=forecast.cov - gain @ whp,  # ctor symmetrizes
-    )
+    posterior = GaussianBelief(mean=mean, cov=cov)  # ctor symmetrizes
     return AnalysisResult(posterior=posterior, weight=w, target=target)
 
 
@@ -65,7 +58,7 @@ def dsm_analysis(
     precision by w = 2 k^2 and applies the gain of the corrected target,
     K = w P^f H^T [R + w H P^f H^T]^{-1} for a single block.
     """
-    return _robust_analysis(model, forecast, y, spec)
+    return _analysis_of_one(model, forecast, y, spec)
 
 
 def wolf_analysis(
@@ -82,4 +75,4 @@ def wolf_analysis(
     result is reported through the same container as the score-matching
     step, whose weight 2 k^2 plays the part of r^2.
     """
-    return _robust_analysis(model, forecast, y, spec)
+    return _analysis_of_one(model, forecast, y, spec)

@@ -4,14 +4,17 @@ contamination and ensemble-size sweeps, and CSV/JSON result files.
 ``_FILTER_TABLE`` defines every filter by the analysis step it runs (kf,
 enkf, esrf, letkf or pf) and the weight that goes into that step (regular,
 DSM or WoLF); one loop, ``_filter_loop``, runs every family and reports
-divergence the same way for all of them.  It advances the ensemble and
-particle filters of a replicate in lock-step: at each observation their
-members go through one stacked forecast, and each filter then runs its own
-analysis.
+divergence the same way for all of them.  A sweep job is a chunk of
+replicates, and the loop advances every filter of every replicate in the
+chunk in lock-step: at each observation the closed-form filters take one
+stacked forecast and analysis, the members of the ensemble and particle
+filters go through one stacked forecast, and each of those filters then runs
+its own analysis.
 
 Determinism contract: a (config, master seed) pair maps to byte-identical
-result files regardless of worker count; per-replicate streams are derived
-order-free from the master seed via spawn keys.
+result files regardless of worker count and chunk size; per-replicate
+streams are derived order-free from the master seed via spawn keys, and each
+stacked step acts on each element alone.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import dsm_analysis, wolf_analysis
 from .ensemble import (
     ENKF_MODES,
     EnsembleState,
@@ -37,7 +39,7 @@ from .ensemble import (
     letkf_analysis,
 )
 from ._linalg import psd_sym_sqrt
-from .lgss import LgssModel, ObservationModel, kf_analysis, kf_forecast
+from .lgss import GaussianBelief, LgssModel, ObservationModel, kf_forecast, robust_analysis
 from .metrics import MetricReport
 from .models import (
     LGSS_DT,
@@ -89,14 +91,14 @@ _FILTER_TABLE = {
 }
 FILTERS = tuple(_FILTER_TABLE)
 
-# Model -> (default horizon, truth step, observation interval).
-_MODEL_TIMES = {
-    "ou": (10.0, LGSS_DT, LGSS_DT),
-    "tracking2d": (50.0, LGSS_DT, LGSS_DT),
-    "lorenz63": (50.0, LORENZ63_DT, LORENZ_T_OUT),
-    "lorenz96": (73.0, LORENZ96_DT, LORENZ_T_OUT),
+# Model -> (default horizon, truth step, observation interval, state dimension).
+_MODEL_SETTINGS = {
+    "ou": (10.0, LGSS_DT, LGSS_DT, 1),
+    "tracking2d": (50.0, LGSS_DT, LGSS_DT, 4),
+    "lorenz63": (50.0, LORENZ63_DT, LORENZ_T_OUT, 3),
+    "lorenz96": (73.0, LORENZ96_DT, LORENZ_T_OUT, 40),
 }
-MODELS = tuple(_MODEL_TIMES)
+MODELS = tuple(_MODEL_SETTINGS)
 # Largest horizon, in truth steps t_end / dt, a config accepts: 20 times the
 # largest preset's (lorenz63_full, 50,000 steps), and small enough that the
 # truth arrays of every model stay under a gigabyte (L96 at the cap: 0.64 GB).
@@ -143,7 +145,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
-        dt, t_out = _MODEL_TIMES[self.model][1:]
+        dt, t_out = _MODEL_SETTINGS[self.model][1:3]
         if not self.horizon / dt <= MAX_TRUTH_STEPS:  # refuses an overflow to inf too
             raise ValueError(
                 f"t_end {self.horizon} needs more than {MAX_TRUTH_STEPS} {self.model!r} "
@@ -175,7 +177,7 @@ class ExperimentConfig:
 
     @property
     def horizon(self) -> float:
-        return self.t_end if self.t_end is not None else _MODEL_TIMES[self.model][0]
+        return self.t_end if self.t_end is not None else _MODEL_SETTINGS[self.model][0]
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -237,7 +239,7 @@ class ModelSetup:
 def build_setup(config: ExperimentConfig, traj_seed) -> ModelSetup:
     contamination = config.contamination
     t_end = config.horizon
-    dt, t_out = _MODEL_TIMES[config.model][1:]
+    dt, t_out = _MODEL_SETTINGS[config.model][1:3]
     substeps = step_counts(t_end, dt, t_out)[1]  # forecast steps per observation
     lgss = None
     if config.model in ("ou", "tracking2d"):
@@ -281,60 +283,145 @@ class FilterRun:
 
 @dataclass
 class _Slice:
-    """One filter's run inside a replicate's lock-stepped loop.
+    """One ensemble or particle filter's run inside a lock-stepped loop.
 
     ``step(state, forecast, y)`` is the filter's step on the observation
-    ``y``, a column of ``ys``; ``moments(state)`` gives (mean, cov,
-    weight_sq).  A filter with a sampled forecast names the member block it
-    forecasts, ``members(state)``, and the generator its noise comes from,
-    and its step gets that block propagated as ``forecast``; the closed-form
-    recursion has neither, forecasts inside its step and gets None.
+    ``y``, a column of ``ys``, given the member block ``members(state)``
+    propagated by the loop's forecast, whose noise is drawn from ``rng``;
+    ``moments(state)`` gives (mean, cov, weight_sq).
     """
 
     ys: np.ndarray
     state: object
     step: Callable
     moments: Callable
-    members: Callable | None = None
-    rng: np.random.Generator | None = None
+    members: Callable
+    rng: np.random.Generator
 
 
-def _filter_loop(slices: list[_Slice], sampler) -> list[FilterRun]:
+@dataclass
+class _ClosedFormSlice:
+    """One exact KF / DSM / WoLF recursion inside a lock-stepped loop: its
+    observations, model and weight spec, and whether it records its weight
+    (the regular filter records NaN)."""
+
+    ys: np.ndarray
+    model: LgssModel
+    spec: WeightKernelSpec | WolfSpec
+    records_weight: bool
+
+
+class _ClosedFormStack:
+    """The closed-form slices of a loop advanced as one stacked recursion:
+    per observation, one ``kf_forecast`` of the (B, d) means and (B, d, d)
+    covariances, one ``robust_analysis`` that weights each slice by its own
+    spec, and one recorded row of moments.
+
+    Every slice of a loop shares its model's matrices: a loop runs the
+    replicates of one sweep, whose cells differ in contamination or ensemble
+    size only.  The stack is ordered by spec, so each spec weights one
+    contiguous slice of it.  An element whose step gives a non-finite mean or
+    covariance (a NaN observation, a bracket that no jitter repairs) leaves
+    the stack; its rows from that step on stay NaN.
+    """
+
+    def __init__(self, slices: list[_ClosedFormSlice], n_obs: int):
+        specs, groups = [], []
+        for s in slices:
+            group = next((g for g, spec in enumerate(specs) if spec == s.spec), len(specs))
+            if group == len(specs):
+                specs.append(s.spec)
+            groups.append(group)
+        self.order = np.argsort(groups, kind="stable")  # stack position -> slice
+        ordered = [slices[i] for i in self.order]
+        self.specs, self.groups = specs, np.asarray(groups)[self.order]
+        self.records_weight = np.array([s.records_weight for s in ordered])
+        self.model = model = ordered[0].model
+        self.ys = np.stack([s.ys.T for s in ordered], axis=1)  # (n_obs, B, d_Y)
+        b, d = len(ordered), model.d_x
+        self.belief = GaussianBelief(
+            mean=np.tile(model.prior.mean, (b, 1)), cov=np.tile(model.prior.cov, (b, 1, 1))
+        )
+        self.means = np.full((n_obs, b, d), np.nan)
+        self.covs = np.full((n_obs, b, d, d), np.nan)
+        self.weights = np.full((n_obs, b), np.nan)
+        self.live = np.arange(b)
+        self._weight_slices()
+
+    def _weight_slices(self) -> None:
+        bounds = np.searchsorted(self.groups[self.live], np.arange(len(self.specs) + 1))
+        self.spec_rows = [
+            (spec, slice(start, stop))
+            for spec, start, stop in zip(self.specs, bounds[:-1], bounds[1:]) if stop > start
+        ]
+
+    def step(self, k: int) -> None:
+        live = self.live
+        full = len(live) == self.means.shape[1]
+        forecast = kf_forecast(self.model, self.belief)
+        mean, cov, w, _ = robust_analysis(
+            self.model, forecast.mean, forecast.cov,
+            self.ys[k] if full else self.ys[k, live], self.spec_rows,
+        )
+        self.belief = belief = GaussianBelief(mean=mean, cov=cov)
+        weight = np.where(self.records_weight[live], w.min(axis=1) / 2.0, np.nan)
+        rows = slice(None) if full else live
+        self.means[k, rows], self.covs[k, rows], self.weights[k, rows] = belief.mean, belief.cov, weight
+        finite = np.isfinite(belief.mean).all(axis=1) & np.isfinite(belief.cov).all(axis=(1, 2))
+        if not finite.all():
+            self.live = live[finite]
+            self.belief = GaussianBelief(mean=belief.mean[finite], cov=belief.cov[finite])
+            self._weight_slices()
+
+    def runs(self) -> list[FilterRun]:
+        """The slices' runs, in the order they were given."""
+        runs = [None] * len(self.order)
+        for position, i in enumerate(self.order):
+            runs[i] = _finished_run(
+                self.means[:, position], self.covs[:, position], self.weights[:, position]
+            )
+        return runs
+
+
+def _filter_loop(slices: list, sampler) -> list[FilterRun]:
     """Run every slice over the columns of its ``ys`` in lock-step,
-    recording ``moments(state)`` after every step.
+    recording its moments after every step.
 
-    At each observation the member blocks of the live slices that sample
-    their forecast go through one ``ensemble_forecast`` call of ``sampler``,
-    and then each live slice takes its step.  A slice diverges, and drops
-    out of the loop, at the first step whose forecast is non-finite or that
-    raised a linear-algebra or floating-point error, or that recorded a
-    non-finite mean or covariance; that step and the rest of its output are
-    NaN.  The other slices run on.  Finiteness of the recorded moments is
-    checked once, after the loop, over every recorded step, so numpy's
-    overflow and invalid-value warnings are silenced for the whole loop.
+    At each observation the closed-form slices take one stacked step
+    (``_ClosedFormStack``), the member blocks of the live ensemble and
+    particle slices go through one ``ensemble_forecast`` call of
+    ``sampler``, and then each of those slices takes its step.  A slice
+    diverges, and drops out of the loop, at the first step whose forecast is
+    non-finite or that raised a linear-algebra or floating-point error, or
+    that recorded a non-finite mean or covariance; that step and the rest of
+    its output are NaN.  The other slices run on.  Finiteness of the
+    recorded moments of a sampled slice is checked once, after the loop,
+    over every recorded step, so numpy's overflow and invalid-value warnings
+    are silenced for the whole loop.
     """
     n_obs = slices[0].ys.shape[1]
-    states = [s.state for s in slices]
-    outputs = []
-    for s in slices:
-        mean, cov, _ = s.moments(s.state)  # sizes the output
-        outputs.append((np.full((n_obs, *mean.shape), np.nan),
-                        np.full((n_obs, *cov.shape), np.nan), np.full(n_obs, np.nan)))
-    live = list(range(len(slices)))
+    closed = [i for i, s in enumerate(slices) if isinstance(s, _ClosedFormSlice)]
+    stack = _ClosedFormStack([slices[i] for i in closed], n_obs) if closed else None
+    live = [i for i, s in enumerate(slices) if not isinstance(s, _ClosedFormSlice)]
+    states = {i: slices[i].state for i in live}
+    outputs = {}
+    for i in live:
+        mean, cov, _ = slices[i].moments(states[i])  # sizes the output
+        outputs[i] = (np.full((n_obs, *mean.shape), np.nan),
+                      np.full((n_obs, *cov.shape), np.nan), np.full(n_obs, np.nan))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_obs):
-            sampled = [i for i in live if slices[i].members is not None]
-            forecasts = dict.fromkeys(live)
-            if sampled:
-                forecasts.update(zip(sampled, ensemble_forecast(
-                    sampler,
-                    [slices[i].members(states[i]) for i in sampled],
-                    [slices[i].rng for i in sampled],
-                )))
-            for i, forecast in forecasts.items():
+            if stack is not None and len(stack.live):
+                stack.step(k)
+            if not live:
+                continue
+            forecasts = ensemble_forecast(
+                sampler, [slices[i].members(states[i]) for i in live], [slices[i].rng for i in live]
+            )
+            for i, forecast in zip(list(live), forecasts):
                 s = slices[i]
                 try:
-                    if forecast is None and s.members is not None:
+                    if forecast is None:
                         raise FloatingPointError("forecast produced non-finite members")
                     states[i] = s.step(states[i], forecast, s.ys[:, k])
                 except (np.linalg.LinAlgError, FloatingPointError):
@@ -342,7 +429,9 @@ def _filter_loop(slices: list[_Slice], sampler) -> list[FilterRun]:
                     continue
                 means, covs, weights = outputs[i]
                 means[k], covs[k], weights[k] = s.moments(states[i])
-    return [_finished_run(*output) for output in outputs]
+    runs = dict(zip(closed, stack.runs())) if stack is not None else {}
+    runs.update((i, _finished_run(*output)) for i, output in outputs.items())
+    return [runs[i] for i in range(len(slices))]
 
 
 def _finished_run(means: np.ndarray, covs: np.ndarray, weights: np.ndarray) -> FilterRun:
@@ -374,26 +463,16 @@ def run_closed_form_filter(
     ys: np.ndarray,
     config: ExperimentConfig,
     rng: np.random.Generator,
-) -> _Slice:
+) -> _ClosedFormSlice:
     """The exact KF / DSM / WoLF recursion over an observation sequence, as
-    a slice of ``_filter_loop``.
+    a slice of ``_filter_loop``, which stacks it with the loop's other
+    closed-form slices.
 
     ``ys`` has one observation per column; the recursion draws nothing from
     ``rng``.
     """
-    model = setup.lgss
-    weight = _FILTER_TABLE[config.filter][1]
-    spec = _weight_spec(config)
-
-    def step(state, _forecast, y):
-        forecast = kf_forecast(model, state[0])
-        if weight is None:
-            return kf_analysis(model, forecast, y), np.nan
-        update = wolf_analysis if weight == "wolf" else dsm_analysis
-        result = update(model, forecast, y, spec)
-        return result.posterior, result.weight.min() / 2.0
-
-    return _Slice(ys, (model.prior, np.nan), step, lambda s: (s[0].mean, s[0].cov, s[1]))
+    records_weight = _FILTER_TABLE[config.filter][1] is not None
+    return _ClosedFormSlice(ys, setup.lgss, _weight_spec(config), records_weight)
 
 
 def _letkf_config(config: ExperimentConfig) -> LetkfConfig:
@@ -465,33 +544,26 @@ def run_particle_filter(
                   members=lambda c: c.particles, rng=rng)
 
 
-def _run_filters(
+def _slices(
     setup: ModelSetup, configs: Sequence[ExperimentConfig], rngs: Sequence[np.random.Generator]
-) -> list[FilterRun]:
-    """Run the configs' filters over the replicate's observations, each
-    drawing from its own generator: the filters that sample their forecast
-    in lock-step, and each closed-form filter on its own.
-
-    Only a shared forecast gains from the lock-step.  Interleaved with each
-    other, the closed-form recursions, which sample none, ran 5-9% slower
-    than one after another (tracking sweeps, 2-vCPU Xeon VM).
-    """
+) -> list:
+    """The slices of the configs' filters over the replicate's observations,
+    each drawing from its own generator."""
     # Looked up at call time, so a rebound module attribute takes effect.
     runners = {"kf": run_closed_form_filter, "pf": run_particle_filter}
     ys = setup.record.observations
-    slices = [
+    return [
         runners.get(_FILTER_TABLE[config.filter][0], run_ensemble_filter)(setup, ys, config, rng)
         for config, rng in zip(configs, rngs)
     ]
-    sampled = [i for i, s in enumerate(slices) if s.members is not None]
-    groups = [[i] for i, s in enumerate(slices) if s.members is None]
-    if sampled:
-        groups.append(sampled)
-    runs = [None] * len(slices)
-    for group in groups:
-        for i, run in zip(group, _filter_loop([slices[i] for i in group], setup.sampler)):
-            runs[i] = run
-    return runs
+
+
+def _run_filters(
+    setup: ModelSetup, configs: Sequence[ExperimentConfig], rngs: Sequence[np.random.Generator]
+) -> list[FilterRun]:
+    """Run the configs' filters over one replicate's observations in
+    lock-step, each drawing from its own generator."""
+    return _filter_loop(_slices(setup, configs, rngs), setup.sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -633,23 +705,58 @@ class SweepResult:
         _write_csv(path, ["filter", "cell", "replicate", "rmse", "q_ic"], rows)
 
 
-def _replicate_job(args) -> tuple:
-    base, filters, cell_key, rep = args
-    traj_ss = np.random.SeedSequence(base.seed, spawn_key=(*cell_key, rep, 0))
-    setup = build_setup(base, traj_ss)
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(base.seed, spawn_key=(*cell_key, rep, 1 + i)))
-        for i in range(len(filters))
-    ]
-    runs = _run_filters(setup, [replace(base, filter=filt) for filt in filters], rngs)
+# A sweep job is a chunk of consecutive replicates, run in one lock-stepped
+# loop.  Its replicates' truths and the moments their filters record (mean,
+# covariance and weight at every observation) stay under this many bytes.
+_CHUNK_BYTES = 32 * 2**20
+
+
+def _replicate_bytes(config: ExperimentConfig, n_filters: int) -> int:
+    """Bytes of a replicate's truth states and recorded moments."""
+    dt, t_out, d = _MODEL_SETTINGS[config.model][1:]
+    n, steps_per_obs = step_counts(config.horizon, dt, t_out)
+    return 8 * (d * (n + 1) + n_filters * (n // steps_per_obs) * (d + d * d + 1))
+
+
+def _chunks(jobs: list, threads: int) -> list[list]:
+    """Consecutive jobs, as many to a chunk as ``_CHUNK_BYTES`` allows, and
+    no more than an equal share of each worker.  Results do not depend on
+    the chunk size."""
+    base, filters = jobs[0][:2]
+    size = max(1, _CHUNK_BYTES // _replicate_bytes(base, len(filters)))
+    size = min(size, -(-len(jobs) // threads))
+    return [jobs[i : i + size] for i in range(0, len(jobs), size)]
+
+
+def _chunk_job(chunk: list) -> list[tuple]:
+    """Run a chunk of jobs, each (cell config, filters, cell key,
+    replicate), with every filter of every replicate in one ``_filter_loop``,
+    and score the runs: one (cell key, replicate, [(filter, rmse, q_ic)])
+    per job.
+
+    Every replicate of a sweep has the same model and horizon, so the first
+    replicate's sampler propagates the members of all.
+    """
+    setups, slices = [], []
+    for base, filters, cell_key, rep in chunk:
+        setup = build_setup(base, np.random.SeedSequence(base.seed, spawn_key=(*cell_key, rep, 0)))
+        rngs = [
+            np.random.default_rng(
+                np.random.SeedSequence(base.seed, spawn_key=(*cell_key, rep, 1 + i))
+            )
+            for i in range(len(filters))
+        ]
+        slices += _slices(setup, [replace(base, filter=filt) for filt in filters], rngs)
+        setups.append(setup)
+    runs = iter(_filter_loop(slices, setups[0].sampler))
     out = []
-    for filt, run in zip(filters, runs):
-        report = _evaluate_run(setup, run)
-        if report is None:
-            out.append((filt, None, None))
-        else:
-            out.append((filt, report.rmse, report.q_ic))
-    return cell_key, rep, out
+    for (_base, filters, cell_key, rep), setup in zip(chunk, setups):
+        replicate = []
+        for filt in filters:
+            report = _evaluate_run(setup, next(runs))
+            replicate.append((filt, None, None) if report is None else (filt, report.rmse, report.q_ic))
+        out.append((cell_key, rep, replicate))
+    return out
 
 
 def _aggregate(values: list[float]) -> tuple[float, float]:
@@ -670,11 +777,14 @@ def _cell_stats(results: list[tuple]) -> CellStats:
     )
 
 
-def _execute_jobs(jobs: list, threads: int):
+def _execute_jobs(jobs: list, threads: int) -> list[tuple]:
+    chunks = _chunks(jobs, threads)
     if threads <= 1:
-        return [_replicate_job(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_replicate_job, jobs, chunksize=1))
+        done = [_chunk_job(chunk) for chunk in chunks]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(_chunk_job, chunks, chunksize=1))
+    return [job for chunk in done for job in chunk]
 
 
 def _collect(

@@ -5,17 +5,22 @@ Conventions follow the usual discrete-time system
 
     x_n = A x_{n-1} + Q^{1/2} w_n,      y_n = H x_n + R^{1/2} v_n,
 
-with Gaussian beliefs carried in covariance form (mean, cov).
+with Gaussian beliefs carried in covariance form (mean, cov).  A belief may
+carry a leading batch axis, a stack of beliefs under one model: the steps act
+on each element alone, and a single belief is the batch-of-one case of the
+same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from ._linalg import SpdFactor, symmetrize
+from ._linalg import SpdFactor, SpdStack, symmetrize
+from .weights import CONSTANT, WeightKernelSpec, WolfSpec, robust_update
 
 __all__ = [
     "GaussianBelief",
@@ -23,8 +28,11 @@ __all__ = [
     "ObservationModel",
     "kf_forecast",
     "kalman_gain",
+    "robust_analysis",
     "kf_analysis",
 ]
+
+_REGULAR = WeightKernelSpec(family=CONSTANT)
 
 def _as_vector(x, d: int | None = None) -> np.ndarray:
     if isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64:
@@ -50,7 +58,8 @@ def _as_matrix(a, shape: tuple[int, int] | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianBelief:
-    """Gaussian distribution in covariance form.
+    """Gaussian distribution in covariance form: a (d,) mean and (d, d)
+    covariance, or a (B, d) and (B, d, d) stack of B beliefs.
 
     The covariance is symmetrized on construction and not factorized: the
     steps that solve with it factorize what they need, with jitter repair.
@@ -60,18 +69,22 @@ class GaussianBelief:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = _as_vector(self.mean)
-        cov = symmetrize(_as_matrix(self.cov))
-        if cov.shape != (mean.shape[0], mean.shape[0]):
+        mean = self.mean
+        if not (isinstance(mean, np.ndarray) and mean.ndim in (1, 2) and mean.dtype == np.float64):
+            mean = _as_vector(mean)
+        cov = self.cov
+        if not (isinstance(cov, np.ndarray) and cov.dtype == np.float64):
+            cov = np.atleast_2d(np.asarray(cov, dtype=float))
+        if cov.shape != (*mean.shape, mean.shape[-1]):
             raise ValueError(
-                f"covariance shape {cov.shape} does not match mean length {mean.shape[0]}"
+                f"covariance shape {cov.shape} does not match mean shape {mean.shape}"
             )
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "cov", symmetrize(cov))
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -154,12 +167,12 @@ class LgssModel:
 
 
 def kf_forecast(model: LgssModel, analysis: GaussianBelief) -> GaussianBelief:
-    """Forecast step: (m, P) -> (A m, A P A^T + Q)."""
+    """Forecast step: (m, P) -> (A m, A P A^T + Q), of one belief or a stack."""
     if analysis.dim != model.d_x:
         raise ValueError(
             f"belief dimension {analysis.dim} does not match state dimension {model.d_x}"
         )
-    mean = model.A @ analysis.mean
+    mean = (model.A @ analysis.mean[..., None])[..., 0]
     cov = model.A @ analysis.cov @ model.A.T + model.Q  # ctor symmetrizes
     return GaussianBelief(mean=mean, cov=cov)
 
@@ -175,28 +188,67 @@ def kalman_gain(
     since multiplying by 1 is exact.  The Kalman gain is K = G W^{1/2}:
     P^f H^T [R / w + H P^f H^T]^{-1} for w > 0, and 0 for w = 0.
 
-    Raises np.linalg.LinAlgError when the bracket cannot be factorized.
+    A (B, d_X, d_X) stack of P^f with a (B, d_Y) stack of weights gives the
+    stacked gains, each as a single call would give it.  The brackets are
+    factored as one ``SpdStack``: a bracket that no jitter repairs gives a NaN
+    gain, for that element only (for a single P^f, a NaN gain).
     """
-    hp = root_w[:, None] * (h @ p_f)
-    bracket = SpdFactor(r + hp @ h.T * root_w)
-    return bracket.solve(hp).T, hp
+    hp = root_w[..., :, None] * (h @ p_f)
+    solved = SpdStack(r + hp @ h.T * root_w[..., None, :]).solve(hp)
+    # C-ordered, so each gain meets the same BLAS kernels in a stack as alone
+    return np.ascontiguousarray(solved.swapaxes(-1, -2)), hp
+
+
+def robust_analysis(
+    model: LgssModel,
+    mean: np.ndarray,
+    cov: np.ndarray,
+    y: np.ndarray,
+    specs: Sequence[tuple[WeightKernelSpec | WolfSpec, slice]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The closed-form analysis step of every filter: the gain-form update
+    with the precision weight w and target observation of the shared
+    robust-update core, ``weights.robust_update``.
+
+    Acts on a stack: (B, d_X) forecast means, (B, d_X, d_X) covariances and
+    (B, d_Y) observations, or on one forecast and observation, the stack of
+    one that the single-belief steps pass.  ``specs`` pairs each weight spec
+    with the slice of the stack it weights; the constant kernel is the
+    regular Kalman analysis.  Returns the posterior means and covariances (not yet
+    symmetrized) and the stacked w and targets.  An element whose innovation
+    or gain bracket no jitter repairs gets NaN moments; the others are
+    unaffected.
+    """
+    h, r_factor = model.H, model.observation.r_factor
+    center = (h @ mean[..., None])[..., 0]
+    if len(specs) == 1:
+        w, target = robust_update(specs[0][0], y, center, lambda: h @ cov @ h.T, r_factor)
+    else:
+        w, target = np.empty_like(y), np.empty_like(y)
+        for spec, rows in specs:
+            w[rows], target[rows] = robust_update(
+                spec, y[rows], center[rows], lambda rows=rows: h @ cov[rows] @ h.T, r_factor
+            )
+    root_w = np.sqrt(w)
+    gain, whp = kalman_gain(cov, h, model.R, root_w)
+    mean = mean - (gain @ (root_w * (center - target))[..., None])[..., 0]
+    return mean, cov - gain @ whp, w, target
 
 
 def kf_analysis(model: LgssModel, forecast: GaussianBelief, y: np.ndarray) -> GaussianBelief:
-    """Regular Kalman analysis step.
+    """Regular Kalman analysis step, ``robust_analysis`` with the constant
+    kernel.
 
     Gain K = P^f H^T [R + H P^f H^T]^{-1}, then
-    P^a = P^f - K H P^f and m^a = m^f - K (H m^f - y).
-
-    Raises np.linalg.LinAlgError when the innovation covariance
-    R + H P^f H^T cannot be factorized.
+    P^a = P^f - K H P^f and m^a = m^f - K (H m^f - y).  An innovation
+    covariance R + H P^f H^T that no jitter repairs gives a NaN posterior.
     """
     y = _as_vector(y, model.d_y)
     if forecast.dim != model.d_x:
         raise ValueError(
             f"forecast dimension {forecast.dim} does not match state dimension {model.d_x}"
         )
-    gain, hp = kalman_gain(forecast.cov, model.H, model.R, np.ones(model.d_y))
-    mean = forecast.mean - gain @ (model.H @ forecast.mean - y)
-    return GaussianBelief(mean=mean, cov=forecast.cov - gain @ hp)  # ctor symmetrizes
-
+    mean, cov, _, _ = robust_analysis(
+        model, forecast.mean, forecast.cov, y, ((_REGULAR, slice(None)),)
+    )
+    return GaussianBelief(mean=mean, cov=cov)  # ctor symmetrizes

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from ._linalg import SpdFactor, pow2_scale
+from ._linalg import SpdFactor, SpdStack, pow2_scale
 
 __all__ = ["MetricReport", "rmse", "q_log", "q_ic", "ci_coverage"]
 
@@ -88,7 +88,7 @@ def _stacked(
 
 def _stepwise_log_densities(residual: np.ndarray, covariances: np.ndarray) -> np.ndarray:
     """Per-step Gaussian log-densities with one ``SpdFactor`` per step: the
-    fallback of ``_full_log_densities`` for a run the stacked path cannot
+    fallback of ``_full_log_densities`` for the steps the stacked path cannot
     score."""
     n, d = residual.shape
     log_densities = np.empty(n)
@@ -110,30 +110,31 @@ def _stepwise_log_densities(residual: np.ndarray, covariances: np.ndarray) -> np
 
 def _full_log_densities(residual: np.ndarray, covariances: np.ndarray) -> np.ndarray:
     """Per-step Gaussian log-densities of (T, d) residuals under (T, d, d)
-    covariances, symmetrized as ``SpdFactor`` does and factored by one
-    stacked Cholesky.
+    covariances, factored as one ``SpdStack``.
 
-    The whole run is scored step by step instead when a step needs what only
-    the per-step path does: a jitter repair or the ``-inf`` of a collapsed
-    estimate (the stacked factorization raises), or the power-of-two redo of
-    a Mahalanobis square that overflowed (it comes out non-finite).
+    The substitution goes row by row, each row one dot product, as LAPACK's
+    triangular solve does, so a step scores as ``_stepwise_log_densities``
+    scores it.  A step that needs what only the per-step path does is scored
+    there, alone: a jitter repair or the ``-inf`` of a collapsed estimate
+    (the stacked factorization took its covariance not as it is), or the
+    power-of-two redo of a Mahalanobis square that overflowed (it comes out
+    non-finite).
     """
     d = residual.shape[1]
-    try:
-        chol = np.linalg.cholesky(0.5 * (covariances + covariances.transpose(0, 2, 1)))
-    except np.linalg.LinAlgError:
-        return _stepwise_log_densities(residual, covariances)
-    # Forward substitution L z = r, one pass per state dimension.
+    factor = SpdStack(covariances)
+    chol = factor.chol
     z = np.empty_like(residual)
-    for i in range(d):
-        z[:, i] = (
-            residual[:, i] - np.einsum("tj,tj->t", chol[:, i, :i], z[:, :i])
-        ) / chol[:, i, i]
-    maha = np.einsum("ti,ti->t", z, z)
-    if not np.isfinite(maha).all():
-        return _stepwise_log_densities(residual, covariances)
+    for i in range(d):  # forward substitution L z = r
+        z[:, i] = (residual[:, i] - (chol[:, i, None, :i] @ z[:, :i, None])[:, 0, 0]) / chol[:, i, i]
+    maha = (z[:, None, :] @ z[:, :, None])[:, 0, 0]
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    return -0.5 * (d * _LOG_2PI + logdet + maha)
+    log_densities = -0.5 * (d * _LOG_2PI + logdet + maha)
+    redo = ~np.isfinite(maha)
+    if factor.plain is not None:
+        redo |= ~factor.plain
+    if redo.any():
+        log_densities[redo] = _stepwise_log_densities(residual[redo], covariances[redo])
+    return log_densities
 
 
 def _diagonal_log_densities(residual: np.ndarray, covariances: np.ndarray) -> np.ndarray:

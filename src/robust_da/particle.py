@@ -9,10 +9,10 @@ observations cannot zero out the weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ._linalg import SpdFactor
 from .lgss import ObservationModel
@@ -23,6 +23,26 @@ __all__ = [
     "dsm_log_potential",
     "pf_step",
 ]
+
+
+def _logsumexp(x: np.ndarray) -> float:
+    """log(sum(exp(x))) of a vector, as scipy 1.17's ``logsumexp`` computes
+    it, bit for bit, without its ~80 us of array-API dispatch: the maxima
+    are summed apart, as a count m, and the rest, shifted by the maximum, as
+    s / m.  A result that is not finite is log(sum(exp(x))), as there."""
+    mx = x.max()
+    at_max = x == mx
+    m = np.count_nonzero(at_max)
+    # Infinite and NaN entries take the log(0), -inf - -inf and overflow
+    # that scipy silences too.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.add.reduce(np.exp(np.where(at_max, -np.inf, x) - mx))
+        if s != 0.0:
+            s = s / m
+        out = float(np.log1p(s) + np.log(m) + mx)
+        if not math.isfinite(out):
+            out = float(np.log(np.add.reduce(np.exp(x))))
+    return out
 
 
 @dataclass(frozen=True)
@@ -41,7 +61,7 @@ class ParticleCloud:
             raise ValueError(
                 f"log_weights shape {logw.shape} does not match {particles.shape[1]} particles"
             )
-        logw = logw - logsumexp(logw)
+        logw = logw - _logsumexp(logw)
         weights = np.exp(logw)
         object.__setattr__(self, "particles", particles)
         object.__setattr__(self, "log_weights", logw)

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import SpdFactor, pow2_scale
+from ._linalg import SpdFactor, SpdStack, pow2_scale
 
 __all__ = [
     "IMQ",
@@ -182,7 +182,8 @@ class WolfSpec:
 
 @dataclass(frozen=True)
 class WeightEvaluation:
-    """Evaluated squared weights and the gradients of their logarithms.
+    """Evaluated squared weights and the gradients of their logarithms, for
+    one observation or, with a leading axis, for a stack of them.
 
     ``log_grads`` row b is the observation-space gradient of log k^2_b, 0
     where k^2_b is 0.  Entry i of a ``*_diag`` vector is taken from the
@@ -191,17 +192,30 @@ class WeightEvaluation:
     with respect to y_i.
     """
 
-    k_sq: np.ndarray          # (B,) squared weights per block
-    log_grads: np.ndarray     # (B, d_Y)
+    k_sq: np.ndarray          # (n_blocks,) squared weights per block, or (B, n_blocks)
+    log_grads: np.ndarray     # (n_blocks, d_Y), or (B, n_blocks, d_Y)
     partition: BlockPartition
 
     @property
     def k_sq_diag(self) -> np.ndarray:
-        return np.repeat(self.k_sq, [b - a for a, b in self.partition])
+        if len(self.partition) == 1:
+            return self.k_sq.repeat(self.partition[0][1], axis=-1)
+        return np.repeat(self.k_sq, [b - a for a, b in self.partition], axis=-1)
 
     @property
     def log_grad_diag(self) -> np.ndarray:
-        return np.concatenate([g[a:b] for g, (a, b) in zip(self.log_grads, self.partition)])
+        if len(self.partition) == 1:
+            return self.log_grads[..., 0, :]
+        return np.concatenate(
+            [self.log_grads[..., i, a:b] for i, (a, b) in enumerate(self.partition)], axis=-1
+        )
+
+
+def _as_floats(x) -> np.ndarray:
+    """``x`` as a float array of at least one dimension."""
+    if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim:
+        return x
+    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
 def weight_sq(
@@ -247,9 +261,15 @@ def eval_kernel(
     spec: WeightKernelSpec,
     y: np.ndarray,
     center: np.ndarray,
-    std_cov: SpdFactor,
+    std_cov: SpdFactor | SpdStack,
 ) -> WeightEvaluation:
     """Evaluate the squared weight kernel and the gradients of its logarithm.
+
+    ``y`` and ``center`` are one (d_Y,) observation or a (B, d_Y) stack, and
+    ``std_cov`` the factor of the standardizing covariance: an ``SpdFactor``,
+    or an ``SpdStack`` of one covariance per element or of one for all.  Each
+    element is evaluated with its own factor, as a single call would evaluate
+    it.
 
     Single block: s is the squared norm of the residual y - center whitened
     by the Cholesky factor of ``std_cov``, and the gradient follows the
@@ -261,38 +281,39 @@ def eval_kernel(
     large to square gives s = inf and k^2 = 0, never a cancellation or NaN,
     and a block with k^2 = 0 gets a zero log-gradient, never 0 * inf.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    d_y = y.shape[0]
+    y, center = _as_floats(y), _as_floats(center)
+    d_y = y.shape[-1]
     if center.shape != y.shape:
         raise ValueError(f"y has shape {y.shape} but center has shape {center.shape}")
     if std_cov.dim != d_y:
         raise ValueError(f"standardization covariance has dim {std_cov.dim}, expected {d_y}")
+    stack = SpdStack.of(std_cov) if isinstance(std_cov, SpdFactor) else std_cov
     partition = spec.partition_for(d_y)
-    n_blocks = len(partition)
     thresholds = spec.thresholds_for(d_y)
-    residual = y - center
-    k_sq = np.empty(n_blocks)
-    log_grads = np.zeros((n_blocks, d_y))
-
-    if n_blocks == 1:
-        k_sq[0] = weight_sq(spec, std_cov.mahalanobis_sq(residual), thresholds[0])
-        if k_sq[0] > 0.0:
-            # grad s = 2 cov^{-1} (y - center)
-            slope = weight_slope(spec, k_sq[0], thresholds[0])
-            log_grads[0] = 2.0 * slope * std_cov.solve(residual)
-    else:
-        root = std_cov.inv_sym_sqrt
+    residuals = (y - center).reshape(-1, d_y)
+    k_sq = np.empty((len(residuals), len(partition)))
+    log_grads = np.zeros((len(residuals), len(partition), d_y))
+    for i, (factor, residual) in enumerate(zip(stack.factors(len(residuals)), residuals)):
+        if len(partition) == 1:
+            k_sq[i, 0] = k = weight_sq(spec, factor.mahalanobis_sq(residual), thresholds[0])
+            if k > 0.0:
+                # grad s = 2 cov^{-1} (y - center)
+                slope = weight_slope(spec, k, thresholds[0])
+                log_grads[i, 0] = 2.0 * slope * factor.solve(residual)
+            continue
+        root = factor.inv_sym_sqrt
         scale = pow2_scale(residual)
         z_scaled = root @ (residual / scale)
         for b, (start, stop) in enumerate(partition):
             s_b = float(z_scaled[start:stop] @ z_scaled[start:stop]) * scale * scale
-            k_sq[b] = weight_sq(spec, s_b, thresholds[b])
-            if k_sq[b] > 0.0:
-                slope = weight_slope(spec, k_sq[b], thresholds[b])
+            k_sq[i, b] = k = weight_sq(spec, s_b, thresholds[b])
+            if k > 0.0:
+                slope = weight_slope(spec, k, thresholds[b])
                 # grad s_b = 2 * root[:, start:stop] @ z[start:stop] (root symmetric)
-                log_grads[b] = 2.0 * slope * (root[:, start:stop] @ (z_scaled[start:stop] * scale))
+                log_grads[i, b] = 2.0 * slope * (root[:, start:stop] @ (z_scaled[start:stop] * scale))
 
+    if y.ndim == 1:
+        k_sq, log_grads = k_sq[0], log_grads[0]
     return WeightEvaluation(k_sq=k_sq, log_grads=log_grads, partition=partition)
 
 
@@ -318,22 +339,31 @@ def robust_update(
     R.  ``hph`` returns the forecast covariance in observation space, H P H^T
     or Y Y^T / (M - 1) in the ensemble-anomaly space; it is called only for
     the specs standardized by HPH^T + R.
+
+    ``y`` and ``center`` may also be (B, d_Y) stacks, and ``hph`` then returns
+    a (B, d_Y, d_Y) stack: each element is updated alone, as a single call
+    would update it.  An element whose HPH^T + R no jitter repairs gets a NaN
+    weight.
     """
     r = r_factor.matrix
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    d_y = y.shape[0]
+    y = _as_floats(y)
+    d_y = y.shape[-1]
     if isinstance(spec, WeightKernelSpec):
         partition = spec.partition_for(d_y)
         if spec.family == CONSTANT:
-            return np.ones(d_y), y
+            return np.ones(y.shape), y
         if len(partition) > 1:
             _check_block_diagonal(r, partition)
-    std_cov = r_factor if spec.standardization == CONDITIONAL else SpdFactor(hph() + r)
+    if spec.standardization == CONDITIONAL:
+        std_cov = SpdStack.of(r_factor)
+    else:
+        std_cov = SpdStack(hph() + r)
     if isinstance(spec, WolfSpec):
-        k_sq = weight_sq(spec, std_cov.mahalanobis_sq(y - center), spec.thresholds_for(d_y)[0])
-        return np.full(d_y, 2.0 * k_sq), y
+        s = std_cov.mahalanobis_sq((y - center).reshape(-1, d_y))
+        k_sq = weight_sq(spec, s, spec.thresholds_for(d_y)[0])
+        return np.repeat(2.0 * k_sq, d_y).reshape(y.shape), y
     evaluation = eval_kernel(spec, y, center, std_cov)
-    return 2.0 * evaluation.k_sq_diag, y - r @ evaluation.log_grad_diag
+    return 2.0 * evaluation.k_sq_diag, y - (r @ evaluation.log_grad_diag[..., None])[..., 0]
 
 
 def default_threshold(d_y: int, family: str = IMQ) -> float:

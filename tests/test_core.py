@@ -17,8 +17,10 @@ from robust_da import (
     dsm_analysis,
     esrf_analysis,
     kf_analysis,
+    kf_forecast,
     wolf_analysis,
 )
+from robust_da.lgss import robust_analysis
 from robust_da.weights import CONSTANT, IMQ, SQEXP, WeightKernelSpec, WolfSpec, robust_update
 from helpers import (
     BLOCK_SQUARE_OVERFLOWS,
@@ -235,3 +237,51 @@ def test_outlier_whose_solve_overflows_gets_zero_weight(spec, y_size, r_scale):
     np.testing.assert_array_equal(result.target, y)
     np.testing.assert_array_equal(result.posterior.mean, model.prior.mean)
     np.testing.assert_array_equal(result.posterior.cov, model.prior.cov)
+
+
+@st.composite
+def stacked_systems(draw):
+    """(model, means, covs, ys, specs): 1 to 6 forecasts and observations of
+    one random system, each with its weight spec, the elements of a spec
+    next to each other as ``lgss.robust_analysis`` takes them."""
+    model, _, _ = draw(systems())
+    b = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specs = sorted(
+        draw(st.lists(st.integers(0, len(ROBUST_SPECS)), min_size=b, max_size=b))
+    )
+    means = rng.standard_normal((b, model.d_x)) * 3.0
+    covs = np.stack([random_spd(rng, model.d_x, scale=10.0 ** rng.uniform(-2, 2)) for _ in range(b)])
+    ys = (model.H @ means[..., None])[..., 0] + 10.0 ** rng.uniform(-1, 3) * rng.uniform(
+        -1.0, 1.0, (b, model.d_y)
+    )
+    return model, means, covs, ys, [([*ROBUST_SPECS, WeightKernelSpec(family=CONSTANT)])[i] for i in specs]
+
+
+@PROPERTY_SETTINGS
+@given(stacked_systems())
+def test_stacked_closed_form_step_is_each_elements_step_bit_for_bit(system):
+    # One stacked forecast and robust analysis, each element weighted by its
+    # own spec, give every element's batch-of-one step bit for bit; the
+    # constant kernel inside the mixed stack is the Kalman filter.
+    model, means, covs, ys, specs = system
+    forecast = kf_forecast(model, GaussianBelief(mean=means, cov=covs))
+    rows = [(spec, slice(specs.index(spec), len(specs) - specs[::-1].index(spec)))
+            for spec in dict.fromkeys(specs)]
+    mean, cov, w, target = robust_analysis(model, forecast.mean, forecast.cov, ys, rows)
+    posterior = GaussianBelief(mean=mean, cov=cov)
+    for i, spec in enumerate(specs):
+        alone = kf_forecast(model, GaussianBelief(mean=means[i], cov=covs[i]))
+        np.testing.assert_array_equal(forecast.mean[i], alone.mean)
+        np.testing.assert_array_equal(forecast.cov[i], alone.cov)
+        if spec == WeightKernelSpec(family=CONSTANT):
+            regular = kf_analysis(model, alone, ys[i])
+            np.testing.assert_array_equal(posterior.mean[i], regular.mean)
+            np.testing.assert_array_equal(posterior.cov[i], regular.cov)
+            np.testing.assert_array_equal(w[i], np.ones(model.d_y))
+            continue
+        result = analyse(model, alone, ys[i], spec)
+        np.testing.assert_array_equal(posterior.mean[i], result.posterior.mean)
+        np.testing.assert_array_equal(posterior.cov[i], result.posterior.cov)
+        np.testing.assert_array_equal(w[i], result.weight)
+        np.testing.assert_array_equal(target[i], result.target)

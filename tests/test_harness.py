@@ -333,10 +333,10 @@ def test_sweeps_refuse_an_invalid_filter_before_any_replicate(monkeypatch):
         model="lorenz63", filter="dsm_enkf", t_end=0.3, ensemble_size=20, mc_reps=2, seed=3,
     )
 
-    def no_replicate(job):
+    def no_replicate(chunk):
         raise AssertionError("a replicate started")
 
-    monkeypatch.setattr(harness, "_replicate_job", no_replicate)
+    monkeypatch.setattr(harness, "_chunk_job", no_replicate)
     with pytest.raises(ValueError, match="linear Gaussian"):
         run_sweep(cfg, [0.1], [5.0], filters=["dsm_enkf", "kf"])
     with pytest.raises(ValueError, match="linear Gaussian"):
@@ -359,10 +359,10 @@ def test_config_refuses_a_contamination_or_horizon_it_cannot_run(monkeypatch):
             ExperimentConfig(model=model, filter="enkf", t_end=t_end)
     assert ExperimentConfig(model="ou", t_end=1e5).horizon / 0.1 == harness.MAX_TRUTH_STEPS
 
-    def no_replicate(job):
+    def no_replicate(chunk):
         raise AssertionError("a replicate started")
 
-    monkeypatch.setattr(harness, "_replicate_job", no_replicate)
+    monkeypatch.setattr(harness, "_chunk_job", no_replicate)
     with pytest.raises(ValueError, match="epsilon"):
         run_sweep(ExperimentConfig(t_end=1.0), [0.1, 1.5], [2.0])
 
@@ -405,10 +405,10 @@ def test_config_refuses_a_setting_no_run_can_use_before_any_replicate(
     with pytest.raises(ValueError, match=name):
         ExperimentConfig(**{**base, **setting})
 
-    def no_replicate(job):
+    def no_replicate(chunk):
         raise AssertionError("a replicate started")
 
-    monkeypatch.setattr(harness, "_replicate_job", no_replicate)
+    monkeypatch.setattr(harness, "_chunk_job", no_replicate)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**base, **(setting if not flags else {})}))
     with pytest.raises(SystemExit) as err:
@@ -486,6 +486,78 @@ def test_sweep_thread_count_invariance(tmp_path):
             assert (tmp_path / f"{case}-1" / name).read_bytes() == (
                 tmp_path / f"{case}-2" / name
             ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "base,filters",
+    [
+        (dict(model="tracking2d", t_end=2.0, mc_reps=4, seed=41), ["kf", "dsm_kf", "wolf_kf"]),
+        (dict(model="ou", t_end=2.0, mc_reps=4, seed=43, ensemble_size=10),
+         ["kf", "dsm_kf", "wolf_kf", "enkf", "dsm_esrf", "dsm_letkf", "dsm_pf"]),
+    ],
+    ids=["tracking-closed-form", "ou-mixed"],
+)
+def test_sweep_files_do_not_depend_on_the_chunk_size(base, filters, tmp_path, monkeypatch):
+    # A sweep job is a chunk of replicates whose filters run stacked; the
+    # files are the same for chunks of 1, 3 and every replicate, with one
+    # worker or two.
+    config = ExperimentConfig(**base)
+    per_replicate = harness._replicate_bytes(config, len(filters))
+    files = {}
+    for chunk in (1, 3, 10**6):
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk * per_replicate)
+        for threads in (1, 2):
+            out = tmp_path / f"{chunk}-{threads}"
+            run_sweep(replace(config, threads=threads, out_dir=str(out)), [0.0, 0.25], [25.0],
+                      filters=filters)
+            files[chunk, threads] = [
+                (out / name).read_bytes() for name in ("sweep_cells.csv", "sweep_replicates.csv")
+            ]
+    assert all(got == files[1, 1] for got in files.values())
+    sizes = [len(c) for c in harness._chunks([(config, filters, (0, 0), r) for r in range(8)], 1)]
+    assert sizes == [8]  # the chunks of the last size held every job
+
+
+@pytest.mark.parametrize(
+    "model,filters",
+    [("tracking2d", ("kf", "dsm_kf", "wolf_kf")), ("ou", ("kf", "dsm_kf", "wolf_kf", "dsm_enkf"))],
+)
+@pytest.mark.parametrize("value", [np.nan, 1e300])
+def test_a_replicate_that_diverges_leaves_the_rest_of_its_chunk_as_run_alone(
+    model, filters, value
+):
+    # One replicate of a chunk gets a NaN observation at step 5, which the
+    # robust filters' gain brackets cannot factorize with any jitter, or one
+    # at 1e300.  Its filters diverge where each one run alone diverges, and
+    # every other replicate is its chunk-of-one run bit for bit.
+    base = ExperimentConfig(model=model, filter=filters[0], t_end=2.0, seed=5, epsilon=0.1,
+                            lam=100.0, ensemble_size=10)
+    configs = [replace(base, filter=f) for f in filters]
+    setups = [build_setup(base, np.random.SeedSequence((5, rep))) for rep in range(4)]
+    setups[2].record.observations[0, 5] = value
+
+    def rngs(rep):
+        return [np.random.default_rng((rep, i)) for i in range(len(filters))]
+
+    slices = [s for rep, setup in enumerate(setups)
+              for s in harness._slices(setup, configs, rngs(rep))]
+    runs = harness._filter_loop(slices, setups[0].sampler)
+    for rep, setup in enumerate(setups):
+        alone = harness._run_filters(setup, configs, rngs(rep))
+        for i, (config, reference) in enumerate(zip(configs, alone)):
+            run = runs[rep * len(filters) + i]
+            if rep == 2:
+                oracle = run_filter_alone(setup, config, rngs(rep)[i])
+                assert run.divergence_step == oracle.divergence_step, config.filter
+                reference = oracle
+            else:
+                assert run.divergence_step is None
+            for got, expected in ((run.means, reference.means),
+                                  (run.covariances, reference.covariances),
+                                  (run.weights, reference.weights)):
+                np.testing.assert_array_equal(got, expected)
+    if np.isnan(value):
+        assert all(runs[2 * len(filters) + i].divergence_step == 5 for i in range(len(filters)))
 
 
 def test_sweep_aggregation_matches_replicate_file(tmp_path):
@@ -683,10 +755,10 @@ def test_cli_sweep_refuses_a_bad_grid_value_in_one_line(grid, message):
     ],
 )
 def test_cli_refuses_a_bad_grid_list_in_one_line_before_any_replicate(monkeypatch, args, message):
-    def no_replicate(job):
+    def no_replicate(chunk):
         raise AssertionError("a replicate started")
 
-    monkeypatch.setattr(harness, "_replicate_job", no_replicate)
+    monkeypatch.setattr(harness, "_chunk_job", no_replicate)
     with pytest.raises(SystemExit) as err:
         cli.main([*args, "--config", "ou_desk", "--filters", "kf"])
     assert str(err.value) == message

@@ -9,6 +9,7 @@ from robust_da import (
     kf_analysis,
     kf_forecast,
 )
+from robust_da._linalg import SpdStack
 from robust_da.weights import WeightKernelSpec
 from helpers import (
     RESCALED_SQUARE_OVERFLOWS,
@@ -73,6 +74,34 @@ def test_spd_factor_jitter_repair_and_failure():
     # A genuinely indefinite matrix still fails.
     with pytest.raises(np.linalg.LinAlgError):
         SpdFactor(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+def test_spd_stack_repairs_and_masks_each_matrix_alone():
+    # One indefinite matrix makes the stacked Cholesky raise; each matrix is
+    # then factored alone: the SPD ones as the stacked call would, the
+    # borderline one with SpdFactor's jitter, bit for bit, and the one that
+    # no jitter repairs masked with NaN, without raising.
+    rng = np.random.default_rng(3)
+    spd = random_spd(rng, 2)
+    borderline, indefinite = np.ones((2, 2)), np.diag([1.0, -1.0])
+    stack = SpdStack(np.stack([spd, borderline, indefinite, spd]))
+    np.testing.assert_array_equal(stack.plain, [True, False, False, True])
+    for i in (0, 3):
+        np.testing.assert_array_equal(stack.chol[i], np.linalg.cholesky(spd))
+    repaired = SpdFactor(borderline)
+    np.testing.assert_array_equal(stack.chol[1], repaired.chol)
+    np.testing.assert_array_equal(stack.matrix[1], repaired.matrix)
+    assert np.isnan(stack.chol[2]).all()
+    b = rng.standard_normal((4, 2, 3))
+    x = stack.solve(b)
+    np.testing.assert_array_equal(x[1], repaired.solve(b[1]))
+    np.testing.assert_array_equal(x[0], SpdFactor(spd).solve(b[0]))
+    assert np.isnan(x[2]).all()
+    r = rng.standard_normal((4, 2))
+    s = stack.mahalanobis_sq(r)
+    assert s[1] == repaired.mahalanobis_sq(r[1]) and np.isnan(s[2])
+    # A stack every matrix of which is SPD is taken as it is.
+    assert SpdStack(np.stack([spd, spd])).plain is None
 
 
 def test_belief_symmetrizes_and_round_trips():

@@ -233,3 +233,34 @@ def test_resampling_preserves_weighted_mean_on_average():
     se = means.std(ddof=1) / np.sqrt(200)
     assert abs(means.mean() - target) <= 3.0 * se
 
+
+
+def test_log_weight_normalizer_is_scipys_logsumexp_bit_for_bit():
+    # The cloud normalizes its log-weights with scipy 1.17's logsumexp
+    # formula written in numpy; ties at the maximum, -inf entries and
+    # vectors that are all -inf, or hold inf or NaN, give scipy's bits.
+    from scipy.special import logsumexp
+
+    from robust_da.particle import _logsumexp
+
+    rng = np.random.default_rng(19)
+    vectors = [
+        np.array(v) for v in (
+            [0.0, -np.inf], [-np.inf, -np.inf], [np.inf, 1.0], [np.nan, 1.0], [2.0, 2.0, 2.0],
+            [-745.0, 0.0], [1e308, 1e308], [np.inf, -np.inf],
+        )
+    ]
+    for _ in range(3000):
+        x = rng.standard_normal(rng.integers(2, 41)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if rng.random() < 0.3:  # ties at the maximum
+            x[rng.integers(0, x.size, rng.integers(1, x.size + 1))] = x.max()
+        if rng.random() < 0.2:  # ties among the rest
+            x = np.round(x)
+        if rng.random() < 0.1:
+            x[rng.integers(0, x.size)] = -np.inf
+        vectors.append(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for x in vectors:
+            expected = float(logsumexp(x))
+            got = _logsumexp(x)
+            assert got == expected or (np.isnan(got) and np.isnan(expected)), x
