@@ -9,7 +9,8 @@ replicates, and the loop advances every filter of every replicate in the
 chunk in lock-step: at each observation the closed-form filters take one
 stacked forecast and analysis, the members of the ensemble and particle
 filters go through one stacked forecast, and each of those filters then runs
-its own analysis.
+its own analysis.  The linear Gaussian truths of a chunk are simulated
+together, and its runs are scored in one pass.
 
 Determinism contract: a (config, master seed) pair maps to byte-identical
 result files regardless of worker count and chunk size; per-replicate
@@ -52,11 +53,12 @@ from .models import (
     lgss_sampler,
     lorenz63_sampler,
     lorenz96_sampler,
+    ou_model,
+    simulate_lgss,
     simulate_lorenz63,
     simulate_lorenz96,
-    simulate_ou,
-    simulate_target_tracking,
     step_counts,
+    tracking_model,
 )
 from .particle import ParticleCloud, pf_step
 from .weights import CONDITIONAL, CONSTANT, IMQ, MARGINAL, WeightKernelSpec, WolfSpec
@@ -236,35 +238,44 @@ class ModelSetup:
     diagonalize_qic: bool
 
 
-def build_setup(config: ExperimentConfig, traj_seed) -> ModelSetup:
-    contamination = config.contamination
+def build_setups(configs: Sequence[ExperimentConfig], traj_seeds: Sequence) -> list[ModelSetup]:
+    """The setups of replicates of one model and horizon, one per (config,
+    truth seed); the configs may differ in contamination.  The linear
+    Gaussian truths are simulated together (``simulate_lgss``), the Lorenz
+    truths one by one: numpy arithmetic on a (d, 1) column costs more than on
+    a (d,) vector, and the L63 truth steps in Python floats."""
+    config = configs[0]
     t_end = config.horizon
     dt, t_out = _MODEL_SETTINGS[config.model][1:3]
     substeps = step_counts(t_end, dt, t_out)[1]  # forecast steps per observation
-    lgss = None
+    contaminations = [c.contamination for c in configs]
     if config.model in ("ou", "tracking2d"):
-        simulate = simulate_ou if config.model == "ou" else simulate_target_tracking
-        record, lgss = simulate(t_end=t_end, seed=traj_seed, contamination=contamination)
-        obs = lgss.observation
+        lgss = ou_model() if config.model == "ou" else tracking_model()
+        records = simulate_lgss(lgss, t_end, traj_seeds, contaminations)
         sampler = lgss_sampler(lgss)
-        init_mean, init_cov = lgss.prior.mean, lgss.prior.cov
-    elif config.model == "lorenz63":
-        record, obs = simulate_lorenz63(t_end=t_end, seed=traj_seed, contamination=contamination)
-        sampler = lorenz63_sampler(dt, n_steps=substeps)
-        init_mean, init_cov = record.initial_state, 0.1 * np.eye(3)
-    else:
-        record, obs = simulate_lorenz96(t_end=t_end, seed=traj_seed, contamination=contamination)
-        sampler = lorenz96_sampler(dt, n_steps=substeps)
-        init_mean, init_cov = record.initial_state, np.eye(record.states.shape[0])
-    return ModelSetup(
-        record=record,
-        lgss=lgss,
-        obs=obs,
-        sampler=sampler,
-        init_mean=init_mean,
-        init_cov=init_cov,
-        diagonalize_qic=config.model == "lorenz96",
-    )
+        return [
+            ModelSetup(record, lgss, lgss.observation, sampler, lgss.prior.mean, lgss.prior.cov,
+                       diagonalize_qic=False)
+            for record in records
+        ]
+    setups = []
+    for seed, contamination in zip(traj_seeds, contaminations):
+        if config.model == "lorenz63":
+            record, obs = simulate_lorenz63(t_end=t_end, seed=seed, contamination=contamination)
+            sampler = lorenz63_sampler(dt, n_steps=substeps)
+            init_cov = 0.1 * np.eye(3)
+        else:
+            record, obs = simulate_lorenz96(t_end=t_end, seed=seed, contamination=contamination)
+            sampler = lorenz96_sampler(dt, n_steps=substeps)
+            init_cov = np.eye(record.states.shape[0])
+        setups.append(ModelSetup(record, None, obs, sampler, record.initial_state, init_cov,
+                                 diagonalize_qic=config.model == "lorenz96"))
+    return setups
+
+
+def build_setup(config: ExperimentConfig, traj_seed) -> ModelSetup:
+    """The setup of one replicate."""
+    return build_setups([config], [traj_seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -579,13 +590,22 @@ class RunResult:
     paths: dict[str, str] = field(default_factory=dict)
 
 
-def _evaluate_run(setup: ModelSetup, run: FilterRun) -> MetricReport | None:
-    if run.divergence_step is not None:
-        return None
-    truth = setup.record.states_at_obs().T
-    return MetricReport.evaluate(
-        truth, run.means, run.covariances, diagonalize=setup.diagonalize_qic
-    )
+def _evaluate_runs(setups: Sequence[ModelSetup], runs: Sequence[FilterRun]) -> list:
+    """The ``MetricReport`` of each (setup, run) pair, None for a run that
+    diverged; the others are scored in one stacked pass
+    (``MetricReport.evaluate_runs``)."""
+    scored = [i for i, run in enumerate(runs) if run.divergence_step is None]
+    reports = [None] * len(runs)
+    if scored:
+        batch = MetricReport.evaluate_runs(
+            np.stack([setups[i].record.states_at_obs().T for i in scored]),
+            np.stack([runs[i].means for i in scored]),
+            np.stack([runs[i].covariances for i in scored]),
+            diagonalize=setups[0].diagonalize_qic,
+        )
+        for i, report in zip(scored, batch):
+            reports[i] = report
+    return reports
 
 
 def run_single(config: ExperimentConfig) -> RunResult:
@@ -594,7 +614,7 @@ def run_single(config: ExperimentConfig) -> RunResult:
     traj_ss, filt_ss = root.spawn(2)
     setup = build_setup(config, traj_ss)
     (run,) = _run_filters(setup, [config], [np.random.default_rng(filt_ss)])
-    report = _evaluate_run(setup, run)
+    (report,) = _evaluate_runs([setup], [run])
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -706,16 +726,22 @@ class SweepResult:
 
 
 # A sweep job is a chunk of consecutive replicates, run in one lock-stepped
-# loop.  Its replicates' truths and the moments their filters record (mean,
-# covariance and weight at every observation) stay under this many bytes.
+# loop and scored in one pass.  Its replicates' truths, the moments their
+# filters record (mean, covariance and weight at every observation) and the
+# scoring pass's copies of them stay under this many bytes.
 _CHUNK_BYTES = 32 * 2**20
+# The scoring pass holds the stacked moments, the symmetrized covariances
+# and their Cholesky factors next to the recorded moments.
+_SCORING_COPIES = 3
 
 
 def _replicate_bytes(config: ExperimentConfig, n_filters: int) -> int:
-    """Bytes of a replicate's truth states and recorded moments."""
+    """Bytes of a replicate's truth states, recorded moments and the scoring
+    pass's copies of them."""
     dt, t_out, d = _MODEL_SETTINGS[config.model][1:]
     n, steps_per_obs = step_counts(config.horizon, dt, t_out)
-    return 8 * (d * (n + 1) + n_filters * (n // steps_per_obs) * (d + d * d + 1))
+    moments = n_filters * (n // steps_per_obs) * (d + d * d + 1)
+    return 8 * (d * (n + 1) + (1 + _SCORING_COPIES) * moments)
 
 
 def _chunks(jobs: list, threads: int) -> list[list]:
@@ -731,15 +757,20 @@ def _chunks(jobs: list, threads: int) -> list[list]:
 def _chunk_job(chunk: list) -> list[tuple]:
     """Run a chunk of jobs, each (cell config, filters, cell key,
     replicate), with every filter of every replicate in one ``_filter_loop``,
-    and score the runs: one (cell key, replicate, [(filter, rmse, q_ic)])
-    per job.
+    and score the runs in one pass: one (cell key, replicate, [(filter,
+    rmse, q_ic)]) per job.
 
-    Every replicate of a sweep has the same model and horizon, so the first
-    replicate's sampler propagates the members of all.
+    Every replicate of a sweep has the same model and horizon, so the truths
+    are built together and the first replicate's sampler propagates the
+    members of all.
     """
-    setups, slices = [], []
-    for base, filters, cell_key, rep in chunk:
-        setup = build_setup(base, np.random.SeedSequence(base.seed, spawn_key=(*cell_key, rep, 0)))
+    setups = build_setups(
+        [base for base, *_ in chunk],
+        [np.random.SeedSequence(base.seed, spawn_key=(*cell_key, rep, 0))
+         for base, _filters, cell_key, rep in chunk],
+    )
+    slices, run_setups = [], []
+    for (base, filters, cell_key, rep), setup in zip(chunk, setups):
         rngs = [
             np.random.default_rng(
                 np.random.SeedSequence(base.seed, spawn_key=(*cell_key, rep, 1 + i))
@@ -747,13 +778,12 @@ def _chunk_job(chunk: list) -> list[tuple]:
             for i in range(len(filters))
         ]
         slices += _slices(setup, [replace(base, filter=filt) for filt in filters], rngs)
-        setups.append(setup)
-    runs = iter(_filter_loop(slices, setups[0].sampler))
+        run_setups += [setup] * len(filters)
+    reports = iter(_evaluate_runs(run_setups, _filter_loop(slices, setups[0].sampler)))
     out = []
-    for (_base, filters, cell_key, rep), setup in zip(chunk, setups):
+    for _base, filters, cell_key, rep in chunk:
         replicate = []
-        for filt in filters:
-            report = _evaluate_run(setup, next(runs))
+        for filt, report in zip(filters, reports):
             replicate.append((filt, None, None) if report is None else (filt, report.rmse, report.q_ic))
         out.append((cell_key, rep, replicate))
     return out

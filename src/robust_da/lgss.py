@@ -189,9 +189,11 @@ def kalman_gain(
     P^f H^T [R / w + H P^f H^T]^{-1} for w > 0, and 0 for w = 0.
 
     A (B, d_X, d_X) stack of P^f with a (B, d_Y) stack of weights gives the
-    stacked gains, each as a single call would give it.  The brackets are
-    factored as one ``SpdStack``: a bracket that no jitter repairs gives a NaN
-    gain, for that element only (for a single P^f, a NaN gain).
+    stacked gains, each as in a stack of one.  The brackets are factored as
+    one ``SpdStack``: a bracket that no jitter repairs gives a NaN gain, for
+    that element only (for a single P^f, a NaN gain).  A single P^f, the
+    EnKF's, is solved by LAPACK, a stack by substitution in LAPACK's
+    arithmetic (``SpdStack.solve``).
     """
     hp = root_w[..., :, None] * (h @ p_f)
     solved = SpdStack(r + hp @ h.T * root_w[..., None, :]).solve(hp)
@@ -211,14 +213,18 @@ def robust_analysis(
     robust-update core, ``weights.robust_update``.
 
     Acts on a stack: (B, d_X) forecast means, (B, d_X, d_X) covariances and
-    (B, d_Y) observations, or on one forecast and observation, the stack of
-    one that the single-belief steps pass.  ``specs`` pairs each weight spec
+    (B, d_Y) observations, or on one forecast and observation, which it runs
+    as a stack of one, so that a single-belief step is its element's step in
+    any stack bit for bit.  ``specs`` pairs each weight spec
     with the slice of the stack it weights; the constant kernel is the
     regular Kalman analysis.  Returns the posterior means and covariances (not yet
     symmetrized) and the stacked w and targets.  An element whose innovation
     or gain bracket no jitter repairs gets NaN moments; the others are
     unaffected.
     """
+    single = mean.ndim == 1
+    if single:
+        mean, cov, y = mean[None], cov[None], y[None]
     h, r_factor = model.H, model.observation.r_factor
     center = (h @ mean[..., None])[..., 0]
     if len(specs) == 1:
@@ -232,7 +238,10 @@ def robust_analysis(
     root_w = np.sqrt(w)
     gain, whp = kalman_gain(cov, h, model.R, root_w)
     mean = mean - (gain @ (root_w * (center - target))[..., None])[..., 0]
-    return mean, cov - gain @ whp, w, target
+    cov = cov - gain @ whp
+    if single:
+        return mean[0], cov[0], w[0], target[0]
+    return mean, cov, w, target
 
 
 def kf_analysis(model: LgssModel, forecast: GaussianBelief, y: np.ndarray) -> GaussianBelief:

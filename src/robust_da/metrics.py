@@ -29,6 +29,22 @@ def _one_minus_q(q: float) -> float:
     return round(1.0 - q, 12)
 
 
+def _root_mean_squares(error: np.ndarray) -> np.ndarray:
+    """Root mean square over all entries of each run of an (R, ...) stack of
+    errors.  A finite error too large to square is redone on the error
+    divided by a power of two, which is exact."""
+    axes = tuple(range(1, error.ndim))
+    with np.errstate(over="ignore"):
+        values = np.sqrt(np.mean(error**2, axis=axes))
+    redo = (values == math.inf) & np.isfinite(error).all(axis=axes)
+    if redo.any():
+        error = error[redo]
+        scale = pow2_scale(error, axis=axes)
+        scaled = error / scale.reshape(-1, *(1,) * len(axes))
+        values[redo] = scale * np.sqrt(np.mean(scaled**2, axis=axes))
+    return values
+
+
 def rmse(truth: np.ndarray, estimate: np.ndarray) -> float:
     """Root mean squared error over all entries (time and dimensions)."""
     truth = np.asarray(truth, dtype=float)
@@ -37,13 +53,7 @@ def rmse(truth: np.ndarray, estimate: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {truth.shape} vs {estimate.shape}")
     with np.errstate(over="ignore"):
         error = truth - estimate
-        value = float(np.sqrt(np.mean(error**2)))
-    if value == math.inf and np.isfinite(error).all():
-        # A finite error too large to square: redo it on the error scaled
-        # by a power of two, which is exact.
-        scale = float(pow2_scale(error))
-        value = scale * float(np.sqrt(np.mean((error / scale) ** 2)))
-    return value
+    return float(_root_mean_squares(error[None])[0])
 
 
 def q_log(x: float, q: float = 0.9) -> float:
@@ -110,29 +120,19 @@ def _stepwise_log_densities(residual: np.ndarray, covariances: np.ndarray) -> np
 
 def _full_log_densities(residual: np.ndarray, covariances: np.ndarray) -> np.ndarray:
     """Per-step Gaussian log-densities of (T, d) residuals under (T, d, d)
-    covariances, factored as one ``SpdStack``.
-
-    The substitution goes row by row, each row one dot product, as LAPACK's
-    triangular solve does, so a step scores as ``_stepwise_log_densities``
-    scores it.  A step that needs what only the per-step path does is scored
-    there, alone: a jitter repair or the ``-inf`` of a collapsed estimate
-    (the stacked factorization took its covariance not as it is), or the
-    power-of-two redo of a Mahalanobis square that overflowed (it comes out
-    non-finite).
+    covariances, factored as one ``SpdStack``, whose Mahalanobis squares
+    give each step's as ``_stepwise_log_densities`` gives it.  A step that
+    needs a jitter repair, or the ``-inf`` of a collapsed estimate, is scored
+    there, alone: the stacked factorization did not take its covariance as it
+    is.
     """
     d = residual.shape[1]
     factor = SpdStack(covariances)
-    chol = factor.chol
-    z = np.empty_like(residual)
-    for i in range(d):  # forward substitution L z = r
-        z[:, i] = (residual[:, i] - (chol[:, i, None, :i] @ z[:, :i, None])[:, 0, 0]) / chol[:, i, i]
-    maha = (z[:, None, :] @ z[:, :, None])[:, 0, 0]
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    maha = factor.mahalanobis_sq(residual)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(factor.chol, axis1=1, axis2=2)), axis=1)
     log_densities = -0.5 * (d * _LOG_2PI + logdet + maha)
-    redo = ~np.isfinite(maha)
     if factor.plain is not None:
-        redo |= ~factor.plain
-    if redo.any():
+        redo = ~factor.plain
         log_densities[redo] = _stepwise_log_densities(residual[redo], covariances[redo])
     return log_densities
 
@@ -177,15 +177,27 @@ def q_ic_series(
     """Per-step -log_q density contributions (the q_ic summands), computed
     over the stacked steps."""
     truth, means, covariances = _stacked(truth, means, covariances)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = truth - means
+    return _q_ic_terms(residual, covariances, q, diagonalize)
+
+
+def _q_ic_terms(
+    residual: np.ndarray, covariances: np.ndarray, q: float, diagonalize: bool
+) -> np.ndarray:
+    """-log_q of the Gaussian density of each (..., d) residual under its
+    (..., d, d) covariance, all steps of all runs scored as one stack."""
+    d = residual.shape[-1]
+    steps = residual.reshape(-1, d)
+    covariances = covariances.reshape(-1, d, d)
     # A residual too large to square, a zero variance's log and 0/0 all land
     # on a log-density of -inf, the capped score; none of them is a fault.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        residual = truth - means
         if diagonalize:
-            log_densities = _diagonal_log_densities(residual, covariances)
+            log_densities = _diagonal_log_densities(steps, covariances)
         else:
-            log_densities = _full_log_densities(residual, covariances)
-    return -_q_log_from_log(log_densities, q)
+            log_densities = _full_log_densities(steps, covariances)
+    return -_q_log_from_log(log_densities, q).reshape(residual.shape[:-1])
 
 
 def ci_coverage(
@@ -196,13 +208,21 @@ def ci_coverage(
 ) -> float:
     """Fraction of per-dimension marginal CIs containing the truth."""
     truth, means, covariances = _stacked(truth, means, covariances)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = truth - means
+    return float(_coverages(residual[None], covariances[None], level)[0])
+
+
+def _coverages(residual: np.ndarray, covariances: np.ndarray, level: float) -> np.ndarray:
+    """CI coverage of each run of (R, T, d) residuals under (R, T, d, d)
+    covariances."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     z = ndtri(0.5 + 0.5 * level)  # norm.ppf's own call, without its ~60 us of checks
-    half_width = z * np.sqrt(np.clip(np.diagonal(covariances, axis1=1, axis2=2), 0.0, None))
+    half_width = z * np.sqrt(np.clip(np.diagonal(covariances, axis1=-2, axis2=-1), 0.0, None))
     with np.errstate(over="ignore"):  # an infinite residual lies outside
-        inside = np.abs(truth - means) <= half_width
-    return float(np.mean(inside))
+        inside = np.abs(residual) <= half_width
+    return np.mean(inside, axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -221,8 +241,28 @@ class MetricReport:
         covariances: np.ndarray,
         diagonalize: bool = False,
     ) -> "MetricReport":
-        return cls(
-            rmse=rmse(truth, means),
-            q_ic=q_ic(truth, means, covariances, diagonalize=diagonalize),
-            ci_coverage_95=ci_coverage(truth, means, covariances),
+        """The metrics of one run: ``evaluate_runs`` of a stack of one."""
+        truth, means, covariances = _stacked(truth, means, covariances)
+        (report,) = cls.evaluate_runs(truth[None], means[None], covariances[None], diagonalize)
+        return report
+
+    @classmethod
+    def evaluate_runs(
+        cls,
+        truths: np.ndarray,
+        means: np.ndarray,
+        covariances: np.ndarray,
+        diagonalize: bool = False,
+    ) -> list["MetricReport"]:
+        """The metrics of R runs of T steps, in one pass over the stack:
+        (R, T, d) truths and means and (R, T, d, d) covariances.  Each run's
+        metrics are those of ``rmse``, ``q_ic`` and ``ci_coverage`` on it
+        alone, bit for bit."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            error = truths - means
+        values = zip(
+            _root_mean_squares(error).tolist(),
+            np.mean(_q_ic_terms(error, covariances, 0.9, diagonalize), axis=-1).tolist(),
+            _coverages(error, covariances, 0.95).tolist(),
         )
+        return [cls(rmse=r, q_ic=q, ci_coverage_95=c) for r, q, c in values]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,10 +25,12 @@ __all__ = [
     "ContaminationSpec",
     "TrajectoryRecord",
     "contaminate",
+    "simulate_lgss",
     "simulate_ou",
     "simulate_target_tracking",
     "simulate_lorenz63",
     "simulate_lorenz96",
+    "ou_model",
     "tracking_model",
     "lgss_sampler",
     "lorenz63_sampler",
@@ -189,39 +192,59 @@ def lgss_sampler(model: LgssModel):
     return step
 
 
-def _simulate_lgss(model, t_end, seed, contamination, noise_scale) -> TrajectoryRecord:
-    """Truth x <- A x + noise_scale Q^{1/2} z from the prior mean, observed
-    every LGSS_DT step.  The draw is made even at ``noise_scale`` zero, so
-    the observation draws that follow do not depend on it."""
+def simulate_lgss(
+    model: LgssModel,
+    t_end: float,
+    seeds: Sequence,
+    contaminations: Sequence[ContaminationSpec],
+) -> list[TrajectoryRecord]:
+    """Twin runs of a linear Gaussian model, one per (seed, contamination):
+    the truth x <- A x + Q^{1/2} z from the prior mean, observed every
+    LGSS_DT step.
+
+    Each run draws the n process-noise vectors of its truth as one
+    ``(n, d_X)`` block from its own generator, the same numbers in the same
+    order as one draw per step, and then its observation noise and
+    contamination.  The truths of all runs step together as one (B, d_X)
+    recursion, by the matrix-vector products that one run alone takes, so a
+    run does not depend on the others.
+    """
     n, _ = step_counts(t_end, LGSS_DT, LGSS_DT)
-    rng = np.random.default_rng(seed)
-    q_sqrt = psd_sym_sqrt(model.Q)
-    states = np.empty((model.d_x, n + 1))
-    states[:, 0] = x = model.prior.mean
-    for k in range(1, n + 1):
-        x = model.A @ x + noise_scale * (q_sqrt @ rng.standard_normal(model.d_x))
-        states[:, k] = x
-    return _twin_record(states, LGSS_DT, 1, model.H, psd_sym_sqrt(model.R), contamination, rng)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    z = np.stack([rng.standard_normal((n, model.d_x)) for rng in rngs], axis=1)
+    noise = (psd_sym_sqrt(model.Q) @ z[..., None])[..., 0]  # (n, B, d_X)
+    states = np.empty((len(rngs), model.d_x, n + 1))
+    states[:, :, 0] = x = np.broadcast_to(model.prior.mean, noise.shape[1:])
+    for k in range(n):
+        x = (model.A @ x[..., None])[..., 0] + noise[k]
+        states[:, :, k + 1] = x
+    r_sqrt = psd_sym_sqrt(model.R)
+    return [
+        _twin_record(run, LGSS_DT, 1, model.H, r_sqrt, contamination, rng)
+        for run, contamination, rng in zip(states, contaminations, rngs)
+    ]
+
+
+def ou_model() -> LgssModel:
+    """Scalar Ornstein-Uhlenbeck model: the discrete AR(1) recursion with
+    A=0.7, Q=1.3, H=1, R=0.1; the prior is centered at the start value 5
+    with the stationary variance Q / (1 - A^2)."""
+    a, q = 0.7, 1.3
+    return LgssModel(
+        A=[[a]], Q=[[q]], H=[[1.0]], R=[[0.1]],
+        prior=GaussianBelief(mean=[5.0], cov=[[q / (1.0 - a * a)]]),
+    )
 
 
 def simulate_ou(
     t_end: float = 10.0,
     seed: int = 0,
     contamination: ContaminationSpec = WELL_SPECIFIED,
-    noise_scale: float = 1.0,
 ) -> tuple[TrajectoryRecord, LgssModel]:
-    """Scalar Ornstein-Uhlenbeck twin experiment.
-
-    Discrete AR(1) recursion with A=0.7, Q=1.3, H=1, R=0.1, truth started at
-    5, observed every step.  The filter prior is centered at the start value
-    with the stationary variance Q / (1 - A^2).
-    """
-    a, q = 0.7, 1.3
-    model = LgssModel(
-        A=[[a]], Q=[[q]], H=[[1.0]], R=[[0.1]],
-        prior=GaussianBelief(mean=[5.0], cov=[[q / (1.0 - a * a)]]),
-    )
-    return _simulate_lgss(model, t_end, seed, contamination, noise_scale), model
+    """Scalar Ornstein-Uhlenbeck twin experiment (``ou_model``), truth
+    started at the prior mean and observed every step."""
+    model = ou_model()
+    return simulate_lgss(model, t_end, [seed], [contamination])[0], model
 
 
 def tracking_model() -> LgssModel:
@@ -248,11 +271,10 @@ def simulate_target_tracking(
     t_end: float = 50.0,
     seed: int = 0,
     contamination: ContaminationSpec = WELL_SPECIFIED,
-    noise_scale: float = 1.0,
 ) -> tuple[TrajectoryRecord, LgssModel]:
     """Two-dimensional constant-velocity tracking twin experiment."""
     model = tracking_model()
-    return _simulate_lgss(model, t_end, seed, contamination, noise_scale), model
+    return simulate_lgss(model, t_end, [seed], [contamination])[0], model
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,7 @@ def weight_slope(
     (IMQ) or -1 / h^2 (sq-exp), finite where k^2 underflows to 0.  Zero for
     WoLF and the constant kernel, whose target observation is y itself."""
     if isinstance(spec, WeightKernelSpec) and spec.family == IMQ:
-        return -k_sq / threshold
+        return k_sq / -threshold  # one operation on an array, not two
     if isinstance(spec, WeightKernelSpec) and spec.family == SQEXP:
         return -1.0 / threshold
     return 0.0
@@ -266,10 +266,11 @@ def eval_kernel(
     """Evaluate the squared weight kernel and the gradients of its logarithm.
 
     ``y`` and ``center`` are one (d_Y,) observation or a (B, d_Y) stack, and
-    ``std_cov`` the factor of the standardizing covariance: an ``SpdFactor``,
-    or an ``SpdStack`` of one covariance per element or of one for all.  Each
-    element is evaluated with its own factor, as a single call would evaluate
-    it.
+    ``std_cov`` the factor of the standardizing covariance: an ``SpdFactor``
+    (one covariance for every element), or an ``SpdStack`` of one covariance
+    for one observation or of one per element for a stack.  Each element is
+    evaluated with its own factor, as a single call would evaluate it; a
+    stack's single-block kernel takes one pass over the stack.
 
     Single block: s is the squared norm of the residual y - center whitened
     by the Cholesky factor of ``std_cov``, and the gradient follows the
@@ -287,21 +288,21 @@ def eval_kernel(
         raise ValueError(f"y has shape {y.shape} but center has shape {center.shape}")
     if std_cov.dim != d_y:
         raise ValueError(f"standardization covariance has dim {std_cov.dim}, expected {d_y}")
-    stack = SpdStack.of(std_cov) if isinstance(std_cov, SpdFactor) else std_cov
+    if isinstance(std_cov, SpdFactor):
+        std_cov = SpdStack.of(std_cov, stacked=y.ndim == 2)
     partition = spec.partition_for(d_y)
     thresholds = spec.thresholds_for(d_y)
-    residuals = (y - center).reshape(-1, d_y)
+    residual = y - center
+    if len(partition) == 1:
+        k_sq, log_grad = _single_block(spec, residual, std_cov, thresholds[0])
+        return WeightEvaluation(k_sq=k_sq, log_grads=log_grad[..., None, :], partition=partition)
+
+    residuals = residual.reshape(-1, d_y)
+    roots = std_cov.inv_sym_sqrt
     k_sq = np.empty((len(residuals), len(partition)))
     log_grads = np.zeros((len(residuals), len(partition), d_y))
-    for i, (factor, residual) in enumerate(zip(stack.factors(len(residuals)), residuals)):
-        if len(partition) == 1:
-            k_sq[i, 0] = k = weight_sq(spec, factor.mahalanobis_sq(residual), thresholds[0])
-            if k > 0.0:
-                # grad s = 2 cov^{-1} (y - center)
-                slope = weight_slope(spec, k, thresholds[0])
-                log_grads[i, 0] = 2.0 * slope * factor.solve(residual)
-            continue
-        root = factor.inv_sym_sqrt
+    for i, residual in enumerate(residuals):
+        root = roots if roots.ndim == 2 else roots[i]
         scale = pow2_scale(residual)
         z_scaled = root @ (residual / scale)
         for b, (start, stop) in enumerate(partition):
@@ -315,6 +316,20 @@ def eval_kernel(
     if y.ndim == 1:
         k_sq, log_grads = k_sq[0], log_grads[0]
     return WeightEvaluation(k_sq=k_sq, log_grads=log_grads, partition=partition)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # cheaper per call than a with-block
+def _single_block(
+    spec: WeightKernelSpec, residual: np.ndarray, std_cov: SpdStack, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``eval_kernel``'s single block, in one pass over a stack: the (..., 1)
+    squared weights and the (..., d_Y) gradients of their logarithms, with
+    grad s = 2 cov^{-1} (y - center)."""
+    k_sq = weight_sq(spec, std_cov.mahalanobis_sq(residual), threshold)[..., None]
+    log_grad = 2.0 * weight_slope(spec, k_sq, threshold) * std_cov.solve(residual)
+    if not k_sq.min() > 0.0:
+        log_grad = np.where(k_sq > 0.0, log_grad, 0.0)
+    return k_sq, log_grad
 
 
 def robust_update(
@@ -355,11 +370,12 @@ def robust_update(
         if len(partition) > 1:
             _check_block_diagonal(r, partition)
     if spec.standardization == CONDITIONAL:
-        std_cov = SpdStack.of(r_factor)
+        std_cov = SpdStack.of(r_factor, stacked=y.ndim == 2)
     else:
         std_cov = SpdStack(hph() + r)
     if isinstance(spec, WolfSpec):
-        s = std_cov.mahalanobis_sq((y - center).reshape(-1, d_y))
+        with np.errstate(over="ignore", invalid="ignore"):  # a residual too large to square
+            s = std_cov.mahalanobis_sq(y - center)
         k_sq = weight_sq(spec, s, spec.thresholds_for(d_y)[0])
         return np.repeat(2.0 * k_sq, d_y).reshape(y.shape), y
     evaluation = eval_kernel(spec, y, center, std_cov)

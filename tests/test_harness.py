@@ -20,8 +20,9 @@ from robust_da.harness import (
 )
 from robust_da import cli
 from robust_da.ensemble import Localization
+from robust_da.metrics import MetricReport
 from robust_da.models import TrajectoryRecord
-from helpers import run_filter_alone
+from helpers import random_spd, run_filter_alone
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +246,7 @@ def test_run_reports_nan_observation_as_divergence(filter_name):
         (run,) = harness._run_filters(setup, [cfg], [np.random.default_rng(0)])
         assert run.divergence_step == 3, value
         assert np.all(np.isfinite(run.means[:3])) and np.all(np.isnan(run.means[3:]))
-        assert harness._evaluate_run(setup, run) is None
+        assert harness._evaluate_runs([setup], [run]) == [None]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -261,7 +262,7 @@ def test_robust_filters_run_through_a_huge_finite_observation(filter_name):
             cfg, setup = _setup_with_observation(filter_name, value, model)
             (run,) = harness._run_filters(setup, [cfg], [np.random.default_rng(0)])
             assert run.divergence_step is None, (model, value)
-            report = harness._evaluate_run(setup, run)
+            (report,) = harness._evaluate_runs([setup], [run])
             assert np.isfinite([report.rmse, report.q_ic, report.ci_coverage_95]).all(), value
 
 
@@ -273,7 +274,7 @@ def test_kf_scores_a_huge_finite_observation_with_finite_metrics(tmp_path):
     cfg, setup = _setup_with_observation("kf", 1e200)
     (run,) = harness._run_filters(setup, [cfg], [np.random.default_rng(0)])
     assert run.divergence_step is None
-    report = harness._evaluate_run(setup, run)
+    (report,) = harness._evaluate_runs([setup], [run])
     assert np.isfinite([report.rmse, report.q_ic, report.ci_coverage_95]).all()
     assert 1e198 < report.rmse < 1e200
     # A sweep counts a replicate as failed only when it diverged.
@@ -558,6 +559,43 @@ def test_a_replicate_that_diverges_leaves_the_rest_of_its_chunk_as_run_alone(
                 np.testing.assert_array_equal(got, expected)
     if np.isnan(value):
         assert all(runs[2 * len(filters) + i].divergence_step == 5 for i in range(len(filters)))
+
+
+@pytest.mark.parametrize("model", ["tracking2d", "lorenz96"])
+def test_stacked_scoring_is_each_run_scored_alone_bit_for_bit(model):
+    # A chunk's runs are scored in one pass, and each run's report is its own
+    # MetricReport.evaluate bit for bit, with a step whose covariance needs
+    # jitter, a collapsed step, a residual whose square overflows and a
+    # diverged run in the chunk (L96 scores the diagonalized q-IC).
+    base = ExperimentConfig(model=model, filter="kf" if model == "tracking2d" else "letkf",
+                            t_end=1.0, seed=3, epsilon=0.2, lam=100.0)
+    setups = harness.build_setups([base] * 3, [np.random.SeedSequence((3, r)) for r in range(3)])
+    rng = np.random.default_rng(0)
+    runs, run_setups = [], []
+    for setup in setups:
+        truth = setup.record.states_at_obs().T
+        n, d = truth.shape
+        for _ in range(2):
+            covs = np.stack([random_spd(rng, d, scale=0.1) for _ in range(n)])
+            means = truth + rng.standard_normal((n, d))
+            runs.append(harness.FilterRun(means, covs, np.full(n, np.nan)))
+            run_setups.append(setup)
+    runs[1].covariances[3] = np.ones((d, d))  # the jitter repairs it
+    runs[3].covariances[2] = 0.0  # collapsed: no density on the truth
+    runs[2].means[5, 0] = 1e200  # its squared error overflows
+    runs[4].means[4:] = runs[4].covariances[4:] = np.nan
+    runs[4].divergence_step = 4
+    reports = harness._evaluate_runs(run_setups, runs)
+    assert [report is None for report in reports] == [i == 4 for i in range(6)]
+    for setup, run, report in zip(run_setups, runs, reports):
+        if report is None:
+            continue
+        alone = MetricReport.evaluate(setup.record.states_at_obs().T, run.means,
+                                      run.covariances, diagonalize=setup.diagonalize_qic)
+        assert [float.hex(v) for v in (report.rmse, report.q_ic, report.ci_coverage_95)] == [
+            float.hex(v) for v in (alone.rmse, alone.q_ic, alone.ci_coverage_95)
+        ]
+    assert reports[2].rmse > 1e198
 
 
 def test_sweep_aggregation_matches_replicate_file(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_solve, solve_triangular
 
 from robust_da import (
@@ -9,7 +11,7 @@ from robust_da import (
     kf_analysis,
     kf_forecast,
 )
-from robust_da._linalg import SpdStack
+from robust_da._linalg import SpdStack, whiten_rows
 from robust_da.weights import WeightKernelSpec
 from helpers import (
     RESCALED_SQUARE_OVERFLOWS,
@@ -102,6 +104,67 @@ def test_spd_stack_repairs_and_masks_each_matrix_alone():
     assert s[1] == repaired.mahalanobis_sq(r[1]) and np.isnan(s[2])
     # A stack every matrix of which is SPD is taken as it is.
     assert SpdStack(np.stack([spd, spd])).plain is None
+
+
+def test_spd_stack_factors_1x1_matrices_as_cholesky_does():
+    # Positive 1 x 1 matrices are factored by their square root, which is
+    # np.linalg.cholesky's factor bit for bit across the range of doubles; a
+    # zero or negative one is masked (no jitter repairs it) and a NaN one
+    # stays NaN, as on the general route.
+    rng = np.random.default_rng(5)
+    a = np.append(rng.random(1000) * 10.0 ** rng.uniform(-300, 300, 1000), 5e-324)
+    stack = SpdStack(a[:, None, None])
+    assert stack.plain is None
+    np.testing.assert_array_equal(stack.chol, np.linalg.cholesky(a[:, None, None]))
+    np.testing.assert_array_equal(SpdStack(a[:1, None]).chol, np.linalg.cholesky(a[:1, None]))
+    edge = SpdStack(np.array([4.0, 0.0, -1.0, np.nan])[:, None, None])
+    np.testing.assert_array_equal(edge.chol[:, 0, 0], [2.0, np.nan, np.nan, np.nan])
+    np.testing.assert_array_equal(edge.plain, [True, False, False, True])
+
+
+def test_spd_stack_factors_a_strided_stack_apart_as_a_flat_one():
+    # The half-by-half fallback works on flat views of the stack, so a
+    # stack with two leading axes whose layout is not C-ordered is factored,
+    # repaired and masked matrix by matrix as the flat stack is.
+    rng = np.random.default_rng(4)
+    spd = random_spd(rng, 3)
+    flat = np.stack([spd, np.ones((3, 3)), np.diag([1.0, -1.0, 1.0]), spd])
+    strided = np.stack([flat, flat[::-1]], axis=1).transpose(1, 0, 2, 3)
+    stack, alone = SpdStack(strided), SpdStack(flat)
+    for got, order in ((0, slice(None)), (1, slice(None, None, -1))):
+        np.testing.assert_array_equal(stack.plain[got], alone.plain[order])
+        np.testing.assert_array_equal(stack.chol[got], alone.chol[order])
+        np.testing.assert_array_equal(stack.matrix[got], alone.matrix[order])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_stacked_substitution_is_each_matrix_lapack_solve(d, b, n, seed):
+    # The stacked forward substitution is LAPACK's dtrtrs (SpdFactor.whiten)
+    # bit for bit, and so is each Mahalanobis square; the stacked solve is
+    # dpotrs (SpdFactor.solve) to rtol 1e-12, and bit for bit at the d <= 2
+    # of the paper's linear models, for one matrix per element or one matrix
+    # for all.
+    rng = np.random.default_rng(seed)
+    matrices = np.stack([random_spd(rng, d, scale=10.0 ** rng.uniform(-3, 3)) for _ in range(b)])
+    factors = [SpdFactor(m) for m in matrices]
+    residual = rng.standard_normal((b, d)) * 10.0 ** rng.uniform(-3, 3, (b, 1))
+    rhs = rng.standard_normal((b, d, n)) * 10.0 ** rng.uniform(-3, 3, (b, 1, 1))
+    shared = SpdStack.of(factors[0], stacked=True)
+    for stack, factor_of in ((SpdStack(matrices), factors), (shared, [factors[0]] * b)):
+        z = whiten_rows(stack.chol, residual)
+        s = stack.mahalanobis_sq(residual)
+        x = stack.solve(rhs)
+        vectors = stack.solve(residual)
+        for i, factor in enumerate(factor_of):
+            np.testing.assert_array_equal(z[i], factor.whiten(residual[i]))
+            assert s[i] == factor.mahalanobis_sq(residual[i])
+            for got, b_i in ((x[i], rhs[i]), (vectors[i], residual[i])):
+                expected = factor.solve(b_i)
+                atol = 1e-12 * np.abs(expected).max()
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=atol)
+                if d <= 2:
+                    np.testing.assert_array_equal(got, expected)
 
 
 def test_belief_symmetrizes_and_round_trips():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from robust_da.models import (
     lorenz63_sampler,
     lorenz96_drift,
     lorenz96_sampler,
+    simulate_lgss,
     simulate_lorenz63,
     simulate_lorenz96,
     simulate_ou,
@@ -77,11 +80,12 @@ def test_contaminate_mixture_variance():
 
 
 def test_ou_deterministic_skeleton():
-    record, model = simulate_ou(t_end=1.0, seed=0, noise_scale=0.0)
+    states, observations, _ = simulate_ou_floats(1.0, 0, ContaminationSpec(), noise_scale=0.0)
     expected = 5.0 * 0.7 ** np.arange(11)
-    assert np.allclose(record.states[0], expected, rtol=1e-12)
+    assert np.allclose(states[0], expected, rtol=1e-12)
+    record, model = simulate_ou(t_end=1.0, seed=0)
     assert model.A[0, 0] == 0.7 and model.Q[0, 0] == 1.3
-    assert model.R[0, 0] == 0.1 and record.n_obs == 10
+    assert model.R[0, 0] == 0.1 and record.n_obs == observations.shape[1] == 10
 
 
 def test_ou_stationary_variance():
@@ -105,11 +109,11 @@ def test_ou_seed_reproducibility():
 
 
 def test_tracking_zero_noise_is_linear_motion():
-    record, _ = simulate_target_tracking(t_end=2.0, seed=0, noise_scale=0.0)
-    times = record.times
-    assert np.allclose(record.states[0], times)  # x position = t * vx, vx = 1
-    assert np.allclose(record.states[1], times)
-    assert np.allclose(record.states[2], 1.0)
+    states, _, _ = simulate_tracking_stepwise(2.0, 0, ContaminationSpec(), noise_scale=0.0)
+    times = simulate_target_tracking(t_end=2.0, seed=0)[0].times
+    assert np.allclose(states[0], times)  # x position = t * vx, vx = 1
+    assert np.allclose(states[1], times)
+    assert np.allclose(states[2], 1.0)
 
 
 def test_tracking_matrix_entries():
@@ -333,15 +337,42 @@ def test_lgss_truth_matches_its_own_loop_bit_for_bit(
     simulate, oracle, t_end, seed, contamination, noise_scale
 ):
     # The shared linear Gaussian truth loop and observation tail give the
-    # numbers of the loops each model once had, at zero noise too, where the
-    # truth draws are still made so that the observation draws stay put.
+    # numbers of the loops each model once had.  At zero noise the oracle
+    # still makes the truth draws, so that the observation draws stay put,
+    # and its run is the library's on the model with Q = 0.
     states, observations, flags = oracle(t_end, seed, contamination, noise_scale)
-    record, _ = simulate(
-        t_end=t_end, seed=seed, contamination=contamination, noise_scale=noise_scale
-    )
+    record, model = simulate(t_end=t_end, seed=seed, contamination=contamination)
+    if noise_scale == 0.0:
+        (record,) = simulate_lgss(replace(model, Q=0.0 * model.Q), t_end, [seed], [contamination])
     assert np.array_equal(record.states, states)
     assert np.array_equal(record.observations, observations)
     assert np.array_equal(record.contamination_flags, flags)
+
+
+@pytest.mark.parametrize("b", [1, 3, 8])
+@pytest.mark.parametrize(
+    "simulate,oracle,t_end",
+    [
+        (simulate_ou, simulate_ou_floats, 3.0),
+        (simulate_target_tracking, simulate_tracking_stepwise, 3.0),
+    ],
+    ids=["ou", "tracking"],
+)
+def test_stacked_lgss_truths_are_each_run_alone_bit_for_bit(simulate, oracle, t_end, b):
+    # The truths of a chunk step as one recursion; each run's states,
+    # observations and flags are its own run's, whatever the others are.
+    seeds = [np.random.SeedSequence(17, spawn_key=(i,)) for i in range(b)]
+    contaminations = [ContaminationSpec(0.25 * (i % 2), 625.0) for i in range(b)]
+    model = simulate(t_end=t_end)[1]
+    records = simulate_lgss(model, t_end, seeds, contaminations)
+    assert len(records) == b
+    for record, seed, contamination in zip(records, seeds, contaminations):
+        alone, _ = simulate(t_end=t_end, seed=seed, contamination=contamination)
+        states, observations, flags = oracle(t_end, seed, contamination)
+        for got in (record, alone):
+            assert np.array_equal(got.states, states)
+            assert np.array_equal(got.observations, observations)
+            assert np.array_equal(got.contamination_flags, flags)
 
 
 # ---------------------------------------------------------------------------
