@@ -142,23 +142,23 @@ def enkf_perturbed_analysis(
     predicted = h @ members
     if mode == "average":
         # One weight and gain, at the forecast mean, for every member.
-        centers, columns = [h @ ensemble.mean], [slice(None)]
+        center = h @ ensemble.mean
         draws = rng.standard_normal((obs.d_y, m))
     else:
         if isinstance(spec, WeightKernelSpec) and spec.standardization != CONDITIONAL:
             spec = replace(spec, standardization=CONDITIONAL)
-        centers, columns = predicted.T, [slice(i, i + 1) for i in range(m)]
+        # One weight and gain per member, as a stack over the members.
+        center, y = predicted.T, np.broadcast_to(y, (m, obs.d_y))
         draws = rng.standard_normal((m, obs.d_y)).T  # member by member
     noise = obs.r_factor.chol @ draws
-    updated = np.empty_like(members)
-    for center, cols in zip(centers, columns):
-        w, target = robust_update(spec, y, center, hph, obs.r_factor)
-        root_w = np.sqrt(w)
-        gain, _ = kalman_gain(p_f, h, obs.R, root_w)
-        updated[:, cols] = members[:, cols] - gain @ (
-            root_w[:, None] * predicted[:, cols] + noise[:, cols] - (root_w * target)[:, None]
-        )
-    return EnsembleState(members=updated)
+    w, target = robust_update(spec, y, center, hph, obs.r_factor)
+    root_w = np.sqrt(w)
+    gain, _ = kalman_gain(p_f, h, obs.R, root_w)
+    # Each member's W^{1/2} (H x - target) + chol(R) z, one row per member
+    shift = root_w * predicted.T + noise.T - root_w * target
+    if mode == "average":
+        return EnsembleState(members=members - gain @ shift.T)
+    return EnsembleState(members=members - (gain @ shift[:, :, None])[:, :, 0].T)
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,8 @@ def _transform_analysis(
     loc = config.localization
     if loc is None:
         d_scale = pow2_scale(innovation)[None]
-        y_hat = obs.r_factor.whiten(y_anom)[None]
+        # One block of M rows, laid out as LAPACK returns a (d_Y, M) block
+        y_hat = np.ascontiguousarray(obs.r_factor.whiten(y_anom.T, block=True)).T[None]
         d_hat = obs.r_factor.whiten(innovation / d_scale)[None]
     else:
         r_diag = np.diag(obs.R)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import SpdFactor, SpdStack, symmetrize
+from ._linalg import SpdFactor, symmetrize
 from .weights import CONSTANT, WeightKernelSpec, WolfSpec, robust_update
 
 __all__ = [
@@ -189,16 +189,16 @@ def kalman_gain(
     P^f H^T [R / w + H P^f H^T]^{-1} for w > 0, and 0 for w = 0.
 
     A (B, d_X, d_X) stack of P^f with a (B, d_Y) stack of weights gives the
-    stacked gains, each as in a stack of one.  The brackets are factored as
-    one ``SpdStack``: a bracket that no jitter repairs gives a NaN gain, for
-    that element only (for a single P^f, a NaN gain).  A single P^f, the
-    EnKF's, is solved by LAPACK, a stack by substitution in LAPACK's
-    arithmetic (``SpdStack.solve``).
+    stacked gains, each as in a stack of one; so does a single P^f, the
+    EnKF's, with a stack of weights.  The brackets are factored as one
+    ``SpdFactor``, each with a length-one axis that serves the d_X rows of
+    its W^{1/2} H P^f: a bracket that no jitter repairs gives a NaN gain, for
+    that element only.
     """
     hp = root_w[..., :, None] * (h @ p_f)
-    solved = SpdStack(r + hp @ h.T * root_w[..., None, :]).solve(hp)
+    bracket = SpdFactor((r + hp @ h.T * root_w[..., None, :])[..., None, :, :])
     # C-ordered, so each gain meets the same BLAS kernels in a stack as alone
-    return np.ascontiguousarray(solved.swapaxes(-1, -2)), hp
+    return np.ascontiguousarray(bracket.solve(hp.swapaxes(-1, -2))), hp
 
 
 def robust_analysis(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from ._linalg import SpdFactor, SpdStack, pow2_scale
+from ._linalg import SpdFactor, pow2_scale
 
 __all__ = ["MetricReport", "rmse", "q_log", "q_ic", "ci_coverage"]
 
@@ -96,44 +96,24 @@ def _stacked(
     return truth, means, covariances
 
 
-def _stepwise_log_densities(residual: np.ndarray, covariances: np.ndarray) -> np.ndarray:
-    """Per-step Gaussian log-densities with one ``SpdFactor`` per step: the
-    fallback of ``_full_log_densities`` for the steps the stacked path cannot
-    score."""
-    n, d = residual.shape
-    log_densities = np.empty(n)
-    for k in range(n):
-        try:
-            factor = SpdFactor(covariances[k])
-        except np.linalg.LinAlgError:
-            # A collapsed estimate (a particle filter resampled onto one
-            # particle) has zero variances that no jitter repairs.
-            if np.any(np.diag(covariances[k]) == 0.0):
-                log_densities[k] = -np.inf
-                continue
-            raise
-        maha = factor.mahalanobis_sq(residual[k])
-        logdet = 2.0 * float(np.sum(np.log(np.diag(factor.chol))))
-        log_densities[k] = -0.5 * (d * _LOG_2PI + logdet + maha)
-    return log_densities
-
-
 def _full_log_densities(residual: np.ndarray, covariances: np.ndarray) -> np.ndarray:
     """Per-step Gaussian log-densities of (T, d) residuals under (T, d, d)
-    covariances, factored as one ``SpdStack``, whose Mahalanobis squares
-    give each step's as ``_stepwise_log_densities`` gives it.  A step that
-    needs a jitter repair, or the ``-inf`` of a collapsed estimate, is scored
-    there, alone: the stacked factorization did not take its covariance as it
-    is.
+    covariances, factored as one ``SpdFactor``, a jitter-repaired step
+    under its repaired factor.  A step that no jitter repairs is a collapsed
+    estimate (a particle filter resampled onto one particle) if it has a
+    zero variance, and puts no density on the truth; any other raises.
     """
     d = residual.shape[1]
-    factor = SpdStack(covariances)
+    factor = SpdFactor(covariances)
     maha = factor.mahalanobis_sq(residual)
     logdet = 2.0 * np.sum(np.log(np.diagonal(factor.chol, axis1=1, axis2=2)), axis=1)
     log_densities = -0.5 * (d * _LOG_2PI + logdet + maha)
     if factor.plain is not None:
-        redo = ~factor.plain
-        log_densities[redo] = _stepwise_log_densities(residual[redo], covariances[redo])
+        masked = np.isnan(factor.chol[:, 0, 0])
+        collapsed = np.any(np.diagonal(covariances[masked], axis1=1, axis2=2) == 0.0, axis=1)
+        if not collapsed.all():
+            raise np.linalg.LinAlgError("covariance is not positive definite: no jitter repairs it")
+        log_densities[masked] = -np.inf
     return log_densities
 
 

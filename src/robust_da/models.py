@@ -295,14 +295,13 @@ def _lorenz63_field(x1, x2, x3, d1, d2, d3) -> None:
     np.multiply(10.0, d1, d1)  # 10 (x2 - x1)
 
 
-def lorenz63_sampler(dt: float, n_steps: int, noise_scale: float = 1.0):
+def lorenz63_sampler(dt: float, n_steps: int):
     """Euler-Maruyama member propagator over ``n_steps`` substeps.
 
     Each substep adds sqrt(dt) times standard Gaussian noise per coordinate,
-    x <- (x + dt * drift(x)) + noise_scale * sqrt(dt) * z.  Each (3, M_i)
-    block draws the noise of all its substeps as one ``(n_steps, 3, M_i)``
-    block from its own generator: the same numbers, in the same order, as
-    one draw per substep, and no draw at all when ``noise_scale`` is zero.
+    x <- (x + dt * drift(x)) + sqrt(dt) * z.  Each (3, M_i) block draws the
+    noise of all its substeps as one ``(n_steps, 3, M_i)`` block from its own
+    generator: the same numbers, in the same order, as one draw per substep.
     The blocks are stepped together as one stacked array.
     """
     sqrt_dt = np.sqrt(dt)
@@ -311,17 +310,13 @@ def lorenz63_sampler(dt: float, n_steps: int, noise_scale: float = 1.0):
         x = _stack(blocks)
         d = np.empty(x.shape)
         rows = (*x, *d)
-        if noise_scale:
-            noise = _stacked_draws(
-                blocks, rngs, lambda rng, m: rng.standard_normal((n_steps, 3, m))
-            )
-            noise *= noise_scale * sqrt_dt
+        noise = _stacked_draws(blocks, rngs, lambda rng, m: rng.standard_normal((n_steps, 3, m)))
+        noise *= sqrt_dt
         for k in range(n_steps):
             _lorenz63_field(*rows)
             d *= dt
             x += d
-            if noise_scale:
-                x += noise[k]
+            x += noise[k]
         return x
 
     return step
@@ -336,13 +331,12 @@ def simulate_lorenz63(
     t_out: float = LORENZ_T_OUT,
     seed: int = 0,
     contamination: ContaminationSpec = WELL_SPECIFIED,
-    noise_scale: float = 1.0,
 ) -> tuple[TrajectoryRecord, ObservationModel]:
     """Stochastic Lorenz-63 twin experiment: first component observed with
     R = 0.5 every ``t_out`` time units.
 
     The truth takes Euler-Maruyama steps x <- (x + dt * drift(x)) + e with
-    e = noise_scale * sqrt(dt) * z.  The noise of all n steps is drawn as one
+    e = sqrt(dt) * z.  The noise of all n steps is drawn as one
     ``(n, 3)`` block, the same numbers in the same order as one
     ``standard_normal(3)`` draw per step, so the observation draws that
     follow are unchanged too.  The steps run in Python floats: the same IEEE
@@ -353,7 +347,7 @@ def simulate_lorenz63(
     """
     n, steps_per_obs = step_counts(t_end, dt, t_out)
     rng = np.random.default_rng(seed)
-    noise = noise_scale * np.sqrt(dt) * rng.standard_normal((n, 3))
+    noise = np.sqrt(dt) * rng.standard_normal((n, 3))
 
     states = np.empty((3, n + 1))
     states[:, 0] = LORENZ63_X0
@@ -407,32 +401,29 @@ def _lorenz96_rk4_step(x: np.ndarray, dt: float, forcing, ring: np.ndarray) -> n
 
 
 def _lorenz96_forcings(
-    rng: np.random.Generator, n_steps: int, shape: tuple[int, ...], forcing_std: float
+    rng: np.random.Generator, n_steps: int, shape: tuple[int, ...]
 ) -> np.ndarray:
-    """Per-step forcing draws F ~ N(8, std^2) for ``n_steps`` steps, drawn in
-    one call (the same numbers, in the same order, as one draw per step)."""
-    return 8.0 + forcing_std * rng.standard_normal((n_steps, *shape))
+    """Per-step forcing draws F ~ N(8, 1) for ``n_steps`` steps, drawn in one
+    call (the same numbers, in the same order, as one draw per step)."""
+    return 8.0 + rng.standard_normal((n_steps, *shape))
 
 
-def lorenz96_sampler(dt: float, n_steps: int, forcing_std: float = 1.0):
+def lorenz96_sampler(dt: float, n_steps: int):
     """RK4 member propagator with stochastic forcing.
 
-    The forcing F_i ~ N(8, std^2) is redrawn once per integration step and
-    held constant across the four RK4 stages of that step, keeping each step
-    a well-defined deterministic map given its forcing draw.  Each (d, M_i)
-    block draws its ``(n_steps, d, M_i)`` forcings from its own generator;
-    none when ``forcing_std`` is zero, which holds F at 8.
+    The forcing F_i ~ N(8, 1) is redrawn once per integration step and held
+    constant across the four RK4 stages of that step, keeping each step a
+    well-defined deterministic map given its forcing draw.  Each (d, M_i)
+    block draws its ``(n_steps, d, M_i)`` forcings from its own generator.
     """
 
     def step(blocks, rngs) -> np.ndarray:
         x = _stack(blocks)
         d = x.shape[0]
         ring = _lorenz96_ring(d)
-        forcings = [8.0] * n_steps
-        if forcing_std:
-            forcings = _stacked_draws(
-                blocks, rngs, lambda rng, m: _lorenz96_forcings(rng, n_steps, (d, m), forcing_std)
-            )
+        forcings = _stacked_draws(
+            blocks, rngs, lambda rng, m: _lorenz96_forcings(rng, n_steps, (d, m))
+        )
         for forcing in forcings:
             x = _lorenz96_rk4_step(x, dt, forcing, ring)
         return x
@@ -442,7 +433,6 @@ def lorenz96_sampler(dt: float, n_steps: int, forcing_std: float = 1.0):
 
 def simulate_lorenz96(
     t_end: float = 73.0,
-    burn_in: float = 12.2,
     seed: int = 0,
     contamination: ContaminationSpec = WELL_SPECIFIED,
 ) -> tuple[TrajectoryRecord, ObservationModel]:
@@ -450,15 +440,16 @@ def simulate_lorenz96(
     LORENZ96_DT with forcing F ~ N(8, 1), identity observations with R = I
     every LORENZ_T_OUT.
 
-    The initial state is produced by a burn-in run (discarded from the
-    record) started from the rest point F * ones perturbed in one coordinate.
+    The initial state is produced by a burn-in run of 12.2 time units
+    (discarded from the record) started from the rest point F * ones
+    perturbed in one coordinate.
     """
     d, dt = 40, LORENZ96_DT
     n, steps_per_obs = step_counts(t_end, dt, LORENZ_T_OUT)
     rng = np.random.default_rng(seed)
-    n_burn = int(round(burn_in / dt))
+    n_burn = int(round(12.2 / dt))
     ring = _lorenz96_ring(d)
-    forcings = _lorenz96_forcings(rng, n_burn + n, (d,), 1.0)
+    forcings = _lorenz96_forcings(rng, n_burn + n, (d,))
 
     x = np.full(d, 8.0)
     x[0] += 0.01

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import SpdFactor, SpdStack, pow2_scale
+from ._linalg import SpdFactor, pow2_scale
 
 __all__ = [
     "IMQ",
@@ -261,14 +261,13 @@ def eval_kernel(
     spec: WeightKernelSpec,
     y: np.ndarray,
     center: np.ndarray,
-    std_cov: SpdFactor | SpdStack,
+    std_cov: SpdFactor,
 ) -> WeightEvaluation:
     """Evaluate the squared weight kernel and the gradients of its logarithm.
 
     ``y`` and ``center`` are one (d_Y,) observation or a (B, d_Y) stack, and
-    ``std_cov`` the factor of the standardizing covariance: an ``SpdFactor``
-    (one covariance for every element), or an ``SpdStack`` of one covariance
-    for one observation or of one per element for a stack.  Each element is
+    ``std_cov`` the factor of the standardizing covariance: of one
+    covariance for every element, or of one per element.  Each element is
     evaluated with its own factor, as a single call would evaluate it; a
     stack's single-block kernel takes one pass over the stack.
 
@@ -288,8 +287,6 @@ def eval_kernel(
         raise ValueError(f"y has shape {y.shape} but center has shape {center.shape}")
     if std_cov.dim != d_y:
         raise ValueError(f"standardization covariance has dim {std_cov.dim}, expected {d_y}")
-    if isinstance(std_cov, SpdFactor):
-        std_cov = SpdStack.of(std_cov, stacked=y.ndim == 2)
     partition = spec.partition_for(d_y)
     thresholds = spec.thresholds_for(d_y)
     residual = y - center
@@ -320,7 +317,7 @@ def eval_kernel(
 
 @np.errstate(over="ignore", invalid="ignore")  # cheaper per call than a with-block
 def _single_block(
-    spec: WeightKernelSpec, residual: np.ndarray, std_cov: SpdStack, threshold: float
+    spec: WeightKernelSpec, residual: np.ndarray, std_cov: SpdFactor, threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """``eval_kernel``'s single block, in one pass over a stack: the (..., 1)
     squared weights and the (..., d_Y) gradients of their logarithms, with
@@ -369,10 +366,7 @@ def robust_update(
             return np.ones(y.shape), y
         if len(partition) > 1:
             _check_block_diagonal(r, partition)
-    if spec.standardization == CONDITIONAL:
-        std_cov = SpdStack.of(r_factor, stacked=y.ndim == 2)
-    else:
-        std_cov = SpdStack(hph() + r)
+    std_cov = r_factor if spec.standardization == CONDITIONAL else SpdFactor(hph() + r)
     if isinstance(spec, WolfSpec):
         with np.errstate(over="ignore", invalid="ignore"):  # a residual too large to square
             s = std_cov.mahalanobis_sq(y - center)

@@ -1,5 +1,6 @@
 """Shared test oracles: dense-grid quadrature posteriors and
-finite-difference gradients; the information-form robust update and the
+finite-difference gradients; LAPACK's solves with one Cholesky factor,
+references for ``SpdFactor``; the information-form robust update and the
 outlier-influence sweep; a per-window LETKF loop, an np.roll-based
 Lorenz-96 integrator, a draw-per-step Lorenz-63 integrator and the two
 hand-written linear Gaussian truth loops (scalar OU in Python floats,
@@ -24,6 +25,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.stats import norm
 
 from robust_da import (
@@ -44,6 +46,7 @@ from robust_da import (
     wolf_analysis,
 )
 from robust_da import harness
+from robust_da._linalg import pow2_scale
 from robust_da.metrics import _q_log_from_log
 from robust_da.models import tracking_model
 from robust_da.weights import robust_update
@@ -80,18 +83,11 @@ def grid_posterior_2d(log_unnormalized, lo=-12.0, hi=12.0, n=700):
 
 
 # Intended overflows.  Each of these lines overflows on purpose for a finite
-# residual too large to square: the whitening's first try, redone on the
-# residual scaled by a power of two, and the products that then give s = inf
-# and a weight of 0.  The suite turns every RuntimeWarning into an error; the
-# harness runs under np.errstate, so only a test that calls the library
-# directly meets these, and it names each one it drives.
-# SpdFactor.mahalanobis_sq: the first z @ z, then the rescaled * scale * scale.
-WHITENING_OVERFLOWS = pytest.mark.filterwarnings(
-    "ignore:overflow encountered in matmul:RuntimeWarning:robust_da._linalg"
-)
-RESCALED_SQUARE_OVERFLOWS = pytest.mark.filterwarnings(
-    "ignore:overflow encountered in (scalar )?multiply:RuntimeWarning:robust_da._linalg"
-)
+# residual too large to square: the products that give s = inf and a weight
+# of 0.  The suite turns every RuntimeWarning into an error; the harness
+# runs under np.errstate, so only a test that calls the library directly
+# meets these, and it names each one it drives.  (SpdFactor.mahalanobis_sq
+# silences its own: its result is inf.)
 # weights.eval_kernel: a block's s_b * scale * scale.
 BLOCK_SQUARE_OVERFLOWS = pytest.mark.filterwarnings(
     "ignore:overflow encountered in scalar multiply:RuntimeWarning:robust_da.weights"
@@ -123,7 +119,50 @@ def random_spd(rng, d, scale=1.0):
 
 
 # ---------------------------------------------------------------------------
+# One matrix's solves by the LAPACK calls themselves: (d,) or (d, n) right-
+# hand sides under the C-ordered lower Cholesky factor L of A = L L^T.
+
+
+def lapack_solve(chol, b):
+    """A^{-1} b by LAPACK's ``dpotrs``, which ``scipy.linalg.cho_solve``
+    wraps; a non-finite b flows through."""
+    x, info = dpotrs(chol, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
+    return x
+
+
+def lapack_whiten(chol, r):
+    """L^{-1} r by LAPACK's ``dtrtrs``: L z = r as (L^T)^T z = r, with L^T
+    the Fortran-ordered view of the C-ordered factor, the call
+    ``scipy.linalg.solve_triangular`` makes for it."""
+    z, info = dtrtrs(chol.T, r, lower=0, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dtrtrs failed with info {info}")
+    return z
+
+
+def lapack_mahalanobis_sq(chol, r):
+    """||L^{-1} r||^2 of a (d,) residual, or of each column of a (d, n) one,
+    by ``lapack_whiten``; a square that is not finite is redone on the
+    residual divided by ``pow2_scale``."""
+
+    def squares(z):
+        return float(z @ z) if z.ndim == 1 else np.sum(z * z, axis=0)
+
+    s = squares(lapack_whiten(chol, r))
+    if np.isfinite(s).all():
+        return s
+    scale = pow2_scale(r, axis=0)
+    return squares(lapack_whiten(chol, r / scale)) * scale * scale
+
+
+# ---------------------------------------------------------------------------
 # The robust update in information form, and its bounded influence.
+
+
+def _lapack_inverse(a):
+    return lapack_solve(SpdFactor(a).chol, np.eye(a.shape[0]))
 
 
 def information_form_update(forecast, h, r, w, target):
@@ -135,10 +174,10 @@ def information_form_update(forecast, h, r, w, target):
     gain-form update is checked.
     """
     root_w = np.sqrt(w)
-    weighted_precision = root_w[:, None] * SpdFactor(r).solve(np.eye(r.shape[0])) * root_w
-    forecast_precision = symmetrize(SpdFactor(forecast.cov).solve(np.eye(forecast.dim)))
+    weighted_precision = root_w[:, None] * _lapack_inverse(r) * root_w
+    forecast_precision = symmetrize(_lapack_inverse(forecast.cov))
     precision = forecast_precision + h.T @ weighted_precision @ h
-    p_a = symmetrize(SpdFactor(precision).solve(np.eye(forecast.dim)))
+    p_a = symmetrize(_lapack_inverse(precision))
     mean = forecast.mean - p_a @ (h.T @ (weighted_precision @ (h @ forecast.mean - target)))
     return GaussianBelief(mean=mean, cov=p_a)
 
@@ -224,7 +263,7 @@ def anomaly_posterior_cov(gram, m, rho=1.0):
     """Anomaly-space analysis covariance [(M-1)/rho I + gram]^{-1}."""
     gram = symmetrize(np.asarray(gram, dtype=float))
     eye = np.eye(gram.shape[0])
-    return symmetrize(SpdFactor((m - 1) / rho * eye + gram).solve(eye))
+    return symmetrize(_lapack_inverse((m - 1) / rho * eye + gram))
 
 
 def solve_anomaly_analysis(y_anom, ninv, innovation, rho=1.0):
@@ -235,7 +274,9 @@ def solve_anomaly_analysis(y_anom, ninv, innovation, rho=1.0):
     weighted = ninv @ y_anom
     cov = anomaly_posterior_cov(y_anom.T @ weighted, m, rho)
     mean = cov @ (weighted.T @ innovation)
-    transform = psd_sym_sqrt((m - 1) * cov, min_eig_tol=-1e-10)
+    if np.linalg.eigvalsh((m - 1) * cov).min() < -1e-10:
+        raise np.linalg.LinAlgError("anomaly-space analysis covariance is not PSD")
+    transform = psd_sym_sqrt((m - 1) * cov)
     return cov, mean, transform
 
 
@@ -244,7 +285,7 @@ def _local_analysis(spec, y, y_mean, y_anom, r, rho):
     r_factor = SpdFactor(r)
     w, target = robust_update(spec, y, y_mean, lambda: y_anom @ y_anom.T / (m - 1), r_factor)
     root_w = np.sqrt(w)
-    ninv = root_w[:, None] * r_factor.solve(np.eye(r.shape[0])) * root_w
+    ninv = root_w[:, None] * lapack_solve(r_factor.chol, np.eye(r.shape[0])) * root_w
     return solve_anomaly_analysis(y_anom, ninv, target - y_mean, rho)
 
 
@@ -275,6 +316,24 @@ def letkf_analysis_looped(ensemble, obs, y, spec, config):
 
 
 # ---------------------------------------------------------------------------
+# The Lorenz samplers at other noise levels than the library's: a generator
+# scaled by 0 drives a sampler's noise-free map.  The oracles below take the
+# noise level as an argument, draw at every level, and multiply the draws by
+# it first, so that they match a sampler driven by ``ScaledNormals``.
+
+
+class ScaledNormals:
+    """A generator whose standard normal draws are ``scale`` times those of
+    ``rng``."""
+
+    def __init__(self, rng, scale):
+        self.rng, self.scale = rng, scale
+
+    def standard_normal(self, size):
+        return self.scale * self.rng.standard_normal(size)
+
+
+# ---------------------------------------------------------------------------
 # Lorenz-96 with np.roll neighbours and one forcing draw per step.
 
 
@@ -289,10 +348,7 @@ def lorenz96_sampler_rolled(dt, n_steps, forcing_mean=8.0, forcing_std=1.0):
     def step(members, rng):
         x = members
         for _ in range(n_steps):
-            if forcing_std:
-                forcing = forcing_mean + forcing_std * rng.standard_normal(x.shape)
-            else:
-                forcing = forcing_mean
+            forcing = forcing_mean + forcing_std * rng.standard_normal(x.shape)
             k1 = lorenz96_drift_rolled(x, forcing)
             k2 = lorenz96_drift_rolled(x + 0.5 * dt * k1, forcing)
             k3 = lorenz96_drift_rolled(x + 0.5 * dt * k2, forcing)
@@ -341,8 +397,7 @@ def lorenz63_sampler_stepwise(dt, n_steps, noise_scale=1.0):
         x = members
         for _ in range(n_steps):
             x = x + dt * lorenz63_drift_stacked(x)
-            if noise_scale:
-                x = x + noise_scale * sqrt_dt * rng.standard_normal(x.shape)
+            x = x + sqrt_dt * (noise_scale * rng.standard_normal(x.shape))
         return x
 
     return step
@@ -427,13 +482,12 @@ def gaussian_log_density_stepwise(truth, mean, cov, diagonalize):
         return -0.5 * float(
             d * _LOG_2PI + np.sum(np.log(diag)) + np.sum(residual**2 / diag)
         )
-    try:
-        factor = SpdFactor(cov)
-    except np.linalg.LinAlgError:
+    factor = SpdFactor(cov)
+    if np.isnan(factor.chol).any():  # no jitter repairs it
         if np.any(np.diag(cov) == 0.0):
             return -np.inf
-        raise
-    maha = factor.mahalanobis_sq(residual)
+        raise np.linalg.LinAlgError("covariance is not positive definite")
+    maha = lapack_mahalanobis_sq(factor.chol, residual)
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor.chol))))
     return -0.5 * (d * _LOG_2PI + logdet + maha)
 

@@ -23,6 +23,7 @@ from robust_da.models import lgss_sampler, lorenz63_sampler
 from robust_da.weights import CONSTANT, IMQ, SQEXP, WeightKernelSpec
 from helpers import (
     WINDOW_SQUARE_OVERFLOWS,
+    ScaledNormals,
     anomaly_posterior_cov,
     letkf_analysis_looped,
     lorenz63_drift_stacked,
@@ -87,14 +88,14 @@ def test_forecast_lgss_monte_carlo_consistency():
 
 def test_forecast_lorenz63_deterministic_euler_step():
     x0 = np.array([-0.587, -0.563, 16.87])
-    sampler = lorenz63_sampler(dt=0.001, n_steps=1, noise_scale=0.0)
-    out = sampler([x0[:, None]], [np.random.default_rng(0)])[:, 0]
+    sampler = lorenz63_sampler(dt=0.001, n_steps=1)
+    out = sampler([x0[:, None]], [ScaledNormals(np.random.default_rng(0), 0.0)])[:, 0]
     expected = x0 + 0.001 * lorenz63_drift_stacked(x0)
     assert np.allclose(out, expected, rtol=1e-14)
     assert out[0] == pytest.approx(-0.58676, abs=1e-12)
     # Origin is a fixed point of the drift.
     origin = np.zeros((3, 1))
-    assert np.array_equal(sampler([origin], [np.random.default_rng(0)]), origin)
+    assert np.array_equal(sampler([origin], [ScaledNormals(np.random.default_rng(0), 0.0)]), origin)
 
 
 def test_forecast_detects_blowup():

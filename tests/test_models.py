@@ -17,6 +17,7 @@ from robust_da.models import (
     tracking_model,
 )
 from helpers import (
+    ScaledNormals,
     lorenz63_drift_stacked,
     lorenz63_sampler_stepwise,
     lorenz96_sampler_rolled,
@@ -202,6 +203,8 @@ def test_lorenz63_truth_matches_stepwise_integrator_bit_for_bit(seed, contaminat
     assert made[0].bit_generator.state == rng_stepwise.bit_generator.state
 
 
+# The noise level reaches the library sampler through its generators
+# (helpers.ScaledNormals); 0 gives the noise-free Euler map.
 @pytest.mark.parametrize("noise_scale", [1.0, 0.0, 0.3])
 # The member counts of the stacked blocks: three blocks of different sizes,
 # or one block.
@@ -215,7 +218,7 @@ def test_lorenz63_sampler_matches_stepwise_sampler_bit_for_bit(shape, noise_scal
     for layout in (blocks, [np.asfortranarray(b) for b in blocks]):
         rngs = [np.random.default_rng(3 + i) for i in range(len(shape))]
         rngs_stepwise = [np.random.default_rng(3 + i) for i in range(len(shape))]
-        out = lorenz63_sampler(0.001, 50, noise_scale)(layout, rngs)
+        out = lorenz63_sampler(0.001, 50)(layout, [ScaledNormals(r, noise_scale) for r in rngs])
         out_stepwise = np.concatenate([
             lorenz63_sampler_stepwise(0.001, 50, noise_scale)(b, rng)
             for b, rng in zip(layout, rngs_stepwise)
@@ -269,8 +272,8 @@ def test_lorenz96_ring_equivariance():
 def test_lorenz96_rk4_deterministic_step_matches_manual():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(8) + 2.0
-    sampler = lorenz96_sampler(dt=0.01, n_steps=1, forcing_std=0.0)
-    out = sampler([x[:, None]], [np.random.default_rng(0)])[:, 0]
+    sampler = lorenz96_sampler(dt=0.01, n_steps=1)
+    out = sampler([x[:, None]], [ScaledNormals(np.random.default_rng(0), 0.0)])[:, 0]
     k1 = lorenz96_drift(x, 8.0)
     k2 = lorenz96_drift(x + 0.005 * k1, 8.0)
     k3 = lorenz96_drift(x + 0.005 * k2, 8.0)
@@ -279,14 +282,14 @@ def test_lorenz96_rk4_deterministic_step_matches_manual():
 
 
 def test_lorenz96_observation_count_full_window():
-    record, obs = simulate_lorenz96(t_end=73.0, burn_in=0.5, seed=0)
+    record, obs = simulate_lorenz96(t_end=73.0, seed=0)
     assert record.n_obs == 1460
     assert obs.H.shape == (40, 40)
 
 
 def test_lorenz96_seed_reproducibility_and_finite():
-    a, _ = simulate_lorenz96(t_end=1.0, burn_in=1.0, seed=6)
-    b, _ = simulate_lorenz96(t_end=1.0, burn_in=1.0, seed=6)
+    a, _ = simulate_lorenz96(t_end=1.0, seed=6)
+    b, _ = simulate_lorenz96(t_end=1.0, seed=6)
     assert np.array_equal(a.states, b.states)
     assert np.all(np.isfinite(a.states))
 
@@ -296,11 +299,9 @@ def test_lorenz96_matches_rolled_integrator_bit_for_bit(seed):
     # Gathered neighbours and the forcing drawn in one call give the same
     # numbers as np.roll neighbours and one draw per step.
     contamination = ContaminationSpec(epsilon=0.25, lam=27.5**2)
-    record, _ = simulate_lorenz96(
-        t_end=1.5, burn_in=0.5, seed=seed, contamination=contamination
-    )
+    record, _ = simulate_lorenz96(t_end=1.5, seed=seed, contamination=contamination)
     states, observations, flags, _ = simulate_lorenz96_rolled(
-        40, t_end=1.5, dt=0.01, t_out=0.05, burn_in=0.5, seed=seed, contamination=contamination
+        40, t_end=1.5, dt=0.01, t_out=0.05, burn_in=12.2, seed=seed, contamination=contamination
     )
     assert np.array_equal(record.states, states)
     assert np.array_equal(record.observations, observations)
@@ -312,7 +313,7 @@ def test_lorenz96_matches_rolled_integrator_bit_for_bit(seed):
     rngs = [np.random.default_rng(seed + i) for i in range(3)]
     rngs_rolled = [np.random.default_rng(seed + i) for i in range(3)]
     for forcing_std in (1.0, 0.0):
-        out = lorenz96_sampler(0.01, 5, forcing_std=forcing_std)(blocks, rngs)
+        out = lorenz96_sampler(0.01, 5)(blocks, [ScaledNormals(r, forcing_std) for r in rngs])
         out_rolled = np.concatenate([
             lorenz96_sampler_rolled(0.01, 5, forcing_std=forcing_std)(b, rng)
             for b, rng in zip(blocks, rngs_rolled)
