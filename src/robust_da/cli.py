@@ -17,6 +17,8 @@ from .harness import (
     FILTERS,
     PRESETS,
     ExperimentConfig,
+    _contamination_cells,
+    _filter_list,
     run_ensemble_size_sweep,
     run_single,
     run_sweep,
@@ -45,17 +47,18 @@ def _load_config(spec: str | None) -> ExperimentConfig:
         raise SystemExit(f"{path}: {exc}")
 
 
-def _replace_config(config: ExperimentConfig, args, **updates) -> ExperimentConfig:
-    """``replace`` that exits with one line when the harness refuses the result."""
+def _checked(args, build, *values, **updates):
+    """``build(*values, **updates)``, exiting with one line when the harness
+    refuses the result."""
     try:
-        return replace(config, **updates)
+        return build(*values, **updates)
     except ValueError as exc:
         raise SystemExit(f"{args.config or 'default config'}: {exc}")
 
 
 def _apply_common(config: ExperimentConfig, args) -> ExperimentConfig:
     flags = dict(threads=args.threads, seed=args.seed, out_dir=args.out, filter=args.filter)
-    return _replace_config(config, args, **{k: v for k, v in flags.items() if v is not None})
+    return _checked(args, replace, config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _parse_grid(flag: str, text: str, kind: type) -> list:
@@ -75,9 +78,10 @@ def _parse_grid(flag: str, text: str, kind: type) -> list:
 def _parse_filters(args, config: ExperimentConfig) -> list[str]:
     if not args.filters:
         return [config.filter]
-    filters = [f.strip() for f in args.filters.split(",") if f.strip()]
+    names = [f.strip() for f in args.filters.split(",") if f.strip()]
+    filters = _checked(args, _filter_list, config, names)
     for filt in filters:
-        _replace_config(config, args, filter=filt)
+        _checked(args, replace, config, filter=filt)
     return filters
 
 
@@ -102,9 +106,7 @@ def cmd_sweep(args) -> int:
     config = _apply_common(_load_config(args.config), args)
     eps = _parse_grid("--epsilon", args.epsilon, float)
     sql = _parse_grid("--sqrt-lambda", args.sqrt_lambda, float)
-    for e in eps:
-        for s in sql:
-            _replace_config(config, args, epsilon=e, lam=max(s * s, 1.0))
+    _checked(args, _contamination_cells, config, eps, sql)
     filters = _parse_filters(args, config)
     result = run_sweep(config, eps, sql, filters=filters)
     failed = sum(c.n_failed for c in result.cells.values())
@@ -123,7 +125,7 @@ def cmd_size_sweep(args) -> int:
     filters = _parse_filters(args, config)
     for m in sizes:
         for filt in filters:
-            _replace_config(config, args, filter=filt, ensemble_size=m)
+            _checked(args, replace, config, filter=filt, ensemble_size=m)
     result = run_ensemble_size_sweep(config, sizes, filters=filters)
     failed = sum(c.n_failed for c in result.cells.values())
     _emit({"cells": len(result.cells), "failed_replicates": failed})

@@ -196,8 +196,9 @@ class LetkfConfig:
 def _window_indices(d_x: int, d_y: int, half_width: int) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic observation windows: row j holds the observation indices within
     ``half_width`` sites of state index j, shape (d_x, w); and the index
-    distance of each window column, shape (w,)."""
-    offsets = np.arange(-half_width, half_width + 1)
+    distance of each window column, shape (w,).  A window at least as wide
+    as the ring holds each observation once."""
+    offsets = np.arange(-min(half_width, (d_y - 1) // 2), min(half_width, d_y // 2) + 1)
     return (np.arange(d_x)[:, None] + offsets) % d_y, np.abs(offsets)
 
 

@@ -9,8 +9,9 @@ replicates, and the loop advances every filter of every replicate in the
 chunk in lock-step: at each observation the closed-form filters take one
 stacked forecast and analysis, the members of the ensemble and particle
 filters go through one stacked forecast, and each of those filters then runs
-its own analysis.  The linear Gaussian truths of a chunk are simulated
-together, and its runs are scored in one pass.
+its own analysis; every filter records its moments in the loop's one record.
+The linear Gaussian truths of a chunk are simulated together, and its runs
+are scored in one pass.  A single run is a chunk of one job.
 
 Determinism contract: a (config, master seed) pair maps to byte-identical
 result files regardless of worker count and chunk size; per-replicate
@@ -273,11 +274,6 @@ def build_setups(configs: Sequence[ExperimentConfig], traj_seeds: Sequence) -> l
     return setups
 
 
-def build_setup(config: ExperimentConfig, traj_seed) -> ModelSetup:
-    """The setup of one replicate."""
-    return build_setups([config], [traj_seed])[0]
-
-
 # ---------------------------------------------------------------------------
 # Filter loops
 
@@ -325,8 +321,8 @@ class _ClosedFormSlice:
 class _ClosedFormStack:
     """The closed-form slices of a loop advanced as one stacked recursion:
     per observation, one ``kf_forecast`` of the (B, d) means and (B, d, d)
-    covariances, one ``robust_analysis`` that weights each slice by its own
-    spec, and one recorded row of moments.
+    covariances, and one ``robust_analysis`` that weights each slice by its
+    own spec.
 
     Every slice of a loop shares its model's matrices: a loop runs the
     replicates of one sweep, whose cells differ in contamination or ensemble
@@ -336,26 +332,24 @@ class _ClosedFormStack:
     the stack; its rows from that step on stay NaN.
     """
 
-    def __init__(self, slices: list[_ClosedFormSlice], n_obs: int):
+    def __init__(self, slices: list[_ClosedFormSlice], rows: list[int]):
         specs, groups = [], []
         for s in slices:
             group = next((g for g, spec in enumerate(specs) if spec == s.spec), len(specs))
             if group == len(specs):
                 specs.append(s.spec)
             groups.append(group)
-        self.order = np.argsort(groups, kind="stable")  # stack position -> slice
-        ordered = [slices[i] for i in self.order]
-        self.specs, self.groups = specs, np.asarray(groups)[self.order]
+        order = np.argsort(groups, kind="stable")  # stack position -> slice
+        ordered = [slices[i] for i in order]
+        self.rows = np.asarray(rows)[order]  # stack position -> loop row
+        self.specs, self.groups = specs, np.asarray(groups)[order]
         self.records_weight = np.array([s.records_weight for s in ordered])
         self.model = model = ordered[0].model
         self.ys = np.stack([s.ys.T for s in ordered], axis=1)  # (n_obs, B, d_Y)
-        b, d = len(ordered), model.d_x
+        b = len(ordered)
         self.belief = GaussianBelief(
             mean=np.tile(model.prior.mean, (b, 1)), cov=np.tile(model.prior.cov, (b, 1, 1))
         )
-        self.means = np.full((n_obs, b, d), np.nan)
-        self.covs = np.full((n_obs, b, d, d), np.nan)
-        self.weights = np.full((n_obs, b), np.nan)
         self.live = np.arange(b)
         self._weight_slices()
 
@@ -366,42 +360,36 @@ class _ClosedFormStack:
             for spec, start, stop in zip(self.specs, bounds[:-1], bounds[1:]) if stop > start
         ]
 
-    def step(self, k: int) -> None:
+    def step(self, k: int, means: np.ndarray, covs: np.ndarray, weights: np.ndarray) -> None:
+        """Step every live element on observation ``k`` and record its
+        moments in its loop row of the loop's record."""
         live = self.live
-        full = len(live) == self.means.shape[1]
         forecast = kf_forecast(self.model, self.belief)
         mean, cov, w, _ = robust_analysis(
-            self.model, forecast.mean, forecast.cov,
-            self.ys[k] if full else self.ys[k, live], self.spec_rows,
+            self.model, forecast.mean, forecast.cov, self.ys[k, live], self.spec_rows
         )
         self.belief = belief = GaussianBelief(mean=mean, cov=cov)
-        weight = np.where(self.records_weight[live], w.min(axis=1) / 2.0, np.nan)
-        rows = slice(None) if full else live
-        self.means[k, rows], self.covs[k, rows], self.weights[k, rows] = belief.mean, belief.cov, weight
+        rows = self.rows[live]
+        means[rows, k], covs[rows, k] = belief.mean, belief.cov
+        weights[rows, k] = np.where(self.records_weight[live], w.min(axis=1) / 2.0, np.nan)
         finite = np.isfinite(belief.mean).all(axis=1) & np.isfinite(belief.cov).all(axis=(1, 2))
         if not finite.all():
             self.live = live[finite]
             self.belief = GaussianBelief(mean=belief.mean[finite], cov=belief.cov[finite])
             self._weight_slices()
 
-    def runs(self) -> list[FilterRun]:
-        """The slices' runs, in the order they were given."""
-        runs = [None] * len(self.order)
-        for position, i in enumerate(self.order):
-            runs[i] = _finished_run(
-                self.means[:, position], self.covs[:, position], self.weights[:, position]
-            )
-        return runs
 
-
-def _filter_loop(slices: list, sampler) -> list[FilterRun]:
+def _filter_loop(slices: list, setup: ModelSetup) -> list[FilterRun]:
     """Run every slice over the columns of its ``ys`` in lock-step,
     recording its moments after every step.
 
-    At each observation the closed-form slices take one stacked step
-    (``_ClosedFormStack``), the member blocks of the live ensemble and
-    particle slices go through one ``ensemble_forecast`` call of
-    ``sampler``, and then each of those slices takes its step.  A slice
+    Every slice shares the model of ``setup``, whose sampler propagates the
+    members.  The loop keeps one record, (S, n_obs, d) means, (S, n_obs, d,
+    d) covariances and (S, n_obs) weights, with one row for each of its S
+    slices.  At each observation the closed-form slices take one stacked
+    step (``_ClosedFormStack``), the member blocks of the live ensemble and
+    particle slices go through one ``ensemble_forecast`` call of the
+    sampler, and then each of those slices takes its step.  A slice
     diverges, and drops out of the loop, at the first step whose forecast is
     non-finite or that raised a linear-algebra or floating-point error, or
     that recorded a non-finite mean or covariance; that step and the rest of
@@ -410,24 +398,23 @@ def _filter_loop(slices: list, sampler) -> list[FilterRun]:
     over every recorded step, so numpy's overflow and invalid-value warnings
     are silenced for the whole loop.
     """
-    n_obs = slices[0].ys.shape[1]
+    n_obs, d = slices[0].ys.shape[1], setup.init_mean.shape[0]
+    means = np.full((len(slices), n_obs, d), np.nan)
+    covs = np.full((len(slices), n_obs, d, d), np.nan)
+    weights = np.full((len(slices), n_obs), np.nan)
     closed = [i for i, s in enumerate(slices) if isinstance(s, _ClosedFormSlice)]
-    stack = _ClosedFormStack([slices[i] for i in closed], n_obs) if closed else None
+    stack = _ClosedFormStack([slices[i] for i in closed], closed) if closed else None
     live = [i for i, s in enumerate(slices) if not isinstance(s, _ClosedFormSlice)]
     states = {i: slices[i].state for i in live}
-    outputs = {}
-    for i in live:
-        mean, cov, _ = slices[i].moments(states[i])  # sizes the output
-        outputs[i] = (np.full((n_obs, *mean.shape), np.nan),
-                      np.full((n_obs, *cov.shape), np.nan), np.full(n_obs, np.nan))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_obs):
             if stack is not None and len(stack.live):
-                stack.step(k)
+                stack.step(k, means, covs, weights)
             if not live:
                 continue
             forecasts = ensemble_forecast(
-                sampler, [slices[i].members(states[i]) for i in live], [slices[i].rng for i in live]
+                setup.sampler, [slices[i].members(states[i]) for i in live],
+                [slices[i].rng for i in live],
             )
             for i, forecast in zip(list(live), forecasts):
                 s = slices[i]
@@ -438,11 +425,8 @@ def _filter_loop(slices: list, sampler) -> list[FilterRun]:
                 except (np.linalg.LinAlgError, FloatingPointError):
                     live.remove(i)  # rows k onwards stay NaN
                     continue
-                means, covs, weights = outputs[i]
-                means[k], covs[k], weights[k] = s.moments(states[i])
-    runs = dict(zip(closed, stack.runs())) if stack is not None else {}
-    runs.update((i, _finished_run(*output)) for i, output in outputs.items())
-    return [runs[i] for i in range(len(slices))]
+                means[i, k], covs[i, k], weights[i, k] = s.moments(states[i])
+    return [_finished_run(means[i], covs[i], weights[i]) for i in range(len(slices))]
 
 
 def _finished_run(means: np.ndarray, covs: np.ndarray, weights: np.ndarray) -> FilterRun:
@@ -569,27 +553,6 @@ def _slices(
     ]
 
 
-def _run_filters(
-    setup: ModelSetup, configs: Sequence[ExperimentConfig], rngs: Sequence[np.random.Generator]
-) -> list[FilterRun]:
-    """Run the configs' filters over one replicate's observations in
-    lock-step, each drawing from its own generator."""
-    return _filter_loop(_slices(setup, configs, rngs), setup.sampler)
-
-
-# ---------------------------------------------------------------------------
-# Single runs
-
-
-@dataclass
-class RunResult:
-    config: ExperimentConfig
-    report: MetricReport | None
-    run: FilterRun
-    summary: dict
-    paths: dict[str, str] = field(default_factory=dict)
-
-
 def _evaluate_runs(setups: Sequence[ModelSetup], runs: Sequence[FilterRun]) -> list:
     """The ``MetricReport`` of each (setup, run) pair, None for a run that
     diverged; the others are scored in one stacked pass
@@ -608,13 +571,50 @@ def _evaluate_runs(setups: Sequence[ModelSetup], runs: Sequence[FilterRun]) -> l
     return reports
 
 
+def _run_chunk(jobs: Sequence[tuple]) -> tuple[list, list, list]:
+    """Run a chunk of jobs, each (config, filters, spawn key), with every
+    filter of every job in one ``_filter_loop``, and score the runs in one
+    pass: the jobs' setups, and the run and report of each (job, filter),
+    job by job.
+
+    A job's truth draws from the spawn key ``(*key, 0)`` of its config's
+    seed, and its i-th filter from ``(*key, 1 + i)``.  Every job of a chunk
+    has the same model and horizon, so the truths are built together and
+    the first job's sampler propagates the members of all.
+    """
+    setups = build_setups(
+        [config for config, *_ in jobs],
+        [np.random.SeedSequence(config.seed, spawn_key=(*key, 0)) for config, _, key in jobs],
+    )
+    slices, run_setups = [], []
+    for (config, filters, key), setup in zip(jobs, setups):
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(*key, 1 + i)))
+            for i in range(len(filters))
+        ]
+        slices += _slices(setup, [replace(config, filter=filt) for filt in filters], rngs)
+        run_setups += [setup] * len(filters)
+    runs = _filter_loop(slices, setups[0])
+    return setups, runs, _evaluate_runs(run_setups, runs)
+
+
+# ---------------------------------------------------------------------------
+# Single runs
+
+
+@dataclass
+class RunResult:
+    config: ExperimentConfig
+    report: MetricReport | None
+    run: FilterRun
+    summary: dict
+    paths: dict[str, str] = field(default_factory=dict)
+
+
 def run_single(config: ExperimentConfig) -> RunResult:
     """Simulate, filter, score and (optionally) write artifacts for one run."""
-    root = np.random.SeedSequence(config.seed)
-    traj_ss, filt_ss = root.spawn(2)
-    setup = build_setup(config, traj_ss)
-    (run,) = _run_filters(setup, [config], [np.random.default_rng(filt_ss)])
-    (report,) = _evaluate_runs([setup], [run])
+    # The empty spawn key draws from SeedSequence(config.seed).spawn(2).
+    (setup,), (run,), (report,) = _run_chunk([(config, [config.filter], ())])
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -755,38 +755,9 @@ def _chunks(jobs: list, threads: int) -> list[list]:
 
 
 def _chunk_job(chunk: list) -> list[tuple]:
-    """Run a chunk of jobs, each (cell config, filters, cell key,
-    replicate), with every filter of every replicate in one ``_filter_loop``,
-    and score the runs in one pass: one (cell key, replicate, [(filter,
-    rmse, q_ic)]) per job.
-
-    Every replicate of a sweep has the same model and horizon, so the truths
-    are built together and the first replicate's sampler propagates the
-    members of all.
-    """
-    setups = build_setups(
-        [base for base, *_ in chunk],
-        [np.random.SeedSequence(base.seed, spawn_key=(*cell_key, rep, 0))
-         for base, _filters, cell_key, rep in chunk],
-    )
-    slices, run_setups = [], []
-    for (base, filters, cell_key, rep), setup in zip(chunk, setups):
-        rngs = [
-            np.random.default_rng(
-                np.random.SeedSequence(base.seed, spawn_key=(*cell_key, rep, 1 + i))
-            )
-            for i in range(len(filters))
-        ]
-        slices += _slices(setup, [replace(base, filter=filt) for filt in filters], rngs)
-        run_setups += [setup] * len(filters)
-    reports = iter(_evaluate_runs(run_setups, _filter_loop(slices, setups[0].sampler)))
-    out = []
-    for _base, filters, cell_key, rep in chunk:
-        replicate = []
-        for filt, report in zip(filters, reports):
-            replicate.append((filt, None, None) if report is None else (filt, report.rmse, report.q_ic))
-        out.append((cell_key, rep, replicate))
-    return out
+    """Run a chunk of sweep jobs (``_run_chunk``): the (rmse, q_ic) of each
+    (job, filter), job by job, (None, None) for a run that diverged."""
+    return [(None, None) if r is None else (r.rmse, r.q_ic) for r in _run_chunk(chunk)[2]]
 
 
 def _aggregate(values: list[float]) -> tuple[float, float]:
@@ -808,13 +779,26 @@ def _cell_stats(results: list[tuple]) -> CellStats:
 
 
 def _execute_jobs(jobs: list, threads: int) -> list[tuple]:
+    """The ``_chunk_job`` scores of every job, in job order."""
     chunks = _chunks(jobs, threads)
     if threads <= 1:
         done = [_chunk_job(chunk) for chunk in chunks]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             done = list(pool.map(_chunk_job, chunks, chunksize=1))
-    return [job for chunk in done for job in chunk]
+    return [score for chunk in done for score in chunk]
+
+
+def _filter_list(config: ExperimentConfig, filters: Sequence[str] | None) -> list[str]:
+    """``filters``, by default the config's filter; refuses an empty list,
+    and a filter listed twice, whose replicates would count twice."""
+    filters = list(filters) if filters is not None else [config.filter]
+    if not filters:
+        raise ValueError("filters must be nonempty")
+    for filt in filters:
+        if filters.count(filt) > 1:
+            raise ValueError(f"filter {filt!r} is listed more than once")
+    return filters
 
 
 def _collect(
@@ -826,21 +810,19 @@ def _collect(
 ) -> SweepResult:
     """Run ``config.mc_reps`` replicates of every cell, ``cells`` mapping a
     cell key to the cell's config, and write the sweep's files if
-    ``config.out_dir`` is set.  ``filters`` defaults to the config's filter."""
-    filters = list(filters) if filters is not None else [config.filter]
+    ``config.out_dir`` is set."""
+    filters = _filter_list(config, filters)
     for cell in cells.values():
         for filt in filters:
             replace(cell, filter=filt)  # validates every run's config before any replicate
     jobs = [
-        (cell, filters, key, rep) for key, cell in cells.items() for rep in range(config.mc_reps)
+        (cell, filters, (*key, rep)) for key, cell in cells.items() for rep in range(config.mc_reps)
     ]
-    raw = _execute_jobs(jobs, config.threads)
-    raw.sort(key=lambda item: (item[0], item[1]))
-
     results = {(filt, *key): [] for key in cells for filt in filters}
-    for cell_key, _rep, replicate in raw:
-        for filt, r, q in replicate:
-            results[(filt, *cell_key)].append((r, q))
+    scores = iter(_execute_jobs(jobs, config.threads))
+    for _, _, (*cell_key, _rep) in jobs:
+        for filt in filters:
+            results[(filt, *cell_key)].append(next(scores))
     result = SweepResult(
         kind=kind,
         filters=filters,
@@ -855,6 +837,21 @@ def _collect(
         result.write_csv(out / f"{stem}_cells.csv")
         result.write_replicates_csv(out / f"{stem}_replicates.csv")
     return result
+
+
+def _contamination_cells(
+    config: ExperimentConfig, eps_values: Sequence[float], sql_values: Sequence[float]
+) -> dict[tuple, ExperimentConfig]:
+    """Cell (i, j) of the contamination grid: ``config`` at the i-th epsilon
+    and at lambda the square of the j-th sqrt(lambda), which must be >= 1."""
+    for sql in sql_values:
+        if sql < 1.0:
+            raise ValueError(f"sqrt_lambda must be >= 1, got {sql}")
+    return {
+        (i, j): replace(config, epsilon=eps, lam=sql * sql)
+        for i, eps in enumerate(eps_values)
+        for j, sql in enumerate(sql_values)
+    }
 
 
 def run_sweep(
@@ -873,11 +870,7 @@ def run_sweep(
     sql_values = [float(s) for s in sqrt_lambda_values]
     if not eps_values or not sql_values:
         raise ValueError("sweep grid must be nonempty")
-    cells = {
-        (i, j): replace(config, epsilon=eps, lam=max(sql * sql, 1.0))
-        for i, eps in enumerate(eps_values)
-        for j, sql in enumerate(sql_values)
-    }
+    cells = _contamination_cells(config, eps_values, sql_values)
     return _collect(
         "contamination", config, filters, cells, axis_epsilon=eps_values,
         axis_sqrt_lambda=sql_values,

@@ -7,9 +7,9 @@ hand-written linear Gaussian truth loops (scalar OU in Python floats,
 constant-velocity tracking in arrays), references for the shared library
 code; the per-step q-IC and coverage loops, references for the stacked
 metrics; a machine-speed calibration loop for wall-time budgets; the marks
-that let a test drive one of the library's intended overflows; and the
-one-filter-at-a-time run, the reference for the harness's lock-stepped
-filters.
+that let a test drive one of the library's intended overflows; one
+replicate's setup and lock-stepped filters; and the one-filter-at-a-time
+run, the reference for the harness's lock-stepped filters.
 
 The quadrature, gradient and information-form oracles deliberately avoid
 the library's update formulas so that agreement is evidence, not tautology.
@@ -514,6 +514,21 @@ def ci_coverage_stepwise(truth, means, covariances, level=0.95):
     diags = np.array([np.diag(np.atleast_2d(covariances[k])) for k in range(truth.shape[0])])
     half_width = norm.ppf(0.5 + 0.5 * level) * np.sqrt(np.clip(diags, 0.0, None))
     return float(np.mean(np.abs(truth - means) <= half_width))
+
+
+# ---------------------------------------------------------------------------
+# One replicate: its setup, and its filters in one lock-stepped loop.
+
+
+def build_setup(config, traj_seed):
+    """The ``harness.ModelSetup`` of one replicate, its truth drawn from ``traj_seed``."""
+    return harness.build_setups([config], [traj_seed])[0]
+
+
+def run_filters(setup, configs, rngs):
+    """The configs' filters over one replicate's observations in lock-step, each
+    drawing from its own generator."""
+    return harness._filter_loop(harness._slices(setup, configs, rngs), setup)
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,33 @@ def test_window_indices_lorenz96_geometry():
     assert 20 not in ((idx - 0) % 40)  # the antipode is excluded
     idx5 = windows[5]
     assert set((idx5 - 5) % 40) == set(np.arange(-19, 20) % 40)
+    # A window at least as wide as the ring holds each observation once.
+    for half_width in (20, 25, 100):
+        windows, dist = _window_indices(40, 40, half_width)
+        assert windows.shape == (40, 40), half_width
+        assert all(sorted(row) == list(range(40)) for row in windows.tolist()), half_width
+        assert sorted(dist.tolist()) == sorted(np.abs(np.arange(-19, 21)).tolist()), half_width
+    windows, dist = _window_indices(7, 7, 5)  # an odd ring
+    assert windows.shape == (7, 7) and dist.max() == 3
+    assert all(sorted(row) == list(range(7)) for row in windows.tolist())
+
+
+@pytest.mark.parametrize("half_width", [20, 25, 100])
+@pytest.mark.parametrize("family", [CONSTANT, IMQ])
+def test_untapered_ring_wide_letkf_is_the_esrf(family, half_width):
+    # With a window as wide as the ring and a taper of 1, every state index
+    # is analysed over all 40 observations at full precision, each once, so
+    # the LETKF is the global square-root analysis.
+    rng = np.random.default_rng(19)
+    ens = EnsembleState(members=8.0 + rng.standard_normal((40, 10)))
+    y = 8.0 + 2.0 * rng.standard_normal(40)
+    obs = ObservationModel(H=np.eye(40), R=np.diag(rng.uniform(0.5, 2.0, 40)))
+    spec = WeightKernelSpec(family=family, standardization="marginal")
+    config = LetkfConfig(localization=Localization(half_width=half_width, taper_length=1e150))
+    local = letkf_analysis(ens, obs, y, spec, config)
+    np.testing.assert_allclose(
+        local.members, esrf_analysis(ens, obs, y, spec).members, rtol=0.0, atol=1e-12
+    )
 
 
 LETKF_SPECS = {

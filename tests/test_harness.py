@@ -13,7 +13,6 @@ from robust_da.harness import (
     FILTERS,
     PRESETS,
     ExperimentConfig,
-    build_setup,
     run_ensemble_size_sweep,
     run_single,
     run_sweep,
@@ -22,7 +21,7 @@ from robust_da import cli
 from robust_da.ensemble import Localization
 from robust_da.metrics import MetricReport
 from robust_da.models import TrajectoryRecord
-from helpers import random_spd, run_filter_alone
+from helpers import build_setup, random_spd, run_filter_alone, run_filters
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +212,7 @@ def test_lock_stepped_filters_match_each_filter_run_alone(
     setup = build_setup(base, np.random.SeedSequence(base.seed))
     configs = [replace(base, filter=f) for f in filters]
     rngs = [np.random.default_rng(i) for i in range(len(filters))]
-    runs = harness._run_filters(setup, configs, rngs)
+    runs = run_filters(setup, configs, rngs)
     for i, (config, run) in enumerate(zip(configs, runs)):
         alone = run_filter_alone(setup, config, np.random.default_rng(i))
         assert run.divergence_step == alone.divergence_step == diverged.get(config.filter)
@@ -222,6 +221,27 @@ def test_lock_stepped_filters_match_each_filter_run_alone(
         assert np.array_equal(run.weights, alone.weights, equal_nan=True), config.filter
     if "dsm_pf" in filters:
         assert any(resampled)
+
+
+@pytest.mark.parametrize(
+    "model,filter_name",
+    [("ou", "kf"), ("ou", "dsm_kf"), ("ou", "wolf_kf"), ("lorenz63", "dsm_enkf"),
+     ("lorenz63", "dsm_esrf"), ("lorenz63", "dsm_pf"), ("lorenz96", "dsm_letkf")],
+)
+def test_run_draws_its_truth_and_filter_from_the_two_children_of_its_seed(model, filter_name):
+    # A single run's truth draws from the first child of SeedSequence(seed)
+    # and its filter from the second, so its files stay those of every
+    # earlier release.
+    t_end = {"ou": 5.0, "lorenz63": 2.0, "lorenz96": 0.5}[model]
+    config = ExperimentConfig(model=model, filter=filter_name, t_end=t_end, epsilon=0.25,
+                              lam=625.0, seed=7)
+    traj_ss, filt_ss = np.random.SeedSequence(config.seed).spawn(2)
+    alone = run_filter_alone(build_setup(config, traj_ss), config, np.random.default_rng(filt_ss))
+    run = run_single(config).run
+    assert run.divergence_step is None and alone.divergence_step is None
+    for got, expected in ((run.means, alone.means), (run.covariances, alone.covariances),
+                          (run.weights, alone.weights)):
+        np.testing.assert_array_equal(got, expected)
 
 
 def _setup_with_observation(filter_name, value, model=None):
@@ -243,7 +263,7 @@ def test_run_reports_nan_observation_as_divergence(filter_name):
     # non-finite state.
     for value in (np.nan, np.inf, -np.inf):
         cfg, setup = _setup_with_observation(filter_name, value)
-        (run,) = harness._run_filters(setup, [cfg], [np.random.default_rng(0)])
+        (run,) = run_filters(setup, [cfg], [np.random.default_rng(0)])
         assert run.divergence_step == 3, value
         assert np.all(np.isfinite(run.means[:3])) and np.all(np.isnan(run.means[3:]))
         assert harness._evaluate_runs([setup], [run]) == [None]
@@ -260,7 +280,7 @@ def test_robust_filters_run_through_a_huge_finite_observation(filter_name):
     for model in models:
         for value in (1e200, 1.7e308):
             cfg, setup = _setup_with_observation(filter_name, value, model)
-            (run,) = harness._run_filters(setup, [cfg], [np.random.default_rng(0)])
+            (run,) = run_filters(setup, [cfg], [np.random.default_rng(0)])
             assert run.divergence_step is None, (model, value)
             (report,) = harness._evaluate_runs([setup], [run])
             assert np.isfinite([report.rmse, report.q_ic, report.ci_coverage_95]).all(), value
@@ -272,7 +292,7 @@ def test_kf_scores_a_huge_finite_observation_with_finite_metrics(tmp_path):
     # squared error overflows, yet the run is scored, and its summary is
     # valid JSON.
     cfg, setup = _setup_with_observation("kf", 1e200)
-    (run,) = harness._run_filters(setup, [cfg], [np.random.default_rng(0)])
+    (run,) = run_filters(setup, [cfg], [np.random.default_rng(0)])
     assert run.divergence_step is None
     (report,) = harness._evaluate_runs([setup], [run])
     assert np.isfinite([report.rmse, report.q_ic, report.ci_coverage_95]).all()
@@ -344,6 +364,13 @@ def test_sweeps_refuse_an_invalid_filter_before_any_replicate(monkeypatch):
         run_ensemble_size_sweep(cfg, [10, 20], filters=["kf"])
     with pytest.raises(ValueError, match="ensemble_size"):
         run_ensemble_size_sweep(replace(cfg, model="ou", filter="kf"), [1, 5], filters=["enkf"])
+    with pytest.raises(ValueError, match="filters must be nonempty"):
+        run_sweep(cfg, [0.1], [5.0], filters=[])
+    # A filter listed twice would count each of its replicates twice.
+    with pytest.raises(ValueError, match="'dsm_enkf' is listed more than once"):
+        run_sweep(cfg, [0.1], [5.0], filters=["dsm_enkf", "enkf", "dsm_enkf"])
+    with pytest.raises(ValueError, match="'enkf' is listed more than once"):
+        run_ensemble_size_sweep(cfg, [10, 20], filters=["enkf", "enkf"])
 
 
 def test_config_refuses_a_contamination_or_horizon_it_cannot_run(monkeypatch):
@@ -366,6 +393,9 @@ def test_config_refuses_a_contamination_or_horizon_it_cannot_run(monkeypatch):
     monkeypatch.setattr(harness, "_chunk_job", no_replicate)
     with pytest.raises(ValueError, match="epsilon"):
         run_sweep(ExperimentConfig(t_end=1.0), [0.1, 1.5], [2.0])
+    for sqrt_lambda in (-30.0, 0.5, -math.inf):
+        with pytest.raises(ValueError, match=f"sqrt_lambda must be >= 1, got {sqrt_lambda}"):
+            run_sweep(ExperimentConfig(t_end=1.0), [0.1], [sqrt_lambda, 2.0])
 
 
 @pytest.mark.parametrize(
@@ -542,9 +572,9 @@ def test_a_replicate_that_diverges_leaves_the_rest_of_its_chunk_as_run_alone(
 
     slices = [s for rep, setup in enumerate(setups)
               for s in harness._slices(setup, configs, rngs(rep))]
-    runs = harness._filter_loop(slices, setups[0].sampler)
+    runs = harness._filter_loop(slices, setups[0])
     for rep, setup in enumerate(setups):
-        alone = harness._run_filters(setup, configs, rngs(rep))
+        alone = run_filters(setup, configs, rngs(rep))
         for i, (config, reference) in enumerate(zip(configs, alone)):
             run = runs[rep * len(filters) + i]
             if rep == 2:
@@ -771,6 +801,9 @@ def test_cli_refuses_a_filter_the_model_cannot_run():
     [
         (["--epsilon", "1.5", "--sqrt-lambda", "2"], "ou_desk: epsilon must lie in [0, 1]"),
         (["--epsilon", "0.1", "--sqrt-lambda", "nan"], "ou_desk: lambda must be >= 1"),
+        (["--epsilon", "0.1", "--sqrt-lambda=-30"], "ou_desk: sqrt_lambda must be >= 1, got -30.0"),
+        (["--epsilon", "0.1", "--sqrt-lambda", "0.5,1"],
+         "ou_desk: sqrt_lambda must be >= 1, got 0.5"),
     ],
 )
 def test_cli_sweep_refuses_a_bad_grid_value_in_one_line(grid, message):
@@ -790,6 +823,9 @@ def test_cli_sweep_refuses_a_bad_grid_value_in_one_line(grid, message):
         (["size-sweep", "--sizes", ""], "--sizes: expected comma-separated int values, got ''"),
         (["size-sweep", "--sizes", "5,7.5"], "--sizes: expected comma-separated int values, got '5,7.5'"),
         (["size-sweep", "--sizes", "10,5"], "--sizes: values must be strictly increasing, got '10,5'"),
+        (["sweep", "--filters", "kf,dsm_kf,kf"], "ou_desk: filter 'kf' is listed more than once"),
+        (["size-sweep", "--filters", "enkf,enkf"], "ou_desk: filter 'enkf' is listed more than once"),
+        (["sweep", "--filters", " , "], "ou_desk: filters must be nonempty"),
     ],
 )
 def test_cli_refuses_a_bad_grid_list_in_one_line_before_any_replicate(monkeypatch, args, message):
@@ -798,7 +834,8 @@ def test_cli_refuses_a_bad_grid_list_in_one_line_before_any_replicate(monkeypatc
 
     monkeypatch.setattr(harness, "_chunk_job", no_replicate)
     with pytest.raises(SystemExit) as err:
-        cli.main([*args, "--config", "ou_desk", "--filters", "kf"])
+        # The case's own flags come last, so its --filters replaces the default.
+        cli.main([args[0], "--config", "ou_desk", "--filters", "kf", *args[1:]])
     assert str(err.value) == message
 
 
