@@ -3,8 +3,9 @@
 Covariance recursions accumulate asymmetry and tiny negative curvature over
 long runs, so every factorization here symmetrizes its input and repairs
 borderline matrices with an escalating trace-scaled jitter.  ``SpdFactor``
-factors one matrix or a stack of them at once, and solves by row-by-row
-substitution in LAPACK's arithmetic (``whiten_rows``, ``solve_rows``).
+factors one matrix or a stack of them at once.  Its one substitution is
+``whiten_rows``, LAPACK's ``dtrtrs`` on one vector: every whitening,
+Mahalanobis square and solve (two sweeps, ``solve_rows``) is made of it.
 """
 
 from __future__ import annotations
@@ -78,67 +79,24 @@ def whiten_rows(chol: np.ndarray, r: np.ndarray) -> np.ndarray:
     return z
 
 
-def _trsm_rows(chol: np.ndarray, rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """L^{-1} r for a (..., d) stack of vectors r under (..., d, d) lower
-    factors L (or one broadcast over them), given the reciprocals ``inv`` of
-    their diagonals, as OpenBLAS's ``dtrsm`` kernel computes it: entry k is
-    scaled by 1 / L_kk, and each solved entry updates the ones after it by
-    one fused multiply-add.  Entry k's chain of fused multiply-adds is what a
-    BLAS dot product of [r_k, z_0, ..., z_{k-1}] with [1, -L_k0, ...,
-    -L_k,k-1] computes, so each entry is one such dot.  Where the kernel
-    blocks its rows differently (odd d above 2, measured up to 12), the
-    result differs from ``dtrsm``'s in the last bits.
-
-    Returns a view into the work array for d > 1.
-    """
-    d = rows.shape[-1]
-    if d == 1:
-        return rows * inv
-    # Row k of ``coef`` starts [1, -L_k0, ..., -L_k,k-1] and ``work`` holds,
-    # per vector, [r_k, z_0, ..., z_{d-1}]: new C-ordered arrays whatever
-    # the layout of L, for BLAS sums a strided dot in another order.
-    coef = np.empty(chol.shape)
-    coef[..., 0] = 1.0
-    np.negative(chol[..., :-1], out=coef[..., 1:])
-    work = np.empty((*rows.shape[:-1], d + 1))
-    np.multiply(rows[..., 0], inv[..., 0], out=work[..., 1])
-    for k in range(1, d):
-        work[..., 0] = rows[..., k]
-        dot = np.vecdot(work[..., : k + 1], coef[..., k, : k + 1])
-        np.multiply(dot, inv[..., k], out=work[..., k + 1])
-    return work[..., 1:]
-
-
 def solve_rows(chol: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """A^{-1} r for a (..., d) stack of vectors r under the (..., d, d) lower
-    factors L of A = L L^T (or one broadcast over them): the two triangular
-    solves of LAPACK's ``dpotrs``, each in the arithmetic of ``_trsm_rows``,
-    which for a scalar is two products by 1 / L.  The solve with L^T is the
-    one with L whose rows and columns are taken in reverse order."""
-    if chol.shape[-1] == 1:
-        inv = 1.0 / chol[..., 0]
-        return rows * inv * inv
-    inv = 1.0 / chol.diagonal(0, -2, -1)
-    z = _trsm_rows(chol, rows, inv)
-    flipped = chol.swapaxes(-1, -2)[..., ::-1, ::-1]
-    return _trsm_rows(flipped, z[..., ::-1], inv[..., ::-1])[..., ::-1]
+    factors L of A = L L^T (or one broadcast over them): two ``whiten_rows``
+    sweeps, one with L and then one with L^T, which with its rows and
+    columns reversed is lower triangular, on the reversed vector.  Each
+    sweep is ``dtrtrs`` on one vector; the reversed L^T is a C-ordered copy,
+    for BLAS sums a strided dot in another order."""
+    z = whiten_rows(chol, rows)
+    if chol.shape[-1] == 1:  # L^T is L: no copy to make
+        return whiten_rows(chol, z)
+    flipped = np.ascontiguousarray(chol.swapaxes(-1, -2)[..., ::-1, ::-1])
+    return whiten_rows(flipped, z[..., ::-1])[..., ::-1]
 
 
-def _whiten(chol: np.ndarray, r: np.ndarray, block: bool) -> np.ndarray:
-    """``SpdFactor.whiten``: a block in ``dtrsm``'s arithmetic, other
-    vectors in ``dtrtrs``'s."""
-    if block:
-        return _trsm_rows(chol, r, 1.0 / chol.diagonal(0, -2, -1))
-    return whiten_rows(chol, r)
-
-
-def _sum_sq(chol: np.ndarray, r: np.ndarray, block: bool) -> np.ndarray:
-    """||L^{-1} r||^2 of each (..., d) vector r: by ``np.sum`` over a block,
-    by a BLAS dot for other vectors, the sums that reproduce, with the
-    whitening, ``np.sum`` of a ``dtrtrs`` block and the dot of one vector
-    (the two sums can differ in the last bit)."""
-    z = _whiten(chol, r, block)
-    return np.sum(z * z, axis=-1) if block else np.vecdot(z, z)
+def _sum_sq(chol: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """||L^{-1} r||^2 of each (..., d) vector r, summed by a BLAS dot."""
+    z = whiten_rows(chol, r)
+    return np.vecdot(z, z)
 
 
 def _repaired(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -191,11 +149,10 @@ class SpdFactor:
 
     Vectors sit on the trailing axis: a (..., d) stack of them is solved
     against the matrices of the stack element by element, and one matrix
-    serves any stack of vectors by broadcasting.  The solves are row-by-row
-    substitutions over the whole stack in the arithmetic of the LAPACK
-    calls (``dpotrs``, ``dtrtrs``) that one matrix and one vector, or one
-    block of vectors (``whiten``), would make, so an element's result does
-    not depend on the stack it is in.
+    serves any stack of vectors by broadcasting.  Each vector is substituted
+    row by row, over the whole stack at once, in the arithmetic of LAPACK's
+    ``dtrtrs`` on that matrix and that vector alone, so an element's result
+    does not depend on the stack it is in.
     """
 
     __slots__ = ("matrix", "chol", "plain", "_inv_sym_sqrt")
@@ -231,29 +188,22 @@ class SpdFactor:
         return self._inv_sym_sqrt
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^{-1} b for each (..., d) vector b, as LAPACK's ``dpotrs``
-        computes it: bit for bit where OpenBLAS's ``dtrsm`` kernel takes one
-        row at a time (d = 1, 2, 4, 8), in the last bits elsewhere.  A
-        non-finite b gives a non-finite solution."""
+        """A^{-1} b for each (..., d) vector b, by ``solve_rows``: LAPACK's
+        ``dtrtrs`` with L, then with the reversed L^T on the reversed vector,
+        bit for bit, and LAPACK's ``dpotrs`` in the last bits.  A non-finite
+        b gives a non-finite solution."""
         return solve_rows(self.chol, b)
 
-    def whiten(self, residual: np.ndarray, block: bool = False) -> np.ndarray:
-        """L^{-1} r for each (..., d) vector r, with L the lower factor.
-
-        Each vector is whitened as LAPACK's ``dtrtrs`` whitens one vector
-        alone, by division by the diagonal.  With ``block``, the vectors are
-        one block of right-hand sides under one matrix, whitened as that
-        call whitens a block of two or more (``dtrsm``: products by the
-        reciprocals of the diagonal), which differs in the last bits.  A
-        non-finite residual gives a non-finite vector.
-        """
-        return _whiten(self.chol, np.asarray(residual, dtype=float), block)
+    def whiten(self, residual: np.ndarray) -> np.ndarray:
+        """L^{-1} r for each (..., d) vector r, with L the lower factor, as
+        LAPACK's ``dtrtrs`` whitens that vector alone, bit for bit.  A
+        non-finite residual gives a non-finite vector."""
+        return whiten_rows(self.chol, np.asarray(residual, dtype=float))
 
     @np.errstate(over="ignore", invalid="ignore")  # cheaper per call than a with-block
-    def mahalanobis_sq(self, residual: np.ndarray, block: bool = False) -> float | np.ndarray:
+    def mahalanobis_sq(self, residual: np.ndarray) -> float | np.ndarray:
         """The quadratic form r^T A^{-1} r = ||L^{-1} r||^2 of each (..., d)
-        residual, whitened as ``whiten`` whitens it; a block's squares are
-        summed as ``np.sum`` sums them, other vectors' by a BLAS dot.
+        residual: its ``whiten`` vector's BLAS dot with itself.
 
         A finite residual whose form overflows gives inf, not the NaN of an
         inf - inf inside the whitening: the form is redone, on those
@@ -261,16 +211,16 @@ class SpdFactor:
         overflows are the answer, not a fault, so they do not warn.
         """
         r = np.asarray(residual, dtype=float)
-        s = _sum_sq(self.chol, r, block)
+        s = _sum_sq(self.chol, r)
         if math.isfinite(s.sum()):
             return s
         if r.ndim == 1:
             scale = pow2_scale(r)
-            return _sum_sq(self.chol, r / scale, block) * scale * scale
+            return _sum_sq(self.chol, r / scale) * scale * scale
         redo = ~np.isfinite(s)
         scale = pow2_scale(r[redo], axis=-1)
         chol = self.chol if self.chol.ndim == 2 else self.chol[redo]
-        s[redo] = _sum_sq(chol, r[redo] / scale[:, None], block) * scale * scale
+        s[redo] = _sum_sq(chol, r[redo] / scale[:, None]) * scale * scale
         return s
 
     def __repr__(self) -> str:  # pragma: no cover

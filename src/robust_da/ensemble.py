@@ -172,8 +172,9 @@ class Localization:
     taper_length: float
 
     def __post_init__(self):
-        if int(self.half_width) != self.half_width or self.half_width < 0:
-            raise ValueError(f"half_width must be an integer >= 0, got {self.half_width}")
+        hw = self.half_width
+        if not isinstance(hw, int) or isinstance(hw, bool) or hw < 0:
+            raise ValueError(f"half_width must be an integer >= 0, got {hw!r}")
         if not 0.0 < self.taper_length < math.inf:
             raise ValueError(f"taper_length must be positive and finite, got {self.taper_length}")
         if not 0.0 < float(self.taper_length) * float(self.taper_length) < math.inf:
@@ -246,8 +247,7 @@ def _transform_analysis(
     loc = config.localization
     if loc is None:
         d_scale = pow2_scale(innovation)[None]
-        # One block of M rows, laid out as LAPACK returns a (d_Y, M) block
-        y_hat = np.ascontiguousarray(obs.r_factor.whiten(y_anom.T, block=True)).T[None]
+        y_hat = obs.r_factor.whiten(y_anom.T).T[None]
         d_hat = obs.r_factor.whiten(innovation / d_scale)[None]
     else:
         r_diag = np.diag(obs.R)

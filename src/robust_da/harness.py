@@ -146,6 +146,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string path, got {self.out_dir!r}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
         dt, t_out = _MODEL_SETTINGS[self.model][1:3]

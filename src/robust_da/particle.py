@@ -105,11 +105,7 @@ def dsm_log_potential(
     non-finite observation gives a non-finite potential.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    h_of_x = np.asarray(h_of_x, dtype=float)
-    if h_of_x.ndim == 2:
-        s = r_factor.mahalanobis_sq(y - h_of_x.T, block=True)
-    else:
-        s = r_factor.mahalanobis_sq(y - np.atleast_1d(h_of_x))
+    s = r_factor.mahalanobis_sq(y - np.atleast_1d(np.asarray(h_of_x, dtype=float)).T)
     d_y = r_factor.dim
     threshold = spec.thresholds_for(d_y)[0]
     # Where a finite residual was too large to square, s = 0 stands in and

@@ -142,6 +142,18 @@ def lapack_whiten(chol, r):
     return z
 
 
+def lapack_solve_by_sweeps(chol, b):
+    """A^{-1} b as two ``dtrtrs`` calls on one vector: ``lapack_whiten``
+    with L, then with L^T, which with its rows and columns reversed is lower
+    triangular (a C-ordered copy), on the reversed vector.  A (d, n) block
+    goes column by column, for ``dtrtrs`` on two or more columns is
+    ``dtrsm``."""
+    if b.ndim == 2:
+        return np.stack([lapack_solve_by_sweeps(chol, col) for col in b.T], axis=1)
+    flipped = np.ascontiguousarray(chol.T[::-1, ::-1])
+    return lapack_whiten(flipped, lapack_whiten(chol, b)[::-1])[::-1]
+
+
 def lapack_mahalanobis_sq(chol, r):
     """||L^{-1} r||^2 of a (d,) residual, or of each column of a (d, n) one,
     by ``lapack_whiten``; a square that is not finite is redone on the

@@ -44,6 +44,11 @@ def test_config_validation():
     [
         {"q_sq": -1.0}, {"c_sq": 0.0}, {"wolf_variant": "bogus"}, {"enkf_mode": "bogus"},
         {"kernel_family": "bogus"}, {"rho": 0.5}, {"half_width": -1}, {"taper_length": 0.0},
+        # A float or bool half_width indexed the LETKF windows mid-run; an
+        # out_dir that is not a string failed only once the run was computed.
+        pytest.param({"half_width": 19.0}, id="half_width_float"),
+        pytest.param({"half_width": True}, id="half_width_bool"),
+        {"out_dir": 5},
     ],
     ids=lambda setting: next(iter(setting)),
 )

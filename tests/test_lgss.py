@@ -17,6 +17,7 @@ from helpers import (
     grid_posterior_2d,
     lapack_mahalanobis_sq,
     lapack_solve,
+    lapack_solve_by_sweeps,
     lapack_whiten,
     random_spd,
 )
@@ -33,11 +34,20 @@ def scalar_model(a=0.7, q=1.3, h=1.0, r=0.1, m0=0.0, p0=1.0):
 # SpdFactor and GaussianBelief invariants
 
 
+def by_columns(oracle, chol, block):
+    """A one-vector LAPACK oracle applied to each column of a (d, n) block,
+    stacked on the trailing axis: ``dtrtrs`` on two or more columns at once
+    is ``dtrsm``, which substitutes in another arithmetic."""
+    return np.stack([oracle(chol, col) for col in block.T], axis=-1)
+
+
 def assert_solves_match_scipy(f, rng):
-    """The LAPACK oracle's solves equal scipy's wrappers bit for bit, also
-    for a (d, n) batch of Mahalanobis residuals; ``SpdFactor``'s equal the
-    oracle's to rtol 1e-12; and a NaN right-hand side comes back NaN (only
-    in its own column) instead of raising."""
+    """The LAPACK oracles' solves equal scipy's wrappers bit for bit, also
+    for a (d, n) batch of Mahalanobis residuals; ``SpdFactor``'s whitening,
+    squares and solves equal the one-vector ``dtrtrs`` oracles bit for bit,
+    a block's column by column, and ``dpotrs`` to rtol 1e-12; and a NaN
+    right-hand side comes back NaN (only in its own column) instead of
+    raising."""
     d = f.dim
     for b in (rng.standard_normal(d), rng.standard_normal((d, 3))):
         got = lapack_solve(f.chol, b)
@@ -45,21 +55,25 @@ def assert_solves_match_scipy(f, rng):
         np.testing.assert_array_equal(got, cho_solve((f.chol, True), b))
         atol = 1e-12 * np.abs(got).max()
         np.testing.assert_allclose(f.solve(b.T).T, got, rtol=1e-12, atol=atol)
+        np.testing.assert_array_equal(f.solve(b.T).T, lapack_solve_by_sweeps(f.chol, b))
+        whitened = lapack_whiten(f.chol, b) if b.ndim == 1 else by_columns(lapack_whiten, f.chol, b)
+        np.testing.assert_array_equal(f.whiten(b.T).T, whitened)
         b[d // 2] = np.nan
         assert np.isnan(lapack_solve(f.chol, b)).any() and np.isnan(f.solve(b.T)).any()
     r = rng.standard_normal(d)
     z = solve_triangular(f.chol, r, lower=True)
     assert lapack_mahalanobis_sq(f.chol, r) == float(z @ z)
-    np.testing.assert_allclose(f.mahalanobis_sq(r), float(z @ z), rtol=1e-12)
+    assert f.mahalanobis_sq(r) == lapack_mahalanobis_sq(f.chol, r)
     r[-1] = np.nan
     assert np.isnan(lapack_mahalanobis_sq(f.chol, r)) and np.isnan(f.mahalanobis_sq(r))
     batch = rng.standard_normal((d, 4))
     z = solve_triangular(f.chol, batch, lower=True)
     np.testing.assert_array_equal(lapack_mahalanobis_sq(f.chol, batch), np.sum(z * z, axis=0))
-    forms = f.mahalanobis_sq(batch.T, block=True)
+    forms = f.mahalanobis_sq(batch.T)
     np.testing.assert_allclose(forms, np.sum(z * z, axis=0), rtol=1e-12)
+    np.testing.assert_array_equal(forms, by_columns(lapack_mahalanobis_sq, f.chol, batch))
     batch[0, 1] = np.nan
-    for forms in (lapack_mahalanobis_sq(f.chol, batch), f.mahalanobis_sq(batch.T, block=True)):
+    for forms in (lapack_mahalanobis_sq(f.chol, batch), f.mahalanobis_sq(batch.T)):
         assert np.isnan(forms[1]) and np.all(np.isfinite(forms[[0, 2, 3]]))
 
 
@@ -104,8 +118,8 @@ def test_spd_stack_repairs_and_masks_each_matrix_alone():
     assert np.isnan(stack.chol[2]).all()
     b = rng.standard_normal((4, 2))
     x = stack.solve(b)
-    np.testing.assert_array_equal(x[1], lapack_solve(repaired.chol, b[1]))
-    np.testing.assert_array_equal(x[0], lapack_solve(np.linalg.cholesky(spd), b[0]))
+    np.testing.assert_array_equal(x[1], lapack_solve_by_sweeps(repaired.chol, b[1]))
+    np.testing.assert_array_equal(x[0], lapack_solve_by_sweeps(np.linalg.cholesky(spd), b[0]))
     assert np.isnan(x[2]).all()
     s = stack.mahalanobis_sq(b)
     assert s[1] == lapack_mahalanobis_sq(repaired.chol, b[1]) and np.isnan(s[2])
@@ -144,18 +158,14 @@ def test_spd_stack_factors_a_strided_stack_apart_as_a_flat_one():
         np.testing.assert_array_equal(stack.matrix[got], alone.matrix[order])
 
 
-def _assert_lapack_bits(got, expected, exact):
-    """Equal bit for bit where ``exact``, else to rtol 1e-12."""
-    if exact:
-        np.testing.assert_array_equal(got, expected)
-    else:
-        atol = 1e-12 * np.abs(expected).max()
-        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=atol)
+def _assert_close_to_dpotrs(got, expected):
+    atol = 1e-12 * np.abs(expected).max()
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=atol)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
-    st.integers(1, 8),
+    st.integers(1, 40),
     st.integers(1, 6),
     st.integers(1, 3),
     st.integers(2, 40),
@@ -163,12 +173,11 @@ def _assert_lapack_bits(got, expected, exact):
 )
 def test_stacked_substitution_is_each_matrix_lapack_solve(d, b, n, cols, seed):
     # Whitening a vector is LAPACK's dtrtrs on that vector bit for bit, and
-    # so is each Mahalanobis square; the solve is dpotrs to rtol 1e-12, and
-    # bit for bit at the d <= 2 of the paper's linear models; for one matrix
-    # per element or one matrix for all.  A block of vectors under one
-    # matrix is whitened, squared and solved as dtrtrs and dpotrs take a
-    # (d, cols) block (dtrtrs takes one column as a vector): bit for bit where OpenBLAS's dtrsm kernel takes one
-    # row at a time (d = 1, 2, 4, 8), to rtol 1e-12 elsewhere.
+    # so is each Mahalanobis square; the solve is the two dtrtrs sweeps bit
+    # for bit, and dpotrs to rtol 1e-12; for one matrix per element or one
+    # matrix for all, at every d up to lorenz96's 40 observations.  A block
+    # of vectors under one matrix is whitened, squared and solved as those
+    # calls take each of its columns alone.
     rng = np.random.default_rng(seed)
     matrices = np.stack([random_spd(rng, d, scale=10.0 ** rng.uniform(-3, 3)) for _ in range(b)])
     chols = [SpdFactor(m).chol for m in matrices]
@@ -188,16 +197,20 @@ def test_stacked_substitution_is_each_matrix_lapack_solve(d, b, n, cols, seed):
         for i, chol in enumerate(chol_of):
             np.testing.assert_array_equal(z[i], lapack_whiten(chol, residual[i]))
             assert s[i] == lapack_mahalanobis_sq(chol, residual[i])
-            _assert_lapack_bits(x[i], lapack_solve(chol, rhs[i].T).T, d <= 2)
-            _assert_lapack_bits(vectors[i], lapack_solve(chol, residual[i]), d <= 2)
+            np.testing.assert_array_equal(x[i], lapack_solve_by_sweeps(chol, rhs[i].T).T)
+            np.testing.assert_array_equal(vectors[i], lapack_solve_by_sweeps(chol, residual[i]))
+            _assert_close_to_dpotrs(x[i], lapack_solve(chol, rhs[i].T).T)
+            _assert_close_to_dpotrs(vectors[i], lapack_solve(chol, residual[i]))
 
     block = rng.standard_normal((cols, d)) * 10.0 ** rng.uniform(-3, 3, (cols, 1))
-    exact = d in (1, 2, 4, 8)
-    _assert_lapack_bits(shared.whiten(block, block=True), lapack_whiten(chols[0], block.T).T, exact)
-    _assert_lapack_bits(
-        shared.mahalanobis_sq(block, block=True), lapack_mahalanobis_sq(chols[0], block.T), exact
+    np.testing.assert_array_equal(
+        shared.whiten(block), by_columns(lapack_whiten, chols[0], block.T).T
     )
-    _assert_lapack_bits(shared.solve(block), lapack_solve(chols[0], block.T).T, exact)
+    np.testing.assert_array_equal(
+        shared.mahalanobis_sq(block), by_columns(lapack_mahalanobis_sq, chols[0], block.T)
+    )
+    np.testing.assert_array_equal(shared.solve(block), lapack_solve_by_sweeps(chols[0], block.T).T)
+    _assert_close_to_dpotrs(shared.solve(block), lapack_solve(chols[0], block.T).T)
 
 
 def test_belief_symmetrizes_and_round_trips():
@@ -239,7 +252,7 @@ def test_mahalanobis_of_a_finite_residual_that_overflows_is_inf():
     f = SpdFactor(1e-10 * (0.5 * np.eye(3) + 0.5))
     r = np.full(3, 1e307)
     assert f.mahalanobis_sq(r) == np.inf
-    forms = f.mahalanobis_sq(np.stack([r, [1e-5, 0.0, 0.0]]), block=True)
+    forms = f.mahalanobis_sq(np.stack([r, [1e-5, 0.0, 0.0]]))
     assert forms[0] == np.inf
     assert forms[1] == pytest.approx(1.5, rel=1e-12)
 
