@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -146,6 +145,13 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("q_sq", "c_sq", "t_end", "epsilon", "lam", "rho", "taper_length",
+                     "resample_threshold"):
+            value = getattr(self, name)
+            if value is None and name in ("q_sq", "c_sq", "t_end"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string path, got {self.out_dir!r}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
@@ -205,16 +211,8 @@ PRESETS: dict[str, dict] = {
         ensemble_size=10, mc_reps=1000,
     ),
     "lorenz96_full": dict(
-        model="lorenz96",
-        filter="dsm_letkf",
-        t_end=73.0,
-        epsilon=0.25,
-        lam=27.5**2,
-        ensemble_size=10,
-        mc_reps=100,
-        rho=1.06,
-        half_width=19,
-        taper_length=5.45,
+        model="lorenz96", filter="dsm_letkf", t_end=73.0, epsilon=0.25, lam=27.5**2,
+        ensemble_size=10, mc_reps=100, rho=1.06, half_width=19, taper_length=5.45,
     ),
 }
 # Desk-scale variants with reduced horizons / replication for CI gates.
@@ -786,6 +784,9 @@ def _execute_jobs(jobs: list, threads: int) -> list[tuple]:
     if threads <= 1:
         done = [_chunk_job(chunk) for chunk in chunks]
     else:
+        # Imported here, so that a single-worker run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             done = list(pool.map(_chunk_job, chunks, chunksize=1))
     return [score for chunk in done for score in chunk]
@@ -845,10 +846,13 @@ def _contamination_cells(
     config: ExperimentConfig, eps_values: Sequence[float], sql_values: Sequence[float]
 ) -> dict[tuple, ExperimentConfig]:
     """Cell (i, j) of the contamination grid: ``config`` at the i-th epsilon
-    and at lambda the square of the j-th sqrt(lambda), which must be >= 1."""
+    and at lambda the square of the j-th sqrt(lambda), which must be >= 1 with
+    a finite square."""
     for sql in sql_values:
         if sql < 1.0:
             raise ValueError(f"sqrt_lambda must be >= 1, got {sql}")
+        if sql * sql == math.inf:
+            raise ValueError(f"sqrt_lambda {sql} squares to an infinite lambda")
     return {
         (i, j): replace(config, epsilon=eps, lam=sql * sql)
         for i, eps in enumerate(eps_values)

@@ -57,6 +57,8 @@ class ContaminationSpec:
             raise ValueError("epsilon must lie in [0, 1]")
         if not self.lam >= 1.0:  # refuses NaN too
             raise ValueError("lambda must be >= 1")
+        if self.lam == np.inf:
+            raise ValueError("lambda must be finite")
 
 
 WELL_SPECIFIED = ContaminationSpec()

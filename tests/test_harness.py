@@ -1,8 +1,12 @@
 import csv
 import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,9 @@ def test_config_validation():
         ExperimentConfig.from_dict({"model": "ou", "bogus_field": 1})
     cfg = ExperimentConfig.from_dict(dict(PRESETS["ou_desk"]))
     assert cfg.model == "ou" and cfg.mc_reps == 100
+    # A float field takes a JSON integer as it is.
+    cfg = ExperimentConfig.from_dict({"lam": 900, "epsilon": 0, "q_sq": 2, "t_end": 10})
+    assert cfg.contamination.lam == 900 and cfg.horizon == 10
 
 
 @pytest.mark.parametrize(
@@ -49,6 +56,8 @@ def test_config_validation():
         pytest.param({"half_width": 19.0}, id="half_width_float"),
         pytest.param({"half_width": True}, id="half_width_bool"),
         {"out_dir": 5},
+        # An infinite lambda ran every replicate into 0 * inf in the twin noise.
+        pytest.param({"lam": math.inf}, id="lam_inf"),
     ],
     ids=lambda setting: next(iter(setting)),
 )
@@ -379,7 +388,9 @@ def test_sweeps_refuse_an_invalid_filter_before_any_replicate(monkeypatch):
 
 
 def test_config_refuses_a_contamination_or_horizon_it_cannot_run(monkeypatch):
-    for setting in ({"epsilon": 1.5}, {"epsilon": np.nan}, {"lam": 0.5}, {"lam": np.nan}):
+    for setting in (
+        {"epsilon": 1.5}, {"epsilon": np.nan}, {"lam": 0.5}, {"lam": np.nan}, {"lam": np.inf},
+    ):
         with pytest.raises(ValueError, match="epsilon|lambda"):
             ExperimentConfig(**setting)
     for t_end in (0.0, -1.0, np.nan, np.inf):
@@ -401,6 +412,8 @@ def test_config_refuses_a_contamination_or_horizon_it_cannot_run(monkeypatch):
     for sqrt_lambda in (-30.0, 0.5, -math.inf):
         with pytest.raises(ValueError, match=f"sqrt_lambda must be >= 1, got {sqrt_lambda}"):
             run_sweep(ExperimentConfig(t_end=1.0), [0.1], [sqrt_lambda, 2.0])
+    with pytest.raises(ValueError, match="sqrt_lambda 1e"):  # 1e200 squares to inf
+        run_sweep(ExperimentConfig(t_end=1.0), [0.1], [2.0, 1e200])
 
 
 @pytest.mark.parametrize(
@@ -422,6 +435,14 @@ def test_config_refuses_a_contamination_or_horizon_it_cannot_run(monkeypatch):
         ({"model": "lorenz63", "t_end": 0.01}, []),
         ({"model": "lorenz96", "t_end": 0.04}, []),
         ({"model": "ou", "t_end": 1e15}, []),
+        # A float field took a bool as 0 or 1, and q_sq a string, which the
+        # summary then echoed as a string.
+        *(({name: True}, []) for name in (
+            "q_sq", "c_sq", "epsilon", "lam", "rho", "taper_length", "resample_threshold", "t_end",
+        )),
+        ({"epsilon": False}, []),
+        ({"q_sq": "1"}, []),
+        ({"lam": "900"}, []),
     ],
     ids=lambda value: (
         " ".join(value) or "file" if isinstance(value, list)
@@ -831,6 +852,8 @@ def test_cli_sweep_refuses_a_bad_grid_value_in_one_line(grid, message):
         (["sweep", "--filters", "kf,dsm_kf,kf"], "ou_desk: filter 'kf' is listed more than once"),
         (["size-sweep", "--filters", "enkf,enkf"], "ou_desk: filter 'enkf' is listed more than once"),
         (["sweep", "--filters", " , "], "ou_desk: filters must be nonempty"),
+        (["sweep", "--sqrt-lambda", "1e200"],
+         "ou_desk: sqrt_lambda 1e+200 squares to an infinite lambda"),
     ],
 )
 def test_cli_refuses_a_bad_grid_list_in_one_line_before_any_replicate(monkeypatch, args, message):
@@ -901,3 +924,19 @@ def test_star_import_of_every_module_resolves_its_exports():
     assert len(modules) > 10
     for name in ["robust_da", *(f"robust_da.{m}" for m in modules)]:
         exec(f"from {name} import *", {})
+
+
+def test_a_fresh_import_loads_neither_scipy_nor_the_process_pool():
+    # The library runs on numpy alone, and only a run on two or more workers
+    # needs the process pool; either import would double the cold start.
+    code = (
+        "import sys, robust_da, robust_da.cli; "
+        "print(*(m for m in sys.modules if m.startswith(('scipy', 'multiprocessing', "
+        "'concurrent'))))"
+    )
+    src = str(Path(robust_da.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == []

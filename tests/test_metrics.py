@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from robust_da import MetricReport, SpdFactor, ci_coverage, q_ic, q_log, rmse
-from robust_da.metrics import q_ic_series
+from robust_da.metrics import _Z_95, q_ic_series
 from helpers import ci_coverage_stepwise, q_ic_series_stepwise
 
 
@@ -215,9 +216,6 @@ def test_stacked_diagonal_q_ic_and_coverage_equal_the_per_step_loop(run, collaps
         oracle = q_ic_series_stepwise(truth, means, covs, diagonalize=True)
     np.testing.assert_array_equal(q_ic_series(truth, means, covs, diagonalize=True), oracle)
     assert ci_coverage(truth, means, covs) == ci_coverage_stepwise(truth, means, covs)
-    assert ci_coverage(truth, means, covs, level=0.5) == ci_coverage_stepwise(
-        truth, means, covs, level=0.5
-    )
 
 
 def _fallback_run(step_cov, step_residual=None, n=12, d=2):
@@ -282,9 +280,13 @@ def test_ci_coverage_calibrated():
     means = rng.standard_normal((n, 1))
     covs = np.ones((n, 1, 1)) * 2.0
     truth = means + np.sqrt(2.0) * rng.standard_normal((n, 1))
-    cov = ci_coverage(truth, means, covs, level=0.95)
+    cov = ci_coverage(truth, means, covs)
     se = np.sqrt(0.95 * 0.05 / n)
     assert abs(cov - 0.95) <= 3.0 * se
+
+
+def test_coverage_z_is_the_95_percent_normal_quantile():
+    assert _Z_95 == norm.ppf(0.975)
 
 
 def test_ci_coverage_degenerate_cases():
