@@ -81,12 +81,16 @@ def whiten_rows(chol: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def solve_rows(chol: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """A^{-1} r for a (..., d) stack of vectors r under the (..., d, d) lower
-    factors L of A = L L^T (or one broadcast over them): two ``whiten_rows``
-    sweeps, one with L and then one with L^T, which with its rows and
-    columns reversed is lower triangular, on the reversed vector.  Each
-    sweep is ``dtrtrs`` on one vector; the reversed L^T is a C-ordered copy,
-    for BLAS sums a strided dot in another order."""
-    z = whiten_rows(chol, rows)
+    factors L of A = L L^T (or one broadcast over them): ``whiten_rows``,
+    then ``back_substitute``."""
+    return back_substitute(chol, whiten_rows(chol, rows))
+
+
+def back_substitute(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """L^{-T} z: ``whiten_rows`` with L^T, which with its rows and columns
+    reversed is lower triangular, on the reversed vector (``dtrtrs`` on one
+    vector).  The reversed L^T is a C-ordered copy, for BLAS sums a strided
+    dot in another order."""
     if chol.shape[-1] == 1:  # L^T is L: no copy to make
         return whiten_rows(chol, z)
     flipped = np.ascontiguousarray(chol.swapaxes(-1, -2)[..., ::-1, ::-1])
@@ -97,6 +101,27 @@ def _sum_sq(chol: np.ndarray, r: np.ndarray) -> np.ndarray:
     """||L^{-1} r||^2 of each (..., d) vector r, summed by a BLAS dot."""
     z = whiten_rows(chol, r)
     return np.vecdot(z, z)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # cheaper per call than a with-block
+def whitened_sq(chol: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """z = L^{-1} r and the quadratic form r^T A^{-1} r = z^T z (a BLAS dot)
+    of each (..., d) vector r.  A finite r whose form overflows gives inf,
+    not the NaN of an inf - inf inside the whitening: its form is redone on
+    r divided by ``pow2_scale``.  These overflows are the answer, not a
+    fault, so they do not warn."""
+    z = whiten_rows(chol, r)
+    s = np.vecdot(z, z)
+    if math.isfinite(s.sum()):
+        return z, s
+    if r.ndim == 1:
+        scale = pow2_scale(r)
+        return z, _sum_sq(chol, r / scale) * scale * scale
+    redo = ~np.isfinite(s)
+    scale = pow2_scale(r[redo], axis=-1)
+    chol = chol if chol.ndim == 2 else chol[redo]
+    s[redo] = _sum_sq(chol, r[redo] / scale[:, None]) * scale * scale
+    return z, s
 
 
 def _repaired(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -200,28 +225,11 @@ class SpdFactor:
         non-finite residual gives a non-finite vector."""
         return whiten_rows(self.chol, np.asarray(residual, dtype=float))
 
-    @np.errstate(over="ignore", invalid="ignore")  # cheaper per call than a with-block
     def mahalanobis_sq(self, residual: np.ndarray) -> float | np.ndarray:
         """The quadratic form r^T A^{-1} r = ||L^{-1} r||^2 of each (..., d)
-        residual: its ``whiten`` vector's BLAS dot with itself.
-
-        A finite residual whose form overflows gives inf, not the NaN of an
-        inf - inf inside the whitening: the form is redone, on those
-        residuals only, on the residual divided by ``pow2_scale``.  These
-        overflows are the answer, not a fault, so they do not warn.
-        """
-        r = np.asarray(residual, dtype=float)
-        s = _sum_sq(self.chol, r)
-        if math.isfinite(s.sum()):
-            return s
-        if r.ndim == 1:
-            scale = pow2_scale(r)
-            return _sum_sq(self.chol, r / scale) * scale * scale
-        redo = ~np.isfinite(s)
-        scale = pow2_scale(r[redo], axis=-1)
-        chol = self.chol if self.chol.ndim == 2 else self.chol[redo]
-        s[redo] = _sum_sq(chol, r[redo] / scale[:, None]) * scale * scale
-        return s
+        residual, by ``whitened_sq``: a finite residual whose form overflows
+        gives inf, without a warning."""
+        return whitened_sq(self.chol, np.asarray(residual, dtype=float))[1]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpdFactor(shape={self.chol.shape})"

@@ -132,10 +132,10 @@ def enkf_perturbed_analysis(
         raise ValueError(f"unknown EnKF mode {mode!r}")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     h = obs.H
-    p_f = ensemble.cov
+    hp_f = h @ ensemble.cov
 
-    def hph():
-        return h @ p_f @ h.T
+    def hph(_rows):
+        return hp_f @ h.T
 
     members = ensemble.members
     m = ensemble.size
@@ -151,9 +151,9 @@ def enkf_perturbed_analysis(
         center, y = predicted.T, np.broadcast_to(y, (m, obs.d_y))
         draws = rng.standard_normal((m, obs.d_y)).T  # member by member
     noise = obs.r_factor.chol @ draws
-    w, target = robust_update(spec, y, center, hph, obs.r_factor)
+    w, target = robust_update(((spec, slice(None)),), y, center, hph, obs.r_factor)
     root_w = np.sqrt(w)
-    gain, _ = kalman_gain(p_f, h, obs.R, root_w)
+    gain, _ = kalman_gain(hp_f, h, obs.R, root_w)
     # Each member's W^{1/2} (H x - target) + chol(R) z, one row per member
     shift = root_w * predicted.T + noise.T - root_w * target
     if mode == "average":

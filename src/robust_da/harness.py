@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -842,6 +843,19 @@ def _collect(
     return result
 
 
+def _grid(name: str, values: Sequence, kind: type) -> list:
+    """The grid ``values`` as floats, or as ints if ``kind`` is
+    ``numbers.Integral``, refused before any replicate unless every value is
+    a ``kind`` number and not a bool, which would run as 0 or 1 under
+    another label."""
+    integral = kind is numbers.Integral
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "integers" if integral else "numbers"
+            raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return [int(v) if integral else float(v) for v in values]
+
+
 def _contamination_cells(
     config: ExperimentConfig, eps_values: Sequence[float], sql_values: Sequence[float]
 ) -> dict[tuple, ExperimentConfig]:
@@ -872,8 +886,8 @@ def run_sweep(
     shared across filters (paired comparisons) and failures are counted per
     cell rather than dropped.
     """
-    eps_values = [float(e) for e in epsilon_values]
-    sql_values = [float(s) for s in sqrt_lambda_values]
+    eps_values = _grid("epsilon values", epsilon_values, numbers.Real)
+    sql_values = _grid("sqrt_lambda values", sqrt_lambda_values, numbers.Real)
     if not eps_values or not sql_values:
         raise ValueError("sweep grid must be nonempty")
     cells = _contamination_cells(config, eps_values, sql_values)
@@ -893,7 +907,7 @@ def run_ensemble_size_sweep(
     The CSV output includes a reference column decaying like 1 / sqrt(M)
     (anchored at the first size) for rate plots.
     """
-    sizes = [int(s) for s in sizes]
+    sizes = _grid("ensemble sizes", sizes, numbers.Integral)
     if not sizes:
         raise ValueError("sizes must be nonempty")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):

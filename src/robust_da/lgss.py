@@ -178,24 +178,25 @@ def kf_forecast(model: LgssModel, analysis: GaussianBelief) -> GaussianBelief:
 
 
 def kalman_gain(
-    p_f: np.ndarray, h: np.ndarray, r: np.ndarray, root_w: np.ndarray
+    hp_f: np.ndarray, h: np.ndarray, r: np.ndarray, root_w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted gain G = P^f H^T W^{1/2} B^{-1}, B = R + W^{1/2} H P^f H^T W^{1/2},
-    for the closed-form and EnKF updates, with W^{1/2} H P^f, which gives the
-    analysis covariance P^f - G W^{1/2} H P^f.  ``root_w`` is the square
-    root of the robust update's precision weight w; ones give the regular
-    gain bit for bit,
+    for the closed-form and EnKF updates, from ``hp_f`` = H P^f, the product
+    that also gives the kernel its H P^f H^T.  Returns G with W^{1/2} H P^f,
+    which gives the analysis covariance P^f - G W^{1/2} H P^f.  ``root_w`` is
+    the square root of the robust update's precision weight w; ones give the
+    regular gain bit for bit,
     since multiplying by 1 is exact.  The Kalman gain is K = G W^{1/2}:
     P^f H^T [R / w + H P^f H^T]^{-1} for w > 0, and 0 for w = 0.
 
-    A (B, d_X, d_X) stack of P^f with a (B, d_Y) stack of weights gives the
-    stacked gains, each as in a stack of one; so does a single P^f, the
-    EnKF's, with a stack of weights.  The brackets are factored as one
+    A (B, d_Y, d_X) stack of H P^f with a (B, d_Y) stack of weights gives
+    the stacked gains, each as in a stack of one; so does a single H P^f,
+    the EnKF's, with a stack of weights.  The brackets are factored as one
     ``SpdFactor``, each with a length-one axis that serves the d_X rows of
     its W^{1/2} H P^f: a bracket that no jitter repairs gives a NaN gain, for
     that element only.
     """
-    hp = root_w[..., :, None] * (h @ p_f)
+    hp = root_w[..., :, None] * hp_f
     bracket = SpdFactor((r + hp @ h.T * root_w[..., None, :])[..., None, :, :])
     # C-ordered, so each gain meets the same BLAS kernels in a stack as alone
     return np.ascontiguousarray(bracket.solve(hp.swapaxes(-1, -2))), hp
@@ -209,8 +210,8 @@ def robust_analysis(
     specs: Sequence[tuple[WeightKernelSpec | WolfSpec, slice]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The closed-form analysis step of every filter: the gain-form update
-    with the precision weight w and target observation of the shared
-    robust-update core, ``weights.robust_update``.
+    with the precision weights w and target observations of the shared
+    robust-update core, ``weights.robust_update``, one call for the stack.
 
     Acts on a stack: (B, d_X) forecast means, (B, d_X, d_X) covariances and
     (B, d_Y) observations, or on one forecast and observation, which it runs
@@ -225,18 +226,13 @@ def robust_analysis(
     single = mean.ndim == 1
     if single:
         mean, cov, y = mean[None], cov[None], y[None]
-    h, r_factor = model.H, model.observation.r_factor
-    center = (h @ mean[..., None])[..., 0]
-    if len(specs) == 1:
-        w, target = robust_update(specs[0][0], y, center, lambda: h @ cov @ h.T, r_factor)
-    else:
-        w, target = np.empty_like(y), np.empty_like(y)
-        for spec, rows in specs:
-            w[rows], target[rows] = robust_update(
-                spec, y[rows], center[rows], lambda rows=rows: h @ cov[rows] @ h.T, r_factor
-            )
+    h = model.H
+    center, hp_f = (h @ mean[..., None])[..., 0], h @ cov
+    w, target = robust_update(
+        specs, y, center, lambda rows: hp_f[rows] @ h.T, model.observation.r_factor
+    )
     root_w = np.sqrt(w)
-    gain, whp = kalman_gain(cov, h, model.R, root_w)
+    gain, whp = kalman_gain(hp_f, h, model.R, root_w)
     mean = mean - (gain @ (root_w * (center - target))[..., None])[..., 0]
     cov = cov - gain @ whp
     if single:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import SpdFactor, pow2_scale
+from ._linalg import SpdFactor, back_substitute, pow2_scale, whitened_sq
 
 __all__ = [
     "IMQ",
@@ -198,14 +198,10 @@ class WeightEvaluation:
 
     @property
     def k_sq_diag(self) -> np.ndarray:
-        if len(self.partition) == 1:
-            return self.k_sq.repeat(self.partition[0][1], axis=-1)
         return np.repeat(self.k_sq, [b - a for a, b in self.partition], axis=-1)
 
     @property
     def log_grad_diag(self) -> np.ndarray:
-        if len(self.partition) == 1:
-            return self.log_grads[..., 0, :]
         return np.concatenate(
             [self.log_grads[..., i, a:b] for i, (a, b) in enumerate(self.partition)], axis=-1
         )
@@ -269,7 +265,7 @@ def eval_kernel(
     ``std_cov`` the factor of the standardizing covariance: of one
     covariance for every element, or of one per element.  Each element is
     evaluated with its own factor, as a single call would evaluate it; a
-    stack's single-block kernel takes one pass over the stack.
+    single-block kernel takes the steps of ``robust_update``'s pass.
 
     Single block: s is the squared norm of the residual y - center whitened
     by the Cholesky factor of ``std_cov``, and the gradient follows the
@@ -289,12 +285,17 @@ def eval_kernel(
         raise ValueError(f"standardization covariance has dim {std_cov.dim}, expected {d_y}")
     partition = spec.partition_for(d_y)
     thresholds = spec.thresholds_for(d_y)
-    residual = y - center
+    residuals = (y - center).reshape(-1, d_y)
     if len(partition) == 1:
-        k_sq, log_grad = _single_block(spec, residual, std_cov, thresholds[0])
-        return WeightEvaluation(k_sq=k_sq, log_grads=log_grad[..., None, :], partition=partition)
+        z, s = whitened_sq(std_cov.chol, residuals)
+        k_sq = weight_sq(spec, s, thresholds[0])[:, None]
+        log_grad = _log_grad(std_cov.chol, z, k_sq, weight_slope(spec, k_sq, thresholds[0]))
+        return WeightEvaluation(
+            k_sq=k_sq.reshape(*y.shape[:-1], 1),
+            log_grads=log_grad.reshape(y.shape)[..., None, :],
+            partition=partition,
+        )
 
-    residuals = residual.reshape(-1, d_y)
     roots = std_cov.inv_sym_sqrt
     k_sq = np.empty((len(residuals), len(partition)))
     log_grads = np.zeros((len(residuals), len(partition), d_y))
@@ -315,65 +316,105 @@ def eval_kernel(
     return WeightEvaluation(k_sq=k_sq, log_grads=log_grads, partition=partition)
 
 
+def _joined(rows: list, n: int) -> slice | np.ndarray:
+    """One selector of the rows that the selectors ``rows`` of an n-stack
+    pick: the one selector itself, or else an index array."""
+    return rows[0] if len(rows) == 1 else np.concatenate([np.arange(n)[r] for r in rows])
+
+
 @np.errstate(over="ignore", invalid="ignore")  # cheaper per call than a with-block
-def _single_block(
-    spec: WeightKernelSpec, residual: np.ndarray, std_cov: SpdFactor, threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """``eval_kernel``'s single block, in one pass over a stack: the (..., 1)
-    squared weights and the (..., d_Y) gradients of their logarithms, with
-    grad s = 2 cov^{-1} (y - center)."""
-    k_sq = weight_sq(spec, std_cov.mahalanobis_sq(residual), threshold)[..., None]
-    log_grad = 2.0 * weight_slope(spec, k_sq, threshold) * std_cov.solve(residual)
+def _log_grad(chol: np.ndarray, z: np.ndarray, k_sq: np.ndarray, slope) -> np.ndarray:
+    """grad log k^2 = (d log k^2/ds) grad s of (n, d_Y) whitened residuals z
+    = L^{-1} (y - center), with (n, 1) k^2 and slopes d log k^2/ds (or one
+    slope) and grad s = 2 cov^{-1} (y - center) by one back substitution; 0
+    where k^2 is 0, never 0 * inf."""
+    log_grad = 2.0 * slope * back_substitute(chol, z)
     if not k_sq.min() > 0.0:
         log_grad = np.where(k_sq > 0.0, log_grad, 0.0)
-    return k_sq, log_grad
+    return log_grad
 
 
 def robust_update(
-    spec: WeightKernelSpec | WolfSpec,
+    specs: Sequence[tuple[WeightKernelSpec | WolfSpec, slice | np.ndarray]],
     y: np.ndarray,
     center: np.ndarray,
-    hph: Callable[[], np.ndarray],
+    hph: Callable[[slice | np.ndarray], np.ndarray],
     r_factor: SpdFactor,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The robust analysis step every filter family shares.
 
-    Returns (w, target): the (d_Y,) precision weight, which multiplies R^{-1}
-    as W^{1/2} R^{-1} W^{1/2}, and the target observation.  A kernel spec gives
-    w = 2 k^2_b over each block b and the target y - R grad log k^2 (gradient
-    taken blockwise), a WoLF spec w = r^2 and y, and the constant kernel w = 1
-    and y, so every filter's constant-kernel variant is its regular filter bit
-    for bit.  More than one block needs R block-diagonal over the partition,
-    for only then is blockwise weighting the blocked loss; ValueError
-    otherwise.
+    Returns (w, target): the (B, d_Y) precision weights, which multiply
+    R^{-1} as W^{1/2} R^{-1} W^{1/2}, and the target observations of a
+    (B, d_Y) stack of observations ``y`` and predicted observations
+    ``center``; one (d_Y,) observation is a stack of one.  ``specs`` pairs
+    each weight spec with the rows of the stack it weights (a slice or an
+    index array).  A kernel spec gives w = 2 k^2_b over each block b and the
+    target y - R grad log k^2 (gradient taken blockwise), a WoLF spec w = r^2
+    and y, and the constant kernel w = 1 and y, so every filter's
+    constant-kernel variant is its regular filter bit for bit.  More than
+    one block needs R block-diagonal over the partition, for only then is
+    blockwise weighting the blocked loss; ValueError otherwise.
 
-    ``center`` is the predicted observation and ``r_factor`` the factor of
-    R.  ``hph`` returns the forecast covariance in observation space, H P H^T
-    or Y Y^T / (M - 1) in the ensemble-anomaly space; it is called only for
-    the specs standardized by HPH^T + R.
+    ``r_factor`` is the factor of R.  ``hph(rows)`` returns the forecast
+    covariance in observation space of those rows, H P H^T or Y Y^T / (M - 1)
+    in the ensemble-anomaly space, as a stack or one matrix for all.
 
-    ``y`` and ``center`` may also be (B, d_Y) stacks, and ``hph`` then returns
-    a (B, d_Y, d_Y) stack: each element is updated alone, as a single call
-    would update it.  An element whose HPH^T + R no jitter repairs gets a NaN
-    weight.
+    The single-block specs share one pass: their rows standardized by
+    HPH^T + R are factored by one ``SpdFactor`` and the others take R's
+    factor, one whitening gives every Mahalanobis square, each spec turns
+    its rows' squares into weights, and one back substitution gives the
+    kernel rows' gradients.  A multi-block kernel takes ``eval_kernel``'s
+    blockwise path.  Each element comes out as a single call would give it;
+    one whose HPH^T + R no jitter repairs gets a NaN weight.
     """
     r = r_factor.matrix
     y = _as_floats(y)
-    d_y = y.shape[-1]
-    if isinstance(spec, WeightKernelSpec):
-        partition = spec.partition_for(d_y)
-        if spec.family == CONSTANT:
-            return np.ones(y.shape), y
-        if len(partition) > 1:
-            _check_block_diagonal(r, partition)
-    std_cov = r_factor if spec.standardization == CONDITIONAL else SpdFactor(hph() + r)
-    if isinstance(spec, WolfSpec):
-        with np.errstate(over="ignore", invalid="ignore"):  # a residual too large to square
-            s = std_cov.mahalanobis_sq(y - center)
-        k_sq = weight_sq(spec, s, spec.thresholds_for(d_y)[0])
-        return np.repeat(2.0 * k_sq, d_y).reshape(y.shape), y
-    evaluation = eval_kernel(spec, y, center, std_cov)
-    return 2.0 * evaluation.k_sq_diag, y - (r @ evaluation.log_grad_diag[..., None])[..., 0]
+    shape, d_y = y.shape, y.shape[-1]
+    y, center = y.reshape(-1, d_y), _as_floats(center).reshape(-1, d_y)
+    passed, blocked, marginal = [], [], []
+    for spec, rows in specs:
+        if isinstance(spec, WeightKernelSpec) and spec.family == CONSTANT:
+            continue
+        if isinstance(spec, WolfSpec) or len(spec.partition_for(d_y)) == 1:
+            passed.append((spec, rows))
+            if spec.standardization == MARGINAL:
+                marginal.append(rows)
+        else:
+            blocked.append((spec, rows))
+    w, target, kernels = np.empty(y.shape), y.copy(), []
+    w.fill(1.0)  # cheaper than np.ones for a small stack
+    if passed:
+        chol = r_factor.chol
+        if marginal:
+            rows = _joined(marginal, len(y))
+            std_chol = SpdFactor(hph(rows) + r).chol
+            if isinstance(rows, slice) and rows.indices(len(y)) == (0, len(y), 1):
+                chol = std_chol  # every row standardized by HPH^T + R
+            else:
+                chol = np.empty((*y.shape, d_y))
+                chol[...], chol[rows] = r_factor.chol, std_chol
+        z, s = whitened_sq(chol, y - center)
+        for spec, rows in passed:
+            threshold = spec.thresholds_for(d_y)[0]
+            k_sq = weight_sq(spec, s[rows], threshold)[:, None]
+            w[rows] = 2.0 * k_sq
+            if isinstance(spec, WeightKernelSpec):
+                kernels.append((rows, k_sq, weight_slope(spec, k_sq, threshold)))
+    if kernels:  # one back substitution for every kernel's rows
+        rows, k_sq, slope = kernels[0] if len(kernels) == 1 else (
+            _joined([rows for rows, _, _ in kernels], len(y)),
+            np.concatenate([k for _, k, _ in kernels]),
+            np.concatenate([np.broadcast_to(slope, k.shape) for _, k, slope in kernels]),
+        )
+        log_grad = _log_grad(chol if chol.ndim == 2 else chol[rows], z[rows], k_sq, slope)
+        target[rows] -= (r @ log_grad[..., None])[..., 0]
+    for spec, rows in blocked:
+        _check_block_diagonal(r, spec.partition_for(d_y))
+        std_cov = r_factor if spec.standardization == CONDITIONAL else SpdFactor(hph(rows) + r)
+        evaluation = eval_kernel(spec, y[rows], center[rows], std_cov)
+        w[rows] = 2.0 * evaluation.k_sq_diag
+        target[rows] = y[rows] - (r @ evaluation.log_grad_diag[..., None])[..., 0]
+    return w.reshape(shape), target.reshape(shape)
 
 
 def default_threshold(d_y: int, family: str = IMQ) -> float:

@@ -295,7 +295,9 @@ def solve_anomaly_analysis(y_anom, ninv, innovation, rho=1.0):
 def _local_analysis(spec, y, y_mean, y_anom, r, rho):
     m = y_anom.shape[1]
     r_factor = SpdFactor(r)
-    w, target = robust_update(spec, y, y_mean, lambda: y_anom @ y_anom.T / (m - 1), r_factor)
+    w, target = robust_update(
+        ((spec, slice(None)),), y, y_mean, lambda rows: y_anom @ y_anom.T / (m - 1), r_factor
+    )
     root_w = np.sqrt(w)
     ninv = root_w[:, None] * lapack_solve(r_factor.chol, np.eye(r.shape[0])) * root_w
     return solve_anomaly_analysis(y_anom, ninv, target - y_mean, rho)

@@ -105,7 +105,8 @@ def test_gain_satisfies_defining_system():
     y = rng.standard_normal(3)
     result = dsm_analysis(model, forecast, y, WeightKernelSpec(family=IMQ, threshold=3.0))
     root_w = np.sqrt(result.weight)
-    gain = kalman_gain(forecast.cov, model.H, model.R, root_w)[0] * root_w  # K = G W^{1/2}
+    hp_f = model.H @ forecast.cov
+    gain = kalman_gain(hp_f, model.H, model.R, root_w)[0] * root_w  # K = G W^{1/2}
     lhs = gain @ (model.R / result.weight[0] + model.H @ forecast.cov @ model.H.T)
     rhs = forecast.cov @ model.H.T
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) <= 1e-8

@@ -81,7 +81,8 @@ def test_constant_kernel_is_the_kalman_filter_bit_for_bit(system, standardizatio
     spec = WeightKernelSpec(family=CONSTANT, standardization=standardization)
     h = model.H
     w, target = robust_update(
-        spec, y, h @ forecast.mean, lambda: h @ forecast.cov @ h.T, model.observation.r_factor
+        ((spec, slice(None)),), y, h @ forecast.mean, lambda rows: h @ forecast.cov @ h.T,
+        model.observation.r_factor,
     )
     np.testing.assert_array_equal(w, np.ones_like(y))
     np.testing.assert_array_equal(target, y)
@@ -233,21 +234,42 @@ def test_outlier_whose_solve_overflows_gets_zero_weight(spec, y_size, r_scale):
 
 @st.composite
 def stacked_systems(draw):
-    """(model, means, covs, ys, specs): 1 to 6 forecasts and observations of
-    one random system, each with its weight spec, the elements of a spec
-    next to each other as ``lgss.robust_analysis`` takes them."""
+    """(model, means, covs, ys, specs, broken): 1 to 6 forecasts and
+    observations of one random system, each with its weight spec, the
+    elements of a spec next to each other as ``lgss.robust_analysis`` takes
+    them.  When d_Y >= 2, R may be made block-diagonal over two blocks, and
+    the two-block DSM kernel over them is then one of the specs.  ``broken``
+    is None or an element weighted by a single-block spec standardized by
+    HPH^T + R, whose forecast covariance is made negative definite so that
+    no jitter repairs that matrix."""
     model, _, _ = draw(systems())
-    b = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    specs = sorted(
-        draw(st.lists(st.integers(0, len(ROBUST_SPECS)), min_size=b, max_size=b))
-    )
+    pool = [*ROBUST_SPECS, WeightKernelSpec(family=CONSTANT)]
+    if model.d_y >= 2 and draw(st.booleans()):
+        split = draw(st.integers(1, model.d_y - 1))
+        r = model.R.copy()
+        r[:split, split:] = r[split:, :split] = 0.0
+        model = LgssModel(A=model.A, Q=model.Q, H=model.H, R=r, prior=model.prior)
+        pool.append(WeightKernelSpec(family=IMQ, block_partition=((0, split), (split, model.d_y))))
+    b = draw(st.integers(1, 6))
+    specs = [pool[i] for i in sorted(
+        draw(st.lists(st.integers(0, len(pool) - 1), min_size=b, max_size=b))
+    )]
     means = rng.standard_normal((b, model.d_x)) * 3.0
     covs = np.stack([random_spd(rng, model.d_x, scale=10.0 ** rng.uniform(-2, 2)) for _ in range(b)])
     ys = (model.H @ means[..., None])[..., 0] + 10.0 ** rng.uniform(-1, 3) * rng.uniform(
         -1.0, 1.0, (b, model.d_y)
     )
-    return model, means, covs, ys, [([*ROBUST_SPECS, WeightKernelSpec(family=CONSTANT)])[i] for i in specs]
+    marginal = [
+        i for i, spec in enumerate(specs)
+        if spec in ROBUST_SPECS and spec.standardization == "marginal"
+    ]
+    broken = draw(st.sampled_from([None, *marginal]))
+    if broken is not None:
+        # H P^f H^T + R = c H H^T + R with c < -lambda_max(R) / sigma_max(H)^2.
+        c = 10.0 * (np.linalg.eigvalsh(model.R)[-1] + 1.0) / np.linalg.norm(model.H, 2) ** 2
+        covs[broken] = -(c + 1.0) * np.eye(model.d_x)  # the forecast adds Q = I
+    return model, means, covs, ys, specs, broken
 
 
 @PROPERTY_SETTINGS
@@ -255,13 +277,17 @@ def stacked_systems(draw):
 def test_stacked_closed_form_step_is_each_elements_step_bit_for_bit(system):
     # One stacked forecast and robust analysis, each element weighted by its
     # own spec, give every element's batch-of-one step bit for bit; the
-    # constant kernel inside the mixed stack is the Kalman filter.
-    model, means, covs, ys, specs = system
+    # constant kernel inside the mixed stack is the Kalman filter.  An element
+    # whose HPH^T + R cannot be factored gets NaN, and no other element moves.
+    model, means, covs, ys, specs, broken = system
     forecast = kf_forecast(model, GaussianBelief(mean=means, cov=covs))
     rows = [(spec, slice(specs.index(spec), len(specs) - specs[::-1].index(spec)))
             for spec in dict.fromkeys(specs)]
     mean, cov, w, target = robust_analysis(model, forecast.mean, forecast.cov, ys, rows)
     posterior = GaussianBelief(mean=mean, cov=cov)
+    if broken is not None:
+        assert np.isnan(w[broken]).all() and np.isnan(posterior.mean[broken]).all()
+        assert np.isnan(posterior.cov[broken]).all()
     for i, spec in enumerate(specs):
         alone = kf_forecast(model, GaussianBelief(mean=means[i], cov=covs[i]))
         np.testing.assert_array_equal(forecast.mean[i], alone.mean)

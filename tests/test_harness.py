@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -387,6 +388,35 @@ def test_sweeps_refuse_an_invalid_filter_before_any_replicate(monkeypatch):
         run_ensemble_size_sweep(cfg, [10, 20], filters=["enkf", "enkf"])
 
 
+def test_sweeps_refuse_a_grid_value_of_the_wrong_type_before_any_replicate(monkeypatch):
+    # int() and float() of these ran sizes [5, 7] for [5.9, 7.2], 8 for "8",
+    # epsilon 1.0 for True and sqrt(lambda) 10 for "10", under those labels.
+    cfg = ExperimentConfig(
+        model="lorenz63", filter="dsm_enkf", t_end=0.3, ensemble_size=20, mc_reps=2, seed=3,
+    )
+
+    def no_replicate(chunk):
+        raise AssertionError("a replicate started")
+
+    monkeypatch.setattr(harness, "_chunk_job", no_replicate)
+    for sizes, bad in (([5.9, 7.2], "5.9"), (["8"], "'8'"), ([5, True], "True"),
+                       ([10.0, 20], "10.0")):
+        with pytest.raises(ValueError, match=f"^ensemble sizes must be integers, got {bad}$"):
+            run_ensemble_size_sweep(cfg, sizes)
+    for eps, sql, bad in (([True], [10.0], "epsilon values must be numbers, got True"),
+                          ([0.1], ["10"], "sqrt_lambda values must be numbers, got '10'"),
+                          ([0.1], [np.True_], "sqrt_lambda values must be numbers, got np.True_"),
+                          (["0.1"], [10.0], "epsilon values must be numbers, got '0.1'")):
+        with pytest.raises(ValueError, match=f"^{re.escape(bad)}$"):
+            run_sweep(cfg, eps, sql)
+    # numpy numbers are numbers: they run under their own values.
+    monkeypatch.undo()
+    result = run_ensemble_size_sweep(replace(cfg, mc_reps=1), np.array([5, 7]), filters=["enkf"])
+    assert result.axis_sizes == [5, 7] and all(type(m) is int for m in result.axis_sizes)
+    result = run_sweep(replace(cfg, mc_reps=1), np.array([0.1]), [np.int64(10)], filters=["enkf"])
+    assert result.axis_epsilon == [0.1] and result.axis_sqrt_lambda == [10.0]
+
+
 def test_config_refuses_a_contamination_or_horizon_it_cannot_run(monkeypatch):
     for setting in (
         {"epsilon": 1.5}, {"epsilon": np.nan}, {"lam": 0.5}, {"lam": np.nan}, {"lam": np.inf},
@@ -615,6 +645,36 @@ def test_a_replicate_that_diverges_leaves_the_rest_of_its_chunk_as_run_alone(
                 np.testing.assert_array_equal(got, expected)
     if np.isnan(value):
         assert all(runs[2 * len(filters) + i].divergence_step == 5 for i in range(len(filters)))
+
+
+def test_a_closed_form_step_factors_the_dsm_rows_and_the_gain_brackets_once_each(monkeypatch):
+    # Per observation the kf / dsm_kf / wolf_kf stack makes two Cholesky
+    # calls: HPH^T + R of the marginal dsm_kf rows, and the gain brackets of
+    # every row.  The wolf_kf rows standardize by R, whose factor is reused.
+    filters = ("kf", "dsm_kf", "wolf_kf")
+    base = ExperimentConfig(model="tracking2d", filter="kf", t_end=1.0, seed=5, epsilon=0.2,
+                            lam=100.0)
+    configs = [replace(base, filter=f) for f in filters]
+    setups = [build_setup(base, np.random.SeedSequence((5, rep))) for rep in range(3)]
+    slices = [s for rep, setup in enumerate(setups) for s in harness._slices(
+        setup, configs, [np.random.default_rng((rep, i)) for i in range(len(filters))]
+    )]
+    stack = harness._ClosedFormStack(slices, list(range(len(slices))))
+    stack.model.observation.r_factor  # factored once, on first use
+    n_obs, d = slices[0].ys.shape[1], setups[0].init_mean.shape[0]
+    record = (np.zeros((len(slices), n_obs, d)), np.zeros((len(slices), n_obs, d, d)),
+              np.zeros((len(slices), n_obs)))
+    shapes, cholesky = [], np.linalg.cholesky
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    for k in range(n_obs):
+        shapes.clear()
+        stack.step(k, *record)
+        assert shapes == [(3, 2, 2), (9, 1, 2, 2)], k
 
 
 @pytest.mark.parametrize("model", ["tracking2d", "lorenz96"])

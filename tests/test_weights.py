@@ -130,24 +130,29 @@ def test_nonpositive_threshold_rejected():
 # target observation
 
 
+def update_one(spec, y, center, hph, r_factor):
+    """``robust_update`` with one spec weighting every row."""
+    return robust_update(((spec, slice(None)),), y, center, hph, r_factor)
+
+
 def zero_hph(d):
     """H P H^T = 0, so the marginal standardization is R itself."""
-    return lambda: np.zeros((d, d))
+    return lambda rows: np.zeros((d, d))
 
 
 def test_rescaled_cov_constant_recovers_r():
     rng = np.random.default_rng(3)
     r = random_spd(rng, 3)
     spec = WeightKernelSpec(family=CONSTANT)
-    w, _ = robust_update(spec, rng.standard_normal(3), np.zeros(3), zero_hph(3), SpdFactor(r))
+    w, _ = update_one(spec, rng.standard_normal(3), np.zeros(3), zero_hph(3), SpdFactor(r))
     assert np.allclose(r / w, r)
 
 
 def test_rescaled_cov_examples():
     spec = WeightKernelSpec(family=IMQ, threshold=1.0)
-    w_max, _ = robust_update(spec, np.array([0.0]), np.zeros(1), zero_hph(1), SpdFactor([[1.0]]))
+    w_max, _ = update_one(spec, np.array([0.0]), np.zeros(1), zero_hph(1), SpdFactor([[1.0]]))
     assert 1.0 / w_max[0] == pytest.approx(0.5)  # k^2 = 1
-    w_half, _ = robust_update(
+    w_half, _ = update_one(
         spec, np.array([math.sqrt(3.0)]), np.zeros(1), zero_hph(1), SpdFactor([[3.0]])
     )
     assert 3.0 / w_half[0] == pytest.approx(3.0)  # s = 1, k^2 = 1/2
@@ -161,7 +166,7 @@ def test_rescaled_cov_block_assembly():
     spec = WeightKernelSpec(family=IMQ, threshold=[1.0, 4.0], block_partition=((0, 2), (2, 3)))
     hph = random_spd(rng, 3)
     y = rng.standard_normal(3)
-    w, _ = robust_update(spec, y, np.zeros(3), lambda: hph, SpdFactor(r))
+    w, _ = update_one(spec, y, np.zeros(3), lambda rows: hph, SpdFactor(r))
     ev = eval_kernel(spec, y, np.zeros(3), SpdFactor(hph + r))
     assert np.allclose(r[0:2, 0:2] / w[0:2], r[0:2, 0:2] / (2 * ev.k_sq[0]))
     assert np.all(w[0:2] == w[0])
@@ -173,7 +178,7 @@ def test_robust_update_refuses_r_not_block_diagonal_over_the_partition():
     spec = WeightKernelSpec(family=IMQ, threshold=1.0, block_partition=((0, 1), (1, 2)))
     r = SpdFactor([[1.0, 0.6], [0.6, 1.0]])
     with pytest.raises(ValueError, match="block-diagonal"):
-        robust_update(spec, np.array([1.0, 2.0]), np.zeros(2), zero_hph(2), r)
+        update_one(spec, np.array([1.0, 2.0]), np.zeros(2), zero_hph(2), r)
     model = LgssModel(
         A=np.eye(2), Q=np.eye(2), H=np.eye(2), R=r.matrix,
         prior=GaussianBelief(mean=np.zeros(2), cov=np.eye(2)),
@@ -188,11 +193,11 @@ def test_corrected_observation_identity_cases():
     r = SpdFactor(np.eye(2))
     # Zero residual: gradient vanishes.
     spec = WeightKernelSpec(family=IMQ, threshold=1.0)
-    _, target = robust_update(spec, y, y, zero_hph(2), r)
+    _, target = update_one(spec, y, y, zero_hph(2), r)
     assert np.allclose(target, y)
     # Constant family: gradient identically zero.
     spec_const = WeightKernelSpec(family=CONSTANT)
-    _, target_const = robust_update(spec_const, y, np.zeros(2), zero_hph(2), r)
+    _, target_const = update_one(spec_const, y, np.zeros(2), zero_hph(2), r)
     assert np.array_equal(target_const, y)
 
 
@@ -203,7 +208,7 @@ def test_corrected_observation_hand_example():
     ev = eval_kernel(spec, np.array([1.0]), np.zeros(1), SpdFactor([[1.0]]))
     assert ev.k_sq[0] == pytest.approx(0.5)
     assert ev.k_sq[0] * ev.log_grads[0, 0] == pytest.approx(-0.5, rel=1e-12)
-    w, target = robust_update(spec, np.array([1.0]), np.zeros(1), zero_hph(1), SpdFactor([[1.0]]))
+    w, target = update_one(spec, np.array([1.0]), np.zeros(1), zero_hph(1), SpdFactor([[1.0]]))
     assert 1.0 / w[0] == pytest.approx(1.0)
     assert target[0] == pytest.approx(2.0, rel=1e-12)
 
