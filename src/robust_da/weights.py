@@ -322,6 +322,11 @@ def _joined(rows: list, n: int) -> slice | np.ndarray:
     return rows[0] if len(rows) == 1 else np.concatenate([np.arange(n)[r] for r in rows])
 
 
+def _every(rows: slice | np.ndarray, n: int) -> bool:
+    """Whether the selector ``rows`` is the slice of every row of an n-stack."""
+    return isinstance(rows, slice) and rows.indices(n) == (0, n, 1)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # cheaper per call than a with-block
 def _log_grad(chol: np.ndarray, z: np.ndarray, k_sq: np.ndarray, slope) -> np.ndarray:
     """grad log k^2 = (d log k^2/ds) grad s of (n, d_Y) whitened residuals z
@@ -371,6 +376,7 @@ def robust_update(
     y = _as_floats(y)
     shape, d_y = y.shape, y.shape[-1]
     y, center = y.reshape(-1, d_y), _as_floats(center).reshape(-1, d_y)
+    n = len(y)
     passed, blocked, marginal = [], [], []
     for spec, rows in specs:
         if isinstance(spec, WeightKernelSpec) and spec.family == CONSTANT:
@@ -381,14 +387,14 @@ def robust_update(
                 marginal.append(rows)
         else:
             blocked.append((spec, rows))
-    w, target, kernels = np.empty(y.shape), y.copy(), []
+    w, kernels = np.empty(y.shape), []
     w.fill(1.0)  # cheaper than np.ones for a small stack
     if passed:
         chol = r_factor.chol
         if marginal:
-            rows = _joined(marginal, len(y))
+            rows = _joined(marginal, n)
             std_chol = SpdFactor(hph(rows) + r).chol
-            if isinstance(rows, slice) and rows.indices(len(y)) == (0, len(y), 1):
+            if _every(rows, n):
                 chol = std_chol  # every row standardized by HPH^T + R
             else:
                 chol = np.empty((*y.shape, d_y))
@@ -396,18 +402,25 @@ def robust_update(
         z, s = whitened_sq(chol, y - center)
         for spec, rows in passed:
             threshold = spec.thresholds_for(d_y)[0]
-            k_sq = weight_sq(spec, s[rows], threshold)[:, None]
+            k_sq = weight_sq(spec, s[rows, None], threshold)
             w[rows] = 2.0 * k_sq
             if isinstance(spec, WeightKernelSpec):
                 kernels.append((rows, k_sq, weight_slope(spec, k_sq, threshold)))
     if kernels:  # one back substitution for every kernel's rows
         rows, k_sq, slope = kernels[0] if len(kernels) == 1 else (
-            _joined([rows for rows, _, _ in kernels], len(y)),
+            _joined([rows for rows, _, _ in kernels], n),
             np.concatenate([k for _, k, _ in kernels]),
             np.concatenate([np.broadcast_to(slope, k.shape) for _, k, slope in kernels]),
         )
         log_grad = _log_grad(chol if chol.ndim == 2 else chol[rows], z[rows], k_sq, slope)
-        target[rows] -= (r @ log_grad[..., None])[..., 0]
+        correction = (r @ log_grad[..., None])[..., 0]
+        if _every(rows, n):
+            target = y - correction
+        else:
+            target = y.copy()
+            target[rows] -= correction
+    else:
+        target = y.copy()
     for spec, rows in blocked:
         _check_block_diagonal(r, spec.partition_for(d_y))
         std_cov = r_factor if spec.standardization == CONDITIONAL else SpdFactor(hph(rows) + r)

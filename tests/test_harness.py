@@ -6,11 +6,15 @@ import pkgutil
 import re
 import subprocess
 import sys
-from dataclasses import replace
+import tempfile
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robust_da
 from robust_da import checks, harness
@@ -105,6 +109,77 @@ def test_presets_are_valid():
     for name, preset in PRESETS.items():
         cfg = ExperimentConfig.from_dict(dict(preset))
         assert cfg.horizon > 0, name
+
+
+# JSON-representable values that a config field may be handed by mistake.
+# Every field takes one of them, except that the size fields (threads,
+# ensemble size, replicates) stay small, the horizon stays short (a Lorenz
+# model's default is too long) and ``out_dir`` is never a string (it would
+# write into the working directory): a run must stay cheap and local.
+ODD_VALUES = (1e308, 1e-320, 1.5, 0, -1, math.inf, -math.inf, math.nan, True, False, "1", "", None)
+TEMP_DIR = object()  # stands for a fresh temporary directory
+SHORT_T_END = {"ou": 0.3, "tracking2d": 0.3, "lorenz63": 0.1, "lorenz96": 0.1}
+
+
+@st.composite
+def config_fields(draw):
+    """The fields of an ``ExperimentConfig``, each a usual value, except for
+    up to two fields, which take an odd value."""
+    model = draw(st.sampled_from(harness.MODELS))
+    usual = {
+        "model": harness.MODELS,
+        "filter": FILTERS if model in ("ou", "tracking2d") else tuple(
+            f for f in FILTERS if f not in ("kf", "dsm_kf", "wolf_kf")),
+        "kernel_family": ("imq", "sqexp", "constant"),
+        "q_sq": (None, 0.5, 3.0), "c_sq": (None, 0.5, 3.0), "wolf_variant": ("md", "sigma_scaled"),
+        "epsilon": (0.0, 0.25, 1.0), "lam": (1.0, 625.0), "ensemble_size": (2, 3, 5),
+        "t_end": (SHORT_T_END[model], None) if model in ("ou", "tracking2d") else (
+            SHORT_T_END[model],),
+        "mc_reps": (1, 2), "seed": (0, 7, 2**64), "out_dir": (None, TEMP_DIR), "threads": (1, 2),
+        "enkf_mode": ("average", "per_particle"), "rho": (1.0, 1.06),
+        "half_width": (None, 0, 2, 19), "taper_length": (1.0, 5.45),
+        "resample_threshold": (0.0, 0.5, 1.0),
+    }
+    odd = {name: ODD_VALUES for name in usual}
+    odd.update(
+        filter=ODD_VALUES + ("kf",),
+        out_dir=tuple(v for v in ODD_VALUES if not isinstance(v, str) and v is not None),
+        t_end=tuple(v for v in ODD_VALUES if v is not None),
+    )
+    names = [f.name for f in fields(ExperimentConfig)]
+    assert sorted(names) == sorted(usual)
+    # Numbers first: hypothesis draws the first entries most often.
+    numbers = [name for name in names if isinstance(usual[name][0], (int, float))]
+    chosen = draw(st.sets(st.sampled_from(numbers + names), min_size=1, max_size=2))
+    values = {name: draw(st.sampled_from(odd[name] if name in chosen else usual[name]))
+              for name in names}
+    return {**values, "model": model} if "model" not in chosen else values
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(config_fields())
+def test_every_config_the_harness_accepts_runs_clean(values):
+    # Each draw is refused at construction with a one-line ValueError, or it
+    # runs through run_single and a two-replicate sweep, with no exception
+    # and no warning, every run scored finite or diverged.
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if values["out_dir"] is TEMP_DIR:
+            values["out_dir"] = tmp
+        try:
+            config = ExperimentConfig.from_dict(values)
+        except ValueError as exc:
+            assert str(exc) and "\n" not in str(exc)
+            return
+        result = run_single(config)
+        if result.run.divergence_step is None:
+            assert math.isfinite(result.report.rmse) and math.isfinite(result.report.q_ic)
+        else:
+            assert result.report is None
+        sweep = run_sweep(replace(config, mc_reps=2), [config.epsilon], [math.sqrt(config.lam)])
+        cell = sweep.cell(config.filter, 0, 0)
+        assert cell.n_ok + cell.n_failed == 2
+        assert all(map(math.isfinite, cell.rmse_values + cell.q_ic_values))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robust_da import ContaminationSpec, contaminate
 from robust_da.models import (
@@ -227,6 +230,89 @@ def test_lorenz63_sampler_matches_stepwise_sampler_bit_for_bit(shape, noise_scal
         assert np.array_equal(out, out_stepwise)
         for rng, rng_stepwise in zip(rngs, rngs_stepwise):
             assert rng.bit_generator.state == rng_stepwise.bit_generator.state
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def member_blocks(draw):
+    """1-5 blocks of 1-40 members near the attractor, each C- or
+    Fortran-ordered; optionally some columns scaled toward overflow, so that
+    their members run into inf and NaN within the call."""
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = LORENZ63_X0[:, None] + 5.0 * rng.standard_normal((3, sum(sizes)))
+    if draw(st.booleans()):
+        exponents = rng.integers(100, 300, size=sum(sizes))
+        members *= np.where(rng.random(sum(sizes)) < 0.3, 10.0**exponents, 1.0)
+    blocks = np.split(members, np.cumsum(sizes)[:-1], axis=1)
+    return [np.asfortranarray(b) if draw(st.booleans()) else b.copy() for b in blocks]
+
+
+@PROPERTY_SETTINGS
+@given(member_blocks(), st.integers(1, 60), st.sampled_from([0.0, 0.3, 1.0]))
+def test_lorenz63_sampler_equals_stepwise_sampler_on_any_blocks(blocks, n_steps, noise_scale):
+    inputs = [b.copy(order="A") for b in blocks]
+    rngs = [np.random.default_rng(11 + i) for i in range(len(blocks))]
+    rngs_stepwise = [np.random.default_rng(11 + i) for i in range(len(blocks))]
+    # The errstate of ensemble_forecast: members that overflow come back inf
+    # or NaN, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = lorenz63_sampler(0.001, n_steps)(
+            blocks, [ScaledNormals(r, noise_scale) for r in rngs]
+        )
+        out_stepwise = np.concatenate([
+            lorenz63_sampler_stepwise(0.001, n_steps, noise_scale)(b, rng)
+            for b, rng in zip(blocks, rngs_stepwise)
+        ], axis=1)
+    assert np.array_equal(out, out_stepwise, equal_nan=True)
+    assert np.array_equal(np.isinf(out), np.isinf(out_stepwise))
+    for rng, rng_stepwise in zip(rngs, rngs_stepwise):
+        assert rng.bit_generator.state == rng_stepwise.bit_generator.state
+    for block, before in zip(blocks, inputs):
+        assert np.array_equal(block, before) and block.flags.f_contiguous == before.flags.f_contiguous
+    assert out.flags.c_contiguous
+    assert not any(np.shares_memory(out, block) for block in blocks)
+
+
+class _DrawnBefore:
+    """A generator whose standard normals were drawn before the traced call,
+    so that the trace counts what the call allocates beside its draws."""
+
+    def __init__(self, shape):
+        self.draws = np.random.default_rng(0).standard_normal(shape)
+
+    def standard_normal(self, size):
+        assert size == self.draws.shape
+        return self.draws
+
+
+def _traced_peak(n_steps, blocks) -> int:
+    """Peak bytes that one call of the ``n_steps`` propagator allocates,
+    above what it started with."""
+    sampler = lorenz63_sampler(0.001, n_steps)
+    rngs = [_DrawnBefore((n_steps, 3, block.shape[1])) for block in blocks]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sampler(blocks, rngs)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sizes", [(10, 10, 10, 10), (500,), (250, 250, 250, 250, 250)])
+def test_lorenz63_sampler_memory_grows_with_substeps_by_the_noise_alone(sizes):
+    # Beside its draws, a call holds one scaled copy of its substeps' noise,
+    # 3 * N doubles per substep (rows padded by at most 7 doubles); the rest
+    # of what it allocates must not grow with the substep count, so nothing
+    # that a substep allocates outlives it.
+    record, _ = simulate_lorenz63(t_end=0.1, seed=0)
+    n = sum(sizes)
+    blocks = np.split(np.repeat(record.states[:, -1:], n, axis=1), np.cumsum(sizes)[:-1], axis=1)
+    grown = _traced_peak(50, blocks) - _traced_peak(1, blocks)
+    assert grown <= 49 * 3 * (n + 7) * 8 + 4096
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
