@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -203,6 +204,16 @@ def _window_indices(d_x: int, d_y: int, half_width: int) -> tuple[np.ndarray, np
     return (np.arange(d_x)[:, None] + offsets) % d_y, np.abs(offsets)
 
 
+@lru_cache(maxsize=32)  # a run's windows are the same at every step
+def _tapered_windows(d_x: int, d_y: int, half_width: int, taper_length: float) -> tuple:
+    """The windows of ``_window_indices`` and the taper exp(-d^2 / L^2) of
+    each window column, read-only."""
+    idx, dist = _window_indices(d_x, d_y, half_width)
+    taper = np.exp(-(dist.astype(float) ** 2) / taper_length**2)
+    idx.flags.writeable = taper.flags.writeable = False
+    return idx, taper
+
+
 def _transform_analysis(
     ensemble: EnsembleState,
     obs: ObservationModel,
@@ -250,11 +261,10 @@ def _transform_analysis(
         y_hat = obs.r_factor.whiten(y_anom.T).T[None]
         d_hat = obs.r_factor.whiten(innovation / d_scale)[None]
     else:
-        r_diag = np.diag(obs.R)
-        if np.any(np.abs(obs.R - np.diag(r_diag)) > 1e-12):
+        r_diag = obs.r_diagonal
+        if r_diag is None:
             raise ValueError("R-localization requires a diagonal observation covariance")
-        idx, dist = _window_indices(ensemble.d_x, y.shape[0], loc.half_width)
-        taper = np.exp(-(dist.astype(float) ** 2) / loc.taper_length**2)
+        idx, taper = _tapered_windows(ensemble.d_x, y.shape[0], loc.half_width, loc.taper_length)
         r_inv_sqrt = np.sqrt(taper / r_diag[idx])
         d_scale = pow2_scale(innovation[idx], axis=1)
         y_hat = r_inv_sqrt[:, :, None] * y_anom[idx]

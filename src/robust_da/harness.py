@@ -173,14 +173,16 @@ class ExperimentConfig:
         # Build the contamination and every weight and LETKF setting once, so
         # that a bad value is refused here instead of by a run.
         self.contamination
-        WeightKernelSpec(family=self.kernel_family, threshold=self.q_sq).thresholds_for(1)
+        WeightKernelSpec(family=self.kernel_family)
+        WeightKernelSpec(threshold=self.q_sq).thresholds_for(1)  # under any family
         WolfSpec(variant=self.wolf_variant, c_sq=self.c_sq)
         if not 0.0 <= self.resample_threshold <= 1.0:  # refuses NaN too
             raise ValueError(f"resample_threshold {self.resample_threshold} is not in [0, 1]")
         if self.enkf_mode not in ENKF_MODES:
             raise ValueError(f"unknown EnKF mode {self.enkf_mode!r} (choose from {ENKF_MODES})")
-        if self.half_width is not None:
-            Localization(half_width=self.half_width, taper_length=self.taper_length)
+        # taper_length is checked even where no window uses it.
+        Localization(half_width=0 if self.half_width is None else self.half_width,
+                     taper_length=self.taper_length)
         LetkfConfig(rho=self.rho)
 
     @property
@@ -355,7 +357,12 @@ class _ClosedFormStack:
         self._weight_slices()
 
     def _weight_slices(self) -> None:
-        bounds = np.searchsorted(self.groups[self.live], np.arange(len(self.specs) + 1))
+        """The live elements' loop rows, observations, weight factors (1/2 if
+        the slice records its weight, else NaN) and each spec's slice of them."""
+        live = self.live
+        self.live_rows, self.live_ys = self.rows[live], self.ys[:, live]
+        self.weight_factor = np.where(self.records_weight[live], 0.5, np.nan)
+        bounds = np.searchsorted(self.groups[live], np.arange(len(self.specs) + 1)).tolist()
         self.spec_rows = [
             (spec, slice(start, stop))
             for spec, start, stop in zip(self.specs, bounds[:-1], bounds[1:]) if stop > start
@@ -364,20 +371,21 @@ class _ClosedFormStack:
     def step(self, k: int, means: np.ndarray, covs: np.ndarray, weights: np.ndarray) -> None:
         """Step every live element on observation ``k`` and record its
         moments in its loop row of the loop's record."""
-        live = self.live
         forecast = kf_forecast(self.model, self.belief)
         mean, cov, w, _ = robust_analysis(
-            self.model, forecast.mean, forecast.cov, self.ys[k, live], self.spec_rows
+            self.model, forecast.mean, forecast.cov, self.live_ys[k], self.spec_rows
         )
         self.belief = belief = GaussianBelief(mean=mean, cov=cov)
-        rows = self.rows[live]
-        means[rows, k], covs[rows, k] = belief.mean, belief.cov
-        weights[rows, k] = np.where(self.records_weight[live], w.min(axis=1) / 2.0, np.nan)
-        finite = np.isfinite(belief.mean).all(axis=1) & np.isfinite(belief.cov).all(axis=(1, 2))
-        if not finite.all():
-            self.live = live[finite]
-            self.belief = GaussianBelief(mean=belief.mean[finite], cov=belief.cov[finite])
-            self._weight_slices()
+        mean, cov, rows = belief.mean, belief.cov, self.live_rows
+        means[rows, k], covs[rows, k] = mean, cov
+        weights[rows, k] = w.min(axis=1) * self.weight_factor  # halving is exact
+        # A non-finite element makes the sum non-finite; only then is each tested.
+        if not math.isfinite(mean.sum() + cov.sum()):
+            finite = np.isfinite(mean).all(axis=1) & np.isfinite(cov).all(axis=(1, 2))
+            if not finite.all():
+                self.live = self.live[finite]
+                self.belief = GaussianBelief(mean=mean[finite], cov=cov[finite])
+                self._weight_slices()
 
 
 def _filter_loop(slices: list, setup: ModelSetup) -> list[FilterRun]:
@@ -573,28 +581,28 @@ def _evaluate_runs(setups: Sequence[ModelSetup], runs: Sequence[FilterRun]) -> l
 
 
 def _run_chunk(jobs: Sequence[tuple]) -> tuple[list, list, list]:
-    """Run a chunk of jobs, each (config, filters, spawn key), with every
+    """Run a chunk of jobs, each (run configs, spawn key), with every
     filter of every job in one ``_filter_loop``, and score the runs in one
     pass: the jobs' setups, and the run and report of each (job, filter),
     job by job.
 
-    A job's truth draws from the spawn key ``(*key, 0)`` of its config's
-    seed, and its i-th filter from ``(*key, 1 + i)``.  Every job of a chunk
-    has the same model and horizon, so the truths are built together and
-    the first job's sampler propagates the members of all.
+    A job's configs, one per filter, differ in the filter only.  Its truth
+    draws from the spawn key ``(*key, 0)`` of their seed, and its i-th filter
+    from ``(*key, 1 + i)``.  Every job of a chunk has the same model and
+    horizon, so the truths are built together and the first job's sampler
+    propagates the members of all.
     """
     setups = build_setups(
-        [config for config, *_ in jobs],
-        [np.random.SeedSequence(config.seed, spawn_key=(*key, 0)) for config, _, key in jobs],
+        [configs[0] for configs, _ in jobs],
+        [np.random.SeedSequence(configs[0].seed, spawn_key=(*key, 0)) for configs, key in jobs],
     )
     slices, run_setups = [], []
-    for (config, filters, key), setup in zip(jobs, setups):
-        rngs = [
-            np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(*key, 1 + i)))
-            for i in range(len(filters))
-        ]
-        slices += _slices(setup, [replace(config, filter=filt) for filt in filters], rngs)
-        run_setups += [setup] * len(filters)
+    for (configs, key), setup in zip(jobs, setups):
+        seeds = [np.random.SeedSequence(configs[0].seed, spawn_key=(*key, 1 + i))
+                 for i in range(len(configs))]
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        slices += _slices(setup, configs, rngs)
+        run_setups += [setup] * len(configs)
     runs = _filter_loop(slices, setups[0])
     return setups, runs, _evaluate_runs(run_setups, runs)
 
@@ -615,7 +623,7 @@ class RunResult:
 def run_single(config: ExperimentConfig) -> RunResult:
     """Simulate, filter, score and (optionally) write artifacts for one run."""
     # The empty spawn key draws from SeedSequence(config.seed).spawn(2).
-    (setup,), (run,), (report,) = _run_chunk([(config, [config.filter], ())])
+    (setup,), (run,), (report,) = _run_chunk([((config,), ())])
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -749,8 +757,8 @@ def _chunks(jobs: list, threads: int) -> list[list]:
     """Consecutive jobs, as many to a chunk as ``_CHUNK_BYTES`` allows, and
     no more than an equal share of each worker.  Results do not depend on
     the chunk size."""
-    base, filters = jobs[0][:2]
-    size = max(1, _CHUNK_BYTES // _replicate_bytes(base, len(filters)))
+    configs = jobs[0][0]
+    size = max(1, _CHUNK_BYTES // _replicate_bytes(configs[0], len(configs)))
     size = min(size, -(-len(jobs) // threads))
     return [jobs[i : i + size] for i in range(0, len(jobs), size)]
 
@@ -816,15 +824,14 @@ def _collect(
     cell key to the cell's config, and write the sweep's files if
     ``config.out_dir`` is set."""
     filters = _filter_list(config, filters)
-    for cell in cells.values():
-        for filt in filters:
-            replace(cell, filter=filt)  # validates every run's config before any replicate
+    # Building every run's config once validates it before any replicate.
+    cell_runs = {key: tuple(replace(c, filter=f) for f in filters) for key, c in cells.items()}
     jobs = [
-        (cell, filters, (*key, rep)) for key, cell in cells.items() for rep in range(config.mc_reps)
+        (runs, (*key, rep)) for key, runs in cell_runs.items() for rep in range(config.mc_reps)
     ]
     results = {(filt, *key): [] for key in cells for filt in filters}
     scores = iter(_execute_jobs(jobs, config.threads))
-    for _, _, (*cell_key, _rep) in jobs:
+    for _, (*cell_key, _rep) in jobs:
         for filt in filters:
             results[(filt, *cell_key)].append(next(scores))
     result = SweepResult(

@@ -117,6 +117,12 @@ class ObservationModel:
     def r_factor(self) -> SpdFactor:
         return SpdFactor(self.R)
 
+    @cached_property
+    def r_diagonal(self) -> np.ndarray | None:
+        """The diagonal of R, or None if an entry off it exceeds 1e-12 in magnitude."""
+        r_diag = np.diag(self.R)
+        return None if np.any(np.abs(self.R - np.diag(r_diag)) > 1e-12) else r_diag
+
 
 @dataclass(frozen=True)
 class LgssModel:

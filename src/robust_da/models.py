@@ -12,7 +12,7 @@ under a fixed seed.
 
 from __future__ import annotations
 
-import csv
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -106,13 +106,18 @@ class TrajectoryRecord:
 
 
 def _write_csv(path, header: list[str], rows) -> None:
-    """Write a header and rows of str, int and Python float; the csv module
-    writes a Python float as its ``repr``.  Callers build float columns with
-    ``.tolist()``, so no numpy scalar, formatted by numpy's rules, gets here."""
+    """Write a header and rows of ints, Python floats (``str`` is ``repr``)
+    and identifiers as ``csv.writer`` does; a field it would quote is refused.
+    Callers build float columns with ``.tolist()``, so no numpy scalar,
+    formatted by numpy's rules, gets here."""
+    lines = []
+    for row in itertools.chain((header,), rows):
+        line = ",".join(map(str, row))
+        if line.count(",") != len(row) - 1 or '"' in line or "\r" in line or "\n" in line:
+            raise ValueError(f"a field of CSV line {line!r} needs quoting")
+        lines.append(line + "\r\n")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(lines)
 
 
 def contaminate(

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robust_da
-from robust_da import checks, harness
+from robust_da import checks, harness, models
 from robust_da.harness import (
     FILTERS,
     PRESETS,
@@ -63,6 +63,12 @@ def test_config_validation():
         {"out_dir": 5},
         # An infinite lambda ran every replicate into 0 * inf in the twin noise.
         pytest.param({"lam": math.inf}, id="lam_inf"),
+        # Unused settings are checked too, so no summary echoes NaN or inf.
+        pytest.param({"taper_length": math.nan, "half_width": None}, id="taper_length_nan_unused"),
+        pytest.param({"taper_length": -math.inf, "half_width": None},
+                     id="taper_length_inf_unused"),
+        pytest.param({"q_sq": -1.0, "kernel_family": "constant"}, id="q_sq_negative_unused"),
+        pytest.param({"q_sq": math.nan, "kernel_family": "constant"}, id="q_sq_nan_unused"),
     ],
     ids=lambda setting: next(iter(setting)),
 )
@@ -156,6 +162,10 @@ def config_fields(draw):
     return {**values, "model": model} if "model" not in chosen else values
 
 
+def _refuse_json_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(config_fields())
 def test_every_config_the_harness_accepts_runs_clean(values):
@@ -176,6 +186,8 @@ def test_every_config_the_harness_accepts_runs_clean(values):
             assert math.isfinite(result.report.rmse) and math.isfinite(result.report.q_ic)
         else:
             assert result.report is None
+        for path in Path(tmp).glob("*_summary.json"):  # strict JSON: no NaN or Infinity
+            json.loads(path.read_text(), parse_constant=_refuse_json_constant)
         sweep = run_sweep(replace(config, mc_reps=2), [config.epsilon], [math.sqrt(config.lam)])
         cell = sweep.cell(config.filter, 0, 0)
         assert cell.n_ok + cell.n_failed == 2
@@ -676,7 +688,8 @@ def test_sweep_files_do_not_depend_on_the_chunk_size(base, filters, tmp_path, mo
                 (out / name).read_bytes() for name in ("sweep_cells.csv", "sweep_replicates.csv")
             ]
     assert all(got == files[1, 1] for got in files.values())
-    sizes = [len(c) for c in harness._chunks([(config, filters, (0, 0), r) for r in range(8)], 1)]
+    configs = tuple(replace(config, filter=f) for f in filters)
+    sizes = [len(c) for c in harness._chunks([(configs, (0, 0, r)) for r in range(8)], 1)]
     assert sizes == [8]  # the chunks of the last size held every job
 
 
@@ -720,6 +733,46 @@ def test_a_replicate_that_diverges_leaves_the_rest_of_its_chunk_as_run_alone(
                 np.testing.assert_array_equal(got, expected)
     if np.isnan(value):
         assert all(runs[2 * len(filters) + i].divergence_step == 5 for i in range(len(filters)))
+
+
+def test_a_sweep_builds_each_cell_and_filter_config_once(monkeypatch):
+    # The 2 cells and their 2 x 3 run configs are built, and so validated,
+    # once each, not again for each of the 4 replicates.
+    config = ExperimentConfig(model="tracking2d", filter="kf", t_end=1.0, seed=5, mc_reps=4)
+    built, post_init = [], ExperimentConfig.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+    run_sweep(config, [0.0, 0.2], [10.0], filters=["kf", "dsm_kf", "wolf_kf"])
+    assert len(built) == 8
+
+
+def test_a_stack_whose_finite_moments_sum_past_the_largest_double_keeps_every_element():
+    # Two kf replicates follow observations of 1e308: every recorded mean is
+    # finite, but at every step the stack's moments sum to inf, so each step
+    # tests its elements one by one, and both stay in the stack, each its
+    # run alone bit for bit.
+    config = ExperimentConfig(model="tracking2d", filter="kf", t_end=1.0, seed=5)
+    setups = [build_setup(config, np.random.SeedSequence((5, rep))) for rep in range(2)]
+    for setup in setups:
+        setup.record.observations[...] = 1e308
+    slices = [s for rep, setup in enumerate(setups)
+              for s in harness._slices(setup, [config], [np.random.default_rng(rep)])]
+    runs = harness._filter_loop(slices, setups[0])
+    with np.errstate(over="ignore"):
+        sums = [sum(float(run.means[k].sum()) + float(run.covariances[k].sum()) for run in runs)
+                for k in range(runs[0].means.shape[0])]
+    assert all(map(math.isinf, sums))
+    for rep, (setup, run) in enumerate(zip(setups, runs)):
+        alone = run_filter_alone(setup, config, np.random.default_rng(rep))
+        assert run.divergence_step is None and alone.divergence_step is None
+        assert np.isfinite(run.means).all()
+        for got, expected in ((run.means, alone.means), (run.covariances, alone.covariances),
+                              (run.weights, alone.weights)):
+            np.testing.assert_array_equal(got, expected)
 
 
 def test_a_closed_form_step_factors_the_dsm_rows_and_the_gain_brackets_once_each(monkeypatch):
@@ -892,6 +945,26 @@ def test_every_csv_file_reads_back_bit_exactly(tmp_path):
         assert _same_bits(cols["rmse"], values) and _same_bits(cols["q_ic"], values), kind
     cols = _read_columns(tmp_path / "contamination_cells.csv", ["sqrt_lambda"])
     assert _same_bits(cols["sqrt_lambda"], values)
+
+
+def test_csv_lines_are_the_csv_modules_bytes(tmp_path):
+    # The writer joins the fields itself: for ints, Python floats and
+    # identifiers it writes what csv.writer writes, and it refuses a field
+    # that csv.writer would quote.
+    header = ["filter", "cell", "replicate", "value"]
+    rows = [["dsm_kf", f"{i}/{i % 2}", i, x] for i, x in enumerate(_EDGE_FLOATS)]
+    rows += [["wolf_kf", "0/1", n, float(n)] for n in (0, -1, 2**70, -(2**63))]
+    models._write_csv(tmp_path / "joined.csv", header, iter(rows))
+    with open(tmp_path / "module.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "module.csv").read_bytes()
+    for field in ("a,b", 'a"b', "a\nb", "a\rb"):
+        with pytest.raises(ValueError, match="needs quoting"):
+            models._write_csv(tmp_path / "refused.csv", header, [["kf", field, 0, 0.1]])
+        with pytest.raises(ValueError, match="needs quoting"):
+            models._write_csv(tmp_path / "refused.csv", [*header[:3], field], [])
 
 
 # ---------------------------------------------------------------------------
