@@ -31,7 +31,7 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 def pow2_scale(x: np.ndarray, axis: int | None = None) -> np.ndarray:
     """A power of two dividing which is exact and brings the largest |entry|
     of x, along ``axis``, into [1, 2)."""
-    return np.ldexp(1.0, np.frexp(np.abs(x).max(axis=axis))[1] - 1)
+    return np.ldexp(1.0, np.frexp(np.maximum.reduce(np.abs(x), axis=axis))[1] - 1)
 
 
 def psd_sym_sqrt(a: np.ndarray) -> np.ndarray:
@@ -112,7 +112,7 @@ def whitened_sq(chol: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray
     fault, so they do not warn."""
     z = whiten_rows(chol, r)
     s = np.vecdot(z, z)
-    if math.isfinite(s.sum()):
+    if math.isfinite(np.add.reduce(s, axis=None)):
         return z, s
     if r.ndim == 1:
         scale = pow2_scale(r)
@@ -187,7 +187,7 @@ class SpdFactor:
         if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
             raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
         try:
-            if a.shape[-1] == 1 and a.min(initial=math.inf) > 0.0:
+            if a.shape[-1] == 1 and np.minimum.reduce(a, axis=None, initial=math.inf) > 0.0:
                 chol = np.sqrt(a)
             else:
                 chol = np.linalg.cholesky(a)

@@ -26,6 +26,7 @@ from .weights import (
     CONDITIONAL,
     WeightKernelSpec,
     WolfSpec,
+    _as_floats,
     robust_update,
     weight_slope,
     weight_sq,
@@ -58,10 +59,10 @@ class EnsembleState:
     anomalies: np.ndarray = field(init=False, repr=False, compare=False)  # columns sum to zero
 
     def __post_init__(self):
-        members = np.atleast_2d(np.asarray(self.members, dtype=float))
+        members = _as_floats(self.members, 2)
         if members.shape[1] < 2:
             raise ValueError("an ensemble needs at least two members")
-        mean = members.mean(axis=1)
+        mean = np.add.reduce(members, axis=1) / members.shape[1]  # ndarray.mean's arithmetic
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "anomalies", members - mean[:, None])
@@ -105,7 +106,7 @@ def ensemble_forecast(
     out, start = [], 0
     for size in sizes:
         block = np.ascontiguousarray(propagated[:, start : start + size])
-        out.append(block if np.isfinite(block).all() else None)
+        out.append(block if np.logical_and.reduce(np.isfinite(block), axis=None) else None)
         start += size
     return out
 
@@ -131,7 +132,7 @@ def enkf_perturbed_analysis(
     """
     if mode not in ENKF_MODES:
         raise ValueError(f"unknown EnKF mode {mode!r}")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = _as_floats(y)
     h = obs.H
     hp_f = h @ ensemble.cov
 
@@ -250,7 +251,7 @@ def _transform_analysis(
     """
     if isinstance(spec, WeightKernelSpec) and len(spec.block_partition or ()) > 1:
         raise ValueError("the LETKF weights each window as one block; got a block partition")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = _as_floats(y)
     y_mean = obs.H @ ensemble.mean
     y_anom = obs.H @ ensemble.members - y_mean[:, None]
     innovation = y - y_mean
@@ -271,24 +272,24 @@ def _transform_analysis(
         d_hat = r_inv_sqrt * (innovation[idx] / d_scale[:, None])
 
     n, n_obs, m = y_hat.shape
-    gram_vals, vecs = np.linalg.eigh(np.swapaxes(y_hat, 1, 2) @ y_hat)
+    gram_vals, vecs = np.linalg.eigh(y_hat.swapaxes(1, 2) @ y_hat)
     # b / d_scale in G's eigenbasis
     b_scaled = np.einsum("nmk,nm->nk", vecs, np.einsum("nwm,nw->nm", y_hat, d_hat))
     s_scaled = np.einsum("nw,nw->n", d_hat, d_hat)
     std_proj = b_scaled  # Y^T R^{-1} R Std^{-1} d / d_scale in the eigenbasis
     if spec.standardization != CONDITIONAL:
         c_vals = (m - 1) + gram_vals
-        s_scaled = s_scaled - np.sum(b_scaled * b_scaled / c_vals, axis=1)
+        s_scaled = s_scaled - np.add.reduce(b_scaled * b_scaled / c_vals, axis=1)
         std_proj = (m - 1) * b_scaled / c_vals
     s = np.maximum(s_scaled, 0.0) * d_scale * d_scale
     threshold = spec.thresholds_for(n_obs)[0]
     k_sq = weight_sq(spec, s, threshold)
     w = 2.0 * k_sq
-    slope = np.reshape(weight_slope(spec, k_sq, threshold), (-1, 1))
+    slope = np.asarray(weight_slope(spec, k_sq, threshold)).reshape(-1, 1)
     target_proj = (w * d_scale)[:, None] * (b_scaled - 2.0 * slope * std_proj)
     a_vals = (m - 1) / config.rho + w[:, None] * gram_vals
     mean_weights = np.einsum("nmk,nk->nm", vecs, target_proj / a_vals)
-    transform = (vecs * np.sqrt((m - 1) / a_vals)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+    transform = (vecs * np.sqrt((m - 1) / a_vals)[:, None, :]) @ vecs.swapaxes(1, 2)
 
     # The state rows of each window: one row per window, or all rows in one.
     x_anom = ensemble.anomalies.reshape(n, -1, m)

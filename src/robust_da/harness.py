@@ -378,9 +378,9 @@ class _ClosedFormStack:
         self.belief = belief = GaussianBelief(mean=mean, cov=cov)
         mean, cov, rows = belief.mean, belief.cov, self.live_rows
         means[rows, k], covs[rows, k] = mean, cov
-        weights[rows, k] = w.min(axis=1) * self.weight_factor  # halving is exact
+        weights[rows, k] = np.minimum.reduce(w, axis=1) * self.weight_factor  # halving is exact
         # A non-finite element makes the sum non-finite; only then is each tested.
-        if not math.isfinite(mean.sum() + cov.sum()):
+        if not math.isfinite(np.add.reduce(mean, axis=None) + np.add.reduce(cov, axis=None)):
             finite = np.isfinite(mean).all(axis=1) & np.isfinite(cov).all(axis=(1, 2))
             if not finite.all():
                 self.live = self.live[finite]

@@ -497,7 +497,7 @@ def simulate_lorenz96(
     states[:, 0] = x
     for k in range(1, n + 1):
         x = _lorenz96_rk4_step(x, dt, forcings[n_burn + k - 1], ring)
-        if not np.all(np.isfinite(x)):
+        if not np.logical_and.reduce(np.isfinite(x), axis=None):
             raise FloatingPointError(f"Lorenz-96 state blew up at step {k}")
         states[:, k] = x
     obs = ObservationModel(H=np.eye(d), R=np.eye(d))

@@ -16,7 +16,9 @@ import numpy as np
 
 from ._linalg import SpdFactor
 from .lgss import ObservationModel
-from .weights import CONDITIONAL, CONSTANT, WeightKernelSpec, loss_limit, weight_slope, weight_sq
+from .weights import (
+    CONDITIONAL, CONSTANT, WeightKernelSpec, _as_floats, loss_limit, weight_slope, weight_sq,
+)
 
 __all__ = [
     "ParticleCloud",
@@ -30,7 +32,7 @@ def _logsumexp(x: np.ndarray) -> float:
     it, bit for bit, without its ~80 us of array-API dispatch: the maxima
     are summed apart, as a count m, and the rest, shifted by the maximum, as
     s / m.  A result that is not finite is log(sum(exp(x))), as there."""
-    mx = x.max()
+    mx = np.maximum.reduce(x, axis=None)
     at_max = x == mx
     m = np.count_nonzero(at_max)
     # Infinite and NaN entries take the log(0), -inf - -inf and overflow
@@ -55,7 +57,7 @@ class ParticleCloud:
     ess: float = field(init=False, repr=False, compare=False)  # 1 / sum(w^2), in [1, M]
 
     def __post_init__(self):
-        particles = np.atleast_2d(np.asarray(self.particles, dtype=float))
+        particles = _as_floats(self.particles, 2)
         logw = np.asarray(self.log_weights, dtype=float)
         if logw.shape != (particles.shape[1],):
             raise ValueError(
@@ -66,11 +68,11 @@ class ParticleCloud:
         object.__setattr__(self, "particles", particles)
         object.__setattr__(self, "log_weights", logw)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "ess", float(1.0 / np.sum(weights**2)))
+        object.__setattr__(self, "ess", float(1.0 / np.add.reduce(weights * weights)))
 
     @classmethod
     def uniform(cls, particles: np.ndarray) -> "ParticleCloud":
-        particles = np.atleast_2d(np.asarray(particles, dtype=float))
+        particles = _as_floats(particles, 2)
         m = particles.shape[1]
         return cls(particles=particles, log_weights=np.full(m, -np.log(m)))
 
@@ -104,13 +106,13 @@ def dsm_log_potential(
     kernel gives d_Y - s/2, the Gaussian log-likelihood up to a constant.  A
     non-finite observation gives a non-finite potential.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    s = r_factor.mahalanobis_sq(y - np.atleast_1d(np.asarray(h_of_x, dtype=float)).T)
+    y = _as_floats(y)
+    s = r_factor.mahalanobis_sq(y - _as_floats(h_of_x).T)
     d_y = r_factor.dim
     threshold = spec.thresholds_for(d_y)[0]
     # Where a finite residual was too large to square, s = 0 stands in and
     # the potential is replaced by its limit, rather than forming 0 * inf.
-    overflow = np.isinf(s) & np.all(np.isfinite(y))
+    overflow = np.isinf(s) & np.logical_and.reduce(np.isfinite(y), axis=None)
     s = np.where(overflow, 0.0, s)
     k_sq = weight_sq(spec, s, threshold)
     potential = -k_sq * (s - 4.0 * weight_slope(spec, k_sq, threshold) * s - 2.0 * d_y)
@@ -142,7 +144,7 @@ def pf_step(
     if spec.family != CONSTANT and not one_r_block:
         raise ValueError(f"the particle filter standardizes each kernel by R as one block: {spec}")
     log_pot = dsm_log_potential(y, obs.H @ propagated, obs.r_factor, spec)
-    if not np.all(np.isfinite(log_pot)):
+    if not np.logical_and.reduce(np.isfinite(log_pot), axis=None):
         raise FloatingPointError("non-finite log-potential (bounded for finite observations)")
     updated = ParticleCloud(particles=propagated, log_weights=cloud.log_weights + log_pot)
 

@@ -207,11 +207,12 @@ class WeightEvaluation:
         )
 
 
-def _as_floats(x) -> np.ndarray:
-    """``x`` as a float array of at least one dimension."""
-    if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim:
+def _as_floats(x, ndim: int = 1) -> np.ndarray:
+    """``x`` as a float array of at least ``ndim`` (1 or 2) dimensions; a
+    float64 ndarray that has them is returned as it is."""
+    if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim >= ndim:
         return x
-    return np.atleast_1d(np.asarray(x, dtype=float))
+    return (np.atleast_2d if ndim == 2 else np.atleast_1d)(np.asarray(x, dtype=float))
 
 
 def weight_sq(
@@ -227,7 +228,7 @@ def weight_sq(
         return 1.0 / (1.0 + s / threshold)
     if spec.family == SQEXP:
         return np.exp(-s / threshold)
-    return np.full(np.shape(s), CONSTANT_WEIGHT_SQ)[()]
+    return np.full(np.asarray(s).shape, CONSTANT_WEIGHT_SQ)[()]
 
 
 def weight_slope(
@@ -334,7 +335,7 @@ def _log_grad(chol: np.ndarray, z: np.ndarray, k_sq: np.ndarray, slope) -> np.nd
     slope) and grad s = 2 cov^{-1} (y - center) by one back substitution; 0
     where k^2 is 0, never 0 * inf."""
     log_grad = 2.0 * slope * back_substitute(chol, z)
-    if not k_sq.min() > 0.0:
+    if not np.minimum.reduce(k_sq, axis=None) > 0.0:
         log_grad = np.where(k_sq > 0.0, log_grad, 0.0)
     return log_grad
 

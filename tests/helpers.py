@@ -1,9 +1,10 @@
 """Shared test oracles: dense-grid quadrature posteriors and
-finite-difference gradients; LAPACK's solves with one Cholesky factor,
-references for ``SpdFactor``; the information-form robust update and the
-outlier-influence sweep; a per-window LETKF loop, an np.roll-based
-Lorenz-96 integrator, a draw-per-step Lorenz-63 integrator and the two
-hand-written linear Gaussian truth loops (scalar OU in Python floats,
+finite-difference gradients; a strategy of float matrices of any magnitude
+and memory layout, and observations in other forms than a float vector;
+LAPACK's solves with one Cholesky factor, references for ``SpdFactor``; the
+information-form robust update and the outlier-influence sweep; a
+per-window LETKF loop, an np.roll-based Lorenz-96 integrator, a
+draw-per-step Lorenz-63 integrator and the two hand-written linear Gaussian truth loops (scalar OU in Python floats,
 constant-velocity tracking in arrays), references for the shared library
 code; the per-step q-IC and coverage loops, references for the stacked
 metrics; a machine-speed calibration loop for wall-time budgets; the marks
@@ -25,6 +26,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.stats import norm
 
@@ -116,6 +118,40 @@ def random_spd(rng, d, scale=1.0):
     """Random well-conditioned SPD matrix."""
     a = rng.standard_normal((d, d))
     return scale * (a @ a.T + d * np.eye(d))
+
+
+# A one-component observation in other forms than a float64 vector, each
+# with the float64 vector it stands for (2.1 is not a float32).
+OBSERVATION_FORMS = [
+    *((y, np.array([2.1])) for y in (2.1, np.float64(2.1), np.array(2.1), [2.1])),
+    *((y, np.array([2.0])) for y in (2, [2], np.array([2]))),
+    (np.array([2.1], dtype=np.float32), np.array([float(np.float32(2.1))])),
+]
+
+_SPECIAL_FLOATS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-310, 1e-320])
+
+
+@st.composite
+def float_matrices(draw, rows=(1, 5), cols=(2, 40)):
+    """(d, M) float64 arrays whose magnitudes span 1e-300 to 1e300 (a drawn
+    sub-range, so that some rows sum without overflow), with subnormals,
+    signed zeros, infinities and NaN sprinkled in, laid out C-ordered,
+    Fortran-ordered or as a strided view of a larger array."""
+    d, m = draw(st.integers(*rows)), draw(st.integers(*cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.integers(-300, 300))
+    hi = draw(st.integers(lo, 300))
+    x = rng.choice([-1.0, 1.0], (d, m)) * 10.0 ** rng.uniform(lo, hi, (d, m))
+    special = rng.random((d, m)) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    x[special] = rng.choice(_SPECIAL_FLOATS, special.sum())
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "strided":
+        wide = np.full((2 * d, 3 * m), 7.0)
+        wide[::2, ::3] = x
+        return wide[::2, ::3]
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from robust_da import (
     EnsembleState,
@@ -22,9 +23,11 @@ from robust_da.ensemble import _window_indices
 from robust_da.models import lgss_sampler, lorenz63_sampler
 from robust_da.weights import CONSTANT, IMQ, SQEXP, WeightKernelSpec
 from helpers import (
+    OBSERVATION_FORMS,
     WINDOW_SQUARE_OVERFLOWS,
     ScaledNormals,
     anomaly_posterior_cov,
+    float_matrices,
     letkf_analysis_looped,
     lorenz63_drift_stacked,
     random_spd,
@@ -58,6 +61,77 @@ def test_anomalies_sum_to_zero():
     assert np.linalg.norm(col_sum) <= 1e-10 * ens.size * (1 + np.linalg.norm(ens.mean))
     eigs = np.linalg.eigvalsh(ens.cov)
     assert eigs.min() >= -1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(float_matrices())
+def test_mean_and_anomalies_are_ndarray_mean_bit_for_bit(members):
+    # The constructor keeps a float64 matrix as it is and sums each row by
+    # np.add.reduce divided by M, the arithmetic of ndarray.mean, at any
+    # magnitude and in any memory layout, NaN and inf included.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ens = EnsembleState(members=members)
+        mean = np.atleast_2d(np.asarray(members, dtype=float)).mean(axis=1)
+        anomalies = members - mean[:, None]
+    assert ens.members is members
+    assert ens.mean.shape == mean.shape and ens.mean.tobytes() == mean.tobytes()
+    assert ens.anomalies.shape == anomalies.shape
+    assert ens.anomalies.tobytes() == anomalies.tobytes()
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        [[1.0, 2.0, 4.0], [0.5, -3.0, 1e300]],
+        np.arange(12).reshape(3, 4),
+        np.linspace(-1.0, 1.0, 12, dtype=np.float32).reshape(2, 6),
+        np.array([1.0, 2.0, 7.0]),
+        [3, 5],
+    ],
+    ids=["list", "int", "float32", "1-D", "1-D-list"],
+)
+def test_members_that_are_not_a_float64_matrix_are_converted(members):
+    # Anything else is taken as np.atleast_2d(np.asarray(x, dtype=float)):
+    # one state dimension for a 1-D ensemble.
+    ens = EnsembleState(members=members)
+    expected = np.atleast_2d(np.asarray(members, dtype=float))
+    assert ens.members.dtype == np.float64 and ens.members.shape == expected.shape
+    assert ens.members.tobytes() == expected.tobytes()
+    assert ens.mean.tobytes() == expected.mean(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("analysis", ["enkf", "esrf"])
+def test_a_scalar_list_or_integer_observation_is_its_float_vector(analysis):
+    obs = ObservationModel(H=[[1.0, 0.0, 0.0]], R=[[0.5]])
+    ens = EnsembleState(members=np.random.default_rng(5).standard_normal((3, 10)))
+    spec = WeightKernelSpec(family=IMQ)
+
+    def analysed(y):
+        if analysis == "esrf":
+            return esrf_analysis(ens, obs, y, spec).members
+        return enkf_perturbed_analysis(ens, obs, y, spec, rng=np.random.default_rng(0)).members
+
+    for y, vector in OBSERVATION_FORMS:
+        assert analysed(y).tobytes() == analysed(vector).tobytes(), repr(y)
+
+
+@pytest.mark.parametrize(
+    "convert", [np.ndarray.tolist, lambda x: x.astype(np.float32)], ids=["nested-list", "float32"]
+)
+def test_forecast_takes_the_samplers_output_as_float64_blocks(convert):
+    # A DynamicsSampler may return any array-like: the forecast takes it as
+    # np.asarray(out, dtype=float) and splits it into C-ordered blocks.
+    rng = np.random.default_rng(2)
+    blocks = [rng.standard_normal((3, m)) for m in (4, 1, 6)]
+    out = convert(1.5 * np.concatenate(blocks, axis=1))
+    forecasts = ensemble_forecast(
+        lambda _blocks, _rngs: out, blocks, [np.random.default_rng(i) for i in range(3)]
+    )
+    expected = np.split(np.asarray(out, dtype=float), [4, 5], axis=1)
+    assert len(forecasts) == len(expected)
+    for got, want in zip(forecasts, expected):
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_forecast_identity_zero_noise():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -803,6 +804,67 @@ def test_a_closed_form_step_factors_the_dsm_rows_and_the_gain_brackets_once_each
         shapes.clear()
         stack.step(k, *record)
         assert shapes == [(3, 2, 2), (9, 1, 2, 2)], k
+
+
+# numpy's Python-level wrappers of its reductions and function forms
+# (``ndarray.mean``/``sum``/``min``/``all``, ``np.sum``/``np.all``/
+# ``np.swapaxes``/...), each a few microseconds per call in the loop.
+_NUMPY_WRAPPERS = tuple(
+    os.path.join("numpy", "_core", name) for name in ("_methods.py", "fromnumeric.py")
+)
+
+
+def _wrapper_entries(jobs, monkeypatch) -> Counter:
+    """The entries into numpy's wrappers made directly from robust_da code
+    inside ``_filter_loop`` while ``_run_chunk`` runs the jobs, counted by
+    (caller, wrapper)."""
+    package = os.path.dirname(robust_da.__file__) + os.sep
+    counts, loop = Counter(), harness._filter_loop
+
+    def count(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename.endswith(_NUMPY_WRAPPERS):
+            caller = frame.f_back.f_code
+            if caller.co_filename.startswith(package):
+                counts[caller.co_name, frame.f_code.co_name] += 1
+
+    def profiled(*args):
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            return loop(*args)
+        finally:
+            sys.setprofile(previous)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_filter_loop", profiled)
+        harness._run_chunk(jobs)
+    # Generator.choice calls np.prod; compiled frames do not show, so the
+    # call (and its dispatcher's) is attributed to pf_step.
+    del counts["pf_step", "prod"], counts["pf_step", "_prod_dispatcher"]
+    return counts
+
+
+@pytest.mark.parametrize(
+    "model,filters",
+    [
+        ("lorenz63", ("enkf", "dsm_enkf", "wolf_enkf", "esrf", "dsm_esrf", "dsm_pf")),
+        ("lorenz96", ("letkf", "dsm_letkf", "wolf_letkf")),
+        ("ou", ("kf", "dsm_kf", "wolf_kf", "enkf", "esrf", "letkf", "dsm_pf")),
+        ("tracking2d", ("kf", "dsm_kf", "wolf_kf")),
+    ],
+)
+def test_the_per_step_path_calls_no_numpy_python_wrapper(model, filters, monkeypatch):
+    # Per step, robust_da calls the ufunc or C method that numpy's Python
+    # wrapper would call; only per-run and per-build calls may enter a
+    # wrapper, so twice the steps make no more entries.
+    counts = []
+    for t_end in (1.0, 2.0):
+        base = ExperimentConfig(model=model, filter=filters[0], t_end=t_end, seed=1,
+                                epsilon=0.25, lam=625.0)
+        configs = tuple(replace(base, filter=f) for f in filters)
+        counts.append(_wrapper_entries([(configs, ())], monkeypatch))
+    grown = counts[1] - counts[0]
+    assert not grown, f"wrapper entries that grow with the steps: {dict(grown)}"
 
 
 @pytest.mark.parametrize("model", ["tracking2d", "lorenz96"])

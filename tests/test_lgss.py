@@ -11,8 +11,10 @@ from robust_da import (
     kf_analysis,
     kf_forecast,
 )
+from robust_da._linalg import pow2_scale
 from robust_da.weights import WeightKernelSpec
 from helpers import (
+    float_matrices,
     grid_posterior_1d,
     grid_posterior_2d,
     lapack_mahalanobis_sq,
@@ -32,6 +34,17 @@ def scalar_model(a=0.7, q=1.3, h=1.0, r=0.1, m0=0.0, p0=1.0):
 
 # ---------------------------------------------------------------------------
 # SpdFactor and GaussianBelief invariants
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(float_matrices(), st.booleans(), st.sampled_from([None, 0, -1]))
+def test_pow2_scale_takes_the_largest_magnitude_as_ndarray_max_does(x, one_row, axis):
+    # The largest |entry| along the axis is np.abs(x).max(axis=axis), NaN
+    # and inf included, of a matrix or a vector in any memory layout.
+    x = x[0] if one_row else x
+    expected = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=axis))[1] - 1)
+    got = pow2_scale(x, axis)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def by_columns(oracle, chol, block):

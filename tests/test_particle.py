@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robust_da import (
     GaussianBelief,
@@ -14,7 +16,7 @@ from robust_da import (
 )
 from robust_da.models import lorenz63_sampler
 from robust_da.weights import CONDITIONAL, CONSTANT, IMQ, SQEXP, WeightKernelSpec
-from helpers import central_diff_gradient, random_spd
+from helpers import OBSERVATION_FORMS, central_diff_gradient, float_matrices, random_spd
 
 
 def scalar_model(r=1.0):
@@ -264,3 +266,52 @@ def test_log_weight_normalizer_is_scipys_logsumexp_bit_for_bit():
             expected = float(logsumexp(x))
             got = _logsumexp(x)
             assert got == expected or (np.isnan(got) and np.isnan(expected)), x
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(float_matrices(), st.data())
+def test_cloud_log_weights_weights_and_ess_are_the_reference_forms_bit_for_bit(particles, data):
+    # The constructor keeps a float64 matrix of particles as it is, and its
+    # normalized log-weights, weights and ESS are the plain numpy forms bit
+    # for bit, at any magnitude and in any memory layout, NaN and inf
+    # included.
+    from scipy.special import logsumexp
+
+    m = particles.shape[1]
+    log_weights = data.draw(float_matrices(rows=(1, 1), cols=(m, m)))[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cloud = ParticleCloud(particles=particles, log_weights=log_weights)
+        logw = log_weights - logsumexp(log_weights)
+        weights = np.exp(logw)
+        ess = float(1.0 / np.sum(weights**2))
+    assert cloud.particles is particles
+    assert cloud.log_weights.tobytes() == logw.tobytes()
+    assert cloud.weights.tobytes() == weights.tobytes()
+    assert np.float64(cloud.ess).tobytes() == np.float64(ess).tobytes()
+
+
+@pytest.mark.parametrize(
+    "particles",
+    [[[1.0, 2.0, 4.0]], np.arange(6).reshape(2, 3), np.linspace(0, 1, 3, dtype=np.float32),
+     [0.5, -1.0, 2.0]],
+    ids=["list", "int", "float32-1-D", "1-D-list"],
+)
+def test_particles_that_are_not_a_float64_matrix_are_converted(particles):
+    expected = np.atleast_2d(np.asarray(particles, dtype=float))
+    for cloud in (ParticleCloud(particles=particles, log_weights=[0.0, 1.0, 2.0]),
+                  ParticleCloud.uniform(particles)):
+        assert cloud.particles.dtype == np.float64 and cloud.particles.shape == expected.shape
+        assert cloud.particles.tobytes() == expected.tobytes()
+
+
+def test_a_scalar_list_or_integer_observation_gives_the_potential_of_its_float_vector():
+    # Each form is the float64 vector or matrix it stands for (0.1 is not a
+    # float32).
+    r_factor, spec = SpdFactor(np.array([[0.5]])), imq(1.0)
+    h_of_x = np.array([[0.1, -1.0, 3.0, 40.0]])
+    h_forms = [(h_of_x, h_of_x), (h_of_x.tolist(), h_of_x),
+               (h_of_x.astype(np.float32), h_of_x.astype(np.float32).astype(float))]
+    for y, vector in OBSERVATION_FORMS:
+        for h, matrix in h_forms:
+            got = dsm_log_potential(y, h, r_factor, spec)
+            assert got.tobytes() == dsm_log_potential(vector, matrix, r_factor, spec).tobytes()
