@@ -678,6 +678,7 @@ class CellStats:
     se_q_ic: float
     rmse_values: list[float]
     q_ic_values: list[float]
+    replicates: list[int]          # the replicate number of each kept value
 
 
 @dataclass
@@ -730,7 +731,7 @@ class SweepResult:
             filt, *cell_key = key
             cell = "/".join(map(str, cell_key))
             rows += [[filt, cell, rep, r, q]
-                     for rep, (r, q) in enumerate(zip(c.rmse_values, c.q_ic_values))]
+                     for rep, r, q in zip(c.replicates, c.rmse_values, c.q_ic_values)]
         _write_csv(path, ["filter", "cell", "replicate", "rmse", "q_ic"], rows)
 
 
@@ -779,11 +780,14 @@ def _aggregate(values: list[float]) -> tuple[float, float]:
 
 
 def _cell_stats(results: list[tuple]) -> CellStats:
-    """Failure count, and mean and standard error over the replicates that ran."""
-    rmse = [r for r, _ in results if r is not None]
-    q_ic = [q for r, q in results if r is not None]
+    """Failure count, and mean and standard error over the replicates that ran;
+    ``results`` holds one (rmse, q_ic) per replicate, in replicate order."""
+    replicates = [rep for rep, (r, _) in enumerate(results) if r is not None]
+    rmse = [results[rep][0] for rep in replicates]
+    q_ic = [results[rep][1] for rep in replicates]
     return CellStats(
-        len(rmse), len(results) - len(rmse), *_aggregate(rmse), *_aggregate(q_ic), rmse, q_ic
+        len(rmse), len(results) - len(rmse), *_aggregate(rmse), *_aggregate(q_ic),
+        rmse, q_ic, replicates,
     )
 
 

@@ -298,63 +298,74 @@ def lorenz63_sampler(dt: float, n_steps: int):
     the same numbers, in the same order, as one draw per substep.
 
     The N members of all blocks are stepped together in rows 1-3 of one
-    14-row buffer, laid out so that operations of one kind on independent
+    17-row buffer, laid out so that operations of one kind on independent
     operands sit side by side and a substep is 9 in-place ufunc calls on
     contiguous rows, with no temporaries.  Row by row the buffer holds
 
         0 b = 28 - x3    1-3 x1 x2 x3     4 a = x2 - x1   5 8/3   6 10
         7 p2 = b x1      8 p3 = x1 x2     9 p4 = (8/3) x3  10 p1 = 10 a
-        11 d2 = p2 - x2  12 d3 = p3 - p4  13 28
+        11 d2 = p2 - x2  12 d3 = p3 - p4  13 28           14-16 dt
 
-    so that rows 10-12 hold the field (p1, d2, d3).  Each product and
-    difference has the operands, and each difference the order, of the
-    field written out per coordinate (IEEE products commute exactly).
+    so that rows 10-12 hold the field (p1, d2, d3), scaled in place by rows
+    14-16.  Each product and difference has the operands, and each
+    difference the order, of the field written out per coordinate (IEEE
+    products commute exactly).  Every constant is a row of the buffer, not a
+    Python float: a ufunc call with a Python-float operand costs nearly
+    twice the same call with an array operand, for the same IEEE result.
 
     Every row starts on a 64-byte line: the buffer is aligned, each row is
     N padded with zeros to a multiple of 8 doubles, and the noise rows share
     its allocation and stride.  At thousands of columns, rows that split
     cache lines made the 9 calls slower than the 11 calls of the unpaired
     field.  The padding is zero outside the constant rows, and every
-    operation keeps it zero.
+    operation keeps it zero.  The buffer, its noise rows and their views are
+    kept for the column count of the last call and built anew when a call
+    brings another count.
     """
     sqrt_dt = np.sqrt(dt)
+    layout = None
+
+    def build(n):
+        s = -(-n // 8) * 8  # row stride
+        raw = np.zeros((17 + 3 * n_steps) * s + 8)
+        start = -raw.ctypes.data % 64 // 8
+        row = raw[start : start + 17 * s]
+        buf = row.reshape(17, s)
+        buf[5], buf[6], buf[13], buf[14:] = 8.0 / 3.0, 10.0, 28.0, dt
+        noise = raw[start + 17 * s : start + (17 + 3 * n_steps) * s].reshape(n_steps, 3, s)
+        views = [row[i * s : i * s + n] for i in (0, 1, 2, 3, 4, 7, 8, 9, 11, 12, 13)]
+        views += [
+            row[i * s : (j - 1) * s + n]
+            for i, j in ((1, 4), (0, 2), (1, 3), (7, 9), (5, 7), (3, 5), (9, 11), (10, 13), (14, 17))
+        ]
+        return n, buf[1:4, :n], noise, noise.reshape(n_steps, 3 * s)[:, : 2 * s + n], views
 
     def step(blocks, rngs) -> np.ndarray:
+        nonlocal layout
         n = sum(block.shape[1] for block in blocks)
-        s = -(-n // 8) * 8  # row stride
-        raw = np.empty((14 + 3 * n_steps) * s + 8)
-        start = -raw.ctypes.data % 64 // 8
-        row = raw[start : start + 14 * s]
-        noise = raw[start + 14 * s : start + (14 + 3 * n_steps) * s].reshape(n_steps, 3, s)
-        buf = row.reshape(14, s)
-        buf[:, n:] = noise[..., n:] = 0.0
-        np.concatenate(blocks, axis=1, out=buf[1:4, :n])
-        buf[5], buf[6], buf[13] = 8.0 / 3.0, 10.0, 28.0
-        b, x1, x2, x3, a, p2, p3, p4, d2, d3, c28 = (
-            row[i * s : i * s + n] for i in (0, 1, 2, 3, 4, 7, 8, 9, 11, 12, 13)
-        )
-        x, b_x1, x1_x2, p2_p3, c_x3, x3_a, p4_p1, field = (
-            row[i * s : (j - 1) * s + n]
-            for i, j in ((1, 4), (0, 2), (1, 3), (7, 9), (5, 7), (3, 5), (9, 11), (10, 13))
-        )
+        if layout is None or layout[0] != n:
+            layout = build(n)
+        _, members, noise, noise_rows, views = layout
+        (b, x1, x2, x3, a, p2, p3, p4, d2, d3, c28,
+         x, b_x1, x1_x2, p2_p3, c_x3, x3_a, p4_p1, field, dt_rows) = views
+        np.concatenate(blocks, axis=1, out=members)
         np.concatenate(
             [rng.standard_normal((n_steps, 3, block.shape[1])) for block, rng in zip(blocks, rngs)],
             axis=-1, out=noise[..., :n],
         )
         noise *= sqrt_dt
-        noise = noise.reshape(n_steps, 3 * s)[:, : 2 * s + n]
         subtract, multiply, add = np.subtract, np.multiply, np.add
-        for k in range(n_steps):
+        for noise_k in noise_rows:
             subtract(x2, x1, a)
             subtract(c28, x3, b)
             multiply(b_x1, x1_x2, p2_p3)  # (28 - x3) x1, x1 x2
             multiply(c_x3, x3_a, p4_p1)   # (8/3) x3, 10 (x2 - x1)
             subtract(p2, x2, d2)
             subtract(p3, p4, d3)
-            multiply(field, dt, field)
+            multiply(field, dt_rows, field)
             add(x, field, x)
-            add(x, noise[k], x)
-        return buf[1:4, :n].copy()
+            add(x, noise_k, x)
+        return members.copy()
 
     return step
 
@@ -400,9 +411,8 @@ def simulate_lorenz63(
             interval[i] = (x1, x2, x3)
         block = rows[start + 1 : start + 1 + len(interval)]
         block[:] = interval
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            k = start + 1 + int(np.argmin(finite))
+        if not np.logical_and.reduce(np.isfinite(block), axis=None):
+            k = start + 1 + int(np.argmin(np.isfinite(block).all(axis=1)))
             raise FloatingPointError(f"Lorenz-63 state blew up at step {k} (dt too large?)")
     obs = ObservationModel(H=[[1.0, 0.0, 0.0]], R=[[0.5]])
     return _twin_record(states, dt, steps_per_obs, obs.H, np.sqrt(obs.R), contamination, rng), obs
@@ -429,12 +439,23 @@ def lorenz96_drift(
     return (xe[3:] - xe[:d]) * xe[1 : d + 1] - x + forcing
 
 
-def _lorenz96_rk4_step(x: np.ndarray, dt: float, forcing, ring: np.ndarray) -> np.ndarray:
-    k1 = lorenz96_drift(x, forcing, ring)
-    k2 = lorenz96_drift(x + 0.5 * dt * k1, forcing, ring)
-    k3 = lorenz96_drift(x + 0.5 * dt * k2, forcing, ring)
-    k4 = lorenz96_drift(x + dt * k3, forcing, ring)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _lorenz96_rk4_step(dt: float, shape: tuple[int, ...]):
+    """The RK4 step ``step(x, forcing)`` of the Lorenz-96 field for states of
+    ``shape``, with the neighbour ring built once.  Its constants 0.5 dt, dt,
+    2 and dt / 6 are float64 arrays of that shape: a ufunc call with a
+    Python-float operand costs nearly twice the same call with an array
+    operand, for the same IEEE result."""
+    ring = _lorenz96_ring(shape[0])
+    half_dt, full_dt, two, sixth_dt = (np.full(shape, c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
+
+    def step(x: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+        k1 = lorenz96_drift(x, forcing, ring)
+        k2 = lorenz96_drift(x + half_dt * k1, forcing, ring)
+        k3 = lorenz96_drift(x + half_dt * k2, forcing, ring)
+        k4 = lorenz96_drift(x + full_dt * k3, forcing, ring)
+        return x + sixth_dt * (k1 + two * k2 + two * k3 + k4)
+
+    return step
 
 
 def _lorenz96_forcings(
@@ -452,17 +473,21 @@ def lorenz96_sampler(dt: float, n_steps: int):
     constant across the four RK4 stages of that step, keeping each step a
     well-defined deterministic map given its forcing draw.  Each (d, M_i)
     block draws its ``(n_steps, d, M_i)`` forcings from its own generator.
+    The RK4 step of the member shape of the last call is kept, and built
+    anew when a call brings another shape.
     """
+    shape = rk4 = None
 
     def step(blocks, rngs) -> np.ndarray:
+        nonlocal shape, rk4
         x = _stack(blocks)
-        d = x.shape[0]
-        ring = _lorenz96_ring(d)
+        if x.shape != shape:
+            shape, rk4 = x.shape, _lorenz96_rk4_step(dt, x.shape)
         forcings = _stacked_draws(
-            blocks, rngs, lambda rng, m: _lorenz96_forcings(rng, n_steps, (d, m))
+            blocks, rngs, lambda rng, m: _lorenz96_forcings(rng, n_steps, (shape[0], m))
         )
         for forcing in forcings:
-            x = _lorenz96_rk4_step(x, dt, forcing, ring)
+            x = rk4(x, forcing)
         return x
 
     return step
@@ -485,18 +510,18 @@ def simulate_lorenz96(
     n, steps_per_obs = step_counts(t_end, dt, LORENZ_T_OUT)
     rng = np.random.default_rng(seed)
     n_burn = int(round(12.2 / dt))
-    ring = _lorenz96_ring(d)
+    rk4 = _lorenz96_rk4_step(dt, (d,))
     forcings = _lorenz96_forcings(rng, n_burn + n, (d,))
 
     x = np.full(d, 8.0)
     x[0] += 0.01
     for forcing in forcings[:n_burn]:
-        x = _lorenz96_rk4_step(x, dt, forcing, ring)
+        x = rk4(x, forcing)
 
     states = np.empty((d, n + 1))
     states[:, 0] = x
     for k in range(1, n + 1):
-        x = _lorenz96_rk4_step(x, dt, forcings[n_burn + k - 1], ring)
+        x = rk4(x, forcings[n_burn + k - 1])
         if not np.logical_and.reduce(np.isfinite(x), axis=None):
             raise FloatingPointError(f"Lorenz-96 state blew up at step {k}")
         states[:, k] = x

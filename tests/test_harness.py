@@ -814,12 +814,10 @@ _NUMPY_WRAPPERS = tuple(
 )
 
 
-def _wrapper_entries(jobs, monkeypatch) -> Counter:
-    """The entries into numpy's wrappers made directly from robust_da code
-    inside ``_filter_loop`` while ``_run_chunk`` runs the jobs, counted by
-    (caller, wrapper)."""
+def _profiled(fn, counts: Counter):
+    """``fn``, counting into ``counts`` by (caller, wrapper) the entries into
+    numpy's wrappers made directly from robust_da code while it runs."""
     package = os.path.dirname(robust_da.__file__) + os.sep
-    counts, loop = Counter(), harness._filter_loop
 
     def count(frame, event, _arg):
         if event == "call" and frame.f_code.co_filename.endswith(_NUMPY_WRAPPERS):
@@ -827,16 +825,24 @@ def _wrapper_entries(jobs, monkeypatch) -> Counter:
             if caller.co_filename.startswith(package):
                 counts[caller.co_name, frame.f_code.co_name] += 1
 
-    def profiled(*args):
+    def profiled(*args, **kwargs):
         previous = sys.getprofile()
         sys.setprofile(count)
         try:
-            return loop(*args)
+            return fn(*args, **kwargs)
         finally:
             sys.setprofile(previous)
 
+    return profiled
+
+
+def _wrapper_entries(jobs, monkeypatch) -> Counter:
+    """The entries into numpy's wrappers made directly from robust_da code
+    inside ``_filter_loop`` while ``_run_chunk`` runs the jobs, counted by
+    (caller, wrapper)."""
+    counts = Counter()
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "_filter_loop", profiled)
+        patch.setattr(harness, "_filter_loop", _profiled(harness._filter_loop, counts))
         harness._run_chunk(jobs)
     # Generator.choice calls np.prod; compiled frames do not show, so the
     # call (and its dispatcher's) is attributed to pf_step.
@@ -863,6 +869,18 @@ def test_the_per_step_path_calls_no_numpy_python_wrapper(model, filters, monkeyp
                                 epsilon=0.25, lam=625.0)
         configs = tuple(replace(base, filter=f) for f in filters)
         counts.append(_wrapper_entries([(configs, ())], monkeypatch))
+    grown = counts[1] - counts[0]
+    assert not grown, f"wrapper entries that grow with the steps: {dict(grown)}"
+
+
+@pytest.mark.parametrize("simulate", [models.simulate_lorenz63, models.simulate_lorenz96])
+def test_the_truth_simulators_call_no_numpy_python_wrapper_per_step(simulate):
+    # As in the filter loop: only per-run calls may enter a wrapper, so
+    # twice the steps make no more entries.
+    counts = []
+    for t_end in (1.0, 2.0):
+        counts.append(Counter())
+        _profiled(simulate, counts[-1])(t_end=t_end, seed=1)
     grown = counts[1] - counts[0]
     assert not grown, f"wrapper entries that grow with the steps: {dict(grown)}"
 
@@ -902,6 +920,21 @@ def test_stacked_scoring_is_each_run_scored_alone_bit_for_bit(model):
             float.hex(v) for v in (alone.rmse, alone.q_ic, alone.ci_coverage_95)
         ]
     assert reports[2].rmse > 1e198
+
+
+def test_replicate_file_numbers_each_value_by_its_replicate(tmp_path):
+    # The plain ESRF diverges in replicates 0, 3 and 5 of this cell; each
+    # value that ran keeps its replicate's number, and a replicate's value
+    # does not depend on how many replicates the sweep runs.
+    cfg = ExperimentConfig(model="ou", filter="esrf", t_end=2.0, seed=5, mc_reps=8,
+                           out_dir=str(tmp_path))
+    run_sweep(cfg, [0.03], [1e150], filters=["esrf"])
+    rows = [line.split(",") for line in
+            (tmp_path / "sweep_replicates.csv").read_text().strip().splitlines()[1:]]
+    assert [int(row[2]) for row in rows] == [1, 2, 4, 6, 7]
+    two = run_sweep(replace(cfg, mc_reps=2, out_dir=None), [0.03], [1e150], filters=["esrf"])
+    assert two.cell("esrf", 0, 0).replicates == [1]
+    assert float(rows[0][3]) == two.cell("esrf", 0, 0).rmse_values[0]
 
 
 def test_sweep_aggregation_matches_replicate_file(tmp_path):
@@ -995,7 +1028,7 @@ def test_every_csv_file_reads_back_bit_exactly(tmp_path):
         ("ensemble_size", {"axis_sizes": list(range(2, n + 2))}, lambda j: (j, 0)),
     ):
         cells = {
-            ("kf", *key(j)): harness.CellStats(1, 0, v, v, v, v, [v], [v])
+            ("kf", *key(j)): harness.CellStats(1, 0, v, v, v, v, [v], [v], [0])
             for j, v in enumerate(values)
         }
         sweep = harness.SweepResult(kind, ["kf"], 1, cells, **axes)

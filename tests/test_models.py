@@ -236,13 +236,14 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, 
 
 
 @st.composite
-def member_blocks(draw):
-    """1-5 blocks of 1-40 members near the attractor, each C- or
-    Fortran-ordered; optionally some columns scaled toward overflow, so that
-    their members run into inf and NaN within the call."""
+def member_blocks(draw, center=LORENZ63_X0):
+    """1-5 blocks of 1-40 members near ``center`` (by default on the
+    Lorenz-63 attractor), each C- or Fortran-ordered; optionally some columns
+    scaled toward overflow, so that their members run into inf and NaN
+    within the call."""
     sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    members = LORENZ63_X0[:, None] + 5.0 * rng.standard_normal((3, sum(sizes)))
+    members = center[:, None] + 5.0 * rng.standard_normal((center.size, sum(sizes)))
     if draw(st.booleans()):
         exponents = rng.integers(100, 300, size=sum(sizes))
         members *= np.where(rng.random(sum(sizes)) < 0.3, 10.0**exponents, 1.0)
@@ -274,6 +275,89 @@ def test_lorenz63_sampler_equals_stepwise_sampler_on_any_blocks(blocks, n_steps,
         assert np.array_equal(block, before) and block.flags.f_contiguous == before.flags.f_contiguous
     assert out.flags.c_contiguous
     assert not any(np.shares_memory(out, block) for block in blocks)
+
+
+def _lorenz96_blocks(d):
+    return member_blocks(np.full(d, 8.0))
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(4, 40).flatmap(_lorenz96_blocks), st.integers(1, 10),
+    st.sampled_from([0.0, 1.0]),
+)
+def test_lorenz96_sampler_equals_rolled_sampler_on_any_blocks(blocks, n_steps, forcing_std):
+    # The RK4 constants are arrays; the rolled sampler's are Python floats,
+    # with the same IEEE products and sums, even where members overflow.
+    rngs = [np.random.default_rng(11 + i) for i in range(len(blocks))]
+    rngs_rolled = [np.random.default_rng(11 + i) for i in range(len(blocks))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = lorenz96_sampler(0.01, n_steps)(
+            blocks, [ScaledNormals(r, forcing_std) for r in rngs]
+        )
+        out_rolled = np.concatenate([
+            lorenz96_sampler_rolled(0.01, n_steps, forcing_std=forcing_std)(b, rng)
+            for b, rng in zip(blocks, rngs_rolled)
+        ], axis=1)
+    assert np.array_equal(out, out_rolled, equal_nan=True)
+    assert np.array_equal(np.isinf(out), np.isinf(out_rolled))
+    for rng, rng_rolled in zip(rngs, rngs_rolled):
+        assert rng.bit_generator.state == rng_rolled.bit_generator.state
+
+
+@st.composite
+def block_calls(draw, blocks):
+    """2-6 calls' block lists taken from a pool of 1-3, so that the column
+    count of successive calls shrinks, grows and repeats."""
+    pool = draw(st.lists(blocks, min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=6))
+    return [pool[i] for i in picks]
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(
+        st.tuples(st.just("lorenz63"), block_calls(member_blocks())),
+        st.tuples(st.just("lorenz96"), block_calls(_lorenz96_blocks(6))),
+    ),
+    st.integers(1, 20),
+    st.sampled_from([0.0, 1.0]),
+)
+def test_samplers_reuse_their_layout_across_calls(model_calls, n_steps, noise_scale):
+    # One sampler keeps its buffers between calls; each call's output is a
+    # fresh sampler's, bit for bit, whatever the calls before it held.  A
+    # call whose members stay finite raises no floating-point error, so no
+    # inf or NaN of an earlier call lingers in the padding.
+    model, calls = model_calls
+    if model == "lorenz63":
+        sampler = lorenz63_sampler(0.001, n_steps)
+        oracle = lorenz63_sampler_stepwise(0.001, n_steps, noise_scale)
+    else:
+        sampler = lorenz96_sampler(0.01, n_steps)
+        oracle = lorenz96_sampler_rolled(0.01, n_steps, forcing_std=noise_scale)
+    outs, expected = [], []
+    for i, blocks in enumerate(calls):
+        inputs = [b.copy(order="A") for b in blocks]
+        rngs = [np.random.default_rng((i, j)) for j in range(len(blocks))]
+        rngs_oracle = [np.random.default_rng((i, j)) for j in range(len(blocks))]
+        finite = max(np.abs(b).max() for b in blocks) < 1e50
+        with np.errstate(**dict.fromkeys(("over", "invalid"), "raise" if finite else "ignore")):
+            out = sampler(blocks, [ScaledNormals(r, noise_scale) for r in rngs])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected.append(np.concatenate(
+                [oracle(b, rng) for b, rng in zip(blocks, rngs_oracle)], axis=1
+            ))
+        assert np.array_equal(out, expected[-1], equal_nan=True)
+        assert np.array_equal(np.isinf(out), np.isinf(expected[-1]))
+        for rng, rng_oracle in zip(rngs, rngs_oracle):
+            assert rng.bit_generator.state == rng_oracle.bit_generator.state
+        for block, before in zip(blocks, inputs):
+            assert np.array_equal(block, before) and block.flags.f_contiguous == before.flags.f_contiguous
+        assert out.flags.c_contiguous
+        assert not any(np.shares_memory(out, other) for other in [*blocks, *outs])
+        outs.append(out)
+    for out, want in zip(outs, expected):
+        assert np.array_equal(out, want, equal_nan=True)
 
 
 class _DrawnBefore:
@@ -364,7 +448,7 @@ def test_lorenz96_rk4_deterministic_step_matches_manual():
     k2 = lorenz96_drift(x + 0.005 * k1, 8.0)
     k3 = lorenz96_drift(x + 0.005 * k2, 8.0)
     k4 = lorenz96_drift(x + 0.01 * k3, 8.0)
-    assert np.allclose(out, x + 0.01 / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), rtol=1e-14)
+    assert np.array_equal(out, x + 0.01 / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
 def test_lorenz96_observation_count_full_window():
