@@ -46,7 +46,6 @@ from .models import (
 )
 from .particle import ParticleCloud, dsm_log_potential, pf_step
 from .weights import (
-    WeightEvaluation,
     WeightKernelSpec,
     WolfSpec,
     default_threshold,

@@ -50,14 +50,14 @@ def psd_sym_sqrt(a: np.ndarray) -> np.ndarray:
     return (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
 
 
-def inv_sym_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root T with T a T = identity of a symmetric
-    PSD matrix, or of each matrix of a stack; zero eigenvalues stay zero."""
-    eigvals, eigvecs = np.linalg.eigh(a)
-    root = np.sqrt(np.clip(eigvals, 0.0, None))
-    with np.errstate(divide="ignore"):
-        inv_root = np.where(root > 0.0, 1.0 / root, 0.0)
-    return (eigvecs * inv_root[..., None, :]) @ eigvecs.swapaxes(-1, -2)
+def block_diagonal(a: np.ndarray, block_of: np.ndarray) -> bool:
+    """Whether the SPD matrix ``a`` is block-diagonal over the blocks that
+    ``block_of`` assigns its indices to: |a_ij| <= 1e-12 sqrt(a_ii a_jj)
+    wherever i and j lie in different blocks, a test that does not depend
+    on the scale of ``a``."""
+    root = np.sqrt(np.abs(np.diagonal(a)))
+    off = block_of[:, None] != block_of
+    return bool(np.all(np.abs(a[off]) <= 1e-12 * np.outer(root, root)[off]))
 
 
 def whiten_rows(chol: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -207,9 +207,12 @@ class SpdFactor:
     @property
     def inv_sym_sqrt(self) -> np.ndarray:
         """The symmetric inverse square root T with T @ matrix @ T = identity,
-        of each matrix."""
+        of each matrix, by one ``eigh``; zero eigenvalues stay zero."""
         if self._inv_sym_sqrt is None:
-            self._inv_sym_sqrt = inv_sym_sqrt(self.matrix)
+            eigvals, eigvecs = np.linalg.eigh(self.matrix)
+            root = np.sqrt(np.clip(eigvals, 0.0, None))
+            inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
+            self._inv_sym_sqrt = (eigvecs * inv_root[..., None, :]) @ eigvecs.swapaxes(-1, -2)
         return self._inv_sym_sqrt
 
     def solve(self, b: np.ndarray) -> np.ndarray:

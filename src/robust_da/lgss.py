@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import SpdFactor, symmetrize
+from ._linalg import SpdFactor, block_diagonal, symmetrize
 from .weights import CONSTANT, WeightKernelSpec, WolfSpec, robust_update
 
 __all__ = [
@@ -119,9 +119,8 @@ class ObservationModel:
 
     @cached_property
     def r_diagonal(self) -> np.ndarray | None:
-        """The diagonal of R, or None if an entry off it exceeds 1e-12 in magnitude."""
-        r_diag = np.diag(self.R)
-        return None if np.any(np.abs(self.R - np.diag(r_diag)) > 1e-12) else r_diag
+        """The diagonal of R, or None if R is not diagonal (``block_diagonal``)."""
+        return np.diag(self.R) if block_diagonal(self.R, np.arange(self.d_y)) else None
 
 
 @dataclass(frozen=True)

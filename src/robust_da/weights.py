@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import SpdFactor, back_substitute, pow2_scale, whitened_sq
+from ._linalg import SpdFactor, back_substitute, block_diagonal, pow2_scale, whitened_sq
 
 __all__ = [
     "IMQ",
@@ -24,7 +24,6 @@ __all__ = [
     "CONSTANT",
     "WeightKernelSpec",
     "WolfSpec",
-    "WeightEvaluation",
     "robust_update",
     "weight_sq",
     "weight_slope",
@@ -70,15 +69,9 @@ def normalize_partition(partition, d: int) -> BlockPartition:
     return blocks
 
 
-def _check_block_diagonal(r: np.ndarray, partition: BlockPartition):
-    mask = np.ones_like(r, dtype=bool)
-    for start, stop in partition:
-        mask[start:stop, start:stop] = False
-    off = np.abs(r[mask])
-    if off.size and off.max() > 1e-12:
-        raise ValueError(
-            f"R is not block-diagonal w.r.t. the partition (max off-block entry {off.max():.3e})"
-        )
+def _block_index(partition: BlockPartition) -> np.ndarray:
+    """The block of each component of the partitioned vector."""
+    return np.repeat(np.arange(len(partition)), [stop - start for start, stop in partition])
 
 
 @dataclass(frozen=True)
@@ -180,33 +173,6 @@ class WolfSpec:
         return resolved
 
 
-@dataclass(frozen=True)
-class WeightEvaluation:
-    """Evaluated squared weights and the gradients of their logarithms, for
-    one observation or, with a leading axis, for a stack of them.
-
-    ``log_grads`` row b is the observation-space gradient of log k^2_b, 0
-    where k^2_b is 0.  Entry i of a ``*_diag`` vector is taken from the
-    block containing i: ``k_sq_diag`` is the diagonal of the weight matrix,
-    and ``log_grad_diag`` the partial derivative of that block's log k^2
-    with respect to y_i.
-    """
-
-    k_sq: np.ndarray          # (n_blocks,) squared weights per block, or (B, n_blocks)
-    log_grads: np.ndarray     # (n_blocks, d_Y), or (B, n_blocks, d_Y)
-    partition: BlockPartition
-
-    @property
-    def k_sq_diag(self) -> np.ndarray:
-        return np.repeat(self.k_sq, [b - a for a, b in self.partition], axis=-1)
-
-    @property
-    def log_grad_diag(self) -> np.ndarray:
-        return np.concatenate(
-            [self.log_grads[..., i, a:b] for i, (a, b) in enumerate(self.partition)], axis=-1
-        )
-
-
 def _as_floats(x, ndim: int = 1) -> np.ndarray:
     """``x`` as a float array of at least ``ndim`` (1 or 2) dimensions; a
     float64 ndarray that has them is returned as it is."""
@@ -255,28 +221,16 @@ def loss_limit(spec: WeightKernelSpec, threshold: float) -> float:
 
 
 def eval_kernel(
-    spec: WeightKernelSpec,
-    y: np.ndarray,
-    center: np.ndarray,
-    std_cov: SpdFactor,
-) -> WeightEvaluation:
-    """Evaluate the squared weight kernel and the gradients of its logarithm.
+    spec: WeightKernelSpec, y: np.ndarray, center: np.ndarray, std_cov: SpdFactor
+) -> tuple[np.ndarray, np.ndarray]:
+    """The squared weights k^2_b of every block b and the gradients of their
+    logarithms, by ``robust_update``'s multi-block step for any partition.
 
     ``y`` and ``center`` are one (d_Y,) observation or a (B, d_Y) stack, and
     ``std_cov`` the factor of the standardizing covariance: of one
-    covariance for every element, or of one per element.  Each element is
-    evaluated with its own factor, as a single call would evaluate it; a
-    single-block kernel takes the steps of ``robust_update``'s pass.
-
-    Single block: s is the squared norm of the residual y - center whitened
-    by the Cholesky factor of ``std_cov``, and the gradient follows the
-    chain rule through cov^{-1} (y - center).  Multiple blocks: the residual
-    is whitened with the fixed symmetric root cov^{-1/2}, s_b is the squared
-    norm of the block slice, and the chain rule runs through that root
-    (which does not depend on y).  Either way s is a sum of squares of the
-    residual divided by a power of two (exact), so a finite residual too
-    large to square gives s = inf and k^2 = 0, never a cancellation or NaN,
-    and a block with k^2 = 0 gets a zero log-gradient, never 0 * inf.
+    covariance for every element, or of one per element.  Returns k^2,
+    shaped (..., n_blocks), and the observation-space gradients of log k^2,
+    shaped (..., n_blocks, d_Y): row b over all of y, 0 where k^2_b is 0.
     """
     y, center = _as_floats(y), _as_floats(center)
     d_y = y.shape[-1]
@@ -284,37 +238,31 @@ def eval_kernel(
         raise ValueError(f"y has shape {y.shape} but center has shape {center.shape}")
     if std_cov.dim != d_y:
         raise ValueError(f"standardization covariance has dim {std_cov.dim}, expected {d_y}")
-    partition = spec.partition_for(d_y)
-    thresholds = spec.thresholds_for(d_y)
-    residuals = (y - center).reshape(-1, d_y)
-    if len(partition) == 1:
-        z, s = whitened_sq(std_cov.chol, residuals)
-        k_sq = weight_sq(spec, s, thresholds[0])[:, None]
-        log_grad = _log_grad(std_cov.chol, z, k_sq, weight_slope(spec, k_sq, thresholds[0]))
-        return WeightEvaluation(
-            k_sq=k_sq.reshape(*y.shape[:-1], 1),
-            log_grads=log_grad.reshape(y.shape)[..., None, :],
-            partition=partition,
-        )
+    k_sq, log_grads = _block_kernel(spec, (y - center).reshape(-1, d_y), std_cov.inv_sym_sqrt)
+    return k_sq.reshape(*y.shape[:-1], -1), log_grads.reshape(*y.shape[:-1], -1, d_y)
 
-    roots = std_cov.inv_sym_sqrt
-    k_sq = np.empty((len(residuals), len(partition)))
-    log_grads = np.zeros((len(residuals), len(partition), d_y))
-    for i, residual in enumerate(residuals):
-        root = roots if roots.ndim == 2 else roots[i]
-        scale = pow2_scale(residual)
-        z_scaled = root @ (residual / scale)
-        for b, (start, stop) in enumerate(partition):
-            s_b = float(z_scaled[start:stop] @ z_scaled[start:stop]) * scale * scale
-            k_sq[i, b] = k = weight_sq(spec, s_b, thresholds[b])
-            if k > 0.0:
-                slope = weight_slope(spec, k, thresholds[b])
-                # grad s_b = 2 * root[:, start:stop] @ z[start:stop] (root symmetric)
-                log_grads[i, b] = 2.0 * slope * (root[:, start:stop] @ (z_scaled[start:stop] * scale))
 
-    if y.ndim == 1:
-        k_sq, log_grads = k_sq[0], log_grads[0]
-    return WeightEvaluation(k_sq=k_sq, log_grads=log_grads, partition=partition)
+@np.errstate(over="ignore", invalid="ignore")  # s_b = inf is the answer, not a fault
+def _block_kernel(
+    spec: WeightKernelSpec, residuals: np.ndarray, root: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """k^2_b, shaped (n, n_blocks), and grad log k^2_b, shaped (n, n_blocks,
+    d_Y), of an (n, d_Y) stack of residuals r under the symmetric root T =
+    cov^{-1/2} (one for all, or one per residual).  s_b is the squared norm
+    of block b of z = T r, and grad s_b = 2 T z_b, z_b that block of z and 0
+    elsewhere.  r is divided by a power of two first (exact), so a finite r
+    too large to square gives s_b = inf and k^2_b = 0, never a NaN, and a
+    block with k^2_b = 0 a zero gradient, never 0 * inf."""
+    partition = spec.partition_for(residuals.shape[-1])
+    thresholds = spec.thresholds_for(residuals.shape[-1])
+    scale = pow2_scale(residuals, axis=-1)[:, None]
+    z = (root @ (residuals / scale)[..., None])[..., 0]
+    s = np.add.reduceat(z * z, [start for start, _ in partition], axis=-1) * scale * scale
+    k_sq = weight_sq(spec, s, thresholds)
+    in_block = _block_index(partition)[:, None] == np.arange(len(partition))
+    grads = root @ np.where(in_block, (z * scale)[..., None], 0.0)  # (n, d_Y, n_blocks)
+    grads = 2.0 * weight_slope(spec, k_sq[:, None], thresholds) * grads
+    return k_sq, np.where(k_sq[:, None] > 0.0, grads, 0.0).swapaxes(-1, -2)
 
 
 def _joined(rows: list, n: int) -> slice | np.ndarray:
@@ -369,9 +317,12 @@ def robust_update(
     HPH^T + R are factored by one ``SpdFactor`` and the others take R's
     factor, one whitening gives every Mahalanobis square, each spec turns
     its rows' squares into weights, and one back substitution gives the
-    kernel rows' gradients.  A multi-block kernel takes ``eval_kernel``'s
-    blockwise path.  Each element comes out as a single call would give it;
-    one whose HPH^T + R no jitter repairs gets a NaN weight.
+    kernel rows' gradients.  Each multi-block spec whitens its rows by one
+    stacked symmetric root, of R or of their HPH^T + R, and takes s_b and
+    the gradients of every block at once, the step ``eval_kernel`` returns;
+    its weights and target take the gradient blocks on the diagonal.  Each
+    element comes out as a single call would give it; one whose HPH^T + R
+    no jitter repairs gets a NaN weight.
     """
     r = r_factor.matrix
     y = _as_floats(y)
@@ -423,11 +374,13 @@ def robust_update(
     else:
         target = y.copy()
     for spec, rows in blocked:
-        _check_block_diagonal(r, spec.partition_for(d_y))
+        block_of = _block_index(spec.partition_for(d_y))
+        if not block_diagonal(r, block_of):
+            raise ValueError("R is not block-diagonal w.r.t. the partition")
         std_cov = r_factor if spec.standardization == CONDITIONAL else SpdFactor(hph(rows) + r)
-        evaluation = eval_kernel(spec, y[rows], center[rows], std_cov)
-        w[rows] = 2.0 * evaluation.k_sq_diag
-        target[rows] = y[rows] - (r @ evaluation.log_grad_diag[..., None])[..., 0]
+        k_sq, log_grads = _block_kernel(spec, y[rows] - center[rows], std_cov.inv_sym_sqrt)
+        w[rows] = 2.0 * k_sq[:, block_of]
+        target[rows] = y[rows] - (r @ log_grads[:, block_of, np.arange(d_y)][..., None])[..., 0]
     return w.reshape(shape), target.reshape(shape)
 
 

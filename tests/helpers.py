@@ -1,22 +1,24 @@
 """Shared test oracles: dense-grid quadrature posteriors and
-finite-difference gradients; a strategy of float matrices of any magnitude
-and memory layout, and observations in other forms than a float vector;
-LAPACK's solves with one Cholesky factor, references for ``SpdFactor``; the
-information-form robust update and the outlier-influence sweep; a
-per-window LETKF loop, an np.roll-based Lorenz-96 integrator, a
-draw-per-step Lorenz-63 integrator and the two hand-written linear Gaussian truth loops (scalar OU in Python floats,
-constant-velocity tracking in arrays), references for the shared library
-code; the per-step q-IC and coverage loops, references for the stacked
-metrics; a machine-speed calibration loop for wall-time budgets; the marks
-that let a test drive one of the library's intended overflows; one
-replicate's setup and lock-stepped filters; and the one-filter-at-a-time
-run, the reference for the harness's lock-stepped filters.
+finite-difference gradients; the per-residual multi-block kernel loop; a
+strategy of float matrices of any magnitude and memory layout, and
+observations in other forms than a float vector; LAPACK's solves with one
+Cholesky factor, references for ``SpdFactor``; the information-form robust
+update and the outlier-influence sweep; a per-window LETKF loop, an
+np.roll-based Lorenz-96 integrator, a draw-per-step Lorenz-63 integrator
+and the two hand-written linear Gaussian truth loops (scalar OU in Python
+floats, constant-velocity tracking in arrays), references for the shared
+library code; the per-step q-IC and coverage loops, references for the
+stacked metrics; a machine-speed calibration loop for wall-time budgets;
+the mark that lets a test drive one of the library's intended overflows;
+one replicate's setup and lock-stepped filters; and the
+one-filter-at-a-time run, the reference for the harness's lock-stepped
+filters.
 
 The quadrature, gradient and information-form oracles deliberately avoid
 the library's update formulas so that agreement is evidence, not tautology.
-The LETKF, Lorenz and metric oracles are the straightforward loops: they pin
-the batched code to the same numbers computed one window, or one step, at a
-time.
+The multi-block kernel, LETKF, Lorenz and metric oracles are the
+straightforward loops: they pin the batched code to the same numbers
+computed one residual, one window, or one step, at a time.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from robust_da import harness
 from robust_da._linalg import pow2_scale
 from robust_da.metrics import _q_log_from_log
 from robust_da.models import tracking_model
-from robust_da.weights import robust_update
+from robust_da.weights import robust_update, weight_slope, weight_sq
 
 
 def grid_posterior_1d(log_unnormalized, lo=-20.0, hi=20.0, n=400_000):
@@ -84,16 +86,12 @@ def grid_posterior_2d(log_unnormalized, lo=-12.0, hi=12.0, n=700):
     return mean, cov
 
 
-# Intended overflows.  Each of these lines overflows on purpose for a finite
-# residual too large to square: the products that give s = inf and a weight
+# An intended overflow.  This line overflows on purpose for a finite
+# residual too large to square: the product that gives s = inf and a weight
 # of 0.  The suite turns every RuntimeWarning into an error; the harness
 # runs under np.errstate, so only a test that calls the library directly
-# meets these, and it names each one it drives.  (SpdFactor.mahalanobis_sq
-# silences its own: its result is inf.)
-# weights.eval_kernel: a block's s_b * scale * scale.
-BLOCK_SQUARE_OVERFLOWS = pytest.mark.filterwarnings(
-    "ignore:overflow encountered in scalar multiply:RuntimeWarning:robust_da.weights"
-)
+# meets it, and it names the mark.  (SpdFactor.mahalanobis_sq and the
+# multi-block kernel silence their own: their result is inf.)
 # ensemble._transform_analysis: a window's s * d_scale * d_scale.
 WINDOW_SQUARE_OVERFLOWS = pytest.mark.filterwarnings(
     "ignore:overflow encountered in multiply:RuntimeWarning:robust_da.ensemble"
@@ -112,6 +110,34 @@ def central_diff_gradient(fn, y, rel_step=1e-6):
         dn[i] -= step
         grad[i] = (fn(up) - fn(dn)) / (2.0 * step)
     return grad
+
+
+@np.errstate(over="ignore", invalid="ignore")  # s_b = inf gives k^2_b = 0
+def block_kernel_looped(spec, y, center, std_cov):
+    """k^2_b, shaped (B, n_blocks), and grad log k^2_b, shaped (B, n_blocks,
+    d_Y), of a (B, d_Y) stack of observations under a multi-block DSM spec,
+    one residual and one block at a time: the residual, divided by a power
+    of two, is whitened by the symmetric root cov^{-1/2} of its element (or
+    of all), s_b is the squared norm of the block slice, and the gradient of
+    a block with k^2_b > 0 is 2 slope root[:, block] z[block].  The
+    reference for ``weights.eval_kernel``."""
+    d_y = y.shape[-1]
+    partition = spec.partition_for(d_y)
+    thresholds = spec.thresholds_for(d_y)
+    roots = std_cov.inv_sym_sqrt
+    k_sq = np.empty((len(y), len(partition)))
+    log_grads = np.zeros((len(y), len(partition), d_y))
+    for i, residual in enumerate(y - center):
+        root = roots if roots.ndim == 2 else roots[i]
+        scale = pow2_scale(residual)
+        z_scaled = root @ (residual / scale)
+        for b, (start, stop) in enumerate(partition):
+            s_b = float(z_scaled[start:stop] @ z_scaled[start:stop]) * scale * scale
+            k_sq[i, b] = k = weight_sq(spec, s_b, thresholds[b])
+            if k > 0.0:
+                slope = weight_slope(spec, k, thresholds[b])
+                log_grads[i, b] = 2.0 * slope * (root[:, start:stop] @ (z_scaled[start:stop] * scale))
+    return k_sq, log_grads
 
 
 def random_spd(rng, d, scale=1.0):

@@ -22,11 +22,7 @@ from robust_da import (
 )
 from robust_da.lgss import robust_analysis
 from robust_da.weights import CONSTANT, IMQ, SQEXP, WeightKernelSpec, WolfSpec, robust_update
-from helpers import (
-    BLOCK_SQUARE_OVERFLOWS,
-    information_form_update,
-    random_spd,
-)
+from helpers import information_form_update, random_spd
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -204,7 +200,6 @@ def test_outlier_too_large_to_square_gets_zero_weight():
     np.testing.assert_array_equal(result.posterior.cov, model.prior.cov)
 
 
-@BLOCK_SQUARE_OVERFLOWS
 @pytest.mark.parametrize(
     "spec",
     [

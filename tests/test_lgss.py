@@ -7,6 +7,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from robust_da import (
     GaussianBelief,
     LgssModel,
+    ObservationModel,
     SpdFactor,
     kf_analysis,
     kf_forecast,
@@ -242,6 +243,16 @@ def test_model_validation():
     # A block partition must cover the observation dimension.
     with pytest.raises(ValueError):
         WeightKernelSpec(block_partition=((0, 1),)).partition_for(2)
+
+
+def test_r_diagonal_is_judged_relative_to_the_diagonal():
+    # A 0.6 correlation is not diagonal at any scale, so R-localization
+    # cannot drop it; an off-diagonal 2e-13 sqrt(r_ii r_jj) is round-off.
+    tiny = ObservationModel(H=np.eye(2), R=1e-14 * np.array([[1.0, 0.6], [0.6, 1.0]]))
+    assert tiny.r_diagonal is None
+    r = 1e10 * np.eye(2)
+    r[0, 1] = r[1, 0] = 2e-12
+    np.testing.assert_array_equal(ObservationModel(H=np.eye(2), R=r).r_diagonal, [1e10, 1e10])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robust_da import GaussianBelief, LgssModel, SpdFactor, dsm_analysis
 from robust_da.weights import (
@@ -16,7 +18,7 @@ from robust_da.weights import (
     robust_update,
     tune_threshold,
 )
-from helpers import BLOCK_SQUARE_OVERFLOWS, central_diff_gradient, random_spd
+from helpers import block_kernel_looped, central_diff_gradient, random_spd
 
 
 def test_zero_residual_gives_unit_weight_and_zero_gradient():
@@ -26,23 +28,22 @@ def test_zero_residual_gives_unit_weight_and_zero_gradient():
     for family in (IMQ, SQEXP):
         for partition in (None, ((0, 2), (2, 4))):
             spec = WeightKernelSpec(family=family, threshold=2.0, block_partition=partition)
-            ev = eval_kernel(spec, y, y, cov)
-            assert np.allclose(ev.k_sq, 1.0)
-            assert np.allclose(ev.k_sq_diag * ev.log_grad_diag, 0.0)
-            assert np.allclose(ev.k_sq[:, None] * ev.log_grads, 0.0)
+            k_sq, log_grads = eval_kernel(spec, y, y, cov)
+            assert np.allclose(k_sq, 1.0)
+            assert np.allclose(k_sq[:, None] * log_grads, 0.0)
 
 
 def test_scalar_imq_half_weight():
     spec = WeightKernelSpec(family=IMQ, threshold=1.0)
-    ev = eval_kernel(spec, np.array([1.0]), np.array([0.0]), SpdFactor([[1.0]]))
-    assert ev.k_sq[0] == pytest.approx(0.5, rel=1e-14)
+    k_sq, _ = eval_kernel(spec, np.array([1.0]), np.array([0.0]), SpdFactor([[1.0]]))
+    assert k_sq[0] == pytest.approx(0.5, rel=1e-14)
 
 
 def test_constant_family_is_exact_half():
     spec = WeightKernelSpec(family=CONSTANT)
-    ev = eval_kernel(spec, np.array([3.0, 1.0]), np.zeros(2), SpdFactor(np.eye(2)))
-    assert np.all(ev.k_sq == 0.5)
-    assert np.all(ev.k_sq_diag * ev.log_grad_diag == 0.0)
+    k_sq, log_grads = eval_kernel(spec, np.array([3.0, 1.0]), np.zeros(2), SpdFactor(np.eye(2)))
+    assert np.all(k_sq == 0.5)
+    assert np.all(k_sq[:, None] * log_grads == 0.0)
 
 
 def test_gradients_match_finite_differences():
@@ -64,17 +65,13 @@ def test_gradients_match_finite_differences():
             threshold=float(rng.uniform(0.5, 5.0)),
             block_partition=partition,
         )
-        ev = eval_kernel(spec, y, center, cov)
-        for b in range(len(ev.partition)):
+        k_sq, log_grads = eval_kernel(spec, y, center, cov)
+        for b in range(len(k_sq)):
             fd = central_diff_gradient(
-                lambda yy: eval_kernel(spec, yy, center, cov).k_sq[b], y
+                lambda yy: eval_kernel(spec, yy, center, cov)[0][b], y
             )
             scale = max(np.linalg.norm(fd), 1e-8)
-            assert np.linalg.norm(ev.k_sq[b] * ev.log_grads[b] - fd) / scale <= 1e-5
-        # The diagonal vectors are the blockwise diagonal of the full gradients.
-        grad_diag = ev.k_sq_diag * ev.log_grad_diag
-        for b, (start, stop) in enumerate(ev.partition):
-            assert np.array_equal(grad_diag[start:stop], ev.k_sq[b] * ev.log_grads[b, start:stop])
+            assert np.linalg.norm(k_sq[b] * log_grads[b] - fd) / scale <= 1e-5
         checked += 1
     assert checked == 100
 
@@ -86,7 +83,7 @@ def test_kernel_bounded_on_random_sweep():
     for family in (IMQ, SQEXP):
         spec = WeightKernelSpec(family=family, threshold=1.5)
         values = np.array(
-            [eval_kernel(spec, y, np.zeros(3), cov).k_sq[0] for y in draws]
+            [eval_kernel(spec, y, np.zeros(3), cov)[0][0] for y in draws]
         )
         # Positive wherever a double can hold it: only a sq-exp weight below
         # the smallest normal double, exp(-708), may underflow to 0.
@@ -100,22 +97,85 @@ def test_kernel_strictly_decreasing_in_mahalanobis_square():
     for family in (IMQ, SQEXP):
         spec = WeightKernelSpec(family=family, threshold=2.0)
         values = [
-            eval_kernel(spec, np.array([r]), np.zeros(1), cov).k_sq[0]
+            eval_kernel(spec, np.array([r]), np.zeros(1), cov)[0][0]
             for r in np.linspace(0.0, 10.0, 50)
         ]
         assert np.all(np.diff(values) < 0.0)
 
 
-@BLOCK_SQUARE_OVERFLOWS
 def test_block_kernel_of_a_residual_whose_whitening_overflows_has_zero_weight():
     # cov^{-1/2} (y - center) overflows with mixed signs, an inf - inf inside
     # the product with this residual; each block's weight is 0, not NaN.
     m = np.array([[4.0, 2, 5, -5], [2, 7, 3, -2], [5, 3, 14, -10], [-5, -2, -10, 11]])
     spec = WeightKernelSpec(family=IMQ, block_partition=((0, 2), (2, 4)))
     y = np.array([-1e307, -1e307, 1e307, 1e307])
-    ev = eval_kernel(spec, y, np.zeros(4), SpdFactor(1e-10 * m))
-    np.testing.assert_array_equal(ev.k_sq, [0.0, 0.0])
-    np.testing.assert_array_equal(ev.log_grads, np.zeros((2, 4)))
+    k_sq, log_grads = eval_kernel(spec, y, np.zeros(4), SpdFactor(1e-10 * m))
+    np.testing.assert_array_equal(k_sq, [0.0, 0.0])
+    np.testing.assert_array_equal(log_grads, np.zeros((2, 4)))
+
+
+@st.composite
+def block_kernel_cases(draw):
+    """(spec, y, center, hph, r_factor): a two- or three-block DSM kernel, IMQ
+    or sq-exp, on d_Y 2 to 6 with R block-diagonal over its blocks, and 1 to
+    5 observations whose residuals are up to 1e3, or log-uniform up to 1e307,
+    per component.  HPH^T is None for the conditional standardization, else
+    one matrix for every element or one per element.  The covariances are
+    scaled by 10^e, e uniform on [-2, 2] or, in a quarter of the cases, on
+    [-2, 300], so that a residual too large to square can have a finite s_b."""
+    d_y = draw(st.integers(2, 6))
+    cuts = draw(st.lists(st.integers(1, d_y - 1), min_size=1, max_size=min(2, d_y - 1), unique=True))
+    partition = tuple(zip([0, *sorted(cuts)], [*sorted(cuts), d_y]))
+    spec = WeightKernelSpec(
+        family=draw(st.sampled_from([IMQ, SQEXP])),
+        threshold=draw(st.one_of(st.none(), st.floats(0.5, 5.0))),
+        standardization=draw(st.sampled_from(["marginal", "conditional"])),
+        block_partition=partition,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    exponents = (-2, 300) if draw(st.integers(0, 3)) == 0 else (-2, 2)
+    r = np.zeros((d_y, d_y))
+    for start, stop in partition:
+        r[start:stop, start:stop] = random_spd(rng, stop - start, scale=10.0 ** rng.uniform(*exponents))
+    hph = None
+    if spec.standardization == "marginal":
+        hph = np.stack([random_spd(rng, d_y, scale=10.0 ** rng.uniform(*exponents)) for _ in range(n)])
+        if draw(st.booleans()):
+            hph = hph[0]
+    sizes = np.where(rng.random((n, 1)) < 0.5, rng.uniform(-1, 3, (n, 1)), rng.uniform(-1, 307, (n, 1)))
+    center = rng.standard_normal((n, d_y))
+    y = center + 10.0 ** sizes * rng.uniform(-1.0, 1.0, (n, d_y))
+    return spec, y, center, hph, SpdFactor(r)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(block_kernel_cases())
+def test_block_kernel_is_the_looped_kernel_and_gives_the_blocked_update(case):
+    # The stacked multi-block step gives the per-residual loop's weights and
+    # gradients to round-off, exactly 0 wherever the loop's weight is 0, and
+    # no overflow warning.  The sums run in another order: a sq-exp weight
+    # scales the error of s_b by s_b / h^2, up to 745 before it underflows,
+    # so k^2 gets rtol 1e-12 and a gradient 1e-14 of its largest entry (~45
+    # ulps).  A value below the normal range is held to 1e-320 absolute.
+    # robust_update's weights and target take the diagonal gradient blocks.
+    spec, y, center, hph, r_factor = case
+    r = r_factor.matrix
+    std_cov = r_factor if hph is None else SpdFactor(hph + r)
+    k_sq, log_grads = eval_kernel(spec, y, center, std_cov)
+    k_ref, grads_ref = block_kernel_looped(spec, y, center, std_cov)
+    zero = k_ref == 0.0
+    assert np.all(k_sq[zero] == 0.0) and np.all(log_grads[zero] == 0.0)
+    np.testing.assert_allclose(k_sq, k_ref, rtol=1e-12, atol=1e-320)
+    bound = 1e-14 * np.abs(grads_ref).max(axis=-1, keepdims=True) + 1e-320
+    assert np.all(np.abs(log_grads - grads_ref) <= bound)
+
+    w, target = update_one(spec, y, center, lambda rows: hph, r_factor)
+    d_y = y.shape[-1]
+    block_of = np.repeat(np.arange(k_sq.shape[-1]), [b - a for a, b in spec.partition_for(d_y)])
+    np.testing.assert_array_equal(w, 2.0 * k_sq[:, block_of])
+    diagonal = log_grads[:, block_of, np.arange(d_y)]
+    np.testing.assert_array_equal(target, y - (r @ diagonal[..., None])[..., 0])
 
 
 def test_nonpositive_threshold_rejected():
@@ -167,10 +227,10 @@ def test_rescaled_cov_block_assembly():
     hph = random_spd(rng, 3)
     y = rng.standard_normal(3)
     w, _ = update_one(spec, y, np.zeros(3), lambda rows: hph, SpdFactor(r))
-    ev = eval_kernel(spec, y, np.zeros(3), SpdFactor(hph + r))
-    assert np.allclose(r[0:2, 0:2] / w[0:2], r[0:2, 0:2] / (2 * ev.k_sq[0]))
+    k_sq, _ = eval_kernel(spec, y, np.zeros(3), SpdFactor(hph + r))
+    assert np.allclose(r[0:2, 0:2] / w[0:2], r[0:2, 0:2] / (2 * k_sq[0]))
     assert np.all(w[0:2] == w[0])
-    assert r[2, 2] / w[2] == pytest.approx(r[2, 2] / (2 * ev.k_sq[1]))
+    assert r[2, 2] / w[2] == pytest.approx(r[2, 2] / (2 * k_sq[1]))
 
 
 def test_robust_update_refuses_r_not_block_diagonal_over_the_partition():
@@ -185,6 +245,19 @@ def test_robust_update_refuses_r_not_block_diagonal_over_the_partition():
     )
     with pytest.raises(ValueError, match="block-diagonal"):
         dsm_analysis(model, model.prior, np.array([1.0, 2.0]), spec)
+
+
+def test_block_diagonal_r_is_judged_relative_to_its_diagonal():
+    # A 0.6 correlation is off-block at any scale; an off-block entry of
+    # 2e-13 sqrt(r_ii r_jj) is round-off at any scale.
+    spec = WeightKernelSpec(family=IMQ, threshold=1.0, block_partition=((0, 1), (1, 2)))
+    y = np.array([1e-7, 2e-7])
+    with pytest.raises(ValueError, match="block-diagonal"):
+        update_one(spec, y, np.zeros(2), zero_hph(2), SpdFactor(1e-14 * np.array([[1.0, 0.6], [0.6, 1.0]])))
+    r = 1e10 * np.eye(2)
+    r[0, 1] = r[1, 0] = 2e-12
+    w, target = update_one(spec, 1e5 * y, np.zeros(2), zero_hph(2), SpdFactor(r))
+    assert np.all(np.isfinite(w)) and np.all(np.isfinite(target))
 
 
 def test_corrected_observation_identity_cases():
@@ -205,9 +278,9 @@ def test_corrected_observation_hand_example():
     # Scalar IMQ, q^2 = 1, Sigma = 1, R = 1, center 0, y = 1:
     # k^2 = 1/2, grad = -1/2, N = R / w = 1, corrected = 1 - 2*1*(-1/2) = 2.
     spec = WeightKernelSpec(family=IMQ, threshold=1.0)
-    ev = eval_kernel(spec, np.array([1.0]), np.zeros(1), SpdFactor([[1.0]]))
-    assert ev.k_sq[0] == pytest.approx(0.5)
-    assert ev.k_sq[0] * ev.log_grads[0, 0] == pytest.approx(-0.5, rel=1e-12)
+    k_sq, log_grads = eval_kernel(spec, np.array([1.0]), np.zeros(1), SpdFactor([[1.0]]))
+    assert k_sq[0] == pytest.approx(0.5)
+    assert k_sq[0] * log_grads[0, 0] == pytest.approx(-0.5, rel=1e-12)
     w, target = update_one(spec, np.array([1.0]), np.zeros(1), zero_hph(1), SpdFactor([[1.0]]))
     assert 1.0 / w[0] == pytest.approx(1.0)
     assert target[0] == pytest.approx(2.0, rel=1e-12)
