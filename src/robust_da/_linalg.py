@@ -207,12 +207,15 @@ class SpdFactor:
     @property
     def inv_sym_sqrt(self) -> np.ndarray:
         """The symmetric inverse square root T with T @ matrix @ T = identity,
-        of each matrix, by one ``eigh``; zero eigenvalues stay zero."""
+        of each matrix, by one ``eigh``; zero eigenvalues stay zero.  A
+        matrix that no jitter repairs is masked here too: its root is NaN."""
         if self._inv_sym_sqrt is None:
             eigvals, eigvecs = np.linalg.eigh(self.matrix)
             root = np.sqrt(np.clip(eigvals, 0.0, None))
             inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
             self._inv_sym_sqrt = (eigvecs * inv_root[..., None, :]) @ eigvecs.swapaxes(-1, -2)
+            if self.plain is not None:
+                self._inv_sym_sqrt[np.isnan(self.chol[..., 0, 0])] = np.nan
         return self._inv_sym_sqrt
 
     def solve(self, b: np.ndarray) -> np.ndarray:

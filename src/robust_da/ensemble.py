@@ -207,12 +207,18 @@ def _window_indices(d_x: int, d_y: int, half_width: int) -> tuple[np.ndarray, np
 
 @lru_cache(maxsize=32)  # a run's windows are the same at every step
 def _tapered_windows(d_x: int, d_y: int, half_width: int, taper_length: float) -> tuple:
-    """The windows of ``_window_indices`` and the taper exp(-d^2 / L^2) of
-    each window column, read-only."""
+    """The windows of ``_window_indices``; which observations each window
+    holds, a (d_x, d_y) mask; and the (d_x, d_y) window-weight matrix: the
+    taper exp(-d^2 / L^2) at each window's observations and exact zeros
+    elsewhere.  All read-only."""
     idx, dist = _window_indices(d_x, d_y, half_width)
     taper = np.exp(-(dist.astype(float) ** 2) / taper_length**2)
-    idx.flags.writeable = taper.flags.writeable = False
-    return idx, taper
+    rows = np.arange(d_x)[:, None]
+    inside, weights = np.zeros((d_x, d_y), dtype=bool), np.zeros((d_x, d_y))
+    inside[rows, idx], weights[rows, idx] = True, taper
+    for a in (idx, inside, weights):
+        a.flags.writeable = False
+    return idx, inside, weights
 
 
 def _transform_analysis(
@@ -223,17 +229,23 @@ def _transform_analysis(
     config: LetkfConfig,
 ) -> EnsembleState:
     """The analysis of ``letkf_analysis`` and ``esrf_analysis``: the robust
-    update of a stack of windows, all at once, in whitened anomaly space.
+    update of a stack of n windows, all at once, in whitened anomaly space.
 
-    ``y_hat`` (n, w, M) and ``d_hat`` (n, w) are each window's observation
-    anomalies R^{-1/2} Y and innovation R^{-1/2} (y - ybar) / d_scale, where
-    the power of two ``d_scale`` (n,) brings the largest |y - ybar| of the
-    window into [1, 2) before the whitening.  With G = Y^T R^{-1} Y and
-    b = Y^T R^{-1} d, the robust update in window coordinates is:
+    A window is a row of the (n, d_y) window-weight matrix C: the taper at
+    the window's observations and exact zeros elsewhere; the global window
+    is one row of ones.  ``y_hat`` (d_y, M) holds the whitened observation
+    anomalies R^{-1/2} Y, and ``f`` (n, d_y) each window's whitened
+    innovation R^{-1/2} (y - ybar) / d_scale, where the power of two
+    ``d_scale`` (n,) brings the largest |y - ybar| of the window into [1, 2)
+    before the whitening, and 0 outside the window.  The window sums are
+    three products with C: the Grams G = Y^T R^{-1} Y of C times the
+    stacked outer products of the rows of ``y_hat``, b = Y^T R^{-1} d =
+    (C * f) @ y_hat and d^T R^{-1} d = vecdot(C * f, f).  With these, the
+    robust update in window coordinates is:
 
     - s = d^T R^{-1} d, or d^T Sigma_y^{-1} d for the specs standardized by
       Sigma_y = Y Y^T / (M - 1) + R, which Woodbury gives as
-      d^T R^{-1} d - b^T C^{-1} b with C = (M - 1) I + G; both, and the
+      d^T R^{-1} d - b^T Q^{-1} b with Q = (M - 1) I + G; both, and the
       target below, are formed from the scaled d and multiplied back by
       d_scale, so a finite innovation never whitens to inf, an s too large
       to represent is inf (weight 0), never inf - inf, and a weight of 0
@@ -241,13 +253,15 @@ def _transform_analysis(
     - the weighted precision w R^{-1} with w = 2 k^2(s);
     - target innovation d - 2 (d log k^2/ds) R Std^{-1} d, with Std the
       standardizing covariance; R Std^{-1} d enters only as
-      Y^T R^{-1} R Std^{-1} d, which is b for Std = R and (M - 1) C^{-1} b
+      Y^T R^{-1} R Std^{-1} d, which is b for Std = R and (M - 1) Q^{-1} b
       for Std = Sigma_y;
     - A = (M - 1)/rho I + w G: analysis covariance A^{-1}, mean weights
       A^{-1} w Y^T R^{-1} (target innovation), transform [(M - 1) A^{-1}]^{1/2}.
 
-    G, C and A share eigenvectors, so one stacked ``eigh`` of G solves all of
-    it.
+    G, Q and A share eigenvectors V, so one stacked ``eigh`` of G solves all
+    of it: the window's state anomalies X are projected once onto V, and
+    both the mean weights and the transform V [(M - 1) / a]^{1/2} V^T act
+    through X V.
     """
     if isinstance(spec, WeightKernelSpec) and len(spec.block_partition or ()) > 1:
         raise ValueError("the LETKF weights each window as one block; got a block partition")
@@ -258,29 +272,43 @@ def _transform_analysis(
 
     loc = config.localization
     if loc is None:
+        n_obs = y.shape[0]
+        weights = np.ones((1, n_obs))
         d_scale = pow2_scale(innovation)[None]
-        y_hat = obs.r_factor.whiten(y_anom.T).T[None]
-        d_hat = obs.r_factor.whiten(innovation / d_scale)[None]
+        y_hat = obs.r_factor.whiten(y_anom.T).T
+        f = obs.r_factor.whiten(innovation / d_scale)[None]
     else:
         r_diag = obs.r_diagonal
         if r_diag is None:
             raise ValueError("R-localization requires a diagonal observation covariance")
-        idx, taper = _tapered_windows(ensemble.d_x, y.shape[0], loc.half_width, loc.taper_length)
-        r_inv_sqrt = np.sqrt(taper / r_diag[idx])
+        idx, inside, weights = _tapered_windows(
+            ensemble.d_x, y.shape[0], loc.half_width, loc.taper_length
+        )
+        n_obs = idx.shape[1]
+        r_sqrt = np.sqrt(r_diag)
         d_scale = pow2_scale(innovation[idx], axis=1)
-        y_hat = r_inv_sqrt[:, :, None] * y_anom[idx]
-        d_hat = r_inv_sqrt * (innovation[idx] / d_scale[:, None])
+        # Outside its window a row of f is 0, never an innovation times 0.
+        f = np.divide(innovation, d_scale[:, None], out=np.zeros(weights.shape), where=inside)
+        f /= r_sqrt
+        y_hat = y_anom / r_sqrt[:, None]
 
-    n, n_obs, m = y_hat.shape
-    gram_vals, vecs = np.linalg.eigh(y_hat.swapaxes(1, 2) @ y_hat)
-    # b / d_scale in G's eigenbasis
-    b_scaled = np.einsum("nmk,nm->nk", vecs, np.einsum("nwm,nw->nm", y_hat, d_hat))
-    s_scaled = np.einsum("nw,nw->n", d_hat, d_hat)
+    n, m = weights.shape[0], y_anom.shape[1]
+    outer = np.einsum("im,ik->imk", y_hat, y_hat).reshape(-1, m * m)
+    gram_vals, vecs = np.linalg.eigh((weights @ outer).reshape(n, m, m))
+    weighted_f = weights * f
+    s_scaled = np.vecdot(weighted_f, f)
+    # b / d_scale and the state rows of each window (one row per window, or
+    # all rows in one), projected onto G's eigenbasis by one product.
+    rows = np.concatenate(
+        ((weighted_f @ y_hat)[:, None, :], ensemble.anomalies.reshape(n, -1, m)), axis=1
+    )
+    projected = rows @ vecs
+    b_scaled, x_proj = projected[:, 0, :], projected[:, 1:, :]
     std_proj = b_scaled  # Y^T R^{-1} R Std^{-1} d / d_scale in the eigenbasis
     if spec.standardization != CONDITIONAL:
-        c_vals = (m - 1) + gram_vals
-        s_scaled = s_scaled - np.add.reduce(b_scaled * b_scaled / c_vals, axis=1)
-        std_proj = (m - 1) * b_scaled / c_vals
+        solved = b_scaled / ((m - 1) + gram_vals)  # Q^{-1} b / d_scale
+        s_scaled = s_scaled - np.vecdot(b_scaled, solved)
+        std_proj = (m - 1) * solved
     s = np.maximum(s_scaled, 0.0) * d_scale * d_scale
     threshold = spec.thresholds_for(n_obs)[0]
     k_sq = weight_sq(spec, s, threshold)
@@ -288,14 +316,9 @@ def _transform_analysis(
     slope = np.asarray(weight_slope(spec, k_sq, threshold)).reshape(-1, 1)
     target_proj = (w * d_scale)[:, None] * (b_scaled - 2.0 * slope * std_proj)
     a_vals = (m - 1) / config.rho + w[:, None] * gram_vals
-    mean_weights = np.einsum("nmk,nk->nm", vecs, target_proj / a_vals)
-    transform = (vecs * np.sqrt((m - 1) / a_vals)[:, None, :]) @ vecs.swapaxes(1, 2)
-
-    # The state rows of each window: one row per window, or all rows in one.
-    x_anom = ensemble.anomalies.reshape(n, -1, m)
-    mean_a = ensemble.mean + (x_anom @ mean_weights[:, :, None]).reshape(-1)
-    members = mean_a[:, None] + (x_anom @ transform).reshape(ensemble.members.shape)
-    return EnsembleState(members=members)
+    mean_a = ensemble.mean + (x_proj @ (target_proj / a_vals)[:, :, None]).reshape(-1)
+    spread = (x_proj * np.sqrt((m - 1) / a_vals)[:, None, :]) @ vecs.swapaxes(1, 2)
+    return EnsembleState(members=mean_a[:, None] + spread.reshape(ensemble.members.shape))
 
 
 def letkf_analysis(
@@ -313,16 +336,20 @@ def letkf_analysis(
     observation precision tapered by distance, and takes only its own row of
     the result; without it, one window holds every observation and every
     row, and is whitened by the cached Cholesky factor of R.  All windows are
-    solved at once, each innovation scaled by a power of two before it is
-    whitened.
+    solved at once: their sums are products with a window-weight matrix
+    cached per ring geometry (the taper at a window's observations, exact
+    zeros elsewhere), and each window's innovation is scaled by its own
+    power of two before it is whitened, so an observation outside a window
+    does not change that window's analysis.
 
     Each window runs the robust update of the shared core in whitened
     anomaly space (``_transform_analysis``): the weight of its Mahalanobis
     square from ``weights.weight_sq``, the weighted precision 2 k^2 R^{-1} and
     the corrected target observation, with Y Y^T / (M - 1) as the forecast
     covariance in observation space.  The constant kernel gives the regular
-    LETKF, and a threshold of None resolves to the window's observation count.  Specs
-    with more than one block are rejected: a window holds a slice of the
+    LETKF, and a threshold of None resolves to the window's observation
+    count, observations whose taper underflows to 0 included.  Specs with
+    more than one block are rejected: a window holds a slice of the
     observations, not a partition.
     """
     return _transform_analysis(ensemble, obs, y, spec, config or LetkfConfig())

@@ -230,7 +230,9 @@ def eval_kernel(
     ``std_cov`` the factor of the standardizing covariance: of one
     covariance for every element, or of one per element.  Returns k^2,
     shaped (..., n_blocks), and the observation-space gradients of log k^2,
-    shaped (..., n_blocks, d_Y): row b over all of y, 0 where k^2_b is 0.
+    shaped (..., n_blocks, d_Y): row b over all of y, 0 where k^2_b is 0
+    and for the constant kernel.  A standardizing covariance that no jitter
+    repairs gives NaN k^2 and zero gradients.
     """
     y, center = _as_floats(y), _as_floats(center)
     d_y = y.shape[-1]
@@ -252,13 +254,16 @@ def _block_kernel(
     of block b of z = T r, and grad s_b = 2 T z_b, z_b that block of z and 0
     elsewhere.  r is divided by a power of two first (exact), so a finite r
     too large to square gives s_b = inf and k^2_b = 0, never a NaN, and a
-    block with k^2_b = 0 a zero gradient, never 0 * inf."""
+    block with k^2_b = 0 a zero gradient, never 0 * inf; so does the
+    constant kernel, whose k^2 is flat."""
     partition = spec.partition_for(residuals.shape[-1])
     thresholds = spec.thresholds_for(residuals.shape[-1])
     scale = pow2_scale(residuals, axis=-1)[:, None]
     z = (root @ (residuals / scale)[..., None])[..., 0]
     s = np.add.reduceat(z * z, [start for start, _ in partition], axis=-1) * scale * scale
     k_sq = weight_sq(spec, s, thresholds)
+    if spec.family == CONSTANT:  # whatever T r overflows to
+        return k_sq, np.zeros((*k_sq.shape, residuals.shape[-1]))
     in_block = _block_index(partition)[:, None] == np.arange(len(partition))
     grads = root @ np.where(in_block, (z * scale)[..., None], 0.0)  # (n, d_Y, n_blocks)
     grads = 2.0 * weight_slope(spec, k_sq[:, None], thresholds) * grads
@@ -322,7 +327,7 @@ def robust_update(
     the gradients of every block at once, the step ``eval_kernel`` returns;
     its weights and target take the gradient blocks on the diagonal.  Each
     element comes out as a single call would give it; one whose HPH^T + R
-    no jitter repairs gets a NaN weight.
+    no jitter repairs gets a NaN weight and the target y.
     """
     r = r_factor.matrix
     y = _as_floats(y)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from robust_da import (
     GaussianBelief,
     ParticleCloud,
     SpdFactor,
+    WolfSpec,
     contaminate,
     dsm_analysis,
     enkf_perturbed_analysis,
@@ -328,9 +330,14 @@ def calibrated_seconds(wall: float, before: float, after: float) -> float:
 
 
 def window_indices(state_index, d_y, half_width):
-    """Cyclic observation window around a state index and the index distances."""
-    offsets = np.arange(-half_width, half_width + 1)
-    return (state_index + offsets) % d_y, np.abs(offsets)
+    """Cyclic observation window around a state index, the observations
+    within ``half_width`` sites of it by cyclic distance, and those
+    distances.  A window at least as wide as the ring holds each
+    observation once."""
+    offsets = (np.arange(d_y) - state_index) % d_y
+    dist = np.minimum(offsets, d_y - offsets)
+    idx = np.flatnonzero(dist <= half_width)
+    return idx, dist[idx]
 
 
 def anomaly_posterior_cov(gram, m, rho=1.0):
@@ -379,16 +386,30 @@ def letkf_analysis_looped(ensemble, obs, y, spec, config):
         return EnsembleState(members=mean_a[:, None] + x_anom @ transform)
 
     r_diag = np.diag(r)
-    _, dist = window_indices(0, y.shape[0], loc.half_width)
-    taper = np.exp(-(dist.astype(float) ** 2) / loc.taper_length**2)
     members = np.empty_like(ensemble.members)
     for j in range(ensemble.d_x):
-        idx, _ = window_indices(j, y.shape[0], loc.half_width)
+        idx, dist = window_indices(j, y.shape[0], loc.half_width)
+        taper = np.exp(-(dist.astype(float) ** 2) / loc.taper_length**2)
+        # An observation whose tapered variance R / taper is inf carries no
+        # information: it leaves the window, which still counts it for the
+        # default threshold.
+        with np.errstate(divide="ignore", over="ignore"):
+            local_r = r_diag[idx] / taper
+        kept = np.isfinite(local_r)
+        idx, local_r = idx[kept], local_r[kept]
         _, mean, transform = _local_analysis(
-            spec, y[idx], y_mean[idx], y_anom[idx, :], np.diag(r_diag[idx] / taper), config.rho
+            _resolved(spec, kept.size), y[idx], y_mean[idx], y_anom[idx, :], np.diag(local_r),
+            config.rho,
         )
         members[j, :] = ensemble.mean[j] + x_anom[j] @ mean + x_anom[j] @ transform
     return EnsembleState(members=members)
+
+
+def _resolved(spec, n_obs):
+    """``spec`` with its threshold resolved against ``n_obs`` observations."""
+    if isinstance(spec, WolfSpec):
+        return replace(spec, c_sq=float(spec.thresholds_for(n_obs)[0]))
+    return replace(spec, threshold=float(spec.thresholds_for(n_obs)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robust_da import (
     EnsembleState,
@@ -21,7 +22,7 @@ from robust_da import (
 )
 from robust_da.ensemble import _window_indices
 from robust_da.models import lgss_sampler, lorenz63_sampler
-from robust_da.weights import CONSTANT, IMQ, SQEXP, WeightKernelSpec
+from robust_da.weights import CONSTANT, IMQ, SQEXP, WeightKernelSpec, default_threshold
 from helpers import (
     OBSERVATION_FORMS,
     WINDOW_SQUARE_OVERFLOWS,
@@ -593,3 +594,79 @@ def test_letkf_outlier_whose_projection_overflows_keeps_the_forecast(spec_name):
             updated = letkf_analysis(ens, obs, y, LETKF_SPECS[spec_name], config)
             np.testing.assert_allclose(updated.members, ens.members, rtol=1e-12, atol=1e-12)
 
+
+
+@WINDOW_SQUARE_OVERFLOWS
+# The regular windows that hold site 0 at +-1.7e308 are not finite.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("diagonal_r", [False, True])
+@pytest.mark.parametrize("spec_name", ["dsm", "wolf", "regular"])
+def test_a_window_ignores_the_observations_outside_it_bit_for_bit(spec_name, diagonal_r):
+    # 12-site ring, half-width 2: windows 3-9 exclude site 0, whatever its
+    # observation, up to one whose square overflows in the windows that
+    # hold it.  Each window scales its own innovation, so those rows are
+    # the same bits, and finite, for every value.
+    rng = np.random.default_rng(22)
+    d = 12
+    ens = EnsembleState(members=rng.standard_normal((d, 6)) * 1.3 + 2.0)
+    r = np.diag(rng.uniform(0.5, 2.0, d)) if diagonal_r else np.eye(d)
+    obs = ObservationModel(H=np.eye(d), R=r)
+    config = LetkfConfig(rho=1.06, localization=Localization(half_width=2, taper_length=1.7))
+    y = ens.mean + rng.standard_normal(d)
+    rows = []
+    for value in (0.0, 1e150, 1.7e308, -1.7e308):
+        y[0] = value
+        rows.append(letkf_analysis(ens, obs, y, LETKF_SPECS[spec_name], config).members[3:10])
+    assert np.isfinite(rows[0]).all()
+    for other in rows[1:]:
+        np.testing.assert_array_equal(other, rows[0])
+
+
+@st.composite
+def localized_letkf_cases(draw):
+    """(ensemble, obs, y, spec, config): a ring of 3 to 40 sites observed
+    one to one under a random diagonal R, M from 2 to 12 members (so a
+    window holds fewer or more observations than members), a half-width
+    from 0 to the ring size and a taper length from 0.02, at which every
+    taper but the own site's underflows to 0, to 30."""
+    d = draw(st.integers(3, 40))
+    m = draw(st.integers(2, 12))
+    loc = Localization(
+        half_width=draw(st.integers(0, d)),
+        taper_length=draw(st.one_of(st.floats(0.02, 0.05), st.floats(0.05, 30.0))),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ens = EnsembleState(members=rng.standard_normal((d, m)) * 1.3 + 2.0)
+    y = ens.mean + rng.standard_normal(d) * 1.5
+    y[rng.integers(d)] += 40.0  # an outlier observation
+    obs = ObservationModel(H=np.eye(d), R=np.diag(rng.uniform(0.5, 2.0, d)))
+    spec = ORACLE_SPECS[draw(st.sampled_from(list(ORACLE_SPECS)))]
+    return ens, obs, y, spec, LetkfConfig(rho=1.06, localization=loc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(localized_letkf_cases())
+def test_localized_letkf_matches_looped_oracle_on_any_ring(case):
+    # The window products of every geometry against one window at a time,
+    # tapers that underflow to 0 included; and the default threshold is the
+    # explicit one of the window's observation count, zero tapers counted.
+    ens, obs, y, spec, config = case
+    batched = letkf_analysis(ens, obs, y, spec, config)
+    looped = letkf_analysis_looped(ens, obs, y, spec, config)
+    assert _relative_error(batched.members, looped.members) <= 1e-10
+    assert _relative_error(batched.mean, looped.mean) <= 1e-10
+    assert _relative_error(batched.cov, looped.cov) <= 1e-10
+
+    width = min(2 * config.localization.half_width + 1, ens.d_x)
+    if isinstance(spec, WolfSpec):
+        explicit = WolfSpec(variant=spec.variant, c_sq=float(width))
+    elif spec.family != CONSTANT:
+        explicit = WeightKernelSpec(
+            family=spec.family, threshold=default_threshold(width, spec.family),
+            standardization=spec.standardization,
+        )
+    else:
+        return
+    np.testing.assert_array_equal(
+        batched.members, letkf_analysis(ens, obs, y, explicit, config).members
+    )

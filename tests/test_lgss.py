@@ -135,6 +135,8 @@ def test_spd_stack_repairs_and_masks_each_matrix_alone():
     np.testing.assert_array_equal(x[1], lapack_solve_by_sweeps(repaired.chol, b[1]))
     np.testing.assert_array_equal(x[0], lapack_solve_by_sweeps(np.linalg.cholesky(spd), b[0]))
     assert np.isnan(x[2]).all()
+    roots = stack.inv_sym_sqrt  # the masked matrix's root is NaN too
+    assert np.isnan(roots[2]).all() and np.isfinite(roots[[0, 1, 3]]).all()
     s = stack.mahalanobis_sq(b)
     assert s[1] == lapack_mahalanobis_sq(repaired.chol, b[1]) and np.isnan(s[2])
     # A stack every matrix of which is SPD is taken as it is.

@@ -114,6 +114,34 @@ def test_block_kernel_of_a_residual_whose_whitening_overflows_has_zero_weight():
     np.testing.assert_array_equal(log_grads, np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize("partition", [((0, 1), (1, 2)), None])
+def test_constant_kernel_gradient_is_zero_for_a_residual_too_large_to_whiten(partition):
+    # cov^{-1/2} (y - center) overflows; the constant kernel's log k^2 is
+    # flat, so its gradient is 0 for every finite residual, never 0 * inf.
+    spec = WeightKernelSpec(family=CONSTANT, block_partition=partition)
+    n_blocks = len(spec.partition_for(2))
+    k_sq, log_grads = eval_kernel(
+        spec, np.array([1e307, -1e307]), np.zeros(2), SpdFactor(1e-10 * np.eye(2))
+    )
+    np.testing.assert_array_equal(k_sq, np.full(n_blocks, 0.5))
+    np.testing.assert_array_equal(log_grads, np.zeros((n_blocks, 2)))
+
+
+@pytest.mark.parametrize("partition", [((0, 1), (1, 2)), None])
+def test_an_element_whose_std_cov_no_jitter_repairs_gets_a_nan_weight(partition):
+    # HPH^T + R = -9 I is masked by its factor: the multi-block pass gives
+    # the element the single-block pass's NaN weight and target y, not full
+    # weight from the root of the unrepaired matrix.
+    spec = WeightKernelSpec(block_partition=partition)
+    y = np.array([[3.0, 1.0]])
+    w, target = robust_update(
+        ((spec, slice(None)),), y, np.zeros((1, 2)), lambda rows: -10.0 * np.eye(2),
+        SpdFactor(np.eye(2)),
+    )
+    assert np.isnan(w).all()
+    np.testing.assert_array_equal(target, y)
+
+
 @st.composite
 def block_kernel_cases(draw):
     """(spec, y, center, hph, r_factor): a two- or three-block DSM kernel, IMQ
