@@ -47,7 +47,6 @@ from .models import (
 from .particle import ParticleCloud, dsm_log_potential, pf_step
 from .weights import (
     WeightKernelSpec,
-    WolfSpec,
     default_threshold,
     eval_kernel,
     expected_weight_mc,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lgss import GaussianBelief, LgssModel, robust_analysis
-from .weights import WeightKernelSpec, WolfSpec, _as_floats
+from .lgss import GaussianBelief, LgssModel, _analysis_of_one
+from .weights import WeightKernelSpec
 
 __all__ = ["AnalysisResult", "dsm_analysis", "wolf_analysis"]
 
@@ -30,17 +30,12 @@ class AnalysisResult:
     target: np.ndarray
 
 
-def _analysis_of_one(
-    model: LgssModel,
-    forecast: GaussianBelief,
-    y: np.ndarray,
-    spec: WeightKernelSpec | WolfSpec,
+def _result(
+    model: LgssModel, forecast: GaussianBelief, y: np.ndarray, spec: WeightKernelSpec
 ) -> AnalysisResult:
-    """``lgss.robust_analysis`` of one forecast: a bracket that no jitter
-    repairs gives a NaN posterior."""
-    mean, cov, w, target = robust_analysis(
-        model, forecast.mean, forecast.cov, _as_floats(y), ((spec, slice(None)),)
-    )
+    """``kf_analysis``'s checked step under ``spec``: a bracket that no
+    jitter repairs gives a NaN posterior."""
+    mean, cov, w, target = _analysis_of_one(model, forecast, y, spec)
     posterior = GaussianBelief(mean=mean, cov=cov)  # ctor symmetrizes
     return AnalysisResult(posterior=posterior, weight=w, target=target)
 
@@ -58,21 +53,20 @@ def dsm_analysis(
     precision by w = 2 k^2 and applies the gain of the corrected target,
     K = w P^f H^T [R + w H P^f H^T]^{-1} for a single block.
     """
-    return _analysis_of_one(model, forecast, y, spec)
+    return _result(model, forecast, y, spec)
 
 
 def wolf_analysis(
     model: LgssModel,
     forecast: GaussianBelief,
     y: np.ndarray,
-    spec: WolfSpec,
+    spec: WeightKernelSpec,
 ) -> AnalysisResult:
-    """Weighted-likelihood analysis step.
+    """Weighted-likelihood analysis step, under a spec of the ``wolf`` family.
 
-    Weights the observation precision by w = r^2(y) inside the regular gain,
-    which gives the information-form precision update
-    J^a = J^f + r^2 H^T R^{-1} H, and assimilates the raw observation.  The
-    result is reported through the same container as the score-matching
-    step, whose weight 2 k^2 plays the part of r^2.
+    Weights the observation precision by w = r^2(y) = 2 k^2(y) inside the
+    regular gain, which gives the information-form precision update
+    J^a = J^f + r^2 H^T R^{-1} H, and assimilates the raw observation: the
+    score-matching step with a slope of 0.
     """
-    return _analysis_of_one(model, forecast, y, spec)
+    return _result(model, forecast, y, spec)

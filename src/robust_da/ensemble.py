@@ -8,7 +8,7 @@ regular filter is the constant-kernel case (w = 1, target y), the
 score-matching (DSM) variants use w = 2 k^2 and the gradient-corrected
 target, and the weighted-likelihood (WoLF) variants w = r^2 and y itself.
 The EnKF takes them from ``weights.robust_update``, the LETKF and ESRF from
-the same kernel functions in whitened anomaly space.
+the same kernel step, ``weights.weigh``, in whitened anomaly space.
 """
 
 from __future__ import annotations
@@ -22,15 +22,7 @@ import numpy as np
 
 from ._linalg import pow2_scale, symmetrize
 from .lgss import ObservationModel, kalman_gain
-from .weights import (
-    CONDITIONAL,
-    WeightKernelSpec,
-    WolfSpec,
-    _as_floats,
-    robust_update,
-    weight_slope,
-    weight_sq,
-)
+from .weights import CONDITIONAL, WOLF, WeightKernelSpec, _as_floats, robust_update, weigh
 
 __all__ = [
     "EnsembleState",
@@ -115,7 +107,7 @@ def enkf_perturbed_analysis(
     ensemble: EnsembleState,
     obs: ObservationModel,
     y: np.ndarray,
-    spec: WeightKernelSpec | WolfSpec,
+    spec: WeightKernelSpec,
     mode: str = "average",
     *,
     rng: np.random.Generator,
@@ -124,8 +116,11 @@ def enkf_perturbed_analysis(
 
     ``average`` evaluates the weight once at the empirical forecast mean with
     the empirical innovation covariance; ``per_particle`` evaluates it per
-    member at that member's predicted observation with conditional (R)
-    standardization, giving each member its own gain and perturbation law.
+    member at that member's predicted observation, giving each member its
+    own gain and perturbation law.  There every kernel is standardized by R
+    (conditional), except a WoLF spec, which keeps its own standardization:
+    a sigma-scaled (marginal) WoLF spec whitens each member's residual by
+    the empirical innovation covariance.
     With the weighted gain G of ``lgss.kalman_gain``, member x moves by
     -G (W^{1/2} (H x - target) + chol(R) z), z standard normal: K = G W^{1/2}
     times the perturbation W^{-1/2} chol(R) z of the effective covariance R / w.
@@ -147,7 +142,7 @@ def enkf_perturbed_analysis(
         center = h @ ensemble.mean
         draws = rng.standard_normal((obs.d_y, m))
     else:
-        if isinstance(spec, WeightKernelSpec) and spec.standardization != CONDITIONAL:
+        if spec.family != WOLF and spec.standardization != CONDITIONAL:
             spec = replace(spec, standardization=CONDITIONAL)
         # One weight and gain per member, as a stack over the members.
         center, y = predicted.T, np.broadcast_to(y, (m, obs.d_y))
@@ -225,7 +220,7 @@ def _transform_analysis(
     ensemble: EnsembleState,
     obs: ObservationModel,
     y: np.ndarray,
-    spec: WeightKernelSpec | WolfSpec,
+    spec: WeightKernelSpec,
     config: LetkfConfig,
 ) -> EnsembleState:
     """The analysis of ``letkf_analysis`` and ``esrf_analysis``: the robust
@@ -263,7 +258,7 @@ def _transform_analysis(
     both the mean weights and the transform V [(M - 1) / a]^{1/2} V^T act
     through X V.
     """
-    if isinstance(spec, WeightKernelSpec) and len(spec.block_partition or ()) > 1:
+    if len(spec.block_partition or ()) > 1:
         raise ValueError("the LETKF weights each window as one block; got a block partition")
     y = _as_floats(y)
     y_mean = obs.H @ ensemble.mean
@@ -310,10 +305,9 @@ def _transform_analysis(
         s_scaled = s_scaled - np.vecdot(b_scaled, solved)
         std_proj = (m - 1) * solved
     s = np.maximum(s_scaled, 0.0) * d_scale * d_scale
-    threshold = spec.thresholds_for(n_obs)[0]
-    k_sq = weight_sq(spec, s, threshold)
+    k_sq, slope = weigh(spec, s, spec.thresholds_for(n_obs)[0])
     w = 2.0 * k_sq
-    slope = np.asarray(weight_slope(spec, k_sq, threshold)).reshape(-1, 1)
+    slope = np.asarray(slope).reshape(-1, 1)
     target_proj = (w * d_scale)[:, None] * (b_scaled - 2.0 * slope * std_proj)
     a_vals = (m - 1) / config.rho + w[:, None] * gram_vals
     mean_a = ensemble.mean + (x_proj @ (target_proj / a_vals)[:, :, None]).reshape(-1)
@@ -325,7 +319,7 @@ def letkf_analysis(
     ensemble: EnsembleState,
     obs: ObservationModel,
     y: np.ndarray,
-    spec: WeightKernelSpec | WolfSpec,
+    spec: WeightKernelSpec,
     config: LetkfConfig | None = None,
 ) -> EnsembleState:
     """Local ensemble transform analysis (deterministic, no random draws).
@@ -343,14 +337,15 @@ def letkf_analysis(
     does not change that window's analysis.
 
     Each window runs the robust update of the shared core in whitened
-    anomaly space (``_transform_analysis``): the weight of its Mahalanobis
-    square from ``weights.weight_sq``, the weighted precision 2 k^2 R^{-1} and
-    the corrected target observation, with Y Y^T / (M - 1) as the forecast
-    covariance in observation space.  The constant kernel gives the regular
-    LETKF, and a threshold of None resolves to the window's observation
-    count, observations whose taper underflows to 0 included.  Specs with
-    more than one block are rejected: a window holds a slice of the
-    observations, not a partition.
+    anomaly space (``_transform_analysis``): the squared weight of its
+    Mahalanobis square and its slope from the kernel step ``weights.weigh``,
+    the weighted precision 2 k^2 R^{-1} and the corrected target observation
+    (the observation itself for WoLF and the constant kernel), with
+    Y Y^T / (M - 1) as the forecast covariance in observation space.  The
+    constant kernel gives the regular LETKF, and a threshold of None
+    resolves to the window's observation count, observations whose taper
+    underflows to 0 included.  Specs with more than one block are rejected:
+    a window holds a slice of the observations, not a partition.
     """
     return _transform_analysis(ensemble, obs, y, spec, config or LetkfConfig())
 
@@ -359,7 +354,7 @@ def esrf_analysis(
     ensemble: EnsembleState,
     obs: ObservationModel,
     y: np.ndarray,
-    spec: WeightKernelSpec | WolfSpec,
+    spec: WeightKernelSpec,
 ) -> EnsembleState:
     """Deterministic square-root analysis: the LETKF's single global window
     at rho = 1.

@@ -62,7 +62,7 @@ from .models import (
     tracking_model,
 )
 from .particle import ParticleCloud, pf_step
-from .weights import CONDITIONAL, CONSTANT, IMQ, MARGINAL, WeightKernelSpec, WolfSpec
+from .weights import CONDITIONAL, CONSTANT, IMQ, MARGINAL, SQEXP, WOLF, WeightKernelSpec
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -81,18 +81,19 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 # Filter name -> (analysis step, weight).  The weight is None for the regular
-# filter (constant kernel), "wolf" for the WoLF weight, and otherwise the
+# filter (constant kernel), WOLF for the WoLF weight, and otherwise the
 # standardization of the configured DSM kernel: MARGINAL, by HPH^T + R with
 # HPH^T from the forecast covariance (closed form) or the ensemble anomalies,
 # or CONDITIONAL, by R (the particle filter).
 _FILTER_TABLE = {
-    "kf": ("kf", None), "dsm_kf": ("kf", MARGINAL), "wolf_kf": ("kf", "wolf"),
-    "enkf": ("enkf", None), "dsm_enkf": ("enkf", MARGINAL), "wolf_enkf": ("enkf", "wolf"),
+    "kf": ("kf", None), "dsm_kf": ("kf", MARGINAL), "wolf_kf": ("kf", WOLF),
+    "enkf": ("enkf", None), "dsm_enkf": ("enkf", MARGINAL), "wolf_enkf": ("enkf", WOLF),
     "esrf": ("esrf", None), "dsm_esrf": ("esrf", MARGINAL),
-    "letkf": ("letkf", None), "dsm_letkf": ("letkf", MARGINAL), "wolf_letkf": ("letkf", "wolf"),
+    "letkf": ("letkf", None), "dsm_letkf": ("letkf", MARGINAL), "wolf_letkf": ("letkf", WOLF),
     "dsm_pf": ("pf", CONDITIONAL),
 }
 FILTERS = tuple(_FILTER_TABLE)
+_WOLF_VARIANTS = {"md": CONDITIONAL, "sigma_scaled": MARGINAL}  # -> WoLF standardization
 
 # Model -> (default horizon, truth step, observation interval, state dimension).
 _MODEL_SETTINGS = {
@@ -173,9 +174,12 @@ class ExperimentConfig:
         # Build the contamination and every weight and LETKF setting once, so
         # that a bad value is refused here instead of by a run.
         self.contamination
-        WeightKernelSpec(family=self.kernel_family)
+        if self.kernel_family not in (IMQ, SQEXP, CONSTANT):  # WOLF is the wolf_* filters' weight
+            raise ValueError(f"unknown DSM kernel family {self.kernel_family!r}")
         WeightKernelSpec(threshold=self.q_sq).thresholds_for(1)  # under any family
-        WolfSpec(variant=self.wolf_variant, c_sq=self.c_sq)
+        if self.wolf_variant not in _WOLF_VARIANTS:
+            raise ValueError(f"unknown WoLF variant {self.wolf_variant!r}")
+        WeightKernelSpec(family=WOLF, threshold=self.c_sq).thresholds_for(1)
         if not 0.0 <= self.resample_threshold <= 1.0:  # refuses NaN too
             raise ValueError(f"resample_threshold {self.resample_threshold} is not in [0, 1]")
         if self.enkf_mode not in ENKF_MODES:
@@ -317,7 +321,7 @@ class _ClosedFormSlice:
 
     ys: np.ndarray
     model: LgssModel
-    spec: WeightKernelSpec | WolfSpec
+    spec: WeightKernelSpec
     records_weight: bool
 
 
@@ -448,15 +452,16 @@ def _finished_run(means: np.ndarray, covs: np.ndarray, weights: np.ndarray) -> F
     return FilterRun(means=means, covariances=covs, weights=weights, divergence_step=k)
 
 
-def _weight_spec(config: ExperimentConfig) -> WeightKernelSpec | WolfSpec:
+def _weight_spec(config: ExperimentConfig) -> WeightKernelSpec:
     """Weight spec of the configured filter: the constant kernel for a
-    regular filter, the WoLF weight, or the DSM kernel with the filter's
-    standardization."""
+    regular filter, the WoLF weight at the variant's standardization, or the
+    DSM kernel with the filter's standardization."""
     weight = _FILTER_TABLE[config.filter][1]
     if weight is None:
         return WeightKernelSpec(family=CONSTANT)
-    if weight == "wolf":
-        return WolfSpec(variant=config.wolf_variant, c_sq=config.c_sq)
+    if weight == WOLF:
+        variant = _WOLF_VARIANTS[config.wolf_variant]
+        return WeightKernelSpec(family=WOLF, threshold=config.c_sq, standardization=variant)
     return WeightKernelSpec(
         family=config.kernel_family, threshold=config.q_sq, standardization=weight
     )

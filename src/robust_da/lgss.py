@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import SpdFactor, block_diagonal, symmetrize
-from .weights import CONSTANT, WeightKernelSpec, WolfSpec, robust_update
+from .weights import CONSTANT, WeightKernelSpec, robust_update
 
 __all__ = [
     "GaussianBelief",
@@ -212,7 +212,7 @@ def robust_analysis(
     mean: np.ndarray,
     cov: np.ndarray,
     y: np.ndarray,
-    specs: Sequence[tuple[WeightKernelSpec | WolfSpec, slice]],
+    specs: Sequence[tuple[WeightKernelSpec, slice]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The closed-form analysis step of every filter: the gain-form update
     with the precision weights w and target observations of the shared
@@ -245,6 +245,18 @@ def robust_analysis(
     return mean, cov, w, target
 
 
+def _analysis_of_one(
+    model: LgssModel, forecast: GaussianBelief, y, spec: WeightKernelSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``robust_analysis`` of one forecast and observation, checked against the model."""
+    y = _as_vector(y, model.d_y)
+    if forecast.dim != model.d_x:
+        raise ValueError(
+            f"forecast dimension {forecast.dim} does not match state dimension {model.d_x}"
+        )
+    return robust_analysis(model, forecast.mean, forecast.cov, y, ((spec, slice(None)),))
+
+
 def kf_analysis(model: LgssModel, forecast: GaussianBelief, y: np.ndarray) -> GaussianBelief:
     """Regular Kalman analysis step, ``robust_analysis`` with the constant
     kernel.
@@ -253,12 +265,5 @@ def kf_analysis(model: LgssModel, forecast: GaussianBelief, y: np.ndarray) -> Ga
     P^a = P^f - K H P^f and m^a = m^f - K (H m^f - y).  An innovation
     covariance R + H P^f H^T that no jitter repairs gives a NaN posterior.
     """
-    y = _as_vector(y, model.d_y)
-    if forecast.dim != model.d_x:
-        raise ValueError(
-            f"forecast dimension {forecast.dim} does not match state dimension {model.d_x}"
-        )
-    mean, cov, _, _ = robust_analysis(
-        model, forecast.mean, forecast.cov, y, ((_REGULAR, slice(None)),)
-    )
+    mean, cov, _, _ = _analysis_of_one(model, forecast, y, _REGULAR)
     return GaussianBelief(mean=mean, cov=cov)  # ctor symmetrizes

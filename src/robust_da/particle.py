@@ -16,9 +16,7 @@ import numpy as np
 
 from ._linalg import SpdFactor
 from .lgss import ObservationModel
-from .weights import (
-    CONDITIONAL, CONSTANT, WeightKernelSpec, _as_floats, loss_limit, weight_slope, weight_sq,
-)
+from .weights import CONDITIONAL, CONSTANT, WOLF, WeightKernelSpec, _as_floats, loss_limit, weigh
 
 __all__ = [
     "ParticleCloud",
@@ -97,15 +95,18 @@ def dsm_log_potential(
     """Minus the score-matching loss of one particle, or of each column of a
     (d_Y, M) ``h_of_x``.
 
-    With s the R-standardized squared residual, k^2 = weight_sq(spec, s, t)
-    and d log k^2/ds = weight_slope(spec, k^2, t), returns
+    With s the R-standardized squared residual and k^2 and d log k^2/ds the
+    kernel step ``weights.weigh(spec, s, t)``, returns
     -k^2 (s - 4 s d log k^2/ds - 2 d_Y).  For IMQ this is 2 d_Y at zero
     residual and approaches -q^2 as the residual grows (the loss saturates at
     q^2); for sq-exp it approaches 0.  A finite residual too large to square
     has s = inf and takes that limit, -weights.loss_limit.  The constant
     kernel gives d_Y - s/2, the Gaussian log-likelihood up to a constant.  A
-    non-finite observation gives a non-finite potential.
+    non-finite observation gives a non-finite potential.  The WoLF weight
+    has no score-matching loss, and a WoLF spec is refused.
     """
+    if spec.family == WOLF:
+        raise ValueError("the WoLF weight has no score-matching potential")
     y = _as_floats(y)
     s = r_factor.mahalanobis_sq(y - _as_floats(h_of_x).T)
     d_y = r_factor.dim
@@ -114,8 +115,8 @@ def dsm_log_potential(
     # the potential is replaced by its limit, rather than forming 0 * inf.
     overflow = np.isinf(s) & np.logical_and.reduce(np.isfinite(y), axis=None)
     s = np.where(overflow, 0.0, s)
-    k_sq = weight_sq(spec, s, threshold)
-    potential = -k_sq * (s - 4.0 * weight_slope(spec, k_sq, threshold) * s - 2.0 * d_y)
+    k_sq, slope = weigh(spec, s, threshold)
+    potential = -k_sq * (s - 4.0 * slope * s - 2.0 * d_y)
     return np.where(overflow, -loss_limit(spec, threshold), potential)[()]
 
 
@@ -138,7 +139,8 @@ def pf_step(
     reset to uniform.  With the bootstrap proposal the transition densities
     cancel, so the potential is the only weight update.  Each particle's
     kernel is standardized by R, so a non-constant spec must be
-    ``conditional`` with a single block.
+    ``conditional`` with a single block, and it weights by a score-matching
+    potential, so a WoLF spec is refused.
     """
     one_r_block = spec.standardization == CONDITIONAL and len(spec.block_partition or ()) < 2
     if spec.family != CONSTANT and not one_r_block:

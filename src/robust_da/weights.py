@@ -22,11 +22,10 @@ __all__ = [
     "IMQ",
     "SQEXP",
     "CONSTANT",
+    "WOLF",
     "WeightKernelSpec",
-    "WolfSpec",
     "robust_update",
-    "weight_sq",
-    "weight_slope",
+    "weigh",
     "loss_limit",
     "eval_kernel",
     "jensen_bounds",
@@ -38,7 +37,8 @@ __all__ = [
 IMQ = "imq"
 SQEXP = "sqexp"
 CONSTANT = "constant"
-_FAMILIES = (IMQ, SQEXP, CONSTANT)
+WOLF = "wolf"  # the weighted-likelihood (WoLF) weight: no score correction
+_FAMILIES = (IMQ, SQEXP, CONSTANT, WOLF)
 
 # Standardization modes: which covariance whitens the residual in the kernel.
 # For MARGINAL the caller supplies HPH^T: the forecast covariance mapped to
@@ -80,7 +80,13 @@ class WeightKernelSpec:
 
     ``threshold`` may be a scalar (broadcast over blocks), a per-block
     sequence, or None to request the dimension-based default (q^2 = d_b for
-    the IMQ family, h^2 = d_b / ln 2 for the squared-exponential one).
+    IMQ, h^2 = d_b / ln 2 for squared-exponential, c^2 = d_b for WoLF).
+
+    The ``wolf`` family is the weighted-likelihood (WoLF) weight with no
+    score correction: k^2 = 0.5 / (1 + s / c^2) under ``conditional``
+    standardization (the ``md`` variant, w = r^2 in (0, 1]), 1 / (1 + s /
+    c^2) under ``marginal``, the sigma-scaled variant and, as for every
+    family, the default.  It weights the observation as one block.
     """
 
     family: str = IMQ
@@ -97,6 +103,8 @@ class WeightKernelSpec:
             object.__setattr__(
                 self, "block_partition", tuple(tuple(b) for b in self.block_partition)
             )
+            if self.family == WOLF and len(self.block_partition) > 1:
+                raise ValueError("the WoLF weight takes the observation as one block")
 
     def partition_for(self, d_y: int) -> BlockPartition:
         cache = self.__dict__.setdefault("_partition_cache", {})
@@ -139,40 +147,6 @@ class WeightKernelSpec:
         return thresholds
 
 
-@dataclass(frozen=True)
-class WolfSpec:
-    """Weighted-likelihood filter weight configuration.
-
-    ``md``: r(y) = (1 + ||y - Hm^f||^2_{R^{-1}} / c^2)^{-1/2}, values in (0, 1]
-    so the update can only inflate.  ``sigma_scaled``: the sqrt(2)-rescaled
-    variant standardized by the innovation covariance, values in (0, sqrt(2)],
-    matching the regular-KF covariance update at zero residual.  ``c_sq``
-    None means the observation dimension.
-    """
-
-    variant: str = "md"
-    c_sq: float | None = None
-
-    def __post_init__(self):
-        if self.variant not in ("md", "sigma_scaled"):
-            raise ValueError(f"unknown WoLF variant {self.variant!r}")
-        if self.c_sq is not None and not 0.0 < self.c_sq < math.inf:
-            raise ValueError(f"c_sq must be strictly positive and finite, got {self.c_sq}")
-
-    @property
-    def standardization(self) -> str:
-        """R for ``md``, the innovation covariance HPH^T + R for ``sigma_scaled``."""
-        return CONDITIONAL if self.variant == "md" else MARGINAL
-
-    def thresholds_for(self, d_y: int) -> np.ndarray:
-        """The single threshold c^2, resolved against the dimension (cached per d_y)."""
-        cache = self.__dict__.setdefault("_threshold_cache", {})
-        resolved = cache.get(d_y)
-        if resolved is None:
-            resolved = cache[d_y] = np.array([self.c_sq if self.c_sq is not None else d_y], float)
-        return resolved
-
-
 def _as_floats(x, ndim: int = 1) -> np.ndarray:
     """``x`` as a float array of at least ``ndim`` (1 or 2) dimensions; a
     float64 ndarray that has them is returned as it is."""
@@ -181,33 +155,28 @@ def _as_floats(x, ndim: int = 1) -> np.ndarray:
     return (np.atleast_2d if ndim == 2 else np.atleast_1d)(np.asarray(x, dtype=float))
 
 
-def weight_sq(
-    spec: WeightKernelSpec | WolfSpec, s: float | np.ndarray, threshold: float
-) -> float | np.ndarray:
-    """Squared weight k^2 at the Mahalanobis square s, elementwise over an
-    array of s.  ``threshold`` is q^2 (IMQ), h^2 (sq-exp) or c^2 (WoLF); a
-    WoLF spec gives k^2 = r^2 / 2, the constant kernel 1/2.  s = inf, or a
-    sq-exp weight that underflows, gives k^2 = 0."""
-    if isinstance(spec, WolfSpec):
-        return (0.5 if spec.variant == "md" else 1.0) / (1.0 + s / threshold)
-    if spec.family == IMQ:
-        return 1.0 / (1.0 + s / threshold)
-    if spec.family == SQEXP:
-        return np.exp(-s / threshold)
-    return np.full(np.asarray(s).shape, CONSTANT_WEIGHT_SQ)[()]
+def weigh(
+    spec: WeightKernelSpec, s: float | np.ndarray, threshold: float | np.ndarray
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """The squared weight k^2 at the Mahalanobis square s and its slope
+    d(log k^2)/ds, elementwise over an array of s.  ``threshold`` is q^2
+    (IMQ), h^2 (sq-exp) or c^2 (WoLF).
 
-
-def weight_slope(
-    spec: WeightKernelSpec | WolfSpec, k_sq: float | np.ndarray, threshold: float
-) -> float | np.ndarray:
-    """d(log k^2)/ds in terms of k^2 = weight_sq(spec, s, threshold): -k^2 / q^2
-    (IMQ) or -1 / h^2 (sq-exp), finite where k^2 underflows to 0.  Zero for
-    WoLF and the constant kernel, whose target observation is y itself."""
-    if isinstance(spec, WeightKernelSpec) and spec.family == IMQ:
-        return k_sq / -threshold  # one operation on an array, not two
-    if isinstance(spec, WeightKernelSpec) and spec.family == SQEXP:
-        return -1.0 / threshold
-    return 0.0
+    IMQ: k^2 = 1 / (1 + s / q^2), slope -k^2 / q^2.  Sq-exp: k^2 =
+    exp(-s / h^2), slope -1 / h^2.  WoLF: k^2 = r^2 / 2 with r^2 = 1 / (1 +
+    s / c^2) under conditional standardization, r^2 = 2 / (1 + s / c^2)
+    under marginal, and the constant kernel k^2 = 1/2, both with slope 0:
+    their target observation is y itself.  s = inf, or a sq-exp weight that
+    underflows, gives k^2 = 0 and a finite slope."""
+    family = spec.family
+    if family == IMQ:
+        k_sq = 1.0 / (1.0 + s / threshold)
+        return k_sq, k_sq / -threshold  # one operation on an array, not two
+    if family == SQEXP:
+        return np.exp(-s / threshold), -1.0 / threshold
+    if family == WOLF:
+        return (0.5 if spec.standardization == CONDITIONAL else 1.0) / (1.0 + s / threshold), 0.0
+    return np.full(np.asarray(s).shape, CONSTANT_WEIGHT_SQ)[()], 0.0
 
 
 def loss_limit(spec: WeightKernelSpec, threshold: float) -> float:
@@ -231,8 +200,8 @@ def eval_kernel(
     covariance for every element, or of one per element.  Returns k^2,
     shaped (..., n_blocks), and the observation-space gradients of log k^2,
     shaped (..., n_blocks, d_Y): row b over all of y, 0 where k^2_b is 0
-    and for the constant kernel.  A standardizing covariance that no jitter
-    repairs gives NaN k^2 and zero gradients.
+    and for the constant kernel and WoLF, whose slope is 0.  A standardizing
+    covariance that no jitter repairs gives NaN k^2 and zero gradients.
     """
     y, center = _as_floats(y), _as_floats(center)
     d_y = y.shape[-1]
@@ -254,19 +223,19 @@ def _block_kernel(
     of block b of z = T r, and grad s_b = 2 T z_b, z_b that block of z and 0
     elsewhere.  r is divided by a power of two first (exact), so a finite r
     too large to square gives s_b = inf and k^2_b = 0, never a NaN, and a
-    block with k^2_b = 0 a zero gradient, never 0 * inf; so does the
-    constant kernel, whose k^2 is flat."""
+    block with k^2_b = 0 a zero gradient, never 0 * inf; so do the constant
+    kernel and WoLF, whose slope is 0."""
     partition = spec.partition_for(residuals.shape[-1])
     thresholds = spec.thresholds_for(residuals.shape[-1])
     scale = pow2_scale(residuals, axis=-1)[:, None]
     z = (root @ (residuals / scale)[..., None])[..., 0]
     s = np.add.reduceat(z * z, [start for start, _ in partition], axis=-1) * scale * scale
-    k_sq = weight_sq(spec, s, thresholds)
-    if spec.family == CONSTANT:  # whatever T r overflows to
+    k_sq, slope = weigh(spec, s, thresholds)
+    if spec.family in (CONSTANT, WOLF):  # slope 0, whatever T r overflows to
         return k_sq, np.zeros((*k_sq.shape, residuals.shape[-1]))
     in_block = _block_index(partition)[:, None] == np.arange(len(partition))
     grads = root @ np.where(in_block, (z * scale)[..., None], 0.0)  # (n, d_Y, n_blocks)
-    grads = 2.0 * weight_slope(spec, k_sq[:, None], thresholds) * grads
+    grads = 2.0 * slope[..., None, :] * grads
     return k_sq, np.where(k_sq[:, None] > 0.0, grads, 0.0).swapaxes(-1, -2)
 
 
@@ -294,7 +263,7 @@ def _log_grad(chol: np.ndarray, z: np.ndarray, k_sq: np.ndarray, slope) -> np.nd
 
 
 def robust_update(
-    specs: Sequence[tuple[WeightKernelSpec | WolfSpec, slice | np.ndarray]],
+    specs: Sequence[tuple[WeightKernelSpec, slice | np.ndarray]],
     y: np.ndarray,
     center: np.ndarray,
     hph: Callable[[slice | np.ndarray], np.ndarray],
@@ -307,11 +276,11 @@ def robust_update(
     (B, d_Y) stack of observations ``y`` and predicted observations
     ``center``; one (d_Y,) observation is a stack of one.  ``specs`` pairs
     each weight spec with the rows of the stack it weights (a slice or an
-    index array).  A kernel spec gives w = 2 k^2_b over each block b and the
-    target y - R grad log k^2 (gradient taken blockwise), a WoLF spec w = r^2
-    and y, and the constant kernel w = 1 and y, so every filter's
-    constant-kernel variant is its regular filter bit for bit.  More than
-    one block needs R block-diagonal over the partition, for only then is
+    index array).  A spec gives w = 2 k^2_b over each block b and the target
+    y - R grad log k^2 (gradient taken blockwise); WoLF's slope is 0, so its
+    target is y, and the constant kernel gives w = 1 and y, so every filter's
+    constant-kernel variant is its regular filter bit for bit.  More than one
+    block needs R block-diagonal over the partition, for only then is
     blockwise weighting the blocked loss; ValueError otherwise.
 
     ``r_factor`` is the factor of R.  ``hph(rows)`` returns the forecast
@@ -322,10 +291,11 @@ def robust_update(
     HPH^T + R are factored by one ``SpdFactor`` and the others take R's
     factor, one whitening gives every Mahalanobis square, each spec turns
     its rows' squares into weights, and one back substitution gives the
-    kernel rows' gradients.  Each multi-block spec whitens its rows by one
-    stacked symmetric root, of R or of their HPH^T + R, and takes s_b and
-    the gradients of every block at once, the step ``eval_kernel`` returns;
-    its weights and target take the gradient blocks on the diagonal.  Each
+    gradients of the rows whose slope is not 0.  Each multi-block spec
+    whitens its rows by one stacked symmetric root, of R or of their
+    HPH^T + R, and takes s_b and the gradients of every block at once, the
+    step ``eval_kernel`` returns; its weights and target take the gradient
+    blocks on the diagonal.  Each
     element comes out as a single call would give it; one whose HPH^T + R
     no jitter repairs gets a NaN weight and the target y.
     """
@@ -336,9 +306,9 @@ def robust_update(
     n = len(y)
     passed, blocked, marginal = [], [], []
     for spec, rows in specs:
-        if isinstance(spec, WeightKernelSpec) and spec.family == CONSTANT:
+        if spec.family == CONSTANT:
             continue
-        if isinstance(spec, WolfSpec) or len(spec.partition_for(d_y)) == 1:
+        if len(spec.partition_for(d_y)) == 1:
             passed.append((spec, rows))
             if spec.standardization == MARGINAL:
                 marginal.append(rows)
@@ -358,11 +328,10 @@ def robust_update(
                 chol[...], chol[rows] = r_factor.chol, std_chol
         z, s = whitened_sq(chol, y - center)
         for spec, rows in passed:
-            threshold = spec.thresholds_for(d_y)[0]
-            k_sq = weight_sq(spec, s[rows, None], threshold)
+            k_sq, slope = weigh(spec, s[rows, None], spec.thresholds_for(d_y)[0])
             w[rows] = 2.0 * k_sq
-            if isinstance(spec, WeightKernelSpec):
-                kernels.append((rows, k_sq, weight_slope(spec, k_sq, threshold)))
+            if spec.family != WOLF:
+                kernels.append((rows, k_sq, slope))
     if kernels:  # one back substitution for every kernel's rows
         rows, k_sq, slope = kernels[0] if len(kernels) == 1 else (
             _joined([rows for rows, _, _ in kernels], n),
@@ -390,10 +359,11 @@ def robust_update(
 
 
 def default_threshold(d_y: int, family: str = IMQ) -> float:
-    """Dimension-based default: q^2 = d_Y (IMQ) or h^2 = d_Y / ln 2 (sq-exp)."""
+    """Dimension-based default: q^2 = d_Y (IMQ), h^2 = d_Y / ln 2 (sq-exp) or
+    c^2 = d_Y (WoLF)."""
     if d_y < 1:
         raise ValueError("d_y must be >= 1")
-    if family == IMQ:
+    if family in (IMQ, WOLF):
         return float(d_y)
     if family == SQEXP:
         return d_y / math.log(2.0)
@@ -414,15 +384,18 @@ def jensen_bounds(d_y: int, threshold: float, family: str = IMQ) -> tuple[float,
     if family == CONSTANT:
         return 1.0, 1.0, 0.0
     sigma = math.sqrt(2.0 * d_y)
-    g_mu = 2.0 * float(weight_sq(WeightKernelSpec(family=family), d_y, threshold))
+    g_mu = float(_doubled_weight(family, d_y, threshold))
     lipschitz = 2.0 / threshold
     return g_mu, g_mu + lipschitz * sigma, 2.0 * lipschitz * sigma
 
 
 def _doubled_weight(family: str, xi: np.ndarray, threshold: float) -> np.ndarray:
+    """2 k^2(xi) of a family whose threshold the chi-square laws calibrate."""
     if family == CONSTANT:
         raise ValueError("the constant kernel has no threshold")
-    return 2.0 * weight_sq(WeightKernelSpec(family=family), xi, threshold)
+    if family == WOLF:
+        raise ValueError("the WoLF threshold c^2 has no chi-square calibration")
+    return 2.0 * weigh(WeightKernelSpec(family=family), xi, threshold)[0]
 
 
 def expected_weight_mc(

@@ -38,7 +38,6 @@ from robust_da import (
     GaussianBelief,
     ParticleCloud,
     SpdFactor,
-    WolfSpec,
     contaminate,
     dsm_analysis,
     enkf_perturbed_analysis,
@@ -55,7 +54,7 @@ from robust_da import harness
 from robust_da._linalg import pow2_scale
 from robust_da.metrics import _q_log_from_log
 from robust_da.models import tracking_model
-from robust_da.weights import robust_update, weight_slope, weight_sq
+from robust_da.weights import robust_update, weigh
 
 
 def grid_posterior_1d(log_unnormalized, lo=-20.0, hi=20.0, n=400_000):
@@ -135,9 +134,9 @@ def block_kernel_looped(spec, y, center, std_cov):
         z_scaled = root @ (residual / scale)
         for b, (start, stop) in enumerate(partition):
             s_b = float(z_scaled[start:stop] @ z_scaled[start:stop]) * scale * scale
-            k_sq[i, b] = k = weight_sq(spec, s_b, thresholds[b])
+            k, slope = weigh(spec, s_b, thresholds[b])
+            k_sq[i, b] = k
             if k > 0.0:
-                slope = weight_slope(spec, k, thresholds[b])
                 log_grads[i, b] = 2.0 * slope * (root[:, start:stop] @ (z_scaled[start:stop] * scale))
     return k_sq, log_grads
 
@@ -407,8 +406,6 @@ def letkf_analysis_looped(ensemble, obs, y, spec, config):
 
 def _resolved(spec, n_obs):
     """``spec`` with its threshold resolved against ``n_obs`` observations."""
-    if isinstance(spec, WolfSpec):
-        return replace(spec, c_sq=float(spec.thresholds_for(n_obs)[0]))
     return replace(spec, threshold=float(spec.thresholds_for(n_obs)[0]))
 
 

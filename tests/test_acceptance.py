@@ -14,7 +14,6 @@ from robust_da import (
     LetkfConfig,
     LgssModel,
     SpdFactor,
-    WolfSpec,
     dsm_analysis,
     kf_analysis,
     kf_forecast,
@@ -31,6 +30,7 @@ from robust_da.weights import (
     CONSTANT,
     IMQ,
     SQEXP,
+    WOLF,
     WeightKernelSpec,
     eval_kernel,
     expected_weight_mc,
@@ -349,7 +349,7 @@ def test_criterion_05_robustness_plateau():
     shift = influence_sweep(
         model, forecast,
         WeightKernelSpec(family=IMQ, threshold=1.0),
-        WolfSpec(variant="md", c_sq=1.0),
+        WeightKernelSpec(family=WOLF, threshold=1.0, standardization="conditional"),
         magnitudes,
     )
     elapsed = time.perf_counter() - start
@@ -399,13 +399,14 @@ def test_criterion_06_ensemble_consistency():
             model2, forecast2, y2, WeightKernelSpec(family=IMQ, threshold=2.0)
         ).posterior,
         "wolf": wolf_analysis(
-            model2, forecast2, y2, WolfSpec(variant="md", c_sq=2.0)
+            model2, forecast2, y2,
+            WeightKernelSpec(family=WOLF, threshold=2.0, standardization="conditional"),
         ).posterior,
     }
     letkf_specs = {
         "regular": WeightKernelSpec(family=CONSTANT),
         "dsm": WeightKernelSpec(family=IMQ, threshold=2.0, standardization="marginal"),
-        "wolf": WolfSpec(variant="md", c_sq=2.0),
+        "wolf": WeightKernelSpec(family=WOLF, threshold=2.0, standardization="conditional"),
     }
     for variant, closed in closed_forms.items():
         updated = letkf_analysis(

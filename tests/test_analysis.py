@@ -4,13 +4,13 @@ import pytest
 from robust_da import (
     GaussianBelief,
     LgssModel,
-    WolfSpec,
     dsm_analysis,
     kf_analysis,
     wolf_analysis,
 )
 from robust_da.lgss import kalman_gain
-from robust_da.weights import CONSTANT, IMQ, WeightKernelSpec
+from robust_da.models import tracking_model
+from robust_da.weights import CONSTANT, IMQ, WOLF, WeightKernelSpec
 from helpers import (
     grid_posterior_1d,
     grid_posterior_2d,
@@ -244,7 +244,8 @@ def test_wolf_unit_weight_recovers_kalman():
     model, _ = make_model(rng, 3, 2)
     forecast = GaussianBelief(mean=rng.standard_normal(3), cov=random_spd(rng, 3))
     y = rng.standard_normal(2)
-    wolf = wolf_analysis(model, forecast, y, WolfSpec(variant="md", c_sq=1e14)).posterior
+    spec = WeightKernelSpec(family=WOLF, threshold=1e14, standardization="conditional")
+    wolf = wolf_analysis(model, forecast, y, spec).posterior
     regular = kf_analysis(model, forecast, y)
     assert np.allclose(wolf.mean, regular.mean, rtol=1e-9)
     assert np.allclose(wolf.cov, regular.cov, rtol=1e-9)
@@ -255,7 +256,8 @@ def test_wolf_sigma_scaled_matches_dsm_at_zero_residual():
     model, _ = make_model(rng, 3, 2)
     forecast = GaussianBelief(mean=rng.standard_normal(3), cov=random_spd(rng, 3))
     y = model.H @ forecast.mean
-    wolf = wolf_analysis(model, forecast, y, WolfSpec(variant="sigma_scaled", c_sq=2.0))
+    spec = WeightKernelSpec(family=WOLF, threshold=2.0, standardization="marginal")
+    wolf = wolf_analysis(model, forecast, y, spec)
     dsm = dsm_analysis(model, forecast, y, WeightKernelSpec(family=IMQ, threshold=2.0))
     assert np.allclose(wolf.weight, 2.0)  # R / w = R / 2
     assert np.allclose(wolf.posterior.cov, dsm.posterior.cov, rtol=1e-10)
@@ -268,7 +270,8 @@ def test_wolf_md_only_inflates():
         model, _ = make_model(rng, 3, 2)
         forecast = GaussianBelief(mean=rng.standard_normal(3), cov=random_spd(rng, 3))
         y = model.H @ forecast.mean + rng.standard_normal(2)
-        wolf = wolf_analysis(model, forecast, y, WolfSpec(variant="md", c_sq=2.0)).posterior
+        spec = WeightKernelSpec(family=WOLF, threshold=2.0, standardization="conditional")
+        wolf = wolf_analysis(model, forecast, y, spec).posterior
         regular = kf_analysis(model, forecast, y)
         eigs = np.linalg.eigvalsh(wolf.cov - regular.cov)
         assert eigs.min() >= -1e-10
@@ -279,10 +282,38 @@ def test_wolf_information_form_cross_check():
     model, _ = make_model(rng, 2, 2)
     forecast = GaussianBelief(mean=rng.standard_normal(2), cov=random_spd(rng, 2))
     y = rng.standard_normal(2) * 2.0
-    result = wolf_analysis(model, forecast, y, WolfSpec(variant="md", c_sq=2.0))
+    spec = WeightKernelSpec(family=WOLF, threshold=2.0, standardization="conditional")
+    result = wolf_analysis(model, forecast, y, spec)
     r_sq = result.weight[0]
     j_post = np.linalg.inv(forecast.cov) + r_sq * model.H.T @ np.linalg.inv(model.R) @ model.H
     assert np.allclose(np.linalg.inv(result.posterior.cov), j_post, rtol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "analyse",
+    [
+        kf_analysis,
+        lambda model, forecast, y: dsm_analysis(model, forecast, y, WeightKernelSpec(family=IMQ)),
+        lambda model, forecast, y: wolf_analysis(model, forecast, y, WeightKernelSpec(family=WOLF)),
+    ],
+    ids=["kf", "dsm", "wolf"],
+)
+@pytest.mark.parametrize(
+    "y, forecast_dim, message",
+    [
+        ([[1.0, 2.0]], 4, r"expected a vector, got shape \(1, 2\)"),
+        ([1.0], 4, "expected a vector of length 2, got 1"),
+        ([1.0, 2.0], 2, "forecast dimension 2 does not match state dimension 4"),
+    ],
+    ids=["matrix_y", "short_y", "short_forecast"],
+)
+def test_every_single_analysis_checks_its_input_as_the_kalman_analysis(
+    analyse, y, forecast_dim, message
+):
+    model = tracking_model()  # d_X = 4, d_Y = 2
+    forecast = GaussianBelief(mean=np.zeros(forecast_dim), cov=np.eye(forecast_dim))
+    with pytest.raises(ValueError, match=message):
+        analyse(model, forecast, y)
 
 
 def test_dsm_covariance_adjusts_both_ways():
@@ -309,7 +340,7 @@ def test_influence_sweep_boundedness():
         model,
         forecast,
         WeightKernelSpec(family=IMQ, threshold=1.0),
-        WolfSpec(variant="md", c_sq=1.0),
+        WeightKernelSpec(family=WOLF, threshold=1.0, standardization="conditional"),
         magnitudes,
     )
     # Regular gain is constant: displacement is linear in the magnitude.

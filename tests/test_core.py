@@ -21,7 +21,7 @@ from robust_da import (
     wolf_analysis,
 )
 from robust_da.lgss import robust_analysis
-from robust_da.weights import CONSTANT, IMQ, SQEXP, WeightKernelSpec, WolfSpec, robust_update
+from robust_da.weights import CONSTANT, IMQ, SQEXP, WOLF, WeightKernelSpec, robust_update
 from helpers import information_form_update, random_spd
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -54,13 +54,13 @@ ROBUST_SPECS = [
     WeightKernelSpec(family=IMQ),
     WeightKernelSpec(family=IMQ, standardization="conditional"),
     WeightKernelSpec(family=SQEXP, threshold=4.0),
-    WolfSpec(variant="md"),
-    WolfSpec(variant="sigma_scaled"),
+    WeightKernelSpec(family=WOLF, standardization="conditional"),
+    WeightKernelSpec(family=WOLF, standardization="marginal"),
 ]
 
 
 def analyse(model, forecast, y, spec):
-    update = wolf_analysis if isinstance(spec, WolfSpec) else dsm_analysis
+    update = wolf_analysis if spec.family == WOLF else dsm_analysis
     return update(model, forecast, y, spec)
 
 
@@ -146,9 +146,9 @@ def influence_supremum(model, forecast, spec):
     gain_norm = np.linalg.norm(forecast.cov @ h.T @ l_inv.T, 2)
     s = np.logspace(-8, 12, 20001)
     d_y = h.shape[0]
-    if isinstance(spec, WolfSpec):
-        c_sq = spec.c_sq or d_y
-        w, slope = (1.0 if spec.variant == "md" else 2.0) / (1.0 + s / c_sq), 0.0
+    if spec.family == WOLF:
+        c_sq = spec.threshold or d_y
+        w, slope = (1.0 if spec.standardization == "conditional" else 2.0) / (1.0 + s / c_sq), 0.0
     elif spec.family == IMQ:
         q_sq = spec.threshold or d_y
         w, slope = 2.0 / (1.0 + s / q_sq), 1.0 / (q_sq + s)

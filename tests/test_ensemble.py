@@ -10,7 +10,6 @@ from robust_da import (
     Localization,
     LgssModel,
     ObservationModel,
-    WolfSpec,
     dsm_analysis,
     enkf_perturbed_analysis,
     ensemble_forecast,
@@ -22,7 +21,7 @@ from robust_da import (
 )
 from robust_da.ensemble import _window_indices
 from robust_da.models import lgss_sampler, lorenz63_sampler
-from robust_da.weights import CONSTANT, IMQ, SQEXP, WeightKernelSpec, default_threshold
+from robust_da.weights import CONSTANT, IMQ, SQEXP, WOLF, WeightKernelSpec, default_threshold
 from helpers import (
     OBSERVATION_FORMS,
     WINDOW_SQUARE_OVERFLOWS,
@@ -389,7 +388,7 @@ def test_untapered_ring_wide_letkf_is_the_esrf(family, half_width):
 LETKF_SPECS = {
     "regular": WeightKernelSpec(family=CONSTANT),
     "dsm": WeightKernelSpec(family=IMQ, standardization="marginal"),
-    "wolf": WolfSpec(variant="md"),
+    "wolf": WeightKernelSpec(family=WOLF, standardization="conditional"),
     "conditional": WeightKernelSpec(family=IMQ, standardization="conditional"),
 }
 
@@ -419,7 +418,8 @@ def test_letkf_full_rank_matches_closed_form(variant):
         ).posterior
     else:
         closed = wolf_analysis(
-            model, forecast, y, WolfSpec(variant="md", c_sq=float(d_y))
+            model, forecast, y,
+            WeightKernelSpec(family=WOLF, threshold=float(d_y), standardization="conditional"),
         ).posterior
     assert np.allclose(updated.mean, closed.mean, rtol=1e-8, atol=1e-9)
     rel = np.linalg.norm(updated.cov - closed.cov) / np.linalg.norm(closed.cov)
@@ -520,8 +520,8 @@ ORACLE_SPECS = {
     "imq_obs_anomaly": WeightKernelSpec(family=IMQ, standardization="marginal"),
     "sqexp_obs_anomaly": WeightKernelSpec(family=SQEXP, standardization="marginal"),
     "imq_conditional": WeightKernelSpec(family=IMQ, standardization="conditional"),
-    "wolf_md": WolfSpec(variant="md"),
-    "wolf_sigma_scaled": WolfSpec(variant="sigma_scaled"),
+    "wolf_md": WeightKernelSpec(family=WOLF, standardization="conditional"),
+    "wolf_sigma_scaled": WeightKernelSpec(family=WOLF, standardization="marginal"),
 }
 
 ORACLE_CASES = {
@@ -658,9 +658,7 @@ def test_localized_letkf_matches_looped_oracle_on_any_ring(case):
     assert _relative_error(batched.cov, looped.cov) <= 1e-10
 
     width = min(2 * config.localization.half_width + 1, ens.d_x)
-    if isinstance(spec, WolfSpec):
-        explicit = WolfSpec(variant=spec.variant, c_sq=float(width))
-    elif spec.family != CONSTANT:
+    if spec.family != CONSTANT:
         explicit = WeightKernelSpec(
             family=spec.family, threshold=default_threshold(width, spec.family),
             standardization=spec.standardization,

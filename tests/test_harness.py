@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import os
@@ -56,7 +57,10 @@ def test_config_validation():
     "setting",
     [
         {"q_sq": -1.0}, {"c_sq": 0.0}, {"wolf_variant": "bogus"}, {"enkf_mode": "bogus"},
-        {"kernel_family": "bogus"}, {"rho": 0.5}, {"half_width": -1}, {"taper_length": 0.0},
+        {"kernel_family": "bogus"},
+        # The WoLF weight is a kernel family of the library, not a DSM kernel.
+        pytest.param({"kernel_family": "wolf"}, id="kernel_family_wolf"),
+        {"rho": 0.5}, {"half_width": -1}, {"taper_length": 0.0},
         # A float or bool half_width indexed the LETKF windows mid-run; an
         # out_dir that is not a string failed only once the run was computed.
         pytest.param({"half_width": 19.0}, id="half_width_float"),
@@ -1219,6 +1223,32 @@ def test_filter_list_is_complete():
         "kf", "dsm_kf", "wolf_kf", "enkf", "dsm_enkf", "wolf_enkf",
         "esrf", "dsm_esrf", "letkf", "dsm_letkf", "wolf_letkf", "dsm_pf",
     }
+
+
+PUBLIC_NAMES = {
+    "AnalysisResult", "ContaminationSpec", "EnsembleState", "ExperimentConfig", "GaussianBelief",
+    "LetkfConfig", "LgssModel", "Localization", "MetricReport", "ObservationModel", "PRESETS",
+    "ParticleCloud", "RunResult", "SpdFactor", "SweepResult", "TrajectoryRecord",
+    "WeightKernelSpec", "ci_coverage", "contaminate", "default_threshold", "dsm_analysis",
+    "dsm_log_potential", "enkf_perturbed_analysis", "ensemble_forecast", "esrf_analysis",
+    "eval_kernel", "expected_weight_mc", "jensen_bounds", "kf_analysis", "kf_forecast",
+    "letkf_analysis", "pf_step", "psd_sym_sqrt", "q_ic", "q_log", "rmse",
+    "run_ensemble_size_sweep", "run_single", "run_sweep", "simulate_lorenz63",
+    "simulate_lorenz96", "simulate_ou", "simulate_target_tracking", "symmetrize",
+    "tune_threshold", "wolf_analysis",
+}
+
+
+def test_the_package_exports_exactly_its_listed_public_names():
+    # Submodules are left out: which of them are attributes depends on what
+    # has been imported.  A fresh import adds the eight that the package
+    # imports itself, 54 public names in all.
+    exported = {
+        name for name in dir(robust_da)
+        if not name.startswith("_") and not inspect.ismodule(getattr(robust_da, name))
+    }
+    assert exported == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 46
 
 
 def test_star_import_of_every_module_resolves_its_exports():

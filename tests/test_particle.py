@@ -15,7 +15,7 @@ from robust_da import (
     pf_step,
 )
 from robust_da.models import lorenz63_sampler
-from robust_da.weights import CONDITIONAL, CONSTANT, IMQ, SQEXP, WeightKernelSpec
+from robust_da.weights import CONDITIONAL, CONSTANT, IMQ, SQEXP, WOLF, WeightKernelSpec
 from helpers import OBSERVATION_FORMS, central_diff_gradient, float_matrices, random_spd
 
 
@@ -186,6 +186,18 @@ def test_pf_step_refuses_a_kernel_not_standardized_by_r():
     ):
         with pytest.raises(ValueError, match="standardizes"):
             pf_step(cloud, cloud.particles, np.zeros(2), obs, spec, np.random.default_rng(0))
+
+
+def test_the_particle_filter_refuses_a_wolf_spec():
+    # WoLF's slope is 0, so its potential would run as -k^2 (s - 2 d_Y), a
+    # score-matching loss the WoLF weight does not have.
+    cloud = ParticleCloud.uniform(np.zeros((2, 4)))
+    obs = ObservationModel(H=np.eye(2), R=np.eye(2))
+    spec = WeightKernelSpec(family=WOLF, standardization=CONDITIONAL)
+    with pytest.raises(ValueError, match="WoLF"):
+        dsm_log_potential(np.zeros(2), cloud.particles, obs.r_factor, spec)
+    with pytest.raises(ValueError, match="WoLF"):
+        pf_step(cloud, cloud.particles, np.zeros(2), obs, spec, np.random.default_rng(0))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

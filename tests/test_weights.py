@@ -9,7 +9,9 @@ from robust_da import GaussianBelief, LgssModel, SpdFactor, dsm_analysis
 from robust_da.weights import (
     CONSTANT,
     IMQ,
+    MARGINAL,
     SQEXP,
+    WOLF,
     WeightKernelSpec,
     default_threshold,
     eval_kernel,
@@ -17,6 +19,7 @@ from robust_da.weights import (
     jensen_bounds,
     robust_update,
     tune_threshold,
+    weigh,
 )
 from helpers import block_kernel_looped, central_diff_gradient, random_spd
 
@@ -356,6 +359,28 @@ def test_default_thresholds():
     assert default_threshold(40, IMQ) == 40.0
     assert default_threshold(1, SQEXP) == pytest.approx(1.4427, abs=1e-4)
     assert default_threshold(1, IMQ) == 1.0
+
+
+def test_the_wolf_family_is_the_wolf_weight_and_adds_no_capability():
+    s = np.array([0.0, 1.5, 40.0, np.inf])
+    for standardization, r_sq in (("conditional", 1.0), ("marginal", 2.0)):
+        spec = WeightKernelSpec(family=WOLF, standardization=standardization)
+        k_sq, slope = weigh(spec, s, 3.0)
+        np.testing.assert_array_equal(2.0 * k_sq, r_sq / (1.0 + s / 3.0))
+        assert slope == 0.0
+    assert default_threshold(3, WOLF) == 3.0
+    # The default standardization is every family's, marginal: the
+    # sigma-scaled WoLF weight.
+    assert WeightKernelSpec(family=WOLF).standardization == MARGINAL
+    with pytest.raises(ValueError, match="one block"):
+        WeightKernelSpec(family=WOLF, block_partition=((0, 1), (1, 2)))
+    # The chi-square calibrations are the DSM kernels' alone.
+    with pytest.raises(ValueError):
+        jensen_bounds(2, 2.0, WOLF)
+    with pytest.raises(ValueError):
+        expected_weight_mc(2, 2.0, WOLF, n_samples=10)
+    with pytest.raises(ValueError):
+        tune_threshold(2, WOLF, n_samples=10)
 
 
 def test_tuned_threshold_scalar_case():
