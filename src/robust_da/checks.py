@@ -144,10 +144,9 @@ def _verdicts(seed: int) -> Iterator[tuple[str, bool, str]]:
     )
 
 
-def run_checks(seed: int = 0, verbose: bool = False) -> int:
+def run_checks(seed: int = 0) -> int:
     failures = 0
     for name, ok, detail in _verdicts(seed):
         failures += 0 if ok else 1
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return failures

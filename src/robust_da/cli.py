@@ -14,14 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
-    FILTERS,
-    PRESETS,
-    ExperimentConfig,
-    _contamination_cells,
-    _filter_list,
-    run_ensemble_size_sweep,
-    run_single,
-    run_sweep,
+    FILTERS, PRESETS, ExperimentConfig, run_ensemble_size_sweep, run_single, run_sweep,
 )
 from .weights import expected_weight_mc, tune_threshold
 
@@ -38,9 +31,11 @@ def _load_config(spec: str | None) -> ExperimentConfig:
             "nor an existing file"
         )
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SystemExit(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"{path}: cannot read config: {exc}")
     try:
         return ExperimentConfig.from_dict(data)
     except ValueError as exc:
@@ -49,10 +44,10 @@ def _load_config(spec: str | None) -> ExperimentConfig:
 
 def _checked(args, build, *values, **updates):
     """``build(*values, **updates)``, exiting with one line when the harness
-    refuses the result."""
+    refuses its input or cannot write to ``--out``."""
     try:
         return build(*values, **updates)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise SystemExit(f"{args.config or 'default config'}: {exc}")
 
 
@@ -75,14 +70,11 @@ def _parse_grid(flag: str, text: str, kind: type) -> list:
     return values
 
 
-def _parse_filters(args, config: ExperimentConfig) -> list[str]:
-    if not args.filters:
-        return [config.filter]
-    names = [f.strip() for f in args.filters.split(",") if f.strip()]
-    filters = _checked(args, _filter_list, config, names)
-    for filt in filters:
-        _checked(args, replace, config, filter=filt)
-    return filters
+def _parse_filters(args) -> list[str] | None:
+    """The ``--filters`` names, None without the flag (the config's filter)."""
+    if args.filters is None:
+        return None
+    return [f.strip() for f in args.filters.split(",") if f.strip()]
 
 
 def _at_least(flag: str, value: int | None, low: int) -> None:
@@ -97,38 +89,25 @@ def _emit(payload: dict) -> None:
 
 def cmd_run(args) -> int:
     config = _apply_common(_load_config(args.config), args)
-    result = run_single(config)
+    result = _checked(args, run_single, config)
     _emit(result.summary)
     return 0 if result.run.divergence_step is None else 1
 
 
 def cmd_sweep(args) -> int:
+    """``sweep`` over the contamination grid or ``size-sweep`` over ensemble
+    sizes; the harness refuses a bad grid or filter list before any replicate."""
     config = _apply_common(_load_config(args.config), args)
-    eps = _parse_grid("--epsilon", args.epsilon, float)
-    sql = _parse_grid("--sqrt-lambda", args.sqrt_lambda, float)
-    _checked(args, _contamination_cells, config, eps, sql)
-    filters = _parse_filters(args, config)
-    result = run_sweep(config, eps, sql, filters=filters)
+    if args.command == "sweep":
+        run = run_sweep
+        grids = [_parse_grid("--epsilon", args.epsilon, float),
+                 _parse_grid("--sqrt-lambda", args.sqrt_lambda, float)]
+    else:
+        run, grids = run_ensemble_size_sweep, [_parse_grid("--sizes", args.sizes, int)]
+    result = _checked(args, run, config, *grids, filters=_parse_filters(args))
     failed = sum(c.n_failed for c in result.cells.values())
-    payload = {
-        "cells": len(result.cells),
-        "replicates_per_cell": config.mc_reps,
-        "failed_replicates": failed,
-    }
-    _emit(payload)
-    return 0 if failed == 0 else 1
-
-
-def cmd_size_sweep(args) -> int:
-    config = _apply_common(_load_config(args.config), args)
-    sizes = _parse_grid("--sizes", args.sizes, int)
-    filters = _parse_filters(args, config)
-    for m in sizes:
-        for filt in filters:
-            _checked(args, replace, config, filter=filt, ensemble_size=m)
-    result = run_ensemble_size_sweep(config, sizes, filters=filters)
-    failed = sum(c.n_failed for c in result.cells.values())
-    _emit({"cells": len(result.cells), "failed_replicates": failed})
+    _emit({"cells": len(result.cells), "replicates_per_cell": config.mc_reps,
+           "failed_replicates": failed})
     return 0 if failed == 0 else 1
 
 
@@ -145,7 +124,7 @@ def cmd_verify(args) -> int:
     from .checks import run_checks
 
     _at_least("--seed", args.seed, 0)
-    failures = run_checks(seed=args.seed or 0, verbose=True)
+    failures = run_checks(seed=args.seed or 0)
     return 0 if failures == 0 else 1
 
 
@@ -178,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_size)
     p_size.add_argument("--sizes", default="5,10,25,50,100", help="comma-separated ensemble sizes")
     p_size.add_argument("--filters", help="comma-separated filter list")
-    p_size.set_defaults(func=cmd_size_sweep, filter=None)
+    p_size.set_defaults(func=cmd_sweep, filter=None)
 
     p_tune = sub.add_parser("tune", help="tune the kernel threshold by bisection")
     p_tune.add_argument("--dy", type=int, required=True)

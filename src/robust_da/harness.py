@@ -26,7 +26,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -198,9 +198,10 @@ class ExperimentConfig:
         return self.t_end if self.t_end is not None else _MODEL_SETTINGS[self.model][0]
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(data) - known
+    def from_dict(cls, data: Mapping) -> "ExperimentConfig":
+        if not isinstance(data, Mapping):
+            raise ValueError(f"config must be a mapping of fields, got {type(data).__name__}")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         try:
@@ -626,7 +627,10 @@ class RunResult:
 
 
 def run_single(config: ExperimentConfig) -> RunResult:
-    """Simulate, filter, score and (optionally) write artifacts for one run."""
+    """Simulate, filter, score and (optionally) write artifacts for one run.
+    ``config.out_dir`` is made before the run."""
+    if config.out_dir is not None:
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     # The empty spawn key draws from SeedSequence(config.seed).spawn(2).
     (setup,), (run,), (report,) = _run_chunk([((config,), ())])
 
@@ -649,7 +653,6 @@ def _write_run_artifacts(
     config: ExperimentConfig, setup: ModelSetup, run: FilterRun, summary: dict
 ) -> dict[str, str]:
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stem = f"{config.model}_{config.filter}_seed{config.seed}"
     steps_path = out / f"{stem}_steps.csv"
     summary_path = out / f"{stem}_summary.json"
@@ -831,10 +834,12 @@ def _collect(
 ) -> SweepResult:
     """Run ``config.mc_reps`` replicates of every cell, ``cells`` mapping a
     cell key to the cell's config, and write the sweep's files if
-    ``config.out_dir`` is set."""
+    ``config.out_dir`` is set; that directory is made before any replicate."""
     filters = _filter_list(config, filters)
     # Building every run's config once validates it before any replicate.
     cell_runs = {key: tuple(replace(c, filter=f) for f in filters) for key, c in cells.items()}
+    if config.out_dir is not None:
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     jobs = [
         (runs, (*key, rep)) for key, runs in cell_runs.items() for rep in range(config.mc_reps)
     ]
@@ -852,7 +857,6 @@ def _collect(
     )
     if config.out_dir is not None:
         out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         stem = "sweep" if kind == "contamination" else "size_sweep"
         result.write_csv(out / f"{stem}_cells.csv")
         result.write_replicates_csv(out / f"{stem}_replicates.csv")

@@ -250,6 +250,8 @@ def _analysis_of_one(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``robust_analysis`` of one forecast and observation, checked against the model."""
     y = _as_vector(y, model.d_y)
+    if forecast.mean.ndim != 1:
+        raise ValueError(f"expected a single forecast, got a stack of shape {forecast.mean.shape}")
     if forecast.dim != model.d_x:
         raise ValueError(
             f"forecast dimension {forecast.dim} does not match state dimension {model.d_x}"

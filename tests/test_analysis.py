@@ -299,19 +299,23 @@ def test_wolf_information_form_cross_check():
     ids=["kf", "dsm", "wolf"],
 )
 @pytest.mark.parametrize(
-    "y, forecast_dim, message",
+    "y, forecast_shape, message",
     [
-        ([[1.0, 2.0]], 4, r"expected a vector, got shape \(1, 2\)"),
-        ([1.0], 4, "expected a vector of length 2, got 1"),
-        ([1.0, 2.0], 2, "forecast dimension 2 does not match state dimension 4"),
+        ([[1.0, 2.0]], (4,), r"expected a vector, got shape \(1, 2\)"),
+        ([1.0], (4,), "expected a vector of length 2, got 1"),
+        ([1.0, 2.0], (2,), "forecast dimension 2 does not match state dimension 4"),
+        # A stack of three forecasts gave kf_analysis a (3, 4) posterior and
+        # the other two a numpy broadcast error.
+        ([1.0, 2.0], (3, 4), r"expected a single forecast, got a stack of shape \(3, 4\)"),
     ],
-    ids=["matrix_y", "short_y", "short_forecast"],
+    ids=["matrix_y", "short_y", "short_forecast", "stacked_forecast"],
 )
 def test_every_single_analysis_checks_its_input_as_the_kalman_analysis(
-    analyse, y, forecast_dim, message
+    analyse, y, forecast_shape, message
 ):
     model = tracking_model()  # d_X = 4, d_Y = 2
-    forecast = GaussianBelief(mean=np.zeros(forecast_dim), cov=np.eye(forecast_dim))
+    cov = np.broadcast_to(np.eye(forecast_shape[-1]), (*forecast_shape, forecast_shape[-1]))
+    forecast = GaussianBelief(mean=np.zeros(forecast_shape), cov=cov)
     with pytest.raises(ValueError, match=message):
         analyse(model, forecast, y)
 

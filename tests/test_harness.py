@@ -1,3 +1,4 @@
+import ast
 import csv
 import inspect
 import json
@@ -1100,6 +1101,17 @@ def test_cli_sweep_bookkeeping(tmp_path, capsys):
     assert len(lines) == 1 + 12
 
 
+def test_cli_size_sweep_prints_the_keys_of_the_sweep(tmp_path, capsys):
+    # size-sweep printed no replicates_per_cell.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "ou", "t_end": 2.0, "mc_reps": 3}))
+    rc = cli.main(["size-sweep", "--config", str(path), "--filters", "enkf", "--sizes", "5,10"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "cells": 2, "replicates_per_cell": 3, "failed_replicates": 0,
+    }
+
+
 def test_cli_tune_reports_scalar_threshold(capsys):
     assert cli.main(["tune", "--dy", "1", "--seed", "0"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -1115,6 +1127,39 @@ def test_cli_rejects_unknown_config(tmp_path):
     with pytest.raises(SystemExit) as err:
         cli.main(["run", "--config", str(bad)])
     assert "invalid JSON" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        # null and 42 raised TypeError tracebacks; a string or list was read
+        # as its characters or items, "unknown config fields: ['a', 'b', 'c']".
+        ("null", "config must be a mapping of fields, got NoneType"),
+        ("42", "config must be a mapping of fields, got int"),
+        ('"abc"', "config must be a mapping of fields, got str"),
+        ("[1, 2]", "config must be a mapping of fields, got list"),
+        # A directory raised IsADirectoryError, bytes that are not text
+        # UnicodeDecodeError.
+        (None, "cannot read config: [Errno 21] Is a directory"),
+        (b"\xff\xfe{", "cannot read config: 'utf-8' codec can't decode"),
+    ],
+    ids=["null", "number", "string", "list", "directory", "undecodable"],
+)
+def test_cli_refuses_a_config_file_that_holds_no_json_object_in_one_line(
+    tmp_path, content, message
+):
+    path = tmp_path / "cfg.json"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict(json.loads(content))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["run", "--config", str(path)])
+    assert str(err.value).startswith(f"{path}: {message}") and "\n" not in str(err.value)
 
 
 def test_cli_refuses_a_filter_the_model_cannot_run():
@@ -1172,6 +1217,44 @@ def test_cli_refuses_a_bad_grid_list_in_one_line_before_any_replicate(monkeypatc
         # The case's own flags come last, so its --filters replaces the default.
         cli.main([args[0], "--config", "ou_desk", "--filters", "kf", *args[1:]])
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--filters", "kf", "--epsilon", "0", "--sqrt-lambda", "5"],
+        ["size-sweep", "--filters", "enkf", "--sizes", "5"],
+        ["run", "--filter", "kf"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_cli_refuses_an_out_path_it_cannot_make_before_any_replicate(monkeypatch, tmp_path, args):
+    # The out directory was made after the last replicate: the sweep ran
+    # every replicate and the run its whole filter, then raised
+    # FileExistsError.
+    def no_replicate(chunk):
+        raise AssertionError("a replicate started")
+
+    monkeypatch.setattr(harness, "_chunk_job", no_replicate)
+    monkeypatch.setattr(harness, "_run_chunk", no_replicate)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    with pytest.raises(SystemExit) as err:
+        cli.main([args[0], "--config", "ou_desk", "--out", str(taken), *args[1:]])
+    assert str(err.value) == f"ou_desk: [Errno 17] File exists: {str(taken)!r}"
+    assert taken.read_text() == "kept"
+
+
+def test_the_cli_imports_no_private_name_of_the_package():
+    # The CLI parses its flags and leaves every rule to the harness, so it
+    # needs nothing the harness keeps to itself.
+    private = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("robust_da")):
+            path = (node.module or "").split(".")
+            private += [f"{node.module}.{alias.name}" for alias in node.names
+                        if any(part.startswith("_") for part in [*path, alias.name])]
+    assert private == []
 
 
 def test_cli_size_sweep_refuses_a_size_a_filter_cannot_run_in_one_line():
