@@ -5,13 +5,13 @@ contamination and ensemble-size sweeps, and CSV/JSON result files.
 enkf, esrf, letkf or pf) and the weight that goes into that step (regular,
 DSM or WoLF); one loop, ``_filter_loop``, runs every family and reports
 divergence the same way for all of them.  A sweep job is a chunk of
-replicates, and the loop advances every filter of every replicate in the
-chunk in lock-step: at each observation the closed-form filters take one
-stacked forecast and analysis, the members of the ensemble and particle
-filters go through one stacked forecast, and each of those filters then runs
-its own analysis; every filter records its moments in the loop's one record.
-The linear Gaussian truths of a chunk are simulated together, and its runs
-are scored in one pass.  A single run is a chunk of one job.
+replicates, whose filters the loop advances in lock-step as stacks, the
+closed-form filters as one and the ensemble and particle filters as another:
+per observation, the stacks' member blocks go through one stacked forecast,
+and each stack steps its live elements, writes their moments into the loop's
+one record and drops those that diverged.  The linear Gaussian truths of a
+chunk are simulated together, and its runs are scored in one pass.  A single
+run is a chunk of one job.
 
 Determinism contract: a (config, master seed) pair maps to byte-identical
 result files regardless of worker count and chunk size; per-replicate
@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -203,7 +204,7 @@ class ExperimentConfig:
             raise ValueError(f"config must be a mapping of fields, got {type(data).__name__}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+            raise ValueError(f"unknown config fields: {sorted(unknown, key=repr)}")
         try:
             return cls(**data)
         except TypeError as exc:
@@ -296,36 +297,6 @@ class FilterRun:
     divergence_step: int | None = None
 
 
-@dataclass
-class _Slice:
-    """One ensemble or particle filter's run inside a lock-stepped loop.
-
-    ``step(state, forecast, y)`` is the filter's step on the observation
-    ``y``, a column of ``ys``, given the member block ``members(state)``
-    propagated by the loop's forecast, whose noise is drawn from ``rng``;
-    ``moments(state)`` gives (mean, cov, weight_sq).
-    """
-
-    ys: np.ndarray
-    state: object
-    step: Callable
-    moments: Callable
-    members: Callable
-    rng: np.random.Generator
-
-
-@dataclass
-class _ClosedFormSlice:
-    """One exact KF / DSM / WoLF recursion inside a lock-stepped loop: its
-    observations, model and weight spec, and whether it records its weight
-    (the regular filter records NaN)."""
-
-    ys: np.ndarray
-    model: LgssModel
-    spec: WeightKernelSpec
-    records_weight: bool
-
-
 class _ClosedFormStack:
     """The closed-form slices of a loop advanced as one stacked recursion:
     per observation, one ``kf_forecast`` of the (B, d) means and (B, d, d)
@@ -341,56 +312,105 @@ class _ClosedFormStack:
     """
 
     def __init__(self, slices: list[_ClosedFormSlice], rows: list[int]):
-        specs, groups = [], []
-        for s in slices:
-            group = next((g for g, spec in enumerate(specs) if spec == s.spec), len(specs))
-            if group == len(specs):
-                specs.append(s.spec)
-            groups.append(group)
+        specs = list(dict.fromkeys(s.spec for s in slices))  # in order of first use
+        groups = np.array([specs.index(s.spec) for s in slices])
         order = np.argsort(groups, kind="stable")  # stack position -> slice
         ordered = [slices[i] for i in order]
-        self.rows = np.asarray(rows)[order]  # stack position -> loop row
-        self.specs, self.groups = specs, np.asarray(groups)[order]
-        self.records_weight = np.array([s.records_weight for s in ordered])
-        self.model = model = ordered[0].model
-        self.ys = np.stack([s.ys.T for s in ordered], axis=1)  # (n_obs, B, d_Y)
-        b = len(ordered)
-        self.belief = GaussianBelief(
-            mean=np.tile(model.prior.mean, (b, 1)), cov=np.tile(model.prior.cov, (b, 1, 1))
-        )
-        self.live = np.arange(b)
-        self._weight_slices()
+        self.specs, self.model = specs, ordered[0].model
+        b, prior = len(ordered), self.model.prior
+        self.belief = GaussianBelief(np.tile(prior.mean, (b, 1)), np.tile(prior.cov, (b, 1, 1)))
+        # The live elements' loop rows, observations (n_obs, B, d_Y), spec
+        # groups and weight factors (1/2 if the slice records its weight, else NaN).
+        self.rows, self.groups = np.asarray(rows)[order], groups[order]
+        self.ys = np.stack([s.ys.T for s in ordered], axis=1)
+        self.weight_factor = np.array([0.5 if s.records_weight else np.nan for s in ordered])
+        self._spec_slices()
 
-    def _weight_slices(self) -> None:
-        """The live elements' loop rows, observations, weight factors (1/2 if
-        the slice records its weight, else NaN) and each spec's slice of them."""
-        live = self.live
-        self.live_rows, self.live_ys = self.rows[live], self.ys[:, live]
-        self.weight_factor = np.where(self.records_weight[live], 0.5, np.nan)
-        bounds = np.searchsorted(self.groups[live], np.arange(len(self.specs) + 1)).tolist()
+    def _spec_slices(self) -> None:
+        """Each spec's slice of the live elements."""
+        bounds = np.searchsorted(self.groups, np.arange(len(self.specs) + 1)).tolist()
         self.spec_rows = [
             (spec, slice(start, stop))
             for spec, start, stop in zip(self.specs, bounds[:-1], bounds[1:]) if stop > start
         ]
 
-    def step(self, k: int, means: np.ndarray, covs: np.ndarray, weights: np.ndarray) -> None:
+    def blocks(self) -> list:
+        """No member block: the stack makes its own forecast."""
+        return []
+
+    def step(self, k: int, forecasts, means, covs, weights) -> None:
         """Step every live element on observation ``k`` and record its
         moments in its loop row of the loop's record."""
+        if not len(self.rows):
+            return
         forecast = kf_forecast(self.model, self.belief)
         mean, cov, w, _ = robust_analysis(
-            self.model, forecast.mean, forecast.cov, self.live_ys[k], self.spec_rows
+            self.model, forecast.mean, forecast.cov, self.ys[k], self.spec_rows
         )
         self.belief = belief = GaussianBelief(mean=mean, cov=cov)
-        mean, cov, rows = belief.mean, belief.cov, self.live_rows
+        mean, cov, rows = belief.mean, belief.cov, self.rows
         means[rows, k], covs[rows, k] = mean, cov
         weights[rows, k] = np.minimum.reduce(w, axis=1) * self.weight_factor  # halving is exact
         # A non-finite element makes the sum non-finite; only then is each tested.
         if not math.isfinite(np.add.reduce(mean, axis=None) + np.add.reduce(cov, axis=None)):
             finite = np.isfinite(mean).all(axis=1) & np.isfinite(cov).all(axis=(1, 2))
             if not finite.all():
-                self.live = self.live[finite]
+                self.rows, self.ys = self.rows[finite], self.ys[:, finite]
+                self.groups, self.weight_factor = self.groups[finite], self.weight_factor[finite]
                 self.belief = GaussianBelief(mean=mean[finite], cov=cov[finite])
-                self._weight_slices()
+                self._spec_slices()
+
+
+@dataclass
+class _ClosedFormSlice:
+    """One exact KF / DSM / WoLF recursion inside a lock-stepped loop: its
+    observations, model and weight spec, and whether it records its weight
+    (the regular filter records NaN)."""
+
+    ys: np.ndarray
+    model: LgssModel
+    spec: WeightKernelSpec
+    records_weight: bool
+    stack = _ClosedFormStack
+
+
+class _SampledStack:
+    """The ensemble and particle filters of a loop, each an element that
+    runs its own analysis on its members propagated by the loop's forecast.
+    An element whose forecast is non-finite, or whose analysis raises a
+    linear-algebra or floating-point error, leaves the stack; its rows from
+    that step on stay NaN."""
+
+    def __init__(self, runs: list[_SampledRun], rows: list[int]):
+        self.live = list(zip(rows, runs))  # (loop row, run) of each live element
+
+    def blocks(self) -> list[tuple]:
+        """The (members, generator) of every live element, in loop-row order."""
+        return [(run.members, run.rng) for _, run in self.live]
+
+    def step(self, k: int, forecasts, means, covs, weights) -> None:
+        """Step every live element on observation ``k`` from its block of
+        ``forecasts`` and record its mean and covariance in its loop row."""
+        live, self.live = self.live, []
+        for (row, run), forecast in zip(live, forecasts):
+            try:
+                if forecast is not None:
+                    run.members, means[row, k], covs[row, k] = run.analysis(forecast, run.ys[:, k])
+                    self.live.append((row, run))
+            except (np.linalg.LinAlgError, FloatingPointError):
+                pass  # the element leaves the stack
+
+
+@dataclass
+class _SampledRun:
+    """One ensemble or particle filter's run inside a lock-stepped loop; its
+    forecast noise and its analysis draw from ``rng``."""
+
+    ys: np.ndarray               # one observation per column
+    members: np.ndarray
+    rng: np.random.Generator
+    analysis: Callable           # (propagated members, y) -> new (members, mean, cov)
+    stack = _SampledStack
 
 
 def _filter_loop(slices: list, setup: ModelSetup) -> list[FilterRun]:
@@ -398,48 +418,30 @@ def _filter_loop(slices: list, setup: ModelSetup) -> list[FilterRun]:
     recording its moments after every step.
 
     Every slice shares the model of ``setup``, whose sampler propagates the
-    members.  The loop keeps one record, (S, n_obs, d) means, (S, n_obs, d,
-    d) covariances and (S, n_obs) weights, with one row for each of its S
-    slices.  At each observation the closed-form slices take one stacked
-    step (``_ClosedFormStack``), the member blocks of the live ensemble and
-    particle slices go through one ``ensemble_forecast`` call of the
-    sampler, and then each of those slices takes its step.  A slice
-    diverges, and drops out of the loop, at the first step whose forecast is
-    non-finite or that raised a linear-algebra or floating-point error, or
-    that recorded a non-finite mean or covariance; that step and the rest of
-    its output are NaN.  The other slices run on.  Finiteness of the
-    recorded moments of a sampled slice is checked once, after the loop,
-    over every recorded step, so numpy's overflow and invalid-value warnings
-    are silenced for the whole loop.
+    members, and names the class of the stack that runs it (``stack``).  The
+    loop runs one stack of each class, which owns its slices' rows of the
+    loop's one record: (S, n_obs, d) means, (S, n_obs, d, d) covariances and
+    (S, n_obs) weights.  At each observation the stacks' member blocks, if
+    any, go through one ``ensemble_forecast`` call, and each stack steps its
+    live elements on the forecasts handed back, records their moments and
+    drops those that diverged.  A non-finite recorded mean or covariance is
+    found after the loop (``_finished_run``), so numpy's overflow and
+    invalid-value warnings are silenced for the whole loop.
     """
     n_obs, d = slices[0].ys.shape[1], setup.init_mean.shape[0]
     means = np.full((len(slices), n_obs, d), np.nan)
     covs = np.full((len(slices), n_obs, d, d), np.nan)
     weights = np.full((len(slices), n_obs), np.nan)
-    closed = [i for i, s in enumerate(slices) if isinstance(s, _ClosedFormSlice)]
-    stack = _ClosedFormStack([slices[i] for i in closed], closed) if closed else None
-    live = [i for i, s in enumerate(slices) if not isinstance(s, _ClosedFormSlice)]
-    states = {i: slices[i].state for i in live}
+    rows = {}
+    for row, s in enumerate(slices):
+        rows.setdefault(s.stack, []).append(row)
+    stacks = [stack([slices[i] for i in own], own) for stack, own in rows.items()]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_obs):
-            if stack is not None and len(stack.live):
-                stack.step(k, means, covs, weights)
-            if not live:
-                continue
-            forecasts = ensemble_forecast(
-                setup.sampler, [slices[i].members(states[i]) for i in live],
-                [slices[i].rng for i in live],
-            )
-            for i, forecast in zip(list(live), forecasts):
-                s = slices[i]
-                try:
-                    if forecast is None:
-                        raise FloatingPointError("forecast produced non-finite members")
-                    states[i] = s.step(states[i], forecast, s.ys[:, k])
-                except (np.linalg.LinAlgError, FloatingPointError):
-                    live.remove(i)  # rows k onwards stay NaN
-                    continue
-                means[i, k], covs[i, k], weights[i, k] = s.moments(states[i])
+            blocks = [block for stack in stacks for block in stack.blocks()]
+            forecasts = iter(ensemble_forecast(setup.sampler, *zip(*blocks)) if blocks else ())
+            for stack in stacks:
+                stack.step(k, forecasts, means, covs, weights)
     return [_finished_run(means[i], covs[i], weights[i]) for i in range(len(slices))]
 
 
@@ -505,26 +507,25 @@ def run_ensemble_filter(
     ys: np.ndarray,
     config: ExperimentConfig,
     rng: np.random.Generator,
-) -> _Slice:
+) -> _SampledRun:
     """An EnKF / ESRF / LETKF variant over an observation sequence, as a
     slice of ``_filter_loop``; its initial members are drawn here."""
-    ensemble = EnsembleState(members=_initial_members(setup, config.ensemble_size, rng))
-    analysis = _FILTER_TABLE[config.filter][0]
+    members = _initial_members(setup, config.ensemble_size, rng)
+    kind = _FILTER_TABLE[config.filter][0]
     spec = _weight_spec(config)
     letkf_cfg = _letkf_config(config)
 
-    def step(_ensemble, members, y):
-        ensemble = EnsembleState(members=members)
-        if analysis == "letkf":
-            return letkf_analysis(ensemble, setup.obs, y, spec, letkf_cfg)
-        if analysis == "esrf":
-            return esrf_analysis(ensemble, setup.obs, y, spec)
-        return enkf_perturbed_analysis(
-            ensemble, setup.obs, y, spec, mode=config.enkf_mode, rng=rng
-        )
+    def analysis(propagated, y):
+        ens = EnsembleState(members=propagated)
+        if kind == "letkf":
+            ens = letkf_analysis(ens, setup.obs, y, spec, letkf_cfg)
+        elif kind == "esrf":
+            ens = esrf_analysis(ens, setup.obs, y, spec)
+        else:
+            ens = enkf_perturbed_analysis(ens, setup.obs, y, spec, config.enkf_mode, rng=rng)
+        return ens.members, ens.mean, ens.cov
 
-    return _Slice(ys, ensemble, step, lambda e: (e.mean, e.cov, np.nan),
-                  members=lambda e: e.members, rng=rng)
+    return _SampledRun(ys, members, rng, analysis)
 
 
 def run_particle_filter(
@@ -532,26 +533,20 @@ def run_particle_filter(
     ys: np.ndarray,
     config: ExperimentConfig,
     rng: np.random.Generator,
-) -> _Slice:
+) -> _SampledRun:
     """The score-matching bootstrap particle filter over an observation
     sequence, as a slice of ``_filter_loop``; its initial particles are
-    drawn here."""
+    drawn here, and its analysis keeps its weighted cloud."""
     cloud = ParticleCloud.uniform(_initial_members(setup, config.ensemble_size, rng))
     spec = _weight_spec(config)
 
-    def step(cloud, propagated, y):
-        return pf_step(
-            cloud,
-            propagated,
-            y,
-            setup.obs,
-            spec,
-            rng,
-            resample_threshold=config.resample_threshold,
-        )
+    def analysis(propagated, y):
+        nonlocal cloud
+        cloud = pf_step(cloud, propagated, y, setup.obs, spec, rng,
+                        resample_threshold=config.resample_threshold)
+        return cloud.particles, cloud.weighted_mean(), cloud.weighted_cov()
 
-    return _Slice(ys, cloud, step, lambda c: (c.weighted_mean(), c.weighted_cov(), np.nan),
-                  members=lambda c: c.particles, rng=rng)
+    return _SampledRun(ys, cloud.particles, rng, analysis)
 
 
 def _slices(
@@ -800,15 +795,17 @@ def _cell_stats(results: list[tuple]) -> CellStats:
 
 
 def _execute_jobs(jobs: list, threads: int) -> list[tuple]:
-    """The ``_chunk_job`` scores of every job, in job order."""
-    chunks = _chunks(jobs, threads)
-    if threads <= 1:
+    """The ``_chunk_job`` scores of every job, in job order, on ``threads`` workers at most
+    one per core."""
+    workers = min(threads, os.cpu_count() or 1)
+    chunks = _chunks(jobs, workers)
+    if workers <= 1:
         done = [_chunk_job(chunk) for chunk in chunks]
     else:
         # Imported here, so that a single-worker run never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_chunk_job, chunks, chunksize=1))
     return [score for chunk in done for score in chunk]
 

@@ -52,6 +52,9 @@ def test_config_validation():
     # A float field takes a JSON integer as it is.
     cfg = ExperimentConfig.from_dict({"lam": 900, "epsilon": 0, "q_sq": 2, "t_end": 10})
     assert cfg.contamination.lam == 900 and cfg.horizon == 10
+    # Unknown keys of mixed types are named, not compared with each other.
+    with pytest.raises(ValueError, match="unknown config fields: \\['a', 1\\]"):
+        ExperimentConfig.from_dict({1: 0, "a": 0})
 
 
 @pytest.mark.parametrize(
@@ -699,9 +702,42 @@ def test_sweep_files_do_not_depend_on_the_chunk_size(base, filters, tmp_path, mo
     assert sizes == [8]  # the chunks of the last size held every job
 
 
+def test_a_sweep_starts_no_more_workers_than_cores(monkeypatch):
+    # --threads 64 on two cores asks the pool for at most two workers, and
+    # the sweep is the single-worker one.  The pool is replaced by one that
+    # runs its chunks here, so no process starts.
+    import concurrent.futures
+
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    config = ExperimentConfig(model="tracking2d", t_end=1.0, mc_reps=5, seed=7)
+    filters = ["kf", "dsm_kf", "wolf_kf"]
+    alone = run_sweep(config, [0.0, 0.2], [10.0], filters=filters)
+    wide = run_sweep(replace(config, threads=64), [0.0, 0.2], [10.0], filters=filters)
+    assert requested and all(workers <= 2 for workers in requested)
+    assert wide == alone
+
+
 @pytest.mark.parametrize(
     "model,filters",
-    [("tracking2d", ("kf", "dsm_kf", "wolf_kf")), ("ou", ("kf", "dsm_kf", "wolf_kf", "dsm_enkf"))],
+    [("tracking2d", ("kf", "dsm_kf", "wolf_kf")), ("ou", ("kf", "dsm_kf", "wolf_kf", "dsm_enkf")),
+     ("lorenz63", ("enkf", "dsm_enkf", "wolf_enkf", "esrf", "dsm_esrf", "dsm_pf")),
+     ("lorenz96", ("letkf", "dsm_letkf", "wolf_letkf"))],
 )
 @pytest.mark.parametrize("value", [np.nan, 1e300])
 def test_a_replicate_that_diverges_leaves_the_rest_of_its_chunk_as_run_alone(
@@ -739,6 +775,51 @@ def test_a_replicate_that_diverges_leaves_the_rest_of_its_chunk_as_run_alone(
                 np.testing.assert_array_equal(got, expected)
     if np.isnan(value):
         assert all(runs[2 * len(filters) + i].divergence_step == 5 for i in range(len(filters)))
+
+
+@pytest.mark.parametrize(
+    "model,filters,nan_step,calls",
+    [
+        ("tracking2d", ("kf", "dsm_kf", "wolf_kf"), None, 0),
+        ("lorenz63", ("enkf", "dsm_pf"), None, "n_obs"),
+        # The particle filter raises on the NaN observation at step 5.
+        ("ou", ("dsm_pf",), 5, 6),
+        # The ensemble filters record NaN moments at step 5 without raising;
+        # their NaN members come back as None from step 6's forecast.
+        ("ou", ("enkf", "esrf", "letkf", "dsm_pf"), 5, 7),
+    ],
+)
+def test_the_chunk_forecasts_once_per_step_while_a_sampled_filter_runs(
+    model, filters, nan_step, calls, monkeypatch
+):
+    # A chunk of two replicates calls ensemble_forecast once per observation
+    # while any of its ensemble or particle filters runs, and never for
+    # closed-form filters alone.
+    blocks, forecast, build = [], harness.ensemble_forecast, harness.build_setups
+
+    def build_with_nan(configs, seeds):
+        setups = build(configs, seeds)
+        for setup in setups if nan_step is not None else ():
+            setup.record.observations[:, nan_step] = np.nan
+        return setups
+
+    def counted(sampler, members, rngs):
+        blocks.append(len(members))
+        return forecast(sampler, members, rngs)
+
+    monkeypatch.setattr(harness, "build_setups", build_with_nan)
+    monkeypatch.setattr(harness, "ensemble_forecast", counted)
+    base = ExperimentConfig(model=model, filter=filters[0], t_end=2.0, seed=3, epsilon=0.1,
+                            lam=100.0)
+    configs = tuple(replace(base, filter=f) for f in filters)
+    setups, runs, _ = harness._run_chunk([(configs, (0, 0, rep)) for rep in range(2)])
+    if calls == "n_obs":
+        calls = setups[0].record.n_obs
+    assert len(blocks) == calls
+    full = calls if nan_step is None else nan_step + 1  # forecasts of every filter's block
+    assert blocks[:full] == [2 * len(filters)] * full
+    if nan_step is not None:
+        assert all(run.divergence_step == nan_step for run in runs)
 
 
 def test_a_sweep_builds_each_cell_and_filter_config_once(monkeypatch):
@@ -807,7 +888,7 @@ def test_a_closed_form_step_factors_the_dsm_rows_and_the_gain_brackets_once_each
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     for k in range(n_obs):
         shapes.clear()
-        stack.step(k, *record)
+        stack.step(k, iter(()), *record)
         assert shapes == [(3, 2, 2), (9, 1, 2, 2)], k
 
 
