@@ -91,6 +91,8 @@ def ensemble_forecast(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         propagated = np.asarray(dynamics(blocks, rngs), dtype=float)
+        # A non-finite member makes the sum non-finite; only then is each block tested.
+        finite = math.isfinite(np.add.reduce(propagated, axis=None))
     sizes = [block.shape[1] for block in blocks]
     expected = (blocks[0].shape[0], sum(sizes))
     if propagated.shape != expected:
@@ -98,7 +100,7 @@ def ensemble_forecast(
     out, start = [], 0
     for size in sizes:
         block = np.ascontiguousarray(propagated[:, start : start + size])
-        out.append(block if np.logical_and.reduce(np.isfinite(block), axis=None) else None)
+        out.append(block if finite or np.logical_and.reduce(np.isfinite(block), axis=None) else None)
         start += size
     return out
 

@@ -377,28 +377,34 @@ class _ClosedFormSlice:
 class _SampledStack:
     """The ensemble and particle filters of a loop, each an element that
     runs its own analysis on its members propagated by the loop's forecast.
-    An element whose forecast is non-finite, or whose analysis raises a
-    linear-algebra or floating-point error, leaves the stack; its rows from
-    that step on stay NaN."""
+    An element whose forecast is non-finite, whose analysis raises a
+    linear-algebra or floating-point error, or whose analysis gives a
+    non-finite mean or covariance (a NaN observation), leaves the stack; its
+    rows from that step on stay NaN."""
 
     def __init__(self, runs: list[_SampledRun], rows: list[int]):
-        self.live = list(zip(rows, runs))  # (loop row, run) of each live element
+        self.rows, self.runs = np.array(rows), runs  # loop row and run of each live element
 
     def blocks(self) -> list[tuple]:
         """The (members, generator) of every live element, in loop-row order."""
-        return [(run.members, run.rng) for _, run in self.live]
+        return [(run.members, run.rng) for run in self.runs]
 
     def step(self, k: int, forecasts, means, covs, weights) -> None:
         """Step every live element on observation ``k`` from its block of
         ``forecasts`` and record its mean and covariance in its loop row."""
-        live, self.live = self.live, []
-        for (row, run), forecast in zip(live, forecasts):
-            try:
-                if forecast is not None:
+        for row, run, forecast in zip(self.rows.tolist(), self.runs, forecasts):
+            if forecast is not None:
+                try:
                     run.members, means[row, k], covs[row, k] = run.analysis(forecast, run.ys[:, k])
-                    self.live.append((row, run))
-            except (np.linalg.LinAlgError, FloatingPointError):
-                pass  # the element leaves the stack
+                except (np.linalg.LinAlgError, FloatingPointError):
+                    pass  # its row keeps the record's NaN
+        mean, cov = means[self.rows, k], covs[self.rows, k]
+        # A diverged element (no forecast, a raising analysis, non-finite
+        # moments) makes the sum non-finite; only then is each tested.
+        if not math.isfinite(np.add.reduce(mean, axis=None) + np.add.reduce(cov, axis=None)):
+            finite = np.isfinite(mean).all(axis=1) & np.isfinite(cov).all(axis=(1, 2))
+            self.rows = self.rows[finite]
+            self.runs = [run for run, kept in zip(self.runs, finite.tolist()) if kept]
 
 
 @dataclass

@@ -418,42 +418,68 @@ def simulate_lorenz63(
     return _twin_record(states, dt, steps_per_obs, obs.H, np.sqrt(obs.R), contamination, rng), obs
 
 
-def _lorenz96_ring(d: int) -> np.ndarray:
-    """Row gather [d-2, d-1, 0, ..., d-1, 0]: x[ring] holds x_{i-2} at i,
-    x_{i-1} at i + 1 and x_{i+1} at i + 3."""
-    return np.concatenate(([d - 2, d - 1], np.arange(d), [0]))
+def _lorenz96_field(d: int):
+    """The cyclic Lorenz-96 field ``field(x, forcing, out)`` of states with
+    ``d`` rows, vectorized over columns: (x_{i+1} - x_{i-2}) x_{i-1} - x_i +
+    F_i, written into ``out`` and returned.  The neighbours come from one
+    gather of the ring [d-2, d-1, 0, ..., d-1, 0]: x[ring] holds x_{i-2} at
+    i, x_{i-1} at i + 1 and x_{i+1} at i + 3.  On a 40-vector a call is
+    mostly Python overhead, so the ufuncs are closure locals and take their
+    outputs positionally: an ``out=`` keyword costs as much as the
+    allocation it saves."""
+    ring = np.concatenate(([d - 2, d - 1], np.arange(d), [0]))
+    behind2, behind1, ahead = slice(0, d), slice(1, d + 1), slice(3, d + 3)
+    subtract, multiply, add = np.subtract, np.multiply, np.add
+
+    def field(x: np.ndarray, forcing, out: np.ndarray) -> np.ndarray:
+        xe = x[ring]
+        subtract(xe[ahead], xe[behind2], out)
+        multiply(out, xe[behind1], out)
+        subtract(out, x, out)
+        return add(out, forcing, out)
+
+    return field
 
 
-def lorenz96_drift(
-    x: np.ndarray, forcing: np.ndarray | float = 8.0, ring: np.ndarray | None = None
-) -> np.ndarray:
-    """Cyclic Lorenz-96 vector field, vectorized over columns.
-
-    ``ring`` is the neighbour gather of ``_lorenz96_ring``; integrators build
-    it once and pass it to every call.
-    """
-    d = x.shape[0]
-    if ring is None:
-        ring = _lorenz96_ring(d)
-    xe = x[ring]
-    return (xe[3:] - xe[:d]) * xe[1 : d + 1] - x + forcing
+def lorenz96_drift(x: np.ndarray, forcing: np.ndarray | float = 8.0) -> np.ndarray:
+    """Cyclic Lorenz-96 vector field (x_{i+1} - x_{i-2}) x_{i-1} - x_i + F_i,
+    vectorized over columns, as a new array."""
+    out = np.empty(np.broadcast_shapes(x.shape, np.shape(forcing)))
+    return _lorenz96_field(x.shape[0])(x, forcing, out)
 
 
 def _lorenz96_rk4_step(dt: float, shape: tuple[int, ...]):
     """The RK4 step ``step(x, forcing)`` of the Lorenz-96 field for states of
-    ``shape``, with the neighbour ring built once.  Its constants 0.5 dt, dt,
-    2 and dt / 6 are float64 arrays of that shape: a ufunc call with a
-    Python-float operand costs nearly twice the same call with an array
-    operand, for the same IEEE result."""
-    ring = _lorenz96_ring(shape[0])
+    ``shape``.  Its constants 0.5 dt, dt, 2 and dt / 6 are float64 arrays of
+    that shape: a ufunc call with a Python-float operand costs nearly twice
+    the same call with an array operand, for the same IEEE result.
+
+    The stages k1-k4, the stage state and the weighted sum of the stages are
+    buffers built here and written in place by every call, with the IEEE
+    operations of x + dt/6 (k1 + 2 k2 + 2 k3 + k4) in their written order;
+    a call allocates only each stage's neighbour gather and the state it
+    returns, which no later call touches.  So one step is not to be called
+    from two threads at once."""
+    field = _lorenz96_field(shape[0])
     half_dt, full_dt, two, sixth_dt = (np.full(shape, c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
+    k1, k2, k3, k4, stage, total = np.empty((6, *shape))
+    multiply, add = np.multiply, np.add
 
     def step(x: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-        k1 = lorenz96_drift(x, forcing, ring)
-        k2 = lorenz96_drift(x + half_dt * k1, forcing, ring)
-        k3 = lorenz96_drift(x + half_dt * k2, forcing, ring)
-        k4 = lorenz96_drift(x + full_dt * k3, forcing, ring)
-        return x + sixth_dt * (k1 + two * k2 + two * k3 + k4)
+        field(x, forcing, k1)
+        multiply(half_dt, k1, stage)
+        field(add(x, stage, stage), forcing, k2)
+        multiply(half_dt, k2, stage)
+        field(add(x, stage, stage), forcing, k3)
+        multiply(full_dt, k3, stage)
+        field(add(x, stage, stage), forcing, k4)
+        multiply(two, k2, total)
+        add(k1, total, total)
+        multiply(two, k3, stage)
+        add(total, stage, total)
+        add(total, k4, total)
+        multiply(sixth_dt, total, total)
+        return add(x, total)
 
     return step
 
@@ -473,8 +499,9 @@ def lorenz96_sampler(dt: float, n_steps: int):
     constant across the four RK4 stages of that step, keeping each step a
     well-defined deterministic map given its forcing draw.  Each (d, M_i)
     block draws its ``(n_steps, d, M_i)`` forcings from its own generator.
-    The RK4 step of the member shape of the last call is kept, and built
-    anew when a call brings another shape.
+    The RK4 step of the member shape of the last call is kept, with its
+    stage buffers, and built anew when a call brings another shape; so a
+    sampler is not to be called from two threads at once.
     """
     shape = rk4 = None
 

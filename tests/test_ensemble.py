@@ -178,6 +178,17 @@ def test_forecast_detects_blowup():
 
     assert ensemble_forecast(explode, [np.ones((2, 3))], [np.random.default_rng(0)]) == [None]
 
+    # Only a block with a non-finite member comes back as None, also when the
+    # sum of all members overflows.
+    def identity(blocks, rngs):
+        return np.concatenate(blocks, axis=1)
+
+    huge, nan = np.full((2, 2), 1e308), np.array([[1.0], [np.nan]])
+    for blocks in ([huge, np.ones((2, 3))], [huge, nan, np.ones((2, 3))]):
+        out = ensemble_forecast(identity, blocks, [np.random.default_rng(0)] * len(blocks))
+        for got, block in zip(out, blocks, strict=True):
+            assert got is None if np.isnan(block).any() else np.array_equal(got, block)
+
 
 # ---------------------------------------------------------------------------
 # Stochastic EnKF with perturbed observations

@@ -784,9 +784,9 @@ def test_a_replicate_that_diverges_leaves_the_rest_of_its_chunk_as_run_alone(
         ("lorenz63", ("enkf", "dsm_pf"), None, "n_obs"),
         # The particle filter raises on the NaN observation at step 5.
         ("ou", ("dsm_pf",), 5, 6),
-        # The ensemble filters record NaN moments at step 5 without raising;
-        # their NaN members come back as None from step 6's forecast.
-        ("ou", ("enkf", "esrf", "letkf", "dsm_pf"), 5, 7),
+        # The ensemble filters record NaN moments at step 5 without raising
+        # and leave the stack at that step, as the particle filter does.
+        ("ou", ("enkf", "esrf", "letkf", "dsm_pf"), 5, 6),
     ],
 )
 def test_the_chunk_forecasts_once_per_step_while_a_sampled_filter_runs(

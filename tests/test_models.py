@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from dataclasses import replace
 
@@ -491,6 +492,64 @@ def test_lorenz96_matches_rolled_integrator_bit_for_bit(seed):
         assert np.array_equal(out, out_rolled)
     for rng, rng_rolled in zip(rngs, rngs_rolled):
         assert rng.bit_generator.state == rng_rolled.bit_generator.state
+
+
+@st.composite
+def lorenz96_interleaved_calls(draw):
+    """Sampler calls over 2-3 member shapes (ring sizes 4-40): each shape
+    once, then the first shape twice, then 0-3 more picks, so that the RK4
+    step is rebuilt for a new shape, returns to an earlier one and is
+    reused.  After each call, a truth run (t_end, seed) or None."""
+    pool = draw(st.lists(
+        st.integers(4, 40).flatmap(_lorenz96_blocks), min_size=2, max_size=3,
+        unique_by=lambda blocks: (blocks[0].shape[0], sum(b.shape[1] for b in blocks)),
+    ))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=3))
+    calls = [pool[i] for i in [*range(len(pool)), 0, 0, *picks]]
+    truth = st.tuples(st.sampled_from([0.05, 0.1]), st.sampled_from([0, 1]))
+    truths = draw(st.lists(st.one_of(st.none(), truth), min_size=len(calls), max_size=len(calls)))
+    return list(zip(calls, truths))
+
+
+@functools.cache
+def _rolled_truth(t_end, seed):
+    """The rolled integrator's (states, observations, flags) of a clean
+    Lorenz-96 twin run, computed once per (t_end, seed); only read."""
+    return simulate_lorenz96_rolled(
+        40, t_end=t_end, dt=0.01, t_out=0.05, burn_in=12.2, seed=seed,
+        contamination=ContaminationSpec(),
+    )[:3]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(lorenz96_interleaved_calls(), st.integers(1, 3))
+def test_lorenz96_step_buffers_leave_no_trace_across_shapes_and_truths(calls, n_steps):
+    # The RK4 step reuses its stage buffers across calls: every sampler
+    # output and truth equals the rolled integrator's, bit for bit, whatever
+    # ran before, and no call changes an array an earlier one returned.
+    sampler = lorenz96_sampler(0.01, n_steps)
+    returned = []  # (array a call returned, its copy)
+    for i, (blocks, truth) in enumerate(calls):
+        rngs = [np.random.default_rng((i, j)) for j in range(len(blocks))]
+        rngs_rolled = [np.random.default_rng((i, j)) for j in range(len(blocks))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = sampler(blocks, rngs)
+            out_rolled = np.concatenate([
+                lorenz96_sampler_rolled(0.01, n_steps)(b, rng) for b, rng in zip(blocks, rngs_rolled)
+            ], axis=1)
+        assert np.array_equal(out, out_rolled, equal_nan=True)
+        assert np.array_equal(np.isinf(out), np.isinf(out_rolled))
+        returned.append((out, out.copy()))
+        if truth is not None:
+            t_end, seed = truth
+            record, _ = simulate_lorenz96(t_end=t_end, seed=seed)
+            states, observations, flags = _rolled_truth(t_end, seed)
+            assert np.array_equal(record.states, states)
+            assert np.array_equal(record.observations, observations)
+            assert np.array_equal(record.contamination_flags, flags)
+            returned.append((record.states, states.copy()))
+        for array, copy in returned:
+            assert np.array_equal(array, copy, equal_nan=True)
 
 
 @pytest.mark.parametrize("noise_scale", [1.0, 0.0])
