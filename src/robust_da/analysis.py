@@ -30,16 +30,6 @@ class AnalysisResult:
     target: np.ndarray
 
 
-def _result(
-    model: LgssModel, forecast: GaussianBelief, y: np.ndarray, spec: WeightKernelSpec
-) -> AnalysisResult:
-    """``kf_analysis``'s checked step under ``spec``: a bracket that no
-    jitter repairs gives a NaN posterior."""
-    mean, cov, w, target = _analysis_of_one(model, forecast, y, spec)
-    posterior = GaussianBelief(mean=mean, cov=cov)  # ctor symmetrizes
-    return AnalysisResult(posterior=posterior, weight=w, target=target)
-
-
 def dsm_analysis(
     model: LgssModel,
     forecast: GaussianBelief,
@@ -53,7 +43,7 @@ def dsm_analysis(
     precision by w = 2 k^2 and applies the gain of the corrected target,
     K = w P^f H^T [R + w H P^f H^T]^{-1} for a single block.
     """
-    return _result(model, forecast, y, spec)
+    return AnalysisResult(*_analysis_of_one(model, forecast, y, spec))
 
 
 def wolf_analysis(
@@ -69,4 +59,4 @@ def wolf_analysis(
     J^a = J^f + r^2 H^T R^{-1} H, and assimilates the raw observation: the
     score-matching step with a slope of 0.
     """
-    return _result(model, forecast, y, spec)
+    return AnalysisResult(*_analysis_of_one(model, forecast, y, spec))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,7 +26,7 @@ def _load_config(spec: str | None) -> ExperimentConfig:
     if spec in PRESETS:
         return ExperimentConfig.from_dict(dict(PRESETS[spec]))
     path = Path(spec)
-    if not path.exists():
+    if not os.path.exists(path):  # False, not an OSError, for a name too long
         raise SystemExit(
             f"config {spec!r} is neither a preset ({', '.join(sorted(PRESETS))}) "
             "nor an existing file"
@@ -43,12 +44,12 @@ def _load_config(spec: str | None) -> ExperimentConfig:
 
 
 def _checked(args, build, *values, **updates):
-    """``build(*values, **updates)``, exiting with one line when the harness
+    """``build(*values, **updates)``, exiting with one line when the library
     refuses its input or cannot write to ``--out``."""
     try:
         return build(*values, **updates)
     except (ValueError, OSError) as exc:
-        raise SystemExit(f"{args.config or 'default config'}: {exc}")
+        raise SystemExit(f"{getattr(args, 'config', args.command) or 'default config'}: {exc}")
 
 
 def _apply_common(config: ExperimentConfig, args) -> ExperimentConfig:
@@ -111,12 +112,17 @@ def cmd_sweep(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _tune(d_y: int, family: str, seed: int) -> dict:
+    """The tuned threshold at ``d_y`` and its Monte-Carlo expected weight."""
+    tuned = tune_threshold(d_y, family=family, seed=seed)
+    estimate = expected_weight_mc(d_y, tuned, family=family, seed=seed)
+    return {"d_y": d_y, "family": family, "threshold": tuned, "expected_weight": estimate}
+
+
 def cmd_tune(args) -> int:
     _at_least("--dy", args.dy, 1)
     _at_least("--seed", args.seed, 0)
-    tuned = tune_threshold(args.dy, family=args.family, seed=args.seed or 0)
-    estimate = expected_weight_mc(args.dy, tuned, family=args.family, seed=args.seed or 0)
-    _emit({"d_y": args.dy, "family": args.family, "threshold": tuned, "expected_weight": estimate})
+    _emit(_checked(args, _tune, args.dy, args.family, args.seed or 0))
     return 0
 
 
@@ -124,8 +130,7 @@ def cmd_verify(args) -> int:
     from .checks import run_checks
 
     _at_least("--seed", args.seed, 0)
-    failures = run_checks(seed=args.seed or 0)
-    return 0 if failures == 0 else 1
+    return 0 if _checked(args, run_checks, seed=args.seed or 0) == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,6 +25,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -96,18 +97,22 @@ _FILTER_TABLE = {
 FILTERS = tuple(_FILTER_TABLE)
 _WOLF_VARIANTS = {"md": CONDITIONAL, "sigma_scaled": MARGINAL}  # -> WoLF standardization
 
-# Model -> (default horizon, truth step, observation interval, state dimension).
+# Model -> (default horizon, truth step, observation interval, d_X, d_Y).
 _MODEL_SETTINGS = {
-    "ou": (10.0, LGSS_DT, LGSS_DT, 1),
-    "tracking2d": (50.0, LGSS_DT, LGSS_DT, 4),
-    "lorenz63": (50.0, LORENZ63_DT, LORENZ_T_OUT, 3),
-    "lorenz96": (73.0, LORENZ96_DT, LORENZ_T_OUT, 40),
+    "ou": (10.0, LGSS_DT, LGSS_DT, 1, 1),
+    "tracking2d": (50.0, LGSS_DT, LGSS_DT, 4, 2),
+    "lorenz63": (50.0, LORENZ63_DT, LORENZ_T_OUT, 3, 1),
+    "lorenz96": (73.0, LORENZ96_DT, LORENZ_T_OUT, 40, 40),
 }
 MODELS = tuple(_MODEL_SETTINGS)
 # Largest horizon, in truth steps t_end / dt, a config accepts: 20 times the
 # largest preset's (lorenz63_full, 50,000 steps), and small enough that the
 # truth arrays of every model stay under a gigabyte (L96 at the cap: 0.64 GB).
 MAX_TRUTH_STEPS = 1_000_000
+# Ceiling on a sampled filter's largest per-step array: the (d_X, M) members
+# of the EnKF and PF, the (d_Y, M, M) window products of the ESRF and LETKF.
+MAX_STEP_BYTES = 2**24
+MAX_MC_REPS = 100_000  # 40 times tracking_full's; a sweep lists every job up front
 
 
 @dataclass(frozen=True)
@@ -139,8 +144,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown model {self.model!r} (choose from {MODELS})")
         if self.filter not in FILTERS:
             raise ValueError(f"unknown filter {self.filter!r} (choose from {FILTERS})")
-        closed_form = _FILTER_TABLE[self.filter][0] == "kf"
-        if closed_form and self.model not in ("ou", "tracking2d"):
+        kind = _FILTER_TABLE[self.filter][0]
+        if kind == "kf" and self.model not in ("ou", "tracking2d"):
             raise ValueError(
                 f"filter {self.filter!r} needs a linear Gaussian model, got {self.model!r}"
             )
@@ -148,6 +153,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.mc_reps > MAX_MC_REPS:
+            raise ValueError(f"mc_reps {self.mc_reps} is above the ceiling of {MAX_MC_REPS}")
         for name in ("q_sq", "c_sq", "t_end", "epsilon", "lam", "rho", "taper_length",
                      "resample_threshold"):
             value = getattr(self, name)
@@ -159,7 +166,7 @@ class ExperimentConfig:
             raise ValueError(f"out_dir must be a string path, got {self.out_dir!r}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
-        dt, t_out = _MODEL_SETTINGS[self.model][1:3]
+        dt, t_out, d, d_y = _MODEL_SETTINGS[self.model][1:]
         if not self.horizon / dt <= MAX_TRUTH_STEPS:  # refuses an overflow to inf too
             raise ValueError(
                 f"t_end {self.horizon} needs more than {MAX_TRUTH_STEPS} {self.model!r} "
@@ -170,8 +177,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"t_end {self.horizon} gives {self.model!r} no observation to assimilate"
             )
-        if self.ensemble_size < 2 and not closed_form:
+        m = self.ensemble_size
+        if m < 2 and kind != "kf":
             raise ValueError("ensemble_size must be >= 2 for ensemble and particle filters")
+        step_bytes = 8 * m * (d_y * m if kind in ("esrf", "letkf") else d)
+        if step_bytes > MAX_STEP_BYTES and kind != "kf":
+            raise ValueError(f"ensemble_size {m} gives {kind} on {self.model!r} a per-step "
+                             f"array of {step_bytes} bytes, above the ceiling of {MAX_STEP_BYTES}")
         # Build the contamination and every weight and LETKF setting once, so
         # that a bad value is refused here instead of by a run.
         self.contamination
@@ -757,7 +769,7 @@ _SCORING_COPIES = 3
 def _replicate_bytes(config: ExperimentConfig, n_filters: int) -> int:
     """Bytes of a replicate's truth states, recorded moments and the scoring
     pass's copies of them."""
-    dt, t_out, d = _MODEL_SETTINGS[config.model][1:]
+    dt, t_out, d = _MODEL_SETTINGS[config.model][1:4]
     n, steps_per_obs = step_counts(config.horizon, dt, t_out)
     moments = n_filters * (n // steps_per_obs) * (d + d * d + 1)
     return 8 * (d * (n + 1) + (1 + _SCORING_COPIES) * moments)
@@ -935,6 +947,8 @@ def run_ensemble_size_sweep(
         raise ValueError("sizes must be nonempty")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
+    if sizes[-1] > sys.float_info.max:  # the 1/sqrt(M) reference takes M as a float
+        raise ValueError(f"ensemble size {sizes[-1]} is too large for a float")
     # Two-component keys mirror the contamination grid, so a single size
     # derives exactly the same replicate seeds as a 1-cell grid sweep.
     cells = {(i, 0): replace(config, ensemble_size=size) for i, size in enumerate(sizes)}

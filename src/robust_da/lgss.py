@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import SpdFactor, block_diagonal, symmetrize
-from .weights import CONSTANT, WeightKernelSpec, robust_update
+from .weights import CONSTANT, WeightKernelSpec, _as_floats, robust_update
 
 __all__ = [
     "GaussianBelief",
@@ -35,25 +35,12 @@ __all__ = [
 _REGULAR = WeightKernelSpec(family=CONSTANT)
 
 def _as_vector(x, d: int | None = None) -> np.ndarray:
-    if isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64:
-        v = x
-    else:
-        v = np.atleast_1d(np.asarray(x, dtype=float))
+    v = _as_floats(x)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     if d is not None and v.shape[0] != d:
         raise ValueError(f"expected a vector of length {d}, got {v.shape[0]}")
     return v
-
-
-def _as_matrix(a, shape: tuple[int, int] | None = None) -> np.ndarray:
-    if isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == np.float64:
-        m = a
-    else:
-        m = np.atleast_2d(np.asarray(a, dtype=float))
-    if shape is not None and m.shape != shape:
-        raise ValueError(f"expected a matrix of shape {shape}, got {m.shape}")
-    return m
 
 
 @dataclass(frozen=True)
@@ -72,13 +59,9 @@ class GaussianBelief:
         mean = self.mean
         if not (isinstance(mean, np.ndarray) and mean.ndim in (1, 2) and mean.dtype == np.float64):
             mean = _as_vector(mean)
-        cov = self.cov
-        if not (isinstance(cov, np.ndarray) and cov.dtype == np.float64):
-            cov = np.atleast_2d(np.asarray(cov, dtype=float))
+        cov = _as_floats(self.cov, 2)
         if cov.shape != (*mean.shape, mean.shape[-1]):
-            raise ValueError(
-                f"covariance shape {cov.shape} does not match mean shape {mean.shape}"
-            )
+            raise ValueError(f"covariance shape {cov.shape} does not match mean shape {mean.shape}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", symmetrize(cov))
 
@@ -95,12 +78,10 @@ class ObservationModel:
     R: np.ndarray
 
     def __post_init__(self):
-        h = _as_matrix(self.H)
-        r = symmetrize(_as_matrix(self.R))
+        h = _as_floats(self.H, 2)
+        r = symmetrize(_as_floats(self.R, 2))
         if r.shape != (h.shape[0], h.shape[0]):
-            raise ValueError(
-                f"R shape {r.shape} does not match observation dimension {h.shape[0]}"
-            )
+            raise ValueError(f"R shape {r.shape} does not match observation dimension {h.shape[0]}")
         np.linalg.cholesky(r)  # R must be genuinely SPD, no repair
         object.__setattr__(self, "H", h)
         object.__setattr__(self, "R", r)
@@ -134,17 +115,20 @@ class LgssModel:
     prior: GaussianBelief
 
     def __post_init__(self):
-        a = _as_matrix(self.A)
+        a = _as_floats(self.A, 2)
         d_x = a.shape[0]
         if a.shape != (d_x, d_x):
             raise ValueError(f"A must be square, got {a.shape}")
-        q = symmetrize(_as_matrix(self.Q, (d_x, d_x)))
+        q = _as_floats(self.Q, 2)
+        if q.shape != (d_x, d_x):
+            raise ValueError(f"expected a matrix of shape {(d_x, d_x)}, got {q.shape}")
+        q = symmetrize(q)
         # Q is allowed to be PSD (Q = 0 is legitimate deterministic dynamics);
         # nothing in the recursions inverts it.
         q_eigs = np.linalg.eigvalsh(q)
         if q_eigs.min() < -1e-10 * max(1.0, abs(q_eigs.max())):
             raise ValueError("Q must be positive semi-definite")
-        h = _as_matrix(self.H)
+        h = _as_floats(self.H, 2)
         if h.shape[1] != d_x:
             raise ValueError(f"H has {h.shape[1]} columns, expected {d_x}")
         obs = ObservationModel(H=h, R=self.R)
@@ -214,23 +198,20 @@ def robust_analysis(
     y: np.ndarray,
     specs: Sequence[tuple[WeightKernelSpec, slice]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The closed-form analysis step of every filter: the gain-form update
-    with the precision weights w and target observations of the shared
-    robust-update core, ``weights.robust_update``, one call for the stack.
-
-    Acts on a stack: (B, d_X) forecast means, (B, d_X, d_X) covariances and
-    (B, d_Y) observations, or on one forecast and observation, which it runs
-    as a stack of one, so that a single-belief step is its element's step in
-    any stack bit for bit.  ``specs`` pairs each weight spec
-    with the slice of the stack it weights; the constant kernel is the
-    regular Kalman analysis.  Returns the posterior means and covariances (not yet
-    symmetrized) and the stacked w and targets.  An element whose innovation
-    or gain bracket no jitter repairs gets NaN moments; the others are
-    unaffected.
+    """The closed-form analysis step of every filter, on stacks only: the
+    gain-form update with the precision weights w and target observations of
+    the shared robust-update core, ``weights.robust_update``, one call for
+    (B, d_X) forecast means, (B, d_X, d_X) covariances and (B, d_Y)
+    observations.  The single-belief step, ``_analysis_of_one``, is a stack
+    of one, so it is its element's step in any stack bit for bit.  ``specs``
+    pairs each weight spec with the slice of the stack it weights; the
+    constant kernel is the regular Kalman analysis.  Returns the posterior
+    means and covariances (not yet symmetrized) and the stacked w and
+    targets.  An element whose innovation or gain bracket no jitter repairs
+    gets NaN moments; the others are unaffected.
     """
-    single = mean.ndim == 1
-    if single:
-        mean, cov, y = mean[None], cov[None], y[None]
+    if mean.ndim != 2:
+        raise ValueError(f"expected a stack of forecasts, got a mean of shape {mean.shape}")
     h = model.H
     center, hp_f = (h @ mean[..., None])[..., 0], h @ cov
     w, target = robust_update(
@@ -239,16 +220,15 @@ def robust_analysis(
     root_w = np.sqrt(w)
     gain, whp = kalman_gain(hp_f, h, model.R, root_w)
     mean = mean - (gain @ (root_w * (center - target))[..., None])[..., 0]
-    cov = cov - gain @ whp
-    if single:
-        return mean[0], cov[0], w[0], target[0]
-    return mean, cov, w, target
+    return mean, cov - gain @ whp, w, target
 
 
 def _analysis_of_one(
     model: LgssModel, forecast: GaussianBelief, y, spec: WeightKernelSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``robust_analysis`` of one forecast and observation, checked against the model."""
+) -> tuple[GaussianBelief, np.ndarray, np.ndarray]:
+    """The checked single-belief step, ``robust_analysis`` of a stack of one:
+    the posterior, precision weight w and target observation under ``spec``,
+    with a NaN posterior where no jitter repairs a bracket."""
     y = _as_vector(y, model.d_y)
     if forecast.mean.ndim != 1:
         raise ValueError(f"expected a single forecast, got a stack of shape {forecast.mean.shape}")
@@ -256,16 +236,18 @@ def _analysis_of_one(
         raise ValueError(
             f"forecast dimension {forecast.dim} does not match state dimension {model.d_x}"
         )
-    return robust_analysis(model, forecast.mean, forecast.cov, y, ((spec, slice(None)),))
+    mean, cov, w, target = robust_analysis(
+        model, forecast.mean[None], forecast.cov[None], y[None], ((spec, slice(None)),)
+    )
+    return GaussianBelief(mean=mean[0], cov=cov[0]), w[0], target[0]  # ctor symmetrizes
 
 
 def kf_analysis(model: LgssModel, forecast: GaussianBelief, y: np.ndarray) -> GaussianBelief:
-    """Regular Kalman analysis step, ``robust_analysis`` with the constant
-    kernel.
+    """Regular Kalman analysis step, the single-belief step with the
+    constant kernel.
 
     Gain K = P^f H^T [R + H P^f H^T]^{-1}, then
     P^a = P^f - K H P^f and m^a = m^f - K (H m^f - y).  An innovation
     covariance R + H P^f H^T that no jitter repairs gives a NaN posterior.
     """
-    mean, cov, _, _ = _analysis_of_one(model, forecast, y, _REGULAR)
-    return GaussianBelief(mean=mean, cov=cov)  # ctor symmetrizes
+    return _analysis_of_one(model, forecast, y, _REGULAR)[0]

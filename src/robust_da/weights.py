@@ -11,6 +11,8 @@ regular Kalman update.  R / w is never formed, so w = 0 is allowed.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -107,44 +109,39 @@ class WeightKernelSpec:
                 raise ValueError("the WoLF weight takes the observation as one block")
 
     def partition_for(self, d_y: int) -> BlockPartition:
-        cache = self.__dict__.setdefault("_partition_cache", {})
-        resolved = cache.get(d_y)
-        if resolved is None:
-            if self.block_partition is None:
-                resolved = ((0, d_y),)
-            else:
-                resolved = normalize_partition(self.block_partition, d_y)
-            cache[d_y] = resolved
-        return resolved
+        return self._resolved(d_y)[0]
 
     def thresholds_for(self, d_y: int) -> np.ndarray:
-        """Resolve strictly positive per-block thresholds (cached per d_y)."""
-        cache = self.__dict__.setdefault("_threshold_cache", {})
-        resolved = cache.get(d_y)
-        if resolved is None:
-            resolved = self._resolve_thresholds(d_y)
-            cache[d_y] = resolved
-        return resolved
+        """Resolve strictly positive per-block thresholds."""
+        return self._resolved(d_y)[1]
 
-    def _resolve_thresholds(self, d_y: int) -> np.ndarray:
-        partition = self.partition_for(d_y)
+    def _resolved(self, d_y: int) -> tuple[BlockPartition, np.ndarray]:
+        """The block partition and per-block thresholds for an observation of
+        dimension ``d_y``, resolved once per ``d_y``."""
+        cache = self.__dict__.setdefault("_resolved_cache", {})
+        resolved = cache.get(d_y)
+        if resolved is not None:
+            return resolved
+        if self.block_partition is None:
+            partition = ((0, d_y),)
+        else:
+            partition = normalize_partition(self.block_partition, d_y)
         n_blocks = len(partition)
         if self.family == CONSTANT:
-            return np.ones(n_blocks)  # unused
-        if self.threshold is None:
+            values = [1.0] * n_blocks  # unused
+        elif self.threshold is None:
             values = [default_threshold(stop - start, self.family) for start, stop in partition]
         elif np.isscalar(self.threshold):
             values = [float(self.threshold)] * n_blocks
         else:
             values = [float(t) for t in self.threshold]
             if len(values) != n_blocks:
-                raise ValueError(
-                    f"{len(values)} thresholds provided for {n_blocks} blocks"
-                )
+                raise ValueError(f"{len(values)} thresholds provided for {n_blocks} blocks")
         thresholds = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(thresholds)) or np.any(thresholds <= 0.0):
             raise ValueError(f"thresholds must be strictly positive and finite, got {thresholds}")
-        return thresholds
+        resolved = cache[d_y] = (partition, thresholds)
+        return resolved
 
 
 def _as_floats(x, ndim: int = 1) -> np.ndarray:
@@ -225,8 +222,7 @@ def _block_kernel(
     too large to square gives s_b = inf and k^2_b = 0, never a NaN, and a
     block with k^2_b = 0 a zero gradient, never 0 * inf; so do the constant
     kernel and WoLF, whose slope is 0."""
-    partition = spec.partition_for(residuals.shape[-1])
-    thresholds = spec.thresholds_for(residuals.shape[-1])
+    partition, thresholds = spec._resolved(residuals.shape[-1])
     scale = pow2_scale(residuals, axis=-1)[:, None]
     z = (root @ (residuals / scale)[..., None])[..., 0]
     s = np.add.reduceat(z * z, [start for start, _ in partition], axis=-1) * scale * scale
@@ -398,6 +394,16 @@ def _doubled_weight(family: str, xi: np.ndarray, threshold: float) -> np.ndarray
     return 2.0 * weigh(WeightKernelSpec(family=family), xi, threshold)[0]
 
 
+_MAX_CHI2_DIM = sys.float_info.max / 4.0  # so that the bisection's first bracket is finite
+
+
+def _check_chi2_dim(d_y) -> None:
+    """Refuse, before any sampling, a d_Y that is not an integer from 1 to 4.494e307."""
+    integral = isinstance(d_y, numbers.Integral) and not isinstance(d_y, bool)
+    if not (integral and 1 <= d_y <= _MAX_CHI2_DIM):
+        raise ValueError(f"d_y must be an integer from 1 to {_MAX_CHI2_DIM:.4g}, got {d_y!r}")
+
+
 def expected_weight_mc(
     d_y: int,
     threshold: float,
@@ -406,6 +412,7 @@ def expected_weight_mc(
     seed: int = 0,
 ) -> float:
     """Monte-Carlo estimate of E[2 k^2(Xi)] with Xi ~ chi2(d_Y)."""
+    _check_chi2_dim(d_y)
     if family == CONSTANT:
         return 1.0
     if threshold <= 0.0:
@@ -422,6 +429,7 @@ def tune_threshold(d_y: int, family: str = IMQ, n_samples: int = 10**6, seed: in
     (common random numbers), making the map exactly monotone in the
     threshold and the search deterministic.
     """
+    _check_chi2_dim(d_y)
     rng = np.random.default_rng(seed)
     xi = rng.chisquare(d_y, size=n_samples)
 

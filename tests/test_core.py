@@ -227,6 +227,17 @@ def test_outlier_whose_solve_overflows_gets_zero_weight(spec, y_size, r_scale):
     np.testing.assert_array_equal(result.posterior.cov, model.prior.cov)
 
 
+def test_robust_analysis_takes_stacks_only():
+    # A single forecast is the single-belief step's, which runs it as a stack
+    # of one; the stacked step refuses a 1-D mean instead of guessing.
+    model = LgssModel(A=[[1.0]], Q=[[1.0]], H=[[1.0]], R=[[1.0]],
+                      prior=GaussianBelief(mean=[0.0], cov=[[1.0]]))
+    forecast = model.prior
+    with pytest.raises(ValueError, match=r"^expected a stack of forecasts, got a mean of shape \(1,\)$"):
+        robust_analysis(model, forecast.mean, forecast.cov, np.ones(1),
+                        ((WeightKernelSpec(), slice(None)),))
+
+
 @st.composite
 def stacked_systems(draw):
     """(model, means, covs, ys, specs, broken): 1 to 6 forecasts and

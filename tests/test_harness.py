@@ -30,6 +30,7 @@ from robust_da.harness import (
     run_sweep,
 )
 from robust_da import cli
+from robust_da.weights import expected_weight_mc, tune_threshold
 from robust_da.ensemble import Localization
 from robust_da.metrics import MetricReport
 from robust_da.models import TrajectoryRecord
@@ -511,6 +512,62 @@ def test_sweeps_refuse_a_grid_value_of_the_wrong_type_before_any_replicate(monke
     assert result.axis_sizes == [5, 7] and all(type(m) is int for m in result.axis_sizes)
     result = run_sweep(replace(cfg, mc_reps=1), np.array([0.1]), [np.int64(10)], filters=["enkf"])
     assert result.axis_epsilon == [0.1] and result.axis_sqrt_lambda == [10.0]
+
+
+def test_config_bounds_a_sampled_filters_largest_array_and_the_replicate_count():
+    # Each sampled filter kind's largest per-step array is bounded: the
+    # (d, M) members of the EnKF and PF, the (d_Y, M, M) window products of
+    # the ESRF and LETKF.  The closed form keeps no ensemble, so its
+    # ensemble_size is not bounded.  mc_reps has a ceiling of its own.
+    limit = harness.MAX_STEP_BYTES
+    for model, filt, largest in (
+        ("lorenz96", "letkf", math.isqrt(limit // (8 * 40))),
+        ("lorenz63", "dsm_esrf", math.isqrt(limit // 8)),
+        ("lorenz96", "enkf", limit // (8 * 40)),
+        ("ou", "dsm_pf", limit // 8),
+    ):
+        ExperimentConfig(model=model, filter=filt, ensemble_size=largest)
+        with pytest.raises(ValueError, match=f"^ensemble_size {largest + 1} gives "):
+            ExperimentConfig(model=model, filter=filt, ensemble_size=largest + 1)
+    ExperimentConfig(filter="kf", ensemble_size=10**12)
+    ExperimentConfig(mc_reps=harness.MAX_MC_REPS)
+    with pytest.raises(ValueError, match=f"^mc_reps {10**12} is above the ceiling"):
+        ExperimentConfig(mc_reps=10**12)
+
+
+def test_no_preset_or_default_size_meets_a_ceiling():
+    sizes = [int(v) for v in cli.build_parser().parse_args(["size-sweep"]).sizes.split(",")]
+    for preset in PRESETS.values():
+        ExperimentConfig.from_dict(preset)
+        for filt in FILTERS:
+            for size in sizes:
+                try:
+                    ExperimentConfig.from_dict({**preset, "filter": filt, "ensemble_size": size})
+                except ValueError as exc:
+                    assert "needs a linear Gaussian model" in str(exc)
+
+
+@pytest.mark.parametrize(
+    "config,filt,size",
+    [({"model": "ou", "t_end": 0.5}, "enkf", 10**12),
+     ({"model": "lorenz96", "filter": "letkf", "t_end": 0.1}, "letkf", 5000)],
+)
+def test_cli_refuses_an_ensemble_too_large_before_any_replicate(
+    monkeypatch, tmp_path, config, filt, size
+):
+    def no_replicate(chunk):
+        raise AssertionError("a replicate started")
+
+    monkeypatch.setattr(harness, "_chunk_job", no_replicate)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["size-sweep", "--config", str(path), "--filters", filt, "--sizes", str(size)])
+    assert re.fullmatch(
+        f"{re.escape(str(path))}: ensemble_size {size} gives {filt} on '{config['model']}' a "
+        f"per-step array of [0-9]+ bytes, above the ceiling of {harness.MAX_STEP_BYTES}",
+        str(err.value),
+    )
 
 
 def test_config_refuses_a_contamination_or_horizon_it_cannot_run(monkeypatch):
@@ -1344,6 +1401,23 @@ def test_cli_size_sweep_refuses_a_size_a_filter_cannot_run_in_one_line():
     assert str(err.value) == (
         "ou_desk: ensemble_size must be >= 2 for ensemble and particle filters"
     )
+
+
+def test_tune_refuses_a_dimension_too_large_for_a_float_before_sampling(monkeypatch):
+    # --dy 10**330 ended in an OverflowError traceback from the chi-square
+    # draw.  The API refuses it, and any d_Y not an integer >= 1, in one
+    # ValueError, and the CLI in one line; nothing is sampled.
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    for d_y in (10**330, 0, True, 2.0, "3"):
+        for call in (tune_threshold, lambda d: expected_weight_mc(d, 1.0)):
+            with pytest.raises(ValueError, match=r"^d_y must be an integer from 1 to 4\.494e\+307, got"):
+                call(d_y)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["tune", "--dy", str(10**330)])
+    assert str(err.value) == f"tune: d_y must be an integer from 1 to 4.494e+307, got {10**330}"
 
 
 @pytest.mark.parametrize(
