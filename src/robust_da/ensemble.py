@@ -218,6 +218,19 @@ def _tapered_windows(d_x: int, d_y: int, half_width: int, taper_length: float) -
     return idx, inside, weights
 
 
+@lru_cache(maxsize=32)  # a run's ensemble size is the same at every step
+def _zero_sum_basis(m: int) -> np.ndarray:
+    """An orthonormal basis U of the M-vectors that sum to zero, U^T 1 = 0:
+    the (M, M - 1) Helmert matrix, whose k-th column is k ones, then -k,
+    then zeros, over sqrt(k (k + 1)).  Read-only."""
+    k = np.arange(1, m)
+    basis = np.triu(np.ones((m, m - 1)))
+    basis[k, k - 1] = -k
+    basis /= np.sqrt(k * (k + 1.0))
+    basis.flags.writeable = False
+    return basis
+
+
 def _transform_analysis(
     ensemble: EnsembleState,
     obs: ObservationModel,
@@ -234,11 +247,19 @@ def _transform_analysis(
     anomalies R^{-1/2} Y, and ``f`` (n, d_y) each window's whitened
     innovation R^{-1/2} (y - ybar) / d_scale, where the power of two
     ``d_scale`` (n,) brings the largest |y - ybar| of the window into [1, 2)
-    before the whitening, and 0 outside the window.  The window sums are
-    three products with C: the Grams G = Y^T R^{-1} Y of C times the
-    stacked outer products of the rows of ``y_hat``, b = Y^T R^{-1} d =
-    (C * f) @ y_hat and d^T R^{-1} d = vecdot(C * f, f).  With these, the
-    robust update in window coordinates is:
+    before the whitening, and 0 outside the window.
+
+    The anomalies sum to zero, X 1 = 0 and Y 1 = 0, so the ones vector lies
+    in the null space of every window's Gram G = Y^T R^{-1} Y and is
+    orthogonal to b = Y^T R^{-1} d: it moves neither the mean nor, as
+    X 1 = 0, the members.  The update is solved in its complement, the
+    (M - 1)-dimensional zero-sum subspace with orthonormal basis U
+    (``_zero_sum_basis``), and a transform T there is U T U^T in member
+    space.  The anomalies are projected, never the members, whose mean may
+    dwarf their spread.  The window sums are three products with C: the
+    Grams U^T G U of C times the stacked outer products of the rows of
+    ``y_hat`` U, b = (C * f) @ y_hat and d^T R^{-1} d = vecdot(C * f, f).
+    With these, the robust update in window coordinates is:
 
     - s = d^T R^{-1} d, or d^T Sigma_y^{-1} d for the specs standardized by
       Sigma_y = Y Y^T / (M - 1) + R, which Woodbury gives as
@@ -255,10 +276,11 @@ def _transform_analysis(
     - A = (M - 1)/rho I + w G: analysis covariance A^{-1}, mean weights
       A^{-1} w Y^T R^{-1} (target innovation), transform [(M - 1) A^{-1}]^{1/2}.
 
-    G, Q and A share eigenvectors V, so one stacked ``eigh`` of G solves all
-    of it: the window's state anomalies X are projected once onto V, and
-    both the mean weights and the transform V [(M - 1) / a]^{1/2} V^T act
-    through X V.
+    G, Q and A share eigenvectors U V, with V those of U^T G U, so one
+    stacked ``eigh`` of the (M - 1) x (M - 1) Grams solves all of it: b and
+    the window's state anomalies X are projected once onto U V, and both the
+    mean weights and the transform U V [(M - 1) / a]^{1/2} V^T U^T act
+    through X U V.
     """
     if len(spec.block_partition or ()) > 1:
         raise ValueError("the LETKF weights each window as one block; got a block partition")
@@ -290,12 +312,15 @@ def _transform_analysis(
         y_hat = y_anom / r_sqrt[:, None]
 
     n, m = weights.shape[0], y_anom.shape[1]
-    outer = np.einsum("im,ik->imk", y_hat, y_hat).reshape(-1, m * m)
-    gram_vals, vecs = np.linalg.eigh((weights @ outer).reshape(n, m, m))
+    basis = _zero_sum_basis(m)
+    y_sub = y_hat @ basis
+    outer = np.einsum("im,ik->imk", y_sub, y_sub).reshape(-1, (m - 1) ** 2)
+    gram_vals, vecs = np.linalg.eigh((weights @ outer).reshape(n, m - 1, m - 1))
     weighted_f = weights * f
     s_scaled = np.vecdot(weighted_f, f)
+    vecs = basis @ vecs  # the eigenvectors U V, in member coordinates
     # b / d_scale and the state rows of each window (one row per window, or
-    # all rows in one), projected onto G's eigenbasis by one product.
+    # all rows in one), projected onto U V by one product.
     rows = np.concatenate(
         ((weighted_f @ y_hat)[:, None, :], ensemble.anomalies.reshape(n, -1, m)), axis=1
     )
@@ -326,11 +351,13 @@ def letkf_analysis(
 ) -> EnsembleState:
     """Local ensemble transform analysis (deterministic, no random draws).
 
-    The analysis is solved in the M-dimensional anomaly space with
-    observation anomalies Y_i = H (member_i - mean).  With localization,
-    state index j is analysed over its cyclic observation window, with the
-    observation precision tapered by distance, and takes only its own row of
-    the result; without it, one window holds every observation and every
+    The analysis is solved in anomaly space, with observation anomalies
+    Y_i = H (member_i - mean), on the (M - 1)-dimensional subspace of
+    weight vectors that sum to zero (``_transform_analysis``).  With
+    localization, state index j is analysed over its cyclic observation
+    window, with the observation precision tapered by distance, and takes
+    only its own row of the result; without it, one window holds every
+    observation and every
     row, and is whitened by the cached Cholesky factor of R.  All windows are
     solved at once: their sums are products with a window-weight matrix
     cached per ring geometry (the taper at a window's observations, exact

@@ -164,6 +164,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string path, got {self.out_dir!r}")
+        if self.out_dir == "":  # Path("") is the working directory
+            raise ValueError("out_dir must be a nonempty path, got ''")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
         dt, t_out, d, d_y = _MODEL_SETTINGS[self.model][1:]
@@ -758,29 +760,43 @@ class SweepResult:
 
 # A sweep job is a chunk of consecutive replicates, run in one lock-stepped
 # loop and scored in one pass.  Its replicates' truths, the moments their
-# filters record (mean, covariance and weight at every observation) and the
-# scoring pass's copies of them stay under this many bytes.
+# filters record (mean, covariance and weight at every observation), the
+# scoring pass's copies of them and the members of their ensemble and
+# particle filters stay under this many bytes.
 _CHUNK_BYTES = 32 * 2**20
 # The scoring pass holds the stacked moments, the symmetrized covariances
 # and their Cholesky factors next to the recorded moments.
 _SCORING_COPIES = 3
+# At a forecast, the members each filter holds, the sampler's stacked input,
+# its output and the blocks split from it.
+_MEMBER_COPIES = 4
 
 
-def _replicate_bytes(config: ExperimentConfig, n_filters: int) -> int:
-    """Bytes of a replicate's truth states, recorded moments and the scoring
-    pass's copies of them."""
+def _replicate_bytes(
+    config: ExperimentConfig, n_filters: int, sampled: Sequence[ExperimentConfig] = ()
+) -> int:
+    """Bytes of a replicate's truth states, the moments its ``n_filters``
+    filters record, the scoring pass's copies of them, and the member
+    arrays of the ensemble and particle filters configured by ``sampled``."""
     dt, t_out, d = _MODEL_SETTINGS[config.model][1:4]
     n, steps_per_obs = step_counts(config.horizon, dt, t_out)
     moments = n_filters * (n // steps_per_obs) * (d + d * d + 1)
-    return 8 * (d * (n + 1) + (1 + _SCORING_COPIES) * moments)
+    members = _MEMBER_COPIES * d * sum(c.ensemble_size for c in sampled)
+    return 8 * (d * (n + 1) + (1 + _SCORING_COPIES) * moments + members)
 
 
 def _chunks(jobs: list, threads: int) -> list[list]:
-    """Consecutive jobs, as many to a chunk as ``_CHUNK_BYTES`` allows, and
-    no more than an equal share of each worker.  Results do not depend on
-    the chunk size."""
-    configs = jobs[0][0]
-    size = max(1, _CHUNK_BYTES // _replicate_bytes(configs[0], len(configs)))
+    """Consecutive jobs, as many to a chunk as ``_CHUNK_BYTES`` allows for
+    the largest replicate, and no more than an equal share of each worker.
+    Results do not depend on the chunk size."""
+    cells = {id(configs): configs for configs, _ in jobs}  # a cell's jobs share one tuple
+    largest = max(
+        _replicate_bytes(
+            configs[0], len(configs), [c for c in configs if _FILTER_TABLE[c.filter][0] != "kf"]
+        )
+        for configs in cells.values()
+    )
+    size = max(1, _CHUNK_BYTES // largest)
     size = min(size, -(-len(jobs) // threads))
     return [jobs[i : i + size] for i in range(0, len(jobs), size)]
 

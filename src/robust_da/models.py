@@ -531,7 +531,8 @@ def simulate_lorenz96(
 
     The initial state is produced by a burn-in run of 12.2 time units
     (discarded from the record) started from the rest point F * ones
-    perturbed in one coordinate.
+    perturbed in one coordinate.  Finiteness is checked once per observation
+    interval; a blow-up is reported at its first non-finite step.
     """
     d, dt = 40, LORENZ96_DT
     n, steps_per_obs = step_counts(t_end, dt, LORENZ_T_OUT)
@@ -547,10 +548,14 @@ def simulate_lorenz96(
 
     states = np.empty((d, n + 1))
     states[:, 0] = x
-    for k in range(1, n + 1):
-        x = rk4(x, forcings[n_burn + k - 1])
-        if not np.logical_and.reduce(np.isfinite(x), axis=None):
+    for start in range(0, n, steps_per_obs):
+        stop = min(start + steps_per_obs, n)
+        for k in range(start + 1, stop + 1):
+            x = rk4(x, forcings[n_burn + k - 1])
+            states[:, k] = x
+        block = states[:, start + 1 : stop + 1]
+        if not np.logical_and.reduce(np.isfinite(block), axis=None):
+            k = start + 1 + int(np.argmin(np.isfinite(block).all(axis=0)))
             raise FloatingPointError(f"Lorenz-96 state blew up at step {k}")
-        states[:, k] = x
     obs = ObservationModel(H=np.eye(d), R=np.eye(d))
     return _twin_record(states, dt, steps_per_obs, obs.H, np.eye(d), contamination, rng), obs

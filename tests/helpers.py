@@ -3,7 +3,8 @@ finite-difference gradients; the per-residual multi-block kernel loop; a
 strategy of float matrices of any magnitude and memory layout, and
 observations in other forms than a float vector; LAPACK's solves with one
 Cholesky factor, references for ``SpdFactor``; the information-form robust
-update and the outlier-influence sweep; a per-window LETKF loop, an
+update and the outlier-influence sweep; a per-window LETKF loop and the
+transform analysis solved in the full M-dimensional member space, an
 np.roll-based Lorenz-96 integrator, a draw-per-step Lorenz-63 integrator
 and the two hand-written linear Gaussian truth loops (scalar OU in Python
 floats, constant-velocity tracking in arrays), references for the shared
@@ -52,9 +53,10 @@ from robust_da import (
 )
 from robust_da import harness
 from robust_da._linalg import pow2_scale
+from robust_da.ensemble import _tapered_windows
 from robust_da.metrics import _q_log_from_log
 from robust_da.models import tracking_model
-from robust_da.weights import robust_update, weigh
+from robust_da.weights import CONDITIONAL, robust_update, weigh
 
 
 def grid_posterior_1d(log_unnormalized, lo=-20.0, hi=20.0, n=400_000):
@@ -402,6 +404,60 @@ def letkf_analysis_looped(ensemble, obs, y, spec, config):
         )
         members[j, :] = ensemble.mean[j] + x_anom[j] @ mean + x_anom[j] @ transform
     return EnsembleState(members=members)
+
+
+def transform_analysis_full(ensemble, obs, y, spec, config):
+    """The batched transform analysis of ``letkf_analysis`` solved in all M
+    member coordinates: one stacked ``eigh`` of the (n, M, M) window Grams,
+    whose null space holds the ones vector, in place of the library's
+    (M - 1)-dimensional zero-sum subspace.  Otherwise the same algebra, step
+    for step."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y_mean = obs.H @ ensemble.mean
+    y_anom = obs.H @ ensemble.members - y_mean[:, None]
+    innovation = y - y_mean
+    loc = config.localization
+    if loc is None:
+        n_obs = y.shape[0]
+        weights = np.ones((1, n_obs))
+        d_scale = pow2_scale(innovation)[None]
+        y_hat = obs.r_factor.whiten(y_anom.T).T
+        f = obs.r_factor.whiten(innovation / d_scale)[None]
+    else:
+        idx, inside, weights = _tapered_windows(
+            ensemble.d_x, y.shape[0], loc.half_width, loc.taper_length
+        )
+        n_obs = idx.shape[1]
+        r_sqrt = np.sqrt(obs.r_diagonal)
+        d_scale = pow2_scale(innovation[idx], axis=1)
+        f = np.divide(innovation, d_scale[:, None], out=np.zeros(weights.shape), where=inside)
+        f /= r_sqrt
+        y_hat = y_anom / r_sqrt[:, None]
+
+    n, m = weights.shape[0], y_anom.shape[1]
+    outer = np.einsum("im,ik->imk", y_hat, y_hat).reshape(-1, m * m)
+    gram_vals, vecs = np.linalg.eigh((weights @ outer).reshape(n, m, m))
+    weighted_f = weights * f
+    s_scaled = np.vecdot(weighted_f, f)
+    rows = np.concatenate(
+        ((weighted_f @ y_hat)[:, None, :], ensemble.anomalies.reshape(n, -1, m)), axis=1
+    )
+    projected = rows @ vecs
+    b_scaled, x_proj = projected[:, 0, :], projected[:, 1:, :]
+    std_proj = b_scaled
+    if spec.standardization != CONDITIONAL:
+        solved = b_scaled / ((m - 1) + gram_vals)
+        s_scaled = s_scaled - np.vecdot(b_scaled, solved)
+        std_proj = (m - 1) * solved
+    s = np.maximum(s_scaled, 0.0) * d_scale * d_scale
+    k_sq, slope = weigh(spec, s, spec.thresholds_for(n_obs)[0])
+    w = 2.0 * k_sq
+    slope = np.asarray(slope).reshape(-1, 1)
+    target_proj = (w * d_scale)[:, None] * (b_scaled - 2.0 * slope * std_proj)
+    a_vals = (m - 1) / config.rho + w[:, None] * gram_vals
+    mean_a = ensemble.mean + (x_proj @ (target_proj / a_vals)[:, :, None]).reshape(-1)
+    spread = (x_proj * np.sqrt((m - 1) / a_vals)[:, None, :]) @ vecs.swapaxes(1, 2)
+    return EnsembleState(members=mean_a[:, None] + spread.reshape(ensemble.members.shape))
 
 
 def _resolved(spec, n_obs):

@@ -32,6 +32,7 @@ from helpers import (
     lorenz63_drift_stacked,
     random_spd,
     solve_anomaly_analysis,
+    transform_analysis_full,
 )
 
 
@@ -679,3 +680,54 @@ def test_localized_letkf_matches_looped_oracle_on_any_ring(case):
     np.testing.assert_array_equal(
         batched.members, letkf_analysis(ens, obs, y, explicit, config).members
     )
+
+
+@st.composite
+def transform_cases(draw):
+    """(ensemble, obs, y, spec, config): M from 2 to 40 members and 1 to 8
+    observations, either one global window under a random H and SPD R, or
+    a ring of d_y sites observed one to one under a random diagonal R with
+    a random half-width and taper length; members spread 0.1 to 10 around a
+    mean up to 1e3, an outlier observation or none, any weight family at
+    either standardization and an inflation rho in [1, 2]."""
+    m = draw(st.integers(2, 40))
+    d_y = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = draw(st.floats(1.0, 2.0))
+    if draw(st.booleans()):
+        d_x = draw(st.integers(1, 8))
+        obs = ObservationModel(H=rng.standard_normal((d_y, d_x)), R=random_spd(rng, d_y))
+        config = LetkfConfig(rho=rho)
+    else:
+        d_x = d_y
+        obs = ObservationModel(H=np.eye(d_y), R=np.diag(rng.uniform(0.1, 10.0, d_y)))
+        loc = Localization(half_width=draw(st.integers(0, d_y)),
+                           taper_length=draw(st.floats(0.05, 30.0)))
+        config = LetkfConfig(rho=rho, localization=loc)
+    center = rng.uniform(-1e3, 1e3, d_x) * draw(st.sampled_from([0.0, 1.0]))
+    spread = draw(st.floats(0.1, 10.0))
+    ens = EnsembleState(members=center[:, None] + spread * rng.standard_normal((d_x, m)))
+    y = obs.H @ ens.mean + rng.standard_normal(d_y) * 1.5
+    y[rng.integers(d_y)] += draw(st.sampled_from([0.0, 40.0, -1e4]))
+    spec = WeightKernelSpec(family=draw(st.sampled_from([CONSTANT, IMQ, SQEXP, WOLF])),
+                            standardization=draw(st.sampled_from(["conditional", "marginal"])))
+    return ens, obs, y, spec, config
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(transform_cases())
+def test_zero_sum_subspace_transform_is_the_full_member_space_one(case):
+    # The ones vector drops out of the window Grams (Y 1 = 0) and of the
+    # transform (X 1 = 0): solving in the (M - 1)-dimensional zero-sum
+    # subspace gives the full M-dimensional solve's mean and members to
+    # round-off, relative to the forecast's scale, and anomalies that sum to
+    # zero to the round-off of the members.
+    ens, obs, y, spec, config = case
+    subspace = letkf_analysis(ens, obs, y, spec, config)
+    full = transform_analysis_full(ens, obs, y, spec, config)
+    scale = np.abs(ens.members).max()
+    assert np.abs(subspace.mean - full.mean).max() <= 1e-10 * scale
+    assert np.abs(subspace.members - full.members).max() <= 1e-10 * scale
+    sums = np.abs(subspace.anomalies.sum(axis=1))
+    members = np.abs(subspace.members).max(axis=1)
+    assert (sums <= 4 * ens.size * np.finfo(float).eps * members).all()

@@ -570,6 +570,52 @@ def test_cli_refuses_an_ensemble_too_large_before_any_replicate(
     )
 
 
+def test_an_empty_out_dir_is_refused_before_any_replicate(monkeypatch, tmp_path):
+    # Path("") is the working directory: the API and the CLI refuse an empty
+    # --out in one line, and nothing is run or written there.
+    def no_replicate(*args):
+        raise AssertionError("a replicate started")
+
+    monkeypatch.setattr(harness, "_chunk_job", no_replicate)
+    monkeypatch.setattr(harness, "_run_chunk", no_replicate)
+    monkeypatch.chdir(tmp_path)
+    message = "out_dir must be a nonempty path, got ''"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(out_dir="")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict({"model": "ou", "out_dir": ""})
+    for argv in (["run", "--out", ""], ["sweep", "--out=", "--filters", "kf"],
+                 ["size-sweep", "--out", "", "--config", "ou_desk"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert str(err.value).endswith(f": {message}")
+        assert "\n" not in str(err.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sizes", ["2000000", "10,2000000"])
+def test_a_chunk_counts_its_sampled_filters_members(monkeypatch, sizes):
+    # Four filters of 2,000,000 OU members hold 64 MB per replicate, twice
+    # the chunk budget: the ou_desk size sweep runs each replicate as a
+    # chunk of its own, also where a smaller size comes first.  The chunks
+    # are recorded, not run.
+    chunks = []
+
+    def recorded(chunk):
+        chunks.append(len(chunk))
+        return [(None, None)] * (len(chunk) * len(chunk[0][0]))
+
+    monkeypatch.setattr(harness, "_chunk_job", recorded)
+    filters = "enkf,dsm_enkf,wolf_enkf,dsm_pf"
+    cli.main(["size-sweep", "--config", "ou_desk", "--filters", filters, "--sizes", sizes])
+    reps = PRESETS["ou_desk"]["mc_reps"]
+    assert chunks == [1] * reps * len(sizes.split(","))
+    config = ExperimentConfig.from_dict({**PRESETS["ou_desk"], "ensemble_size": 2_000_000})
+    sampled = [replace(config, filter=f) for f in filters.split(",")]
+    per_replicate = harness._replicate_bytes(config, len(sampled), sampled)
+    assert per_replicate > harness._CHUNK_BYTES > harness._replicate_bytes(config, len(sampled))
+
+
 def test_config_refuses_a_contamination_or_horizon_it_cannot_run(monkeypatch):
     for setting in (
         {"epsilon": 1.5}, {"epsilon": np.nan}, {"lam": 0.5}, {"lam": np.nan}, {"lam": np.inf},

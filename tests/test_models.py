@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_da import ContaminationSpec, contaminate
+from robust_da import ContaminationSpec, contaminate, models
 from robust_da.models import (
     LORENZ63_X0,
     lorenz63_sampler,
@@ -463,6 +463,51 @@ def test_lorenz96_seed_reproducibility_and_finite():
     b, _ = simulate_lorenz96(t_end=1.0, seed=6)
     assert np.array_equal(a.states, b.states)
     assert np.all(np.isfinite(a.states))
+
+
+def _lorenz96_first_bad_step(forcings, n_burn):
+    """The first post-burn-in step at which the truth driven by ``forcings``
+    is not finite, checked at every step."""
+    rk4 = models._lorenz96_rk4_step(models.LORENZ96_DT, (40,))
+    x = np.full(40, 8.0)
+    x[0] += 0.01
+    for i, forcing in enumerate(forcings):
+        x = rk4(x, forcing)
+        if i >= n_burn and not np.isfinite(x).all():
+            return i - n_burn + 1
+    return None
+
+
+@pytest.mark.parametrize(
+    "value, site, step, bad",
+    [
+        (np.nan, 0, 1, 1),       # the first step of the first observation interval
+        (np.inf, 17, 23, 23),    # the third step of the fifth
+        (-np.inf, 39, 100, 100), # the last step of the last
+        (1e10, 5, 42, 44),       # a finite kick that overflows two steps on
+    ],
+)
+def test_lorenz96_blowup_names_the_first_bad_step(monkeypatch, value, site, step, bad):
+    # One forcing draw is replaced after the burn-in; the truth reports the
+    # first step whose state is not finite, ``bad``, as a check at every
+    # step does.
+    n_burn = int(round(12.2 / models.LORENZ96_DT))
+    draw = models._lorenz96_forcings
+    drawn = []
+
+    def kicked(rng, n_steps, shape):
+        forcings = draw(rng, n_steps, shape)
+        forcings[n_burn + step - 1, site] = value
+        drawn.append(forcings)
+        return forcings
+
+    monkeypatch.setattr(models, "_lorenz96_forcings", kicked)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError) as blowup:
+        simulate_lorenz96(t_end=1.0, seed=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = _lorenz96_first_bad_step(drawn[0], n_burn)
+    assert first == bad
+    assert str(blowup.value) == f"Lorenz-96 state blew up at step {bad}"
 
 
 @pytest.mark.parametrize("seed", [0, 5, 99])
