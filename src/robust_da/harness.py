@@ -8,10 +8,10 @@ divergence the same way for all of them.  A sweep job is a chunk of
 replicates, whose filters the loop advances in lock-step as stacks, the
 closed-form filters as one and the ensemble and particle filters as another:
 per observation, the stacks' member blocks go through one stacked forecast,
-and each stack steps its live elements, writes their moments into the loop's
-one record and drops those that diverged.  The linear Gaussian truths of a
-chunk are simulated together, and its runs are scored in one pass.  A single
-run is a chunk of one job.
+each stack steps its live elements and writes their moments into the loop's
+one record, and the loop stamps and drops the elements that diverged.  The
+linear Gaussian truths of a chunk are simulated together, and its runs are
+scored in one pass.  A single run is a chunk of one job.
 
 Determinism contract: a (config, master seed) pair maps to byte-identical
 result files regardless of worker count and chunk size; per-replicate
@@ -105,12 +105,23 @@ _MODEL_SETTINGS = {
     "lorenz96": (73.0, LORENZ96_DT, LORENZ_T_OUT, 40, 40),
 }
 MODELS = tuple(_MODEL_SETTINGS)
+# Model -> doubles per member column that one forecast holds (its sampler in
+# ``ensemble_forecast``): (its largest array, all it holds at its peak).  The
+# LGSS sampler holds the noise, two products and their sum; the L63 sampler
+# keeps a (17 + 3 x 50)-row buffer, draws (50, 3) normals and returns the
+# (3,) members, counted as if all at once; the L96 sampler keeps its (6, 40)
+# RK4 stages and four (40,) constants, stacks the members and holds its
+# (5, 40) forcings twice (the blocks' draws and their copy).
+_FORECAST_DOUBLES = {
+    "ou": (1, 4), "tracking2d": (4, 16), "lorenz63": (167, 320), "lorenz96": (240, 840),
+}
 # Largest horizon, in truth steps t_end / dt, a config accepts: 20 times the
 # largest preset's (lorenz63_full, 50,000 steps), and small enough that the
 # truth arrays of every model stay under a gigabyte (L96 at the cap: 0.64 GB).
 MAX_TRUTH_STEPS = 1_000_000
-# Ceiling on a sampled filter's largest per-step array: the (d_X, M) members
-# of the EnKF and PF, the (d_Y, M, M) window products of the ESRF and LETKF.
+# Ceiling on a sampled filter's largest per-step array: the forecast's
+# largest array (``_FORECAST_DOUBLES``), or the (d_Y, M, M) window products of
+# the ESRF and LETKF.
 MAX_STEP_BYTES = 2**24
 MAX_MC_REPS = 100_000  # 40 times tracking_full's; a sweep lists every job up front
 
@@ -168,7 +179,7 @@ class ExperimentConfig:
             raise ValueError("out_dir must be a nonempty path, got ''")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
-        dt, t_out, d, d_y = _MODEL_SETTINGS[self.model][1:]
+        dt, t_out, _, d_y = _MODEL_SETTINGS[self.model][1:]
         if not self.horizon / dt <= MAX_TRUTH_STEPS:  # refuses an overflow to inf too
             raise ValueError(
                 f"t_end {self.horizon} needs more than {MAX_TRUTH_STEPS} {self.model!r} "
@@ -182,7 +193,8 @@ class ExperimentConfig:
         m = self.ensemble_size
         if m < 2 and kind != "kf":
             raise ValueError("ensemble_size must be >= 2 for ensemble and particle filters")
-        step_bytes = 8 * m * (d_y * m if kind in ("esrf", "letkf") else d)
+        window = d_y * m if kind in ("esrf", "letkf") else 0
+        step_bytes = 8 * m * max(_FORECAST_DOUBLES[self.model][0], window)
         if step_bytes > MAX_STEP_BYTES and kind != "kf":
             raise ValueError(f"ensemble_size {m} gives {kind} on {self.model!r} a per-step "
                              f"array of {step_bytes} bytes, above the ceiling of {MAX_STEP_BYTES}")
@@ -320,9 +332,9 @@ class _ClosedFormStack:
     Every slice of a loop shares its model's matrices: a loop runs the
     replicates of one sweep, whose cells differ in contamination or ensemble
     size only.  The stack is ordered by spec, so each spec weights one
-    contiguous slice of it.  An element whose step gives a non-finite mean or
-    covariance (a NaN observation, a bracket that no jitter repairs) leaves
-    the stack; its rows from that step on stay NaN.
+    contiguous slice of it.  The loop drops (``keep``) an element whose step
+    gives a non-finite mean or covariance (a NaN observation, a bracket that
+    no jitter repairs).
     """
 
     def __init__(self, slices: list[_ClosedFormSlice], rows: list[int]):
@@ -352,27 +364,24 @@ class _ClosedFormStack:
         """No member block: the stack makes its own forecast."""
         return []
 
-    def step(self, k: int, forecasts, means, covs, weights) -> None:
-        """Step every live element on observation ``k`` and record its
-        moments in its loop row of the loop's record."""
-        if not len(self.rows):
-            return
+    def step(self, k: int, forecasts, means, covs, weights) -> tuple:
+        """Step every live element on observation ``k``, record its moments
+        in its loop row of the loop's record and return them."""
         forecast = kf_forecast(self.model, self.belief)
         mean, cov, w, _ = robust_analysis(
             self.model, forecast.mean, forecast.cov, self.ys[k], self.spec_rows
         )
-        self.belief = belief = GaussianBelief(mean=mean, cov=cov)
-        mean, cov, rows = belief.mean, belief.cov, self.rows
-        means[rows, k], covs[rows, k] = mean, cov
+        rows, self.belief = self.rows, GaussianBelief(mean=mean, cov=cov)
+        means[rows, k], covs[rows, k] = self.belief.mean, self.belief.cov
         weights[rows, k] = np.minimum.reduce(w, axis=1) * self.weight_factor  # halving is exact
-        # A non-finite element makes the sum non-finite; only then is each tested.
-        if not math.isfinite(np.add.reduce(mean, axis=None) + np.add.reduce(cov, axis=None)):
-            finite = np.isfinite(mean).all(axis=1) & np.isfinite(cov).all(axis=(1, 2))
-            if not finite.all():
-                self.rows, self.ys = self.rows[finite], self.ys[:, finite]
-                self.groups, self.weight_factor = self.groups[finite], self.weight_factor[finite]
-                self.belief = GaussianBelief(mean=mean[finite], cov=cov[finite])
-                self._spec_slices()
+        return self.belief.mean, self.belief.cov
+
+    def keep(self, live: np.ndarray) -> None:
+        """Keep the elements where ``live`` is true."""
+        self.rows, self.ys = self.rows[live], self.ys[:, live]
+        self.groups, self.weight_factor = self.groups[live], self.weight_factor[live]
+        self.belief = GaussianBelief(mean=self.belief.mean[live], cov=self.belief.cov[live])
+        self._spec_slices()
 
 
 @dataclass
@@ -391,10 +400,10 @@ class _ClosedFormSlice:
 class _SampledStack:
     """The ensemble and particle filters of a loop, each an element that
     runs its own analysis on its members propagated by the loop's forecast.
-    An element whose forecast is non-finite, whose analysis raises a
-    linear-algebra or floating-point error, or whose analysis gives a
-    non-finite mean or covariance (a NaN observation), leaves the stack; its
-    rows from that step on stay NaN."""
+    An element whose forecast is non-finite, or whose analysis raises a
+    linear-algebra or floating-point error, leaves its row of the step NaN;
+    the loop drops (``keep``) it there, as it drops one whose analysis gives
+    a non-finite mean or covariance (a NaN observation)."""
 
     def __init__(self, runs: list[_SampledRun], rows: list[int]):
         self.rows, self.runs = np.array(rows), runs  # loop row and run of each live element
@@ -403,22 +412,22 @@ class _SampledStack:
         """The (members, generator) of every live element, in loop-row order."""
         return [(run.members, run.rng) for run in self.runs]
 
-    def step(self, k: int, forecasts, means, covs, weights) -> None:
+    def step(self, k: int, forecasts, means, covs, weights) -> tuple:
         """Step every live element on observation ``k`` from its block of
-        ``forecasts`` and record its mean and covariance in its loop row."""
+        ``forecasts``, record its mean and covariance in its loop row and
+        return the live elements' rows of the step."""
         for row, run, forecast in zip(self.rows.tolist(), self.runs, forecasts):
             if forecast is not None:
                 try:
                     run.members, means[row, k], covs[row, k] = run.analysis(forecast, run.ys[:, k])
                 except (np.linalg.LinAlgError, FloatingPointError):
                     pass  # its row keeps the record's NaN
-        mean, cov = means[self.rows, k], covs[self.rows, k]
-        # A diverged element (no forecast, a raising analysis, non-finite
-        # moments) makes the sum non-finite; only then is each tested.
-        if not math.isfinite(np.add.reduce(mean, axis=None) + np.add.reduce(cov, axis=None)):
-            finite = np.isfinite(mean).all(axis=1) & np.isfinite(cov).all(axis=(1, 2))
-            self.rows = self.rows[finite]
-            self.runs = [run for run, kept in zip(self.runs, finite.tolist()) if kept]
+        return means[self.rows, k], covs[self.rows, k]
+
+    def keep(self, live: np.ndarray) -> None:
+        """Keep the elements where ``live`` is true."""
+        self.rows = self.rows[live]
+        self.runs = [run for run, kept in zip(self.runs, live.tolist()) if kept]
 
 
 @dataclass
@@ -444,35 +453,37 @@ def _filter_loop(slices: list, setup: ModelSetup) -> list[FilterRun]:
     (S, n_obs) weights.  At each observation the stacks' member blocks, if
     any, go through one ``ensemble_forecast`` call, and each stack steps its
     live elements on the forecasts handed back, records their moments and
-    drops those that diverged.  A non-finite recorded mean or covariance is
-    found after the loop (``_finished_run``), so numpy's overflow and
-    invalid-value warnings are silenced for the whole loop.
+    returns them.  An element whose moments are not finite diverged: the
+    loop stamps the step, sets its record to NaN and has the stack drop it
+    (``keep``); an emptied stack is not stepped again.  That test makes
+    numpy's overflow and invalid-value warnings moot, so they are silenced.
     """
     n_obs, d = slices[0].ys.shape[1], setup.init_mean.shape[0]
     means = np.full((len(slices), n_obs, d), np.nan)
     covs = np.full((len(slices), n_obs, d, d), np.nan)
     weights = np.full((len(slices), n_obs), np.nan)
+    divergence = {}  # loop row -> divergence step
     rows = {}
     for row, s in enumerate(slices):
         rows.setdefault(s.stack, []).append(row)
     stacks = [stack([slices[i] for i in own], own) for stack, own in rows.items()]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_obs):
+            stacks = [stack for stack in stacks if len(stack.rows)]
             blocks = [block for stack in stacks for block in stack.blocks()]
             forecasts = iter(ensemble_forecast(setup.sampler, *zip(*blocks)) if blocks else ())
             for stack in stacks:
-                stack.step(k, forecasts, means, covs, weights)
-    return [_finished_run(means[i], covs[i], weights[i]) for i in range(len(slices))]
-
-
-def _finished_run(means: np.ndarray, covs: np.ndarray, weights: np.ndarray) -> FilterRun:
-    """The run of one slice, diverged at its first non-finite step, if any."""
-    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
-    if finite.all():
-        return FilterRun(means=means, covariances=covs, weights=weights)
-    k = int(np.argmin(finite))
-    means[k:] = covs[k:] = weights[k:] = np.nan
-    return FilterRun(means=means, covariances=covs, weights=weights, divergence_step=k)
+                mean, cov = stack.step(k, forecasts, means, covs, weights)
+                # A non-finite element makes the sum non-finite; only then is each tested.
+                if math.isfinite(np.add.reduce(mean, axis=None) + np.add.reduce(cov, axis=None)):
+                    continue
+                finite = np.isfinite(mean).all(axis=1) & np.isfinite(cov).all(axis=(1, 2))
+                if not finite.all():
+                    diverged = stack.rows[~finite]
+                    means[diverged, k] = covs[diverged, k] = weights[diverged, k] = np.nan
+                    divergence.update(dict.fromkeys(diverged.tolist(), k))
+                    stack.keep(finite)
+    return [FilterRun(means[i], covs[i], weights[i], divergence.get(i)) for i in range(len(slices))]
 
 
 def _weight_spec(config: ExperimentConfig) -> WeightKernelSpec:
@@ -767,21 +778,19 @@ _CHUNK_BYTES = 32 * 2**20
 # The scoring pass holds the stacked moments, the symmetrized covariances
 # and their Cholesky factors next to the recorded moments.
 _SCORING_COPIES = 3
-# At a forecast, the members each filter holds, the sampler's stacked input,
-# its output and the blocks split from it.
-_MEMBER_COPIES = 4
 
 
-def _replicate_bytes(
-    config: ExperimentConfig, n_filters: int, sampled: Sequence[ExperimentConfig] = ()
-) -> int:
-    """Bytes of a replicate's truth states, the moments its ``n_filters``
-    filters record, the scoring pass's copies of them, and the member
-    arrays of the ensemble and particle filters configured by ``sampled``."""
+def _replicate_bytes(configs: Sequence[ExperimentConfig]) -> int:
+    """Bytes of a replicate's truth states, the moments its filters (one
+    config each) record, the scoring pass's copies of them, and the members
+    of its ensemble and particle filters: those each filter holds and what a
+    forecast of them holds (``_FORECAST_DOUBLES``)."""
+    config = configs[0]
     dt, t_out, d = _MODEL_SETTINGS[config.model][1:4]
     n, steps_per_obs = step_counts(config.horizon, dt, t_out)
-    moments = n_filters * (n // steps_per_obs) * (d + d * d + 1)
-    members = _MEMBER_COPIES * d * sum(c.ensemble_size for c in sampled)
+    moments = len(configs) * (n // steps_per_obs) * (d + d * d + 1)
+    columns = sum(c.ensemble_size for c in configs if _FILTER_TABLE[c.filter][0] != "kf")
+    members = (d + _FORECAST_DOUBLES[config.model][1]) * columns
     return 8 * (d * (n + 1) + (1 + _SCORING_COPIES) * moments + members)
 
 
@@ -790,12 +799,7 @@ def _chunks(jobs: list, threads: int) -> list[list]:
     the largest replicate, and no more than an equal share of each worker.
     Results do not depend on the chunk size."""
     cells = {id(configs): configs for configs, _ in jobs}  # a cell's jobs share one tuple
-    largest = max(
-        _replicate_bytes(
-            configs[0], len(configs), [c for c in configs if _FILTER_TABLE[c.filter][0] != "kf"]
-        )
-        for configs in cells.values()
-    )
+    largest = max(_replicate_bytes(configs) for configs in cells.values())
     size = max(1, _CHUNK_BYTES // largest)
     size = min(size, -(-len(jobs) // threads))
     return [jobs[i : i + size] for i in range(0, len(jobs), size)]

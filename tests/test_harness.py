@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
@@ -516,15 +517,19 @@ def test_sweeps_refuse_a_grid_value_of_the_wrong_type_before_any_replicate(monke
 
 def test_config_bounds_a_sampled_filters_largest_array_and_the_replicate_count():
     # Each sampled filter kind's largest per-step array is bounded: the
-    # (d, M) members of the EnKF and PF, the (d_Y, M, M) window products of
-    # the ESRF and LETKF.  The closed form keeps no ensemble, so its
-    # ensemble_size is not bounded.  mc_reps has a ceiling of its own.
+    # forecast's largest array (the (d, M) members of the OU sampler, the
+    # 167-row buffer of the L63 sampler, the (6, d, M) RK4 stages of the L96
+    # sampler) or the (d_Y, M, M) window products of the ESRF and LETKF.  So
+    # 699,050 L63 members, just under the ceiling themselves, are refused.
+    # The closed form keeps no ensemble, so its ensemble_size is not
+    # bounded.  mc_reps has a ceiling of its own.
     limit = harness.MAX_STEP_BYTES
     for model, filt, largest in (
         ("lorenz96", "letkf", math.isqrt(limit // (8 * 40))),
         ("lorenz63", "dsm_esrf", math.isqrt(limit // 8)),
-        ("lorenz96", "enkf", limit // (8 * 40)),
+        ("lorenz96", "enkf", limit // (8 * 6 * 40)),
         ("ou", "dsm_pf", limit // 8),
+        ("lorenz63", "enkf", limit // (8 * 167)),
     ):
         ExperimentConfig(model=model, filter=filt, ensemble_size=largest)
         with pytest.raises(ValueError, match=f"^ensemble_size {largest + 1} gives "):
@@ -533,6 +538,35 @@ def test_config_bounds_a_sampled_filters_largest_array_and_the_replicate_count()
     ExperimentConfig(mc_reps=harness.MAX_MC_REPS)
     with pytest.raises(ValueError, match=f"^mc_reps {10**12} is above the ceiling"):
         ExperimentConfig(mc_reps=10**12)
+
+
+@pytest.mark.parametrize("model", harness.MODELS)
+def test_a_forecast_holds_no_more_doubles_per_column_than_the_ceilings_count(model):
+    # One ensemble_forecast of two blocks through a fresh sampler, so that
+    # the L63 buffer and the L96 stages are built, measured by tracemalloc
+    # at two column counts.  Per column, its peak grows by no more than the
+    # count the chunk budget reads, and the largest array it keeps or
+    # returns by no more than the count the per-step ceiling reads.  The
+    # counts are multiples of 8 above 256: the L63 rows are padded to 8, and
+    # Python caches the smaller ints.
+    largest, peak = harness._FORECAST_DOUBLES[model]
+    config = ExperimentConfig(model=model, filter="enkf", t_end=0.1)
+    held, peaks = [], []
+    for m in (160, 640):
+        setup = build_setup(config, np.random.SeedSequence(0))
+        blocks = [harness._initial_members(setup, m, np.random.default_rng(i)) for i in range(2)]
+        rngs = [np.random.default_rng(2 + i) for i in range(2)]
+        tracemalloc.start()
+        try:
+            forecasts = harness.ensemble_forecast(setup.sampler, blocks, rngs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            held.append(max(trace.size for trace in tracemalloc.take_snapshot().traces))
+        finally:
+            tracemalloc.stop()
+        assert all(f is not None and f.shape == b.shape for f, b in zip(forecasts, blocks))
+    columns = 2 * (640 - 160)
+    assert peaks[1] - peaks[0] <= 8 * peak * columns
+    assert held[1] - held[0] <= 8 * largest * columns
 
 
 def test_no_preset_or_default_size_meets_a_ceiling():
@@ -595,8 +629,8 @@ def test_an_empty_out_dir_is_refused_before_any_replicate(monkeypatch, tmp_path)
 
 @pytest.mark.parametrize("sizes", ["2000000", "10,2000000"])
 def test_a_chunk_counts_its_sampled_filters_members(monkeypatch, sizes):
-    # Four filters of 2,000,000 OU members hold 64 MB per replicate, twice
-    # the chunk budget: the ou_desk size sweep runs each replicate as a
+    # Four filters of 2,000,000 OU members hold 320 MB per replicate, ten
+    # times the chunk budget: the ou_desk size sweep runs each replicate as a
     # chunk of its own, also where a smaller size comes first.  The chunks
     # are recorded, not run.
     chunks = []
@@ -612,8 +646,9 @@ def test_a_chunk_counts_its_sampled_filters_members(monkeypatch, sizes):
     assert chunks == [1] * reps * len(sizes.split(","))
     config = ExperimentConfig.from_dict({**PRESETS["ou_desk"], "ensemble_size": 2_000_000})
     sampled = [replace(config, filter=f) for f in filters.split(",")]
-    per_replicate = harness._replicate_bytes(config, len(sampled), sampled)
-    assert per_replicate > harness._CHUNK_BYTES > harness._replicate_bytes(config, len(sampled))
+    record_alone = [replace(config, filter="kf")] * len(sampled)
+    assert harness._replicate_bytes(sampled) > harness._CHUNK_BYTES
+    assert harness._CHUNK_BYTES > harness._replicate_bytes(record_alone)
 
 
 def test_config_refuses_a_contamination_or_horizon_it_cannot_run(monkeypatch):
@@ -780,18 +815,24 @@ def test_sweep_thread_count_invariance(tmp_path):
         (dict(model="tracking2d", t_end=2.0, mc_reps=4, seed=41), ["kf", "dsm_kf", "wolf_kf"]),
         (dict(model="ou", t_end=2.0, mc_reps=4, seed=43, ensemble_size=10),
          ["kf", "dsm_kf", "wolf_kf", "enkf", "dsm_esrf", "dsm_letkf", "dsm_pf"]),
+        (dict(model="lorenz63", filter="enkf", t_end=1.0, mc_reps=4, seed=47, ensemble_size=10),
+         ["enkf", "dsm_esrf", "dsm_pf"]),
     ],
-    ids=["tracking-closed-form", "ou-mixed"],
+    ids=["tracking-closed-form", "ou-mixed", "lorenz63"],
 )
 def test_sweep_files_do_not_depend_on_the_chunk_size(base, filters, tmp_path, monkeypatch):
     # A sweep job is a chunk of replicates whose filters run stacked; the
-    # files are the same for chunks of 1, 3 and every replicate, with one
-    # worker or two.
+    # files are the same for chunks of 1, 3 and every replicate of the 2
+    # cells' 8 jobs, with one worker or two.  The Lorenz-63 sampler rebuilds
+    # its buffer whenever a chunk brings another column count.
     config = ExperimentConfig(**base)
-    per_replicate = harness._replicate_bytes(config, len(filters))
+    configs = tuple(replace(config, filter=f) for f in filters)
+    per_replicate = harness._replicate_bytes(configs)
+    jobs = [(configs, (0, 0, r)) for r in range(8)]
     files = {}
-    for chunk in (1, 3, 10**6):
+    for chunk, sizes in ((1, [1] * 8), (3, [3, 3, 2]), (10**6, [8])):
         monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk * per_replicate)
+        assert [len(c) for c in harness._chunks(jobs, 1)] == sizes
         for threads in (1, 2):
             out = tmp_path / f"{chunk}-{threads}"
             run_sweep(replace(config, threads=threads, out_dir=str(out)), [0.0, 0.25], [25.0],
@@ -800,9 +841,6 @@ def test_sweep_files_do_not_depend_on_the_chunk_size(base, filters, tmp_path, mo
                 (out / name).read_bytes() for name in ("sweep_cells.csv", "sweep_replicates.csv")
             ]
     assert all(got == files[1, 1] for got in files.values())
-    configs = tuple(replace(config, filter=f) for f in filters)
-    sizes = [len(c) for c in harness._chunks([(configs, (0, 0, r)) for r in range(8)], 1)]
-    assert sizes == [8]  # the chunks of the last size held every job
 
 
 def test_a_sweep_starts_no_more_workers_than_cores(monkeypatch):
@@ -878,6 +916,48 @@ def test_a_replicate_that_diverges_leaves_the_rest_of_its_chunk_as_run_alone(
                 np.testing.assert_array_equal(got, expected)
     if np.isnan(value):
         assert all(runs[2 * len(filters) + i].divergence_step == 5 for i in range(len(filters)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    model=st.sampled_from(["ou", "tracking2d"]),
+    reps=st.integers(1, 3),
+    filters=st.lists(st.sampled_from(FILTERS), min_size=1, max_size=len(FILTERS), unique=True),
+    ensemble_size=st.integers(2, 12),
+    t_end=st.sampled_from([0.2, 0.5, 1.0]),
+    epsilon=st.sampled_from([0.0, 0.2]),
+    value=st.sampled_from([np.nan, 1e300, -1e300]),
+    data=st.data(),
+)
+def test_every_run_of_a_chunk_with_a_poisoned_observation_is_its_run_alone(
+    model, reps, filters, ensemble_size, t_end, epsilon, value, data
+):
+    # A chunk of 1-3 replicates of a random filter set gets a NaN or a huge
+    # observation at a random step and coordinate of a random replicate.
+    # Every run of the chunk is its filter run alone bit for bit, its
+    # divergence step included.
+    base = ExperimentConfig(model=model, filter=filters[0], t_end=t_end, seed=9, epsilon=epsilon,
+                            lam=100.0, ensemble_size=ensemble_size)
+    configs = [replace(base, filter=f) for f in filters]
+    seeds = [np.random.SeedSequence((9, rep)) for rep in range(reps)]
+    setups = harness.build_setups([base] * reps, seeds)
+    ys = setups[data.draw(st.integers(0, reps - 1), label="replicate")].record.observations
+    row = data.draw(st.integers(0, ys.shape[0] - 1), label="coordinate")
+    ys[row, data.draw(st.integers(0, ys.shape[1] - 1), label="step")] = value
+
+    def rngs(rep):
+        return [np.random.default_rng((rep, i)) for i in range(len(filters))]
+
+    slices = [s for rep, setup in enumerate(setups)
+              for s in harness._slices(setup, configs, rngs(rep))]
+    runs = iter(harness._filter_loop(slices, setups[0]))
+    for rep, setup in enumerate(setups):
+        for config, rng in zip(configs, rngs(rep)):
+            run, alone = next(runs), run_filter_alone(setup, config, rng)
+            assert run.divergence_step == alone.divergence_step, config.filter
+            for got, expected in ((run.means, alone.means), (run.covariances, alone.covariances),
+                                  (run.weights, alone.weights)):
+                np.testing.assert_array_equal(got, expected)
 
 
 @pytest.mark.parametrize(
