@@ -21,6 +21,7 @@ stacked step acts on each element alone.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -717,56 +718,52 @@ class CellStats:
 
 @dataclass
 class SweepResult:
-    kind: str                      # "contamination" or "ensemble_size"
+    axes: dict[str, list]          # axis name -> grid values, e.g. {"ensemble_size": [5, 10]}
     filters: list[str]
     mc_reps: int
-    cells: dict[tuple, CellStats]
-    axis_epsilon: list[float] = field(default_factory=list)
-    axis_sqrt_lambda: list[float] = field(default_factory=list)
-    axis_sizes: list[int] = field(default_factory=list)
+    cells: dict[tuple, CellStats]  # (filter, i, j) -> stats; j = 0 on a one-axis grid
 
     def cell(self, filt: str, *key) -> CellStats:
-        if self.kind == "ensemble_size" and len(key) == 1:
-            key = (key[0], 0)
-        return self.cells[(filt, *key)]
+        return self.cells[(filt, *(*key, 0)[:2])]
 
     def write_csv(self, path) -> None:
-        """One row per (filter, cell); the size layout adds a 1/sqrt(M)
-        reference anchored at each filter's first size."""
-        sizes = self.kind == "ensemble_size"
-        if sizes:
-            axes, extra = ["ensemble_size"], ["mc_rate_ref"]
-            points = {(i, 0): [size] for i, size in enumerate(self.axis_sizes)}
-        else:
-            axes, extra = ["epsilon", "sqrt_lambda"], []
-            points = {
-                (i, j): [eps, sql]
-                for i, eps in enumerate(self.axis_epsilon)
-                for j, sql in enumerate(self.axis_sqrt_lambda)
-            }
+        """One row per (filter, cell), one column per axis; an
+        ``ensemble_size`` axis adds a 1/sqrt(M) reference anchored at each
+        filter's first cell."""
+        rate = "ensemble_size" in self.axes
+        stats = ["n_ok", "n_failed", "mean_rmse", "se_rmse", "mean_q_ic", "se_q_ic"]
         rows = []
         for filt in self.filters:
-            for key, point in points.items():
+            anchor = None
+            for key, point in _cells(self.axes).items():
                 c = self.cells[(filt, *key)]
-                row = [filt, *point, c.n_ok, c.n_failed,
-                       c.mean_rmse, c.se_rmse, c.mean_q_ic, c.se_q_ic]
-                if sizes:
-                    if key[0] == 0:
-                        anchor = c.mean_rmse * math.sqrt(point[0])
-                    row.append(anchor / math.sqrt(point[0]))
-                rows.append(row)
-        stats = ["n_ok", "n_failed", "mean_rmse", "se_rmse", "mean_q_ic", "se_q_ic"]
-        _write_csv(path, ["filter", *axes, *stats, *extra], rows)
+                rows.append([filt, *point.values(), *(getattr(c, name) for name in stats)])
+                if rate:
+                    root = math.sqrt(point["ensemble_size"])
+                    anchor = c.mean_rmse * root if anchor is None else anchor
+                    rows[-1].append(anchor / root)
+        _write_csv(path, ["filter", *self.axes, *stats, *(["mc_rate_ref"] if rate else [])], rows)
 
     def write_replicates_csv(self, path) -> None:
         rows = []
-        for key in sorted(self.cells, key=str):
+        for key in sorted(self.cells):  # filters by name, cells by index
             c = self.cells[key]
             filt, *cell_key = key
             cell = "/".join(map(str, cell_key))
             rows += [[filt, cell, rep, r, q]
                      for rep, r, q in zip(c.replicates, c.rmse_values, c.q_ic_values)]
         _write_csv(path, ["filter", "cell", "replicate", "rmse", "q_ic"], rows)
+
+
+def _cells(axes: Mapping[str, list]) -> dict[tuple, dict]:
+    """The cells of the grid ``axes`` in row-major order: key (i, j), the
+    index of each axis's value, -> point, axis name -> value.  A one-axis
+    grid pads its keys with j = 0, so that a single size derives exactly the
+    replicate seeds of a one-cell contamination grid."""
+    return {
+        (*key, 0)[:2]: {name: values[i] for (name, values), i in zip(axes.items(), key)}
+        for key in itertools.product(*(range(len(values)) for values in axes.values()))
+    }
 
 
 # A sweep job is a chunk of consecutive replicates, run in one lock-stepped
@@ -849,8 +846,10 @@ def _execute_jobs(jobs: list, threads: int) -> list[tuple]:
 
 
 def _filter_list(config: ExperimentConfig, filters: Sequence[str] | None) -> list[str]:
-    """``filters``, by default the config's filter; refuses an empty list,
-    and a filter listed twice, whose replicates would count twice."""
+    """``filters``, by default the config's filter; refuses a string, an
+    empty list, and a filter listed twice, whose replicates would count twice."""
+    if isinstance(filters, str):  # list() would split it into letters
+        raise ValueError(f"filters must be a list of filter names, got the string {filters!r}")
     filters = list(filters) if filters is not None else [config.filter]
     if not filters:
         raise ValueError("filters must be nonempty")
@@ -861,38 +860,38 @@ def _filter_list(config: ExperimentConfig, filters: Sequence[str] | None) -> lis
 
 
 def _collect(
-    kind: str,
-    config: ExperimentConfig,
-    filters: Sequence[str] | None,
-    cells: dict[tuple, ExperimentConfig],
-    **axes,
+    config: ExperimentConfig, filters: Sequence[str] | None, axes: dict[str, list]
 ) -> SweepResult:
-    """Run ``config.mc_reps`` replicates of every cell, ``cells`` mapping a
-    cell key to the cell's config, and write the sweep's files if
-    ``config.out_dir`` is set; that directory is made before any replicate."""
+    """Run ``config.mc_reps`` replicates of every cell of the grid ``axes``
+    (``_cells``), and write the sweep's files if ``config.out_dir`` is set;
+    that directory is made before any replicate.  A cell's config sets the
+    field of each axis to the cell's value, and lam to the square of its
+    sqrt_lambda."""
     filters = _filter_list(config, filters)
     # Building every run's config once validates it before any replicate.
-    cell_runs = {key: tuple(replace(c, filter=f) for f in filters) for key, c in cells.items()}
+    cell_runs = {}
+    for key, point in _cells(axes).items():
+        fields = dict(point)
+        if "sqrt_lambda" in fields:
+            sql = fields.pop("sqrt_lambda")
+            fields["lam"] = sql * sql
+        cell = replace(config, **fields)
+        cell_runs[key] = tuple(replace(cell, filter=f) for f in filters)
     if config.out_dir is not None:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     jobs = [
         (runs, (*key, rep)) for key, runs in cell_runs.items() for rep in range(config.mc_reps)
     ]
-    results = {(filt, *key): [] for key in cells for filt in filters}
+    results = {(filt, *key): [] for key in cell_runs for filt in filters}
     scores = iter(_execute_jobs(jobs, config.threads))
     for _, (*cell_key, _rep) in jobs:
         for filt in filters:
             results[(filt, *cell_key)].append(next(scores))
-    result = SweepResult(
-        kind=kind,
-        filters=filters,
-        mc_reps=config.mc_reps,
-        cells={key: _cell_stats(values) for key, values in results.items()},
-        **axes,
-    )
+    cells = {key: _cell_stats(values) for key, values in results.items()}
+    result = SweepResult(axes, filters, config.mc_reps, cells)
     if config.out_dir is not None:
         out = Path(config.out_dir)
-        stem = "sweep" if kind == "contamination" else "size_sweep"
+        stem = "size_sweep" if "ensemble_size" in axes else "sweep"
         result.write_csv(out / f"{stem}_cells.csv")
         result.write_replicates_csv(out / f"{stem}_replicates.csv")
     return result
@@ -911,24 +910,6 @@ def _grid(name: str, values: Sequence, kind: type) -> list:
     return [int(v) if integral else float(v) for v in values]
 
 
-def _contamination_cells(
-    config: ExperimentConfig, eps_values: Sequence[float], sql_values: Sequence[float]
-) -> dict[tuple, ExperimentConfig]:
-    """Cell (i, j) of the contamination grid: ``config`` at the i-th epsilon
-    and at lambda the square of the j-th sqrt(lambda), which must be >= 1 with
-    a finite square."""
-    for sql in sql_values:
-        if sql < 1.0:
-            raise ValueError(f"sqrt_lambda must be >= 1, got {sql}")
-        if sql * sql == math.inf:
-            raise ValueError(f"sqrt_lambda {sql} squares to an infinite lambda")
-    return {
-        (i, j): replace(config, epsilon=eps, lam=sql * sql)
-        for i, eps in enumerate(eps_values)
-        for j, sql in enumerate(sql_values)
-    }
-
-
 def run_sweep(
     config: ExperimentConfig,
     epsilon_values: Sequence[float],
@@ -945,11 +926,12 @@ def run_sweep(
     sql_values = _grid("sqrt_lambda values", sqrt_lambda_values, numbers.Real)
     if not eps_values or not sql_values:
         raise ValueError("sweep grid must be nonempty")
-    cells = _contamination_cells(config, eps_values, sql_values)
-    return _collect(
-        "contamination", config, filters, cells, axis_epsilon=eps_values,
-        axis_sqrt_lambda=sql_values,
-    )
+    for sql in sql_values:
+        if sql < 1.0:
+            raise ValueError(f"sqrt_lambda must be >= 1, got {sql}")
+        if sql * sql == math.inf:
+            raise ValueError(f"sqrt_lambda {sql} squares to an infinite lambda")
+    return _collect(config, filters, {"epsilon": eps_values, "sqrt_lambda": sql_values})
 
 
 def run_ensemble_size_sweep(
@@ -969,7 +951,4 @@ def run_ensemble_size_sweep(
         raise ValueError("sizes must be strictly increasing")
     if sizes[-1] > sys.float_info.max:  # the 1/sqrt(M) reference takes M as a float
         raise ValueError(f"ensemble size {sizes[-1]} is too large for a float")
-    # Two-component keys mirror the contamination grid, so a single size
-    # derives exactly the same replicate seeds as a 1-cell grid sweep.
-    cells = {(i, 0): replace(config, ensemble_size=size) for i, size in enumerate(sizes)}
-    return _collect("ensemble_size", config, filters, cells, axis_sizes=sizes)
+    return _collect(config, filters, {"ensemble_size": sizes})

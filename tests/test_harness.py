@@ -14,6 +14,7 @@ import warnings
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -274,6 +275,34 @@ def test_run_single_csv_layout(tmp_path):
     assert len(lines) == 1 + result.summary["n_obs"]
 
 
+def test_a_divergence_sets_the_weight_of_its_step_to_nan():
+    # A stack whose first element records a finite weight at the step where
+    # its mean turns infinite: the loop's NaN reaches that weight too, and
+    # the other element runs on.
+    class Stack:
+        def __init__(self, slices, rows):
+            self.rows = np.array(rows)
+
+        def blocks(self):
+            return []
+
+        def step(self, k, forecasts, means, covs, weights):
+            means[self.rows, k] = np.where(self.rows == 0, np.inf if k == 2 else 1.0, 1.0)[:, None]
+            covs[self.rows, k], weights[self.rows, k] = 1.0, 0.25
+            return means[self.rows, k], covs[self.rows, k]
+
+        def keep(self, live):
+            self.rows = self.rows[live]
+
+    slices = [SimpleNamespace(ys=np.zeros((1, 5)), stack=Stack) for _ in range(2)]
+    setup = SimpleNamespace(init_mean=np.zeros(1), sampler=None)
+    diverged, ran = harness._filter_loop(slices, setup)
+    assert diverged.divergence_step == 2 and ran.divergence_step is None
+    assert diverged.weights[:2].tolist() == [0.25, 0.25] and np.isnan(diverged.weights[2:]).all()
+    assert np.isnan(diverged.means[2:]).all() and np.isnan(diverged.covariances[2:]).all()
+    assert ran.weights.tolist() == [0.25] * 5 and ran.means.tolist() == [[1.0]] * 5
+
+
 def test_divergence_is_reported():
     # A 2-member ensemble under extreme contamination may blow up; the run
     # must not raise, and any divergence must be itemized in the summary.
@@ -479,6 +508,10 @@ def test_sweeps_refuse_an_invalid_filter_before_any_replicate(monkeypatch):
         run_ensemble_size_sweep(replace(cfg, model="ou", filter="kf"), [1, 5], filters=["enkf"])
     with pytest.raises(ValueError, match="filters must be nonempty"):
         run_sweep(cfg, [0.1], [5.0], filters=[])
+    # list() split a string into letters: "unknown filter 'd'".
+    with pytest.raises(ValueError, match="^filters must be a list of filter names, got the "
+                                         "string 'dsm_kf'$"):
+        run_sweep(cfg, [0.1], [5.0], filters="dsm_kf")
     # A filter listed twice would count each of its replicates twice.
     with pytest.raises(ValueError, match="'dsm_enkf' is listed more than once"):
         run_sweep(cfg, [0.1], [5.0], filters=["dsm_enkf", "enkf", "dsm_enkf"])
@@ -510,9 +543,10 @@ def test_sweeps_refuse_a_grid_value_of_the_wrong_type_before_any_replicate(monke
     # numpy numbers are numbers: they run under their own values.
     monkeypatch.undo()
     result = run_ensemble_size_sweep(replace(cfg, mc_reps=1), np.array([5, 7]), filters=["enkf"])
-    assert result.axis_sizes == [5, 7] and all(type(m) is int for m in result.axis_sizes)
+    sizes = result.axes["ensemble_size"]
+    assert sizes == [5, 7] and all(type(m) is int for m in sizes)
     result = run_sweep(replace(cfg, mc_reps=1), np.array([0.1]), [np.int64(10)], filters=["enkf"])
-    assert result.axis_epsilon == [0.1] and result.axis_sqrt_lambda == [10.0]
+    assert result.axes["epsilon"] == [0.1] and result.axes["sqrt_lambda"] == [10.0]
 
 
 def test_config_bounds_a_sampled_filters_largest_array_and_the_replicate_count():
@@ -1240,8 +1274,19 @@ def test_size_sweep_rmse_trend(tmp_path):
     sweep = run_ensemble_size_sweep(cfg, [4, 16, 64])
     means = [sweep.cell("enkf", i).mean_rmse for i in range(3)]
     assert means[2] < means[0]
-    header = (tmp_path / "size_sweep_cells.csv").read_text().splitlines()[0]
-    assert header.endswith("mc_rate_ref")
+    lines = (tmp_path / "size_sweep_cells.csv").read_text().splitlines()
+    assert lines[0] == ("filter,ensemble_size,n_ok,n_failed,mean_rmse,se_rmse,mean_q_ic,"
+                        "se_q_ic,mc_rate_ref")
+    assert [line.split(",")[1] for line in lines[1:]] == ["4", "16", "64"]
+    # Replicate rows go by cell index: a sort of the cell labels as strings
+    # wrote 10/0 between 1/0 and 2/0.
+    out = tmp_path / "eleven"
+    run_ensemble_size_sweep(replace(cfg, t_end=1.0, mc_reps=2, out_dir=str(out)), range(2, 13))
+    lines = (out / "size_sweep_replicates.csv").read_text().splitlines()
+    assert lines[0] == "filter,cell,replicate,rmse,q_ic"
+    assert [line.split(",")[1:3] for line in lines[1:]] == [
+        [f"{i}/0", str(rep)] for i in range(11) for rep in range(2)
+    ]
 
 
 def test_size_sweep_requires_increasing_sizes():
@@ -1293,14 +1338,14 @@ def test_every_csv_file_reads_back_bit_exactly(tmp_path):
     values = edge.tolist()
     stats = ["mean_rmse", "se_rmse", "mean_q_ic", "se_q_ic"]
     for kind, axes, key in (
-        ("contamination", {"axis_epsilon": [0.1], "axis_sqrt_lambda": values}, lambda j: (0, j)),
-        ("ensemble_size", {"axis_sizes": list(range(2, n + 2))}, lambda j: (j, 0)),
+        ("contamination", {"epsilon": [0.1], "sqrt_lambda": values}, lambda j: (0, j)),
+        ("ensemble_size", {"ensemble_size": list(range(2, n + 2))}, lambda j: (j, 0)),
     ):
         cells = {
             ("kf", *key(j)): harness.CellStats(1, 0, v, v, v, v, [v], [v], [0])
             for j, v in enumerate(values)
         }
-        sweep = harness.SweepResult(kind, ["kf"], 1, cells, **axes)
+        sweep = harness.SweepResult(axes, ["kf"], 1, cells)
         sweep.write_csv(tmp_path / f"{kind}_cells.csv")
         sweep.write_replicates_csv(tmp_path / f"{kind}_replicates.csv")
         cols = _read_columns(tmp_path / f"{kind}_cells.csv", stats)
@@ -1363,6 +1408,20 @@ def test_cli_sweep_bookkeeping(tmp_path, capsys):
     assert out["failed_replicates"] == 0
     lines = (tmp_path / "sweep_cells.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 12
+    assert lines[0] == ("filter,epsilon,sqrt_lambda,n_ok,n_failed,mean_rmse,se_rmse,mean_q_ic,"
+                        "se_q_ic")
+    # Filters as given, cells row-major.
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        [filt, eps, sql] for filt in ("kf", "dsm_kf", "wolf_kf")
+        for eps in ("0.0", "0.25") for sql in ("5.0", "27.5")
+    ]
+    lines = (tmp_path / "sweep_replicates.csv").read_text().strip().splitlines()
+    assert lines[0] == "filter,cell,replicate,rmse,q_ic"
+    # Filters by name, cells by index.
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        [filt, f"{i}/{j}", str(rep)] for filt in ("dsm_kf", "kf", "wolf_kf")
+        for i in range(2) for j in range(2) for rep in range(3)
+    ]
 
 
 def test_cli_size_sweep_prints_the_keys_of_the_sweep(tmp_path, capsys):
