@@ -875,8 +875,7 @@ def _collect(
         if "sqrt_lambda" in fields:
             sql = fields.pop("sqrt_lambda")
             fields["lam"] = sql * sql
-        cell = replace(config, **fields)
-        cell_runs[key] = tuple(replace(cell, filter=f) for f in filters)
+        cell_runs[key] = tuple(replace(config, filter=f, **fields) for f in filters)
     if config.out_dir is not None:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     jobs = [

@@ -235,17 +235,6 @@ def _block_kernel(
     return k_sq, np.where(k_sq[:, None] > 0.0, grads, 0.0).swapaxes(-1, -2)
 
 
-def _joined(rows: list, n: int) -> slice | np.ndarray:
-    """One selector of the rows that the selectors ``rows`` of an n-stack
-    pick: the one selector itself, or else an index array."""
-    return rows[0] if len(rows) == 1 else np.concatenate([np.arange(n)[r] for r in rows])
-
-
-def _every(rows: slice | np.ndarray, n: int) -> bool:
-    """Whether the selector ``rows`` is the slice of every row of an n-stack."""
-    return isinstance(rows, slice) and rows.indices(n) == (0, n, 1)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # cheaper per call than a with-block
 def _log_grad(chol: np.ndarray, z: np.ndarray, k_sq: np.ndarray, slope) -> np.ndarray:
     """grad log k^2 = (d log k^2/ds) grad s of (n, d_Y) whitened residuals z
@@ -283,74 +272,53 @@ def robust_update(
     covariance in observation space of those rows, H P H^T or Y Y^T / (M - 1)
     in the ensemble-anomaly space, as a stack or one matrix for all.
 
-    The single-block specs share one pass: their rows standardized by
-    HPH^T + R are factored by one ``SpdFactor`` and the others take R's
-    factor, one whitening gives every Mahalanobis square, each spec turns
-    its rows' squares into weights, and one back substitution gives the
-    gradients of the rows whose slope is not 0.  Each multi-block spec
-    whitens its rows by one stacked symmetric root, of R or of their
-    HPH^T + R, and takes s_b and the gradients of every block at once, the
-    step ``eval_kernel`` returns; its weights and target take the gradient
-    blocks on the diagonal.  Each
-    element comes out as a single call would give it; one whose HPH^T + R
-    no jitter repairs gets a NaN weight and the target y.
+    One whitening serves every single-block spec: the rows that a spec
+    standardizes by HPH^T + R take their ``SpdFactor`` into a per-row factor
+    stack, the others R's factor, and one ``whitened_sq`` gives every
+    Mahalanobis square.  One pass over the specs then turns each spec's
+    squares into its weights and, where its slope is not 0, into gradients
+    by a back substitution.  A multi-block spec whitens its rows in the same
+    pass by one stacked symmetric root, of R or of their HPH^T + R, and
+    takes s_b and the gradients of every block at once, the step
+    ``eval_kernel`` returns; its weights and target take the gradient blocks
+    on the diagonal.  Each element comes out as a single call would give it;
+    one whose HPH^T + R no jitter repairs gets a NaN weight and the target y.
     """
-    r = r_factor.matrix
+    r, chol = r_factor.matrix, r_factor.chol
     y = _as_floats(y)
     shape, d_y = y.shape, y.shape[-1]
     y, center = y.reshape(-1, d_y), _as_floats(center).reshape(-1, d_y)
-    n = len(y)
-    passed, blocked, marginal = [], [], []
+    whiten = False
+    for spec, rows in specs:
+        if spec.family != CONSTANT and len(spec.partition_for(d_y)) == 1:
+            whiten = True
+            if spec.standardization == MARGINAL:
+                if chol.ndim == 2:  # R's factor for the other rows; C order keeps their bits
+                    chol = chol[None].repeat(len(y), axis=0)
+                chol[rows] = SpdFactor(hph(rows) + r).chol
+    if whiten:
+        z, s = whitened_sq(chol, y - center)
+    w, target = np.empty(y.shape), y.copy()
+    w.fill(1.0)  # cheaper than np.ones for a small stack
     for spec, rows in specs:
         if spec.family == CONSTANT:
             continue
-        if len(spec.partition_for(d_y)) == 1:
-            passed.append((spec, rows))
-            if spec.standardization == MARGINAL:
-                marginal.append(rows)
-        else:
-            blocked.append((spec, rows))
-    w, kernels = np.empty(y.shape), []
-    w.fill(1.0)  # cheaper than np.ones for a small stack
-    if passed:
-        chol = r_factor.chol
-        if marginal:
-            rows = _joined(marginal, n)
-            std_chol = SpdFactor(hph(rows) + r).chol
-            if _every(rows, n):
-                chol = std_chol  # every row standardized by HPH^T + R
-            else:
-                chol = np.empty((*y.shape, d_y))
-                chol[...], chol[rows] = r_factor.chol, std_chol
-        z, s = whitened_sq(chol, y - center)
-        for spec, rows in passed:
-            k_sq, slope = weigh(spec, s[rows, None], spec.thresholds_for(d_y)[0])
+        partition, thresholds = spec._resolved(d_y)
+        if len(partition) == 1:
+            k_sq, slope = weigh(spec, s[rows, None], thresholds[0])
             w[rows] = 2.0 * k_sq
-            if spec.family != WOLF:
-                kernels.append((rows, k_sq, slope))
-    if kernels:  # one back substitution for every kernel's rows
-        rows, k_sq, slope = kernels[0] if len(kernels) == 1 else (
-            _joined([rows for rows, _, _ in kernels], n),
-            np.concatenate([k for _, k, _ in kernels]),
-            np.concatenate([np.broadcast_to(slope, k.shape) for _, k, slope in kernels]),
-        )
-        log_grad = _log_grad(chol if chol.ndim == 2 else chol[rows], z[rows], k_sq, slope)
-        correction = (r @ log_grad[..., None])[..., 0]
-        if _every(rows, n):
-            target = y - correction
+            if spec.family == WOLF:
+                continue
+            log_grad = _log_grad(chol if chol.ndim == 2 else chol[rows], z[rows], k_sq, slope)
         else:
-            target = y.copy()
-            target[rows] -= correction
-    else:
-        target = y.copy()
-    for spec, rows in blocked:
-        block_of = _block_index(spec.partition_for(d_y))
-        if not block_diagonal(r, block_of):
-            raise ValueError("R is not block-diagonal w.r.t. the partition")
-        std_cov = r_factor if spec.standardization == CONDITIONAL else SpdFactor(hph(rows) + r)
-        k_sq, log_grads = _block_kernel(spec, y[rows] - center[rows], std_cov.inv_sym_sqrt)
-        w[rows] = 2.0 * k_sq[:, block_of]
-        target[rows] = y[rows] - (r @ log_grads[:, block_of, np.arange(d_y)][..., None])[..., 0]
+            block_of = _block_index(partition)
+            if not block_diagonal(r, block_of):
+                raise ValueError("R is not block-diagonal w.r.t. the partition")
+            std_cov = r_factor if spec.standardization == CONDITIONAL else SpdFactor(hph(rows) + r)
+            k_sq, log_grads = _block_kernel(spec, y[rows] - center[rows], std_cov.inv_sym_sqrt)
+            w[rows] = 2.0 * k_sq[:, block_of]
+            log_grad = log_grads[:, block_of, np.arange(d_y)]
+        target[rows] = y[rows] - (r @ log_grad[..., None])[..., 0]
     return w.reshape(shape), target.reshape(shape)
 
 

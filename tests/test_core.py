@@ -240,14 +240,16 @@ def test_robust_analysis_takes_stacks_only():
 
 @st.composite
 def stacked_systems(draw):
-    """(model, means, covs, ys, specs, broken): 1 to 6 forecasts and
-    observations of one random system, each with its weight spec, the
-    elements of a spec next to each other as ``lgss.robust_analysis`` takes
-    them.  When d_Y >= 2, R may be made block-diagonal over two blocks, and
-    the two-block DSM kernel over them is then one of the specs.  ``broken``
-    is None or an element weighted by a single-block spec standardized by
-    HPH^T + R, whose forecast covariance is made negative definite so that
-    no jitter repairs that matrix."""
+    """(model, means, covs, ys, specs, rows, broken): 1 to 6 forecasts and
+    observations of one random system, each with its weight spec, and the
+    (spec, rows) pairs that ``lgss.robust_analysis`` takes.  Half the time
+    the elements of a spec are next to each other and its rows are a slice;
+    otherwise the stack is in a drawn order and each spec's rows are an
+    index array.  When d_Y >= 2, R may be made block-diagonal over two
+    blocks, and the two-block DSM kernel over them is then one of the specs.
+    ``broken`` is None or an element weighted by a single-block spec
+    standardized by HPH^T + R, whose forecast covariance is made negative
+    definite so that no jitter repairs that matrix."""
     model, _, _ = draw(systems())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = [*ROBUST_SPECS, WeightKernelSpec(family=CONSTANT)]
@@ -275,7 +277,15 @@ def stacked_systems(draw):
         # H P^f H^T + R = c H H^T + R with c < -lambda_max(R) / sigma_max(H)^2.
         c = 10.0 * (np.linalg.eigvalsh(model.R)[-1] + 1.0) / np.linalg.norm(model.H, 2) ** 2
         covs[broken] = -(c + 1.0) * np.eye(model.d_x)  # the forecast adds Q = I
-    return model, means, covs, ys, specs, broken
+    if rng.random() < 0.5:
+        order = rng.permutation(b)
+        means, covs, ys, specs = means[order], covs[order], ys[order], [specs[i] for i in order]
+        broken = None if broken is None else int(np.flatnonzero(order == broken)[0])
+        rows = [(spec, np.flatnonzero([s == spec for s in specs])) for spec in dict.fromkeys(specs)]
+    else:
+        rows = [(spec, slice(specs.index(spec), len(specs) - specs[::-1].index(spec)))
+                for spec in dict.fromkeys(specs)]
+    return model, means, covs, ys, specs, rows, broken
 
 
 @PROPERTY_SETTINGS
@@ -285,10 +295,9 @@ def test_stacked_closed_form_step_is_each_elements_step_bit_for_bit(system):
     # own spec, give every element's batch-of-one step bit for bit; the
     # constant kernel inside the mixed stack is the Kalman filter.  An element
     # whose HPH^T + R cannot be factored gets NaN, and no other element moves.
-    model, means, covs, ys, specs, broken = system
+    # A spec's rows may be a slice or an index array.
+    model, means, covs, ys, specs, rows, broken = system
     forecast = kf_forecast(model, GaussianBelief(mean=means, cov=covs))
-    rows = [(spec, slice(specs.index(spec), len(specs) - specs[::-1].index(spec)))
-            for spec in dict.fromkeys(specs)]
     mean, cov, w, target = robust_analysis(model, forecast.mean, forecast.cov, ys, rows)
     posterior = GaussianBelief(mean=mean, cov=cov)
     if broken is not None:

@@ -448,6 +448,66 @@ def test_kf_scores_a_huge_finite_observation_with_finite_metrics(tmp_path):
     json.dumps(summary, allow_nan=False)
 
 
+_SPREAD_CANCELS = "ROADMAP item 6: the members' spread cancels below an ulp of the mean"
+_CONTRACT_BREAKS = {
+    ("tracking2d", "dsm_letkf"): "ROADMAP item 16: the transform's Woodbury Mahalanobis square "
+                                 "goes negative when the spread dwarfs R",
+    ("ou", "enkf"): _SPREAD_CANCELS,
+    ("tracking2d", "enkf"): _SPREAD_CANCELS,
+}
+
+
+def _contract_pair(model, filter_name):
+    """The (model, filter) pair, strictly expected to fail where a known
+    defect breaks the bounded-influence contract, with the ROADMAP item that
+    mends it; None if ``ExperimentConfig`` refuses the pair."""
+    try:
+        ExperimentConfig(model=model, filter=filter_name)
+    except ValueError:
+        return None
+    broken = _CONTRACT_BREAKS.get((model, filter_name))
+    marks = () if broken is None else pytest.mark.xfail(strict=True, reason=broken)
+    return pytest.param(model, filter_name, marks=marks, id=f"{model}-{filter_name}")
+
+
+CONTRACT_PAIRS = [p for m in harness.MODELS for f in FILTERS if (p := _contract_pair(m, f))]
+
+
+@pytest.mark.parametrize("model,filter_name", CONTRACT_PAIRS)
+def test_no_observation_crashes_or_silently_poisons_a_run(model, filter_name, monkeypatch):
+    # Bounded influence over every pair the config accepts: with every
+    # observation an outlier (epsilon 1, lambda 1e10 and 1e300) a run raises
+    # nothing, a robust filter does not diverge, and every run either reports
+    # a divergence or has finite moments and a positive variance at every
+    # step; so does a run with one NaN component.  Ten observations, and
+    # 400 for tracking2d dsm_letkf, whose 1e300 run diverges at step 384.
+    t_end = 40.0 if (model, filter_name) == ("tracking2d", "dsm_letkf") else (
+        1.0 if model in ("ou", "tracking2d") else 0.5
+    )
+    base = ExperimentConfig(model=model, filter=filter_name, t_end=t_end, seed=1, epsilon=1.0)
+    robust = harness._FILTER_TABLE[filter_name][1] is not None
+    build = harness.build_setups
+
+    def with_nan(configs, seeds):
+        setups = build(configs, seeds)
+        setups[0].record.observations[0, 3] = np.nan
+        return setups
+
+    runs = [(f"lambda {lam:g}", run_single(replace(base, lam=lam)).run) for lam in (1e10, 1e300)]
+    monkeypatch.setattr(harness, "build_setups", with_nan)
+    nan_run = run_single(replace(base, epsilon=0.0)).run
+    for label, run in [*runs, ("a NaN observation", nan_run)]:
+        step = run.divergence_step
+        assert not (robust and run is not nan_run and step is not None), (
+            f"diverged at step {step} under {label}"
+        )
+        if step is None:
+            variances = np.diagonal(run.covariances, axis1=-2, axis2=-1)
+            assert np.isfinite(run.means).all() and np.isfinite(run.covariances).all(), label
+            zero = np.flatnonzero(~(variances > 0.0).all(axis=1))
+            assert not len(zero), f"scored with a zero variance from step {zero[0]} under {label}"
+
+
 @pytest.mark.parametrize(
     "filter_name,setting,values",
     [
@@ -1040,8 +1100,9 @@ def test_the_chunk_forecasts_once_per_step_while_a_sampled_filter_runs(
 
 
 def test_a_sweep_builds_each_cell_and_filter_config_once(monkeypatch):
-    # The 2 cells and their 2 x 3 run configs are built, and so validated,
-    # once each, not again for each of the 4 replicates.
+    # The 2 x 3 run configs of the 2 cells are built, and so validated, once
+    # each, not again for each of the 4 replicates; no cell config is built
+    # under the base config's filter and thrown away.
     config = ExperimentConfig(model="tracking2d", filter="kf", t_end=1.0, seed=5, mc_reps=4)
     built, post_init = [], ExperimentConfig.__post_init__
 
@@ -1051,7 +1112,15 @@ def test_a_sweep_builds_each_cell_and_filter_config_once(monkeypatch):
 
     monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
     run_sweep(config, [0.0, 0.2], [10.0], filters=["kf", "dsm_kf", "wolf_kf"])
-    assert len(built) == 8
+    assert len(built) == 6
+
+
+def test_a_size_sweep_checks_its_sizes_against_the_filters_it_runs_only():
+    # The cell config built under the base config's filter refused size 1
+    # for an enkf base, though only kf runs and kf takes no ensemble.
+    config = ExperimentConfig(model="ou", filter="enkf", t_end=0.5, mc_reps=2)
+    result = run_ensemble_size_sweep(config, [1], ["kf"])
+    assert result.axes == {"ensemble_size": [1]} and result.cells[("kf", 0, 0)].n_ok == 2
 
 
 def test_a_stack_whose_finite_moments_sum_past_the_largest_double_keeps_every_element():
@@ -1585,6 +1654,23 @@ def test_cli_size_sweep_refuses_a_size_a_filter_cannot_run_in_one_line():
         cli.main(["size-sweep", "--config", "ou_desk", "--filters", "kf,enkf", "--sizes", "1,5"])
     assert str(err.value) == (
         "ou_desk: ensemble_size must be >= 2 for ensemble and particle filters"
+    )
+
+
+def test_cli_size_sweep_refuses_a_size_by_the_listed_filter_not_the_configs(monkeypatch):
+    # The lorenz96_desk base filter is dsm_letkf, whose windows 8,739
+    # members overflow; the sweep runs dsm_enkf only, refused at that size
+    # by the EnKF's own ceiling, and named so.
+    def no_replicate(chunk):
+        raise AssertionError("a replicate started")
+
+    monkeypatch.setattr(harness, "_chunk_job", no_replicate)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["size-sweep", "--config", "lorenz96_desk", "--filters", "dsm_enkf",
+                  "--sizes", "8739"])
+    assert re.fullmatch(
+        f"lorenz96_desk: ensemble_size 8739 gives enkf on 'lorenz96' a per-step array of "
+        f"[0-9]+ bytes, above the ceiling of {harness.MAX_STEP_BYTES}", str(err.value)
     )
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_da import GaussianBelief, LgssModel, SpdFactor, dsm_analysis
+from robust_da import GaussianBelief, LgssModel, SpdFactor, dsm_analysis, weights
 from robust_da.weights import (
+    CONDITIONAL,
     CONSTANT,
     IMQ,
     MARGINAL,
@@ -276,6 +277,36 @@ def test_robust_update_refuses_r_not_block_diagonal_over_the_partition():
     )
     with pytest.raises(ValueError, match="block-diagonal"):
         dsm_analysis(model, model.prior, np.array([1.0, 2.0]), spec)
+
+
+def test_robust_update_whitens_a_mixed_stack_in_one_call(monkeypatch):
+    # Constant, IMQ, WoLF md (standardized by R) and sigma-scaled WoLF (by
+    # HPH^T + R) rows share one whitening, and each spec's rows come out as
+    # its own call gives them.
+    calls, whitened_sq = [], weights.whitened_sq
+
+    def counted(chol, r):
+        calls.append(r.shape)
+        return whitened_sq(chol, r)
+
+    rng = np.random.default_rng(7)
+    r_factor = SpdFactor(random_spd(rng, 3))
+    hph = np.stack([random_spd(rng, 3) for _ in range(8)])
+    y, center = 10.0 * rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
+    specs = [
+        (WeightKernelSpec(family=CONSTANT), slice(0, 2)),
+        (WeightKernelSpec(family=IMQ), slice(2, 4)),
+        (WeightKernelSpec(family=WOLF, standardization=CONDITIONAL), slice(4, 6)),
+        (WeightKernelSpec(family=WOLF, standardization=MARGINAL), slice(6, 8)),
+    ]
+    monkeypatch.setattr(weights, "whitened_sq", counted)
+    w, target = robust_update(specs, y, center, lambda rows: hph[rows], r_factor)
+    assert calls == [(8, 3)]
+    monkeypatch.undo()
+    for spec, rows in specs:
+        alone = update_one(spec, y[rows], center[rows], lambda _: hph[rows], r_factor)
+        np.testing.assert_array_equal(w[rows], alone[0])
+        np.testing.assert_array_equal(target[rows], alone[1])
 
 
 def test_block_diagonal_r_is_judged_relative_to_its_diagonal():
